@@ -42,7 +42,8 @@ from .manybody import (FockSpace, assemble_background_hopping,
                        assemble_simulator_hamiltonian,
                        assemble_target_hamiltonian, correlators_and_wick,
                        ground_state, mapping_residual, operator_algebra,
-                       per_cell_pairs, uniform_pair, weak_fluctuation_report)
+                       per_cell_pairs, sector_block, uniform_pair,
+                       weak_fluctuation_report)
 from .serialize import fmt, write_csv, write_keyvalue
 
 COMMANDS = (
@@ -455,10 +456,7 @@ def _truncation_delta(cfg, params, spec, space, energy) -> float:
 
 def _cmd_spectrum(cfg, outdir, extras):
     params, spec, space, ops = _many_body_setup(cfg)
-    h = _assemble_for(cfg, params, spec, space, ops)
-    idx = space.sector_indices()
-    import scipy.sparse as sparse
-    hs = sparse.csr_matrix(h)[idx][:, idx]
+    hs = sector_block(_assemble_for(cfg, params, spec, space, ops), space)
     if hs.shape[0] > cfg[("truncation", "dense_cap")]:
         raise DimensionCapError(
             f"sector dimension {hs.shape[0]} exceeds dense cap for spectrum")
@@ -490,6 +488,8 @@ def _cmd_ground_state(cfg, outdir, extras):
     extras.append(("ground_energy", gs.energy))
     extras.append(("multiplicity", gs.multiplicity))
     extras.append(("eigen_residual", gs.residual))
+    extras.append(("eigen_k", gs.k))
+    extras.append(("sector_dimension", gs.sector_dimension))
     extras.append(("truncation_delta", _truncation_delta(cfg, params, spec, space, gs.energy)))
 
 
@@ -513,6 +513,8 @@ def _cmd_correlators(cfg, outdir, extras):
     if params.G > 0 and space.n_boson_modes:
         wf = weak_fluctuation_report(gs, space, ops, optical_params(params))
         pairs.extend(wf.to_pairs())
+    extras.append(("eigen_k", gs.k))
+    extras.append(("sector_dimension", gs.sector_dimension))
     extras.append(("truncation_delta", _truncation_delta(cfg, params, spec, space, gs.energy)))
     for cell, qc in sorted(rep.q_corr.items(), key=lambda kv: (kv[0] is None, kv[0])):
         tag = "shared" if cell is None else f"cell{cell}"
@@ -526,6 +528,7 @@ def _cmd_correlators(cfg, outdir, extras):
 def _cmd_wick_sweep(cfg, outdir, extras):
     spec = cfg.lattice
     rows = []
+    energies = {}
     for g in cfg[("sweep", "g_values")]:
         if g == 0:
             space0 = FockSpace(spec.n_modes, (), n_max=0,
@@ -542,16 +545,15 @@ def _cmd_wick_sweep(cfg, outdir, extras):
             gs = ground_state(h, space)
             rep = correlators_and_wick(gs, space, ops, seed=cfg[("", "seed")])
         rows.append((g, rep.wick_residual, gs.energy, gs.multiplicity))
+        energies[g] = gs.energy
     write_csv(outdir / "wick_sweep.csv", "g,wick_residual,ground_energy,multiplicity", rows)
     positive = [g for g in cfg[("sweep", "g_values")] if g > 0]
     if positive and cfg[("truncation", "n_max")] > 0:
         g_top = max(positive)
         params_top = ModelParams(G=g_top, l=cfg.params.l, mu=cfg.params.mu)
-        space_top = cfg.fock_space()
-        h_top = assemble_simulator_hamiltonian(params_top, spec, space_top)
-        e_top = ground_state(h_top, space_top).energy
         extras.append(("truncation_delta_at_g_max",
-                       _truncation_delta(cfg, params_top, spec, space_top, e_top)))
+                       _truncation_delta(cfg, params_top, spec, cfg.fock_space(),
+                                         energies[g_top])))
 
 
 def _cmd_map_residual(cfg, outdir, extras):

@@ -48,6 +48,7 @@ __all__ = [
     "assemble_target_hamiltonian",
     "assemble_background_hopping",
     "mapping_residual",
+    "sector_block",
     "GroundStateResult",
     "ground_state",
     "thermal_expectation",
@@ -289,7 +290,7 @@ def _hopping_matrix(ops: ModeOperators, spec: LatticeSpec, coupling_ops):
     """sum_bonds J_op (a_i+ b_k) + h.c. with J_op per (cell, species)."""
     space = ops.space
     n = spec.n_cells
-    half = sparse.csr_matrix((space.dimension, space.dimension), dtype=complex)
+    half = sparse.csr_matrix((space.dimension, space.dimension))
     for cell, species, a_cell, b_cell in _bond_list(spec):
         a_dag = ops.c[a_cell].getH()
         b = ops.c[n + b_cell]
@@ -457,6 +458,19 @@ def mapping_residual(h_sim, h_target, space: FockSpace, window: int) -> float:
 # eigen machinery and observables
 # ---------------------------------------------------------------------------
 
+def sector_block(h, space: FockSpace):
+    """``h`` restricted to the configured fermion sector, as CSR.
+
+    A complex matrix whose imaginary part is exactly zero comes back real,
+    so the eigensolvers take their real symmetric paths.
+    """
+    idx = space.sector_indices()
+    hs = sparse.csr_matrix(h)[idx][:, idx]
+    if np.iscomplexobj(hs) and not hs.data.imag.any():
+        hs = hs.real
+    return hs
+
+
 @dataclass
 class GroundStateResult:
     """Extremal eigenpair data; states are embedded in the full space."""
@@ -466,6 +480,7 @@ class GroundStateResult:
     multiplicity: int
     residual: float
     sector_dimension: int
+    k: int                # eigenpairs computed by the final solve
 
     @property
     def state(self) -> np.ndarray:
@@ -480,45 +495,65 @@ def ground_state(h, space: FockSpace, degeneracy_tol: float = 1e-9,
                  maxiter: int = 100000) -> GroundStateResult:
     """Lowest eigenpair in the configured fermion sector.
 
-    Dense diagonalization below dimension 512, ARPACK Lanczos with a
-    deterministic start vector above; the residual ||Hv - E v|| must come
-    out below 1e-10 * scale(H) or ConvergenceError is raised.  Degenerate
-    ground levels (within ``degeneracy_tol`` * scale) are returned as the
-    full multiplet.
+    The sector block is solved in real arithmetic whenever it is real (a
+    complex input with an exactly zero imaginary part is cast to real
+    first); a genuinely complex block keeps the Hermitian solvers.  Dense
+    diagonalization up to dimension 512, ARPACK Lanczos above, started
+    from the fixed-seed Gaussian vector
+    ``np.random.default_rng(0).standard_normal(dim)``: reruns are
+    byte-stable, and the vector overlaps ground states that a symmetry
+    makes orthogonal to the uniform vector.  Lanczos asks for
+    k = 2 eigenpairs and doubles k only while the top returned level is
+    still within ``degeneracy_tol`` * scale of E0; levels within that
+    tolerance are returned as the full multiplet, and ``k`` records the
+    final request (the sector dimension on the dense path).  A restarted
+    Lanczos can under-count a multiplicity above 3: on a block-diagonal
+    matrix of sixteen 64x64 blocks with a 4-fold ground level, k = 4
+    returned 3 copies.
+
+    The residual ||Hv - E v|| of every returned pair must come out below
+    1e-10 * scale(H) or ConvergenceError is raised.
     """
-    idx = space.sector_indices()
-    hs = sparse.csr_matrix(h)[idx][:, idx]
+    hs = sector_block(h, space)
     dim = hs.shape[0]
     if dim == 0:
         raise ValueError("empty sector")
     scale = max(_operator_scale(hs), 1.0)
+    level_tol = degeneracy_tol * scale
     if dim <= 512:
+        k = dim
         evals, evecs = np.linalg.eigh(hs.toarray())
     else:
-        v0 = np.full(dim, 1.0 / np.sqrt(dim))
-        try:
-            evals, evecs = spla.eigsh(hs, k=min(6, dim - 1), which="SA",
-                                      v0=v0, maxiter=maxiter, tol=1e-12)
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceError(f"Lanczos failed to converge: {exc}") from exc
-        order = np.argsort(evals)
-        evals, evecs = evals[order], evecs[:, order]
+        v0 = np.random.default_rng(0).standard_normal(dim)
+        k = 2
+        while True:
+            try:
+                evals, evecs = spla.eigsh(hs, k=k, which="SA", v0=v0,
+                                          maxiter=maxiter, tol=1e-12)
+            except spla.ArpackNoConvergence as exc:
+                raise ConvergenceError(f"Lanczos failed to converge: {exc}") from exc
+            order = np.argsort(evals)
+            evals, evecs = evals[order], evecs[:, order]
+            if evals[-1] - evals[0] > level_tol or k == dim - 1:
+                break
+            k = min(2 * k, dim - 1)
     e0 = float(evals[0])
-    members = [k for k in range(len(evals)) if evals[k] - e0 <= degeneracy_tol * scale]
+    members = [j for j in range(len(evals)) if evals[j] - e0 <= level_tol]
+    idx = space.sector_indices()
     states = []
     residual0 = None
-    for k in members:
-        v = evecs[:, k]
-        res = float(np.linalg.norm(hs @ v - evals[k] * v))
+    for j in members:
+        v = evecs[:, j]
+        res = float(np.linalg.norm(hs @ v - evals[j] * v))
         if res > 1e-10 * scale:
             raise ConvergenceError(f"eigenpair residual {res:g} above 1e-10*scale")
         if residual0 is None:
             residual0 = res
-        full = np.zeros(space.dimension, dtype=complex)
+        full = np.zeros(space.dimension, dtype=v.dtype)
         full[idx] = v
         states.append(full)
     return GroundStateResult(energy=e0, states=states, multiplicity=len(members),
-                             residual=residual0, sector_dimension=dim)
+                             residual=residual0, sector_dimension=dim, k=k)
 
 
 def thermal_expectation(h, temperature: float, obs, space: FockSpace,
@@ -531,11 +566,10 @@ def thermal_expectation(h, temperature: float, obs, space: FockSpace,
     """
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
-    idx = space.sector_indices()
-    hs = sparse.csr_matrix(h)[idx][:, idx]
+    hs = sector_block(h, space)
     if hs.shape[0] > dense_cap:
         raise DimensionCapError(f"sector dimension {hs.shape[0]} exceeds {dense_cap}")
-    obs_s = sparse.csr_matrix(obs)[idx][:, idx].toarray()
+    obs_s = sector_block(obs, space).toarray()
     evals, evecs = np.linalg.eigh(hs.toarray())
     diag_obs = np.einsum("ik,ij,jk->k", evecs.conj(), obs_s, evecs).real
     if temperature == 0:

@@ -135,6 +135,27 @@ g_values = 0,1e-3,1e-2
     assert strip(out_a / "manifest.txt") == strip(out_b / "manifest.txt")
 
 
+def test_ground_state_manifest_records_solver_size(tmp_path):
+    config = """
+command = ground-state
+[lattice]
+ncx = 3
+ncy = 1
+[truncation]
+n_max = 1
+[manybody]
+placement = per_cell
+"""
+    code_a, out_a = _run(tmp_path, config, out="run_a")
+    code_b, out_b = _run(tmp_path, config, out="run_b")
+    assert code_a == 0 and code_b == 0
+    manifest = (out_a / "manifest.txt").read_text().splitlines()
+    assert "sector_dimension=1280" in manifest  # C(6, 3) x 2^6, Lanczos path
+    assert "eigen_k=2" in manifest
+    assert ((out_a / "ground_state.csv").read_bytes()
+            == (out_b / "ground_state.csv").read_bytes())
+
+
 def test_map_couplings_roundtrip_artifact(tmp_path):
     code, out = _run(tmp_path, """
 command = map-couplings

@@ -99,12 +99,22 @@ SPEC1 = LatticeSpec(1, 1)
 def test_simulator_hermitian_exactly():
     space = FockSpace(2, per_cell_pairs(SPEC1), 3)
     h = assemble_simulator_hamiltonian(PARAMS, SPEC1, space)
+    assert h.dtype == np.float64
     assert abs(h - h.getH()).max() == 0.0
 
 
 def test_target_hermitian_exactly():
     space = FockSpace(2, per_cell_pairs(SPEC1), 3)
     h = assemble_target_hamiltonian(PARAMS, SPEC1, space)
+    assert h.dtype == np.float64
+    assert abs(h - h.getH()).max() == 0.0
+
+
+def test_background_hermitian_exactly():
+    spec = LatticeSpec(2, 1)
+    space = FockSpace(spec.n_modes, per_cell_pairs(spec), 1)
+    h = assemble_background_hopping(PARAMS.l, spec, space)
+    assert h.dtype == np.float64
     assert abs(h - h.getH()).max() == 0.0
 
 
@@ -294,6 +304,67 @@ def test_ground_state_identity_matrix():
     gs = ground_state(eye, space)
     assert gs.energy == pytest.approx(1.0)
     assert gs.multiplicity == space.dimension
+
+
+def _banded_block(n, rng):
+    """Tridiagonal block whose lowest level sits well below the rest."""
+    diag = np.linspace(0.0, 4.0, n)
+    diag[0] = -1.0
+    off = 0.1 * rng.standard_normal(n - 1)
+    return sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
+
+
+@pytest.mark.parametrize("fold", [1, 2, 3])
+def test_ground_state_lanczos_multiplicity(fold):
+    # four identical blocks, all but ``fold`` of them shifted up: a
+    # uniform start vector sees the copies only in their symmetric
+    # combination and reports multiplicity 1
+    block = _banded_block(256, np.random.default_rng(0))
+    shifted = block + 0.5 * sparse.identity(256, format="csr")
+    h = sparse.block_diag([block] * fold + [shifted] * (4 - fold), format="csr")
+    space = FockSpace(10, (), 0)
+    assert space.dimension == 1024
+    gs = ground_state(h, space)
+    evals = np.linalg.eigvalsh(h.toarray())
+    dense_count = int(np.sum(evals - evals[0] <= 1e-9 * abs(h).max()))
+    assert dense_count == fold
+    assert gs.multiplicity == dense_count
+    assert gs.energy == pytest.approx(evals[0], abs=1e-10)
+    assert gs.k > gs.multiplicity
+
+
+def _swap_block_matrix():
+    # kron(X, A): the ground state is (1, -1)/sqrt2 x top(A), orthogonal to
+    # the uniform vector, which spans only the +lambda(A) half
+    a = _banded_block(512, np.random.default_rng(1)) + 2.0 * sparse.identity(512)
+    return sparse.kron(sparse.csr_matrix([[0.0, 1.0], [1.0, 0.0]]), a, format="csr")
+
+
+def test_ground_state_orthogonal_to_uniform_vector():
+    h = _swap_block_matrix()
+    gs = ground_state(h, FockSpace(10, (), 0))
+    e0 = np.linalg.eigvalsh(h.toarray())[0]
+    assert e0 < -5.0
+    assert gs.energy == pytest.approx(e0, abs=1e-10)
+    assert gs.multiplicity == 1
+
+
+def test_ground_state_real_path_and_complex_input():
+    h = _swap_block_matrix()
+    space = FockSpace(10, (), 0)
+    real = ground_state(h, space)
+    assert real.state.dtype == np.float64
+    # complex storage with a zero imaginary part takes the same real path
+    cast = ground_state(h.astype(complex), space)
+    assert cast.state.dtype == np.float64
+    assert cast.energy == real.energy
+    # a genuinely complex Hermitian input keeps the Hermitian solver
+    twist = sparse.kron(sparse.csr_matrix([[0.0, -1.0], [1.0, 0.0]]),
+                        sparse.identity(512), format="csr")
+    hc = h + 0.1j * twist
+    gs = ground_state(hc, space)
+    assert gs.state.dtype == np.complex128
+    assert gs.energy == pytest.approx(np.linalg.eigvalsh(hc.toarray())[0], abs=1e-10)
 
 
 def test_thermal_expectation_limits():
