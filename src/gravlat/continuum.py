@@ -13,10 +13,10 @@ flipped-mass form (see :func:`integrate_out_geometry`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-import sympy as sp
 
 from .exceptions import MasslessLimitError, TopologicalLimitError
 from .geometry import Grid2D, ModelParams, _deriv
@@ -32,6 +32,7 @@ __all__ = [
     "symplectic_frequencies",
     "CurrentField",
     "fermionic_current",
+    "ELIMINATION_RATIO",
     "EffectiveInteraction",
     "integrate_out_geometry",
     "gaussian_elimination_oracle",
@@ -255,6 +256,13 @@ def fermionic_current(psi: np.ndarray, grid: Grid2D, params: ModelParams,
     return CurrentField(grid, out["j1x"], out["j1y"], out["j2x"], out["j2y"])
 
 
+# Stationary value of f(xi) = s (xi1 J1 + xi2 J2) + m xi1 xi2 with
+# s = 8 pi G / l and m = 8 pi G mu^2 (flipped-mass convention) is
+# f* = -s^2 J1 J2 / m, i.e. this multiple of (pi G / (l^2 mu^2)) times the
+# epsilon contraction 2 J1 J2 of diagonal currents.
+ELIMINATION_RATIO = Fraction(-4)
+
+
 @dataclass(frozen=True)
 class EffectiveInteraction:
     """Induced current-current interaction after eliminating the geometry.
@@ -265,38 +273,9 @@ class EffectiveInteraction:
     """
 
     coefficient: float
-    coefficient_over_unit: sp.Rational  # exact multiple of pi G / (l^2 mu^2)
+    coefficient_over_unit: Fraction  # exact multiple of pi G / (l^2 mu^2)
     density: np.ndarray
     grid: Optional[Grid2D]
-
-
-def _symbolic_elimination_ratio() -> sp.Rational:
-    """Exact coefficient of the induced interaction, by completing squares.
-
-    Works in the flipped-mass convention: the geometry-dependent part of
-    the Hamiltonian density is
-
-        f(xi) = s (xi1 J1 + xi2 J2) + m xi1 xi2 ,
-        s = 8 pi G / l^2 * l = 8 pi G / l ,   m = +8 pi G mu^2 ,
-
-    whose stationary value is f* = -s^2 J1 J2 / m.  Returns the exact
-    rational r with f* = r * (pi G / (l^2 mu^2)) * (eps contraction), where
-    the epsilon contraction equals 2 J1 J2 for diagonal currents.
-    """
-    G, l, mu = sp.symbols("G l mu", positive=True)
-    j1, j2, x1, x2 = sp.symbols("J1 J2 x1 x2", real=True)
-    s = 8 * sp.pi * G / l
-    m = 8 * sp.pi * G * mu ** 2
-    f = s * (x1 * j1 + x2 * j2) + m * x1 * x2
-    sol = sp.solve([sp.diff(f, x1), sp.diff(f, x2)], [x1, x2], dict=True)
-    if len(sol) != 1:
-        raise RuntimeError("stationary point of the quadratic form not unique")
-    f_star = sp.simplify(f.subs(sol[0]))
-    unit = sp.pi * G / (l ** 2 * mu ** 2) * 2 * j1 * j2
-    ratio = sp.simplify(f_star / unit)
-    if not ratio.is_Rational:
-        raise RuntimeError(f"elimination coefficient is not rational: {ratio}")
-    return ratio
 
 
 def integrate_out_geometry(currents: CurrentField, params: ModelParams) -> EffectiveInteraction:
@@ -308,20 +287,16 @@ def integrate_out_geometry(currents: CurrentField, params: ModelParams) -> Effec
 
         -(4 pi G / (l^2 mu^2)) eps_ab eps^ij J^a_i J^b_j .
 
-    The exact rational prefactor (-4, in units of pi G / (l^2 mu^2)) is
-    recomputed symbolically on every call and checked before any numbers
-    are produced.
+    The exact rational prefactor is :data:`ELIMINATION_RATIO` (-4, in units
+    of pi G / (l^2 mu^2)); the test suite re-derives it symbolically.
     """
     if params.mu == 0:
         raise MasslessLimitError("mu = 0: geometry elimination has no inverse")
-    ratio = _symbolic_elimination_ratio()
-    if ratio != sp.Rational(-4):
-        raise RuntimeError(f"symbolic elimination gave {ratio}, expected -4")
-    coeff = float(ratio) * np.pi * params.G / (params.l ** 2 * params.mu ** 2)
+    coeff = float(ELIMINATION_RATIO) * np.pi * params.G / (params.l ** 2 * params.mu ** 2)
     contraction = 2.0 * (currents.j1x * currents.j2y - currents.j1y * currents.j2x)
     return EffectiveInteraction(
         coefficient=coeff,
-        coefficient_over_unit=ratio,
+        coefficient_over_unit=ELIMINATION_RATIO,
         density=coeff * contraction,
         grid=currents.grid,
     )

@@ -14,8 +14,6 @@ import numpy as np
 
 ETA = np.diag([-1.0, 1.0, 1.0])
 
-T, X, Y = 0, 1, 2  # spacetime axis labels
-
 
 def levi_civita_3() -> np.ndarray:
     """3-index permutation symbol, eps[0,1,2] = +1."""
@@ -25,14 +23,7 @@ def levi_civita_3() -> np.ndarray:
     return eps
 
 
-def levi_civita_2() -> np.ndarray:
-    """2-index permutation symbol over spatial (x, y), eps[0,1] = +1."""
-    return np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
 EPS3 = levi_civita_3()
-EPS2 = levi_civita_2()
 
 EPS3.setflags(write=False)
-EPS2.setflags(write=False)
 ETA.setflags(write=False)

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exceptions import DiracRegimeError, InversionError
 from .geometry import ModelParams
@@ -140,20 +139,14 @@ def bloch_gradient(c: CouplingField, k, step: float = 1e-6):
 def _kx_star(jx: float, jz: float) -> float:
     """Root of J_z + 2 J_x cos(sqrt3 kx / 2) on (0, 2 pi / sqrt3).
 
-    Seeded by the closed form (2/sqrt3) arccos(-J_z / (2 J_x)); a bracketed
-    root solve plus one Newton polish pushes the residual below 1e-13.
+    The closed form (2/sqrt3) arccos(-J_z / (2 J_x)), followed by two Newton
+    steps on the analytic derivative, pushes the residual below 1e-13.
     """
-    seed = 2.0 / np.sqrt(3.0) * np.arccos(-jz / (2.0 * jx))
-    upper = 2.0 * np.pi / np.sqrt(3.0)
+    root = 2.0 / np.sqrt(3.0) * np.arccos(-jz / (2.0 * jx))
 
     def g(kx):
         return jz + 2.0 * jx * np.cos(np.sqrt(3.0) * kx / 2.0)
 
-    lo = max(seed - 0.2, 1e-12)
-    hi = min(seed + 0.2, upper - 1e-12)
-    if g(lo) * g(hi) > 0:
-        lo, hi = 1e-12, upper - 1e-12
-    root = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
     for _ in range(2):  # Newton polish on the analytic derivative
         gp = -np.sqrt(3.0) * jx * np.sin(np.sqrt(3.0) * root / 2.0)
         if gp != 0:

@@ -11,8 +11,8 @@ operator:
   combination q1 = (2 sqrt2 / 3) d_x - d_z / 3, q2 = d_z, plus the exact
   quadratic boson density in the same substitution.
 
-The q pair preserves each self-commutator but is not canonical:
-[q1, q2+] = -1/3 exactly (see :func:`q_map_commutators`), so all
+The q pair preserves each self-commutator ((2 sqrt2 / 3)^2 + (1/3)^2 = 1)
+but is not canonical: [q1, q2+] = -1/3 exactly, so all
 substitutions are performed literally in the d modes and no canonical
 structure is assumed anywhere.
 
@@ -31,10 +31,9 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-import sympy as sp
 
 from .continuum import hgr_quadratic_form
-from .designer import optical_params
+from .designer import optical_params, weak_fluctuation_check
 from .exceptions import ConvergenceError, DimensionCapError
 from .geometry import ModelParams
 from .lattice import LatticeSpec
@@ -43,7 +42,6 @@ __all__ = [
     "FockSpace",
     "ModeOperators",
     "operator_algebra",
-    "q_map_commutators",
     "assemble_simulator_hamiltonian",
     "assemble_target_hamiltonian",
     "assemble_background_hopping",
@@ -224,33 +222,6 @@ def operator_algebra(space: FockSpace) -> ModeOperators:
         db = _kron_chain(factors) if factors else sparse.identity(1, format="csr")
         ds.append(sparse.kron(eye_f, db, format="csr"))
     return ModeOperators(space=space, c=tuple(cs), d=tuple(ds))
-
-
-def q_map_commutators():
-    """Exact commutator matrix of the ladder redefinition, in sympy.
-
-    Returns the 2x2 matrix K with K[a, b] = [q_a, q_b+] computed from
-    [d_m, d_n+] = delta_mn:
-
-        K = [[1, -1/3], [-1/3, 1]] .
-
-    The self-commutators are preserved exactly ( (2 sqrt2/3)^2 + (1/3)^2
-    = 1 ) but the pair is not canonical: the off-diagonal entry is -1/3,
-    so the pair substitution genuinely deforms the quadratic spectrum and
-    every mapping in this module works in the d modes directly.
-    """
-    alpha = 2 * sp.sqrt(2) / 3
-    beta = -sp.Rational(1, 3)
-    coeffs = {  # q_a = sum_m coeffs[a][m] d_m over m in (x, z)
-        1: {"x": alpha, "z": beta},
-        2: {"x": sp.Integer(0), "z": sp.Integer(1)},
-    }
-    k = sp.zeros(2, 2)
-    for a in (1, 2):
-        for b in (1, 2):
-            k[a - 1, b - 1] = sp.nsimplify(sum(
-                coeffs[a][m] * coeffs[b][m] for m in ("x", "z")))
-    return sp.simplify(k)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +570,6 @@ def weak_fluctuation_report(state, space: FockSpace, ops: ModeOperators,
     linearized couplings and quartic reductions are only trustworthy while
     every ratio stays small.
     """
-    from .designer import weak_fluctuation_check
     weights, states = _as_mixture(state)
     occ = boson_occupations(states, weights, ops)
     species = [s for _, s in space.boson_modes]

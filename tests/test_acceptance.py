@@ -31,10 +31,9 @@ from gravlat.manybody import (FockSpace, assemble_background_hopping,
                               assemble_simulator_hamiltonian,
                               assemble_target_hamiltonian,
                               correlators_and_wick, ground_state,
-                              mapping_residual, operator_algebra,
-                              q_map_commutators)
+                              mapping_residual, operator_algebra)
 
-from conftest import TrigField3
+from conftest import TrigField3, q_map_commutators
 
 
 def _report(number, checks, started, limit):

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import gravlat
 from gravlat.cli import main, parse_config
 from gravlat.exceptions import ConfigError
 
@@ -83,6 +88,49 @@ nnz_cap = 100
     assert code == 4
 
 
+def test_wick_sweep_zero_coupling_point_respects_nnz_cap(tmp_path):
+    code, _ = _run(tmp_path, """
+command = wick-sweep
+[lattice]
+ncx = 2
+ncy = 1
+[truncation]
+nnz_cap = 10
+[manybody]
+placement = cell0
+[sweep]
+g_values = 0
+""")
+    assert code == 4
+
+
+def test_map_residual_window_above_n_max_is_config_error(tmp_path, capsys):
+    code, out = _run(tmp_path, """
+command = map-residual
+[lattice]
+ncx = 2
+ncy = 1
+[truncation]
+n_max = 1
+window = 2
+[manybody]
+placement = cell0
+""")
+    assert code == 2
+    assert "category=config map-residual window 2 exceeds n_max 1" in capsys.readouterr().err
+    assert not (out / "map_residual.csv").exists()
+
+
+def test_import_loads_no_sympy_optimize_or_sparse():
+    src = Path(gravlat.__file__).resolve().parents[1]
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import gravlat.cli; "
+             "print(','.join(m for m in ('sympy', 'scipy.optimize', 'scipy.sparse')"
+             " if m in sys.modules))")
+    loaded = subprocess.run([sys.executable, "-c", probe, str(src)], check=True,
+                            capture_output=True, text=True).stdout.strip()
+    assert loaded == ""
+
+
 def test_fermi_points_artifact(tmp_path):
     code, out = _run(tmp_path, """
 command = fermi-points
@@ -154,6 +202,24 @@ placement = per_cell
     assert "eigen_k=2" in manifest
     assert ((out_a / "ground_state.csv").read_bytes()
             == (out_b / "ground_state.csv").read_bytes())
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("correlators", "correlator_summary.txt"), ("map-residual", "map_residual.csv")])
+def test_many_body_command_writes_its_artifact(tmp_path, command, artifact):
+    code, out = _run(tmp_path, f"""
+command = {command}
+[lattice]
+ncx = 2
+ncy = 1
+[truncation]
+n_max = 1
+window = 1
+[manybody]
+placement = cell0
+""")
+    assert code == 0
+    assert (out / artifact).stat().st_size > 0
 
 
 def test_map_couplings_roundtrip_artifact(tmp_path):

@@ -1,14 +1,18 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from gravlat.continuum import (CurrentField, dressed_velocities,
-                               fermionic_current, gamma_set,
+from gravlat.continuum import (ELIMINATION_RATIO, CurrentField,
+                               dressed_velocities, fermionic_current, gamma_set,
                                gaussian_elimination_oracle,
                                hgr_quadratic_form, integrate_out_geometry,
                                normal_mode_frequencies, single_particle_symbol,
                                symplectic_frequencies)
 from gravlat.exceptions import TopologicalLimitError
 from gravlat.geometry import Grid2D, ModelParams
+
+from conftest import symbolic_elimination_ratio
 
 
 def test_clifford_algebra():
@@ -232,6 +236,11 @@ def test_integrate_out_reference_coefficient():
     eff = integrate_out_geometry(uniform_currents(grid16(), 1.0, 1.0), p)
     assert eff.coefficient == pytest.approx(-1.0, rel=1e-14)
     assert eff.coefficient_over_unit == -4
+
+
+def test_elimination_ratio_matches_symbolic_oracle():
+    assert symbolic_elimination_ratio() == ELIMINATION_RATIO
+    assert ELIMINATION_RATIO == Fraction(-4)
 
 
 def test_integrate_out_uniform_density_value():

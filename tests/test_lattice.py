@@ -44,13 +44,17 @@ def test_fermi_points_isotropic_reference():
 
 
 def test_fermi_points_sweep_residuals():
-    for jz in np.arange(0.1, 2.0, 0.1):
-        c = CouplingField.uniform(1.0, 1.0, float(jz))
-        p_plus, p_minus = fermi_points(c)
-        assert abs(bloch_f(c, p_plus)) <= 1e-12
-        assert abs(bloch_f(c, p_minus)) <= 1e-12
-        seed = 2 / np.sqrt(3) * np.arccos(-jz / 2.0)
-        assert abs(p_plus[0] - seed) < 1e-9
+    # ratios J_z / (2 J_x) reach within 1e-9 of both ends of the conical regime
+    ratios = (1e-9, 1e-6, 1e-3, 0.25, 0.5, 0.75, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9)
+    for jx in (0.3, 1.0, 2.7):
+        for ratio in ratios:
+            jz = 2.0 * jx * ratio
+            c = CouplingField.uniform(jx, jx, jz)
+            p_plus, p_minus = fermi_points(c)
+            assert abs(bloch_f(c, p_plus)) <= 1e-12
+            assert abs(bloch_f(c, p_minus)) <= 1e-12
+            seed = 2 / np.sqrt(3) * np.arccos(-jz / (2.0 * jx))
+            assert abs(p_plus[0] - seed) < 1e-9
 
 
 def test_fermi_points_merge_toward_zone_edge():

@@ -12,8 +12,10 @@ from gravlat.manybody import (FockSpace, assemble_background_hopping,
                               assemble_target_hamiltonian, boson_occupations,
                               correlators_and_wick, ground_state,
                               mapping_residual, operator_algebra,
-                              per_cell_pairs, q_map_commutators, uniform_pair,
+                              per_cell_pairs, uniform_pair,
                               thermal_expectation)
+
+from conftest import q_map_commutators
 
 
 def small_space(nf=2, nb=1, n_max=2, sector=None):
