@@ -101,7 +101,6 @@ _SCHEMA = {
     ("hubbard", "a_s"): ("float", 0.01, lambda v: True, "real"),
     ("hubbard", "mass"): ("float", 1.0, lambda v: v > 0, "> 0"),
     ("hubbard", "spacing"): ("float", 1.0, lambda v: v > 0, "> 0"),
-    ("thermal", "temperature"): ("float", 0.0, lambda v: v >= 0, ">= 0"),
 }
 
 _REQUIRED = (("", "command"),)
@@ -493,8 +492,6 @@ def main(argv=None) -> int:
     parser.add_argument("config", help="path to the run configuration file")
     parser.add_argument("--output", default=None, help="artifact directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; kernels are single-threaded")
     args = parser.parse_args(argv)
     try:
         text = Path(args.config).read_text()

@@ -19,7 +19,7 @@ from .manybody import (assemble_background_hopping,
                        assemble_simulator_hamiltonian,
                        assemble_target_hamiltonian, correlators_and_wick,
                        ground_state, mapping_residual, operator_algebra,
-                       sector_block, weak_fluctuation_report)
+                       weak_fluctuation_report)
 from .serialize import fmt, write_csv, write_keyvalue
 
 
@@ -47,7 +47,7 @@ def _truncation_delta(cfg, params, spec, space, energy) -> float:
 
 def _cmd_spectrum(cfg, outdir, extras):
     params, spec, space, ops = _many_body_setup(cfg)
-    hs = sector_block(_assemble_for(cfg, params, spec, space, ops), space)
+    hs = _assemble_for(cfg, params, spec, space, ops)
     if hs.shape[0] > cfg[("truncation", "dense_cap")]:
         raise DimensionCapError(
             f"sector dimension {hs.shape[0]} exceeds dense cap for spectrum")
@@ -118,9 +118,14 @@ def _cmd_correlators(cfg, outdir, extras):
 
 def _cmd_wick_sweep(cfg, outdir, extras):
     spec = cfg.lattice
+    g_values = cfg[("sweep", "g_values")]
+    positive = [g for g in g_values if g > 0]
+    if positive:
+        space = cfg.fock_space()
+        ops = operator_algebra(space)
     rows = []
     energies = {}
-    for g in cfg[("sweep", "g_values")]:
+    for g in g_values:
         if g == 0:
             space0 = replace(cfg.fock_space(), boson_modes=(), n_max=0)
             ops0 = operator_algebra(space0)
@@ -129,21 +134,17 @@ def _cmd_wick_sweep(cfg, outdir, extras):
             rep = correlators_and_wick(gs, space0, ops0, seed=cfg[("", "seed")])
         else:
             params = ModelParams(G=g, l=cfg.params.l, mu=cfg.params.mu)
-            space = cfg.fock_space()
-            ops = operator_algebra(space)
             h = assemble_simulator_hamiltonian(params, spec, space, ops)
             gs = ground_state(h, space)
             rep = correlators_and_wick(gs, space, ops, seed=cfg[("", "seed")])
         rows.append((g, rep.wick_residual, gs.energy, gs.multiplicity))
         energies[g] = gs.energy
     write_csv(outdir / "wick_sweep.csv", "g,wick_residual,ground_energy,multiplicity", rows)
-    positive = [g for g in cfg[("sweep", "g_values")] if g > 0]
     if positive and cfg[("truncation", "n_max")] > 0:
         g_top = max(positive)
         params_top = ModelParams(G=g_top, l=cfg.params.l, mu=cfg.params.mu)
         extras.append(("truncation_delta_at_g_max",
-                       _truncation_delta(cfg, params_top, spec, cfg.fock_space(),
-                                         energies[g_top])))
+                       _truncation_delta(cfg, params_top, spec, space, energies[g_top])))
 
 
 def _cmd_map_residual(cfg, outdir, extras):
@@ -152,19 +153,19 @@ def _cmd_map_residual(cfg, outdir, extras):
     n_max = cfg[("truncation", "n_max")]
     if window > n_max:
         raise ConfigError([f"map-residual window {window} exceeds n_max {n_max}"])
-    rows = []
-    for g in cfg[("sweep", "g_values")]:
-        if g == 0:
-            continue  # the mapping comparison needs G > 0 (1/G boson line)
-        params = ModelParams(G=g, l=cfg.params.l, mu=cfg.params.mu)
+    positive = [g for g in cfg[("sweep", "g_values")] if g > 0]
+    if positive:  # the mapping comparison needs G > 0 (1/G boson line)
         space = cfg.fock_space()
         ops = operator_algebra(space)
+    rows = []
+    for g in positive:
+        params = ModelParams(G=g, l=cfg.params.l, mu=cfg.params.mu)
         h_sim = assemble_simulator_hamiltonian(params, spec, space, ops)
         h_tgt = assemble_target_hamiltonian(params, spec, space, ops)
         rows.append((g, mapping_residual(h_sim, h_tgt, space, window)))
     write_csv(outdir / "map_residual.csv", "g,residual", rows)
     extras.append(("window", window))
-    skipped = sum(1 for g in cfg[("sweep", "g_values")] if g == 0)
+    skipped = len(cfg[("sweep", "g_values")]) - len(positive)
     if skipped:
         extras.append(("skipped_zero_g_points", skipped))
 

@@ -20,12 +20,24 @@ Fermions use a Jordan-Wigner encoding (mode i = bit i of the basis index);
 bosons are number-basis ladders truncated at n_max with the standard
 commutator defect -(n_max + 1) on the top level.  The full-space ordering
 is fermion-major: index = fermion_index * boson_dim + boson_index.
+
+Hamiltonians are assembled directly on the sector basis: the fermion
+factor is the sorted list of basis integers with the sector's number of
+set bits (all integers when no sector is set), and the sector basis keeps
+the fermion-major order, index = position_in_that_list * boson_dim +
+boson_index (the order of :meth:`FockSpace.sector_indices`).  Every
+Hamiltonian is sum_bonds kron(c_p+ c_q, J_bond) + h.c. + kron(1, H_boson),
+with the hopping blocks looked up by ``searchsorted`` in the sorted basis
+(H. Q. Lin, PRB 42, 6561 (1990)) and every boson operator acting on the
+boson factor alone.  Observables (correlators, occupations) still use the
+full-space operators, with states embedded by ``sector_indices``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -137,10 +149,18 @@ class FockSpace:
         return occ
 
     def sector_fermion_states(self) -> np.ndarray:
+        """Sorted fermion basis integers of the sector (all when unset)."""
+        states = np.arange(self.fermion_dim)
         if self.sector is None:
-            return np.arange(self.fermion_dim)
-        states = [f for f in range(self.fermion_dim) if bin(f).count("1") == self.sector]
-        return np.array(states, dtype=int)
+            return states
+        return states[_popcount(states, self.n_fermion_modes) == self.sector]
+
+    @property
+    def sector_dimension(self) -> int:
+        """Dimension of the sector basis the Hamiltonians are assembled on."""
+        if self.sector is None:
+            return self.dimension
+        return comb(self.n_fermion_modes, self.sector) * self.boson_dim
 
     def sector_indices(self) -> np.ndarray:
         """Full-space indices of the (sector x all-boson) subspace."""
@@ -150,6 +170,14 @@ class FockSpace:
     def with_n_max(self, n_max: int) -> "FockSpace":
         return FockSpace(self.n_fermion_modes, self.boson_modes, n_max,
                          self.sector, self.nnz_cap)
+
+
+def _popcount(x: np.ndarray, n_bits: int) -> np.ndarray:
+    """Number of set bits among the lowest ``n_bits`` of each entry."""
+    count = np.zeros_like(x)
+    for bit in range(n_bits):
+        count += (x >> bit) & 1
+    return count
 
 
 def _kron_chain(mats):
@@ -164,13 +192,75 @@ def _boson_ladder(n_max: int) -> np.ndarray:
     return d
 
 
-@dataclass(frozen=True)
+def _hopping_block(states: np.ndarray, p: int, q: int):
+    """c_p+ c_q (p != q) on the sorted fermion basis ``states``, as CSR.
+
+    The Jordan-Wigner sign is the parity of the occupied modes below q in
+    s times that of the occupied modes below p in s with q emptied; the
+    target row is looked up by ``searchsorted`` in the sorted basis.
+    """
+    bit_p, bit_q = 1 << p, 1 << q
+    cols = np.flatnonzero(((states & bit_q) != 0) & ((states & bit_p) == 0))
+    emptied = states[cols] ^ bit_q
+    parity = (_popcount(states[cols], q) + _popcount(emptied, p)) & 1
+    rows = np.searchsorted(states, emptied | bit_p)
+    n = len(states)
+    return sparse.csr_matrix((1.0 - 2.0 * parity, (rows, cols)), shape=(n, n))
+
+
+def _ladder_pair(ladders, space: FockSpace, cell):
+    """(q1, q2) built from the x and z ladders serving ``cell``."""
+    dx = ladders[space.boson_mode_index(cell, "x")]
+    dz = ladders[space.boson_mode_index(cell, "z")]
+    return Q1_X * dx + Q1_Z * dz, dz
+
+
+@dataclass(frozen=True, eq=False)
 class ModeOperators:
-    """Annihilation matrices for every mode, on the full (unprojected) space."""
+    """The mode operators of a space.
+
+    The assemblers use the sector building blocks: ``states``, the sorted
+    fermion basis of the sector, ``b``, the boson annihilation operators
+    on the boson factor, and :meth:`hopping`, whose blocks are cached, so
+    assemblies sharing one instance build each block once.  The full-space
+    annihilation operators ``c`` and ``d`` serve the observables and are
+    built on first use.
+    """
 
     space: FockSpace
-    c: tuple   # fermion annihilation operators
-    d: tuple   # boson annihilation operators
+    states: np.ndarray   # sorted fermion basis integers of the sector
+    b: tuple             # boson annihilation operators on the boson factor
+    _hopping: dict = field(default_factory=dict, init=False, repr=False)
+
+    def hopping(self, p: int, q: int):
+        """c_p+ c_q (p != q) on the sector fermion basis."""
+        block = self._hopping.get((p, q))
+        if block is None:
+            block = self._hopping[(p, q)] = _hopping_block(self.states, p, q)
+        return block
+
+    @cached_property
+    def c(self) -> tuple:
+        """Fermion annihilation operators on the full space."""
+        space = self.space
+        eye_b = sparse.identity(space.boson_dim, format="csr")
+        eye2 = sparse.identity(2, format="csr")
+        a_mat = sparse.csr_matrix(_FERMION_A)
+        z_mat = sparse.csr_matrix(_FERMION_Z)
+        cs = []
+        for i in range(space.n_fermion_modes):
+            # mode j occupies bit j; the kron chain runs most-significant first
+            factors = []
+            for j in reversed(range(space.n_fermion_modes)):
+                factors.append(a_mat if j == i else (z_mat if j < i else eye2))
+            cs.append(sparse.kron(_kron_chain(factors), eye_b, format="csr"))
+        return tuple(cs)
+
+    @cached_property
+    def d(self) -> tuple:
+        """Boson annihilation operators on the full space."""
+        eye_f = sparse.identity(self.space.fermion_dim, format="csr")
+        return tuple(sparse.kron(eye_f, bm, format="csr") for bm in self.b)
 
     def fermion_number(self):
         n = sparse.csr_matrix((self.space.dimension, self.space.dimension))
@@ -179,49 +269,33 @@ class ModeOperators:
         return n
 
     def q_pair(self, cell):
-        """(q1, q2) for the pair serving ``cell``."""
-        dx = self.d[self.space.boson_mode_index(cell, "x")]
-        dz = self.d[self.space.boson_mode_index(cell, "z")]
-        return Q1_X * dx + Q1_Z * dz, dz
+        """(q1, q2) on the full space for the pair serving ``cell``."""
+        return _ladder_pair(self.d, self.space, cell)
 
 
 def operator_algebra(space: FockSpace) -> ModeOperators:
-    """Build all mode operators by Kronecker chains.
+    """The sector fermion basis and the boson-factor ladders of ``space``.
 
     Raises
     ------
     DimensionCapError
-        When the estimated nonzero count over all mode operators,
-        (n_modes) * dimension, exceeds ``space.nnz_cap``.
+        When the estimated nonzero count over all mode operators on the
+        sector basis, (n_modes) * sector dimension, exceeds
+        ``space.nnz_cap``.  Without a sector this is the full dimension.
     """
     n_modes = space.n_fermion_modes + space.n_boson_modes
-    if n_modes * space.dimension > space.nnz_cap:
-        raise DimensionCapError(
-            f"~{n_modes * space.dimension} nonzeros exceed cap {space.nnz_cap}")
-    eye_f = sparse.identity(space.fermion_dim, format="csr")
-    eye_b = sparse.identity(space.boson_dim, format="csr")
-    eye2 = sparse.identity(2, format="csr")
-    a_mat = sparse.csr_matrix(_FERMION_A)
-    z_mat = sparse.csr_matrix(_FERMION_Z)
-    cs = []
-    for i in range(space.n_fermion_modes):
-        # mode j occupies bit j; the kron chain runs most-significant first
-        factors = []
-        for j in reversed(range(space.n_fermion_modes)):
-            factors.append(a_mat if j == i else (z_mat if j < i else eye2))
-        cf = _kron_chain(factors) if factors else sparse.identity(1, format="csr")
-        cs.append(sparse.kron(cf, eye_b, format="csr"))
-    ds = []
-    base = space.n_max + 1
+    estimate = n_modes * space.sector_dimension
+    if estimate > space.nnz_cap:
+        raise DimensionCapError(f"~{estimate} nonzeros exceed cap {space.nnz_cap}")
     ladder = sparse.csr_matrix(_boson_ladder(space.n_max))
-    eyeb1 = sparse.identity(base, format="csr")
+    eyeb1 = sparse.identity(space.n_max + 1, format="csr")
+    bs = []
     for m in range(space.n_boson_modes):
         factors = []
         for j in reversed(range(space.n_boson_modes)):
             factors.append(ladder if j == m else eyeb1)
-        db = _kron_chain(factors) if factors else sparse.identity(1, format="csr")
-        ds.append(sparse.kron(eye_f, db, format="csr"))
-    return ModeOperators(space=space, c=tuple(cs), d=tuple(ds))
+        bs.append(_kron_chain(factors))
+    return ModeOperators(space=space, states=space.sector_fermion_states(), b=tuple(bs))
 
 
 # ---------------------------------------------------------------------------
@@ -258,22 +332,48 @@ def _hermitize(h, tol: float = 1e-12):
 
 
 def _hopping_matrix(ops: ModeOperators, spec: LatticeSpec, coupling_ops):
-    """sum_bonds J_op (a_i+ b_k) + h.c. with J_op per (cell, species)."""
-    space = ops.space
+    """sum_bonds kron(a_i+ b_k, J) + h.c. on the sector basis, with J the
+    boson-factor coupling operator of the bond's (cell, species)."""
     n = spec.n_cells
-    half = sparse.csr_matrix((space.dimension, space.dimension))
+    per_pair = {}  # bonds sharing (a_i, b_k) add their couplings in bond order
     for cell, species, a_cell, b_cell in _bond_list(spec):
-        a_dag = ops.c[a_cell].getH()
-        b = ops.c[n + b_cell]
-        half = half + coupling_ops[(cell, species)] @ (a_dag @ b)
+        key = (a_cell, n + b_cell)
+        j = coupling_ops[(cell, species)]
+        per_pair[key] = per_pair[key] + j if key in per_pair else j
+    blocks = [sparse.kron(ops.hopping(p, q), j, format="coo")
+              for (p, q), j in per_pair.items()]
+    # distinct (p, q) blocks share no entry, so they are stacked, not summed
+    dim = ops.space.sector_dimension
+    half = sparse.coo_matrix(
+        (np.concatenate([blk.data for blk in blocks]),
+         (np.concatenate([blk.row for blk in blocks]),
+          np.concatenate([blk.col for blk in blocks]))),
+        shape=(dim, dim)).tocsr()
     return half + half.getH()
+
+
+def _boson_on_sector(boson, ops: ModeOperators):
+    """A boson-factor operator as kron(1, boson) on the sector basis."""
+    eye = sparse.identity(len(ops.states), format="csr")
+    return sparse.kron(eye, boson, format="csr")
+
+
+def _lattice_algebra(spec: LatticeSpec, space: FockSpace,
+                     ops: Optional[ModeOperators]) -> ModeOperators:
+    if space.n_fermion_modes != spec.n_modes:
+        raise ValueError("space fermion modes do not match the lattice")
+    if ops is None:
+        return operator_algebra(space)
+    if ops.space != space:
+        raise ValueError("mode operators belong to another space")
+    return ops
 
 
 def assemble_simulator_hamiltonian(params: ModelParams, spec: LatticeSpec,
                                    space: FockSpace,
                                    ops: Optional[ModeOperators] = None):
     """Hopping with condensate-linearized coupling operators plus the
-    quartic boson Hamiltonian in the shifted modes.
+    quartic boson Hamiltonian in the shifted modes, on the sector basis.
 
     Coupling operators: J_m = Delta_m D_m^2 + Delta_m D_m (d_m + d_m+),
     the x operator serving both outgoing bonds of its cell.  The boson
@@ -286,13 +386,9 @@ def assemble_simulator_hamiltonian(params: ModelParams, spec: LatticeSpec,
     Fermion modes are ordered a_0..a_{N-1}, b_0..b_{N-1}; requires
     space.n_fermion_modes == 2 * spec.n_cells.
     """
-    if space.n_fermion_modes != spec.n_modes:
-        raise ValueError("space fermion modes do not match the lattice")
-    if ops is None:
-        ops = operator_algebra(space)
+    ops = _lattice_algebra(spec, space, ops)
     opt = optical_params(params)
-    dim = space.dimension
-    eye = sparse.identity(dim, format="csr")
+    eye = sparse.identity(space.boson_dim, format="csr")
 
     coupling_ops = {}
     for cell, species, _, _ in _bond_list(spec):
@@ -303,47 +399,46 @@ def assemble_simulator_hamiltonian(params: ModelParams, spec: LatticeSpec,
         strength = opt.strength(species)
         background = strength * amp * amp * eye
         try:
-            dm = ops.d[space.boson_mode_index(cell, species)]
+            dm = ops.b[space.boson_mode_index(cell, species)]
         except KeyError:
             # bond without a fluctuation mode stays at the background value
             coupling_ops[key] = background
             continue
         coupling_ops[key] = background + strength * amp * (dm + dm.getH())
-    h = _hopping_matrix(ops, spec, coupling_ops)
+    hop = _hopping_matrix(ops, spec, coupling_ops)
 
     g = params.G
     pref_pi = 1.0 / (24.0 * np.pi * g)
     pref_n = 8.0 * np.pi * g * params.mu ** 2 / 3.0
     pref_q = 256.0 * np.pi ** 3 * g ** 3 * params.mu ** 2 / (3.0 * params.l ** 2)
+    boson = sparse.csr_matrix(eye.shape)
     for cell in _pairs(space):
-        dx = ops.d[space.boson_mode_index(cell, "x")]
-        dz = ops.d[space.boson_mode_index(cell, "z")]
+        dx = ops.b[space.boson_mode_index(cell, "x")]
+        dz = ops.b[space.boson_mode_index(cell, "z")]
         bx = dx + opt.d_x * eye   # alpha_x in the number basis of d_x
         bz = dz + opt.d_z * eye
         abar_x = bx.getH() - bx   # equals dx+ - dx exactly
         abar_z = bz.getH() - bz
         n_x = bx.getH() @ bx
         n_z = bz.getH() @ bz
-        h = h + pref_pi * (abar_z @ (np.sqrt(2.0) * abar_x - 0.5 * abar_z))
-        h = h + pref_n * (n_z + n_x)
-        h = h - pref_q * (n_z @ (n_x - 0.5 * n_z))
-    return _hermitize(h)
+        boson = boson + pref_pi * (abar_z @ (np.sqrt(2.0) * abar_x - 0.5 * abar_z))
+        boson = boson + pref_n * (n_z + n_x)
+        boson = boson - pref_q * (n_z @ (n_x - 0.5 * n_z))
+    return _hermitize(hop + _boson_on_sector(boson, ops))
 
 
 def assemble_background_hopping(l: float, spec: LatticeSpec, space: FockSpace,
                                 ops: Optional[ModeOperators] = None):
-    """Hopping at the uniform background coupling 2/(3 l), bosons inert.
+    """Hopping at the uniform background coupling 2/(3 l), bosons inert,
+    on the sector basis.
 
     This is the exact G -> 0 limit of the fermion sector (the simulator's
     boson energies diverge as 1/G, so the decoupled point is assembled
     directly instead of by taking tiny G numerically).
     """
-    if space.n_fermion_modes != spec.n_modes:
-        raise ValueError("space fermion modes do not match the lattice")
-    if ops is None:
-        ops = operator_algebra(space)
+    ops = _lattice_algebra(spec, space, ops)
     j0 = 2.0 / (3.0 * l)
-    eye = sparse.identity(space.dimension, format="csr")
+    eye = sparse.identity(space.boson_dim, format="csr")
     coupling_ops = {(cell, species): j0 * eye
                     for cell, species, _, _ in _bond_list(spec)}
     return _hermitize(_hopping_matrix(ops, spec, coupling_ops))
@@ -352,7 +447,8 @@ def assemble_background_hopping(l: float, spec: LatticeSpec, space: FockSpace,
 def assemble_target_hamiltonian(params: ModelParams, spec: LatticeSpec,
                                 space: FockSpace,
                                 ops: Optional[ModeOperators] = None):
-    """Field-theory Hamiltonian on the same hopping graph.
+    """Field-theory Hamiltonian on the same hopping graph, on the sector
+    basis.
 
     The velocity operators are written through the q combination,
 
@@ -366,18 +462,14 @@ def assemble_target_hamiltonian(params: ModelParams, spec: LatticeSpec,
 
         (1/(16 pi G))(q1+ - q1)(q2+ - q2) - 4 pi G mu^2 (q1+ + q1)(q2+ + q2).
     """
-    if space.n_fermion_modes != spec.n_modes:
-        raise ValueError("space fermion modes do not match the lattice")
-    if ops is None:
-        ops = operator_algebra(space)
-    dim = space.dimension
-    eye = sparse.identity(dim, format="csr")
+    ops = _lattice_algebra(spec, space, ops)
+    eye = sparse.identity(space.boson_dim, format="csr")
     j0 = 2.0 / (3.0 * params.l)
     slope = 4.0 * np.sqrt(2.0) * np.pi * params.G / params.l ** 2
 
     coupling_ops = {}
     for cell in _pairs(space):
-        q1, q2 = ops.q_pair(cell)
+        q1, q2 = _ladder_pair(ops.b, space, cell)
         q1p = q1 + q1.getH()
         q2p = q2 + q2.getH()
         delta_jz = (2.0 / 3.0) * (-slope) * q2p
@@ -392,22 +484,32 @@ def assemble_target_hamiltonian(params: ModelParams, spec: LatticeSpec,
             coupling_ops[(cell, species)] = coupling_ops[(None, species)]
         else:
             coupling_ops[(cell, species)] = j0 * eye  # no mode: background bond
-    h = _hopping_matrix(ops, spec, coupling_ops)
+    hop = _hopping_matrix(ops, spec, coupling_ops)
 
     form = hgr_quadratic_form(params, convention="legendre")
+    boson = sparse.csr_matrix(eye.shape)
     for cell in _pairs(space):
-        q1, q2 = ops.q_pair(cell)
+        q1, q2 = _ladder_pair(ops.b, space, cell)
         q1m = q1.getH() - q1
         q2m = q2.getH() - q2
         q1p = q1.getH() + q1
         q2p = q2.getH() + q2
-        h = h + form.q_minus_coeff * (q1m @ q2m) + form.q_plus_coeff * (q1p @ q2p)
-    return _hermitize(h)
+        boson = boson + form.q_minus_coeff * (q1m @ q2m) + form.q_plus_coeff * (q1p @ q2p)
+    return _hermitize(hop + _boson_on_sector(boson, ops))
+
+
+def _sector_matrix(h, space: FockSpace):
+    """``h`` as CSR; raises ValueError unless it is square on the sector basis."""
+    dim = space.sector_dimension
+    if h.shape != (dim, dim):
+        raise ValueError(f"operator of shape {h.shape} is not on the sector basis "
+                         f"of dimension {dim}")
+    return sparse.csr_matrix(h)
 
 
 def mapping_residual(h_sim, h_target, space: FockSpace, window: int) -> float:
     """min over c of the spectral norm of (H_sim - H_target - c) restricted
-    to total boson occupation <= window (and the fermion sector, if set).
+    to total boson occupation <= window, for two sector-basis Hamiltonians.
 
     For a Hermitian difference the minimizing shift is the spectral
     midpoint, so the value is (lambda_max - lambda_min) / 2 of the
@@ -415,11 +517,10 @@ def mapping_residual(h_sim, h_target, space: FockSpace, window: int) -> float:
     """
     if window > space.n_max:
         raise ValueError(f"window {window} exceeds n_max {space.n_max}")
-    occ = space.boson_occupation_table()
-    keep_b = np.flatnonzero(occ <= window)
-    fs = space.sector_fermion_states()
-    idx = (fs[:, None] * space.boson_dim + keep_b[None, :]).ravel()
-    diff = (h_sim - h_target).tocsr()
+    diff = _sector_matrix(h_sim - h_target, space)
+    keep_b = np.flatnonzero(space.boson_occupation_table() <= window)
+    n_states = space.sector_dimension // space.boson_dim
+    idx = (np.arange(n_states)[:, None] * space.boson_dim + keep_b[None, :]).ravel()
     block = diff[idx][:, idx].toarray()
     evals = np.linalg.eigvalsh(block)
     return float((evals[-1] - evals[0]) / 2.0)
@@ -429,17 +530,11 @@ def mapping_residual(h_sim, h_target, space: FockSpace, window: int) -> float:
 # eigen machinery and observables
 # ---------------------------------------------------------------------------
 
-def sector_block(h, space: FockSpace):
-    """``h`` restricted to the configured fermion sector, as CSR.
-
-    A complex matrix whose imaginary part is exactly zero comes back real,
-    so the eigensolvers take their real symmetric paths.
-    """
+def sector_block(obs, space: FockSpace):
+    """A full-space operator restricted to the configured fermion sector,
+    as CSR on the sector basis."""
     idx = space.sector_indices()
-    hs = sparse.csr_matrix(h)[idx][:, idx]
-    if np.iscomplexobj(hs) and not hs.data.imag.any():
-        hs = hs.real
-    return hs
+    return sparse.csr_matrix(obs)[idx][:, idx]
 
 
 @dataclass
@@ -464,11 +559,14 @@ def _operator_scale(h) -> float:
 
 def ground_state(h, space: FockSpace, degeneracy_tol: float = 1e-9,
                  maxiter: int = 100000) -> GroundStateResult:
-    """Lowest eigenpair in the configured fermion sector.
+    """Lowest eigenpair of a Hamiltonian on the sector basis.
 
-    The sector block is solved in real arithmetic whenever it is real (a
-    complex input with an exactly zero imaginary part is cast to real
-    first); a genuinely complex block keeps the Hermitian solvers.  Dense
+    ``h`` must be square with the sector dimension (ValueError otherwise);
+    the returned states are embedded in the full space by
+    ``space.sector_indices()``.  It is solved in real arithmetic whenever
+    it is real (a complex input with an exactly zero imaginary part is
+    cast to real first); a genuinely complex one keeps the Hermitian
+    solvers.  Dense
     diagonalization up to dimension 512, ARPACK Lanczos above, started
     from the fixed-seed Gaussian vector
     ``np.random.default_rng(0).standard_normal(dim)``: reruns are
@@ -485,10 +583,10 @@ def ground_state(h, space: FockSpace, degeneracy_tol: float = 1e-9,
     The residual ||Hv - E v|| of every returned pair must come out below
     1e-10 * scale(H) or ConvergenceError is raised.
     """
-    hs = sector_block(h, space)
+    hs = _sector_matrix(h, space)
+    if np.iscomplexobj(hs) and not hs.data.imag.any():
+        hs = hs.real
     dim = hs.shape[0]
-    if dim == 0:
-        raise ValueError("empty sector")
     scale = max(_operator_scale(hs), 1.0)
     level_tol = degeneracy_tol * scale
     if dim <= 512:
@@ -531,13 +629,13 @@ def thermal_expectation(h, temperature: float, obs, space: FockSpace,
                         dense_cap: int = 4096) -> float:
     """tr(obs exp(-H/T)) / tr(exp(-H/T)) in the configured sector, k_B = 1.
 
-    Requires the full spectrum, so the sector dimension must not exceed
+    ``h`` is on the sector basis and ``obs`` on the full space.  Requires the full spectrum, so the sector dimension must not exceed
     ``dense_cap``.  T = 0 returns the uniform average over the ground
     multiplet; T = inf the uniform average over the sector.
     """
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
-    hs = sector_block(h, space)
+    hs = _sector_matrix(h, space)
     if hs.shape[0] > dense_cap:
         raise DimensionCapError(f"sector dimension {hs.shape[0]} exceeds {dense_cap}")
     obs_s = sector_block(obs, space).toarray()

@@ -1,12 +1,23 @@
-"""Shared fixtures, continuum test fields and the symbolic oracles.
+"""Shared fixtures, continuum test fields and the reference oracles.
 
 The symbolic oracles derive in sympy the exact constants the library
-hard-codes, so sympy is a test-only dependency.
+hard-codes, so sympy is a test-only dependency.  The full-space assembly
+oracle is the reference for the sector-basis Hamiltonians.
 """
+
+from typing import Optional
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 import sympy as sp
+
+from gravlat.continuum import hgr_quadratic_form
+from gravlat.designer import optical_params
+from gravlat.geometry import ModelParams
+from gravlat.lattice import LatticeSpec
+from gravlat.manybody import (FockSpace, ModeOperators, _bond_list, _hermitize,
+                              _pairs, operator_algebra)
 
 
 @pytest.fixture
@@ -107,3 +118,161 @@ def q_map_commutators():
             k[a - 1, b - 1] = sp.nsimplify(sum(
                 coeffs[a][m] * coeffs[b][m] for m in ("x", "z")))
     return sp.simplify(k)
+
+
+# ---------------------------------------------------------------------------
+# full-space assembly oracle
+# ---------------------------------------------------------------------------
+#
+# The assemblers as they were before the many-body layer moved to the
+# sector basis: every operator on the full 2^nf x boson space, built from
+# the full-space mode operators ``ops.c`` / ``ops.d``.  Sliced by
+# ``space.sector_indices()``, they must equal the library's sector-basis
+# Hamiltonians exactly.
+
+def full_space_hopping(ops: ModeOperators, spec: LatticeSpec, coupling_ops):
+    """sum_bonds J_op (a_i+ b_k) + h.c. with J_op per (cell, species)."""
+    space = ops.space
+    n = spec.n_cells
+    half = sparse.csr_matrix((space.dimension, space.dimension))
+    for cell, species, a_cell, b_cell in _bond_list(spec):
+        a_dag = ops.c[a_cell].getH()
+        b = ops.c[n + b_cell]
+        half = half + coupling_ops[(cell, species)] @ (a_dag @ b)
+    return half + half.getH()
+
+
+def full_space_simulator(params: ModelParams, spec: LatticeSpec,
+                         space: FockSpace,
+                         ops: Optional[ModeOperators] = None):
+    """Hopping with condensate-linearized coupling operators plus the
+    quartic boson Hamiltonian in the shifted modes.
+
+    Coupling operators: J_m = Delta_m D_m^2 + Delta_m D_m (d_m + d_m+),
+    the x operator serving both outgoing bonds of its cell.  The boson
+    part, per pair (alpha_m = D_m + d_m, N_m = alpha_m+ alpha_m exact):
+
+        (1/(24 pi G)) (az+ - az)(sqrt2 (ax+ - ax) - (az+ - az)/2)
+        + (8 pi G mu^2 / 3)(N_z + N_x)
+        - (256 pi^3 G^3 mu^2 / (3 l^2)) N_z (N_x - N_z / 2)
+
+    Fermion modes are ordered a_0..a_{N-1}, b_0..b_{N-1}; requires
+    space.n_fermion_modes == 2 * spec.n_cells.
+    """
+    if space.n_fermion_modes != spec.n_modes:
+        raise ValueError("space fermion modes do not match the lattice")
+    if ops is None:
+        ops = operator_algebra(space)
+    opt = optical_params(params)
+    dim = space.dimension
+    eye = sparse.identity(dim, format="csr")
+
+    coupling_ops = {}
+    for cell, species, _, _ in _bond_list(spec):
+        key = (cell, species)
+        if key in coupling_ops:
+            continue
+        amp = opt.amplitude(species)
+        strength = opt.strength(species)
+        background = strength * amp * amp * eye
+        try:
+            dm = ops.d[space.boson_mode_index(cell, species)]
+        except KeyError:
+            # bond without a fluctuation mode stays at the background value
+            coupling_ops[key] = background
+            continue
+        coupling_ops[key] = background + strength * amp * (dm + dm.getH())
+    h = full_space_hopping(ops, spec, coupling_ops)
+
+    g = params.G
+    pref_pi = 1.0 / (24.0 * np.pi * g)
+    pref_n = 8.0 * np.pi * g * params.mu ** 2 / 3.0
+    pref_q = 256.0 * np.pi ** 3 * g ** 3 * params.mu ** 2 / (3.0 * params.l ** 2)
+    for cell in _pairs(space):
+        dx = ops.d[space.boson_mode_index(cell, "x")]
+        dz = ops.d[space.boson_mode_index(cell, "z")]
+        bx = dx + opt.d_x * eye   # alpha_x in the number basis of d_x
+        bz = dz + opt.d_z * eye
+        abar_x = bx.getH() - bx   # equals dx+ - dx exactly
+        abar_z = bz.getH() - bz
+        n_x = bx.getH() @ bx
+        n_z = bz.getH() @ bz
+        h = h + pref_pi * (abar_z @ (np.sqrt(2.0) * abar_x - 0.5 * abar_z))
+        h = h + pref_n * (n_z + n_x)
+        h = h - pref_q * (n_z @ (n_x - 0.5 * n_z))
+    return _hermitize(h)
+
+
+def full_space_background(l: float, spec: LatticeSpec, space: FockSpace,
+                          ops: Optional[ModeOperators] = None):
+    """Hopping at the uniform background coupling 2/(3 l), bosons inert.
+
+    This is the exact G -> 0 limit of the fermion sector (the simulator's
+    boson energies diverge as 1/G, so the decoupled point is assembled
+    directly instead of by taking tiny G numerically).
+    """
+    if space.n_fermion_modes != spec.n_modes:
+        raise ValueError("space fermion modes do not match the lattice")
+    if ops is None:
+        ops = operator_algebra(space)
+    j0 = 2.0 / (3.0 * l)
+    eye = sparse.identity(space.dimension, format="csr")
+    coupling_ops = {(cell, species): j0 * eye
+                    for cell, species, _, _ in _bond_list(spec)}
+    return _hermitize(full_space_hopping(ops, spec, coupling_ops))
+
+
+def full_space_target(params: ModelParams, spec: LatticeSpec,
+                      space: FockSpace,
+                      ops: Optional[ModeOperators] = None):
+    """Field-theory Hamiltonian on the same hopping graph.
+
+    The velocity operators are written through the q combination,
+
+        v_x = 1/l - (4 sqrt2 pi G / l^2)(q1 + q1+)
+        v_y = 1/l - (4 sqrt2 pi G / l^2)(q2 + q2+) ,
+
+    and converted to bond couplings by the dictionary linearized about the
+    background point: J_z = (2/3) v_y and
+    delta J_x = (delta v_x + delta J_z / 2) / 2.  The boson sector is the
+    exact quadratic density in the same substitution,
+
+        (1/(16 pi G))(q1+ - q1)(q2+ - q2) - 4 pi G mu^2 (q1+ + q1)(q2+ + q2).
+    """
+    if space.n_fermion_modes != spec.n_modes:
+        raise ValueError("space fermion modes do not match the lattice")
+    if ops is None:
+        ops = operator_algebra(space)
+    dim = space.dimension
+    eye = sparse.identity(dim, format="csr")
+    j0 = 2.0 / (3.0 * params.l)
+    slope = 4.0 * np.sqrt(2.0) * np.pi * params.G / params.l ** 2
+
+    coupling_ops = {}
+    for cell in _pairs(space):
+        q1, q2 = ops.q_pair(cell)
+        q1p = q1 + q1.getH()
+        q2p = q2 + q2.getH()
+        delta_jz = (2.0 / 3.0) * (-slope) * q2p
+        delta_vx = -slope * q1p
+        delta_jx = 0.5 * (delta_vx + 0.5 * delta_jz)
+        coupling_ops[(cell, "z")] = j0 * eye + delta_jz
+        coupling_ops[(cell, "x")] = j0 * eye + delta_jx
+    for cell, species, _, _ in _bond_list(spec):
+        if (cell, species) in coupling_ops:
+            continue
+        if (None, species) in coupling_ops:
+            coupling_ops[(cell, species)] = coupling_ops[(None, species)]
+        else:
+            coupling_ops[(cell, species)] = j0 * eye  # no mode: background bond
+    h = full_space_hopping(ops, spec, coupling_ops)
+
+    form = hgr_quadratic_form(params, convention="legendre")
+    for cell in _pairs(space):
+        q1, q2 = ops.q_pair(cell)
+        q1m = q1.getH() - q1
+        q2m = q2.getH() - q2
+        q1p = q1.getH() + q1
+        q2p = q2.getH() + q2
+        h = h + form.q_minus_coeff * (q1m @ q2m) + form.q_plus_coeff * (q1p @ q2p)
+    return _hermitize(h)

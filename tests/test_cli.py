@@ -104,6 +104,69 @@ g_values = 0
     assert code == 4
 
 
+def test_ground_state_nnz_cap_counts_the_sector(tmp_path):
+    # 6 modes x sector 54 = 324 <= 500; the full space would count 6 x 144
+    code, out = _run(tmp_path, """
+command = ground-state
+[lattice]
+ncx = 2
+ncy = 1
+[truncation]
+n_max = 2
+nnz_cap = 500
+[manybody]
+placement = cell0
+""")
+    assert code == 0
+    assert "sector_dimension=54" in (out / "manifest.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("command, observables", [
+    ("map-residual", False), ("wick-sweep", True)])
+def test_sweeps_build_one_operator_algebra(tmp_path, monkeypatch, command, observables):
+    import gravlat.ed_commands as ed
+    real_algebra = ed.operator_algebra
+    built = []
+
+    def recording_algebra(space):
+        built.append(real_algebra(space))
+        return built[-1]
+
+    monkeypatch.setattr(ed, "operator_algebra", recording_algebra)
+    code, _ = _run(tmp_path, f"""
+command = {command}
+[lattice]
+ncx = 2
+ncy = 1
+[truncation]
+n_max = 1
+window = 1
+[manybody]
+placement = cell0
+[sweep]
+g_values = 1e-3, 3e-3, 1e-2
+""")
+    assert code == 0
+    assert len(built) == 1
+    # the full-space mode operators are built only for observables
+    assert ("c" in vars(built[0])) == observables
+    assert ("d" in vars(built[0])) == observables
+
+
+def test_removed_thermal_key_is_unknown(tmp_path, capsys):
+    code, _ = _run(tmp_path, MINIMAL + "[thermal]\ntemperature = 0.5\n")
+    assert code == 2
+    assert "unknown key 'temperature' in section 'thermal'" in capsys.readouterr().err
+
+
+def test_removed_threads_flag_is_rejected(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(MINIMAL)
+    with pytest.raises(SystemExit) as exc:
+        main([str(cfg), "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_map_residual_window_above_n_max_is_config_error(tmp_path, capsys):
     code, out = _run(tmp_path, """
 command = map-residual

@@ -15,7 +15,8 @@ from gravlat.manybody import (FockSpace, assemble_background_hopping,
                               per_cell_pairs, uniform_pair,
                               thermal_expectation)
 
-from conftest import q_map_commutators
+from conftest import (full_space_background, full_space_simulator,
+                      full_space_target, q_map_commutators)
 
 
 def small_space(nf=2, nb=1, n_max=2, sector=None):
@@ -83,6 +84,17 @@ def test_dimension_cap():
                                    nnz_cap=1000))
 
 
+@pytest.mark.parametrize("nf", range(11))
+def test_sector_fermion_states_match_bit_count_loop(nf):
+    for sector in range(nf + 1):
+        space = FockSpace(nf, (), 0, sector=sector)
+        loop = [f for f in range(2 ** nf) if bin(f).count("1") == sector]
+        states = space.sector_fermion_states()
+        assert states.dtype == np.int64
+        np.testing.assert_array_equal(states, loop)
+        assert space.sector_dimension == len(loop)
+
+
 def test_q_map_commutators_exact():
     k = q_map_commutators()
     assert k[0, 0] == 1 and k[1, 1] == 1
@@ -118,6 +130,49 @@ def test_background_hermitian_exactly():
     h = assemble_background_hopping(PARAMS.l, spec, space)
     assert h.dtype == np.float64
     assert abs(h - h.getH()).max() == 0.0
+
+
+def _canonical(h):
+    h = sparse.csr_matrix(h).copy()
+    h.sort_indices()
+    return h
+
+
+@pytest.mark.parametrize("ncx,placement,sector", [
+    (2, "per_cell", 2),   # a_0 -> b_0 hops cross a_1: the JW signs matter
+    (1, "per_cell", 1),
+    (2, "cell0", None),   # no sector: the sector basis is the full space
+])
+def test_sector_assembly_matches_full_space_oracle(ncx, placement, sector):
+    spec = LatticeSpec(ncx, 1)
+    modes = per_cell_pairs(spec) if placement == "per_cell" else ((0, "x"), (0, "z"))
+    space = FockSpace(spec.n_modes, modes, 2, sector=sector)
+    ops = operator_algebra(space)
+    idx = space.sector_indices()
+    pairs = [
+        (assemble_simulator_hamiltonian(PARAMS, spec, space, ops),
+         full_space_simulator(PARAMS, spec, space, ops)),
+        (assemble_target_hamiltonian(PARAMS, spec, space, ops),
+         full_space_target(PARAMS, spec, space, ops)),
+        (assemble_background_hopping(PARAMS.l, spec, space, ops),
+         full_space_background(PARAMS.l, spec, space, ops)),
+    ]
+    for h, oracle in pairs:
+        h, ref = _canonical(h), _canonical(oracle.tocsr()[idx][:, idx])
+        assert h.shape == (space.sector_dimension,) * 2
+        np.testing.assert_array_equal(h.indptr, ref.indptr)
+        np.testing.assert_array_equal(h.indices, ref.indices)
+        np.testing.assert_array_equal(h.data, ref.data)
+    if spec.n_modes > 2:  # hops cross occupied modes: the JW signs take both values
+        hop = pairs[2][0].data
+        assert (hop > 0).any() and (hop < 0).any()
+
+
+def test_assembly_rejects_operators_of_another_space():
+    space = FockSpace(2, per_cell_pairs(SPEC1), 2, sector=1)
+    ops = operator_algebra(space.with_n_max(1))
+    with pytest.raises(ValueError, match="another space"):
+        assemble_simulator_hamiltonian(PARAMS, SPEC1, space, ops)
 
 
 def test_boson_vacuum_projection_is_background_hopping():
@@ -266,8 +321,7 @@ def test_ground_energy_agreement_within_residual_bound():
     h_tgt = assemble_target_hamiltonian(p, SPEC1, space, ops)
     e_sim = ground_state(h_sim, space).energy
     e_tgt = ground_state(h_tgt, space).energy
-    idx = space.sector_indices()
-    block = (h_sim - h_tgt).tocsr()[idx][:, idx].toarray()
+    block = (h_sim - h_tgt).toarray()  # both are on the sector basis
     evals = np.linalg.eigvalsh(block)
     c_star = (evals[-1] + evals[0]) / 2
     r_full = (evals[-1] - evals[0]) / 2
@@ -298,6 +352,15 @@ def test_ground_state_unit_couplings_single_fermion():
     space = FockSpace(2, (), 0, sector=1)
     h = assemble_background_hopping(2 / 3, spec, space)
     assert ground_state(h, space).energy == pytest.approx(-3.0, abs=1e-12)
+
+
+def test_ground_state_rejects_a_matrix_off_the_sector_basis():
+    spec = LatticeSpec(1, 1)
+    space = FockSpace(2, (), 0, sector=1)
+    full = full_space_background(1.0, spec, space)
+    assert full.shape == (4, 4) and space.sector_dimension == 2
+    with pytest.raises(ValueError, match="sector basis"):
+        ground_state(full, space)
 
 
 def test_ground_state_identity_matrix():
