@@ -35,7 +35,7 @@ full-space operators, with states embedded by ``sector_indices``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import comb
 from typing import Optional
@@ -215,29 +215,19 @@ def _ladder_pair(ladders, space: FockSpace, cell):
     return Q1_X * dx + Q1_Z * dz, dz
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ModeOperators:
     """The mode operators of a space.
 
     The assemblers use the sector building blocks: ``states``, the sorted
-    fermion basis of the sector, ``b``, the boson annihilation operators
-    on the boson factor, and :meth:`hopping`, whose blocks are cached, so
-    assemblies sharing one instance build each block once.  The full-space
-    annihilation operators ``c`` and ``d`` serve the observables and are
-    built on first use.
+    fermion basis of the sector, and ``b``, the boson annihilation
+    operators on the boson factor.  The full-space annihilation operators
+    ``c`` and ``d`` serve the observables and are built on first use.
     """
 
     space: FockSpace
     states: np.ndarray   # sorted fermion basis integers of the sector
     b: tuple             # boson annihilation operators on the boson factor
-    _hopping: dict = field(default_factory=dict, init=False, repr=False)
-
-    def hopping(self, p: int, q: int):
-        """c_p+ c_q (p != q) on the sector fermion basis."""
-        block = self._hopping.get((p, q))
-        if block is None:
-            block = self._hopping[(p, q)] = _hopping_block(self.states, p, q)
-        return block
 
     @cached_property
     def c(self) -> tuple:
@@ -279,12 +269,12 @@ def operator_algebra(space: FockSpace) -> ModeOperators:
     Raises
     ------
     DimensionCapError
-        When the estimated nonzero count over all mode operators on the
-        sector basis, (n_modes) * sector dimension, exceeds
-        ``space.nnz_cap``.  Without a sector this is the full dimension.
+        When the estimated nonzero count over all full-space mode
+        operators, (n_modes) * dimension, exceeds ``space.nnz_cap``.  This
+        also bounds the sector assembly and the lazily built ``c``/``d``.
     """
     n_modes = space.n_fermion_modes + space.n_boson_modes
-    estimate = n_modes * space.sector_dimension
+    estimate = n_modes * space.dimension
     if estimate > space.nnz_cap:
         raise DimensionCapError(f"~{estimate} nonzeros exceed cap {space.nnz_cap}")
     ladder = sparse.csr_matrix(_boson_ladder(space.n_max))
@@ -340,7 +330,7 @@ def _hopping_matrix(ops: ModeOperators, spec: LatticeSpec, coupling_ops):
         key = (a_cell, n + b_cell)
         j = coupling_ops[(cell, species)]
         per_pair[key] = per_pair[key] + j if key in per_pair else j
-    blocks = [sparse.kron(ops.hopping(p, q), j, format="coo")
+    blocks = [sparse.kron(_hopping_block(ops.states, p, q), j, format="coo")
               for (p, q), j in per_pair.items()]
     # distinct (p, q) blocks share no entry, so they are stacked, not summed
     dim = ops.space.sector_dimension

@@ -104,21 +104,23 @@ g_values = 0
     assert code == 4
 
 
-def test_ground_state_nnz_cap_counts_the_sector(tmp_path):
-    # 6 modes x sector 54 = 324 <= 500; the full space would count 6 x 144
-    code, out = _run(tmp_path, """
-command = ground-state
+@pytest.mark.parametrize("command", ["ground-state", "correlators"])
+@pytest.mark.parametrize("cap, expected", [(863, 4), (864, 0)])
+def test_nnz_cap_counts_the_full_space_mode_operators(tmp_path, command, cap, expected):
+    # 6 modes x full dimension 144 = 864; the sector (dimension 54) alone
+    # would count 324, but correlators builds the full-space c and d
+    code, _ = _run(tmp_path, f"""
+command = {command}
 [lattice]
 ncx = 2
 ncy = 1
 [truncation]
 n_max = 2
-nnz_cap = 500
+nnz_cap = {cap}
 [manybody]
 placement = cell0
 """)
-    assert code == 0
-    assert "sector_dimension=54" in (out / "manifest.txt").read_text().splitlines()
+    assert code == expected
 
 
 @pytest.mark.parametrize("command, observables", [
