@@ -20,7 +20,7 @@ from .manybody import (assemble_background_hopping,
                        assemble_target_hamiltonian, correlators_and_wick,
                        ground_state, mapping_residual, operator_algebra,
                        weak_fluctuation_report)
-from .serialize import fmt, write_csv, write_keyvalue
+from .serialize import write_csv, write_keyvalue, write_state_csv
 
 
 def _many_body_setup(cfg):
@@ -69,13 +69,8 @@ def _cmd_ground_state(cfg, outdir, extras):
         f"# sector={space.sector}",
         f"# ordering=fermion_major(bit i = fermion mode i; boson digits little-endian)",
     ]
-    with open(outdir / "ground_state.csv", "w", newline="\n") as fh:
-        for line in header_meta:
-            fh.write(line + "\n")
-        fh.write("index,re,im\n")
-        v = gs.state
-        for i in np.flatnonzero(np.abs(v) > 0):
-            fh.write(f"{i},{fmt(v[i].real)},{fmt(v[i].imag)}\n")
+    write_state_csv(outdir / "ground_state.csv", header_meta, space.sector_indices(),
+                    gs.vectors[0])
     extras.append(("ground_energy", gs.energy))
     extras.append(("multiplicity", gs.multiplicity))
     extras.append(("eigen_residual", gs.residual))
@@ -88,7 +83,7 @@ def _cmd_correlators(cfg, outdir, extras):
     params, spec, space, ops = _many_body_setup(cfg)
     h = _assemble_for(cfg, params, spec, space, ops)
     gs = ground_state(h, space)
-    rep = correlators_and_wick(gs, space, ops, seed=cfg[("", "seed")])
+    rep = correlators_and_wick(gs, space, ops)
     nf = space.n_fermion_modes
     write_csv(outdir / "c_matrix.csv", "i,j,re,im",
               [(i, j, rep.c_matrix[i, j].real, rep.c_matrix[i, j].imag)
@@ -131,12 +126,12 @@ def _cmd_wick_sweep(cfg, outdir, extras):
             ops0 = operator_algebra(space0)
             h = assemble_background_hopping(cfg.params.l, spec, space0, ops0)
             gs = ground_state(h, space0)
-            rep = correlators_and_wick(gs, space0, ops0, seed=cfg[("", "seed")])
+            rep = correlators_and_wick(gs, space0, ops0)
         else:
             params = ModelParams(G=g, l=cfg.params.l, mu=cfg.params.mu)
             h = assemble_simulator_hamiltonian(params, spec, space, ops)
             gs = ground_state(h, space)
-            rep = correlators_and_wick(gs, space, ops, seed=cfg[("", "seed")])
+            rep = correlators_and_wick(gs, space, ops)
         rows.append((g, rep.wick_residual, gs.energy, gs.multiplicity))
         energies[g] = gs.energy
     write_csv(outdir / "wick_sweep.csv", "g,wick_residual,ground_energy,multiplicity", rows)

@@ -29,8 +29,13 @@ boson_index (the order of :meth:`FockSpace.sector_indices`).  Every
 Hamiltonian is sum_bonds kron(c_p+ c_q, J_bond) + h.c. + kron(1, H_boson),
 with the hopping blocks looked up by ``searchsorted`` in the sorted basis
 (H. Q. Lin, PRB 42, 6561 (1990)) and every boson operator acting on the
-boson factor alone.  Observables (correlators, occupations) still use the
-full-space operators, with states embedded by ``sector_indices``.
+boson factor alone.
+
+Observables are computed on the same basis.  A fermion annihilator c_i maps
+the N-particle basis to the (N-1)-particle one by the same lookup, with the
+Jordan-Wigner sign of the occupied modes below i; boson observables act on
+the rows of the state reshaped to (fermion states, boson_dim).  The
+full-space ``ModeOperators.c``/``d`` remain as an exact reference only.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 from .continuum import hgr_quadratic_form
 from .designer import optical_params, weak_fluctuation_check
@@ -150,10 +154,7 @@ class FockSpace:
 
     def sector_fermion_states(self) -> np.ndarray:
         """Sorted fermion basis integers of the sector (all when unset)."""
-        states = np.arange(self.fermion_dim)
-        if self.sector is None:
-            return states
-        return states[_popcount(states, self.n_fermion_modes) == self.sector]
+        return _fermion_basis(self.n_fermion_modes, self.sector)
 
     @property
     def sector_dimension(self) -> int:
@@ -170,6 +171,14 @@ class FockSpace:
     def with_n_max(self, n_max: int) -> "FockSpace":
         return FockSpace(self.n_fermion_modes, self.boson_modes, n_max,
                          self.sector, self.nnz_cap)
+
+
+def _fermion_basis(n_modes: int, number: Optional[int]) -> np.ndarray:
+    """Sorted basis integers with ``number`` set bits (all when None)."""
+    states = np.arange(2 ** n_modes)
+    if number is None:
+        return states
+    return states[_popcount(states, n_modes) == number]
 
 
 def _popcount(x: np.ndarray, n_bits: int) -> np.ndarray:
@@ -208,6 +217,20 @@ def _hopping_block(states: np.ndarray, p: int, q: int):
     return sparse.csr_matrix((1.0 - 2.0 * parity, (rows, cols)), shape=(n, n))
 
 
+def _annihilation_map(states: np.ndarray, lowered: np.ndarray, i: int):
+    """c_i from the sorted fermion basis ``states`` to the sorted basis
+    ``lowered`` that holds every image, as CSR.
+
+    The Jordan-Wigner sign is the parity of the occupied modes below i;
+    the target row is looked up by ``searchsorted`` in ``lowered``.
+    """
+    bit = 1 << i
+    cols = np.flatnonzero(states & bit)
+    rows = np.searchsorted(lowered, states[cols] ^ bit)
+    signs = 1.0 - 2.0 * (_popcount(states[cols], i) & 1)
+    return sparse.csr_matrix((signs, (rows, cols)), shape=(len(lowered), len(states)))
+
+
 def _ladder_pair(ladders, space: FockSpace, cell):
     """(q1, q2) built from the x and z ladders serving ``cell``."""
     dx = ladders[space.boson_mode_index(cell, "x")]
@@ -222,7 +245,8 @@ class ModeOperators:
     The assemblers use the sector building blocks: ``states``, the sorted
     fermion basis of the sector, and ``b``, the boson annihilation
     operators on the boson factor.  The full-space annihilation operators
-    ``c`` and ``d`` serve the observables and are built on first use.
+    ``c`` and ``d`` are an exact reference for tests and oracles, built on
+    first use; no command builds them.
     """
 
     space: FockSpace
@@ -529,14 +553,30 @@ def sector_block(obs, space: FockSpace):
 
 @dataclass
 class GroundStateResult:
-    """Extremal eigenpair data; states are embedded in the full space."""
+    """Extremal eigenpair data; ``vectors`` are on the sector basis of
+    ``space`` and ``states`` embeds them in the full space on first use."""
 
     energy: float
-    states: list          # full-space vectors spanning the ground multiplet
+    vectors: list         # sector-basis vectors spanning the ground multiplet
     multiplicity: int
     residual: float
-    sector_dimension: int
     k: int                # eigenpairs computed by the final solve
+    space: FockSpace
+
+    @property
+    def sector_dimension(self) -> int:
+        return self.space.sector_dimension
+
+    @cached_property
+    def states(self) -> list:
+        """The multiplet embedded in the full space by ``sector_indices``."""
+        idx = self.space.sector_indices()
+        states = []
+        for v in self.vectors:
+            full = np.zeros(self.space.dimension, dtype=v.dtype)
+            full[idx] = v
+            states.append(full)
+        return states
 
     @property
     def state(self) -> np.ndarray:
@@ -552,12 +592,11 @@ def ground_state(h, space: FockSpace, degeneracy_tol: float = 1e-9,
     """Lowest eigenpair of a Hamiltonian on the sector basis.
 
     ``h`` must be square with the sector dimension (ValueError otherwise);
-    the returned states are embedded in the full space by
-    ``space.sector_indices()``.  It is solved in real arithmetic whenever
-    it is real (a complex input with an exactly zero imaginary part is
-    cast to real first); a genuinely complex one keeps the Hermitian
-    solvers.  Dense
-    diagonalization up to dimension 512, ARPACK Lanczos above, started
+    the returned vectors are on the sector basis.  It is solved in real
+    arithmetic whenever it is real (a complex input with an exactly zero
+    imaginary part is cast to real first); a genuinely complex one keeps
+    the Hermitian solvers.  Dense diagonalization up to dimension 512,
+    ARPACK Lanczos above (``scipy.sparse.linalg`` is imported there), started
     from the fixed-seed Gaussian vector
     ``np.random.default_rng(0).standard_normal(dim)``: reruns are
     byte-stable, and the vector overlaps ground states that a symmetry
@@ -583,6 +622,8 @@ def ground_state(h, space: FockSpace, degeneracy_tol: float = 1e-9,
         k = dim
         evals, evecs = np.linalg.eigh(hs.toarray())
     else:
+        import scipy.sparse.linalg as spla
+
         v0 = np.random.default_rng(0).standard_normal(dim)
         k = 2
         while True:
@@ -598,21 +639,18 @@ def ground_state(h, space: FockSpace, degeneracy_tol: float = 1e-9,
             k = min(2 * k, dim - 1)
     e0 = float(evals[0])
     members = [j for j in range(len(evals)) if evals[j] - e0 <= level_tol]
-    idx = space.sector_indices()
-    states = []
+    vectors = []
     residual0 = None
     for j in members:
-        v = evecs[:, j]
+        v = evecs[:, j].copy()
         res = float(np.linalg.norm(hs @ v - evals[j] * v))
         if res > 1e-10 * scale:
             raise ConvergenceError(f"eigenpair residual {res:g} above 1e-10*scale")
         if residual0 is None:
             residual0 = res
-        full = np.zeros(space.dimension, dtype=v.dtype)
-        full[idx] = v
-        states.append(full)
-    return GroundStateResult(energy=e0, states=states, multiplicity=len(members),
-                             residual=residual0, sector_dimension=dim, k=k)
+        vectors.append(v)
+    return GroundStateResult(energy=e0, vectors=vectors, multiplicity=len(members),
+                             residual=residual0, k=k, space=space)
 
 
 def thermal_expectation(h, temperature: float, obs, space: FockSpace,
@@ -640,12 +678,35 @@ def thermal_expectation(h, temperature: float, obs, space: FockSpace,
     return float((diag_obs * weights).sum() / weights.sum())
 
 
+def _boson_rows(vector, space: FockSpace):
+    """(fermion basis, fermion number, X) of a vector on the sector basis
+    or on the full space: X[row, boson index] over the sorted fermion basis
+    (every integer, with number None, for a full-space vector)."""
+    vector = np.asarray(vector)
+    if len(vector) == space.sector_dimension:
+        number = space.sector
+    elif len(vector) == space.dimension:
+        number = None
+    else:
+        raise ValueError(f"vector of length {len(vector)} is on neither the sector "
+                         f"basis ({space.sector_dimension}) nor the full space")
+    basis = _fermion_basis(space.n_fermion_modes, number)
+    return basis, number, vector.reshape(len(basis), space.boson_dim)
+
+
+def _on_boson_factor(op, x):
+    """kron(1, op) applied to the vector with rows ``x``, flattened."""
+    return (op @ x.T).T.ravel()
+
+
 def boson_occupations(states, weights, ops: ModeOperators) -> np.ndarray:
-    """<d_m+ d_m> per boson mode for a (mixture of) full-space vector(s)."""
-    out = np.zeros(len(ops.d))
+    """<d_m+ d_m> per boson mode for a (mixture of) vector(s), each on the
+    sector basis or on the full space."""
+    out = np.zeros(len(ops.b))
     for w, v in zip(weights, states):
-        for m, dm in enumerate(ops.d):
-            dv = dm @ v
+        x = _boson_rows(v, ops.space)[2]
+        for m, bm in enumerate(ops.b):
+            dv = _on_boson_factor(bm, x)
             out[m] += w * float(np.real(np.vdot(dv, dv)))
     return out
 
@@ -672,9 +733,6 @@ class CorrelatorReport:
     d_dag_d: np.ndarray           # <d_m+ d_n>
     d_dag_ddag: np.ndarray        # <d_m+ d_n+>
     q_corr: dict                  # per pair: {"q1dag_q2": .., "q1dag_q2dag": ..}
-    sampled_quadruples: list
-    four_point: np.ndarray
-    wick_prediction: np.ndarray
     wick_residual: float
     wick_argmax: tuple
 
@@ -682,83 +740,90 @@ class CorrelatorReport:
 def _as_mixture(state):
     if isinstance(state, GroundStateResult):
         n = state.multiplicity
-        return [1.0 / n] * n, state.states
+        return [1.0 / n] * n, state.vectors
     state = np.asarray(state)
     if state.ndim == 1:
         return [1.0], [state.astype(complex)]
     raise TypeError("state must be a vector or GroundStateResult")
 
 
-def correlators_and_wick(state, space: FockSpace, ops: ModeOperators,
-                         n_samples: int = 512, seed: int = 0) -> CorrelatorReport:
+def correlators_and_wick(state, space: FockSpace, ops: ModeOperators) -> CorrelatorReport:
     """Correlation data of a normalized state (or ground multiplet mixture).
 
-    Fermion two-point matrix C_ij = <c_i+ c_j>, boson matrices <d+ d> and
-    <d+ d+>, ladder-pair correlators per boson pair, and the sampled
-    four-point tensor <c_i+ c_j+ c_k c_l> against its two-point
-    factorization C_il C_jk - C_ik C_jl.  All index quadruples are used
-    when the mode count is at most 8; otherwise ``n_samples`` quadruples
-    are drawn with the seeded generator.
+    ``state`` is a :class:`GroundStateResult` or a single vector on the
+    sector basis or on the full space.  Fermion two-point matrix
+    C_ij = <c_i+ c_j> is the Gram matrix of the vectors c_i psi, with c_i
+    mapping the N-particle basis to the (N-1)-particle one.  The four-point
+    function comes from the Gram matrix of the nf(nf-1)/2 pair vectors
+    c_k c_l psi (k < l) on the (N-2)-particle basis: by antisymmetry
+    <c_i+ c_j+ c_k c_l> = (c_j c_i psi, c_k c_l psi) is a signed entry of
+    it.  ``wick_residual`` is the exact maximum over every index quadruple
+    of the two-body cumulant |<c_i+ c_j+ c_k c_l> - (C_il C_jk - C_ik C_jl)|
+    (Kutzelnigg & Mukherjee, J. Chem. Phys. 110, 2800 (1999)), and
+    ``wick_argmax`` the lexicographically first quadruple reaching it.
+    Boson matrices <d+ d>, <d+ d+> and the ladder-pair correlators act
+    with the boson-factor ladders ``ops.b`` on the rows of the state.
     """
     weights, states = _as_mixture(state)
     nf = space.n_fermion_modes
     nb = space.n_boson_modes
+    n_b = space.boson_dim
+    pair_a, pair_b = np.triu_indices(nf, 1)   # pairs (a, b), a < b, lexicographic
+    n_pairs = len(pair_a)
 
     c_mat = np.zeros((nf, nf), dtype=complex)
+    gram = np.zeros((n_pairs, n_pairs), dtype=complex)
     d_dag_d = np.zeros((nb, nb), dtype=complex)
     d_dag_ddag = np.zeros((nb, nb), dtype=complex)
     q_corr_acc = {}
-    four_acc = None
 
-    if nf <= 8:
-        quads = [(i, j, k, l) for i in range(nf) for j in range(nf)
-                 for k in range(nf) for l in range(nf)]
-    else:
-        rng = np.random.default_rng(seed)
-        quads = [tuple(q) for q in rng.integers(0, nf, size=(n_samples, 4))]
+    # the N-, (N-1)- and (N-2)-particle bases (all three every integer
+    # for a full-space vector) and the maps c_i between them
+    basis, number, _ = _boson_rows(states[0], space)
+    once, twice = (_fermion_basis(nf, n) for n in
+                   ((None, None) if number is None else (number - 1, number - 2)))
+    first = [_annihilation_map(basis, once, i) for i in range(nf)]
+    second = [_annihilation_map(once, twice, i) for i in range(nf)]
 
     for w, psi in zip(weights, states):
-        cvecs = [ops.c[i] @ psi for i in range(nf)]
-        for i in range(nf):
-            for j in range(nf):
-                c_mat[i, j] += w * np.vdot(cvecs[i], cvecs[j])
-        dvecs = [dm @ psi for dm in ops.d]
-        ddagvecs = [dm.getH() @ psi for dm in ops.d]
-        for m in range(nb):
-            for n in range(nb):
-                d_dag_d[m, n] += w * np.vdot(dvecs[m], dvecs[n])
-                d_dag_ddag[m, n] += w * np.vdot(dvecs[m], ddagvecs[n])
+        x = _boson_rows(psi, space)[2]
+        # row i: c_i psi on the (N-1)-particle basis
+        cvecs = np.array([(ci @ x).ravel() for ci in first]).reshape(nf, len(once) * n_b)
+        c_mat += w * (cvecs.conj() @ cvecs.T)
+        # row (a, b): c_a c_b psi on the (N-2)-particle basis
+        pvecs = np.array([(second[a] @ cvecs[b].reshape(len(once), n_b)).ravel()
+                          for a, b in zip(pair_a, pair_b)]).reshape(n_pairs, len(twice) * n_b)
+        gram += w * (pvecs.conj() @ pvecs.T)
+        dvecs = np.array([_on_boson_factor(bm, x) for bm in ops.b]).reshape(nb, x.size)
+        ddagvecs = np.array([_on_boson_factor(bm.getH(), x)
+                             for bm in ops.b]).reshape(nb, x.size)
+        d_dag_d += w * (dvecs.conj() @ dvecs.T)
+        d_dag_ddag += w * (dvecs.conj() @ ddagvecs.T)
         for cell in _pairs(space):
-            q1, q2 = ops.q_pair(cell)
-            q1v = q1 @ psi
+            q1, q2 = _ladder_pair(ops.b, space, cell)
+            q1v = _on_boson_factor(q1, x)
             acc = q_corr_acc.setdefault(cell, {"q1dag_q2": 0.0, "q1dag_q2dag": 0.0})
-            acc["q1dag_q2"] += w * np.vdot(q1v, q2 @ psi)
-            acc["q1dag_q2dag"] += w * np.vdot(q1v, q2.getH() @ psi)
-        pair_vecs = {}
-        for (_, _, k, l) in quads:
-            if (k, l) not in pair_vecs:
-                pair_vecs[(k, l)] = ops.c[k] @ (ops.c[l] @ psi)
-        vals = np.empty(len(quads), dtype=complex)
-        for t, (i, j, k, l) in enumerate(quads):
-            left = pair_vecs.get((j, i))
-            if left is None:
-                left = ops.c[j] @ (ops.c[i] @ psi)
-                pair_vecs[(j, i)] = left
-            vals[t] = np.vdot(left, pair_vecs[(k, l)])
-        four_acc = w * vals if four_acc is None else four_acc + w * vals
+            acc["q1dag_q2"] += w * np.vdot(q1v, _on_boson_factor(q2, x))
+            acc["q1dag_q2dag"] += w * np.vdot(q1v, _on_boson_factor(q2.getH(), x))
 
-    wick = np.array([c_mat[i, l] * c_mat[j, k] - c_mat[i, k] * c_mat[j, l]
-                     for (i, j, k, l) in quads])
-    diff = np.abs(four_acc - wick)
-    argmax = int(np.argmax(diff)) if len(diff) else 0
-    return CorrelatorReport(
-        c_matrix=c_mat,
-        d_dag_d=d_dag_d,
-        d_dag_ddag=d_dag_ddag,
-        q_corr=q_corr_acc,
-        sampled_quadruples=quads,
-        four_point=four_acc,
-        wick_prediction=wick,
-        wick_residual=float(diff.max()) if len(diff) else 0.0,
-        wick_argmax=quads[argmax] if quads else (),
-    )
+    # c_x c_y psi = sign[x, y] * (row pair[x, y] of the pair vectors),
+    # with sign 0 for x == y; pair is symmetric, sign antisymmetric
+    pair = np.zeros((nf, nf), dtype=int)
+    pair[pair_a, pair_b] = pair[pair_b, pair_a] = np.arange(n_pairs)
+    sign = np.zeros((nf, nf))
+    sign[pair_a, pair_b], sign[pair_b, pair_a] = 1.0, -1.0
+    four = np.zeros((nf,) * 4, dtype=complex)
+    if n_pairs:
+        # <c_i+ c_j+ c_k c_l> = sign[j, i] sign[k, l] gram[pair[i, j], pair[k, l]]
+        four = ((sign.T[:, :, None, None] * sign[None, None])
+                * gram[pair[:, :, None, None], pair[None, None]])
+    wick = (c_mat[:, None, None, :] * c_mat[None, :, :, None]
+            - c_mat[:, None, :, None] * c_mat[None, :, None, :])
+    diff = np.abs(four - wick)
+    residual, argmax = 0.0, ()
+    if diff.size:   # np.argmax returns the first maximum in C (lexicographic) order
+        residual = float(diff.max())
+        argmax = tuple(int(i) for i in np.unravel_index(np.argmax(diff), diff.shape))
+    return CorrelatorReport(c_matrix=c_mat, d_dag_d=d_dag_d, d_dag_ddag=d_dag_ddag,
+                            q_corr=q_corr_acc, wick_residual=residual,
+                            wick_argmax=argmax)

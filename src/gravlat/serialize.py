@@ -31,6 +31,24 @@ def write_csv(path, header: str, rows) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
+def write_state_csv(path, header_lines, indices, vector) -> None:
+    """``index,re,im`` rows of the nonzero entries of ``vector`` under
+    ``#``-prefixed header lines; ``indices[k]`` is the index written for
+    ``vector[k]``.
+
+    One formatting pass over ``tolist()``: ``repr`` of a Python float is
+    what :func:`fmt` writes for it, so the bytes equal a per-row ``fmt``.
+    """
+    vector = np.asarray(vector)
+    nz = np.flatnonzero(np.abs(vector) > 0)
+    rows = zip(np.asarray(indices)[nz].tolist(), vector.real[nz].tolist(),
+               vector.imag[nz].tolist())
+    with open(path, "w", newline="\n") as fh:
+        fh.write("".join(line + "\n" for line in header_lines))
+        fh.write("index,re,im\n")
+        fh.write("".join([f"{i},{re!r},{im!r}\n" for i, re, im in rows]))
+
+
 def write_keyvalue(path, pairs) -> None:
     """Flat ``key=value`` block; pairs is an iterable of (key, value)."""
     with open(path, "w", newline="\n") as fh:

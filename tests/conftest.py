@@ -2,7 +2,8 @@
 
 The symbolic oracles derive in sympy the exact constants the library
 hard-codes, so sympy is a test-only dependency.  The full-space assembly
-oracle is the reference for the sector-basis Hamiltonians.
+and correlator oracles are the references for the sector-basis
+Hamiltonians and observables.
 """
 
 from typing import Optional
@@ -16,8 +17,9 @@ from gravlat.continuum import hgr_quadratic_form
 from gravlat.designer import optical_params
 from gravlat.geometry import ModelParams
 from gravlat.lattice import LatticeSpec
-from gravlat.manybody import (FockSpace, ModeOperators, _bond_list, _hermitize,
-                              _pairs, operator_algebra)
+from gravlat.manybody import (CorrelatorReport, FockSpace, GroundStateResult,
+                              ModeOperators, _bond_list, _hermitize, _pairs,
+                              operator_algebra)
 
 
 @pytest.fixture
@@ -276,3 +278,72 @@ def full_space_target(params: ModelParams, spec: LatticeSpec,
         q2p = q2.getH() + q2
         h = h + form.q_minus_coeff * (q1m @ q2m) + form.q_plus_coeff * (q1p @ q2p)
     return _hermitize(h)
+
+
+# ---------------------------------------------------------------------------
+# full-space correlator oracle
+# ---------------------------------------------------------------------------
+#
+# The observables as they were before they moved to the sector basis: every
+# quadruple enumerated with the full-space ``ops.c`` / ``ops.d`` applied to
+# full-space vectors.
+
+def full_space_mixture(state):
+    """(weights, full-space vectors) of a GroundStateResult or a vector."""
+    if isinstance(state, GroundStateResult):
+        n = state.multiplicity
+        return [1.0 / n] * n, state.states
+    return [1.0], [np.asarray(state, dtype=complex)]
+
+
+def full_space_boson_occupations(states, weights, ops: ModeOperators) -> np.ndarray:
+    """<d_m+ d_m> per boson mode with the full-space ladders."""
+    out = np.zeros(len(ops.d))
+    for w, v in zip(weights, states):
+        for m, dm in enumerate(ops.d):
+            dv = dm @ v
+            out[m] += w * float(np.real(np.vdot(dv, dv)))
+    return out
+
+
+def full_space_correlators(state, space: FockSpace, ops: ModeOperators) -> CorrelatorReport:
+    """Every field of :class:`CorrelatorReport` by full enumeration of the
+    nf^4 quadruples <c_i+ c_j+ c_k c_l> in lexicographic order."""
+    weights, states = full_space_mixture(state)
+    nf = space.n_fermion_modes
+    nb = space.n_boson_modes
+    c_mat = np.zeros((nf, nf), dtype=complex)
+    d_dag_d = np.zeros((nb, nb), dtype=complex)
+    d_dag_ddag = np.zeros((nb, nb), dtype=complex)
+    q_corr = {}
+    quads = [(i, j, k, l) for i in range(nf) for j in range(nf)
+             for k in range(nf) for l in range(nf)]
+    four = np.zeros(len(quads), dtype=complex)
+    for w, psi in zip(weights, states):
+        cvecs = [ops.c[i] @ psi for i in range(nf)]
+        for i in range(nf):
+            for j in range(nf):
+                c_mat[i, j] += w * np.vdot(cvecs[i], cvecs[j])
+        dvecs = [dm @ psi for dm in ops.d]
+        ddagvecs = [dm.getH() @ psi for dm in ops.d]
+        for m in range(nb):
+            for n in range(nb):
+                d_dag_d[m, n] += w * np.vdot(dvecs[m], dvecs[n])
+                d_dag_ddag[m, n] += w * np.vdot(dvecs[m], ddagvecs[n])
+        for cell in _pairs(space):
+            q1, q2 = ops.q_pair(cell)
+            q1v = q1 @ psi
+            acc = q_corr.setdefault(cell, {"q1dag_q2": 0.0, "q1dag_q2dag": 0.0})
+            acc["q1dag_q2"] += w * np.vdot(q1v, q2 @ psi)
+            acc["q1dag_q2dag"] += w * np.vdot(q1v, q2.getH() @ psi)
+        for t, (i, j, k, l) in enumerate(quads):
+            four[t] += w * np.vdot(ops.c[j] @ (ops.c[i] @ psi),
+                                   ops.c[k] @ (ops.c[l] @ psi))
+    wick = np.array([c_mat[i, l] * c_mat[j, k] - c_mat[i, k] * c_mat[j, l]
+                     for (i, j, k, l) in quads])
+    diff = np.abs(four - wick)
+    top = int(np.argmax(diff)) if len(diff) else 0
+    return CorrelatorReport(
+        c_matrix=c_mat, d_dag_d=d_dag_d, d_dag_ddag=d_dag_ddag, q_corr=q_corr,
+        wick_residual=float(diff.max()) if len(diff) else 0.0,
+        wick_argmax=quads[top] if quads else ())

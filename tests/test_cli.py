@@ -2,6 +2,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gravlat
@@ -108,7 +109,7 @@ g_values = 0
 @pytest.mark.parametrize("cap, expected", [(863, 4), (864, 0)])
 def test_nnz_cap_counts_the_full_space_mode_operators(tmp_path, command, cap, expected):
     # 6 modes x full dimension 144 = 864; the sector (dimension 54) alone
-    # would count 324, but correlators builds the full-space c and d
+    # would count 324
     code, _ = _run(tmp_path, f"""
 command = {command}
 [lattice]
@@ -150,9 +151,8 @@ g_values = 1e-3, 3e-3, 1e-2
 """)
     assert code == 0
     assert len(built) == 1
-    # the full-space mode operators are built only for observables
-    assert ("c" in vars(built[0])) == observables
-    assert ("d" in vars(built[0])) == observables
+    # observables or not, no command builds the full-space mode operators
+    assert "c" not in vars(built[0]) and "d" not in vars(built[0])
 
 
 def test_removed_thermal_key_is_unknown(tmp_path, capsys):
@@ -194,6 +194,136 @@ def test_import_loads_no_sympy_optimize_or_sparse():
     loaded = subprocess.run([sys.executable, "-c", probe, str(src)], check=True,
                             capture_output=True, text=True).stdout.strip()
     assert loaded == ""
+
+
+def test_dense_path_leaves_sparse_linalg_unloaded(tmp_path):
+    # every sector of this sweep is below the Lanczos threshold of 512
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("""
+command = wick-sweep
+[lattice]
+ncx = 2
+ncy = 1
+[truncation]
+n_max = 2
+[manybody]
+placement = cell0
+[sweep]
+g_values = 0, 1e-3, 1e-2
+""")
+    src = Path(gravlat.__file__).resolve().parents[1]
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); from gravlat.cli import main; "
+             "code = main(sys.argv[2:]); print(code, 'scipy.sparse.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe, str(src), str(cfg),
+                          "--output", str(tmp_path / "out")],
+                         check=True, capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "0 False"
+    assert (tmp_path / "out" / "wick_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["correlators", "wick-sweep", "ground-state"])
+def test_no_full_space_operator_on_the_cli_path(tmp_path, monkeypatch, command):
+    from gravlat.manybody import FockSpace, ModeOperators, operator_algebra
+
+    def refuse(self):
+        raise AssertionError("full-space mode operator built")
+
+    monkeypatch.setattr(ModeOperators, "c", property(refuse))
+    monkeypatch.setattr(ModeOperators, "d", property(refuse))
+    with pytest.raises(AssertionError):
+        operator_algebra(FockSpace(2, ((0, "x"),), 1)).c
+    code, _ = _run(tmp_path, f"""
+command = {command}
+[lattice]
+ncx = 2
+ncy = 1
+[truncation]
+n_max = 1
+[manybody]
+placement = per_cell
+[sweep]
+g_values = 0, 1e-3, 1e-2
+""")
+    assert code == 0
+
+
+CONFIG_C = """
+command = correlators
+[lattice]
+ncx = 3
+ncy = 2
+[truncation]
+n_max = 2
+[manybody]
+placement = cell0
+"""
+
+
+def test_wick_residual_is_exact_and_seed_independent_at_nf_12(tmp_path):
+    # nf = 12: the exact maximum over all 12^4 quadruples (pair-Gram
+    # cumulant); a maximum over 512 seeded samples read 1.045e-4 at seed 1
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CONFIG_C)
+    summaries = []
+    for seed in ("1", "7"):
+        out = tmp_path / f"seed{seed}"
+        assert main([str(cfg), "--seed", seed, "--output", str(out)]) == 0
+        summaries.append((out / "correlator_summary.txt").read_bytes())
+    assert summaries[0] == summaries[1]
+    summary = dict(line.split("=", 1) for line in summaries[0].decode().splitlines())
+    assert float(summary["wick_residual"]) == pytest.approx(2.262693e-4, rel=1e-6)
+    assert summary["wick_argmax"] == "0-6-0-6"
+
+
+def _per_row_state_csv(path, header_lines, full):
+    """The ground_state.csv writer as it was: one ``fmt`` call per value."""
+    from gravlat.serialize import fmt
+    with open(path, "w", newline="\n") as fh:
+        for line in header_lines:
+            fh.write(line + "\n")
+        fh.write("index,re,im\n")
+        for i in np.flatnonzero(np.abs(full) > 0):
+            fh.write(f"{i},{fmt(full[i].real)},{fmt(full[i].imag)}\n")
+
+
+def test_state_csv_writer_matches_the_per_row_writer(tmp_path):
+    from gravlat.manybody import assemble_simulator_hamiltonian, ground_state
+    from gravlat.serialize import write_state_csv
+    config = """
+command = ground-state
+[lattice]
+ncx = 3
+ncy = 1
+[truncation]
+n_max = 1
+[manybody]
+placement = per_cell
+"""
+    code, out = _run(tmp_path, config)
+    assert code == 0
+    cfg = parse_config(config)
+    space = cfg.fock_space()
+    gs = ground_state(assemble_simulator_hamiltonian(cfg.params, cfg.lattice, space), space)
+    assert gs.sector_dimension > 512  # Lanczos path
+    written = (out / "ground_state.csv").read_bytes()
+    header = written.decode().splitlines()[:5]
+    _per_row_state_csv(tmp_path / "old.csv", header, gs.state)
+    assert written == (tmp_path / "old.csv").read_bytes()
+
+    # negative, sub-1e-300 (subnormal) and exactly zero entries, real and complex
+    v = gs.vectors[0].copy()
+    v[:6] = [0.0, -0.0, -0.75, 1e-310, -5e-324, 2.5e-301]
+    for vec in (v, v * np.exp(0.3j)):
+        full = np.zeros(space.dimension, dtype=vec.dtype)
+        full[space.sector_indices()] = vec
+        write_state_csv(tmp_path / "new.csv", header, space.sector_indices(), vec)
+        _per_row_state_csv(tmp_path / "old.csv", header, full)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert len(new.splitlines()) == 6 + np.count_nonzero(vec)
+        if vec.dtype == float:
+            assert all(row in new for row in (b",-0.75,0.0\n", b",1e-310,0.0\n",
+                                              b",-5e-324,0.0\n", b",2.5e-301,0.0\n"))
 
 
 def test_fermi_points_artifact(tmp_path):

@@ -10,13 +10,14 @@ from gravlat.lattice import CouplingField, LatticeSpec, build_tight_binding
 from gravlat.manybody import (FockSpace, assemble_background_hopping,
                               assemble_simulator_hamiltonian,
                               assemble_target_hamiltonian, boson_occupations,
-                              correlators_and_wick, ground_state,
-                              mapping_residual, operator_algebra,
+                              correlators_and_wick, GroundStateResult,
+                              ground_state, mapping_residual, operator_algebra,
                               per_cell_pairs, uniform_pair,
                               thermal_expectation)
 
-from conftest import (full_space_background, full_space_simulator,
-                      full_space_target, q_map_commutators)
+from conftest import (full_space_background, full_space_boson_occupations,
+                      full_space_correlators, full_space_mixture,
+                      full_space_simulator, full_space_target, q_map_commutators)
 
 
 def small_space(nf=2, nb=1, n_max=2, sector=None):
@@ -489,6 +490,69 @@ def test_boson_vacuum_correlators_vanish():
     occ = boson_occupations([psi], [1.0], ops)
     assert np.abs(occ).max() < 1e-14
     assert rep.wick_residual <= 1e-12
+
+
+def _oracle_case(name):
+    """(state, space, ops) of one sector-native correlator oracle case.
+
+    Ground states of the uniform, 1x1 and sector-free spaces have a Wick
+    residual at rounding level, where the argmax is decided by rounding;
+    those spaces get a fixed-seed two-state mixture instead, whose residual
+    and argmax are well defined.
+    """
+    rng = np.random.default_rng(5)
+    if name == "raw-full-space-vector":
+        # complex, with weight outside the sector
+        space = FockSpace(4, ((0, "x"), (0, "z")), 1, sector=2)
+        psi = rng.standard_normal(space.dimension) + 1j * rng.standard_normal(space.dimension)
+        return psi / np.linalg.norm(psi), space, operator_algebra(space)
+    spec, modes, n_max, sector = {
+        "2x1-per_cell-ground": (LatticeSpec(2, 1), per_cell_pairs(LatticeSpec(2, 1)), 2, 2),
+        "2x1-per_cell": (LatticeSpec(2, 1), per_cell_pairs(LatticeSpec(2, 1)), 2, 2),
+        "2x1-uniform": (LatticeSpec(2, 1), uniform_pair(), 2, 2),
+        "1x1": (LatticeSpec(1, 1), per_cell_pairs(LatticeSpec(1, 1)), 2, 1),
+        "sector-none": (LatticeSpec(2, 1), ((0, "x"), (0, "z")), 1, None),
+    }[name]
+    space = FockSpace(spec.n_modes, modes, n_max, sector=sector)
+    ops = operator_algebra(space)
+    if name.endswith("-ground"):
+        h = assemble_simulator_hamiltonian(ModelParams(G=1e-2, l=1.0, mu=1.0), spec, space, ops)
+        return ground_state(h, space), space, ops
+    vectors = [v / np.linalg.norm(v) for v in rng.standard_normal((2, space.sector_dimension))]
+    mixture = GroundStateResult(energy=0.0, vectors=vectors, multiplicity=2, residual=0.0,
+                                k=2, space=space)
+    return mixture, space, ops
+
+
+@pytest.mark.parametrize("name", ["2x1-per_cell-ground", "2x1-per_cell", "2x1-uniform",
+                                  "1x1", "sector-none", "raw-full-space-vector"])
+def test_sector_correlators_match_full_space_oracle(name):
+    state, space, ops = _oracle_case(name)
+    rep = correlators_and_wick(state, space, ops)
+    want = full_space_correlators(state, space, ops)
+    for field in ("c_matrix", "d_dag_d", "d_dag_ddag"):
+        assert np.abs(getattr(rep, field) - getattr(want, field)).max(initial=0.0) <= 1e-12
+    assert rep.q_corr.keys() == want.q_corr.keys()
+    for cell, qc in rep.q_corr.items():
+        for key, value in qc.items():
+            assert abs(value - want.q_corr[cell][key]) <= 1e-12
+    assert rep.wick_residual > 1e-6
+    assert rep.wick_residual == pytest.approx(want.wick_residual, rel=0.0, abs=1e-12)
+    assert rep.wick_argmax == want.wick_argmax
+    weights, full = full_space_mixture(state)
+    vectors = getattr(state, "vectors", full)
+    assert np.abs(boson_occupations(vectors, weights, ops)
+                  - full_space_boson_occupations(full, weights, ops)).max() <= 1e-12
+
+
+def test_ground_state_embeds_its_sector_vectors_on_access():
+    state, space, _ = _oracle_case("2x1-per_cell-ground")
+    assert "states" not in vars(state)
+    assert all(len(v) == space.sector_dimension for v in state.vectors)
+    for v, full in zip(state.vectors, state.states):
+        assert full.shape == (space.dimension,)
+        assert np.array_equal(full[space.sector_indices()], v)
+        assert np.linalg.norm(full) == pytest.approx(1.0)
 
 
 def test_coupled_residual_positive_monotone_cubic():
