@@ -39,7 +39,7 @@ from .lattice import (CouplingField, LatticeSpec, bloch_f,
                       couplings_from_dreibein, dirac_slopes,
                       dreibein_from_couplings, fermi_points,
                       reciprocal_vectors)
-from .serialize import fmt, write_csv, write_keyvalue
+from .serialize import fmt, write_csv, write_float_csv, write_keyvalue
 
 if TYPE_CHECKING:
     from .manybody import FockSpace
@@ -125,6 +125,12 @@ class RunConfig:
         return ModelParams(G=self.values[("model", "g")],
                            l=self.values[("model", "l")],
                            mu=self.values[("model", "mu")])
+
+    @property
+    def couplings(self) -> CouplingField:
+        """Uniform couplings (jx, jy = jx, jz) of the band-structure commands."""
+        jx = self.values[("couplings", "jx")]
+        return CouplingField.uniform(jx, jx, self.values[("couplings", "jz")])
 
     @property
     def lattice(self) -> LatticeSpec:
@@ -314,30 +320,27 @@ def _connection_refinement_report(params: ModelParams, f1: _TrigField, f2: _Trig
 # ---------------------------------------------------------------------------
 
 def _cmd_dispersion(cfg, outdir, extras):
-    c = CouplingField.uniform(cfg[("couplings", "jx")], cfg[("couplings", "jx")],
-                              cfg[("couplings", "jz")])
+    c = cfg.couplings
     nk = cfg[("couplings", "nk")]
     g1, g2 = reciprocal_vectors()
-    rows = []
-    for m1 in range(nk):
-        for m2 in range(nk):
-            k = (m1 / nk) * g1 + (m2 / nk) * g2
-            e = abs(bloch_f(c, k))
-            rows.append((k[0], k[1], -e, e))
-    write_csv(outdir / "dispersion.csv", "kx,ky,E1,E2", rows)
+    frac = np.arange(nk) / nk
+    k = frac[:, None, None] * g1 + frac[None, :, None] * g2  # (m1, m2, 2), m2 inner
+    f = bloch_f(c, k)
+    # hypot is the scalar abs() of a complex; np.abs can differ in the last bit
+    e = np.hypot(f.real, f.imag)
+    write_float_csv(outdir / "dispersion.csv", "kx,ky,E1,E2",
+                    np.stack([k[..., 0], k[..., 1], -e, e], axis=-1).reshape(-1, 4))
 
 
 def _cmd_fermi_points(cfg, outdir, extras):
-    c = CouplingField.uniform(cfg[("couplings", "jx")], cfg[("couplings", "jx")],
-                              cfg[("couplings", "jz")])
+    c = cfg.couplings
     p_plus, p_minus = fermi_points(c)
     rows = [(p[0], p[1], abs(bloch_f(c, p))) for p in (p_plus, p_minus)]
     write_csv(outdir / "fermi_points.csv", "kx,ky,residual", rows)
 
 
 def _cmd_slopes(cfg, outdir, extras):
-    c = CouplingField.uniform(cfg[("couplings", "jx")], cfg[("couplings", "jx")],
-                              cfg[("couplings", "jz")])
+    c = cfg.couplings
     (a_p, b_p), (a_m, b_m) = dirac_slopes(c)
     write_csv(outdir / "slopes.csv", "a_plus,b_plus,a_minus,b_minus",
               [(a_p, b_p, a_m, b_m)])

@@ -310,6 +310,68 @@ def _deriv(arr, axis, spacing, scheme):
 
 
 # ---------------------------------------------------------------------------
+# sparse slab contractions
+# ---------------------------------------------------------------------------
+
+def _components(tensor: np.ndarray) -> dict:
+    """{(A, mu): tensor[A, mu]} over the components not identically zero."""
+    return {idx: tensor[idx] for idx in np.ndindex(tensor.shape[:2])
+            if np.any(tensor[idx])}
+
+
+def _slab_derivatives(components: dict, spacings, scheme: str) -> dict:
+    """{(alpha, A, mu): d_alpha T[A, mu]} for every component of a map."""
+    return {(alpha,) + idx: _deriv(arr, alpha, spacings[alpha], scheme)
+            for idx, arr in components.items() for alpha in range(3)}
+
+
+def _contract(subscripts: str, *operands):
+    """``np.einsum`` summed over the nonzero entries only.
+
+    An operand is either a constant array over small indices (epsilon,
+    ebar, eta, M) or a component map {index tuple: grid array} whose
+    subscript ends in ``...``; constants contribute their nonzero entries
+    and maps the components they hold, so a contraction costs one grid
+    product per surviving term instead of one per index combination.
+    Each term multiplies its constant factors first, then its fields left
+    to right, and each output adds its terms in lexicographic order of
+    the summed labels; where the dense contraction meets the nonzero terms
+    in that order too, the result is bitwise the same.
+
+    Returns a component map keyed by the output labels, or, when the
+    output is ``...`` alone, the grid array itself (0.0 if no term
+    survives).
+    """
+    inputs, output = subscripts.split("->")
+    specs = [s.replace("...", "") for s in inputs.split(",")]
+    out_labels = output.replace("...", "")
+    summed = sorted(set("".join(specs)) - set(out_labels))
+    terms = [({}, 1.0, ())]  # (label binding, constant factor, fields)
+    for spec, op in zip(specs, operands):
+        is_field = isinstance(op, dict)
+        entries = (op.items() if is_field else
+                   [(idx, op[idx]) for idx in map(tuple, np.argwhere(op).tolist())])
+        grown = []
+        for binding, coef, fields in terms:
+            for idx, value in entries:
+                bound = dict(binding)
+                if all(bound.setdefault(lab, i) == i for lab, i in zip(spec, idx)):
+                    grown.append((bound, coef, fields + (value,)) if is_field
+                                 else (bound, coef * value, fields))
+        terms = grown
+    out = {}
+    for binding, coef, fields in sorted(terms, key=lambda t: [t[0][lab] for lab in summed]):
+        prod = coef * fields[0]
+        for f in fields[1:]:
+            prod = prod * f
+        key = tuple(binding[lab] for lab in out_labels)
+        out[key] = out[key] + prod if key in out else prod
+    if out_labels:
+        return out
+    return out.get((), 0.0)
+
+
+# ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
@@ -371,17 +433,13 @@ def spin_connection_general(params: ModelParams, xi: DiagonalFluctuationSlab,
     components to O(h^2) (exactly, for spectral derivatives).
     """
     grid = xi.grid
-    xit = xi.as_tensor()
-    spac = grid.spacings
-    dxi = np.zeros((3, 3, 3) + grid.shape)
-    for (A, m) in ((1, 1), (2, 2)):  # only populated components
-        for alpha in range(3):
-            dxi[alpha, A, m] = _deriv(xit[A, m], alpha, spac[alpha], scheme)
-    M = frame_pair_tensor(params)
+    dxi = _slab_derivatives(_components(xi.as_tensor()), grid.spacings, scheme)
     # W[B, nu] = eps[nu, alpha, beta] d_alpha xi_{B beta}; lower frame index
     # is the plain symbol view (the A = 0 row carries no field).
-    W = np.einsum("nab,aBb...->Bn...", EPS3, dxi)
-    tensor = -np.einsum("aBmn,Bn...->am...", M, W)
+    W = _contract("nab,aBb...->Bn...", EPS3, dxi)
+    tensor = np.zeros((3, 3) + grid.shape)
+    for (a, m), comp in _contract("aBmn,Bn...->am...", frame_pair_tensor(params), W).items():
+        tensor[a, m] = -comp
     return SpinConnectionSlab(grid, tensor)
 
 
@@ -396,20 +454,11 @@ def torsion_residual(params: ModelParams, xi: DiagonalFluctuationSlab,
     that are not time-periodic (e.g. 3-slice probes) are still scored on
     slices where the central difference is one-sided-free.
     """
-    grid = xi.grid
-    spac = grid.spacings
-    xit = xi.as_tensor()
-    vt = v.tensor
-    dxi = np.zeros((3, 3, 3) + grid.shape)
-    for A in range(3):
-        for m in range(3):
-            if np.any(xit[A, m]):
-                for alpha in range(3):
-                    dxi[alpha, A, m] = _deriv(xit[A, m], alpha, spac[alpha], scheme)
-    ebar = background_frame(params)
-    conn = np.einsum("abc,bn,cr...->anr...", EPS3, ebar, vt)
-    grad = dxi.transpose(1, 0, 2, 3, 4, 5)  # -> [A, nu, rho, ...]
-    res = np.einsum("mnr,anr...->am...", EPS3, grad + conn)
-    if interior_only:
-        res = res[:, :, 1:-1]
-    return float(np.abs(res).max())
+    dxi = _slab_derivatives(_components(xi.as_tensor()), xi.grid.spacings, scheme)
+    conn = _contract("abc,bn,cr...->anr...", EPS3, background_frame(params),
+                     _components(v.tensor))
+    grad = {(A, n, r): d for (n, A, r), d in dxi.items()}  # -> [A, nu, rho]
+    total = {key: grad.get(key, 0.0) + conn.get(key, 0.0) for key in grad.keys() | conn.keys()}
+    res = _contract("mnr,anr...->am...", EPS3, total)
+    window = slice(1, -1) if interior_only else slice(None)
+    return max((float(np.abs(comp[window]).max()) for comp in res.values()), default=0.0)

@@ -6,6 +6,11 @@ limit.  Derivatives default to Fourier differentiation so the quadratic
 cross-checks hold at 1e-8 .. 1e-12 instead of being O(h^2)-limited; pass
 ``scheme="central"`` to reproduce the stencil used by the geometry module.
 
+Every slab contraction runs over the nonzero entries only: the six of
+epsilon, those of M, the diagonals of ebar and eta, and the field
+components that are not identically zero (tested at run time, so a
+connection with all nine components populated is contracted in full).
+
 Value bookkeeping, verified against each other in the tests:
 
     total(e, omega)  =  s0/(8 pi G) + s1 + 8 pi G * s2      (s0 = s1 = 0 flat)
@@ -29,7 +34,10 @@ from .geometry import (
     background_frame,
     frame_pair_tensor,
     spin_connection_general,
+    _components,
+    _contract,
     _deriv,
+    _slab_derivatives,
 )
 
 __all__ = [
@@ -61,31 +69,8 @@ class ActionReport:
         return pairs
 
 
-def _integral(grid, density: np.ndarray) -> float:
-    return float(density.sum() * grid.volume_element)
-
-
-def _xi_derivatives(xi: DiagonalFluctuationSlab, scheme: str) -> np.ndarray:
-    grid = xi.grid
-    spac = grid.spacings
-    xit = xi.as_tensor()
-    dxi = np.zeros((3, 3, 3) + grid.shape)
-    for (A, m) in ((1, 1), (2, 2)):
-        for alpha in range(3):
-            dxi[alpha, A, m] = _deriv(xit[A, m], alpha, spac[alpha], scheme)
-    return dxi
-
-
-def _v_derivatives(v: SpinConnectionSlab, scheme: str) -> np.ndarray:
-    grid = v.grid
-    spac = grid.spacings
-    dv = np.zeros((3, 3, 3) + grid.shape)
-    for A in range(3):
-        for m in range(3):
-            if np.any(v.tensor[A, m]):
-                for alpha in range(3):
-                    dv[alpha, A, m] = _deriv(v.tensor[A, m], alpha, spac[alpha], scheme)
-    return dv
+def _integral(grid, density) -> float:
+    return float(np.sum(density) * grid.volume_element)
 
 
 def palatini_total(params: ModelParams, xi: DiagonalFluctuationSlab,
@@ -99,14 +84,15 @@ def palatini_total(params: ModelParams, xi: DiagonalFluctuationSlab,
     if params.G == 0:
         raise ValueError("total action undefined at G = 0 (1/G prefactor)")
     g8 = 8.0 * np.pi * params.G
-    grid = xi.grid
     ebar = background_frame(params)
-    e_full = ebar.reshape(3, 3, 1, 1, 1) + g8 * xi.as_tensor()
-    omega = g8 * v.tensor
-    domega = g8 * _v_derivatives(v, scheme)
-    t1 = np.einsum("mnr,am...,nar...->...", EPS3, e_full, domega)
-    t2 = 0.5 * np.einsum("mnr,abc,am...,bn...,cr...->...", EPS3, EPS3, e_full, omega, omega)
-    return _integral(grid, t1 + t2) / g8
+    e_full = _components(ebar.reshape(3, 3, 1, 1, 1) + g8 * xi.as_tensor())
+    v_comps = _components(v.tensor)
+    omega = {key: g8 * comp for key, comp in v_comps.items()}
+    domega = {key: g8 * d for key, d in
+              _slab_derivatives(v_comps, v.grid.spacings, scheme).items()}
+    t1 = _contract("mnr,am...,nar...->...", EPS3, e_full, domega)
+    t2 = 0.5 * _contract("mnr,abc,am...,bn...,cr...->...", EPS3, EPS3, e_full, omega, omega)
+    return _integral(xi.grid, t1 + t2) / g8
 
 
 def palatini_orders(params: ModelParams, xi: DiagonalFluctuationSlab,
@@ -129,13 +115,12 @@ def palatini_orders(params: ModelParams, xi: DiagonalFluctuationSlab,
         v = spin_connection_general(params, xi, scheme=scheme)
     if v.tensor.shape[2:] != xi.grid.shape:
         raise ValueError("xi and v slabs have mismatched shapes")
-    grid = xi.grid
-    ebar = background_frame(params)
-    dv = _v_derivatives(v, scheme)
-    t1 = np.einsum("mnr,am...,nar...->...", EPS3, xi.as_tensor(), dv)
-    t2 = 0.5 * np.einsum("mnr,abc,am,bn...,cr...->...", EPS3, EPS3, ebar,
-                         v.tensor, v.tensor)
-    s2 = _integral(grid, t1 + t2)
+    v_comps = _components(v.tensor)
+    dv = _slab_derivatives(v_comps, v.grid.spacings, scheme)
+    t1 = _contract("mnr,am...,nar...->...", EPS3, _components(xi.as_tensor()), dv)
+    t2 = 0.5 * _contract("mnr,abc,am,bn...,cr...->...", EPS3, EPS3,
+                         background_frame(params), v_comps, v_comps)
+    s2 = _integral(xi.grid, t1 + t2)
     s_massive = massive_fp_action(params, xi, scheme=scheme)
     residuals = {}
     if params.G > 0:
@@ -164,10 +149,9 @@ def fierz_pauli_quadratic(params: ModelParams, xi: DiagonalFluctuationSlab,
     h_munu = ebar_{A mu} xi^A_nu + ebar_{A nu} xi^A_mu up to the fixed
     normalization 2 pi G / l^2 (see :func:`fp_standard_form`).
     """
-    dxi = _xi_derivatives(xi, scheme)
-    M = frame_pair_tensor(params)
-    W = np.einsum("mab,aAb...->Am...", EPS3, dxi)
-    q = np.einsum("aBmn,am...,Bn...->...", M, W, W)
+    dxi = _slab_derivatives(_components(xi.as_tensor()), xi.grid.spacings, scheme)
+    W = _contract("mab,aAb...->Am...", EPS3, dxi)
+    q = _contract("aBmn,am...,Bn...->...", frame_pair_tensor(params), W, W)
     return -4.0 * np.pi * params.G * _integral(xi.grid, q)
 
 
@@ -183,21 +167,17 @@ def fp_standard_form(params: ModelParams, xi: DiagonalFluctuationSlab,
     :func:`fierz_pauli_quadratic`; it is pinned here once and tested.
     """
     grid = xi.grid
-    spac = grid.spacings
     h = np.zeros((3, 3) + grid.shape)
     h[1, 1] = 2.0 * params.l * xi.xi1x
     h[2, 2] = 2.0 * params.l * xi.xi2y
-    dh = np.zeros((3, 3, 3) + grid.shape)
-    for (m, n) in ((1, 1), (2, 2)):
-        for alpha in range(3):
-            dh[alpha, m, n] = _deriv(h[m, n], alpha, spac[alpha], scheme)
-    dh_up = np.einsum("ma,nb,lab...->lmn...", ETA, ETA, dh)
-    trace_d = np.einsum("mn,lmn...->l...", ETA, dh)
-    term1 = -0.5 * np.einsum("lmn...,ls,smn...->...", dh, ETA, dh_up)
-    term2 = np.einsum("mnl...,ns,sml...->...", dh, ETA, dh_up)
-    div_h = np.einsum("mmn...->n...", dh_up)
-    term3 = -np.einsum("n...,n...->...", div_h, trace_d)
-    term4 = 0.5 * np.einsum("l...,ls,s...->...", trace_d, ETA, trace_d)
+    dh = _slab_derivatives(_components(h), grid.spacings, scheme)
+    dh_up = _contract("ma,nb,lab...->lmn...", ETA, ETA, dh)
+    trace_d = _contract("mn,lmn...->l...", ETA, dh)
+    term1 = -0.5 * _contract("lmn...,ls,smn...->...", dh, ETA, dh_up)
+    term2 = _contract("mnl...,ns,sml...->...", dh, ETA, dh_up)
+    div_h = _contract("mmn...->n...", dh_up)
+    term3 = -_contract("n...,n...->...", div_h, trace_d)
+    term4 = 0.5 * _contract("l...,ls,s...->...", trace_d, ETA, trace_d)
     dens = term1 + term2 + term3 + term4
     return (2.0 * np.pi * params.G / params.l ** 2) * _integral(grid, dens)
 

@@ -31,6 +31,18 @@ def write_csv(path, header: str, rows) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
+def write_float_csv(path, header: str, table) -> None:
+    """Rows of a 2-D float array under a single header line.
+
+    One formatting pass over ``tolist()``, which writes the bytes
+    :func:`write_csv` writes for the same rows.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.write("".join([",".join(map(repr, row)) + "\n"
+                          for row in np.asarray(table, dtype=float).tolist()]))
+
+
 def write_state_csv(path, header_lines, indices, vector) -> None:
     """``index,re,im`` rows of the nonzero entries of ``vector`` under
     ``#``-prefixed header lines; ``indices[k]`` is the index written for

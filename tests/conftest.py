@@ -3,7 +3,8 @@
 The symbolic oracles derive in sympy the exact constants the library
 hard-codes, so sympy is a test-only dependency.  The full-space assembly
 and correlator oracles are the references for the sector-basis
-Hamiltonians and observables.
+Hamiltonians and observables; the dense ``np.einsum`` oracles are the
+references for the sparse slab contractions of the geometry sector.
 """
 
 from typing import Optional
@@ -14,8 +15,12 @@ import scipy.sparse as sparse
 import sympy as sp
 
 from gravlat.continuum import hgr_quadratic_form
+from gravlat.conventions import EPS3, ETA
 from gravlat.designer import optical_params
-from gravlat.geometry import ModelParams
+from gravlat.geometry import (DiagonalFluctuationSlab, ModelParams,
+                              SpinConnectionSlab, _deriv, background_frame,
+                              frame_pair_tensor)
+from gravlat.gravity_action import ActionReport, _integral, massive_fp_action
 from gravlat.lattice import LatticeSpec
 from gravlat.manybody import (CorrelatorReport, FockSpace, GroundStateResult,
                               ModeOperators, _bond_list, _hermitize, _pairs,
@@ -347,3 +352,134 @@ def full_space_correlators(state, space: FockSpace, ops: ModeOperators) -> Corre
         c_matrix=c_mat, d_dag_d=d_dag_d, d_dag_ddag=d_dag_ddag, q_corr=q_corr,
         wick_residual=float(diff.max()) if len(diff) else 0.0,
         wick_argmax=quads[top] if quads else ())
+
+
+# ---------------------------------------------------------------------------
+# dense slab-contraction oracles
+# ---------------------------------------------------------------------------
+# Every contraction runs np.einsum over all 3^k small-index combinations,
+# zeros included, with no knowledge of which entries vanish.
+
+def dense_xi_derivatives(xi: DiagonalFluctuationSlab, scheme: str) -> np.ndarray:
+    grid = xi.grid
+    spac = grid.spacings
+    xit = xi.as_tensor()
+    dxi = np.zeros((3, 3, 3) + grid.shape)
+    for (A, m) in ((1, 1), (2, 2)):
+        for alpha in range(3):
+            dxi[alpha, A, m] = _deriv(xit[A, m], alpha, spac[alpha], scheme)
+    return dxi
+
+
+def dense_v_derivatives(v: SpinConnectionSlab, scheme: str) -> np.ndarray:
+    grid = v.grid
+    spac = grid.spacings
+    dv = np.zeros((3, 3, 3) + grid.shape)
+    for A in range(3):
+        for m in range(3):
+            if np.any(v.tensor[A, m]):
+                for alpha in range(3):
+                    dv[alpha, A, m] = _deriv(v.tensor[A, m], alpha, spac[alpha], scheme)
+    return dv
+
+
+def dense_spin_connection_general(params: ModelParams, xi: DiagonalFluctuationSlab,
+                                  scheme: str = "central") -> SpinConnectionSlab:
+    grid = xi.grid
+    dxi = dense_xi_derivatives(xi, scheme)
+    M = frame_pair_tensor(params)
+    W = np.einsum("nab,aBb...->Bn...", EPS3, dxi)
+    tensor = -np.einsum("aBmn,Bn...->am...", M, W)
+    return SpinConnectionSlab(grid, tensor)
+
+
+def dense_torsion_residual(params: ModelParams, xi: DiagonalFluctuationSlab,
+                           v: SpinConnectionSlab, scheme: str = "central",
+                           interior_only: bool = True) -> float:
+    grid = xi.grid
+    spac = grid.spacings
+    xit = xi.as_tensor()
+    vt = v.tensor
+    dxi = np.zeros((3, 3, 3) + grid.shape)
+    for A in range(3):
+        for m in range(3):
+            if np.any(xit[A, m]):
+                for alpha in range(3):
+                    dxi[alpha, A, m] = _deriv(xit[A, m], alpha, spac[alpha], scheme)
+    ebar = background_frame(params)
+    conn = np.einsum("abc,bn,cr...->anr...", EPS3, ebar, vt)
+    grad = dxi.transpose(1, 0, 2, 3, 4, 5)  # -> [A, nu, rho, ...]
+    res = np.einsum("mnr,anr...->am...", EPS3, grad + conn)
+    if interior_only:
+        res = res[:, :, 1:-1]
+    return float(np.abs(res).max())
+
+
+def dense_palatini_total(params: ModelParams, xi: DiagonalFluctuationSlab,
+                         v: SpinConnectionSlab, scheme: str = "spectral") -> float:
+    g8 = 8.0 * np.pi * params.G
+    grid = xi.grid
+    ebar = background_frame(params)
+    e_full = ebar.reshape(3, 3, 1, 1, 1) + g8 * xi.as_tensor()
+    omega = g8 * v.tensor
+    domega = g8 * dense_v_derivatives(v, scheme)
+    t1 = np.einsum("mnr,am...,nar...->...", EPS3, e_full, domega)
+    t2 = 0.5 * np.einsum("mnr,abc,am...,bn...,cr...->...", EPS3, EPS3, e_full, omega, omega)
+    return _integral(grid, t1 + t2) / g8
+
+
+def dense_fierz_pauli_quadratic(params: ModelParams, xi: DiagonalFluctuationSlab,
+                                scheme: str = "spectral") -> float:
+    dxi = dense_xi_derivatives(xi, scheme)
+    M = frame_pair_tensor(params)
+    W = np.einsum("mab,aAb...->Am...", EPS3, dxi)
+    q = np.einsum("aBmn,am...,Bn...->...", M, W, W)
+    return -4.0 * np.pi * params.G * _integral(xi.grid, q)
+
+
+def dense_palatini_orders(params: ModelParams, xi: DiagonalFluctuationSlab,
+                          v: Optional[SpinConnectionSlab] = None,
+                          scheme: str = "spectral") -> ActionReport:
+    if v is None:
+        v = dense_spin_connection_general(params, xi, scheme=scheme)
+    grid = xi.grid
+    ebar = background_frame(params)
+    dv = dense_v_derivatives(v, scheme)
+    t1 = np.einsum("mnr,am...,nar...->...", EPS3, xi.as_tensor(), dv)
+    t2 = 0.5 * np.einsum("mnr,abc,am,bn...,cr...->...", EPS3, EPS3, ebar,
+                         v.tensor, v.tensor)
+    s2 = _integral(grid, t1 + t2)
+    s_massive = massive_fp_action(params, xi, scheme=scheme)
+    residuals = {}
+    if params.G > 0:
+        g8 = 8.0 * np.pi * params.G
+        total = dense_palatini_total(params, xi, v, scheme=scheme)
+        residuals["order_bookkeeping"] = total - g8 * s2
+        residuals["quadratic_vs_double_eps"] = (
+            g8 * s2 - dense_fierz_pauli_quadratic(params, xi, scheme=scheme))
+    else:
+        residuals["order_bookkeeping"] = 0.0
+    return ActionReport(s0=0.0, s1=0.0, s2=s2, s_massive=s_massive,
+                        residuals=residuals)
+
+
+def dense_fp_standard_form(params: ModelParams, xi: DiagonalFluctuationSlab,
+                           scheme: str = "spectral") -> float:
+    grid = xi.grid
+    spac = grid.spacings
+    h = np.zeros((3, 3) + grid.shape)
+    h[1, 1] = 2.0 * params.l * xi.xi1x
+    h[2, 2] = 2.0 * params.l * xi.xi2y
+    dh = np.zeros((3, 3, 3) + grid.shape)
+    for (m, n) in ((1, 1), (2, 2)):
+        for alpha in range(3):
+            dh[alpha, m, n] = _deriv(h[m, n], alpha, spac[alpha], scheme)
+    dh_up = np.einsum("ma,nb,lab...->lmn...", ETA, ETA, dh)
+    trace_d = np.einsum("mn,lmn...->l...", ETA, dh)
+    term1 = -0.5 * np.einsum("lmn...,ls,smn...->...", dh, ETA, dh_up)
+    term2 = np.einsum("mnl...,ns,sml...->...", dh, ETA, dh_up)
+    div_h = np.einsum("mmn...->n...", dh_up)
+    term3 = -np.einsum("n...,n...->...", div_h, trace_d)
+    term4 = 0.5 * np.einsum("l...,ls,s...->...", trace_d, ETA, trace_d)
+    dens = term1 + term2 + term3 + term4
+    return (2.0 * np.pi * params.G / params.l ** 2) * _integral(grid, dens)

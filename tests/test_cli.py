@@ -326,6 +326,36 @@ placement = per_cell
                                               b",-5e-324,0.0\n", b",2.5e-301,0.0\n"))
 
 
+def test_dispersion_matches_the_per_point_writer(tmp_path, monkeypatch):
+    import gravlat.cli as cli
+    from gravlat.lattice import reciprocal_vectors
+    from gravlat.serialize import write_csv
+    real_bloch_f = cli.bloch_f
+    calls = []
+
+    def counting_bloch_f(c, k):
+        calls.append(np.shape(k))
+        return real_bloch_f(c, k)
+
+    monkeypatch.setattr(cli, "bloch_f", counting_bloch_f)
+    config = "command = dispersion\n[couplings]\nnk = 12\njx = 1.3\njz = 0.7\n"
+    code, out = _run(tmp_path, config)
+    assert code == 0
+    assert calls == [(12, 12, 2)]  # one call on the whole k-grid
+
+    nk = 12
+    c = parse_config(config).couplings
+    g1, g2 = reciprocal_vectors()
+    rows = []
+    for m1 in range(nk):
+        for m2 in range(nk):
+            k = (m1 / nk) * g1 + (m2 / nk) * g2
+            e = abs(real_bloch_f(c, k))
+            rows.append((k[0], k[1], -e, e))
+    write_csv(tmp_path / "per_point.csv", "kx,ky,E1,E2", rows)
+    assert (out / "dispersion.csv").read_bytes() == (tmp_path / "per_point.csv").read_bytes()
+
+
 def test_fermi_points_artifact(tmp_path):
     code, out = _run(tmp_path, """
 command = fermi-points

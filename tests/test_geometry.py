@@ -10,6 +10,8 @@ from gravlat.geometry import (DiagonalFluctuationField, DiagonalFluctuationSlab,
                               spin_connection_general, torsion_residual)
 from gravlat.serialize import read_field_csv, write_field_csv
 
+from conftest import dense_spin_connection_general, dense_torsion_residual
+
 
 def make_grid(nx=12, ny=12, h=0.5):
     return Grid2D(nx, ny, h)
@@ -203,6 +205,24 @@ def test_connection_linearity(trig_field_factory):
     v_sum = 2.0 * spin_connection_general(p, a).tensor \
         - 0.5 * spin_connection_general(p, b).tensor
     np.testing.assert_allclose(v_combo.tensor, v_sum, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("scheme", ["central", "spectral"])
+def test_sparse_contractions_match_dense_oracles(rng, scheme):
+    # random xi (also with one component identically zero) and a connection
+    # with all nine components populated, so no structural zero is assumed
+    p = ModelParams(G=0.03, l=1.3, mu=1.0)
+    grid = SpacetimeGrid(5, 8, 10, 0.2, 0.45)
+    v = SpinConnectionSlab(grid, rng.normal(size=(3, 3) + grid.shape))
+    for xi2y in (rng.normal(size=grid.shape), np.zeros(grid.shape)):
+        xi = DiagonalFluctuationSlab(grid, rng.normal(size=grid.shape), xi2y)
+        got = spin_connection_general(p, xi, scheme)
+        want = dense_spin_connection_general(p, xi, scheme)
+        np.testing.assert_allclose(got.tensor, want.tensor, rtol=1e-12, atol=0)
+        for conn in (v, got):
+            for interior in (True, False):
+                assert torsion_residual(p, xi, conn, scheme, interior) == pytest.approx(
+                    dense_torsion_residual(p, xi, conn, scheme, interior), rel=1e-12, abs=1e-15)
 
 
 def test_slab_needs_three_time_slices():

@@ -3,11 +3,15 @@ import pytest
 
 from gravlat.continuum import hgr_quadratic_form
 from gravlat.geometry import (DiagonalFluctuationSlab, ModelParams,
-                              SpacetimeGrid, spin_connection_general)
+                              SpacetimeGrid, SpinConnectionSlab,
+                              spin_connection_general)
 from gravlat.gravity_action import (fierz_pauli_quadratic, fp_standard_form,
                                     legendre_hamiltonian_density,
                                     massive_fp_action, massive_fp_density,
                                     palatini_orders, palatini_total)
+
+from conftest import (dense_fierz_pauli_quadratic, dense_fp_standard_form,
+                      dense_palatini_orders, dense_palatini_total)
 
 
 def make_random_slab(rng, grid, n_modes=4, amp=0.2):
@@ -77,6 +81,26 @@ def test_order_bookkeeping_total_action(rng):
     target = rep.s0 / (8 * np.pi * p.G) + rep.s1 + 8 * np.pi * p.G * rep.s2
     assert abs(total - target) < 1e-10 * max(abs(total), 1e-3)
     assert abs(rep.residuals["order_bookkeeping"]) < 1e-10 * max(abs(total), 1e-3)
+
+
+@pytest.mark.parametrize("scheme", ["central", "spectral"])
+def test_sparse_actions_match_dense_oracles(rng, scheme):
+    # a connection with all nine components populated, and the torsionless one
+    p = ModelParams(G=0.021, l=1.31, mu=0.8)
+    xi = make_random_slab(rng, GRID)
+    v = SpinConnectionSlab(GRID, 0.2 * rng.normal(size=(3, 3) + GRID.shape))
+    pairs = [(palatini_total(p, xi, v, scheme), dense_palatini_total(p, xi, v, scheme)),
+             (fierz_pauli_quadratic(p, xi, scheme), dense_fierz_pauli_quadratic(p, xi, scheme)),
+             (fp_standard_form(p, xi, scheme), dense_fp_standard_form(p, xi, scheme))]
+    for conn in (v, None):
+        got = palatini_orders(p, xi, conn, scheme).to_pairs()
+        want = dense_palatini_orders(p, xi, conn, scheme).to_pairs()
+        assert [k for k, _ in got] == [k for k, _ in want]
+        pairs += [(g, w) for (_, g), (_, w) in zip(got, want)]
+    # residuals that cancel to rounding are held to the scale of their terms
+    scale = max(abs(w) for _, w in pairs)
+    for g, w in pairs:
+        assert g == pytest.approx(w, rel=1e-12, abs=1e-12 * scale)
 
 
 def test_single_component_mode_gives_zero(rng):
