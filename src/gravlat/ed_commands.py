@@ -12,14 +12,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from .designer import optical_params
+from .designer import optical_params, weak_fluctuation_check
 from .exceptions import ConfigError, DimensionCapError
 from .geometry import ModelParams
 from .manybody import (assemble_background_hopping,
                        assemble_simulator_hamiltonian,
                        assemble_target_hamiltonian, correlators_and_wick,
-                       ground_state, mapping_residual, operator_algebra,
-                       weak_fluctuation_report)
+                       ground_state, mapping_residual, operator_algebra)
 from .serialize import write_csv, write_keyvalue, write_state_csv
 
 
@@ -31,23 +30,23 @@ def _many_body_setup(cfg):
     return params, spec, space, ops
 
 
-def _assemble_for(cfg, params, spec, space, ops):
+def _assemble_for(params, spec, space, ops):
     if params.G == 0:
         return assemble_background_hopping(params.l, spec, space, ops)
     return assemble_simulator_hamiltonian(params, spec, space, ops)
 
 
-def _truncation_delta(cfg, params, spec, space, energy) -> float:
+def _truncation_delta(params, spec, space, energy) -> float:
     if space.n_max == 0 or params.G == 0:
         return 0.0
-    reduced = space.with_n_max(space.n_max - 1)
+    reduced = replace(space, n_max=space.n_max - 1)
     h_red = assemble_simulator_hamiltonian(params, spec, reduced)
     return energy - ground_state(h_red, reduced).energy
 
 
 def _cmd_spectrum(cfg, outdir, extras):
     params, spec, space, ops = _many_body_setup(cfg)
-    hs = _assemble_for(cfg, params, spec, space, ops)
+    hs = _assemble_for(params, spec, space, ops)
     if hs.shape[0] > cfg[("truncation", "dense_cap")]:
         raise DimensionCapError(
             f"sector dimension {hs.shape[0]} exceeds dense cap for spectrum")
@@ -60,7 +59,7 @@ def _cmd_spectrum(cfg, outdir, extras):
 
 def _cmd_ground_state(cfg, outdir, extras):
     params, spec, space, ops = _many_body_setup(cfg)
-    h = _assemble_for(cfg, params, spec, space, ops)
+    h = _assemble_for(params, spec, space, ops)
     gs = ground_state(h, space)
     header_meta = [
         f"# modes={space.n_fermion_modes} fermion + {space.n_boson_modes} boson",
@@ -76,12 +75,12 @@ def _cmd_ground_state(cfg, outdir, extras):
     extras.append(("eigen_residual", gs.residual))
     extras.append(("eigen_k", gs.k))
     extras.append(("sector_dimension", gs.sector_dimension))
-    extras.append(("truncation_delta", _truncation_delta(cfg, params, spec, space, gs.energy)))
+    extras.append(("truncation_delta", _truncation_delta(params, spec, space, gs.energy)))
 
 
 def _cmd_correlators(cfg, outdir, extras):
     params, spec, space, ops = _many_body_setup(cfg)
-    h = _assemble_for(cfg, params, spec, space, ops)
+    h = _assemble_for(params, spec, space, ops)
     gs = ground_state(h, space)
     rep = correlators_and_wick(gs, space, ops)
     nf = space.n_fermion_modes
@@ -97,11 +96,13 @@ def _cmd_correlators(cfg, outdir, extras):
              ("wick_argmax", "-".join(str(i) for i in rep.wick_argmax)),
              ("ground_energy", gs.energy), ("multiplicity", gs.multiplicity)]
     if params.G > 0 and space.n_boson_modes:
-        wf = weak_fluctuation_report(gs, space, ops, optical_params(params))
+        species = [s for _, s in space.boson_modes]
+        wf = weak_fluctuation_check(rep.d_dag_d.diagonal().real, species,
+                                    optical_params(params))
         pairs.extend(wf.to_pairs())
     extras.append(("eigen_k", gs.k))
     extras.append(("sector_dimension", gs.sector_dimension))
-    extras.append(("truncation_delta", _truncation_delta(cfg, params, spec, space, gs.energy)))
+    extras.append(("truncation_delta", _truncation_delta(params, spec, space, gs.energy)))
     for cell, qc in sorted(rep.q_corr.items(), key=lambda kv: (kv[0] is None, kv[0])):
         tag = "shared" if cell is None else f"cell{cell}"
         pairs.append((f"q1dag_q2_{tag}_re", complex(qc["q1dag_q2"]).real))
@@ -139,7 +140,7 @@ def _cmd_wick_sweep(cfg, outdir, extras):
         g_top = max(positive)
         params_top = ModelParams(G=g_top, l=cfg.params.l, mu=cfg.params.mu)
         extras.append(("truncation_delta_at_g_max",
-                       _truncation_delta(cfg, params_top, spec, space, energies[g_top])))
+                       _truncation_delta(params_top, spec, space, energies[g_top])))
 
 
 def _cmd_map_residual(cfg, outdir, extras):

@@ -444,15 +444,14 @@ def spin_connection_general(params: ModelParams, xi: DiagonalFluctuationSlab,
 
 
 def torsion_residual(params: ModelParams, xi: DiagonalFluctuationSlab,
-                     v: SpinConnectionSlab, scheme: str = "central",
-                     interior_only: bool = True) -> float:
+                     v: SpinConnectionSlab, scheme: str = "central") -> float:
     """Max-norm of the linearized torsion of (xi, v).
 
     Computes eps^{mu nu rho}(d_nu xi^A_rho + eps^A_BC ebar^B_nu v^C_rho)
-    with periodic differences and returns its max absolute value.  With
-    ``interior_only`` the first and last time slices are dropped, so slabs
-    that are not time-periodic (e.g. 3-slice probes) are still scored on
-    slices where the central difference is one-sided-free.
+    with periodic differences and returns its max absolute value over the
+    interior time slices: the first and last are dropped, so slabs that are
+    not time-periodic (e.g. 3-slice probes) are still scored on slices where
+    the central difference is one-sided-free.
     """
     dxi = _slab_derivatives(_components(xi.as_tensor()), xi.grid.spacings, scheme)
     conn = _contract("abc,bn,cr...->anr...", EPS3, background_frame(params),
@@ -460,5 +459,4 @@ def torsion_residual(params: ModelParams, xi: DiagonalFluctuationSlab,
     grad = {(A, n, r): d for (n, A, r), d in dxi.items()}  # -> [A, nu, rho]
     total = {key: grad.get(key, 0.0) + conn.get(key, 0.0) for key in grad.keys() | conn.keys()}
     res = _contract("mnr,anr...->am...", EPS3, total)
-    window = slice(1, -1) if interior_only else slice(None)
-    return max((float(np.abs(comp[window]).max()) for comp in res.values()), default=0.0)
+    return max((float(np.abs(comp[1:-1]).max()) for comp in res.values()), default=0.0)

@@ -31,11 +31,14 @@ with the hopping blocks looked up by ``searchsorted`` in the sorted basis
 (H. Q. Lin, PRB 42, 6561 (1990)) and every boson operator acting on the
 boson factor alone.
 
-Observables are computed on the same basis.  A fermion annihilator c_i maps
-the N-particle basis to the (N-1)-particle one by the same lookup, with the
-Jordan-Wigner sign of the occupied modes below i; boson observables act on
-the rows of the state reshaped to (fermion states, boson_dim).  The
-full-space ``ModeOperators.c``/``d`` remain as an exact reference only.
+Observables read a state on the same basis, and only there.  A fermion
+annihilator c_i maps the N-particle basis to the (N-1)-particle one by the
+same lookup, with the Jordan-Wigner sign of the occupied modes below i;
+boson observables act on the rows of the state reshaped to (fermion states,
+boson_dim).  No command builds a full-space object: ``ModeOperators.c`` and
+``GroundStateResult.states`` are kept for the pair-Gram oracle of
+``perfbench/make_reference.py``, and ``ModeOperators.d``, ``q_pair`` and
+``fermion_number`` for the reference implementations of the tests.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .continuum import hgr_quadratic_form
-from .designer import optical_params, weak_fluctuation_check
+from .designer import optical_params
 from .exceptions import ConvergenceError, DimensionCapError
 from .geometry import ModelParams
 from .lattice import LatticeSpec
@@ -62,14 +65,10 @@ __all__ = [
     "assemble_target_hamiltonian",
     "assemble_background_hopping",
     "mapping_residual",
-    "sector_block",
     "GroundStateResult",
     "ground_state",
-    "thermal_expectation",
     "CorrelatorReport",
     "correlators_and_wick",
-    "boson_occupations",
-    "weak_fluctuation_report",
     "per_cell_pairs",
     "uniform_pair",
 ]
@@ -168,10 +167,6 @@ class FockSpace:
         fs = self.sector_fermion_states()
         return (fs[:, None] * self.boson_dim + np.arange(self.boson_dim)[None, :]).ravel()
 
-    def with_n_max(self, n_max: int) -> "FockSpace":
-        return FockSpace(self.n_fermion_modes, self.boson_modes, n_max,
-                         self.sector, self.nnz_cap)
-
 
 def _fermion_basis(n_modes: int, number: Optional[int]) -> np.ndarray:
     """Sorted basis integers with ``number`` set bits (all when None)."""
@@ -242,11 +237,12 @@ def _ladder_pair(ladders, space: FockSpace, cell):
 class ModeOperators:
     """The mode operators of a space.
 
-    The assemblers use the sector building blocks: ``states``, the sorted
-    fermion basis of the sector, and ``b``, the boson annihilation
-    operators on the boson factor.  The full-space annihilation operators
-    ``c`` and ``d`` are an exact reference for tests and oracles, built on
-    first use; no command builds them.
+    The assemblers and observables use the sector building blocks:
+    ``states``, the sorted fermion basis of the sector, and ``b``, the
+    boson annihilation operators on the boson factor.  The full-space
+    operators are built on first use and no command builds them: ``c`` is
+    kept for the pair-Gram oracle of ``perfbench/make_reference.py``, and
+    ``d``, ``q_pair`` and ``fermion_number`` for the test oracles.
     """
 
     space: FockSpace
@@ -544,17 +540,11 @@ def mapping_residual(h_sim, h_target, space: FockSpace, window: int) -> float:
 # eigen machinery and observables
 # ---------------------------------------------------------------------------
 
-def sector_block(obs, space: FockSpace):
-    """A full-space operator restricted to the configured fermion sector,
-    as CSR on the sector basis."""
-    idx = space.sector_indices()
-    return sparse.csr_matrix(obs)[idx][:, idx]
-
-
 @dataclass
 class GroundStateResult:
     """Extremal eigenpair data; ``vectors`` are on the sector basis of
-    ``space`` and ``states`` embeds them in the full space on first use."""
+    ``space``.  ``states`` embeds them in the full space on first use, for
+    the pair-Gram oracle of ``perfbench/make_reference.py``."""
 
     energy: float
     vectors: list         # sector-basis vectors spanning the ground multiplet
@@ -583,12 +573,15 @@ class GroundStateResult:
         return self.states[0]
 
 
+DEGENERACY_TOL = 1e-9     # levels within this times scale(H) of E0 form the multiplet
+LANCZOS_MAXITER = 100000  # ARPACK iteration limit of one eigsh call
+
+
 def _operator_scale(h) -> float:
     return float(abs(h).max()) if h.nnz else 1.0
 
 
-def ground_state(h, space: FockSpace, degeneracy_tol: float = 1e-9,
-                 maxiter: int = 100000) -> GroundStateResult:
+def ground_state(h, space: FockSpace) -> GroundStateResult:
     """Lowest eigenpair of a Hamiltonian on the sector basis.
 
     ``h`` must be square with the sector dimension (ValueError otherwise);
@@ -602,7 +595,7 @@ def ground_state(h, space: FockSpace, degeneracy_tol: float = 1e-9,
     byte-stable, and the vector overlaps ground states that a symmetry
     makes orthogonal to the uniform vector.  Lanczos asks for
     k = 2 eigenpairs and doubles k only while the top returned level is
-    still within ``degeneracy_tol`` * scale of E0; levels within that
+    still within ``DEGENERACY_TOL`` * scale of E0; levels within that
     tolerance are returned as the full multiplet, and ``k`` records the
     final request (the sector dimension on the dense path).  A restarted
     Lanczos can under-count a multiplicity above 3: on a block-diagonal
@@ -617,7 +610,7 @@ def ground_state(h, space: FockSpace, degeneracy_tol: float = 1e-9,
         hs = hs.real
     dim = hs.shape[0]
     scale = max(_operator_scale(hs), 1.0)
-    level_tol = degeneracy_tol * scale
+    level_tol = DEGENERACY_TOL * scale
     if dim <= 512:
         k = dim
         evals, evecs = np.linalg.eigh(hs.toarray())
@@ -629,7 +622,7 @@ def ground_state(h, space: FockSpace, degeneracy_tol: float = 1e-9,
         while True:
             try:
                 evals, evecs = spla.eigsh(hs, k=k, which="SA", v0=v0,
-                                          maxiter=maxiter, tol=1e-12)
+                                          maxiter=LANCZOS_MAXITER, tol=1e-12)
             except spla.ArpackNoConvergence as exc:
                 raise ConvergenceError(f"Lanczos failed to converge: {exc}") from exc
             order = np.argsort(evals)
@@ -653,76 +646,19 @@ def ground_state(h, space: FockSpace, degeneracy_tol: float = 1e-9,
                              residual=residual0, k=k, space=space)
 
 
-def thermal_expectation(h, temperature: float, obs, space: FockSpace,
-                        dense_cap: int = 4096) -> float:
-    """tr(obs exp(-H/T)) / tr(exp(-H/T)) in the configured sector, k_B = 1.
-
-    ``h`` is on the sector basis and ``obs`` on the full space.  Requires the full spectrum, so the sector dimension must not exceed
-    ``dense_cap``.  T = 0 returns the uniform average over the ground
-    multiplet; T = inf the uniform average over the sector.
-    """
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0")
-    hs = _sector_matrix(h, space)
-    if hs.shape[0] > dense_cap:
-        raise DimensionCapError(f"sector dimension {hs.shape[0]} exceeds {dense_cap}")
-    obs_s = sector_block(obs, space).toarray()
-    evals, evecs = np.linalg.eigh(hs.toarray())
-    diag_obs = np.einsum("ik,ij,jk->k", evecs.conj(), obs_s, evecs).real
-    if temperature == 0:
-        mask = (evals - evals[0]) <= 1e-12 * max(1.0, abs(evals[0]))
-        return float(diag_obs[mask].mean())
-    if np.isinf(temperature):
-        return float(diag_obs.mean())
-    weights = np.exp(-(evals - evals[0]) / temperature)
-    return float((diag_obs * weights).sum() / weights.sum())
-
-
-def _boson_rows(vector, space: FockSpace):
-    """(fermion basis, fermion number, X) of a vector on the sector basis
-    or on the full space: X[row, boson index] over the sorted fermion basis
-    (every integer, with number None, for a full-space vector)."""
+def _boson_rows(vector, space: FockSpace) -> np.ndarray:
+    """X[row, boson index] of a vector on the sector basis, the rows running
+    over the sorted sector fermion basis; ValueError for any other length."""
     vector = np.asarray(vector)
-    if len(vector) == space.sector_dimension:
-        number = space.sector
-    elif len(vector) == space.dimension:
-        number = None
-    else:
-        raise ValueError(f"vector of length {len(vector)} is on neither the sector "
-                         f"basis ({space.sector_dimension}) nor the full space")
-    basis = _fermion_basis(space.n_fermion_modes, number)
-    return basis, number, vector.reshape(len(basis), space.boson_dim)
+    if vector.shape != (space.sector_dimension,):
+        raise ValueError(f"vector of shape {vector.shape} is not on the sector basis "
+                         f"of dimension {space.sector_dimension}")
+    return vector.reshape(-1, space.boson_dim)
 
 
 def _on_boson_factor(op, x):
     """kron(1, op) applied to the vector with rows ``x``, flattened."""
     return (op @ x.T).T.ravel()
-
-
-def boson_occupations(states, weights, ops: ModeOperators) -> np.ndarray:
-    """<d_m+ d_m> per boson mode for a (mixture of) vector(s), each on the
-    sector basis or on the full space."""
-    out = np.zeros(len(ops.b))
-    for w, v in zip(weights, states):
-        x = _boson_rows(v, ops.space)[2]
-        for m, bm in enumerate(ops.b):
-            dv = _on_boson_factor(bm, x)
-            out[m] += w * float(np.real(np.vdot(dv, dv)))
-    return out
-
-
-def weak_fluctuation_report(state, space: FockSpace, ops: ModeOperators,
-                            optical, threshold: float = 1e-2):
-    """Per-mode <d+d>/D^2 validity report for a state on this space.
-
-    Thin bridge to :func:`gravlat.designer.weak_fluctuation_check`: the
-    linearized couplings and quartic reductions are only trustworthy while
-    every ratio stays small.
-    """
-    weights, states = _as_mixture(state)
-    occ = boson_occupations(states, weights, ops)
-    species = [s for _, s in space.boson_modes]
-    return weak_fluctuation_check(occ, species, optical, threshold=threshold)
 
 
 @dataclass
@@ -737,21 +673,25 @@ class CorrelatorReport:
     wick_argmax: tuple
 
 
-def _as_mixture(state):
+def _as_mixture(state, space: FockSpace):
+    """(weights, boson rows) of a GroundStateResult or of a single vector,
+    every vector on the sector basis of ``space``."""
     if isinstance(state, GroundStateResult):
         n = state.multiplicity
-        return [1.0 / n] * n, state.vectors
-    state = np.asarray(state)
-    if state.ndim == 1:
-        return [1.0], [state.astype(complex)]
-    raise TypeError("state must be a vector or GroundStateResult")
+        weights, vectors = [1.0 / n] * n, state.vectors
+    else:
+        state = np.asarray(state)
+        if state.ndim != 1:
+            raise TypeError("state must be a vector or GroundStateResult")
+        weights, vectors = [1.0], [state.astype(complex)]
+    return weights, [_boson_rows(v, space) for v in vectors]
 
 
 def correlators_and_wick(state, space: FockSpace, ops: ModeOperators) -> CorrelatorReport:
     """Correlation data of a normalized state (or ground multiplet mixture).
 
     ``state`` is a :class:`GroundStateResult` or a single vector on the
-    sector basis or on the full space.  Fermion two-point matrix
+    sector basis (ValueError for any other length).  Fermion two-point matrix
     C_ij = <c_i+ c_j> is the Gram matrix of the vectors c_i psi, with c_i
     mapping the N-particle basis to the (N-1)-particle one.  The four-point
     function comes from the Gram matrix of the nf(nf-1)/2 pair vectors
@@ -764,7 +704,7 @@ def correlators_and_wick(state, space: FockSpace, ops: ModeOperators) -> Correla
     Boson matrices <d+ d>, <d+ d+> and the ladder-pair correlators act
     with the boson-factor ladders ``ops.b`` on the rows of the state.
     """
-    weights, states = _as_mixture(state)
+    weights, rows = _as_mixture(state, space)
     nf = space.n_fermion_modes
     nb = space.n_boson_modes
     n_b = space.boson_dim
@@ -778,15 +718,14 @@ def correlators_and_wick(state, space: FockSpace, ops: ModeOperators) -> Correla
     q_corr_acc = {}
 
     # the N-, (N-1)- and (N-2)-particle bases (all three every integer
-    # for a full-space vector) and the maps c_i between them
-    basis, number, _ = _boson_rows(states[0], space)
-    once, twice = (_fermion_basis(nf, n) for n in
-                   ((None, None) if number is None else (number - 1, number - 2)))
-    first = [_annihilation_map(basis, once, i) for i in range(nf)]
+    # when no sector is set) and the maps c_i between them
+    number = space.sector
+    once, twice = (_fermion_basis(nf, None if number is None else number - k)
+                   for k in (1, 2))
+    first = [_annihilation_map(ops.states, once, i) for i in range(nf)]
     second = [_annihilation_map(once, twice, i) for i in range(nf)]
 
-    for w, psi in zip(weights, states):
-        x = _boson_rows(psi, space)[2]
+    for w, x in zip(weights, rows):
         # row i: c_i psi on the (N-1)-particle basis
         cvecs = np.array([(ci @ x).ravel() for ci in first]).reshape(nf, len(once) * n_b)
         c_mat += w * (cvecs.conj() @ cvecs.T)

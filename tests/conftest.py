@@ -293,28 +293,21 @@ def full_space_target(params: ModelParams, spec: LatticeSpec,
 # quadruple enumerated with the full-space ``ops.c`` / ``ops.d`` applied to
 # full-space vectors.
 
-def full_space_mixture(state):
-    """(weights, full-space vectors) of a GroundStateResult or a vector."""
+def full_space_mixture(state, space: FockSpace):
+    """(weights, full-space vectors) of a GroundStateResult or of a vector
+    on the sector basis, embedded by ``space.sector_indices()``."""
     if isinstance(state, GroundStateResult):
         n = state.multiplicity
         return [1.0 / n] * n, state.states
-    return [1.0], [np.asarray(state, dtype=complex)]
-
-
-def full_space_boson_occupations(states, weights, ops: ModeOperators) -> np.ndarray:
-    """<d_m+ d_m> per boson mode with the full-space ladders."""
-    out = np.zeros(len(ops.d))
-    for w, v in zip(weights, states):
-        for m, dm in enumerate(ops.d):
-            dv = dm @ v
-            out[m] += w * float(np.real(np.vdot(dv, dv)))
-    return out
+    full = np.zeros(space.dimension, dtype=complex)
+    full[space.sector_indices()] = state
+    return [1.0], [full]
 
 
 def full_space_correlators(state, space: FockSpace, ops: ModeOperators) -> CorrelatorReport:
     """Every field of :class:`CorrelatorReport` by full enumeration of the
     nf^4 quadruples <c_i+ c_j+ c_k c_l> in lexicographic order."""
-    weights, states = full_space_mixture(state)
+    weights, states = full_space_mixture(state, space)
     nf = space.n_fermion_modes
     nb = space.n_boson_modes
     c_mat = np.zeros((nf, nf), dtype=complex)
@@ -394,8 +387,7 @@ def dense_spin_connection_general(params: ModelParams, xi: DiagonalFluctuationSl
 
 
 def dense_torsion_residual(params: ModelParams, xi: DiagonalFluctuationSlab,
-                           v: SpinConnectionSlab, scheme: str = "central",
-                           interior_only: bool = True) -> float:
+                           v: SpinConnectionSlab, scheme: str = "central") -> float:
     grid = xi.grid
     spac = grid.spacings
     xit = xi.as_tensor()
@@ -410,9 +402,7 @@ def dense_torsion_residual(params: ModelParams, xi: DiagonalFluctuationSlab,
     conn = np.einsum("abc,bn,cr...->anr...", EPS3, ebar, vt)
     grad = dxi.transpose(1, 0, 2, 3, 4, 5)  # -> [A, nu, rho, ...]
     res = np.einsum("mnr,anr...->am...", EPS3, grad + conn)
-    if interior_only:
-        res = res[:, :, 1:-1]
-    return float(np.abs(res).max())
+    return float(np.abs(res[:, :, 1:-1]).max())
 
 
 def dense_palatini_total(params: ModelParams, xi: DiagonalFluctuationSlab,

@@ -275,6 +275,37 @@ def test_wick_residual_is_exact_and_seed_independent_at_nf_12(tmp_path):
     assert summary["wick_argmax"] == "0-6-0-6"
 
 
+def test_weak_fluctuation_ratios_read_the_correlator_occupations(tmp_path):
+    # <d_m+ d_m> has one reader: each ratio_* line is the diagonal of
+    # d_dag_d over D_m^2, to the last bit
+    from gravlat.designer import optical_params
+    from gravlat.manybody import (assemble_simulator_hamiltonian, correlators_and_wick,
+                                  ground_state, operator_algebra)
+    config = """
+command = correlators
+[lattice]
+ncx = 2
+ncy = 1
+[truncation]
+n_max = 2
+[manybody]
+placement = cell0
+"""
+    code, out = _run(tmp_path, config)
+    assert code == 0
+    cfg = parse_config(config)
+    space = cfg.fock_space()
+    ops = operator_algebra(space)
+    gs = ground_state(assemble_simulator_hamiltonian(cfg.params, cfg.lattice, space, ops), space)
+    occupations = correlators_and_wick(gs, space, ops).d_dag_d.diagonal().real
+    opt = optical_params(cfg.params)
+    summary = dict(line.split("=", 1)
+                   for line in (out / "correlator_summary.txt").read_text().splitlines())
+    ratios = {key: float(value) for key, value in summary.items() if key.startswith("ratio_")}
+    assert ratios == {f"ratio_{m}{species}": occupations[m] / opt.amplitude(species) ** 2
+                      for m, (_, species) in enumerate(space.boson_modes)}
+
+
 def _per_row_state_csv(path, header_lines, full):
     """The ground_state.csv writer as it was: one ``fmt`` call per value."""
     from gravlat.serialize import fmt

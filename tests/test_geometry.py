@@ -8,7 +8,6 @@ from gravlat.geometry import (DiagonalFluctuationField, DiagonalFluctuationSlab,
                               metric_from_fluctuation, spectral_difference,
                               spin_connection_gauge_fixed,
                               spin_connection_general, torsion_residual)
-from gravlat.serialize import read_field_csv, write_field_csv
 
 from conftest import dense_spin_connection_general, dense_torsion_residual
 
@@ -220,9 +219,8 @@ def test_sparse_contractions_match_dense_oracles(rng, scheme):
         want = dense_spin_connection_general(p, xi, scheme)
         np.testing.assert_allclose(got.tensor, want.tensor, rtol=1e-12, atol=0)
         for conn in (v, got):
-            for interior in (True, False):
-                assert torsion_residual(p, xi, conn, scheme, interior) == pytest.approx(
-                    dense_torsion_residual(p, xi, conn, scheme, interior), rel=1e-12, abs=1e-15)
+            assert torsion_residual(p, xi, conn, scheme) == pytest.approx(
+                dense_torsion_residual(p, xi, conn, scheme), rel=1e-12, abs=1e-15)
 
 
 def test_slab_needs_three_time_slices():
@@ -238,26 +236,3 @@ def test_spectral_derivative_exact_below_nyquist():
     f = np.sin(2 * np.pi * 3 * x / length + 0.4)
     df = (2 * np.pi * 3 / length) * np.cos(2 * np.pi * 3 * x / length + 0.4)
     np.testing.assert_allclose(spectral_difference(f, 0, h), df, atol=1e-12)
-
-
-def test_field_csv_roundtrip(tmp_path, rng):
-    field = rng.normal(size=(5, 7))
-    path = tmp_path / "f.csv"
-    write_field_csv(path, field)
-    np.testing.assert_array_equal(read_field_csv(path), field)
-    # CRLF acceptance
-    crlf = tmp_path / "f_crlf.csv"
-    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    np.testing.assert_array_equal(read_field_csv(crlf), field)
-
-
-def test_matrix_csv_roundtrip(tmp_path, rng):
-    import scipy.sparse as sparse
-    from gravlat.serialize import read_matrix_csv, write_matrix_csv
-    dense = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    dense[0, 0] = 0.0
-    path = tmp_path / "m.csv"
-    write_matrix_csv(path, dense)
-    np.testing.assert_array_equal(read_matrix_csv(path, shape=(4, 4)), dense)
-    write_matrix_csv(path, sparse.csr_matrix(dense))
-    np.testing.assert_array_equal(read_matrix_csv(path, shape=(4, 4)), dense)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -9,14 +11,12 @@ from gravlat.geometry import ModelParams
 from gravlat.lattice import CouplingField, LatticeSpec, build_tight_binding
 from gravlat.manybody import (FockSpace, assemble_background_hopping,
                               assemble_simulator_hamiltonian,
-                              assemble_target_hamiltonian, boson_occupations,
+                              assemble_target_hamiltonian,
                               correlators_and_wick, GroundStateResult,
                               ground_state, mapping_residual, operator_algebra,
-                              per_cell_pairs, uniform_pair,
-                              thermal_expectation)
+                              per_cell_pairs, uniform_pair)
 
-from conftest import (full_space_background, full_space_boson_occupations,
-                      full_space_correlators, full_space_mixture,
+from conftest import (full_space_background, full_space_correlators,
                       full_space_simulator, full_space_target, q_map_commutators)
 
 
@@ -171,7 +171,7 @@ def test_sector_assembly_matches_full_space_oracle(ncx, placement, sector):
 
 def test_assembly_rejects_operators_of_another_space():
     space = FockSpace(2, per_cell_pairs(SPEC1), 2, sector=1)
-    ops = operator_algebra(space.with_n_max(1))
+    ops = operator_algebra(replace(space, n_max=1))
     with pytest.raises(ValueError, match="another space"):
         assemble_simulator_hamiltonian(PARAMS, SPEC1, space, ops)
 
@@ -433,32 +433,6 @@ def test_ground_state_real_path_and_complex_input():
     assert gs.energy == pytest.approx(np.linalg.eigvalsh(hc.toarray())[0], abs=1e-10)
 
 
-def test_thermal_expectation_limits():
-    spec = LatticeSpec(1, 1)
-    space = FockSpace(2, (), 0, sector=1)
-    ops = operator_algebra(space)
-    h = assemble_background_hopping(1.0, spec, space, ops)
-    eye = sparse.identity(space.dimension, format="csr")
-    assert thermal_expectation(h, 0.7, eye, space) == pytest.approx(1.0)
-    n0 = ops.c[0].getH() @ ops.c[0]
-    gs = ground_state(h, space)
-    cold = thermal_expectation(h, 0.0, n0, space)
-    assert cold == pytest.approx(np.real(np.vdot(gs.state, n0 @ gs.state)), abs=1e-10)
-    hot = thermal_expectation(h, np.inf, n0, space)
-    assert hot == pytest.approx(0.5)
-    tiny = thermal_expectation(h, 1e-8, n0, space)
-    assert tiny == pytest.approx(cold, abs=1e-10)
-    with pytest.raises(ValueError):
-        thermal_expectation(h, -1.0, n0, space)
-
-
-def test_thermal_expectation_dense_cap():
-    space = FockSpace(2, (), 0)
-    eye = sparse.identity(space.dimension, format="csr")
-    with pytest.raises(DimensionCapError):
-        thermal_expectation(eye, 1.0, eye, space, dense_cap=2)
-
-
 # ---------------------------------------------------------------------------
 # correlators and the factorization residual
 # ---------------------------------------------------------------------------
@@ -480,15 +454,14 @@ def test_boson_vacuum_correlators_vanish():
     # product state: fermion ground (from the boson-free problem) x |0_b>
     f_space = FockSpace(2, (), 0, sector=1)
     f_gs = ground_state(assemble_background_hopping(1.0, spec, f_space), f_space)
-    psi = np.zeros(space.dimension, dtype=complex)
-    psi[np.arange(space.fermion_dim) * space.boson_dim] = f_gs.state
+    (f_psi,) = f_gs.vectors
+    psi = np.zeros(space.sector_dimension, dtype=complex)
+    psi[np.arange(len(f_psi)) * space.boson_dim] = f_psi
     rep = correlators_and_wick(psi, space, ops)
     assert np.abs(rep.d_dag_d).max() < 1e-14
     assert np.abs(rep.d_dag_ddag).max() < 1e-14
     for qc in rep.q_corr.values():
         assert abs(qc["q1dag_q2"]) < 1e-14 and abs(qc["q1dag_q2dag"]) < 1e-14
-    occ = boson_occupations([psi], [1.0], ops)
-    assert np.abs(occ).max() < 1e-14
     assert rep.wick_residual <= 1e-12
 
 
@@ -501,10 +474,10 @@ def _oracle_case(name):
     and argmax are well defined.
     """
     rng = np.random.default_rng(5)
-    if name == "raw-full-space-vector":
-        # complex, with weight outside the sector
+    if name == "complex-sector-vector":
         space = FockSpace(4, ((0, "x"), (0, "z")), 1, sector=2)
-        psi = rng.standard_normal(space.dimension) + 1j * rng.standard_normal(space.dimension)
+        dim = space.sector_dimension
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         return psi / np.linalg.norm(psi), space, operator_algebra(space)
     spec, modes, n_max, sector = {
         "2x1-per_cell-ground": (LatticeSpec(2, 1), per_cell_pairs(LatticeSpec(2, 1)), 2, 2),
@@ -525,7 +498,7 @@ def _oracle_case(name):
 
 
 @pytest.mark.parametrize("name", ["2x1-per_cell-ground", "2x1-per_cell", "2x1-uniform",
-                                  "1x1", "sector-none", "raw-full-space-vector"])
+                                  "1x1", "sector-none", "complex-sector-vector"])
 def test_sector_correlators_match_full_space_oracle(name):
     state, space, ops = _oracle_case(name)
     rep = correlators_and_wick(state, space, ops)
@@ -539,10 +512,14 @@ def test_sector_correlators_match_full_space_oracle(name):
     assert rep.wick_residual > 1e-6
     assert rep.wick_residual == pytest.approx(want.wick_residual, rel=0.0, abs=1e-12)
     assert rep.wick_argmax == want.wick_argmax
-    weights, full = full_space_mixture(state)
-    vectors = getattr(state, "vectors", full)
-    assert np.abs(boson_occupations(vectors, weights, ops)
-                  - full_space_boson_occupations(full, weights, ops)).max() <= 1e-12
+
+
+def test_correlators_reject_a_full_space_vector_on_a_sector_space():
+    space = FockSpace(4, ((0, "x"), (0, "z")), 1, sector=2)
+    psi = np.zeros(space.dimension)
+    psi[space.sector_indices()[0]] = 1.0
+    with pytest.raises(ValueError, match="not on the sector basis"):
+        correlators_and_wick(psi, space, operator_algebra(space))
 
 
 def test_ground_state_embeds_its_sector_vectors_on_access():
@@ -587,17 +564,3 @@ def test_uniform_pair_on_two_cells_is_structurally_free():
     gs = ground_state(h, space)
     rep = correlators_and_wick(gs, space, ops)
     assert rep.wick_residual < 1e-10
-
-
-def test_weak_fluctuation_report_bridge():
-    from gravlat.designer import optical_params
-    from gravlat.manybody import weak_fluctuation_report
-    p = ModelParams(G=1e-2, l=1.0, mu=1.0)
-    spec = LatticeSpec(1, 1)
-    space = FockSpace(2, per_cell_pairs(spec), 2, sector=1)
-    ops = operator_algebra(space)
-    h = assemble_simulator_hamiltonian(p, spec, space, ops)
-    gs = ground_state(h, space)
-    rep = weak_fluctuation_report(gs, space, ops, optical_params(p))
-    assert len(rep.ratios) == 2
-    assert all(r >= 0 for r in rep.ratios)
