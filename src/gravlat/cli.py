@@ -267,22 +267,39 @@ class _TrigField:
                                2 * np.pi * kx / lx, 2 * np.pi * ky / ly,
                                rng.uniform(0.0, 2 * np.pi)))
 
-    def __call__(self, t, x, y, dt=0, dx=0, dy=0):
-        out = np.zeros(np.broadcast(t, x, y).shape)
+    def sample(self, t, x, y, derivatives):
+        """The partial derivatives d^(dt+dx+dy) / dt^dt dx^dx dy^dy of the
+        field, one array per (dt, dx, dy) in ``derivatives``, on the grid
+        that ``t``, ``x`` and ``y`` broadcast to.  Each mode's phase, sine and
+        cosine are computed once for all of them, one mode at a time."""
+        outs = [np.zeros(np.broadcast(t, x, y).shape) for _ in derivatives]
         for amp, w, kx, ky, phase in self.terms:
             arg = w * t + kx * x + ky * y + phase
-            order = dt + dx + dy
-            factor = (w ** dt) * (kx ** dx) * (ky ** dy)
-            if order % 4 == 0:
-                wave = np.sin(arg)
-            elif order % 4 == 1:
-                wave = np.cos(arg)
-            elif order % 4 == 2:
-                wave = -np.sin(arg)
-            else:
-                wave = -np.cos(arg)
-            out += amp * factor * wave
-        return out
+            waves = (np.sin(arg), np.cos(arg))
+            for out, (dt, dx, dy) in zip(outs, derivatives):
+                order = (dt + dx + dy) % 4
+                factor = (w ** dt) * (kx ** dx) * (ky ** dy)
+                wave = waves[order % 2]
+                out += amp * factor * (wave if order < 2 else -wave)
+        return outs
+
+
+def _sampled_slab(params: ModelParams, f1: _TrigField, f2: _TrigField,
+                  grid: SpacetimeGrid):
+    """The slab of (f1, f2) on ``grid`` and the closed-form torsionless
+    connection from their analytic derivatives."""
+    t = ((np.arange(grid.nt) - grid.nt // 2) * grid.ht)[:, None, None]
+    x = (np.arange(grid.nx) * grid.h)[None, :, None]
+    y = (np.arange(grid.ny) * grid.h)[None, None, :]
+    xi1, xi1_y, xi1_t = f1.sample(t, x, y, ((0, 0, 0), (0, 0, 1), (1, 0, 0)))
+    xi2, xi2_x, xi2_t = f2.sample(t, x, y, ((0, 0, 0), (0, 1, 0), (1, 0, 0)))
+    l = params.l
+    v_ref = np.zeros((3, 3) + grid.shape)
+    v_ref[0, 1] = -xi1_y / l
+    v_ref[0, 2] = +xi2_x / l
+    v_ref[1, 2] = -xi2_t
+    v_ref[2, 1] = +xi1_t
+    return DiagonalFluctuationSlab(grid, xi1, xi2), v_ref
 
 
 def _connection_refinement_report(params: ModelParams, f1: _TrigField, f2: _TrigField,
@@ -294,17 +311,7 @@ def _connection_refinement_report(params: ModelParams, f1: _TrigField, f2: _Trig
     derivatives, so both reported numbers are pure O(h^2) discretization
     errors of the central-difference pipeline.
     """
-    tt = (np.arange(grid.nt) - grid.nt // 2) * grid.ht
-    xx = np.arange(grid.nx) * grid.h
-    yy = np.arange(grid.ny) * grid.h
-    t3, x3, y3 = np.meshgrid(tt, xx, yy, indexing="ij")
-    slab = DiagonalFluctuationSlab(grid, f1(t3, x3, y3), f2(t3, x3, y3))
-    l = params.l
-    v_ref = np.zeros((3, 3) + grid.shape)
-    v_ref[0, 1] = -f1(t3, x3, y3, dy=1) / l
-    v_ref[0, 2] = +f2(t3, x3, y3, dx=1) / l
-    v_ref[1, 2] = -f2(t3, x3, y3, dt=1)
-    v_ref[2, 1] = +f1(t3, x3, y3, dt=1)
+    slab, v_ref = _sampled_slab(params, f1, f2, grid)
     from .geometry import SpinConnectionSlab
     ref_slab = SpinConnectionSlab(grid, v_ref)
     residual = torsion_residual(params, slab, ref_slab)

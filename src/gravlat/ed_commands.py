@@ -16,8 +16,7 @@ from .designer import optical_params, weak_fluctuation_check
 from .exceptions import ConfigError, DimensionCapError
 from .geometry import ModelParams
 from .manybody import (assemble_background_hopping,
-                       assemble_simulator_hamiltonian,
-                       assemble_target_hamiltonian, correlators_and_wick,
+                       assemble_simulator_hamiltonian, correlators_and_wick,
                        ground_state, mapping_residual, operator_algebra)
 from .serialize import write_csv, write_keyvalue, write_state_csv
 
@@ -46,15 +45,14 @@ def _truncation_delta(params, spec, space, energy) -> float:
 
 def _cmd_spectrum(cfg, outdir, extras):
     params, spec, space, ops = _many_body_setup(cfg)
-    hs = _assemble_for(params, spec, space, ops)
-    if hs.shape[0] > cfg[("truncation", "dense_cap")]:
-        raise DimensionCapError(
-            f"sector dimension {hs.shape[0]} exceeds dense cap for spectrum")
-    evals = np.linalg.eigvalsh(hs.toarray())
+    dim = space.sector_dimension
+    if dim > cfg[("truncation", "dense_cap")]:
+        raise DimensionCapError(f"sector dimension {dim} exceeds dense cap for spectrum")
+    evals = np.linalg.eigvalsh(_assemble_for(params, spec, space, ops).toarray())
     k = min(len(evals), 32)
     write_csv(outdir / "spectrum.csv", "index,energy",
               [(i, evals[i]) for i in range(k)])
-    extras.append(("sector_dimension", hs.shape[0]))
+    extras.append(("sector_dimension", dim))
 
 
 def _cmd_ground_state(cfg, outdir, extras):
@@ -156,9 +154,7 @@ def _cmd_map_residual(cfg, outdir, extras):
     rows = []
     for g in positive:
         params = ModelParams(G=g, l=cfg.params.l, mu=cfg.params.mu)
-        h_sim = assemble_simulator_hamiltonian(params, spec, space, ops)
-        h_tgt = assemble_target_hamiltonian(params, spec, space, ops)
-        rows.append((g, mapping_residual(h_sim, h_tgt, space, window)))
+        rows.append((g, mapping_residual(params, spec, space, window, ops)))
     write_csv(outdir / "map_residual.csv", "g,residual", rows)
     extras.append(("window", window))
     skipped = len(cfg[("sweep", "g_values")]) - len(positive)

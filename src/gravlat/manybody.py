@@ -26,10 +26,17 @@ factor is the sorted list of basis integers with the sector's number of
 set bits (all integers when no sector is set), and the sector basis keeps
 the fermion-major order, index = position_in_that_list * boson_dim +
 boson_index (the order of :meth:`FockSpace.sector_indices`).  Every
-Hamiltonian is sum_bonds kron(c_p+ c_q, J_bond) + h.c. + kron(1, H_boson),
-with the hopping blocks looked up by ``searchsorted`` in the sorted basis
-(H. Q. Lin, PRB 42, 6561 (1990)) and every boson operator acting on the
-boson factor alone.
+Hamiltonian is sum_(p, q) kron(c_p+ c_q, J_pq) + h.c. + kron(1, B), with
+the hopping blocks looked up by ``searchsorted`` in the sorted basis
+(H. Q. Lin, PRB 42, 6561 (1990)), and it is built in two steps.  First each
+assembler builds its boson-factor terms once: J_pq, the coupling operators
+of the bonds joining fermion modes p and q summed, and the boson
+Hamiltonian B.  Then one shared step puts them on the sector by ``kron``.
+Hermiticity is checked in that step on the boson factor: the hopping part
+is Hermitian by construction, so B is checked (defect at most 1e-12 times
+the largest |entry| of H, or 1) and symmetrized as (B + B+) / 2.  The same
+step can first restrict every boson-factor operator to the boson indices a
+window keeps, so :func:`mapping_residual` assembles only its window block.
 
 Observables read a state on the same basis, and only there.  A fermion
 annihilator c_i maps the N-particle basis to the (N-1)-particle one by the
@@ -197,7 +204,8 @@ def _boson_ladder(n_max: int) -> np.ndarray:
 
 
 def _hopping_block(states: np.ndarray, p: int, q: int):
-    """c_p+ c_q (p != q) on the sorted fermion basis ``states``, as CSR.
+    """Entries (rows, cols, signs) of c_p+ c_q (p != q) on the sorted
+    fermion basis ``states``.
 
     The Jordan-Wigner sign is the parity of the occupied modes below q in
     s times that of the occupied modes below p in s with q emptied; the
@@ -208,8 +216,7 @@ def _hopping_block(states: np.ndarray, p: int, q: int):
     emptied = states[cols] ^ bit_q
     parity = (_popcount(states[cols], q) + _popcount(emptied, p)) & 1
     rows = np.searchsorted(states, emptied | bit_p)
-    n = len(states)
-    return sparse.csr_matrix((1.0 - 2.0 * parity, (rows, cols)), shape=(n, n))
+    return rows, cols, 1.0 - 2.0 * parity
 
 
 def _annihilation_map(states: np.ndarray, lowered: np.ndarray, i: int):
@@ -331,41 +338,74 @@ def _pairs(space: FockSpace):
     return cells
 
 
-def _hermitize(h, tol: float = 1e-12):
-    """Assert Hermiticity of the raw assembly, then symmetrize exactly."""
-    h = sparse.csr_matrix(h)
-    defect = abs(h - h.getH()).max() if h.nnz else 0.0
-    scale = abs(h).max() if h.nnz else 1.0
-    if defect > tol * max(scale, 1.0):
-        raise AssertionError(f"anti-Hermitian assembly: defect {defect:g}")
-    return sparse.csr_matrix((h + h.getH()) * 0.5)
-
-
-def _hopping_matrix(ops: ModeOperators, spec: LatticeSpec, coupling_ops):
-    """sum_bonds kron(a_i+ b_k, J) + h.c. on the sector basis, with J the
-    boson-factor coupling operator of the bond's (cell, species)."""
+def _bond_couplings(spec: LatticeSpec, coupling_ops):
+    """{(p, q): J_pq} for every fermion pair (a_i, b_k) a bond joins, with
+    J_pq the boson-factor coupling of the bond's (cell, species); bonds
+    sharing a pair add their couplings in bond order."""
     n = spec.n_cells
-    per_pair = {}  # bonds sharing (a_i, b_k) add their couplings in bond order
+    per_pair = {}
     for cell, species, a_cell, b_cell in _bond_list(spec):
         key = (a_cell, n + b_cell)
         j = coupling_ops[(cell, species)]
         per_pair[key] = per_pair[key] + j if key in per_pair else j
-    blocks = [sparse.kron(_hopping_block(ops.states, p, q), j, format="coo")
-              for (p, q), j in per_pair.items()]
-    # distinct (p, q) blocks share no entry, so they are stacked, not summed
-    dim = ops.space.sector_dimension
-    half = sparse.coo_matrix(
-        (np.concatenate([blk.data for blk in blocks]),
-         (np.concatenate([blk.row for blk in blocks]),
-          np.concatenate([blk.col for blk in blocks]))),
-        shape=(dim, dim)).tocsr()
-    return half + half.getH()
+    return per_pair
 
 
-def _boson_on_sector(boson, ops: ModeOperators):
-    """A boson-factor operator as kron(1, boson) on the sector basis."""
-    eye = sparse.identity(len(ops.states), format="csr")
-    return sparse.kron(eye, boson, format="csr")
+def _max_abs(op) -> float:
+    return float(np.abs(op.data).max()) if op.nnz else 0.0
+
+
+def _on_sector(ops: ModeOperators, couplings, boson=None, keep=None):
+    """sum_(p, q) kron(c_p+ c_q, J_pq) + h.c. + kron(1, B) on the sector
+    basis, from the boson-factor terms ``couplings`` ({(p, q): J_pq}) and
+    ``boson`` (B, or None).
+
+    B is checked on the full boson factor, the only place an anti-Hermitian
+    defect can enter: AssertionError when max|B - B+| exceeds
+    1e-12 * max(scale, 1), with scale the largest |entry| of the sector H
+    (the largest |J_pq| over nonempty hopping blocks, or the largest |B|).
+    B then enters as (B + B+) / 2.  With ``keep`` (sorted boson indices),
+    every boson-factor operator is restricted to those indices before the
+    kron, so the result is the block of the full H on rows and columns
+    position * boson_dim + keep, entry for entry.
+    """
+    hops = [(_hopping_block(ops.states, p, q), j) for (p, q), j in couplings.items()]
+    if boson is not None:
+        scale = max([_max_abs(j) for (rows, _, _), j in hops if len(rows)]
+                    + [_max_abs(boson)])
+        defect = _max_abs(boson - boson.getH())
+        if defect > 1e-12 * max(scale, 1.0):
+            raise AssertionError(f"anti-Hermitian assembly: defect {defect:g}")
+        boson = (boson + boson.getH()) * 0.5
+    n_b = ops.space.boson_dim
+    if keep is not None:
+        hops = [(blk, j[keep][:, keep]) for blk, j in hops]
+        boson = None if boson is None else boson[keep][:, keep]
+        n_b = len(keep)
+    # kron(c_p+ c_q, J) puts sign * J_ab at (row * n_b + a, col * n_b + b);
+    # these blocks, their transposes and the diagonal boson blocks share no
+    # entry, so they are stacked into one matrix, not summed
+    rows, cols, data = [], [], []
+    for (f_rows, f_cols, signs), j in hops:
+        j = j.tocoo()
+        r = (f_rows[:, None] * n_b + j.row).ravel()
+        c = (f_cols[:, None] * n_b + j.col).ravel()
+        v = (signs[:, None] * j.data).ravel()
+        rows += [r, c]
+        cols += [c, r]
+        data += [v, v.conj()]
+    n_states = len(ops.states)
+    if boson is not None:
+        b = boson.tocoo()
+        offset = np.arange(n_states)[:, None] * n_b
+        rows.append((offset + b.row).ravel())
+        cols.append((offset + b.col).ravel())
+        data.append(np.tile(b.data, n_states))
+    dim = n_states * n_b
+    h = sparse.csr_matrix((np.concatenate(data),
+                           (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim))
+    h.eliminate_zeros()
+    return h
 
 
 def _lattice_algebra(spec: LatticeSpec, space: FockSpace,
@@ -377,6 +417,48 @@ def _lattice_algebra(spec: LatticeSpec, space: FockSpace,
     if ops.space != space:
         raise ValueError("mode operators belong to another space")
     return ops
+
+
+def _simulator_terms(params: ModelParams, spec: LatticeSpec, ops: ModeOperators):
+    """(couplings, B) of the simulator on the boson factor."""
+    space = ops.space
+    opt = optical_params(params)
+    eye = sparse.identity(space.boson_dim, format="csr")
+
+    coupling_ops = {}
+    for cell, species, _, _ in _bond_list(spec):
+        key = (cell, species)
+        if key in coupling_ops:
+            continue
+        amp = opt.amplitude(species)
+        strength = opt.strength(species)
+        background = strength * amp * amp * eye
+        try:
+            dm = ops.b[space.boson_mode_index(cell, species)]
+        except KeyError:
+            # bond without a fluctuation mode stays at the background value
+            coupling_ops[key] = background
+            continue
+        coupling_ops[key] = background + strength * amp * (dm + dm.getH())
+
+    g = params.G
+    pref_pi = 1.0 / (24.0 * np.pi * g)
+    pref_n = 8.0 * np.pi * g * params.mu ** 2 / 3.0
+    pref_q = 256.0 * np.pi ** 3 * g ** 3 * params.mu ** 2 / (3.0 * params.l ** 2)
+    boson = sparse.csr_matrix(eye.shape)
+    for cell in _pairs(space):
+        dx = ops.b[space.boson_mode_index(cell, "x")]
+        dz = ops.b[space.boson_mode_index(cell, "z")]
+        bx = dx + opt.d_x * eye   # alpha_x in the number basis of d_x
+        bz = dz + opt.d_z * eye
+        abar_x = bx.getH() - bx   # equals dx+ - dx exactly
+        abar_z = bz.getH() - bz
+        n_x = bx.getH() @ bx
+        n_z = bz.getH() @ bz
+        boson = boson + pref_pi * (abar_z @ (np.sqrt(2.0) * abar_x - 0.5 * abar_z))
+        boson = boson + pref_n * (n_z + n_x)
+        boson = boson - pref_q * (n_z @ (n_x - 0.5 * n_z))
+    return _bond_couplings(spec, coupling_ops), boson
 
 
 def assemble_simulator_hamiltonian(params: ModelParams, spec: LatticeSpec,
@@ -397,44 +479,7 @@ def assemble_simulator_hamiltonian(params: ModelParams, spec: LatticeSpec,
     space.n_fermion_modes == 2 * spec.n_cells.
     """
     ops = _lattice_algebra(spec, space, ops)
-    opt = optical_params(params)
-    eye = sparse.identity(space.boson_dim, format="csr")
-
-    coupling_ops = {}
-    for cell, species, _, _ in _bond_list(spec):
-        key = (cell, species)
-        if key in coupling_ops:
-            continue
-        amp = opt.amplitude(species)
-        strength = opt.strength(species)
-        background = strength * amp * amp * eye
-        try:
-            dm = ops.b[space.boson_mode_index(cell, species)]
-        except KeyError:
-            # bond without a fluctuation mode stays at the background value
-            coupling_ops[key] = background
-            continue
-        coupling_ops[key] = background + strength * amp * (dm + dm.getH())
-    hop = _hopping_matrix(ops, spec, coupling_ops)
-
-    g = params.G
-    pref_pi = 1.0 / (24.0 * np.pi * g)
-    pref_n = 8.0 * np.pi * g * params.mu ** 2 / 3.0
-    pref_q = 256.0 * np.pi ** 3 * g ** 3 * params.mu ** 2 / (3.0 * params.l ** 2)
-    boson = sparse.csr_matrix(eye.shape)
-    for cell in _pairs(space):
-        dx = ops.b[space.boson_mode_index(cell, "x")]
-        dz = ops.b[space.boson_mode_index(cell, "z")]
-        bx = dx + opt.d_x * eye   # alpha_x in the number basis of d_x
-        bz = dz + opt.d_z * eye
-        abar_x = bx.getH() - bx   # equals dx+ - dx exactly
-        abar_z = bz.getH() - bz
-        n_x = bx.getH() @ bx
-        n_z = bz.getH() @ bz
-        boson = boson + pref_pi * (abar_z @ (np.sqrt(2.0) * abar_x - 0.5 * abar_z))
-        boson = boson + pref_n * (n_z + n_x)
-        boson = boson - pref_q * (n_z @ (n_x - 0.5 * n_z))
-    return _hermitize(hop + _boson_on_sector(boson, ops))
+    return _on_sector(ops, *_simulator_terms(params, spec, ops))
 
 
 def assemble_background_hopping(l: float, spec: LatticeSpec, space: FockSpace,
@@ -451,28 +496,12 @@ def assemble_background_hopping(l: float, spec: LatticeSpec, space: FockSpace,
     eye = sparse.identity(space.boson_dim, format="csr")
     coupling_ops = {(cell, species): j0 * eye
                     for cell, species, _, _ in _bond_list(spec)}
-    return _hermitize(_hopping_matrix(ops, spec, coupling_ops))
+    return _on_sector(ops, _bond_couplings(spec, coupling_ops))
 
 
-def assemble_target_hamiltonian(params: ModelParams, spec: LatticeSpec,
-                                space: FockSpace,
-                                ops: Optional[ModeOperators] = None):
-    """Field-theory Hamiltonian on the same hopping graph, on the sector
-    basis.
-
-    The velocity operators are written through the q combination,
-
-        v_x = 1/l - (4 sqrt2 pi G / l^2)(q1 + q1+)
-        v_y = 1/l - (4 sqrt2 pi G / l^2)(q2 + q2+) ,
-
-    and converted to bond couplings by the dictionary linearized about the
-    background point: J_z = (2/3) v_y and
-    delta J_x = (delta v_x + delta J_z / 2) / 2.  The boson sector is the
-    exact quadratic density in the same substitution,
-
-        (1/(16 pi G))(q1+ - q1)(q2+ - q2) - 4 pi G mu^2 (q1+ + q1)(q2+ + q2).
-    """
-    ops = _lattice_algebra(spec, space, ops)
+def _target_terms(params: ModelParams, spec: LatticeSpec, ops: ModeOperators):
+    """(couplings, B) of the target on the boson factor."""
+    space = ops.space
     eye = sparse.identity(space.boson_dim, format="csr")
     j0 = 2.0 / (3.0 * params.l)
     slope = 4.0 * np.sqrt(2.0) * np.pi * params.G / params.l ** 2
@@ -494,7 +523,6 @@ def assemble_target_hamiltonian(params: ModelParams, spec: LatticeSpec,
             coupling_ops[(cell, species)] = coupling_ops[(None, species)]
         else:
             coupling_ops[(cell, species)] = j0 * eye  # no mode: background bond
-    hop = _hopping_matrix(ops, spec, coupling_ops)
 
     form = hgr_quadratic_form(params, convention="legendre")
     boson = sparse.csr_matrix(eye.shape)
@@ -505,7 +533,29 @@ def assemble_target_hamiltonian(params: ModelParams, spec: LatticeSpec,
         q1p = q1.getH() + q1
         q2p = q2.getH() + q2
         boson = boson + form.q_minus_coeff * (q1m @ q2m) + form.q_plus_coeff * (q1p @ q2p)
-    return _hermitize(hop + _boson_on_sector(boson, ops))
+    return _bond_couplings(spec, coupling_ops), boson
+
+
+def assemble_target_hamiltonian(params: ModelParams, spec: LatticeSpec,
+                                space: FockSpace,
+                                ops: Optional[ModeOperators] = None):
+    """Field-theory Hamiltonian on the same hopping graph, on the sector
+    basis.
+
+    The velocity operators are written through the q combination,
+
+        v_x = 1/l - (4 sqrt2 pi G / l^2)(q1 + q1+)
+        v_y = 1/l - (4 sqrt2 pi G / l^2)(q2 + q2+) ,
+
+    and converted to bond couplings by the dictionary linearized about the
+    background point: J_z = (2/3) v_y and
+    delta J_x = (delta v_x + delta J_z / 2) / 2.  The boson sector is the
+    exact quadratic density in the same substitution,
+
+        (1/(16 pi G))(q1+ - q1)(q2+ - q2) - 4 pi G mu^2 (q1+ + q1)(q2+ + q2).
+    """
+    ops = _lattice_algebra(spec, space, ops)
+    return _on_sector(ops, *_target_terms(params, spec, ops))
 
 
 def _sector_matrix(h, space: FockSpace):
@@ -517,22 +567,29 @@ def _sector_matrix(h, space: FockSpace):
     return sparse.csr_matrix(h)
 
 
-def mapping_residual(h_sim, h_target, space: FockSpace, window: int) -> float:
+def mapping_residual(params: ModelParams, spec: LatticeSpec, space: FockSpace,
+                     window: int, ops: Optional[ModeOperators] = None) -> float:
     """min over c of the spectral norm of (H_sim - H_target - c) restricted
-    to total boson occupation <= window, for two sector-basis Hamiltonians.
+    to total boson occupation <= window, on the sector basis.
 
-    For a Hermitian difference the minimizing shift is the spectral
-    midpoint, so the value is (lambda_max - lambda_min) / 2 of the
-    restricted block.
+    Only that block is assembled: the simulator and target terms are built
+    on the boson factor, checked for Hermiticity there (see the assembly
+    note of the module docstring), and restricted to the boson indices the
+    window keeps before their kron onto the sector.  The block equals the
+    one cut from the full-sector Hamiltonians, entry for entry.  For a
+    Hermitian difference the minimizing shift is the spectral midpoint, so
+    the value is (lambda_max - lambda_min) / 2 of the block.  ValueError
+    for a negative window or one above n_max.
     """
+    if window < 0:
+        raise ValueError(f"window {window} is negative")
     if window > space.n_max:
         raise ValueError(f"window {window} exceeds n_max {space.n_max}")
-    diff = _sector_matrix(h_sim - h_target, space)
-    keep_b = np.flatnonzero(space.boson_occupation_table() <= window)
-    n_states = space.sector_dimension // space.boson_dim
-    idx = (np.arange(n_states)[:, None] * space.boson_dim + keep_b[None, :]).ravel()
-    block = diff[idx][:, idx].toarray()
-    evals = np.linalg.eigvalsh(block)
+    ops = _lattice_algebra(spec, space, ops)
+    keep = np.flatnonzero(space.boson_occupation_table() <= window)
+    diff = (_on_sector(ops, *_simulator_terms(params, spec, ops), keep=keep)
+            - _on_sector(ops, *_target_terms(params, spec, ops), keep=keep))
+    evals = np.linalg.eigvalsh(diff.toarray())
     return float((evals[-1] - evals[0]) / 2.0)
 
 

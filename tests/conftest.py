@@ -3,7 +3,9 @@
 The symbolic oracles derive in sympy the exact constants the library
 hard-codes, so sympy is a test-only dependency.  The full-space assembly
 and correlator oracles are the references for the sector-basis
-Hamiltonians and observables; the dense ``np.einsum`` oracles are the
+Hamiltonians and observables, and ``full_sector_mapping_residual`` (the
+window block cut from full-sector Hamiltonians) for the window-native
+mapping residual; the dense ``np.einsum`` oracles are the
 references for the sparse slab contractions of the geometry sector.
 """
 
@@ -23,7 +25,7 @@ from gravlat.geometry import (DiagonalFluctuationSlab, ModelParams,
 from gravlat.gravity_action import ActionReport, _integral, massive_fp_action
 from gravlat.lattice import LatticeSpec
 from gravlat.manybody import (CorrelatorReport, FockSpace, GroundStateResult,
-                              ModeOperators, _bond_list, _hermitize, _pairs,
+                              ModeOperators, _bond_list, _pairs, _sector_matrix,
                               operator_algebra)
 
 
@@ -135,7 +137,18 @@ def q_map_commutators():
 # sector basis: every operator on the full 2^nf x boson space, built from
 # the full-space mode operators ``ops.c`` / ``ops.d``.  Sliced by
 # ``space.sector_indices()``, they must equal the library's sector-basis
-# Hamiltonians exactly.
+# Hamiltonians exactly.  ``_hermitize`` is the whole-matrix Hermiticity
+# check and symmetrization they ended with.
+
+def _hermitize(h, tol: float = 1e-12):
+    """Assert Hermiticity of the raw assembly, then symmetrize exactly."""
+    h = sparse.csr_matrix(h)
+    defect = abs(h - h.getH()).max() if h.nnz else 0.0
+    scale = abs(h).max() if h.nnz else 1.0
+    if defect > tol * max(scale, 1.0):
+        raise AssertionError(f"anti-Hermitian assembly: defect {defect:g}")
+    return sparse.csr_matrix((h + h.getH()) * 0.5)
+
 
 def full_space_hopping(ops: ModeOperators, spec: LatticeSpec, coupling_ops):
     """sum_bonds J_op (a_i+ b_k) + h.c. with J_op per (cell, species)."""
@@ -283,6 +296,22 @@ def full_space_target(params: ModelParams, spec: LatticeSpec,
         q2p = q2.getH() + q2
         h = h + form.q_minus_coeff * (q1m @ q2m) + form.q_plus_coeff * (q1p @ q2p)
     return _hermitize(h)
+
+
+def full_sector_mapping_residual(h_sim, h_target, space: FockSpace, window: int) -> float:
+    """The mapping residual cut from two full-sector Hamiltonians: min over
+    c of the spectral norm of (H_sim - H_target - c) restricted to total
+    boson occupation <= window, as (lambda_max - lambda_min) / 2 of the
+    sliced block."""
+    if window > space.n_max:
+        raise ValueError(f"window {window} exceeds n_max {space.n_max}")
+    diff = _sector_matrix(h_sim - h_target, space)
+    keep_b = np.flatnonzero(space.boson_occupation_table() <= window)
+    n_states = space.sector_dimension // space.boson_dim
+    idx = (np.arange(n_states)[:, None] * space.boson_dim + keep_b[None, :]).ravel()
+    block = diff[idx][:, idx].toarray()
+    evals = np.linalg.eigvalsh(block)
+    return float((evals[-1] - evals[0]) / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,32 @@ nnz_cap = 100
     assert code == 4
 
 
+@pytest.mark.parametrize("g", ["0.01", "0"])
+def test_spectrum_dense_cap_rejects_before_assembly(tmp_path, monkeypatch, capsys, g):
+    import gravlat.ed_commands as ed
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled a config the dense cap rejects")
+
+    monkeypatch.setattr(ed, "assemble_simulator_hamiltonian", refuse)
+    monkeypatch.setattr(ed, "assemble_background_hopping", refuse)
+    code, out = _run(tmp_path, f"""
+command = spectrum
+[model]
+g = {g}
+[lattice]
+ncx = 2
+ncy = 1
+[truncation]
+n_max = 1
+dense_cap = 95
+""")
+    assert code == 4
+    assert ("category=resource-cap sector dimension 96 exceeds dense cap for spectrum"
+            in capsys.readouterr().err)
+    assert not (out / "spectrum.csv").exists()
+
+
 def test_wick_sweep_zero_coupling_point_respects_nnz_cap(tmp_path):
     code, _ = _run(tmp_path, """
 command = wick-sweep

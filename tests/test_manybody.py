@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sparse
 import sympy as sp
 
+import gravlat.manybody as manybody
 from gravlat.continuum import hgr_quadratic_form, symplectic_frequencies
 from gravlat.exceptions import DimensionCapError
 from gravlat.geometry import ModelParams
@@ -16,8 +17,9 @@ from gravlat.manybody import (FockSpace, assemble_background_hopping,
                               ground_state, mapping_residual, operator_algebra,
                               per_cell_pairs, uniform_pair)
 
-from conftest import (full_space_background, full_space_correlators,
-                      full_space_simulator, full_space_target, q_map_commutators)
+from conftest import (full_sector_mapping_residual, full_space_background,
+                      full_space_correlators, full_space_simulator,
+                      full_space_target, q_map_commutators)
 
 
 def small_space(nf=2, nb=1, n_max=2, sector=None):
@@ -291,9 +293,84 @@ def test_target_boson_block_matches_quadratic_form_matrix():
 
 def test_mapping_residual_window_guard():
     space = FockSpace(2, per_cell_pairs(SPEC1), 2)
-    h = assemble_simulator_hamiltonian(PARAMS, SPEC1, space)
     with pytest.raises(ValueError):
-        mapping_residual(h, h, space, window=3)
+        mapping_residual(PARAMS, SPEC1, space, window=3)
+
+
+def test_mapping_residual_negative_window_is_value_error():
+    space = FockSpace(2, per_cell_pairs(SPEC1), 2)
+    with pytest.raises(ValueError, match="negative"):
+        mapping_residual(PARAMS, SPEC1, space, window=-1)
+
+
+def _placement(spec, placement):
+    if placement == "per_cell":
+        return per_cell_pairs(spec)
+    if placement == "uniform":
+        return uniform_pair()
+    return ((0, "x"), (0, "z"))
+
+
+@pytest.mark.parametrize("ncx,placement,sector,n_max,window,g", [
+    (1, "per_cell", 1, 2, 0, 1e-2),
+    (1, "per_cell", 1, 2, 1, 1e-3),
+    (1, "per_cell", None, 2, 2, 1e-2),
+    (2, "per_cell", 2, 1, 1, 1e-3),
+    (2, "uniform", 2, 2, 2, 1e-2),
+    (2, "uniform", None, 2, 0, 1e-3),
+    (2, "cell0", 2, 2, 1, 1e-2),
+    (2, "cell0", None, 2, 2, 1e-3),
+    (3, "per_cell", 3, 1, 1, 1e-2),
+])
+def test_window_mapping_residual_matches_the_full_sector_oracle(
+        ncx, placement, sector, n_max, window, g):
+    """Only the window block is assembled, and it is the block the oracle
+    cuts from the full-sector Hamiltonians, so the residuals agree bit for
+    bit."""
+    spec = LatticeSpec(ncx, 1)
+    p = ModelParams(G=g, l=1.0, mu=1.0)
+    space = FockSpace(spec.n_modes, _placement(spec, placement), n_max, sector=sector)
+    ops = operator_algebra(space)
+    oracle = full_sector_mapping_residual(
+        assemble_simulator_hamiltonian(p, spec, space, ops),
+        assemble_target_hamiltonian(p, spec, space, ops), space, window)
+    assert mapping_residual(p, spec, space, window, ops) == oracle
+    assert mapping_residual(p, spec, space, window) == oracle
+
+
+def test_window_block_is_the_slice_of_the_full_sector_hamiltonian():
+    spec = LatticeSpec(2, 1)
+    space = FockSpace(spec.n_modes, per_cell_pairs(spec), 2, sector=2)
+    ops = operator_algebra(space)
+    keep = np.flatnonzero(space.boson_occupation_table() <= 1)
+    idx = (np.arange(len(ops.states))[:, None] * space.boson_dim + keep).ravel()
+    for terms, full in (
+            (manybody._simulator_terms(PARAMS, spec, ops),
+             assemble_simulator_hamiltonian(PARAMS, spec, space, ops)),
+            (manybody._target_terms(PARAMS, spec, ops),
+             assemble_target_hamiltonian(PARAMS, spec, space, ops))):
+        block = manybody._on_sector(ops, *terms, keep=keep)
+        ref = _canonical(full[idx][:, idx])
+        np.testing.assert_array_equal(block.indptr, ref.indptr)
+        np.testing.assert_array_equal(block.indices, ref.indices)
+        np.testing.assert_array_equal(block.data, ref.data)
+
+
+def test_non_hermitian_boson_term_is_rejected(monkeypatch):
+    """The hopping part is Hermitian by construction, so the boson factor is
+    where the Hermiticity check looks: a skewed boson term must raise."""
+    space = FockSpace(2, per_cell_pairs(SPEC1), 2)
+    real_terms = manybody._simulator_terms
+
+    def skewed_terms(params, spec, ops):
+        couplings, boson = real_terms(params, spec, ops)
+        return couplings, boson + 1e-3 * ops.b[0]
+
+    monkeypatch.setattr(manybody, "_simulator_terms", skewed_terms)
+    with pytest.raises(AssertionError, match="anti-Hermitian"):
+        assemble_simulator_hamiltonian(PARAMS, SPEC1, space)
+    with pytest.raises(AssertionError, match="anti-Hermitian"):
+        mapping_residual(PARAMS, SPEC1, space, window=1)
 
 
 def test_mapping_residual_quadratic_in_coupling():
@@ -305,10 +382,7 @@ def test_mapping_residual_quadratic_in_coupling():
     for g in (1e-2, 1e-3):
         p = ModelParams(G=g, l=1.0, mu=1.0)
         space = FockSpace(2, per_cell_pairs(SPEC1), 3)
-        ops = operator_algebra(space)
-        h_sim = assemble_simulator_hamiltonian(p, SPEC1, space, ops)
-        h_tgt = assemble_target_hamiltonian(p, SPEC1, space, ops)
-        vals[g] = mapping_residual(h_sim, h_tgt, space, window=2)
+        vals[g] = mapping_residual(p, SPEC1, space, window=2)
     ratio = vals[1e-2] / vals[1e-3]
     assert 80 < ratio < 120
 
@@ -328,7 +402,7 @@ def test_ground_energy_agreement_within_residual_bound():
     r_full = (evals[-1] - evals[0]) / 2
     assert abs((e_sim - e_tgt) - c_star) <= r_full + 1e-12
     # and the windowed residual bounds it in practice at this size
-    r_w2 = mapping_residual(h_sim, h_tgt, space, window=2)
+    r_w2 = mapping_residual(p, SPEC1, space, window=2, ops=ops)
     assert abs((e_sim - e_tgt) - c_star) <= r_w2
 
 
