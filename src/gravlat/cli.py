@@ -26,9 +26,8 @@ import numpy as np
 from . import __version__
 from .exceptions import (ConfigError, ConvergenceError, DimensionCapError,
                          GravlatError)
-from .geometry import (DiagonalFluctuationSlab, Grid2D, ModelParams,
-                       SpacetimeGrid, spin_connection_general,
-                       torsion_residual)
+from .geometry import (Grid2D, ModelParams, SpacetimeGrid, TrigField,
+                       connection_refinement, random_bandlimited_slab)
 from .gravity_action import (fierz_pauli_quadratic, fp_standard_form,
                              legendre_hamiltonian_density, palatini_orders)
 from .continuum import (CurrentField, gaussian_elimination_oracle,
@@ -133,6 +132,13 @@ class RunConfig:
         return CouplingField.uniform(jx, jx, self.values[("couplings", "jz")])
 
     @property
+    def slab_grid(self) -> SpacetimeGrid:
+        """The [fields] slab of the geometry check commands."""
+        v = self.values
+        return SpacetimeGrid(v[("fields", "nt")], v[("fields", "nx")], v[("fields", "ny")],
+                             v[("fields", "ht")], v[("fields", "h")])
+
+    @property
     def lattice(self) -> LatticeSpec:
         return LatticeSpec(self.values[("lattice", "ncx")],
                            self.values[("lattice", "ncy")])
@@ -218,111 +224,6 @@ def parse_config(text: str) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# field fabrication for the check commands
-# ---------------------------------------------------------------------------
-
-def _random_bandlimited_slab(cfg: RunConfig, grid: SpacetimeGrid, rng) -> DiagonalFluctuationSlab:
-    """Periodic trigonometric fields sharing one mode set across components."""
-    n_modes = cfg[("fields", "modes")]
-    amp = cfg[("fields", "amplitude")]
-    tt = np.arange(grid.nt) * grid.ht
-    xx = np.arange(grid.nx) * grid.h
-    yy = np.arange(grid.ny) * grid.h
-    t3, x3, y3 = np.meshgrid(tt, xx, yy, indexing="ij")
-    periods = (grid.nt * grid.ht, grid.nx * grid.h, grid.ny * grid.h)
-    modes = []
-    while len(modes) < n_modes:
-        cand = (int(rng.integers(-2, 3)), int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
-        if cand != (0, 0, 0):
-            modes.append(cand)
-
-    def component():
-        out = np.zeros(grid.shape)
-        for kt, kx, ky in modes:
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            out += rng.normal() * amp * np.sin(
-                2 * np.pi * (kt * t3 / periods[0] + kx * x3 / periods[1]
-                             + ky * y3 / periods[2]) + phase)
-        return out
-
-    return DiagonalFluctuationSlab(grid, component(), component())
-
-
-class _TrigField:
-    """A random continuum field sin-series with analytic derivatives.
-
-    Spatial wavenumbers are integer multiples of 2 pi over fixed periods
-    (lx, ly), so the same continuum function can be resampled on refined
-    grids; the time frequency is a free real number.
-    """
-
-    def __init__(self, rng, n_modes, amp, lx, ly):
-        self.terms = []
-        while len(self.terms) < n_modes:
-            kx = int(rng.integers(-3, 4))
-            ky = int(rng.integers(-3, 4))
-            if (kx, ky) == (0, 0):
-                continue
-            self.terms.append((amp * rng.normal(), rng.uniform(0.5, 1.5),
-                               2 * np.pi * kx / lx, 2 * np.pi * ky / ly,
-                               rng.uniform(0.0, 2 * np.pi)))
-
-    def sample(self, t, x, y, derivatives):
-        """The partial derivatives d^(dt+dx+dy) / dt^dt dx^dx dy^dy of the
-        field, one array per (dt, dx, dy) in ``derivatives``, on the grid
-        that ``t``, ``x`` and ``y`` broadcast to.  Each mode's phase, sine and
-        cosine are computed once for all of them, one mode at a time."""
-        outs = [np.zeros(np.broadcast(t, x, y).shape) for _ in derivatives]
-        for amp, w, kx, ky, phase in self.terms:
-            arg = w * t + kx * x + ky * y + phase
-            waves = (np.sin(arg), np.cos(arg))
-            for out, (dt, dx, dy) in zip(outs, derivatives):
-                order = (dt + dx + dy) % 4
-                factor = (w ** dt) * (kx ** dx) * (ky ** dy)
-                wave = waves[order % 2]
-                out += amp * factor * (wave if order < 2 else -wave)
-        return outs
-
-
-def _sampled_slab(params: ModelParams, f1: _TrigField, f2: _TrigField,
-                  grid: SpacetimeGrid):
-    """The slab of (f1, f2) on ``grid`` and the closed-form torsionless
-    connection from their analytic derivatives."""
-    t = ((np.arange(grid.nt) - grid.nt // 2) * grid.ht)[:, None, None]
-    x = (np.arange(grid.nx) * grid.h)[None, :, None]
-    y = (np.arange(grid.ny) * grid.h)[None, None, :]
-    xi1, xi1_y, xi1_t = f1.sample(t, x, y, ((0, 0, 0), (0, 0, 1), (1, 0, 0)))
-    xi2, xi2_x, xi2_t = f2.sample(t, x, y, ((0, 0, 0), (0, 1, 0), (1, 0, 0)))
-    l = params.l
-    v_ref = np.zeros((3, 3) + grid.shape)
-    v_ref[0, 1] = -xi1_y / l
-    v_ref[0, 2] = +xi2_x / l
-    v_ref[1, 2] = -xi2_t
-    v_ref[2, 1] = +xi1_t
-    return DiagonalFluctuationSlab(grid, xi1, xi2), v_ref
-
-
-def _connection_refinement_report(params: ModelParams, f1: _TrigField, f2: _TrigField,
-                                  grid: SpacetimeGrid):
-    """(torsion residual, agreement with the exact closed form) at one h.
-
-    The slab is sampled from the continuum fields; the reference connection
-    is the closed-form torsionless solution evaluated with analytic
-    derivatives, so both reported numbers are pure O(h^2) discretization
-    errors of the central-difference pipeline.
-    """
-    slab, v_ref = _sampled_slab(params, f1, f2, grid)
-    from .geometry import SpinConnectionSlab
-    ref_slab = SpinConnectionSlab(grid, v_ref)
-    residual = torsion_residual(params, slab, ref_slab)
-    v_gen = spin_connection_general(params, slab)
-    interior = slice(1, -1)
-    agreement = float(np.abs(v_gen.tensor[:, :, interior]
-                             - v_ref[:, :, interior]).max())
-    return residual, agreement
-
-
-# ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
@@ -370,25 +271,20 @@ def _cmd_map_couplings(cfg, outdir, extras):
 def _cmd_spin_connection(cfg, outdir, extras):
     params = cfg.params
     rng = np.random.default_rng(cfg[("", "seed")])
-    lx = cfg[("fields", "nx")] * cfg[("fields", "h")]
-    ly = cfg[("fields", "ny")] * cfg[("fields", "h")]
-    f1 = _TrigField(rng, cfg[("fields", "modes")], cfg[("fields", "amplitude")], lx, ly)
-    f2 = _TrigField(rng, cfg[("fields", "modes")], cfg[("fields", "amplitude")], lx, ly)
-    pairs = []
-    prev = {}
-    for level, factor in (("h", 1), ("h_half", 2)):
-        grid = SpacetimeGrid(cfg[("fields", "nt")], cfg[("fields", "nx")] * factor,
-                             cfg[("fields", "ny")] * factor,
-                             cfg[("fields", "ht")] / factor,
-                             cfg[("fields", "h")] / factor)
-        res, diff = _connection_refinement_report(params, f1, f2, grid)
-        pairs.append((f"torsion_residual_{level}", res))
-        pairs.append((f"gauge_fixed_agreement_{level}", diff))
-        prev[level] = (res, diff)
-    pairs.append(("torsion_ratio", prev["h"][0] / prev["h_half"][0]))
-    pairs.append(("agreement_ratio", prev["h"][1] / prev["h_half"][1]))
-    pairs.append(("weak_coupling_ratio", params.weak_coupling_ratio))
-    write_keyvalue(outdir / "spin_connection.txt", pairs)
+    grid = cfg.slab_grid
+    modes, amp = cfg[("fields", "modes")], cfg[("fields", "amplitude")]
+    f1 = TrigField(rng, modes, amp, grid.nx * grid.h, grid.ny * grid.h)
+    f2 = TrigField(rng, modes, amp, grid.nx * grid.h, grid.ny * grid.h)
+    (res_h, agr_h), (res_half, agr_half) = connection_refinement(params, f1, f2, grid)
+    write_keyvalue(outdir / "spin_connection.txt", [
+        ("torsion_residual_h", res_h),
+        ("gauge_fixed_agreement_h", agr_h),
+        ("torsion_residual_h_half", res_half),
+        ("gauge_fixed_agreement_h_half", agr_half),
+        ("torsion_ratio", res_h / res_half),
+        ("agreement_ratio", agr_h / agr_half),
+        ("weak_coupling_ratio", params.weak_coupling_ratio),
+    ])
 
 
 def _cmd_action_check(cfg, outdir, extras):
@@ -396,10 +292,8 @@ def _cmd_action_check(cfg, outdir, extras):
     if params.G == 0:
         raise ConfigError(["action-check requires g > 0"])
     rng = np.random.default_rng(cfg[("", "seed")])
-    grid = SpacetimeGrid(cfg[("fields", "nt")], cfg[("fields", "nx")],
-                         cfg[("fields", "ny")], cfg[("fields", "ht")],
-                         cfg[("fields", "h")])
-    slab = _random_bandlimited_slab(cfg, grid, rng)
+    slab = random_bandlimited_slab(rng, cfg.slab_grid, cfg[("fields", "modes")],
+                                   cfg[("fields", "amplitude")])
     report = palatini_orders(params, slab)
     fp = fierz_pauli_quadratic(params, slab)
     fp_std = fp_standard_form(params, slab)

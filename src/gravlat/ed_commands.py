@@ -21,12 +21,16 @@ from .manybody import (assemble_background_hopping,
 from .serialize import write_csv, write_keyvalue, write_state_csv
 
 
-def _many_body_setup(cfg):
-    params = cfg.params
-    spec = cfg.lattice
+def _many_body_setup(cfg, params):
+    """The space and operator algebra of a run at coupling ``params.G``.
+
+    At G = 0 the bosons decouple from the fermions, so they are dropped:
+    kept inert, they would only multiply every level by the boson dimension.
+    """
     space = cfg.fock_space()
-    ops = operator_algebra(space)
-    return params, spec, space, ops
+    if params.G == 0:
+        space = replace(space, boson_modes=(), n_max=0)
+    return space, operator_algebra(space)
 
 
 def _assemble_for(params, spec, space, ops):
@@ -36,7 +40,7 @@ def _assemble_for(params, spec, space, ops):
 
 
 def _truncation_delta(params, spec, space, energy) -> float:
-    if space.n_max == 0 or params.G == 0:
+    if space.n_max == 0:  # also every G = 0 space
         return 0.0
     reduced = replace(space, n_max=space.n_max - 1)
     h_red = assemble_simulator_hamiltonian(params, spec, reduced)
@@ -44,11 +48,12 @@ def _truncation_delta(params, spec, space, energy) -> float:
 
 
 def _cmd_spectrum(cfg, outdir, extras):
-    params, spec, space, ops = _many_body_setup(cfg)
+    params = cfg.params
+    space, ops = _many_body_setup(cfg, params)
     dim = space.sector_dimension
     if dim > cfg[("truncation", "dense_cap")]:
         raise DimensionCapError(f"sector dimension {dim} exceeds dense cap for spectrum")
-    evals = np.linalg.eigvalsh(_assemble_for(params, spec, space, ops).toarray())
+    evals = np.linalg.eigvalsh(_assemble_for(params, cfg.lattice, space, ops).toarray())
     k = min(len(evals), 32)
     write_csv(outdir / "spectrum.csv", "index,energy",
               [(i, evals[i]) for i in range(k)])
@@ -56,7 +61,8 @@ def _cmd_spectrum(cfg, outdir, extras):
 
 
 def _cmd_ground_state(cfg, outdir, extras):
-    params, spec, space, ops = _many_body_setup(cfg)
+    params, spec = cfg.params, cfg.lattice
+    space, ops = _many_body_setup(cfg, params)
     h = _assemble_for(params, spec, space, ops)
     gs = ground_state(h, space)
     header_meta = [
@@ -77,7 +83,8 @@ def _cmd_ground_state(cfg, outdir, extras):
 
 
 def _cmd_correlators(cfg, outdir, extras):
-    params, spec, space, ops = _many_body_setup(cfg)
+    params, spec = cfg.params, cfg.lattice
+    space, ops = _many_body_setup(cfg, params)
     h = _assemble_for(params, spec, space, ops)
     gs = ground_state(h, space)
     rep = correlators_and_wick(gs, space, ops)
@@ -93,7 +100,7 @@ def _cmd_correlators(cfg, outdir, extras):
     pairs = [("wick_residual", rep.wick_residual),
              ("wick_argmax", "-".join(str(i) for i in rep.wick_argmax)),
              ("ground_energy", gs.energy), ("multiplicity", gs.multiplicity)]
-    if params.G > 0 and space.n_boson_modes:
+    if space.n_boson_modes:  # none at G = 0
         species = [s for _, s in space.boson_modes]
         wf = weak_fluctuation_check(rep.d_dag_d.diagonal().real, species,
                                     optical_params(params))
@@ -112,33 +119,24 @@ def _cmd_correlators(cfg, outdir, extras):
 
 def _cmd_wick_sweep(cfg, outdir, extras):
     spec = cfg.lattice
-    g_values = cfg[("sweep", "g_values")]
-    positive = [g for g in g_values if g > 0]
-    if positive:
-        space = cfg.fock_space()
-        ops = operator_algebra(space)
+    setups = {}  # (space, ops) keyed by g > 0: they depend on g through that only
     rows = []
     energies = {}
-    for g in g_values:
-        if g == 0:
-            space0 = replace(cfg.fock_space(), boson_modes=(), n_max=0)
-            ops0 = operator_algebra(space0)
-            h = assemble_background_hopping(cfg.params.l, spec, space0, ops0)
-            gs = ground_state(h, space0)
-            rep = correlators_and_wick(gs, space0, ops0)
-        else:
-            params = ModelParams(G=g, l=cfg.params.l, mu=cfg.params.mu)
-            h = assemble_simulator_hamiltonian(params, spec, space, ops)
-            gs = ground_state(h, space)
-            rep = correlators_and_wick(gs, space, ops)
+    for g in cfg[("sweep", "g_values")]:
+        params = ModelParams(G=g, l=cfg.params.l, mu=cfg.params.mu)
+        if (g > 0) not in setups:
+            setups[g > 0] = _many_body_setup(cfg, params)
+        space, ops = setups[g > 0]
+        gs = ground_state(_assemble_for(params, spec, space, ops), space)
+        rep = correlators_and_wick(gs, space, ops)
         rows.append((g, rep.wick_residual, gs.energy, gs.multiplicity))
         energies[g] = gs.energy
     write_csv(outdir / "wick_sweep.csv", "g,wick_residual,ground_energy,multiplicity", rows)
-    if positive and cfg[("truncation", "n_max")] > 0:
-        g_top = max(positive)
+    if True in setups and cfg[("truncation", "n_max")] > 0:
+        g_top = max(energies)
         params_top = ModelParams(G=g_top, l=cfg.params.l, mu=cfg.params.mu)
         extras.append(("truncation_delta_at_g_max",
-                       _truncation_delta(params_top, spec, space, energies[g_top])))
+                       _truncation_delta(params_top, spec, setups[True][0], energies[g_top])))
 
 
 def _cmd_map_residual(cfg, outdir, extras):

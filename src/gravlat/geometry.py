@@ -24,7 +24,7 @@ the overall minus sign is required for the torsion residual to vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -49,6 +49,10 @@ __all__ = [
     "frame_pair_tensor",
     "central_difference",
     "spectral_difference",
+    "TrigField",
+    "random_bandlimited_slab",
+    "sampled_slab",
+    "connection_refinement",
 ]
 
 
@@ -211,9 +215,6 @@ class MetricField:
         out[..., 1, 1] = self.gxx
         out[..., 2, 2] = self.gyy
         return out
-
-
-_CONNECTION_COMPONENTS = ("v0t", "v0x", "v0y", "v1x", "v1y", "v2x", "v2y")
 
 
 @dataclass(frozen=True)
@@ -460,3 +461,145 @@ def torsion_residual(params: ModelParams, xi: DiagonalFluctuationSlab,
     total = {key: grad.get(key, 0.0) + conn.get(key, 0.0) for key in grad.keys() | conn.keys()}
     res = _contract("mnr,anr...->am...", EPS3, total)
     return max((float(np.abs(comp[1:-1]).max()) for comp in res.values()), default=0.0)
+
+
+# ---------------------------------------------------------------------------
+# continuum check fields and the connection refinement study
+# ---------------------------------------------------------------------------
+
+class TrigField:
+    """A random continuum sine series with analytic derivatives.
+
+    Spatial wavenumbers are integer multiples of 2 pi over fixed periods
+    (lx, ly), so the same continuum function can be resampled on refined
+    grids; the time frequency of each mode is a free real number in
+    [0.5, 1.5).  Each of the ``n_modes`` modes draws from ``rng``, in this
+    order: its wavenumbers (kx, ky) != (0, 0), its amplitude
+    ``amp * normal``, its time frequency and its phase.
+    """
+
+    def __init__(self, rng, n_modes, amp, lx, ly):
+        self.terms = []
+        while len(self.terms) < n_modes:
+            kx = int(rng.integers(-3, 4))
+            ky = int(rng.integers(-3, 4))
+            if (kx, ky) == (0, 0):
+                continue
+            self.terms.append((amp * rng.normal(), rng.uniform(0.5, 1.5),
+                               2 * np.pi * kx / lx, 2 * np.pi * ky / ly,
+                               rng.uniform(0.0, 2 * np.pi)))
+
+    def sample(self, t, x, y, derivatives):
+        """The partial derivatives d^(dt+dx+dy) / dt^dt dx^dx dy^dy of the
+        field, one array per (dt, dx, dy) in ``derivatives``, on the grid
+        that ``t``, ``x`` and ``y`` broadcast to.  Each mode's phase, sine and
+        cosine are computed once for all of them, one mode at a time."""
+        outs = [np.zeros(np.broadcast(t, x, y).shape) for _ in derivatives]
+        for amp, w, kx, ky, phase in self.terms:
+            arg = w * t + kx * x + ky * y + phase
+            waves = (np.sin(arg), np.cos(arg))
+            for out, (dt, dx, dy) in zip(outs, derivatives):
+                order = (dt + dx + dy) % 4
+                factor = (w ** dt) * (kx ** dx) * (ky ** dy)
+                wave = waves[order % 2]
+                out += amp * factor * (wave if order < 2 else -wave)
+        return outs
+
+
+def random_bandlimited_slab(rng, grid: SpacetimeGrid, n_modes: int,
+                            amp: float) -> DiagonalFluctuationSlab:
+    """A periodic random slab of (xi1x, xi2y) from ``n_modes`` sine modes.
+
+    The integer wavenumbers (|kt| <= 2, |kx|, |ky| <= 3, not all zero) are
+    over the slab's own periods and shared by both components, so their
+    cross-term integrals are O(1) instead of vanishing by orthogonality;
+    each component then draws a phase and an ``amp * normal`` amplitude per
+    mode.
+    """
+    t = (np.arange(grid.nt) * grid.ht)[:, None, None]
+    x = (np.arange(grid.nx) * grid.h)[None, :, None]
+    y = (np.arange(grid.ny) * grid.h)[None, None, :]
+    periods = (grid.nt * grid.ht, grid.nx * grid.h, grid.ny * grid.h)
+    modes = []
+    while len(modes) < n_modes:
+        cand = (int(rng.integers(-2, 3)), int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
+        if cand != (0, 0, 0):
+            modes.append(cand)
+
+    def component():
+        out = np.zeros(grid.shape)
+        for kt, kx, ky in modes:
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            out += rng.normal() * amp * np.sin(
+                2 * np.pi * (kt * t / periods[0] + kx * x / periods[1]
+                             + ky * y / periods[2]) + phase)
+        return out
+
+    return DiagonalFluctuationSlab(grid, component(), component())
+
+
+def sampled_slab(params: ModelParams, f1: TrigField, f2: TrigField,
+                 grid: SpacetimeGrid, t: Optional[np.ndarray] = None):
+    """The slab of (xi1x, xi2y) = (f1, f2) on ``grid`` and the closed-form
+    torsionless connection (module docstring) from their analytic
+    derivatives.
+
+    ``t`` holds the times of the ``grid.nt`` slices; by default slice
+    ``nt // 2`` sits at t = 0.
+    """
+    if t is None:
+        t = (np.arange(grid.nt) - grid.nt // 2) * grid.ht
+    t = t[:, None, None]
+    x = (np.arange(grid.nx) * grid.h)[None, :, None]
+    y = (np.arange(grid.ny) * grid.h)[None, None, :]
+    xi1, xi1_y, xi1_t = f1.sample(t, x, y, ((0, 0, 0), (0, 0, 1), (1, 0, 0)))
+    xi2, xi2_x, xi2_t = f2.sample(t, x, y, ((0, 0, 0), (0, 1, 0), (1, 0, 0)))
+    v = np.zeros((3, 3) + grid.shape)
+    v[0, 1] = -xi1_y / params.l
+    v[0, 2] = +xi2_x / params.l
+    v[1, 2] = -xi2_t
+    v[2, 1] = +xi1_t
+    return DiagonalFluctuationSlab(grid, xi1, xi2), SpinConnectionSlab(grid, v)
+
+
+def _connection_errors(params: ModelParams, f1: TrigField, f2: TrigField,
+                       grid: SpacetimeGrid, t: Optional[np.ndarray] = None):
+    """(torsion residual, agreement) of one sampled slab, both over its
+    interior time slices."""
+    slab, v_ref = sampled_slab(params, f1, f2, grid, t)
+    residual = torsion_residual(params, slab, v_ref)
+    v_gen = spin_connection_general(params, slab)
+    agreement = float(np.abs(v_gen.tensor[:, :, 1:-1] - v_ref.tensor[:, :, 1:-1]).max())
+    return residual, agreement
+
+
+def connection_refinement(params: ModelParams, f1: TrigField, f2: TrigField,
+                          grid: SpacetimeGrid):
+    """The O(h^2) refinement study of the central-difference connection.
+
+    Returns ((torsion residual, agreement) at the spacings of ``grid``,
+    the same at half of them).  The residual is the torsion of the slab
+    sampled from (f1, f2) with its closed-form connection; the agreement
+    is the max difference between :func:`spin_connection_general` and
+    that connection.  Both come from analytic derivatives, so each is a
+    pure O(h^2) discretization error and their h to h/2 ratios should
+    be near 4.
+
+    Both numbers are scored on the interior time slices (all but the
+    first and last), so the h/2 level has 2 nt - 3 slices, placed so
+    that its interior covers exactly the time window of the h level's
+    interior.  It is evaluated in time chunks of at most nt slices that
+    overlap by 2: the central difference reaches one slice either side,
+    so each chunk scores its interior as the whole slab would, the chunk
+    interiors tile the level's interior, and the max over the chunks is
+    the max over the level at the memory of an nt-slice slab.
+    """
+    nt = grid.nt
+    fine_t = (np.arange(2 * nt - 3) - (2 * (nt // 2) - 1)) * (grid.ht / 2)
+    chunks = [fine_t[start:start + nt] for start in range(0, len(fine_t) - 2, nt - 2)]
+    fine = [_connection_errors(params, f1, f2,
+                               SpacetimeGrid(len(t), 2 * grid.nx, 2 * grid.ny,
+                                             grid.ht / 2, grid.h / 2), t)
+            for t in chunks]
+    return (_connection_errors(params, f1, f2, grid),
+            (max(res for res, _ in fine), max(agr for _, agr in fine)))

@@ -1,4 +1,4 @@
-"""Shared fixtures, continuum test fields and the reference oracles.
+"""Shared fixtures and the reference oracles.
 
 The symbolic oracles derive in sympy the exact constants the library
 hard-codes, so sympy is a test-only dependency.  The full-space assembly
@@ -32,41 +32,6 @@ from gravlat.manybody import (CorrelatorReport, FockSpace, GroundStateResult,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-class TrigField3:
-    """Continuum test field: sum of sines with analytic partial derivatives.
-
-    Spatial wavenumbers are commensurate with the given periods so the same
-    function can be sampled on refined grids; the time frequency is free.
-    """
-
-    def __init__(self, rng, lx, ly, n_modes=3, amp=0.1, time_freq=True):
-        self.terms = []
-        while len(self.terms) < n_modes:
-            kx = int(rng.integers(-3, 4))
-            ky = int(rng.integers(-3, 4))
-            if (kx, ky) == (0, 0):
-                continue
-            w = rng.uniform(0.5, 1.5) if time_freq else 0.0
-            self.terms.append((amp * rng.normal(), w,
-                               2 * np.pi * kx / lx, 2 * np.pi * ky / ly,
-                               rng.uniform(0, 2 * np.pi)))
-
-    def __call__(self, t, x, y, dt=0, dx=0, dy=0):
-        out = np.zeros(np.broadcast(t, x, y).shape)
-        waves = (np.sin, np.cos, lambda a: -np.sin(a), lambda a: -np.cos(a))
-        for amp, w, kx, ky, phase in self.terms:
-            arg = w * t + kx * x + ky * y + phase
-            out += amp * (w ** dt) * (kx ** dx) * (ky ** dy) * waves[(dt + dx + dy) % 4](arg)
-        return out
-
-
-@pytest.fixture
-def trig_field_factory(rng):
-    def make(lx, ly, n_modes=3, amp=0.1, time_freq=True):
-        return TrigField3(rng, lx, ly, n_modes=n_modes, amp=amp, time_freq=time_freq)
-    return make
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@ from gravlat.cli import main
 from gravlat.continuum import (gaussian_elimination_oracle, hgr_quadratic_form,
                                integrate_out_geometry, normal_mode_frequencies,
                                symplectic_frequencies, CurrentField)
-from gravlat.geometry import (DiagonalFluctuationSlab, Grid2D, ModelParams,
-                              SpacetimeGrid, SpinConnectionSlab,
-                              spin_connection_general, torsion_residual)
+from gravlat.geometry import (Grid2D, ModelParams, SpacetimeGrid, TrigField,
+                              connection_refinement, random_bandlimited_slab)
 from gravlat.gravity_action import (fierz_pauli_quadratic,
                                     legendre_hamiltonian_density,
                                     palatini_orders)
@@ -32,7 +31,7 @@ from gravlat.manybody import (FockSpace, assemble_background_hopping,
                               correlators_and_wick, ground_state,
                               mapping_residual, operator_algebra)
 
-from conftest import TrigField3, q_map_commutators
+from conftest import q_map_commutators
 
 
 def _report(number, checks, started, limit):
@@ -98,27 +97,12 @@ def test_criterion_03_geometry_refinement():
     rng = np.random.default_rng(90210)
     params = ModelParams(G=0.02, l=1.1, mu=1.0)
     lx = ly = 6.4
-    f1 = TrigField3(rng, lx, ly, n_modes=3, amp=0.05)
-    f2 = TrigField3(rng, lx, ly, n_modes=3, amp=0.05)
-    values = {}
-    for factor, n in ((1, 16), (2, 32)):
-        grid = SpacetimeGrid(3, n, n, 0.2 / factor, lx / n)
-        tt = (np.arange(grid.nt) - 1) * grid.ht
-        xx = np.arange(grid.nx) * grid.h
-        yy = np.arange(grid.ny) * grid.h
-        t3, x3, y3 = np.meshgrid(tt, xx, yy, indexing="ij")
-        slab = DiagonalFluctuationSlab(grid, f1(t3, x3, y3), f2(t3, x3, y3))
-        v_ref = np.zeros((3, 3) + grid.shape)
-        v_ref[0, 1] = -f1(t3, x3, y3, dy=1) / params.l
-        v_ref[0, 2] = +f2(t3, x3, y3, dx=1) / params.l
-        v_ref[1, 2] = -f2(t3, x3, y3, dt=1)
-        v_ref[2, 1] = +f1(t3, x3, y3, dt=1)
-        residual = torsion_residual(params, slab, SpinConnectionSlab(grid, v_ref))
-        v_gen = spin_connection_general(params, slab)
-        agreement = float(np.abs((v_gen.tensor - v_ref)[:, :, 1:-1]).max())
-        values[factor] = (residual, agreement)
-    res_ratio = values[1][0] / values[2][0]
-    agr_ratio = values[1][1] / values[2][1]
+    f1 = TrigField(rng, 3, 0.05, lx, ly)
+    f2 = TrigField(rng, 3, 0.05, lx, ly)
+    (res_h, agr_h), (res_half, agr_half) = connection_refinement(
+        params, f1, f2, SpacetimeGrid(3, 16, 16, 0.2, lx / 16))
+    res_ratio = res_h / res_half
+    agr_ratio = agr_h / agr_half
     checks = [
         ("torsion residual ratio ~ 4", 3.0 < res_ratio < 5.0, f"ratio {res_ratio:.2f}"),
         ("agreement ratio ~ 4", 3.0 < agr_ratio < 5.0, f"ratio {agr_ratio:.2f}"),
@@ -131,33 +115,10 @@ def test_criterion_04_action_suite():
     rng = np.random.default_rng(41)
     params = ModelParams(G=1 / (8 * np.pi), l=1.0, mu=0.9)  # 8 pi G = 1
     grid = SpacetimeGrid(10, 12, 12, 0.17, 0.43)
-    tt = np.arange(grid.nt) * grid.ht
-    xx = np.arange(grid.nx) * grid.h
-    yy = np.arange(grid.ny) * grid.h
-    t3, x3, y3 = np.meshgrid(tt, xx, yy, indexing="ij")
-    periods = (grid.nt * grid.ht, grid.nx * grid.h, grid.ny * grid.h)
-
-    def random_slab():
-        modes = []
-        while len(modes) < 4:
-            cand = (int(rng.integers(-2, 3)), int(rng.integers(-3, 4)),
-                    int(rng.integers(-3, 4)))
-            if cand != (0, 0, 0):
-                modes.append(cand)
-
-        def comp():
-            out = np.zeros(grid.shape)
-            for kt, kx, ky in modes:
-                out += 0.2 * rng.normal() * np.sin(
-                    2 * np.pi * (kt * t3 / periods[0] + kx * x3 / periods[1]
-                                 + ky * y3 / periods[2]) + rng.uniform(0, 2 * np.pi))
-            return out
-        return DiagonalFluctuationSlab(grid, comp(), comp())
-
     flat_ok = True
     quad_worst = 0.0
     for _ in range(5):
-        slab = random_slab()
+        slab = random_bandlimited_slab(rng, grid, 4, 0.2)
         rep = palatini_orders(params, slab)
         flat_ok &= (abs(rep.s0) <= 1e-12 and abs(rep.s1) <= 1e-12)
         fp = fierz_pauli_quadratic(params, slab)

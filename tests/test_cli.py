@@ -98,6 +98,7 @@ def test_spectrum_dense_cap_rejects_before_assembly(tmp_path, monkeypatch, capsy
 
     monkeypatch.setattr(ed, "assemble_simulator_hamiltonian", refuse)
     monkeypatch.setattr(ed, "assemble_background_hopping", refuse)
+    dim = 96 if g != "0" else 6  # C(4, 2) x 2^4; at g = 0 the bosons are dropped
     code, out = _run(tmp_path, f"""
 command = spectrum
 [model]
@@ -107,10 +108,10 @@ ncx = 2
 ncy = 1
 [truncation]
 n_max = 1
-dense_cap = 95
+dense_cap = {dim - 1}
 """)
     assert code == 4
-    assert ("category=resource-cap sector dimension 96 exceeds dense cap for spectrum"
+    assert (f"category=resource-cap sector dimension {dim} exceeds dense cap for spectrum"
             in capsys.readouterr().err)
     assert not (out / "spectrum.csv").exists()
 
@@ -486,6 +487,33 @@ placement = per_cell
             == (out_b / "ground_state.csv").read_bytes())
 
 
+def test_zero_coupling_drops_the_bosons(tmp_path):
+    # at g = 0 the bosons decouple; kept inert they made the ground level of
+    # this config 64-fold, and Lanczos reported multiplicity=6
+    lattice = """
+[lattice]
+ncx = 3
+ncy = 1
+[truncation]
+n_max = 1
+[manybody]
+placement = per_cell
+"""
+    code_gs, out_gs = _run(tmp_path, "command = ground-state\n[model]\ng = 0\n" + lattice,
+                           out="gs")
+    code_sw, out_sw = _run(tmp_path, "command = wick-sweep\n" + lattice
+                           + "[sweep]\ng_values = 0\n", out="sweep")
+    assert code_gs == 0 and code_sw == 0
+    manifest = dict(line.split("=", 1) for line in
+                    (out_gs / "manifest.txt").read_text().splitlines())
+    assert manifest["multiplicity"] == "1"
+    assert "# boson_modes=()" in (out_gs / "ground_state.csv").read_text().splitlines()
+    g, _, energy, multiplicity = (out_sw / "wick_sweep.csv").read_text().splitlines()[1].split(",")
+    assert float(g) == 0.0 and multiplicity == "1"
+    assert float(manifest["ground_energy"]) == pytest.approx(float(energy), rel=0, abs=1e-12)
+    assert float(energy) == pytest.approx(-4.30940107675, rel=0, abs=1e-10)
+
+
 @pytest.mark.parametrize("command, artifact", [
     ("correlators", "correlator_summary.txt"), ("map-residual", "map_residual.csv")])
 def test_many_body_command_writes_its_artifact(tmp_path, command, artifact):
@@ -536,6 +564,25 @@ ny = 12
                 (out / "spin_connection.txt").read_text().splitlines())
     assert 3.0 < float(text["torsion_ratio"]) < 5.0
     assert 3.0 < float(text["agreement_ratio"]) < 5.0
+
+
+def test_spin_connection_refinement_scores_one_time_window(tmp_path):
+    # the h/2 level covers the h level's interior time window; scoring nt
+    # slices at ht/2 (half that window) read 5.85 for both ratios here
+    code, out = _run(tmp_path, """
+command = spin-connection
+seed = 2008
+[fields]
+nt = 16
+nx = 32
+ny = 32
+h = 0.8
+""")
+    assert code == 0
+    text = dict(line.split("=", 1) for line in
+                (out / "spin_connection.txt").read_text().splitlines())
+    assert 3.9 < float(text["torsion_ratio"]) < 4.1
+    assert 3.9 < float(text["agreement_ratio"]) < 4.1
 
 
 def test_integrate_out_artifact(tmp_path):

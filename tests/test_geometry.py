@@ -4,8 +4,9 @@ import pytest
 from gravlat.exceptions import DegenerateMetricError
 from gravlat.geometry import (DiagonalFluctuationField, DiagonalFluctuationSlab,
                               Grid2D, ModelParams, SpacetimeGrid,
-                              SpinConnectionSlab, central_difference,
-                              metric_from_fluctuation, spectral_difference,
+                              SpinConnectionSlab, TrigField, central_difference,
+                              connection_refinement, metric_from_fluctuation,
+                              sampled_slab, spectral_difference,
                               spin_connection_gauge_fixed,
                               spin_connection_general, torsion_residual)
 
@@ -113,24 +114,9 @@ def test_gauge_fixed_constant_velocity():
 # connection, general M-contraction on slabs
 # ---------------------------------------------------------------------------
 
-def _sampled_slab(field1, field2, grid):
-    tt = (np.arange(grid.nt) - grid.nt // 2) * grid.ht
-    xx = np.arange(grid.nx) * grid.h
-    yy = np.arange(grid.ny) * grid.h
-    t3, x3, y3 = np.meshgrid(tt, xx, yy, indexing="ij")
-    return (DiagonalFluctuationSlab(grid, field1(t3, x3, y3), field2(t3, x3, y3)),
-            (t3, x3, y3))
-
-
-def _reference_connection(params, f1, f2, grid, coords):
-    """Closed-form torsionless solution with analytic derivatives."""
-    t3, x3, y3 = coords
-    v = np.zeros((3, 3) + grid.shape)
-    v[0, 1] = -f1(t3, x3, y3, dy=1) / params.l
-    v[0, 2] = +f2(t3, x3, y3, dx=1) / params.l
-    v[1, 2] = -f2(t3, x3, y3, dt=1)
-    v[2, 1] = +f1(t3, x3, y3, dt=1)
-    return SpinConnectionSlab(grid, v)
+def _trig_pair(rng, grid):
+    """Two sine series periodic over the grid's x-y box."""
+    return [TrigField(rng, 3, 0.1, grid.nx * grid.h, grid.ny * grid.h) for _ in range(2)]
 
 
 def test_general_zero_slab():
@@ -140,13 +126,11 @@ def test_general_zero_slab():
     assert np.abs(v.tensor).max() == 0.0
 
 
-def test_general_matches_gauge_fixed_identically(trig_field_factory):
+def test_general_matches_gauge_fixed_identically(rng):
     # same finite-difference inputs -> the two formulas give the same matrix
     p = ModelParams(G=0.03, l=1.4, mu=1.0)
     grid = SpacetimeGrid(6, 12, 12, 0.2, 0.5)
-    f1 = trig_field_factory(grid.nx * grid.h, grid.ny * grid.h)
-    f2 = trig_field_factory(grid.nx * grid.h, grid.ny * grid.h)
-    slab, _ = _sampled_slab(f1, f2, grid)
+    slab, _ = sampled_slab(p, *_trig_pair(rng, grid), grid)
     v_gen = spin_connection_general(p, slab)
     mid = grid.nt // 2
     dots1 = central_difference(slab.xi1x, 0, grid.ht)[mid]
@@ -158,46 +142,45 @@ def test_general_matches_gauge_fixed_identically(trig_field_factory):
                                rtol=0, atol=1e-14)
 
 
-def test_discrete_torsion_identity(trig_field_factory):
+def test_discrete_torsion_identity(rng):
     # the FD solution satisfies the FD torsion equation exactly
     p = ModelParams(G=0.03, l=0.8, mu=1.0)
     grid = SpacetimeGrid(6, 12, 12, 0.2, 0.5)
-    f1 = trig_field_factory(grid.nx * grid.h, grid.ny * grid.h)
-    f2 = trig_field_factory(grid.nx * grid.h, grid.ny * grid.h)
-    slab, _ = _sampled_slab(f1, f2, grid)
+    slab, _ = sampled_slab(p, *_trig_pair(rng, grid), grid)
     v = spin_connection_general(p, slab)
     assert torsion_residual(p, slab, v) < 1e-14
 
 
-def test_torsion_residual_second_order(trig_field_factory):
+def test_torsion_residual_second_order(rng):
     # against the analytic solution the residual is pure O(h^2): ratio ~ 4
     p = ModelParams(G=0.02, l=1.1, mu=1.0)
-    lx = ly = 6.0
-    f1 = trig_field_factory(lx, ly)
-    f2 = trig_field_factory(lx, ly)
-    values = {}
-    for factor in (1, 2):
-        grid = SpacetimeGrid(3, int(12 * factor), int(12 * factor),
-                             0.2 / factor, lx / (12 * factor))
-        slab, coords = _sampled_slab(f1, f2, grid)
-        v_ref = _reference_connection(p, f1, f2, grid, coords)
-        res = torsion_residual(p, slab, v_ref)
-        v_gen = spin_connection_general(p, slab)
-        agree = np.abs((v_gen.tensor - v_ref.tensor)[:, :, 1:-1]).max()
-        values[factor] = (res, agree)
-    res_ratio = values[1][0] / values[2][0]
-    agree_ratio = values[1][1] / values[2][1]
-    assert 3.0 < res_ratio < 5.0
-    assert 3.0 < agree_ratio < 5.0
+    grid = SpacetimeGrid(3, 12, 12, 0.2, 0.5)
+    (res_h, agree_h), (res_half, agree_half) = connection_refinement(
+        p, *_trig_pair(rng, grid), grid)
+    assert 3.0 < res_h / res_half < 5.0
+    assert 3.0 < agree_h / agree_half < 5.0
 
 
-def test_connection_linearity(trig_field_factory):
+def test_refinement_chunks_match_one_slab(rng):
+    # nt = 5: the h/2 level has 7 slices, evaluated as chunks of 5 and 4
+    p = ModelParams(G=0.02, l=1.1, mu=1.0)
+    grid = SpacetimeGrid(5, 8, 8, 0.2, 0.75)
+    f1, f2 = _trig_pair(rng, grid)
+    _, (res_half, agree_half) = connection_refinement(p, f1, f2, grid)
+    fine = SpacetimeGrid(7, 16, 16, grid.ht / 2, grid.h / 2)
+    # interior slices 1..5 span t in [-2 ht/2, 2 ht/2] = the h interior [-ht, ht]
+    slab, v_ref = sampled_slab(p, f1, f2, fine, (np.arange(7) - 3) * fine.ht)
+    v_gen = spin_connection_general(p, slab)
+    assert res_half == torsion_residual(p, slab, v_ref)
+    assert agree_half == np.abs(v_gen.tensor - v_ref.tensor)[:, :, 1:-1].max()
+
+
+def test_connection_linearity(rng):
     p = ModelParams(G=0.02, l=1.0, mu=1.0)
     grid = SpacetimeGrid(5, 8, 8, 0.2, 0.75)
-    f1 = trig_field_factory(grid.nx * grid.h, grid.ny * grid.h)
-    f2 = trig_field_factory(grid.nx * grid.h, grid.ny * grid.h)
-    a, _ = _sampled_slab(f1, f2, grid)
-    b, _ = _sampled_slab(f2, f1, grid)
+    f1, f2 = _trig_pair(rng, grid)
+    a, _ = sampled_slab(p, f1, f2, grid)
+    b, _ = sampled_slab(p, f2, f1, grid)
     combo = DiagonalFluctuationSlab(grid, 2.0 * a.xi1x - 0.5 * b.xi1x,
                                     2.0 * a.xi2y - 0.5 * b.xi2y)
     v_combo = spin_connection_general(p, combo)

@@ -4,7 +4,7 @@ import pytest
 from gravlat.continuum import hgr_quadratic_form
 from gravlat.geometry import (DiagonalFluctuationSlab, ModelParams,
                               SpacetimeGrid, SpinConnectionSlab,
-                              spin_connection_general)
+                              random_bandlimited_slab, spin_connection_general)
 from gravlat.gravity_action import (fierz_pauli_quadratic, fp_standard_form,
                                     legendre_hamiltonian_density,
                                     massive_fp_action, massive_fp_density,
@@ -12,32 +12,6 @@ from gravlat.gravity_action import (fierz_pauli_quadratic, fp_standard_form,
 
 from conftest import (dense_fierz_pauli_quadratic, dense_fp_standard_form,
                       dense_palatini_orders, dense_palatini_total)
-
-
-def make_random_slab(rng, grid, n_modes=4, amp=0.2):
-    """Periodic random slab; the two components share one mode set so the
-    cross-term integrals are O(1) instead of vanishing by orthogonality."""
-    tt = np.arange(grid.nt) * grid.ht
-    xx = np.arange(grid.nx) * grid.h
-    yy = np.arange(grid.ny) * grid.h
-    t3, x3, y3 = np.meshgrid(tt, xx, yy, indexing="ij")
-    periods = (grid.nt * grid.ht, grid.nx * grid.h, grid.ny * grid.h)
-    modes = []
-    while len(modes) < n_modes:
-        cand = (int(rng.integers(-2, 3)), int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
-        if cand != (0, 0, 0):
-            modes.append(cand)
-
-    def component():
-        out = np.zeros(grid.shape)
-        for kt, kx, ky in modes:
-            phase = rng.uniform(0, 2 * np.pi)
-            out += amp * rng.normal() * np.sin(
-                2 * np.pi * (kt * t3 / periods[0] + kx * x3 / periods[1]
-                             + ky * y3 / periods[2]) + phase)
-        return out
-
-    return DiagonalFluctuationSlab(grid, component(), component())
 
 
 GRID = SpacetimeGrid(10, 12, 12, 0.17, 0.43)
@@ -55,7 +29,7 @@ def test_zero_slab_all_zero():
 def test_flat_background_orders_vanish(rng):
     # s0 and s1 are contractions with vanishing background curvature/torsion
     p = ModelParams(G=0.03, l=1.2, mu=0.9)
-    rep = palatini_orders(p, make_random_slab(rng, GRID))
+    rep = palatini_orders(p, random_bandlimited_slab(rng, GRID, 4, 0.2))
     assert rep.s0 == 0.0
     assert rep.s1 == 0.0
 
@@ -64,7 +38,7 @@ def test_second_order_matches_double_eps_form(rng):
     p = ModelParams(G=0.021, l=1.31, mu=0.8)
     g8 = 8 * np.pi * p.G
     for _ in range(5):
-        slab = make_random_slab(rng, GRID)
+        slab = random_bandlimited_slab(rng, GRID, 4, 0.2)
         rep = palatini_orders(p, slab)
         fp = fierz_pauli_quadratic(p, slab)
         assert abs(g8 * rep.s2 - fp) < 1e-10 * max(abs(fp), 1e-3)
@@ -74,7 +48,7 @@ def test_order_bookkeeping_total_action(rng):
     # total of (ebar + 8piG xi, 8piG v) equals s0/(8piG) + s1 + 8piG s2:
     # the expansion terminates at second order for this quadratic theory
     p = ModelParams(G=0.13, l=0.9, mu=1.1)
-    slab = make_random_slab(rng, GRID)
+    slab = random_bandlimited_slab(rng, GRID, 4, 0.2)
     v = spin_connection_general(p, slab, scheme="spectral")
     total = palatini_total(p, slab, v)
     rep = palatini_orders(p, slab, v)
@@ -87,7 +61,7 @@ def test_order_bookkeeping_total_action(rng):
 def test_sparse_actions_match_dense_oracles(rng, scheme):
     # a connection with all nine components populated, and the torsionless one
     p = ModelParams(G=0.021, l=1.31, mu=0.8)
-    xi = make_random_slab(rng, GRID)
+    xi = random_bandlimited_slab(rng, GRID, 4, 0.2)
     v = SpinConnectionSlab(GRID, 0.2 * rng.normal(size=(3, 3) + GRID.shape))
     pairs = [(palatini_total(p, xi, v, scheme), dense_palatini_total(p, xi, v, scheme)),
              (fierz_pauli_quadratic(p, xi, scheme), dense_fierz_pauli_quadratic(p, xi, scheme)),
@@ -123,7 +97,7 @@ def test_standard_fp_oracle_agreement(rng):
     # under the pinned 2 pi G / l^2 normalization
     p = ModelParams(G=0.017, l=1.23, mu=1.0)
     for _ in range(5):
-        slab = make_random_slab(rng, GRID)
+        slab = random_bandlimited_slab(rng, GRID, 4, 0.2)
         fp = fierz_pauli_quadratic(p, slab)
         std = fp_standard_form(p, slab)
         assert abs(fp - std) < 1e-8 * max(abs(fp), 1e-3)
@@ -140,7 +114,7 @@ def test_massive_constant_field_value():
 
 def test_massive_swap_symmetry(rng):
     p = ModelParams(G=0.045, l=1.0, mu=0.7)
-    slab = make_random_slab(rng, GRID)
+    slab = random_bandlimited_slab(rng, GRID, 4, 0.2)
     swapped = DiagonalFluctuationSlab(GRID, slab.xi2y, slab.xi1x)
     np.testing.assert_allclose(massive_fp_action(p, slab),
                                massive_fp_action(p, swapped), rtol=1e-12)
@@ -149,7 +123,7 @@ def test_massive_swap_symmetry(rng):
 def test_massive_equals_quadratic_plus_mass_term(rng):
     # the mass deformation only adds +8 pi G mu^2 Int xi1 xi2
     p = ModelParams(G=0.05, l=1.1, mu=0.83)
-    slab = make_random_slab(rng, GRID)
+    slab = random_bandlimited_slab(rng, GRID, 4, 0.2)
     fp = fierz_pauli_quadratic(p, slab)
     vol = GRID.volume_element
     mass_term = 8 * np.pi * p.G * p.mu ** 2 * float((slab.xi1x * slab.xi2y).sum()) * vol
@@ -181,7 +155,7 @@ def test_density_contraction_has_no_diagonal_squares():
 
 def test_report_pairs_serialize(rng):
     p = ModelParams(G=0.05, l=1.0, mu=1.0)
-    rep = palatini_orders(p, make_random_slab(rng, GRID))
+    rep = palatini_orders(p, random_bandlimited_slab(rng, GRID, 4, 0.2))
     keys = [k for k, _ in rep.to_pairs()]
     assert keys[:4] == ["s0", "s1", "s2", "s_massive"]
     assert any(k.startswith("residual_") for k in keys)
