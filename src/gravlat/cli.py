@@ -155,6 +155,9 @@ class RunConfig:
             modes = ((0, "x"), (0, "z"))
         filling = self.values[("manybody", "filling")]
         sector = spec.n_modes // 2 if filling == "half" else int(filling)
+        if sector > spec.n_modes:
+            raise ConfigError([f"filling {sector} exceeds the {spec.n_modes} "
+                               "fermion modes of the lattice"])
         return FockSpace(spec.n_modes, modes, self.values[("truncation", "n_max")],
                          sector=sector, nnz_cap=self.values[("truncation", "nnz_cap")])
 
@@ -327,6 +330,8 @@ def _cmd_graviton_modes(cfg, outdir, extras):
 
 
 def _cmd_design(cfg, outdir, extras):
+    if cfg.params.G == 0:
+        raise ConfigError(["design requires g > 0"])
     pairs = design_sheet_pairs(cfg.params)
     hub = hubbard_integrals(cfg[("hubbard", "v0")], cfg[("hubbard", "a_s")],
                             cfg[("hubbard", "mass")], cfg[("hubbard", "spacing")])

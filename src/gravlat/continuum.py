@@ -2,12 +2,10 @@
 boson sector, normal modes, currents, and the induced current-current
 interaction.
 
-The quadratic boson Hamiltonian density carries a sign convention switch:
-``"legendre"`` (default) is the choice consistent with the Legendre
-transform of the quadratic Lagrangian and is what every cross-check in this
-package uses; ``"flipped_mass"`` flips the mass term and is exposed only for
-comparison runs.  The induced current-current interaction is derived against the
-flipped-mass form (see :func:`integrate_out_geometry`).
+The quadratic boson Hamiltonian density carries the mass sign set by the
+Legendre transform of the quadratic Lagrangian (:func:`hgr_quadratic_form`).
+The induced current-current interaction is derived against the form with the
+opposite mass sign (see :func:`integrate_out_geometry`).
 """
 
 from __future__ import annotations
@@ -128,16 +126,14 @@ class GravitonQuadraticForm:
 
         H = kinetic_coeff * pi1x pi2y + mass_coeff * xi1x xi2y
 
-    with kinetic_coeff = -1/(8 pi G) and mass_coeff = -8 pi G mu^2 in the
-    default ("legendre") convention; the "flipped_mass" convention flips the
-    mass sign.  ``q_minus_coeff``/``q_plus_coeff`` are the coefficients of
-    (q1+ - q1)(q2+ - q2) and (q1+ + q1)(q2+ + q2) in the ladder-operator
-    form of the same density.
+    with kinetic_coeff = -1/(8 pi G) and mass_coeff = -8 pi G mu^2, the sign
+    set by the Legendre transform.  ``q_minus_coeff``/``q_plus_coeff`` are
+    the coefficients of (q1+ - q1)(q2+ - q2) and (q1+ + q1)(q2+ + q2) in the
+    ladder-operator form of the same density.
     """
 
     kinetic_coeff: float
     mass_coeff: float
-    convention: str
 
     @property
     def q_minus_coeff(self) -> float:
@@ -161,8 +157,7 @@ class GravitonQuadraticForm:
                 + self.mass_coeff * np.asarray(xi1x) * np.asarray(xi2y))
 
 
-def hgr_quadratic_form(params: ModelParams,
-                       convention: str = "legendre") -> GravitonQuadraticForm:
+def hgr_quadratic_form(params: ModelParams) -> GravitonQuadraticForm:
     """Quadratic boson sector of the total Hamiltonian.
 
     Raises
@@ -173,14 +168,8 @@ def hgr_quadratic_form(params: ModelParams,
     """
     if params.G == 0:
         raise TopologicalLimitError("G = 0: momentum coefficient 1/(8 pi G) undefined")
-    if convention not in ("legendre", "flipped_mass"):
-        raise ValueError(f"unknown convention {convention!r}")
-    kinetic = -1.0 / (8.0 * np.pi * params.G)
-    mass = 8.0 * np.pi * params.G * params.mu ** 2
-    if convention == "legendre":
-        mass = -mass
-    return GravitonQuadraticForm(kinetic_coeff=kinetic, mass_coeff=mass,
-                                 convention=convention)
+    return GravitonQuadraticForm(kinetic_coeff=-1.0 / (8.0 * np.pi * params.G),
+                                 mass_coeff=-8.0 * np.pi * params.G * params.mu ** 2)
 
 
 def symplectic_frequencies(q_matrix: np.ndarray):
@@ -211,7 +200,7 @@ def normal_mode_frequencies(params: ModelParams):
     """
     if params.G == 0:
         raise TopologicalLimitError("normal modes undefined at G = 0")
-    form = hgr_quadratic_form(params, convention="legendre")
+    form = hgr_quadratic_form(params)
     omega = float(np.sqrt(form.kinetic_coeff * form.mass_coeff))
     return omega, omega, (+1, -1)
 
@@ -257,7 +246,7 @@ def fermionic_current(psi: np.ndarray, grid: Grid2D, params: ModelParams,
 
 
 # Stationary value of f(xi) = s (xi1 J1 + xi2 J2) + m xi1 xi2 with
-# s = 8 pi G / l and m = 8 pi G mu^2 (flipped-mass convention) is
+# s = 8 pi G / l and m = 8 pi G mu^2 (the opposite mass sign) is
 # f* = -s^2 J1 J2 / m, i.e. this multiple of (pi G / (l^2 mu^2)) times the
 # epsilon contraction 2 J1 J2 of diagonal currents.
 ELIMINATION_RATIO = Fraction(-4)
@@ -282,7 +271,7 @@ def integrate_out_geometry(currents: CurrentField, params: ModelParams) -> Effec
     """Current-current density left after Gaussian elimination of (xi, pi).
 
     Eliminating the momenta contributes only a current-independent factor;
-    completing the square in xi against the flipped-mass form with the
+    completing the square in xi against the opposite-mass-sign form with the
     linear source from the fermion coupling leaves
 
         -(4 pi G / (l^2 mu^2)) eps_ab eps^ij J^a_i J^b_j .

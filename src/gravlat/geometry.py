@@ -2,8 +2,12 @@
 
 The background frame is ebar = diag(1, l, l) over (t, x, y); fluctuations
 enter as ``e = ebar + 8*pi*G*xi`` with only the two diagonal spatial
-components xi1x, xi2y alive.  The connection perturbation returned here is
-the G-free solution ``v`` of the linearized zero-torsion condition
+components xi1x, xi2y alive.  Fields live on a periodic space-time slab
+(:class:`DiagonalFluctuationSlab` on a :class:`SpacetimeGrid`, axes
+(t, x, y)), the one frame-field representation of this module; metrics and
+connections are returned on the same slab.  The connection perturbation
+returned here is the G-free solution ``v`` of the linearized zero-torsion
+condition
 
     eps^{mu nu rho} ( d_nu xi^A_rho + eps^A_BC ebar^B_nu v^C_rho ) = 0 ,
 
@@ -16,10 +20,15 @@ components for diagonal fields:
     v^1_x = 0,  v^1_y = -d_t xi2y
     v^2_x = +d_t xi1x,  v^2_y = 0
 
+They are written once, in ``_closed_form_connection``, which takes the four
+derivatives they read: :func:`spin_connection_gauge_fixed` feeds it central
+differences and :func:`sampled_slab` analytic derivatives.
+
 The same solution is reproduced index-blind by ``v = -M eps dxi`` with
-M^{AB}_{mu nu} = (1/det ebar)(ebar^A_mu ebar^B_nu / 2 - ebar^A_nu ebar^B_mu);
-with the permutation-symbol epsilon convention of :mod:`gravlat.conventions`
-the overall minus sign is required for the torsion residual to vanish.
+M^{AB}_{mu nu} = (1/det ebar)(ebar^A_mu ebar^B_nu / 2 - ebar^A_nu ebar^B_mu)
+(:func:`spin_connection_general`); with the permutation-symbol epsilon
+convention of :mod:`gravlat.conventions` the overall minus sign is required
+for the torsion residual to vanish.
 """
 
 from __future__ import annotations
@@ -36,10 +45,8 @@ __all__ = [
     "ModelParams",
     "Grid2D",
     "SpacetimeGrid",
-    "DiagonalFluctuationField",
     "DiagonalFluctuationSlab",
     "MetricField",
-    "SpinConnectionField",
     "SpinConnectionSlab",
     "metric_from_fluctuation",
     "spin_connection_gauge_fixed",
@@ -142,41 +149,6 @@ class SpacetimeGrid:
         return self.ht * self.h * self.h
 
 
-def _check_shape(grid_shape, *arrays):
-    for arr in arrays:
-        if arr is not None and np.shape(arr) != tuple(grid_shape):
-            raise ValueError(f"field shape {np.shape(arr)} != grid shape {tuple(grid_shape)}")
-
-
-@dataclass(frozen=True)
-class DiagonalFluctuationField:
-    """Grid samples of the two diagonal frame fluctuations (2D snapshot).
-
-    Off-diagonal components are identically zero by construction.  Time
-    derivatives are optional and default to zero fields.
-    """
-
-    grid: Grid2D
-    xi1x: np.ndarray
-    xi2y: np.ndarray
-    xi1x_dot: Optional[np.ndarray] = None
-    xi2y_dot: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        _check_shape(self.grid.shape, self.xi1x, self.xi2y, self.xi1x_dot, self.xi2y_dot)
-
-    def dots(self):
-        z = np.zeros(self.grid.shape)
-        d1 = self.xi1x_dot if self.xi1x_dot is not None else z
-        d2 = self.xi2y_dot if self.xi2y_dot is not None else z
-        return d1, d2
-
-    @classmethod
-    def zero(cls, grid: Grid2D) -> "DiagonalFluctuationField":
-        z = np.zeros(grid.shape)
-        return cls(grid, z, z.copy())
-
-
 @dataclass(frozen=True)
 class DiagonalFluctuationSlab:
     """Space-time samples of (xi1x, xi2y) on a periodic slab."""
@@ -186,7 +158,9 @@ class DiagonalFluctuationSlab:
     xi2y: np.ndarray
 
     def __post_init__(self):
-        _check_shape(self.grid.shape, self.xi1x, self.xi2y)
+        for arr in (self.xi1x, self.xi2y):
+            if np.shape(arr) != self.grid.shape:
+                raise ValueError(f"field shape {np.shape(arr)} != grid shape {self.grid.shape}")
 
     @classmethod
     def zero(cls, grid: SpacetimeGrid) -> "DiagonalFluctuationSlab":
@@ -203,44 +177,11 @@ class DiagonalFluctuationSlab:
 
 @dataclass(frozen=True)
 class MetricField:
-    """Per-node diagonal spacetime metric; g_tt = -1 exactly."""
+    """Per-node diagonal spacetime metric on a slab; g_tt = -1 exactly."""
 
-    grid: Grid2D
+    grid: SpacetimeGrid
     gxx: np.ndarray
     gyy: np.ndarray
-
-    def as_matrices(self) -> np.ndarray:
-        out = np.zeros(self.grid.shape + (3, 3))
-        out[..., 0, 0] = -1.0
-        out[..., 1, 1] = self.gxx
-        out[..., 2, 2] = self.gyy
-        return out
-
-
-@dataclass(frozen=True)
-class SpinConnectionField:
-    """Connection perturbation components on a 2D grid; v^a_t = 0 by gauge."""
-
-    grid: Grid2D
-    v0t: np.ndarray
-    v0x: np.ndarray
-    v0y: np.ndarray
-    v1x: np.ndarray
-    v1y: np.ndarray
-    v2x: np.ndarray
-    v2y: np.ndarray
-
-    def as_tensor(self) -> np.ndarray:
-        """v[A, mu] over axis order (t, x, y); v^a_t entries are zero."""
-        out = np.zeros((3, 3) + self.grid.shape)
-        out[0, 0] = self.v0t
-        out[0, 1] = self.v0x
-        out[0, 2] = self.v0y
-        out[1, 1] = self.v1x
-        out[1, 2] = self.v1y
-        out[2, 1] = self.v2x
-        out[2, 2] = self.v2y
-        return out
 
 
 @dataclass(frozen=True)
@@ -253,14 +194,6 @@ class SpinConnectionSlab:
     def __post_init__(self):
         if self.tensor.shape != (3, 3) + self.grid.shape:
             raise ValueError("connection tensor shape mismatch")
-
-    def slice_field(self, it: int, grid2d: Optional[Grid2D] = None) -> SpinConnectionField:
-        g2 = grid2d or Grid2D(self.grid.nx, self.grid.ny, self.grid.h)
-        v = self.tensor
-        return SpinConnectionField(
-            g2, v[0, 0, it], v[0, 1, it], v[0, 2, it],
-            v[1, 1, it], v[1, 2, it], v[2, 1, it], v[2, 2, it],
-        )
 
 
 def background_frame(params: ModelParams) -> np.ndarray:
@@ -376,7 +309,7 @@ def _contract(subscripts: str, *operands):
 # operations
 # ---------------------------------------------------------------------------
 
-def metric_from_fluctuation(params: ModelParams, xi: DiagonalFluctuationField) -> MetricField:
+def metric_from_fluctuation(params: ModelParams, xi: DiagonalFluctuationSlab) -> MetricField:
     """Diagonal metric g = diag(-1, l^2 + 8 pi G h_xx, l^2 + 8 pi G h_yy).
 
     The metric perturbations are h_xx = 2 l xi1x and h_yy = 2 l xi2y; the
@@ -398,30 +331,33 @@ def metric_from_fluctuation(params: ModelParams, xi: DiagonalFluctuationField) -
     return MetricField(xi.grid, gxx, gyy)
 
 
+def _closed_form_connection(l: float, dy_xi1x, dx_xi2y, dt_xi1x, dt_xi2y) -> np.ndarray:
+    """v[A, mu] of the module docstring from the four derivatives it reads."""
+    v = np.zeros((3, 3) + np.shape(dy_xi1x))
+    v[0, 1] = -dy_xi1x / l
+    v[0, 2] = +dx_xi2y / l
+    v[1, 2] = -dt_xi2y
+    v[2, 1] = +dt_xi1x
+    return v
+
+
 def spin_connection_gauge_fixed(params: ModelParams,
-                                xi: DiagonalFluctuationField) -> SpinConnectionField:
+                                xi: DiagonalFluctuationSlab) -> SpinConnectionSlab:
     """Closed-form torsionless connection for diagonal fluctuations.
 
-    Spatial derivatives are second-order central differences on the
-    periodic grid; time derivatives are taken from the field's stored
-    ``xi1x_dot`` / ``xi2y_dot`` samples (zero when absent).  v^0_t vanishes
-    identically for diagonal fields: the antisymmetric contraction it is
-    built from has no diagonal support.
+    Derivatives along t, x and y are second-order central differences on
+    the periodic slab.  v^0_t vanishes identically for diagonal fields: the
+    antisymmetric contraction it is built from has no diagonal support.
+    This is the reference that :func:`spin_connection_general` is tested
+    against.
     """
-    l = params.l
-    h = xi.grid.h
-    d1, d2 = xi.dots()
-    zero = np.zeros(xi.grid.shape)
-    return SpinConnectionField(
-        grid=xi.grid,
-        v0t=zero,
-        v0x=-central_difference(xi.xi1x, 1, h) / l,
-        v0y=+central_difference(xi.xi2y, 0, h) / l,
-        v1x=zero.copy(),
-        v1y=-d2,
-        v2x=+d1,
-        v2y=zero.copy(),
-    )
+    grid = xi.grid
+    return SpinConnectionSlab(grid, _closed_form_connection(
+        params.l,
+        central_difference(xi.xi1x, 2, grid.h),
+        central_difference(xi.xi2y, 1, grid.h),
+        central_difference(xi.xi1x, 0, grid.ht),
+        central_difference(xi.xi2y, 0, grid.ht)))
 
 
 def spin_connection_general(params: ModelParams, xi: DiagonalFluctuationSlab,
@@ -430,8 +366,10 @@ def spin_connection_general(params: ModelParams, xi: DiagonalFluctuationSlab,
 
     Works on a space-time slab (>= 3 time slices) with finite differences
     along every axis; ``scheme="spectral"`` switches to Fourier derivatives
-    for band-limited fields.  Agrees with the closed-form gauge-fixed
-    components to O(h^2) (exactly, for spectral derivatives).
+    for band-limited fields.  With central differences it equals
+    :func:`spin_connection_gauge_fixed` to rounding; against the closed form
+    on analytic derivatives it is O(h^2) off (exact, for spectral
+    derivatives).
     """
     grid = xi.grid
     dxi = _slab_derivatives(_components(xi.as_tensor()), grid.spacings, scheme)
@@ -554,11 +492,7 @@ def sampled_slab(params: ModelParams, f1: TrigField, f2: TrigField,
     y = (np.arange(grid.ny) * grid.h)[None, None, :]
     xi1, xi1_y, xi1_t = f1.sample(t, x, y, ((0, 0, 0), (0, 0, 1), (1, 0, 0)))
     xi2, xi2_x, xi2_t = f2.sample(t, x, y, ((0, 0, 0), (0, 1, 0), (1, 0, 0)))
-    v = np.zeros((3, 3) + grid.shape)
-    v[0, 1] = -xi1_y / params.l
-    v[0, 2] = +xi2_x / params.l
-    v[1, 2] = -xi2_t
-    v[2, 1] = +xi1_t
+    v = _closed_form_connection(params.l, xi1_y, xi2_x, xi1_t, xi2_t)
     return DiagonalFluctuationSlab(grid, xi1, xi2), SpinConnectionSlab(grid, v)
 
 

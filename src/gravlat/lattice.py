@@ -223,6 +223,12 @@ def _velocities_from_couplings(jx, jz):
     return vx, vy
 
 
+def _at_cells(bad) -> str:
+    """' at cells [...]' naming the True entries of a per-cell mask; empty
+    for uniform (scalar) input, which has no cells to name."""
+    return f" at cells {np.argwhere(bad).tolist()}" if np.ndim(bad) else ""
+
+
 def dreibein_from_couplings(c: CouplingField, params: ModelParams):
     """Invert the slope dictionary to per-cell fluctuations (xi1x, xi2y).
 
@@ -235,8 +241,8 @@ def dreibein_from_couplings(c: CouplingField, params: ModelParams):
     if not c.jx_equals_jy:
         raise DiracRegimeError("dictionary requires J_x = J_y")
     if not c.dirac_regime_ok():
-        bad = np.argwhere(~((c.jz > 0) & (c.jz < 2 * c.jx)))
-        raise DiracRegimeError(f"couplings outside the conical window at cells {bad.tolist()}")
+        bad = ~((c.jz > 0) & (c.jz < 2 * c.jx))
+        raise DiracRegimeError(f"couplings outside the conical window{_at_cells(bad)}")
     vx, vy = _velocities_from_couplings(c.jx, c.jz)
     target = 1.0 / params.l
     if params.G == 0:
@@ -263,8 +269,7 @@ def couplings_from_dreibein(xi1x, xi2y, params: ModelParams) -> CouplingField:
     vx = 1.0 / params.l - pref * xi1x
     vy = 1.0 / params.l - pref * xi2y
     if np.any(vx <= 0) or np.any(vy <= 0):
-        bad = np.argwhere((vx <= 0) | (vy <= 0))
-        raise InversionError(f"dressed velocity <= 0 at cells {bad.tolist()}")
+        raise InversionError(f"dressed velocity <= 0{_at_cells((vx <= 0) | (vy <= 0))}")
     jz = 2.0 / 3.0 * vy
     jx = 0.5 * np.sqrt(jz ** 2 + 4.0 / 3.0 * vx ** 2)
     return CouplingField(jx, jx.copy(), jz)

@@ -524,7 +524,7 @@ def _target_terms(params: ModelParams, spec: LatticeSpec, ops: ModeOperators):
         else:
             coupling_ops[(cell, species)] = j0 * eye  # no mode: background bond
 
-    form = hgr_quadratic_form(params, convention="legendre")
+    form = hgr_quadratic_form(params)
     boson = sparse.csr_matrix(eye.shape)
     for cell in _pairs(space):
         q1, q2 = _ladder_pair(ops.b, space, cell)

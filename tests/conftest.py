@@ -41,8 +41,8 @@ def rng():
 def symbolic_elimination_ratio() -> sp.Rational:
     """Exact coefficient of the induced interaction, by completing squares.
 
-    Works in the flipped-mass convention: the geometry-dependent part of
-    the Hamiltonian density is
+    Works with the mass sign opposite to ``hgr_quadratic_form``: the
+    geometry-dependent part of the Hamiltonian density is
 
         f(xi) = s (xi1 J1 + xi2 J2) + m xi1 xi2 ,
         s = 8 pi G / l^2 * l = 8 pi G / l ,   m = +8 pi G mu^2 ,
@@ -252,7 +252,7 @@ def full_space_target(params: ModelParams, spec: LatticeSpec,
             coupling_ops[(cell, species)] = j0 * eye  # no mode: background bond
     h = full_space_hopping(ops, spec, coupling_ops)
 
-    form = hgr_quadratic_form(params, convention="legendre")
+    form = hgr_quadratic_form(params)
     for cell in _pairs(space):
         q1, q2 = ops.q_pair(cell)
         q1m = q1.getH() - q1

@@ -213,6 +213,27 @@ placement = cell0
     assert not (out / "map_residual.csv").exists()
 
 
+def test_design_at_zero_coupling_is_config_error(tmp_path, capsys):
+    code, out = _run(tmp_path, "command = design\n[model]\ng = 0\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: category=config design requires g > 0" in err
+    assert "Traceback" not in err
+    assert not (out / "design_sheet.txt").exists()
+
+
+def test_filling_above_the_mode_count_is_config_error(tmp_path, capsys):
+    code, _ = _run(tmp_path, """
+command = ground-state
+[manybody]
+filling = 99
+""")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: category=config filling 99 exceeds the 2 fermion modes of the lattice" in err
+    assert "Traceback" not in err
+
+
 def test_import_loads_no_sympy_optimize_or_sparse():
     src = Path(gravlat.__file__).resolve().parents[1]
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import gravlat.cli; "

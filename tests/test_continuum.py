@@ -134,14 +134,6 @@ def test_quadratic_form_topological_limit():
         hgr_quadratic_form(ModelParams(G=0.0, l=1.0, mu=1.0))
 
 
-def test_flipped_mass_convention_flips_only_that_sign():
-    p = ModelParams(G=0.02, l=1.0, mu=1.0)
-    default = hgr_quadratic_form(p, convention="legendre")
-    flipped = hgr_quadratic_form(p, convention="flipped_mass")
-    assert flipped.mass_coeff == -default.mass_coeff
-    assert flipped.kinetic_coeff == default.kinetic_coeff
-
-
 @pytest.mark.parametrize("G", [1e-3, 1e-2])
 @pytest.mark.parametrize("mu", [0.1, 0.5, 1.0])
 def test_normal_modes_equal_mu(G, mu):

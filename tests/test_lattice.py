@@ -159,8 +159,23 @@ def test_zero_coupling_limit_errors():
     p = ModelParams(G=0.01, l=1.0, mu=1.0)
     # fluctuation large enough to zero J_z: dressed y velocity <= 0
     bad = p.l / (8 * np.pi * p.G)
-    with pytest.raises(InversionError):
+    with pytest.raises(InversionError) as err:
         couplings_from_dreibein(0.0, bad, p)
+    assert str(err.value) == "dressed velocity <= 0"  # uniform input has no cells
+    with pytest.raises(InversionError) as err:
+        couplings_from_dreibein(np.zeros((2, 2)), np.array([[0.0, bad], [0.0, 0.0]]), p)
+    assert str(err.value) == "dressed velocity <= 0 at cells [[0, 1]]"
+
+
+def test_conical_window_error_names_cells_only_for_per_cell_input():
+    p = ModelParams(G=0.01, l=1.0, mu=1.0)
+    with pytest.raises(DiracRegimeError) as err:
+        dreibein_from_couplings(CouplingField.uniform(1.0, 1.0, 2.5), p)
+    assert str(err.value) == "couplings outside the conical window"
+    jz = np.array([1.0, 2.5, 1.0])
+    with pytest.raises(DiracRegimeError) as err:
+        dreibein_from_couplings(CouplingField(np.ones(3), np.ones(3), jz), p)
+    assert str(err.value) == "couplings outside the conical window at cells [[1]]"
 
 
 def test_g_zero_dictionary_is_background_only():
