@@ -26,11 +26,11 @@ import numpy as np
 from . import __version__
 from .exceptions import (ConfigError, ConvergenceError, DimensionCapError,
                          GravlatError)
-from .geometry import (Grid2D, ModelParams, SpacetimeGrid, TrigField,
+from .geometry import (ModelParams, SpacetimeGrid, TrigField,
                        connection_refinement, random_bandlimited_slab)
 from .gravity_action import (fierz_pauli_quadratic, fp_standard_form,
                              legendre_hamiltonian_density, palatini_orders)
-from .continuum import (CurrentField, gaussian_elimination_oracle,
+from .continuum import (gaussian_elimination_oracle,
                         hgr_quadratic_form, integrate_out_geometry,
                         normal_mode_frequencies, symplectic_frequencies)
 from .designer import design_sheet_pairs, hubbard_integrals
@@ -50,6 +50,8 @@ COMMANDS = (
     "map-residual", "integrate-out",
 )
 
+# the placements of manybody.boson_modes, listed here so that parsing a
+# config does not import manybody (and scipy.sparse with it)
 _PLACEMENTS = ("per_cell", "uniform", "cell0")
 
 
@@ -144,15 +146,9 @@ class RunConfig:
                            self.values[("lattice", "ncy")])
 
     def fock_space(self) -> FockSpace:
-        from .manybody import FockSpace, per_cell_pairs, uniform_pair
+        from .manybody import FockSpace, boson_modes
         spec = self.lattice
-        placement = self.values[("manybody", "placement")]
-        if placement == "per_cell":
-            modes = per_cell_pairs(spec)
-        elif placement == "uniform":
-            modes = uniform_pair()
-        else:
-            modes = ((0, "x"), (0, "z"))
+        modes = boson_modes(spec, self.values[("manybody", "placement")])
         filling = self.values[("manybody", "filling")]
         sector = spec.n_modes // 2 if filling == "half" else int(filling)
         if sector > spec.n_modes:
@@ -343,11 +339,8 @@ def _cmd_integrate_out(cfg, outdir, extras):
     params = cfg.params
     if params.G == 0:
         raise ConfigError(["integrate-out requires g > 0"])
-    grid = Grid2D(4, 4, 1.0)
     j1, j2 = 0.7, -0.3
-    currents = CurrentField(grid, np.full(grid.shape, j1), np.zeros(grid.shape),
-                            np.zeros(grid.shape), np.full(grid.shape, j2))
-    eff = integrate_out_geometry(currents, params)
+    eff = integrate_out_geometry(params)
     oracle = gaussian_elimination_oracle(params, j1, j2)
     closed = eff.coefficient * 2.0 * j1 * j2
     write_keyvalue(outdir / "integrate_out.txt", [

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -254,21 +253,22 @@ ELIMINATION_RATIO = Fraction(-4)
 
 @dataclass(frozen=True)
 class EffectiveInteraction:
-    """Induced current-current interaction after eliminating the geometry.
-
-    density = coefficient * eps_ab eps^ij J^a_i J^b_j, and for the diagonal
-    current configuration the epsilon contraction equals
-    2 (j1x j2y - j1y j2x).
-    """
+    """Induced current-current interaction after eliminating the geometry:
+    the density coefficient * eps_ab eps^ij J^a_i J^b_j."""
 
     coefficient: float
     coefficient_over_unit: Fraction  # exact multiple of pi G / (l^2 mu^2)
-    density: np.ndarray
-    grid: Optional[Grid2D]
+
+    def density(self, currents: CurrentField) -> np.ndarray:
+        """The density per node of ``currents``; the epsilon contraction
+        equals 2 (j1x j2y - j1y j2x)."""
+        return self.coefficient * (
+            2.0 * (currents.j1x * currents.j2y - currents.j1y * currents.j2x))
 
 
-def integrate_out_geometry(currents: CurrentField, params: ModelParams) -> EffectiveInteraction:
-    """Current-current density left after Gaussian elimination of (xi, pi).
+def integrate_out_geometry(params: ModelParams) -> EffectiveInteraction:
+    """Current-current interaction left after Gaussian elimination of
+    (xi, pi); :meth:`EffectiveInteraction.density` evaluates it on currents.
 
     Eliminating the momenta contributes only a current-independent factor;
     completing the square in xi against the opposite-mass-sign form with the
@@ -282,13 +282,7 @@ def integrate_out_geometry(currents: CurrentField, params: ModelParams) -> Effec
     if params.mu == 0:
         raise MasslessLimitError("mu = 0: geometry elimination has no inverse")
     coeff = float(ELIMINATION_RATIO) * np.pi * params.G / (params.l ** 2 * params.mu ** 2)
-    contraction = 2.0 * (currents.j1x * currents.j2y - currents.j1y * currents.j2x)
-    return EffectiveInteraction(
-        coefficient=coeff,
-        coefficient_over_unit=ELIMINATION_RATIO,
-        density=coeff * contraction,
-        grid=currents.grid,
-    )
+    return EffectiveInteraction(coefficient=coeff, coefficient_over_unit=ELIMINATION_RATIO)
 
 
 def gaussian_elimination_oracle(params: ModelParams, j1: float, j2: float,

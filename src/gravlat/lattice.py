@@ -1,6 +1,9 @@
 """Honeycomb tight-binding sector: Bloch symbol, conical points, slopes,
 the coupling <-> frame-fluctuation dictionary, and real-space matrices.
 
+The real-space bond graph lives in :meth:`LatticeSpec.bonds`;
+:func:`build_tight_binding` and the many-body assemblers iterate it.
+
 Cell translation vectors are fixed to n1 = (sqrt3/2, 3/2) and
 n2 = (-sqrt3/2, 3/2).  The Bloch function is
 
@@ -108,6 +111,22 @@ class LatticeSpec:
 
     def cell_index(self, cx: int, cy: int) -> int:
         return (cx % self.ncx) * self.ncy + (cy % self.ncy)
+
+    def bonds(self) -> list:
+        """(cell, direction, b_cell) for every bond a_cell -> b_{b_cell}.
+
+        Cell i owns three bonds, listed cell by cell in ``cell_index``
+        order: z (a_i -> b_i), x (a_i -> b_{i+n1}) and y (a_i -> b_{i+n2}),
+        wrapping around the periodic torus.
+        """
+        bonds = []
+        for cx in range(self.ncx):
+            for cy in range(self.ncy):
+                i = self.cell_index(cx, cy)
+                bonds.append((i, "z", i))
+                bonds.append((i, "x", self.cell_index(cx + 1, cy)))
+                bonds.append((i, "y", self.cell_index(cx, cy + 1)))
+        return bonds
 
 
 def reciprocal_vectors():
@@ -282,21 +301,16 @@ def couplings_from_dreibein(xi1x, xi2y, params: ModelParams) -> CouplingField:
 def build_tight_binding(c: CouplingField, spec: LatticeSpec) -> np.ndarray:
     """Hermitian hopping matrix over modes (a_0..a_{N-1}, b_0..b_{N-1}).
 
-    Periodic cell torus; per-cell couplings broadcast from scalars.  Bond
-    assignment: cell i owns its J_z bond a_i -> b_i and the two outgoing
-    bonds a_i -> b_{i+n1} (J_x) and a_i -> b_{i+n2} (J_y).
+    Periodic cell torus; per-cell couplings, of shape (ncx, ncy) or
+    broadcast from scalars.  Each bond of :meth:`LatticeSpec.bonds` adds
+    the owning cell's J of its direction (J_x, J_y or J_z) to a -> b.
     """
     n = spec.n_cells
-    jx = np.broadcast_to(c.jx, (spec.ncx, spec.ncy))
-    jy = np.broadcast_to(c.jy, (spec.ncx, spec.ncy))
-    jz = np.broadcast_to(c.jz, (spec.ncx, spec.ncy))
+    per_cell = {direction: np.broadcast_to(j, (spec.ncx, spec.ncy)).ravel()
+                for direction, j in (("x", c.jx), ("y", c.jy), ("z", c.jz))}
     f_block = np.zeros((n, n), dtype=complex)
-    for cx in range(spec.ncx):
-        for cy in range(spec.ncy):
-            i = spec.cell_index(cx, cy)
-            f_block[i, i] += jz[cx, cy]
-            f_block[i, spec.cell_index(cx + 1, cy)] += jx[cx, cy]
-            f_block[i, spec.cell_index(cx, cy + 1)] += jy[cx, cy]
+    for cell, direction, b_cell in spec.bonds():
+        f_block[cell, b_cell] += per_cell[direction][cell]
     mat = np.zeros((2 * n, 2 * n), dtype=complex)
     mat[:n, n:] = f_block
     mat[n:, :n] = f_block.conj().T

@@ -21,6 +21,13 @@ bosons are number-basis ladders truncated at n_max with the standard
 commutator defect -(n_max + 1) on the top level.  The full-space ordering
 is fermion-major: index = fermion_index * boson_dim + boson_index.
 
+Boson modes are (cell, species) pairs placed by :func:`boson_modes` (cell
+None: a pair shared by every cell); :meth:`FockSpace.boson_mode_index`
+alone decides which mode serves a cell, and every assembler checks the
+modes against the lattice.  Each assembler states its bond couplings as one
+rule ``coupling(cell, species)`` over the bonds of :meth:`LatticeSpec.bonds`;
+the x boson drives both the x and the y bond.
+
 Hamiltonians are assembled directly on the sector basis: the fermion
 factor is the sorted list of basis integers with the sector's number of
 set bits (all integers when no sector is set), and the sector basis keeps
@@ -76,8 +83,7 @@ __all__ = [
     "ground_state",
     "CorrelatorReport",
     "correlators_and_wick",
-    "per_cell_pairs",
-    "uniform_pair",
+    "boson_modes",
 ]
 
 _FERMION_A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -87,18 +93,17 @@ Q1_X = 2.0 * np.sqrt(2.0) / 3.0
 Q1_Z = -1.0 / 3.0
 
 
-def per_cell_pairs(spec: LatticeSpec):
-    """One (x, z) boson pair per unit cell."""
-    modes = []
-    for cell in range(spec.n_cells):
-        modes.append((cell, "x"))
-        modes.append((cell, "z"))
-    return tuple(modes)
+def boson_modes(spec: LatticeSpec, placement: str) -> tuple:
+    """The (cell, species) boson modes of a placement on ``spec``.
 
-
-def uniform_pair():
-    """A single (x, z) pair shared by every cell (the k = 0 fluctuation)."""
-    return ((None, "x"), (None, "z"))
+    ``per_cell``: one (x, z) pair per unit cell; ``uniform``: a single pair
+    shared by every cell (cell tag None, the k = 0 fluctuation); ``cell0``:
+    one pair on cell 0 only.  ValueError for any other placement.
+    """
+    cells = {"per_cell": range(spec.n_cells), "uniform": (None,), "cell0": (0,)}
+    if placement not in cells:
+        raise ValueError(f"unknown placement {placement!r}; one of {', '.join(cells)}")
+    return tuple((cell, species) for cell in cells[placement] for species in ("x", "z"))
 
 
 @dataclass(frozen=True)
@@ -141,12 +146,13 @@ class FockSpace:
     def dimension(self) -> int:
         return self.fermion_dim * self.boson_dim
 
-    def boson_mode_index(self, cell, species: str) -> int:
-        """Mode serving (cell, species), falling back to a shared mode."""
+    def boson_mode_index(self, cell, species: str) -> Optional[int]:
+        """Mode serving (cell, species), falling back to a shared mode;
+        None when no mode serves it."""
         for idx, (c, s) in enumerate(self.boson_modes):
             if s == species and (c == cell or c is None):
                 return idx
-        raise KeyError(f"no boson mode for cell {cell}, species {species}")
+        return None
 
     def boson_occupation_table(self) -> np.ndarray:
         """Total boson occupation per boson basis index."""
@@ -319,35 +325,30 @@ def operator_algebra(space: FockSpace) -> ModeOperators:
 # Hamiltonian assembly
 # ---------------------------------------------------------------------------
 
-def _bond_list(spec: LatticeSpec):
-    """(cell, species, a_cell, b_cell) for every bond; species x covers the
-    two outgoing bonds controlled by the cell's x boson."""
-    bonds = []
-    for cx in range(spec.ncx):
-        for cy in range(spec.ncy):
-            i = spec.cell_index(cx, cy)
-            bonds.append((i, "z", i, i))
-            bonds.append((i, "x", i, spec.cell_index(cx + 1, cy)))
-            bonds.append((i, "x", i, spec.cell_index(cx, cy + 1)))
-    return bonds
-
-
 def _pairs(space: FockSpace):
     cells = sorted({c for c, s in space.boson_modes if s == "x"},
                    key=lambda c: (c is None, c))
     return cells
 
 
-def _bond_couplings(spec: LatticeSpec, coupling_ops):
-    """{(p, q): J_pq} for every fermion pair (a_i, b_k) a bond joins, with
-    J_pq the boson-factor coupling of the bond's (cell, species); bonds
+_BOSON_SPECIES = {"z": "z", "x": "x", "y": "x"}   # the x boson serves the y bond
+
+
+def _bond_couplings(spec: LatticeSpec, coupling):
+    """{(p, q): J_pq} for every fermion pair (a_i, b_k) a bond of
+    :meth:`LatticeSpec.bonds` joins.  Each bond of cell i carries the
+    boson-factor operator ``coupling(i, species)`` of the boson species
+    driving it; the rule is called once per (cell, species), and bonds
     sharing a pair add their couplings in bond order."""
     n = spec.n_cells
-    per_pair = {}
-    for cell, species, a_cell, b_cell in _bond_list(spec):
-        key = (a_cell, n + b_cell)
-        j = coupling_ops[(cell, species)]
-        per_pair[key] = per_pair[key] + j if key in per_pair else j
+    per_bond, per_pair = {}, {}
+    for cell, direction, b_cell in spec.bonds():
+        key = (cell, _BOSON_SPECIES[direction])
+        if key not in per_bond:
+            per_bond[key] = coupling(*key)
+        pair = (cell, n + b_cell)
+        j = per_bond[key]
+        per_pair[pair] = per_pair[pair] + j if pair in per_pair else j
     return per_pair
 
 
@@ -412,6 +413,12 @@ def _lattice_algebra(spec: LatticeSpec, space: FockSpace,
                      ops: Optional[ModeOperators]) -> ModeOperators:
     if space.n_fermion_modes != spec.n_modes:
         raise ValueError("space fermion modes do not match the lattice")
+    for cell, _ in space.boson_modes:
+        if cell is not None and cell not in range(spec.n_cells):
+            raise ValueError(f"boson mode on cell {cell!r} outside the "
+                             f"{spec.n_cells} cells of the lattice")
+        if None in (space.boson_mode_index(cell, "x"), space.boson_mode_index(cell, "z")):
+            raise ValueError(f"cell {cell!r} lacks its x or z boson mode")
     if ops is None:
         return operator_algebra(space)
     if ops.space != space:
@@ -425,21 +432,14 @@ def _simulator_terms(params: ModelParams, spec: LatticeSpec, ops: ModeOperators)
     opt = optical_params(params)
     eye = sparse.identity(space.boson_dim, format="csr")
 
-    coupling_ops = {}
-    for cell, species, _, _ in _bond_list(spec):
-        key = (cell, species)
-        if key in coupling_ops:
-            continue
+    def coupling(cell, species):
         amp = opt.amplitude(species)
         strength = opt.strength(species)
         background = strength * amp * amp * eye
-        try:
-            dm = ops.b[space.boson_mode_index(cell, species)]
-        except KeyError:
-            # bond without a fluctuation mode stays at the background value
-            coupling_ops[key] = background
-            continue
-        coupling_ops[key] = background + strength * amp * (dm + dm.getH())
+        m = space.boson_mode_index(cell, species)
+        if m is None:   # bond without a fluctuation mode stays at the background
+            return background
+        return background + strength * amp * (ops.b[m] + ops.b[m].getH())
 
     g = params.G
     pref_pi = 1.0 / (24.0 * np.pi * g)
@@ -458,7 +458,7 @@ def _simulator_terms(params: ModelParams, spec: LatticeSpec, ops: ModeOperators)
         boson = boson + pref_pi * (abar_z @ (np.sqrt(2.0) * abar_x - 0.5 * abar_z))
         boson = boson + pref_n * (n_z + n_x)
         boson = boson - pref_q * (n_z @ (n_x - 0.5 * n_z))
-    return _bond_couplings(spec, coupling_ops), boson
+    return _bond_couplings(spec, coupling), boson
 
 
 def assemble_simulator_hamiltonian(params: ModelParams, spec: LatticeSpec,
@@ -494,9 +494,7 @@ def assemble_background_hopping(l: float, spec: LatticeSpec, space: FockSpace,
     ops = _lattice_algebra(spec, space, ops)
     j0 = 2.0 / (3.0 * l)
     eye = sparse.identity(space.boson_dim, format="csr")
-    coupling_ops = {(cell, species): j0 * eye
-                    for cell, species, _, _ in _bond_list(spec)}
-    return _on_sector(ops, _bond_couplings(spec, coupling_ops))
+    return _on_sector(ops, _bond_couplings(spec, lambda cell, species: j0 * eye))
 
 
 def _target_terms(params: ModelParams, spec: LatticeSpec, ops: ModeOperators):
@@ -506,23 +504,15 @@ def _target_terms(params: ModelParams, spec: LatticeSpec, ops: ModeOperators):
     j0 = 2.0 / (3.0 * params.l)
     slope = 4.0 * np.sqrt(2.0) * np.pi * params.G / params.l ** 2
 
-    coupling_ops = {}
-    for cell in _pairs(space):
+    def coupling(cell, species):
+        if space.boson_mode_index(cell, species) is None:
+            return j0 * eye   # no mode: background bond
         q1, q2 = _ladder_pair(ops.b, space, cell)
-        q1p = q1 + q1.getH()
-        q2p = q2 + q2.getH()
-        delta_jz = (2.0 / 3.0) * (-slope) * q2p
-        delta_vx = -slope * q1p
-        delta_jx = 0.5 * (delta_vx + 0.5 * delta_jz)
-        coupling_ops[(cell, "z")] = j0 * eye + delta_jz
-        coupling_ops[(cell, "x")] = j0 * eye + delta_jx
-    for cell, species, _, _ in _bond_list(spec):
-        if (cell, species) in coupling_ops:
-            continue
-        if (None, species) in coupling_ops:
-            coupling_ops[(cell, species)] = coupling_ops[(None, species)]
-        else:
-            coupling_ops[(cell, species)] = j0 * eye  # no mode: background bond
+        delta_jz = (2.0 / 3.0) * (-slope) * (q2 + q2.getH())
+        if species == "z":
+            return j0 * eye + delta_jz
+        delta_vx = -slope * (q1 + q1.getH())
+        return j0 * eye + 0.5 * (delta_vx + 0.5 * delta_jz)
 
     form = hgr_quadratic_form(params)
     boson = sparse.csr_matrix(eye.shape)
@@ -533,7 +523,7 @@ def _target_terms(params: ModelParams, spec: LatticeSpec, ops: ModeOperators):
         q1p = q1.getH() + q1
         q2p = q2.getH() + q2
         boson = boson + form.q_minus_coeff * (q1m @ q2m) + form.q_plus_coeff * (q1p @ q2p)
-    return _bond_couplings(spec, coupling_ops), boson
+    return _bond_couplings(spec, coupling), boson
 
 
 def assemble_target_hamiltonian(params: ModelParams, spec: LatticeSpec,

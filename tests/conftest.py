@@ -25,7 +25,7 @@ from gravlat.geometry import (DiagonalFluctuationSlab, ModelParams,
 from gravlat.gravity_action import ActionReport, _integral, massive_fp_action
 from gravlat.lattice import LatticeSpec
 from gravlat.manybody import (CorrelatorReport, FockSpace, GroundStateResult,
-                              ModeOperators, _bond_list, _pairs, _sector_matrix,
+                              ModeOperators, _pairs, _sector_matrix,
                               operator_algebra)
 
 
@@ -115,12 +115,19 @@ def _hermitize(h, tol: float = 1e-12):
     return sparse.csr_matrix((h + h.getH()) * 0.5)
 
 
+def _species_bonds(spec: LatticeSpec):
+    """(cell, species, a_cell, b_cell) per bond of ``spec.bonds()``; the
+    cell's x boson drives both its x and its y bond."""
+    return [(cell, "z" if direction == "z" else "x", cell, b_cell)
+            for cell, direction, b_cell in spec.bonds()]
+
+
 def full_space_hopping(ops: ModeOperators, spec: LatticeSpec, coupling_ops):
     """sum_bonds J_op (a_i+ b_k) + h.c. with J_op per (cell, species)."""
     space = ops.space
     n = spec.n_cells
     half = sparse.csr_matrix((space.dimension, space.dimension))
-    for cell, species, a_cell, b_cell in _bond_list(spec):
+    for cell, species, a_cell, b_cell in _species_bonds(spec):
         a_dag = ops.c[a_cell].getH()
         b = ops.c[n + b_cell]
         half = half + coupling_ops[(cell, species)] @ (a_dag @ b)
@@ -153,19 +160,19 @@ def full_space_simulator(params: ModelParams, spec: LatticeSpec,
     eye = sparse.identity(dim, format="csr")
 
     coupling_ops = {}
-    for cell, species, _, _ in _bond_list(spec):
+    for cell, species, _, _ in _species_bonds(spec):
         key = (cell, species)
         if key in coupling_ops:
             continue
         amp = opt.amplitude(species)
         strength = opt.strength(species)
         background = strength * amp * amp * eye
-        try:
-            dm = ops.d[space.boson_mode_index(cell, species)]
-        except KeyError:
+        m = space.boson_mode_index(cell, species)
+        if m is None:
             # bond without a fluctuation mode stays at the background value
             coupling_ops[key] = background
             continue
+        dm = ops.d[m]
         coupling_ops[key] = background + strength * amp * (dm + dm.getH())
     h = full_space_hopping(ops, spec, coupling_ops)
 
@@ -203,7 +210,7 @@ def full_space_background(l: float, spec: LatticeSpec, space: FockSpace,
     j0 = 2.0 / (3.0 * l)
     eye = sparse.identity(space.dimension, format="csr")
     coupling_ops = {(cell, species): j0 * eye
-                    for cell, species, _, _ in _bond_list(spec)}
+                    for cell, species, _, _ in _species_bonds(spec)}
     return _hermitize(full_space_hopping(ops, spec, coupling_ops))
 
 
@@ -243,7 +250,7 @@ def full_space_target(params: ModelParams, spec: LatticeSpec,
         delta_jx = 0.5 * (delta_vx + 0.5 * delta_jz)
         coupling_ops[(cell, "z")] = j0 * eye + delta_jz
         coupling_ops[(cell, "x")] = j0 * eye + delta_jx
-    for cell, species, _, _ in _bond_list(spec):
+    for cell, species, _, _ in _species_bonds(spec):
         if (cell, species) in coupling_ops:
             continue
         if (None, species) in coupling_ops:

@@ -17,8 +17,8 @@ import sympy as sp
 from gravlat.cli import main
 from gravlat.continuum import (gaussian_elimination_oracle, hgr_quadratic_form,
                                integrate_out_geometry, normal_mode_frequencies,
-                               symplectic_frequencies, CurrentField)
-from gravlat.geometry import (Grid2D, ModelParams, SpacetimeGrid, TrigField,
+                               symplectic_frequencies)
+from gravlat.geometry import (ModelParams, SpacetimeGrid, TrigField,
                               connection_refinement, random_bandlimited_slab)
 from gravlat.gravity_action import (fierz_pauli_quadratic,
                                     legendre_hamiltonian_density,
@@ -253,11 +253,8 @@ def test_criterion_09_wick_signature():
 def test_criterion_10_integrate_out_coefficient():
     started = time.perf_counter()
     p = ModelParams(G=0.0125, l=1.2, mu=0.75)
-    grid = Grid2D(4, 4, 1.0)
     j1, j2 = 0.8, -0.45
-    currents = CurrentField(grid, np.full(grid.shape, j1), np.zeros(grid.shape),
-                            np.zeros(grid.shape), np.full(grid.shape, j2))
-    eff = integrate_out_geometry(currents, p)
+    eff = integrate_out_geometry(p)
     symbolic_ok = eff.coefficient_over_unit == sp.Rational(-4)
     closed = eff.coefficient * 2 * j1 * j2
     oracle = gaussian_elimination_oracle(p, j1, j2)

@@ -218,14 +218,14 @@ def uniform_currents(grid, j1, j2):
 def test_integrate_out_zero_current():
     p = ModelParams(G=0.05, l=1.0, mu=1.0)
     grid = grid16()
-    eff = integrate_out_geometry(uniform_currents(grid, 0.0, 0.0), p)
-    assert np.abs(eff.density).max() == 0.0
+    eff = integrate_out_geometry(p)
+    assert np.abs(eff.density(uniform_currents(grid, 0.0, 0.0))).max() == 0.0
 
 
 def test_integrate_out_reference_coefficient():
     # -4 pi G / (l^2 mu^2) at G = 1/(4 pi), l = mu = 1 is exactly -1
     p = ModelParams(G=1 / (4 * np.pi), l=1.0, mu=1.0)
-    eff = integrate_out_geometry(uniform_currents(grid16(), 1.0, 1.0), p)
+    eff = integrate_out_geometry(p)
     assert eff.coefficient == pytest.approx(-1.0, rel=1e-14)
     assert eff.coefficient_over_unit == -4
 
@@ -238,9 +238,10 @@ def test_elimination_ratio_matches_symbolic_oracle():
 def test_integrate_out_uniform_density_value():
     p = ModelParams(G=0.02, l=1.4, mu=0.8)
     j = 0.6
-    eff = integrate_out_geometry(uniform_currents(grid16(), j, j), p)
+    eff = integrate_out_geometry(p)
     expected = -4 * np.pi * p.G / (p.l ** 2 * p.mu ** 2) * 2 * j * j
-    np.testing.assert_allclose(eff.density, expected, rtol=1e-13)
+    np.testing.assert_allclose(eff.density(uniform_currents(grid16(), j, j)), expected,
+                               rtol=1e-13)
 
 
 def test_integrate_out_quadrature_oracle(rng):
@@ -254,11 +255,8 @@ def test_integrate_out_quadrature_oracle(rng):
 
 
 def test_integrate_out_linear_in_coupling():
-    grid = grid16()
-    e1 = integrate_out_geometry(uniform_currents(grid, 1.0, 1.0),
-                                ModelParams(G=1e-3, l=1.0, mu=1.0))
-    e2 = integrate_out_geometry(uniform_currents(grid, 1.0, 1.0),
-                                ModelParams(G=2e-3, l=1.0, mu=1.0))
+    e1 = integrate_out_geometry(ModelParams(G=1e-3, l=1.0, mu=1.0))
+    e2 = integrate_out_geometry(ModelParams(G=2e-3, l=1.0, mu=1.0))
     assert e2.coefficient == pytest.approx(2 * e1.coefficient, rel=1e-12)
 
 

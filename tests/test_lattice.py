@@ -241,3 +241,30 @@ def test_spectrum_chiral_symmetry(rng):
                       rng.uniform(0.5, 1.0, size=(3, 4)))
     evals = np.linalg.eigvalsh(build_tight_binding(c, spec))
     np.testing.assert_allclose(evals, -evals[::-1], atol=1e-12)
+
+
+def test_per_cell_bond_ownership_on_two_by_two():
+    # cell index cx * 2 + cy; cell i owns a_i -> b_i (J_z), a_i -> b_{i+n1}
+    # (J_x, +1 in cx) and a_i -> b_{i+n2} (J_y, +1 in cy), wrapping around
+    jx = np.array([[1.1, 1.2], [1.3, 1.4]])
+    jy = np.array([[2.1, 2.2], [2.3, 2.4]])
+    jz = np.array([[3.1, 3.2], [3.3, 3.4]])
+    x, y, z = jx.ravel(), jy.ravel(), jz.ravel()
+    f = np.array([[z[0], y[0], x[0], 0.0],
+                  [y[1], z[1], 0.0, x[1]],
+                  [x[2], 0.0, z[2], y[2]],
+                  [0.0, x[3], y[3], z[3]]])
+    expected = np.block([[np.zeros((4, 4)), f], [f.T, np.zeros((4, 4))]])
+    h = build_tight_binding(CouplingField(jx, jy, jz), LatticeSpec(2, 2))
+    np.testing.assert_array_equal(h, expected)
+
+
+@pytest.mark.parametrize("ncx,ncy", [(1, 1), (2, 2), (3, 4)])
+def test_bonds_give_each_cell_three_and_each_b_cell_one_per_direction(ncx, ncy):
+    spec = LatticeSpec(ncx, ncy)
+    bonds = spec.bonds()
+    assert [cell for cell, _, _ in bonds] == [i for i in range(spec.n_cells) for _ in "zxy"]
+    assert [direction for _, direction, _ in bonds] == ["z", "x", "y"] * spec.n_cells
+    for direction in "zxy":
+        b_cells = sorted(b for _, d, b in bonds if d == direction)
+        assert b_cells == list(range(spec.n_cells))

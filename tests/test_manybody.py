@@ -14,8 +14,8 @@ from gravlat.manybody import (FockSpace, assemble_background_hopping,
                               assemble_simulator_hamiltonian,
                               assemble_target_hamiltonian,
                               correlators_and_wick, GroundStateResult,
-                              ground_state, mapping_residual, operator_algebra,
-                              per_cell_pairs, uniform_pair)
+                              boson_modes, ground_state, mapping_residual,
+                              operator_algebra)
 
 from conftest import (full_sector_mapping_residual, full_space_background,
                       full_space_correlators, full_space_simulator,
@@ -83,8 +83,8 @@ def test_algebra_exhaustive_on_mixed_space():
 
 def test_dimension_cap():
     with pytest.raises(DimensionCapError):
-        operator_algebra(FockSpace(8, per_cell_pairs(LatticeSpec(2, 2)), 3,
-                                   nnz_cap=1000))
+        spec = LatticeSpec(2, 2)
+        operator_algebra(FockSpace(8, boson_modes(spec, "per_cell"), 3, nnz_cap=1000))
 
 
 @pytest.mark.parametrize("nf", range(11))
@@ -114,14 +114,14 @@ SPEC1 = LatticeSpec(1, 1)
 
 
 def test_simulator_hermitian_exactly():
-    space = FockSpace(2, per_cell_pairs(SPEC1), 3)
+    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 3)
     h = assemble_simulator_hamiltonian(PARAMS, SPEC1, space)
     assert h.dtype == np.float64
     assert abs(h - h.getH()).max() == 0.0
 
 
 def test_target_hermitian_exactly():
-    space = FockSpace(2, per_cell_pairs(SPEC1), 3)
+    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 3)
     h = assemble_target_hamiltonian(PARAMS, SPEC1, space)
     assert h.dtype == np.float64
     assert abs(h - h.getH()).max() == 0.0
@@ -129,7 +129,7 @@ def test_target_hermitian_exactly():
 
 def test_background_hermitian_exactly():
     spec = LatticeSpec(2, 1)
-    space = FockSpace(spec.n_modes, per_cell_pairs(spec), 1)
+    space = FockSpace(spec.n_modes, boson_modes(spec, "per_cell"), 1)
     h = assemble_background_hopping(PARAMS.l, spec, space)
     assert h.dtype == np.float64
     assert abs(h - h.getH()).max() == 0.0
@@ -148,8 +148,7 @@ def _canonical(h):
 ])
 def test_sector_assembly_matches_full_space_oracle(ncx, placement, sector):
     spec = LatticeSpec(ncx, 1)
-    modes = per_cell_pairs(spec) if placement == "per_cell" else ((0, "x"), (0, "z"))
-    space = FockSpace(spec.n_modes, modes, 2, sector=sector)
+    space = FockSpace(spec.n_modes, boson_modes(spec, placement), 2, sector=sector)
     ops = operator_algebra(space)
     idx = space.sector_indices()
     pairs = [
@@ -172,16 +171,42 @@ def test_sector_assembly_matches_full_space_oracle(ncx, placement, sector):
 
 
 def test_assembly_rejects_operators_of_another_space():
-    space = FockSpace(2, per_cell_pairs(SPEC1), 2, sector=1)
+    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 2, sector=1)
     ops = operator_algebra(replace(space, n_max=1))
     with pytest.raises(ValueError, match="another space"):
         assemble_simulator_hamiltonian(PARAMS, SPEC1, space, ops)
 
 
+@pytest.mark.parametrize("modes,match", [
+    (((5, "x"), (5, "z")), "outside"),   # 1x1 has no cell 5
+    (((0, "x"),), "lacks"),              # an x mode without its z mode
+    (((None, "z"),), "lacks"),
+])
+def test_boson_modes_are_checked_against_the_lattice(modes, match):
+    space = FockSpace(2, modes, 1, sector=1)
+    for build in (lambda: assemble_simulator_hamiltonian(PARAMS, SPEC1, space),
+                  lambda: assemble_target_hamiltonian(PARAMS, SPEC1, space),
+                  lambda: assemble_background_hopping(PARAMS.l, SPEC1, space),
+                  lambda: mapping_residual(PARAMS, SPEC1, space, window=1)):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+
+def test_boson_modes_accepts_exactly_the_config_placements():
+    from gravlat.cli import _PLACEMENTS
+    spec = LatticeSpec(2, 1)
+    assert boson_modes(spec, "per_cell") == ((0, "x"), (0, "z"), (1, "x"), (1, "z"))
+    assert boson_modes(spec, "uniform") == ((None, "x"), (None, "z"))
+    assert boson_modes(spec, "cell0") == ((0, "x"), (0, "z"))
+    with pytest.raises(ValueError, match="unknown placement") as err:
+        boson_modes(spec, "per_bond")
+    assert str(err.value).split("one of ", 1)[1].split(", ") == list(_PLACEMENTS)
+
+
 def test_boson_vacuum_projection_is_background_hopping():
     # projecting onto the boson vacuum leaves the uniform background
     # hopping (J = 2/(3l) on every bond) plus a constant shift
-    space = FockSpace(2, per_cell_pairs(SPEC1), 3)
+    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 3)
     h = assemble_simulator_hamiltonian(PARAMS, SPEC1, space).toarray()
     bdim = space.boson_dim
     block = h[0::bdim, :][:, 0::bdim]  # boson vacuum sits at boson index 0
@@ -198,7 +223,7 @@ def test_boson_vacuum_projection_is_background_hopping():
 
 def test_trivial_truncation_reduces_to_background():
     # n_max = 0: no fluctuations representable, pure hopping plus a constant
-    space = FockSpace(2, per_cell_pairs(SPEC1), 0)
+    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 0)
     h = assemble_simulator_hamiltonian(PARAMS, SPEC1, space).toarray()
     shift = h[0, 0]
     free = assemble_background_hopping(PARAMS.l, SPEC1,
@@ -207,7 +232,7 @@ def test_trivial_truncation_reduces_to_background():
 
 
 def test_fermion_number_conserved():
-    space = FockSpace(2, per_cell_pairs(SPEC1), 2)
+    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 2)
     ops = operator_algebra(space)
     n_op = ops.fermion_number()
     for h in (assemble_simulator_hamiltonian(PARAMS, SPEC1, space, ops),
@@ -219,7 +244,7 @@ def test_hopping_sectors_of_sim_and_target_coincide():
     """The condensate-linearized couplings and the dictionary-linearized
     ladder couplings are the same operators, so the whole mapping defect
     lives in the boson sector."""
-    space = FockSpace(2, per_cell_pairs(SPEC1), 2)
+    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 2)
     ops = operator_algebra(space)
     h_sim = assemble_simulator_hamiltonian(PARAMS, SPEC1, space, ops)
     h_tgt = assemble_target_hamiltonian(PARAMS, SPEC1, space, ops)
@@ -292,23 +317,15 @@ def test_target_boson_block_matches_quadratic_form_matrix():
 # ---------------------------------------------------------------------------
 
 def test_mapping_residual_window_guard():
-    space = FockSpace(2, per_cell_pairs(SPEC1), 2)
+    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 2)
     with pytest.raises(ValueError):
         mapping_residual(PARAMS, SPEC1, space, window=3)
 
 
 def test_mapping_residual_negative_window_is_value_error():
-    space = FockSpace(2, per_cell_pairs(SPEC1), 2)
+    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 2)
     with pytest.raises(ValueError, match="negative"):
         mapping_residual(PARAMS, SPEC1, space, window=-1)
-
-
-def _placement(spec, placement):
-    if placement == "per_cell":
-        return per_cell_pairs(spec)
-    if placement == "uniform":
-        return uniform_pair()
-    return ((0, "x"), (0, "z"))
 
 
 @pytest.mark.parametrize("ncx,placement,sector,n_max,window,g", [
@@ -329,7 +346,7 @@ def test_window_mapping_residual_matches_the_full_sector_oracle(
     bit."""
     spec = LatticeSpec(ncx, 1)
     p = ModelParams(G=g, l=1.0, mu=1.0)
-    space = FockSpace(spec.n_modes, _placement(spec, placement), n_max, sector=sector)
+    space = FockSpace(spec.n_modes, boson_modes(spec, placement), n_max, sector=sector)
     ops = operator_algebra(space)
     oracle = full_sector_mapping_residual(
         assemble_simulator_hamiltonian(p, spec, space, ops),
@@ -340,7 +357,7 @@ def test_window_mapping_residual_matches_the_full_sector_oracle(
 
 def test_window_block_is_the_slice_of_the_full_sector_hamiltonian():
     spec = LatticeSpec(2, 1)
-    space = FockSpace(spec.n_modes, per_cell_pairs(spec), 2, sector=2)
+    space = FockSpace(spec.n_modes, boson_modes(spec, "per_cell"), 2, sector=2)
     ops = operator_algebra(space)
     keep = np.flatnonzero(space.boson_occupation_table() <= 1)
     idx = (np.arange(len(ops.states))[:, None] * space.boson_dim + keep).ravel()
@@ -359,7 +376,7 @@ def test_window_block_is_the_slice_of_the_full_sector_hamiltonian():
 def test_non_hermitian_boson_term_is_rejected(monkeypatch):
     """The hopping part is Hermitian by construction, so the boson factor is
     where the Hermiticity check looks: a skewed boson term must raise."""
-    space = FockSpace(2, per_cell_pairs(SPEC1), 2)
+    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 2)
     real_terms = manybody._simulator_terms
 
     def skewed_terms(params, spec, ops):
@@ -381,7 +398,7 @@ def test_mapping_residual_quadratic_in_coupling():
     vals = {}
     for g in (1e-2, 1e-3):
         p = ModelParams(G=g, l=1.0, mu=1.0)
-        space = FockSpace(2, per_cell_pairs(SPEC1), 3)
+        space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 3)
         vals[g] = mapping_residual(p, SPEC1, space, window=2)
     ratio = vals[1e-2] / vals[1e-3]
     assert 80 < ratio < 120
@@ -390,7 +407,7 @@ def test_mapping_residual_quadratic_in_coupling():
 def test_ground_energy_agreement_within_residual_bound():
     # eigenvalue perturbation: |E0_sim - E0_target - c*| <= residual
     p = ModelParams(G=1e-3, l=1.0, mu=1.0)
-    space = FockSpace(2, per_cell_pairs(SPEC1), 2, sector=1)
+    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 2, sector=1)
     ops = operator_algebra(space)
     h_sim = assemble_simulator_hamiltonian(p, SPEC1, space, ops)
     h_tgt = assemble_target_hamiltonian(p, SPEC1, space, ops)
@@ -523,7 +540,7 @@ def test_free_state_satisfies_factorization():
 
 def test_boson_vacuum_correlators_vanish():
     spec = LatticeSpec(1, 1)
-    space = FockSpace(2, per_cell_pairs(spec), 2, sector=1)
+    space = FockSpace(2, boson_modes(spec, "per_cell"), 2, sector=1)
     ops = operator_algebra(space)
     # product state: fermion ground (from the boson-free problem) x |0_b>
     f_space = FockSpace(2, (), 0, sector=1)
@@ -553,14 +570,14 @@ def _oracle_case(name):
         dim = space.sector_dimension
         psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         return psi / np.linalg.norm(psi), space, operator_algebra(space)
-    spec, modes, n_max, sector = {
-        "2x1-per_cell-ground": (LatticeSpec(2, 1), per_cell_pairs(LatticeSpec(2, 1)), 2, 2),
-        "2x1-per_cell": (LatticeSpec(2, 1), per_cell_pairs(LatticeSpec(2, 1)), 2, 2),
-        "2x1-uniform": (LatticeSpec(2, 1), uniform_pair(), 2, 2),
-        "1x1": (LatticeSpec(1, 1), per_cell_pairs(LatticeSpec(1, 1)), 2, 1),
-        "sector-none": (LatticeSpec(2, 1), ((0, "x"), (0, "z")), 1, None),
+    spec, placement, n_max, sector = {
+        "2x1-per_cell-ground": (LatticeSpec(2, 1), "per_cell", 2, 2),
+        "2x1-per_cell": (LatticeSpec(2, 1), "per_cell", 2, 2),
+        "2x1-uniform": (LatticeSpec(2, 1), "uniform", 2, 2),
+        "1x1": (LatticeSpec(1, 1), "per_cell", 2, 1),
+        "sector-none": (LatticeSpec(2, 1), "cell0", 1, None),
     }[name]
-    space = FockSpace(spec.n_modes, modes, n_max, sector=sector)
+    space = FockSpace(spec.n_modes, boson_modes(spec, placement), n_max, sector=sector)
     ops = operator_algebra(space)
     if name.endswith("-ground"):
         h = assemble_simulator_hamiltonian(ModelParams(G=1e-2, l=1.0, mu=1.0), spec, space, ops)
@@ -632,7 +649,7 @@ def test_uniform_pair_on_two_cells_is_structurally_free():
     with a boson state, and the factorization residual collapses."""
     spec = LatticeSpec(2, 1)
     p = ModelParams(G=1e-2, l=1.0, mu=1.0)
-    space = FockSpace(4, uniform_pair(), 2, sector=2)
+    space = FockSpace(4, boson_modes(spec, "uniform"), 2, sector=2)
     ops = operator_algebra(space)
     h = assemble_simulator_hamiltonian(p, spec, space, ops)
     gs = ground_state(h, space)
