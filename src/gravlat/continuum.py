@@ -1,11 +1,12 @@
 """Target field theory: gamma algebra, single-particle symbol, quadratic
-boson sector, normal modes, currents, and the induced current-current
-interaction.
+boson sector, normal modes, and the induced current-current interaction.
 
 The quadratic boson Hamiltonian density carries the mass sign set by the
 Legendre transform of the quadratic Lagrangian (:func:`hgr_quadratic_form`).
 The induced current-current interaction is derived against the form with the
-opposite mass sign (see :func:`integrate_out_geometry`).
+opposite mass sign (see :func:`integrate_out_geometry`); it is a coefficient
+of the epsilon contraction of diagonal currents, checked at one node against
+Gauss-Hermite quadrature (:func:`gaussian_elimination_oracle`).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exceptions import MasslessLimitError, TopologicalLimitError
-from .geometry import Grid2D, ModelParams, _deriv
+from .exceptions import TopologicalLimitError
+from .geometry import ModelParams
 
 __all__ = [
     "GammaSet",
@@ -27,8 +28,6 @@ __all__ = [
     "hgr_quadratic_form",
     "normal_mode_frequencies",
     "symplectic_frequencies",
-    "CurrentField",
-    "fermionic_current",
     "ELIMINATION_RATIO",
     "EffectiveInteraction",
     "integrate_out_geometry",
@@ -204,51 +203,12 @@ def normal_mode_frequencies(params: ModelParams):
     return omega, omega, (+1, -1)
 
 
-@dataclass(frozen=True)
-class CurrentField:
-    """Fermion bilinear current components per grid node (all real)."""
-
-    grid: Grid2D
-    j1x: np.ndarray
-    j1y: np.ndarray
-    j2x: np.ndarray
-    j2y: np.ndarray
-
-    def component(self, a: int, i: str) -> np.ndarray:
-        return getattr(self, f"j{a}{i}")
-
-
-def fermionic_current(psi: np.ndarray, grid: Grid2D, params: ModelParams,
-                      scheme: str = "central") -> CurrentField:
-    """Antisymmetrized-derivative current of a spinor field.
-
-        J^a_i = (i / 2 l) ( psibar g^a d_i psi - (d_i psibar) g^a psi )
-
-    with psibar = psi^dagger g0.  The bracket is (z - conj(z)) for a
-    sesquilinear z, so the result is real for any complex field; the
-    imaginary part of the evaluation is discarded after the tests pin it
-    at machine scale.
-    """
-    if psi.shape != grid.shape + (4,):
-        raise ValueError(f"spinor field must have shape {grid.shape + (4,)}")
-    g = gamma_set()
-    psibar = np.einsum("xys,st->xyt", psi.conj(), g.g0)
-    out = {}
-    for i, axis in (("x", 0), ("y", 1)):
-        dpsi = _deriv(psi, axis, grid.h, scheme)
-        dpsibar = _deriv(psibar, axis, grid.h, scheme)
-        for a, ga in ((1, g.g1), (2, g.g2)):
-            forward = np.einsum("xys,st,xyt->xy", psibar, ga, dpsi)
-            backward = np.einsum("xys,st,xyt->xy", dpsibar, ga, psi)
-            out[f"j{a}{i}"] = ((1j / (2.0 * params.l)) * (forward - backward)).real
-    return CurrentField(grid, out["j1x"], out["j1y"], out["j2x"], out["j2y"])
-
-
 # Stationary value of f(xi) = s (xi1 J1 + xi2 J2) + m xi1 xi2 with
 # s = 8 pi G / l and m = 8 pi G mu^2 (the opposite mass sign) is
 # f* = -s^2 J1 J2 / m, i.e. this multiple of (pi G / (l^2 mu^2)) times the
 # epsilon contraction 2 J1 J2 of diagonal currents.
 ELIMINATION_RATIO = Fraction(-4)
+ORACLE_ORDER = 80  # Gauss-Hermite nodes per axis of gaussian_elimination_oracle
 
 
 @dataclass(frozen=True)
@@ -259,16 +219,10 @@ class EffectiveInteraction:
     coefficient: float
     coefficient_over_unit: Fraction  # exact multiple of pi G / (l^2 mu^2)
 
-    def density(self, currents: CurrentField) -> np.ndarray:
-        """The density per node of ``currents``; the epsilon contraction
-        equals 2 (j1x j2y - j1y j2x)."""
-        return self.coefficient * (
-            2.0 * (currents.j1x * currents.j2y - currents.j1y * currents.j2x))
-
 
 def integrate_out_geometry(params: ModelParams) -> EffectiveInteraction:
     """Current-current interaction left after Gaussian elimination of
-    (xi, pi); :meth:`EffectiveInteraction.density` evaluates it on currents.
+    (xi, pi).
 
     Eliminating the momenta contributes only a current-independent factor;
     completing the square in xi against the opposite-mass-sign form with the
@@ -279,35 +233,30 @@ def integrate_out_geometry(params: ModelParams) -> EffectiveInteraction:
     The exact rational prefactor is :data:`ELIMINATION_RATIO` (-4, in units
     of pi G / (l^2 mu^2)); the test suite re-derives it symbolically.
     """
-    if params.mu == 0:
-        raise MasslessLimitError("mu = 0: geometry elimination has no inverse")
     coeff = float(ELIMINATION_RATIO) * np.pi * params.G / (params.l ** 2 * params.mu ** 2)
     return EffectiveInteraction(coefficient=coeff, coefficient_over_unit=ELIMINATION_RATIO)
 
 
-def gaussian_elimination_oracle(params: ModelParams, j1: float, j2: float,
-                                temperature: float = 1.0, order: int = 80) -> float:
+def gaussian_elimination_oracle(params: ModelParams, j1: float, j2: float) -> float:
     """Brute-force check of the induced density at a single node.
 
-    Computes -T log(Z[J]/Z[0]) for the two-variable Boltzmann weight
-    exp(-f(xi)/T) by Gauss-Hermite quadrature.  The xi1 xi2 mass form is
-    hyperbolic, so the integral is taken along rotated contours: the sum
-    combination is integrated on the real line and the difference
-    combination on the imaginary line, where both are Gaussian-damped; the
-    current-dependent factor is contour-independent.
+    Computes -log(Z[J]/Z[0]) for the two-variable weight exp(-f(xi)) by
+    Gauss-Hermite quadrature of order :data:`ORACLE_ORDER`.  The xi1 xi2
+    mass form is hyperbolic, so the integral is taken along rotated
+    contours: the sum combination is integrated on the real line and the
+    difference combination on the imaginary line, where both are
+    Gaussian-damped; the current-dependent factor is contour-independent.
     """
-    if params.mu == 0:
-        raise MasslessLimitError("mu = 0: geometry elimination has no inverse")
     s = 8.0 * np.pi * params.G / params.l
     m = 8.0 * np.pi * params.G * params.mu ** 2
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    # weight exp(-(m/2T) u^2) on each rotated axis -> substitution
-    scale = np.sqrt(2.0 * temperature / m)
+    nodes, weights = np.polynomial.hermite.hermgauss(ORACLE_ORDER)
+    # weight exp(-(m/2) u^2) on each rotated axis -> substitution
+    scale = np.sqrt(2.0 / m)
     u = nodes * scale  # plus combination (xi1 + xi2)/sqrt2
     w = nodes * scale  # minus combination, integrated along i * real line
     cu = s * (j1 + j2) / np.sqrt(2.0)
     cw = s * (j1 - j2) / np.sqrt(2.0)
-    int_u = np.sum(weights * np.exp(-cu * u / temperature))
-    int_w = np.sum(weights * np.exp(-1j * cw * w / temperature))
+    int_u = np.sum(weights * np.exp(-cu * u))
+    int_w = np.sum(weights * np.exp(-1j * cw * w))
     ratio = (int_u / np.sum(weights)) * (int_w / np.sum(weights))
-    return float(-temperature * np.log(np.real(ratio)))
+    return float(-np.log(np.real(ratio)))

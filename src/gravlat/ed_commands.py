@@ -78,7 +78,7 @@ def _cmd_ground_state(cfg, outdir, extras):
     extras.append(("multiplicity", gs.multiplicity))
     extras.append(("eigen_residual", gs.residual))
     extras.append(("eigen_k", gs.k))
-    extras.append(("sector_dimension", gs.sector_dimension))
+    extras.append(("sector_dimension", space.sector_dimension))
     extras.append(("truncation_delta", _truncation_delta(params, spec, space, gs.energy)))
 
 
@@ -106,7 +106,7 @@ def _cmd_correlators(cfg, outdir, extras):
                                     optical_params(params))
         pairs.extend(wf.to_pairs())
     extras.append(("eigen_k", gs.k))
-    extras.append(("sector_dimension", gs.sector_dimension))
+    extras.append(("sector_dimension", space.sector_dimension))
     extras.append(("truncation_delta", _truncation_delta(params, spec, space, gs.energy)))
     for cell, qc in sorted(rep.q_corr.items(), key=lambda kv: (kv[0] is None, kv[0])):
         tag = "shared" if cell is None else f"cell{cell}"

@@ -1,7 +1,8 @@
 """Error types shared across modules.
 
 The CLI maps these onto exit codes: ConfigError -> 2, ConvergenceError -> 3,
-DimensionCapError -> 4, everything else -> 1.
+DimensionCapError -> 4, and the domain errors (TopologicalLimitError,
+DiracRegimeError, InversionError) -> 1.
 """
 
 
@@ -9,16 +10,8 @@ class GravlatError(Exception):
     """Base class for all library errors."""
 
 
-class DegenerateMetricError(GravlatError):
-    """Metric signature violated: a spatial diagonal entry is <= 0."""
-
-
 class TopologicalLimitError(GravlatError):
     """G = 0: the momentum-sector coefficient of the quadratic form diverges."""
-
-
-class MasslessLimitError(GravlatError):
-    """mu = 0: the Gaussian elimination of the geometry has no inverse."""
 
 
 class DiracRegimeError(GravlatError):

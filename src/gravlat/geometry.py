@@ -4,10 +4,9 @@ The background frame is ebar = diag(1, l, l) over (t, x, y); fluctuations
 enter as ``e = ebar + 8*pi*G*xi`` with only the two diagonal spatial
 components xi1x, xi2y alive.  Fields live on a periodic space-time slab
 (:class:`DiagonalFluctuationSlab` on a :class:`SpacetimeGrid`, axes
-(t, x, y)), the one frame-field representation of this module; metrics and
-connections are returned on the same slab.  The connection perturbation
-returned here is the G-free solution ``v`` of the linearized zero-torsion
-condition
+(t, x, y)), the one frame-field representation of this module; connections
+are returned on the same slab.  The connection perturbation returned here
+is the G-free solution ``v`` of the linearized zero-torsion condition
 
     eps^{mu nu rho} ( d_nu xi^A_rho + eps^A_BC ebar^B_nu v^C_rho ) = 0 ,
 
@@ -39,16 +38,12 @@ from typing import Optional
 import numpy as np
 
 from .conventions import EPS3
-from .exceptions import DegenerateMetricError
 
 __all__ = [
     "ModelParams",
-    "Grid2D",
     "SpacetimeGrid",
     "DiagonalFluctuationSlab",
-    "MetricField",
     "SpinConnectionSlab",
-    "metric_from_fluctuation",
     "spin_connection_gauge_fixed",
     "spin_connection_general",
     "torsion_residual",
@@ -97,25 +92,6 @@ class ModelParams:
     @property
     def weak_coupling_ok(self) -> bool:
         return self.weak_coupling_ratio < 0.1
-
-
-@dataclass(frozen=True)
-class Grid2D:
-    """Periodic spatial sample grid: nx x ny nodes at spacing h."""
-
-    nx: int
-    ny: int
-    h: float
-
-    def __post_init__(self):
-        if self.nx < 4 or self.ny < 4:
-            raise ValueError("grid needs nx, ny >= 4")
-        if self.h <= 0:
-            raise ValueError("grid spacing must be > 0")
-
-    @property
-    def shape(self):
-        return (self.nx, self.ny)
 
 
 @dataclass(frozen=True)
@@ -173,15 +149,6 @@ class DiagonalFluctuationSlab:
         out[1, 1] = self.xi1x
         out[2, 2] = self.xi2y
         return out
-
-
-@dataclass(frozen=True)
-class MetricField:
-    """Per-node diagonal spacetime metric on a slab; g_tt = -1 exactly."""
-
-    grid: SpacetimeGrid
-    gxx: np.ndarray
-    gyy: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -308,28 +275,6 @@ def _contract(subscripts: str, *operands):
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def metric_from_fluctuation(params: ModelParams, xi: DiagonalFluctuationSlab) -> MetricField:
-    """Diagonal metric g = diag(-1, l^2 + 8 pi G h_xx, l^2 + 8 pi G h_yy).
-
-    The metric perturbations are h_xx = 2 l xi1x and h_yy = 2 l xi2y; the
-    evaluation is exact (no discretization enters).
-
-    Raises
-    ------
-    DegenerateMetricError
-        If any spatial diagonal entry is <= 0 (fluctuation too large for
-        the linear split to describe a spatial metric).
-    """
-    pref = 8.0 * np.pi * params.G * 2.0 * params.l
-    gxx = params.l ** 2 + pref * xi.xi1x
-    gyy = params.l ** 2 + pref * xi.xi2y
-    if np.any(gxx <= 0) or np.any(gyy <= 0):
-        bad = int(np.sum(gxx <= 0) + np.sum(gyy <= 0))
-        raise DegenerateMetricError(
-            f"metric signature violated at {bad} node(s): spatial diagonal <= 0")
-    return MetricField(xi.grid, gxx, gyy)
-
 
 def _closed_form_connection(l: float, dy_xi1x, dx_xi2y, dt_xi1x, dt_xi2y) -> np.ndarray:
     """v[A, mu] of the module docstring from the four derivatives it reads."""

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .continuum import dressed_velocities
 from .exceptions import DiracRegimeError, InversionError
 from .geometry import ModelParams
 
@@ -49,6 +50,9 @@ N1 = np.array([np.sqrt(3.0) / 2.0, 1.5])
 N2 = np.array([-np.sqrt(3.0) / 2.0, 1.5])
 N1.setflags(write=False)
 N2.setflags(write=False)
+
+FD_STEP = 1e-6  # central-difference step of bloch_gradient
+FD_TOL = 1e-6   # relative tolerance of the slope validation in dirac_slopes
 
 
 @dataclass(frozen=True)
@@ -145,13 +149,14 @@ def bloch_f(c: CouplingField, k) -> complex:
     return c.jx * np.exp(-1j * kn1) + c.jy * np.exp(-1j * kn2) + c.jz
 
 
-def bloch_gradient(c: CouplingField, k, step: float = 1e-6):
-    """Central-difference gradient (df/dkx, df/dky) of the complex f."""
+def bloch_gradient(c: CouplingField, k):
+    """Central-difference gradient (df/dkx, df/dky) of the complex f, step
+    :data:`FD_STEP`."""
     k = np.asarray(k, dtype=float)
-    ex = np.array([step, 0.0])
-    ey = np.array([0.0, step])
-    dfx = (bloch_f(c, k + ex) - bloch_f(c, k - ex)) / (2 * step)
-    dfy = (bloch_f(c, k + ey) - bloch_f(c, k - ey)) / (2 * step)
+    ex = np.array([FD_STEP, 0.0])
+    ey = np.array([0.0, FD_STEP])
+    dfx = (bloch_f(c, k + ex) - bloch_f(c, k - ex)) / (2 * FD_STEP)
+    dfy = (bloch_f(c, k + ey) - bloch_f(c, k - ey)) / (2 * FD_STEP)
     return dfx, dfy
 
 
@@ -201,19 +206,21 @@ def fermi_points(c: CouplingField):
 def slope_closed_form(jx: float, jz: float):
     """(A_plus, A_minus, B_plus, B_minus) from the closed expressions
 
-        A_+- = -+ (sqrt3/2) sqrt(4 J_x^2 - J_z^2),   B_+- = -(3/2) J_z .
+        A_+- = -+ v_x,   B_+- = -v_y
+
+    with the cone velocities of the coupling dictionary,
+    v_x = (sqrt3/2) sqrt(4 J_x^2 - J_z^2) and v_y = (3/2) J_z.
     """
-    a = np.sqrt(3.0) / 2.0 * np.sqrt(4.0 * jx ** 2 - jz ** 2)
-    b = -1.5 * jz
-    return -a, +a, b, b
+    vx, vy = _velocities_from_couplings(jx, jz)
+    return -vx, vx, -vy, -vy
 
 
-def dirac_slopes(c: CouplingField, fd_step: float = 1e-6, fd_tol: float = 1e-6):
+def dirac_slopes(c: CouplingField):
     """Closed-form cone slopes, validated against the Bloch gradient.
 
     Returns ((A_plus, B_plus), (A_minus, B_minus)).  The validation
     evaluates df at the conical points by central differences and requires
-    |A - Re df/dkx| and |B + Im df/dky| below ``fd_tol`` relative.
+    |A - Re df/dkx| and |B + Im df/dky| below :data:`FD_TOL` relative.
     """
     if np.shape(c.jx) != ():
         raise ValueError("dirac_slopes requires uniform couplings")
@@ -224,10 +231,10 @@ def dirac_slopes(c: CouplingField, fd_step: float = 1e-6, fd_tol: float = 1e-6):
     p_plus, p_minus = fermi_points(c)
     scale = max(abs(a_p), abs(b_p))
     for (point, a_ref, b_ref) in ((p_plus, a_p, b_p), (p_minus, a_m, b_m)):
-        dfx, dfy = bloch_gradient(c, point, step=fd_step)
-        if abs(dfx.real - a_ref) > fd_tol * scale or abs(dfx.imag) > fd_tol * scale:
+        dfx, dfy = bloch_gradient(c, point)
+        if abs(dfx.real - a_ref) > FD_TOL * scale or abs(dfx.imag) > FD_TOL * scale:
             raise RuntimeError("kx-gradient disagrees with closed-form slope")
-        if abs(-dfy.imag - b_ref) > fd_tol * scale or abs(dfy.real) > fd_tol * scale:
+        if abs(-dfy.imag - b_ref) > FD_TOL * scale or abs(dfy.real) > FD_TOL * scale:
             raise RuntimeError("ky-gradient disagrees with closed-form slope")
     return (a_p, b_p), (a_m, b_m)
 
@@ -237,6 +244,8 @@ def dirac_slopes(c: CouplingField, fd_step: float = 1e-6, fd_tol: float = 1e-6):
 # ---------------------------------------------------------------------------
 
 def _velocities_from_couplings(jx, jz):
+    """Cone velocities (v_x, v_y) of the couplings; inverse of the forward
+    dictionary of :func:`couplings_from_dreibein`."""
     vx = np.sqrt(3.0) / 2.0 * np.sqrt(4.0 * jx ** 2 - jz ** 2)
     vy = 1.5 * jz
     return vx, vy
@@ -279,14 +288,11 @@ def couplings_from_dreibein(xi1x, xi2y, params: ModelParams) -> CouplingField:
     """Forward dictionary: per-cell couplings realizing given fluctuations.
 
     J_z = (2/3) v_y and J_x = J_y = sqrt(J_z^2 + (4/3) v_x^2) / 2 with the
-    dressed velocities v_i = 1/l - (8 pi G / l^2) xi; requires both
-    velocities positive.
+    dressed velocities of :func:`gravlat.continuum.dressed_velocities`;
+    requires both velocities positive.
     """
-    xi1x = np.asarray(xi1x, dtype=float)
-    xi2y = np.asarray(xi2y, dtype=float)
-    pref = 8.0 * np.pi * params.G / params.l ** 2
-    vx = 1.0 / params.l - pref * xi1x
-    vy = 1.0 / params.l - pref * xi2y
+    vx, vy = dressed_velocities(params, np.asarray(xi1x, dtype=float),
+                                np.asarray(xi2y, dtype=float))
     if np.any(vx <= 0) or np.any(vy <= 0):
         raise InversionError(f"dressed velocity <= 0{_at_cells((vx <= 0) | (vy <= 0))}")
     jz = 2.0 / 3.0 * vy

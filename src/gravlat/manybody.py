@@ -24,7 +24,8 @@ is fermion-major: index = fermion_index * boson_dim + boson_index.
 Boson modes are (cell, species) pairs placed by :func:`boson_modes` (cell
 None: a pair shared by every cell); :meth:`FockSpace.boson_mode_index`
 alone decides which mode serves a cell, and every assembler checks the
-modes against the lattice.  Each assembler states its bond couplings as one
+modes against the lattice, rejecting a mode that it never returns (one
+shadowed by a shared or repeated mode).  Each assembler states its bond couplings as one
 rule ``coupling(cell, species)`` over the bonds of :meth:`LatticeSpec.bonds`;
 the x boson drives both the x and the y bond.
 
@@ -413,10 +414,14 @@ def _lattice_algebra(spec: LatticeSpec, space: FockSpace,
                      ops: Optional[ModeOperators]) -> ModeOperators:
     if space.n_fermion_modes != spec.n_modes:
         raise ValueError("space fermion modes do not match the lattice")
-    for cell, _ in space.boson_modes:
+    for idx, (cell, species) in enumerate(space.boson_modes):
         if cell is not None and cell not in range(spec.n_cells):
             raise ValueError(f"boson mode on cell {cell!r} outside the "
                              f"{spec.n_cells} cells of the lattice")
+        served_by = space.boson_mode_index(cell, species)
+        if served_by != idx:
+            raise ValueError(f"boson mode {idx} ({cell!r}, {species!r}) is shadowed by "
+                             f"mode {served_by}: no term would use it")
         if None in (space.boson_mode_index(cell, "x"), space.boson_mode_index(cell, "z")):
             raise ValueError(f"cell {cell!r} lacks its x or z boson mode")
     if ops is None:
@@ -599,10 +604,6 @@ class GroundStateResult:
     residual: float
     k: int                # eigenpairs computed by the final solve
     space: FockSpace
-
-    @property
-    def sector_dimension(self) -> int:
-        return self.space.sector_dimension
 
     @cached_property
     def states(self) -> list:

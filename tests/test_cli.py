@@ -89,6 +89,26 @@ nnz_cap = 100
     assert code == 4
 
 
+def test_main_domain_error_exit_code(tmp_path, capsys):
+    # J_z = 2.5 > 2 J_x: no isolated conical points (DiracRegimeError)
+    code, _ = _run(tmp_path, "command = fermi-points\n[couplings]\njz = 2.5\n")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: category=domain")
+
+
+def test_main_convergence_error_exit_code(tmp_path, monkeypatch, capsys):
+    import gravlat.ed_commands as ed
+    from gravlat.exceptions import ConvergenceError
+
+    def refuse(h, space):
+        raise ConvergenceError("eigsh did not converge")
+
+    monkeypatch.setattr(ed, "ground_state", refuse)
+    code, _ = _run(tmp_path, "command = ground-state\n")
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: category=convergence")
+
+
 @pytest.mark.parametrize("g", ["0.01", "0"])
 def test_spectrum_dense_cap_rejects_before_assembly(tmp_path, monkeypatch, capsys, g):
     import gravlat.ed_commands as ed
@@ -383,7 +403,7 @@ placement = per_cell
     cfg = parse_config(config)
     space = cfg.fock_space()
     gs = ground_state(assemble_simulator_hamiltonian(cfg.params, cfg.lattice, space), space)
-    assert gs.sector_dimension > 512  # Lanczos path
+    assert space.sector_dimension > 512  # Lanczos path
     written = (out / "ground_state.csv").read_bytes()
     header = written.decode().splitlines()[:5]
     _per_row_state_csv(tmp_path / "old.csv", header, gs.state)

@@ -3,14 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gravlat.continuum import (ELIMINATION_RATIO, CurrentField,
-                               dressed_velocities, fermionic_current, gamma_set,
+from gravlat.continuum import (ELIMINATION_RATIO, dressed_velocities, gamma_set,
                                gaussian_elimination_oracle,
                                hgr_quadratic_form, integrate_out_geometry,
                                normal_mode_frequencies, single_particle_symbol,
                                symplectic_frequencies)
 from gravlat.exceptions import TopologicalLimitError
-from gravlat.geometry import Grid2D, ModelParams
+from gravlat.geometry import ModelParams
 
 from conftest import symbolic_elimination_ratio
 
@@ -158,69 +157,8 @@ def test_normal_modes_reject_topological_limit():
 
 
 # ---------------------------------------------------------------------------
-# currents and the induced interaction
+# the induced interaction
 # ---------------------------------------------------------------------------
-
-def grid16():
-    n = 16
-    return Grid2D(n, n, 2 * np.pi / n)
-
-
-def test_current_constant_spinor_vanishes():
-    p = ModelParams(G=0.01, l=1.0, mu=1.0)
-    grid = grid16()
-    psi = np.broadcast_to(np.array([0.2, 0.5 - 0.1j, -0.3, 0.7j]),
-                          grid.shape + (4,)).copy()
-    cur = fermionic_current(psi, grid, p)
-    for comp in (cur.j1x, cur.j1y, cur.j2x, cur.j2y):
-        assert np.abs(comp).max() < 1e-14
-
-
-def test_current_plane_wave_matches_analytic():
-    p = ModelParams(G=0.01, l=2.0, mu=1.0)
-    grid = grid16()
-    x = np.arange(grid.nx) * grid.h
-    xx, _ = np.meshgrid(x, x, indexing="ij")
-    u = np.array([0.3 + 0.1j, -0.2j, 0.5, 0.1])
-    k = 3.0
-    psi = u[None, None, :] * np.exp(1j * k * xx)[:, :, None]
-    cur = fermionic_current(psi, grid, p, scheme="spectral")
-    g = gamma_set()
-    for a, mat in ((1, g.g0 @ g.g1), (2, g.g0 @ g.g2)):
-        expected = -(k / p.l) * np.real(np.conj(u) @ mat @ u)
-        np.testing.assert_allclose(cur.component(a, "x"), expected, atol=1e-13)
-        assert np.abs(cur.component(a, "y")).max() < 1e-13
-
-
-def test_current_real_for_random_fields(rng):
-    # the antisymmetrized sesquilinear is real before the .real cast
-    from gravlat.geometry import spectral_difference
-    p = ModelParams(G=0.01, l=1.0, mu=1.0)
-    grid = grid16()
-    psi = rng.normal(size=grid.shape + (4,)) + 1j * rng.normal(size=grid.shape + (4,))
-    g = gamma_set()
-    psibar = np.einsum("xys,st->xyt", psi.conj(), g.g0)
-    for axis in (0, 1):
-        dpsi = spectral_difference(psi, axis, grid.h)
-        dpsibar = spectral_difference(psibar, axis, grid.h)
-        for mat in (g.g1, g.g2):
-            raw = (1j / (2 * p.l)) * (
-                np.einsum("xys,st,xyt->xy", psibar, mat, dpsi)
-                - np.einsum("xys,st,xyt->xy", dpsibar, mat, psi))
-            assert np.abs(raw.imag).max() < 1e-12
-
-
-def uniform_currents(grid, j1, j2):
-    return CurrentField(grid, np.full(grid.shape, j1), np.zeros(grid.shape),
-                        np.zeros(grid.shape), np.full(grid.shape, j2))
-
-
-def test_integrate_out_zero_current():
-    p = ModelParams(G=0.05, l=1.0, mu=1.0)
-    grid = grid16()
-    eff = integrate_out_geometry(p)
-    assert np.abs(eff.density(uniform_currents(grid, 0.0, 0.0))).max() == 0.0
-
 
 def test_integrate_out_reference_coefficient():
     # -4 pi G / (l^2 mu^2) at G = 1/(4 pi), l = mu = 1 is exactly -1
@@ -233,15 +171,6 @@ def test_integrate_out_reference_coefficient():
 def test_elimination_ratio_matches_symbolic_oracle():
     assert symbolic_elimination_ratio() == ELIMINATION_RATIO
     assert ELIMINATION_RATIO == Fraction(-4)
-
-
-def test_integrate_out_uniform_density_value():
-    p = ModelParams(G=0.02, l=1.4, mu=0.8)
-    j = 0.6
-    eff = integrate_out_geometry(p)
-    expected = -4 * np.pi * p.G / (p.l ** 2 * p.mu ** 2) * 2 * j * j
-    np.testing.assert_allclose(eff.density(uniform_currents(grid16(), j, j)), expected,
-                               rtol=1e-13)
 
 
 def test_integrate_out_quadrature_oracle(rng):

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from gravlat.exceptions import DegenerateMetricError
 from gravlat.geometry import (DiagonalFluctuationSlab, ModelParams, SpacetimeGrid,
                               SpinConnectionSlab, TrigField, central_difference,
-                              connection_refinement, metric_from_fluctuation,
-                              sampled_slab, spectral_difference,
-                              spin_connection_gauge_fixed,
+                              connection_refinement, sampled_slab,
+                              spectral_difference, spin_connection_gauge_fixed,
                               spin_connection_general, torsion_residual)
 
 from conftest import dense_spin_connection_general, dense_torsion_residual
@@ -25,45 +23,6 @@ def test_params_validation():
         ModelParams(G=0.1, l=1.0, mu=0.0)
     p = ModelParams(G=0.01, l=2.0, mu=1.0)
     np.testing.assert_allclose(p.weak_coupling_ratio, 8 * np.pi * 0.01 / 2.0)
-
-
-def test_metric_flat_background():
-    p = ModelParams(G=0.5, l=1.0, mu=1.0)
-    grid = make_grid()
-    g = metric_from_fluctuation(p, DiagonalFluctuationSlab.zero(grid))
-    assert g.grid == grid
-    assert np.array_equal(g.gxx, np.ones(grid.shape))
-    assert np.array_equal(g.gyy, np.ones(grid.shape))
-
-
-def test_metric_constant_fluctuation_value():
-    # h_xx = 2 l xi1x with 8 pi G = 1: g_xx = 1 + 2*0.1 = 1.2 exactly
-    p = ModelParams(G=1.0 / (8 * np.pi), l=1.0, mu=1.0)
-    grid = make_grid()
-    xi = DiagonalFluctuationSlab(grid, np.full(grid.shape, 0.1), np.zeros(grid.shape))
-    g = metric_from_fluctuation(p, xi)
-    np.testing.assert_allclose(g.gxx, 1.2, rtol=0, atol=1e-15)
-    np.testing.assert_array_equal(g.gyy, np.full(grid.shape, 1.0))
-
-
-def test_metric_is_exact_bitwise(rng):
-    p = ModelParams(G=0.013, l=1.7, mu=1.0)
-    grid = make_grid()
-    f1 = rng.normal(size=grid.shape) * 0.01
-    f2 = rng.normal(size=grid.shape) * 0.01
-    g = metric_from_fluctuation(p, DiagonalFluctuationSlab(grid, f1, f2))
-    pref = 8 * np.pi * p.G * 2 * p.l
-    assert np.array_equal(g.gxx, p.l ** 2 + pref * f1)
-    assert np.array_equal(g.gyy, p.l ** 2 + pref * f2)
-
-
-def test_metric_degeneracy_error():
-    p = ModelParams(G=1.0, l=1.0, mu=1.0)
-    grid = make_grid()
-    bad = -1.0 / (16 * np.pi * p.G)  # makes l^2 + 16 pi G l xi = 0
-    xi = DiagonalFluctuationSlab(grid, np.full(grid.shape, bad), np.zeros(grid.shape))
-    with pytest.raises(DegenerateMetricError):
-        metric_from_fluctuation(p, xi)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,10 @@ def test_assembly_rejects_operators_of_another_space():
     (((5, "x"), (5, "z")), "outside"),   # 1x1 has no cell 5
     (((0, "x"),), "lacks"),              # an x mode without its z mode
     (((None, "z"),), "lacks"),
+    # the shared pair serves cell 0 first, so the cell-0 pair drives no term
+    (((None, "x"), (None, "z"), (0, "x"), (0, "z")), "shadowed"),
+    # a repeated pair: the second copy only multiplies every level
+    (((0, "x"), (0, "z")) * 2, "shadowed"),
 ])
 def test_boson_modes_are_checked_against_the_lattice(modes, match):
     space = FockSpace(2, modes, 1, sector=1)
