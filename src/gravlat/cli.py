@@ -51,7 +51,8 @@ COMMANDS = (
 )
 
 # the placements of manybody.boson_modes, listed here so that parsing a
-# config does not import manybody (and scipy.sparse with it)
+# config does not import manybody; scipy is loaded later still, only by a
+# Lanczos solve in manybody.ground_state
 _PLACEMENTS = ("per_cell", "uniform", "cell0")
 
 
@@ -370,7 +371,7 @@ _DISPATCH = {
 def run_command(cfg: RunConfig, output: Path) -> int:
     """Execute one command; returns the exit status and writes artifacts."""
     handler = _DISPATCH.get(cfg.command)
-    if handler is None:  # a many-body command: the first one loads scipy.sparse
+    if handler is None:  # a many-body command: loads manybody (scipy only for Lanczos)
         from .ed_commands import DISPATCH
         handler = DISPATCH[cfg.command]
     output.mkdir(parents=True, exist_ok=True)

@@ -1,9 +1,12 @@
 """The many-body commands: truncated Fock-space exact diagonalization.
 
-These handlers are the only CLI code that needs ``scipy.sparse`` (through
-:mod:`gravlat.manybody`).  :func:`gravlat.cli.run_command` imports this
-module the first time it meets one of the commands in :data:`DISPATCH`, so
-the check commands start without it.
+:func:`gravlat.cli.run_command` imports this module the first time it
+meets one of the commands in :data:`DISPATCH`, so the check commands start
+without :mod:`gravlat.manybody`.  The handlers run on numpy; scipy is
+loaded only when :func:`gravlat.manybody.ground_state` takes its Lanczos
+branch (sector dimension above 512), so ``spectrum``, ``map-residual``
+and every dense ``ground-state``, ``correlators`` or ``wick-sweep`` run
+never import it.
 """
 
 from __future__ import annotations

@@ -39,21 +39,33 @@ the hopping blocks looked up by ``searchsorted`` in the sorted basis
 (H. Q. Lin, PRB 42, 6561 (1990)), and it is built in two steps.  First each
 assembler builds its boson-factor terms once: J_pq, the coupling operators
 of the bonds joining fermion modes p and q summed, and the boson
-Hamiltonian B.  Then one shared step puts them on the sector by ``kron``.
-Hermiticity is checked in that step on the boson factor: the hopping part
-is Hermitian by construction, so B is checked (defect at most 1e-12 times
-the largest |entry| of H, or 1) and symmetrized as (B + B+) / 2.  The same
-step can first restrict every boson-factor operator to the boson indices a
-window keeps, so :func:`mapping_residual` assembles only its window block.
+Hamiltonian B.  Each term is a multiple of the identity, linear in one
+mode's ladder, or a polynomial in one pair's x and z ladders, so it is a
+small dense numpy array on that mode or pair, embedded in the boson factor
+by index arithmetic on the little-endian boson digits as COO entries whose
+duplicates add in the order the terms were added.  Then one shared step
+puts them on the sector.  Hermiticity is checked in that step on the boson
+factor: the hopping part is Hermitian by construction, so B is checked
+(defect at most 1e-12 times the largest |entry| of H, or 1) and
+symmetrized as (B + B+) / 2.  The same step can first restrict every
+boson-factor operator to the boson indices a window mask keeps, so
+:func:`mapping_residual` assembles only its window block.  The result is a
+:class:`SectorOperator`, the COO entries with ``toarray`` (numpy) and
+``tocsr``.
 
 Observables read a state on the same basis, and only there.  A fermion
 annihilator c_i maps the N-particle basis to the (N-1)-particle one by the
-same lookup, with the Jordan-Wigner sign of the occupied modes below i;
-boson observables act on the rows of the state reshaped to (fermion states,
-boson_dim).  No command builds a full-space object: ``ModeOperators.c`` and
-``GroundStateResult.states`` are kept for the pair-Gram oracle of
-``perfbench/make_reference.py``, and ``ModeOperators.d``, ``q_pair`` and
-``fermion_number`` for the reference implementations of the tests.
+same lookup, with the Jordan-Wigner sign of the occupied modes below i, as
+index arrays applied to the rows of the state reshaped to (fermion states,
+boson_dim); a boson ladder acts along its mode's axis of those rows.
+
+Only two places load scipy, each inside the function: the Lanczos branch
+of :func:`ground_state` (dimension above 512, ``scipy.sparse`` and
+``scipy.sparse.linalg``, through :meth:`SectorOperator.tocsr`) and
+``ModeOperators.c``.  No command builds a full-space object:
+``ModeOperators.c`` and ``GroundStateResult.states`` are kept for the
+pair-Gram oracle of ``perfbench/make_reference.py``; the test oracles build
+their own full-space operators.
 """
 
 from __future__ import annotations
@@ -64,7 +76,6 @@ from math import comb
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .continuum import hgr_quadratic_form
 from .designer import optical_params
@@ -80,6 +91,7 @@ __all__ = [
     "assemble_target_hamiltonian",
     "assemble_background_hopping",
     "mapping_residual",
+    "SectorOperator",
     "GroundStateResult",
     "ground_state",
     "CorrelatorReport",
@@ -198,11 +210,6 @@ def _popcount(x: np.ndarray, n_bits: int) -> np.ndarray:
     return count
 
 
-def _kron_chain(mats):
-    out = reduce(lambda a, b: sparse.kron(a, b, format="csr"), mats)
-    return sparse.csr_matrix(out)
-
-
 def _boson_ladder(n_max: int) -> np.ndarray:
     d = np.zeros((n_max + 1, n_max + 1))
     for n in range(1, n_max + 1):
@@ -227,8 +234,8 @@ def _hopping_block(states: np.ndarray, p: int, q: int):
 
 
 def _annihilation_map(states: np.ndarray, lowered: np.ndarray, i: int):
-    """c_i from the sorted fermion basis ``states`` to the sorted basis
-    ``lowered`` that holds every image, as CSR.
+    """Entries (rows, cols, signs) of c_i from the sorted fermion basis
+    ``states`` to the sorted basis ``lowered`` that holds every image.
 
     The Jordan-Wigner sign is the parity of the occupied modes below i;
     the target row is looked up by ``searchsorted`` in ``lowered``.
@@ -237,35 +244,56 @@ def _annihilation_map(states: np.ndarray, lowered: np.ndarray, i: int):
     cols = np.flatnonzero(states & bit)
     rows = np.searchsorted(lowered, states[cols] ^ bit)
     signs = 1.0 - 2.0 * (_popcount(states[cols], i) & 1)
-    return sparse.csr_matrix((signs, (rows, cols)), shape=(len(lowered), len(states)))
+    return rows, cols, signs
 
 
-def _ladder_pair(ladders, space: FockSpace, cell):
-    """(q1, q2) built from the x and z ladders serving ``cell``."""
-    dx = ladders[space.boson_mode_index(cell, "x")]
-    dz = ladders[space.boson_mode_index(cell, "z")]
-    return Q1_X * dx + Q1_Z * dz, dz
+def _annihilate(entries, x: np.ndarray, n_lowered: int) -> np.ndarray:
+    """The rows of c_i psi on a basis of ``n_lowered`` states, from the rows
+    ``x`` of psi and the entries of :func:`_annihilation_map`."""
+    rows, cols, signs = entries
+    out = np.zeros((n_lowered,) + x.shape[1:], dtype=np.result_type(signs, x))
+    out[rows] = signs[:, None] * x[cols]
+    return out
+
+
+def _ladder_on_rows(x: np.ndarray, space: FockSpace, m: int, coeff: float = 1.0,
+                    raised: bool = False) -> np.ndarray:
+    """kron(1, coeff d_m), or kron(1, coeff d_m+) when ``raised``, applied
+    to the vector with boson rows ``x``, flattened.
+
+    Mode m is the boson digit of stride (n_max + 1)^m, axis 2 of ``x``
+    reshaped to (fermion states, higher digits, n_max + 1, lower digits).
+    """
+    base = space.n_max + 1
+    xm = x.reshape(len(x), -1, base, base ** m)
+    ladder = (coeff * np.sqrt(np.arange(1.0, base)))[:, None]
+    out = np.zeros(xm.shape, dtype=np.result_type(ladder, xm))
+    if raised:
+        out[:, :, 1:] = ladder * xm[:, :, :-1]
+    else:
+        out[:, :, :-1] = ladder * xm[:, :, 1:]
+    return out.ravel()
 
 
 @dataclass(frozen=True)
 class ModeOperators:
     """The mode operators of a space.
 
-    The assemblers and observables use the sector building blocks:
-    ``states``, the sorted fermion basis of the sector, and ``b``, the
-    boson annihilation operators on the boson factor.  The full-space
-    operators are built on first use and no command builds them: ``c`` is
-    kept for the pair-Gram oracle of ``perfbench/make_reference.py``, and
-    ``d``, ``q_pair`` and ``fermion_number`` for the test oracles.
+    The assemblers and observables use ``states``, the sorted fermion basis
+    of the sector, and build the boson ladders where they act.  The
+    full-space fermion annihilators ``c`` are built on first use, with
+    ``scipy.sparse``, and no command builds them: they are kept for the
+    pair-Gram oracle of ``perfbench/make_reference.py``.
     """
 
     space: FockSpace
     states: np.ndarray   # sorted fermion basis integers of the sector
-    b: tuple             # boson annihilation operators on the boson factor
 
     @cached_property
     def c(self) -> tuple:
         """Fermion annihilation operators on the full space."""
+        import scipy.sparse as sparse
+
         space = self.space
         eye_b = sparse.identity(space.boson_dim, format="csr")
         eye2 = sparse.identity(2, format="csr")
@@ -274,52 +302,136 @@ class ModeOperators:
         cs = []
         for i in range(space.n_fermion_modes):
             # mode j occupies bit j; the kron chain runs most-significant first
-            factors = []
-            for j in reversed(range(space.n_fermion_modes)):
-                factors.append(a_mat if j == i else (z_mat if j < i else eye2))
-            cs.append(sparse.kron(_kron_chain(factors), eye_b, format="csr"))
+            factors = [a_mat if j == i else (z_mat if j < i else eye2)
+                       for j in reversed(range(space.n_fermion_modes))]
+            chain = reduce(lambda a, b: sparse.kron(a, b, format="csr"), factors)
+            cs.append(sparse.kron(chain, eye_b, format="csr"))
         return tuple(cs)
-
-    @cached_property
-    def d(self) -> tuple:
-        """Boson annihilation operators on the full space."""
-        eye_f = sparse.identity(self.space.fermion_dim, format="csr")
-        return tuple(sparse.kron(eye_f, bm, format="csr") for bm in self.b)
-
-    def fermion_number(self):
-        n = sparse.csr_matrix((self.space.dimension, self.space.dimension))
-        for ci in self.c:
-            n = n + ci.getH() @ ci
-        return n
-
-    def q_pair(self, cell):
-        """(q1, q2) on the full space for the pair serving ``cell``."""
-        return _ladder_pair(self.d, self.space, cell)
 
 
 def operator_algebra(space: FockSpace) -> ModeOperators:
-    """The sector fermion basis and the boson-factor ladders of ``space``.
+    """The sector fermion basis of ``space``.
 
     Raises
     ------
     DimensionCapError
         When the estimated nonzero count over all full-space mode
         operators, (n_modes) * dimension, exceeds ``space.nnz_cap``.  This
-        also bounds the sector assembly and the lazily built ``c``/``d``.
+        also bounds the sector assembly and the lazily built ``c``.
     """
     n_modes = space.n_fermion_modes + space.n_boson_modes
     estimate = n_modes * space.dimension
     if estimate > space.nnz_cap:
         raise DimensionCapError(f"~{estimate} nonzeros exceed cap {space.nnz_cap}")
-    ladder = sparse.csr_matrix(_boson_ladder(space.n_max))
-    eyeb1 = sparse.identity(space.n_max + 1, format="csr")
-    bs = []
-    for m in range(space.n_boson_modes):
-        factors = []
-        for j in reversed(range(space.n_boson_modes)):
-            factors.append(ladder if j == m else eyeb1)
-        bs.append(_kron_chain(factors))
-    return ModeOperators(space=space, states=space.sector_fermion_states(), b=tuple(bs))
+    return ModeOperators(space=space, states=space.sector_fermion_states())
+
+
+# ---------------------------------------------------------------------------
+# boson-factor operators
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _BosonOp:
+    """An operator on the boson factor as COO entries whose duplicates add.
+
+    ``+`` concatenates the entries, and :meth:`summed` adds each entry's
+    duplicates in that order, as a chain of sparse sums would.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+
+    def __add__(self, other: "_BosonOp") -> "_BosonOp":
+        return _BosonOp(np.concatenate((self.rows, other.rows)),
+                        np.concatenate((self.cols, other.cols)),
+                        np.concatenate((self.data, other.data)))
+
+    def __sub__(self, other: "_BosonOp") -> "_BosonOp":
+        return self + other * -1.0
+
+    def __mul__(self, factor: float) -> "_BosonOp":
+        return _BosonOp(self.rows, self.cols, self.data * factor)
+
+    def adjoint(self) -> "_BosonOp":
+        return _BosonOp(self.cols, self.rows, self.data.conj())
+
+    def summed(self, dim: int) -> "_BosonOp":
+        """Each (row, col) once, its duplicates added in entry order; zero
+        entries dropped.  ``dim`` is the boson-factor dimension."""
+        key, slot = np.unique(self.rows * dim + self.cols, return_inverse=True)
+        data = np.bincount(slot, weights=self.data, minlength=len(key))
+        nonzero = data != 0
+        return _BosonOp(key[nonzero] // dim, key[nonzero] % dim, data[nonzero])
+
+    def restricted(self, keep: np.ndarray) -> "_BosonOp":
+        """The block on the boson indices the mask ``keep`` sets, renumbered
+        in order."""
+        inside = keep[self.rows] & keep[self.cols]
+        position = np.cumsum(keep) - 1
+        return _BosonOp(position[self.rows[inside]], position[self.cols[inside]],
+                        self.data[inside])
+
+
+_NO_BOSON_TERM = _BosonOp(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+
+
+def _embed(space: FockSpace, local: np.ndarray, modes: tuple = ()) -> _BosonOp:
+    """kron of the dense ``local`` on ``modes`` with the identity on every
+    other boson mode.
+
+    The boson index has the little-endian digits n_m (mode m at stride
+    (n_max + 1)^m), and ``local`` is indexed the same way over ``modes`` in
+    their order; with no modes, ``local`` is 1 x 1, a multiple of the
+    identity.  Its zero entries are left out.
+    """
+    base = space.n_max + 1
+    index = np.arange(space.boson_dim)
+    rest = np.ones(space.boson_dim, dtype=bool)   # the other modes' digits
+    offset = np.zeros(len(local), dtype=int)      # local index -> boson index
+    for t, m in enumerate(modes):
+        rest &= index // base ** m % base == 0
+        offset += np.arange(len(local)) // base ** t % base * base ** m
+    rest = index[rest]
+    lr, lc = np.nonzero(local)
+    return _BosonOp((rest[:, None] + offset[lr]).ravel(),
+                    (rest[:, None] + offset[lc]).ravel(),
+                    np.tile(local[lr, lc], len(rest)))
+
+
+def _identity(space: FockSpace, value: float) -> _BosonOp:
+    return _embed(space, np.full((1, 1), value))
+
+
+def _pair_ladders(n_max: int):
+    """(d_x, d_z, 1) on the factor of one (x, z) pair, x the low digit."""
+    d = _boson_ladder(n_max)
+    eye = np.eye(n_max + 1)
+    return np.kron(eye, d), np.kron(d, eye), np.eye((n_max + 1) ** 2)
+
+
+def _pair_modes(space: FockSpace, cell) -> tuple:
+    """The (x, z) boson modes serving ``cell``, in the order of
+    :func:`_pair_ladders`."""
+    return space.boson_mode_index(cell, "x"), space.boson_mode_index(cell, "z")
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b with each entry's terms a[i, j] b[j, k] added one at a time,
+    those with j != k in index order and the j == k term last.
+
+    For the ladder polynomials assembled here (at most three terms per
+    entry, three only on the diagonal of n_z (n_x - n_z / 2)) that is the
+    order scipy's sparse product adds them in, so the Hamiltonians equal
+    the full-space kron-chain oracle of the tests bit for bit; a BLAS
+    product would fuse and reorder the additions.
+    """
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for j in range(a.shape[1]):
+        term = np.outer(a[:, j], b[j])
+        term[:, j] = 0.0
+        out += term
+    return out + a * np.diagonal(b)
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +466,39 @@ def _bond_couplings(spec: LatticeSpec, coupling):
 
 
 def _max_abs(op) -> float:
-    return float(np.abs(op.data).max()) if op.nnz else 0.0
+    return float(np.abs(op.data).max()) if len(op.data) else 0.0
 
 
-def _on_sector(ops: ModeOperators, couplings, boson=None, keep=None):
+@dataclass(frozen=True)
+class SectorOperator:
+    """An operator on the sector basis as COO entries.
+
+    Each (row, col) appears once and no entry is zero, so ``nnz`` is the
+    count of the CSR form.  ``toarray`` is numpy; ``tocsr`` imports
+    ``scipy.sparse``.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        out[self.rows, self.cols] = self.data
+        return out
+
+    def tocsr(self):
+        import scipy.sparse as sparse
+
+        return sparse.csr_matrix((self.data, (self.rows, self.cols)), shape=self.shape)
+
+
+def _on_sector(ops: ModeOperators, couplings, boson=None, keep=None) -> SectorOperator:
     """sum_(p, q) kron(c_p+ c_q, J_pq) + h.c. + kron(1, B) on the sector
     basis, from the boson-factor terms ``couplings`` ({(p, q): J_pq}) and
     ``boson`` (B, or None).
@@ -366,48 +507,48 @@ def _on_sector(ops: ModeOperators, couplings, boson=None, keep=None):
     defect can enter: AssertionError when max|B - B+| exceeds
     1e-12 * max(scale, 1), with scale the largest |entry| of the sector H
     (the largest |J_pq| over nonempty hopping blocks, or the largest |B|).
-    B then enters as (B + B+) / 2.  With ``keep`` (sorted boson indices),
-    every boson-factor operator is restricted to those indices before the
-    kron, so the result is the block of the full H on rows and columns
-    position * boson_dim + keep, entry for entry.
+    B then enters as (B + B+) / 2.  With ``keep`` (a mask over the boson
+    indices), every boson-factor operator is restricted to the indices it
+    sets before the kron, so the result is the block of the full H on rows
+    and columns position * boson_dim + (those indices), entry for entry.
     """
-    hops = [(_hopping_block(ops.states, p, q), j) for (p, q), j in couplings.items()]
+    n_b = ops.space.boson_dim
+    hops = [(_hopping_block(ops.states, p, q), j.summed(n_b))
+            for (p, q), j in couplings.items()]
     if boson is not None:
+        boson = boson.summed(n_b)
         scale = max([_max_abs(j) for (rows, _, _), j in hops if len(rows)]
                     + [_max_abs(boson)])
-        defect = _max_abs(boson - boson.getH())
+        defect = _max_abs((boson - boson.adjoint()).summed(n_b))
         if defect > 1e-12 * max(scale, 1.0):
             raise AssertionError(f"anti-Hermitian assembly: defect {defect:g}")
-        boson = (boson + boson.getH()) * 0.5
-    n_b = ops.space.boson_dim
+        boson = (boson + boson.adjoint()).summed(n_b) * 0.5
     if keep is not None:
-        hops = [(blk, j[keep][:, keep]) for blk, j in hops]
-        boson = None if boson is None else boson[keep][:, keep]
-        n_b = len(keep)
+        hops = [(blk, j.restricted(keep)) for blk, j in hops]
+        boson = None if boson is None else boson.restricted(keep)
+        n_b = int(np.count_nonzero(keep))
     # kron(c_p+ c_q, J) puts sign * J_ab at (row * n_b + a, col * n_b + b);
     # these blocks, their transposes and the diagonal boson blocks share no
-    # entry, so they are stacked into one matrix, not summed
+    # entry, so they are stacked, not summed.  32-bit indices where they fit
+    # keep the entries at 16 bytes, the index width tocsr() uses anyway.
+    n_states = len(ops.states)
+    dim = n_states * n_b
+    index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
     rows, cols, data = [], [], []
     for (f_rows, f_cols, signs), j in hops:
-        j = j.tocoo()
-        r = (f_rows[:, None] * n_b + j.row).ravel()
-        c = (f_cols[:, None] * n_b + j.col).ravel()
+        r = (f_rows.astype(index)[:, None] * n_b + j.rows.astype(index)).ravel()
+        c = (f_cols.astype(index)[:, None] * n_b + j.cols.astype(index)).ravel()
         v = (signs[:, None] * j.data).ravel()
         rows += [r, c]
         cols += [c, r]
         data += [v, v.conj()]
-    n_states = len(ops.states)
     if boson is not None:
-        b = boson.tocoo()
-        offset = np.arange(n_states)[:, None] * n_b
-        rows.append((offset + b.row).ravel())
-        cols.append((offset + b.col).ravel())
-        data.append(np.tile(b.data, n_states))
-    dim = n_states * n_b
-    h = sparse.csr_matrix((np.concatenate(data),
-                           (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim))
-    h.eliminate_zeros()
-    return h
+        offset = np.arange(n_states, dtype=index)[:, None] * n_b
+        rows.append((offset + boson.rows.astype(index)).ravel())
+        cols.append((offset + boson.cols.astype(index)).ravel())
+        data.append(np.tile(boson.data, n_states))
+    return SectorOperator(np.concatenate(rows), np.concatenate(cols),
+                          np.concatenate(data), (dim, dim))
 
 
 def _lattice_algebra(spec: LatticeSpec, space: FockSpace,
@@ -431,44 +572,52 @@ def _lattice_algebra(spec: LatticeSpec, space: FockSpace,
     return ops
 
 
+def _pair_sum(space: FockSpace, terms) -> _BosonOp:
+    """B = the pair-factor ``terms`` of every pair, added to B one after
+    the other, pair by pair."""
+    boson = _NO_BOSON_TERM
+    for cell in _pairs(space):
+        for term in terms:
+            boson = boson + _embed(space, term, _pair_modes(space, cell))
+    return boson
+
+
 def _simulator_terms(params: ModelParams, spec: LatticeSpec, ops: ModeOperators):
     """(couplings, B) of the simulator on the boson factor."""
     space = ops.space
     opt = optical_params(params)
-    eye = sparse.identity(space.boson_dim, format="csr")
+    ladder = _boson_ladder(space.n_max)
 
     def coupling(cell, species):
         amp = opt.amplitude(species)
         strength = opt.strength(species)
-        background = strength * amp * amp * eye
+        background = _identity(space, strength * amp * amp)
         m = space.boson_mode_index(cell, species)
         if m is None:   # bond without a fluctuation mode stays at the background
             return background
-        return background + strength * amp * (ops.b[m] + ops.b[m].getH())
+        return background + _embed(space, strength * amp * (ladder + ladder.T), (m,))
 
     g = params.G
     pref_pi = 1.0 / (24.0 * np.pi * g)
     pref_n = 8.0 * np.pi * g * params.mu ** 2 / 3.0
     pref_q = 256.0 * np.pi ** 3 * g ** 3 * params.mu ** 2 / (3.0 * params.l ** 2)
-    boson = sparse.csr_matrix(eye.shape)
-    for cell in _pairs(space):
-        dx = ops.b[space.boson_mode_index(cell, "x")]
-        dz = ops.b[space.boson_mode_index(cell, "z")]
-        bx = dx + opt.d_x * eye   # alpha_x in the number basis of d_x
-        bz = dz + opt.d_z * eye
-        abar_x = bx.getH() - bx   # equals dx+ - dx exactly
-        abar_z = bz.getH() - bz
-        n_x = bx.getH() @ bx
-        n_z = bz.getH() @ bz
-        boson = boson + pref_pi * (abar_z @ (np.sqrt(2.0) * abar_x - 0.5 * abar_z))
-        boson = boson + pref_n * (n_z + n_x)
-        boson = boson - pref_q * (n_z @ (n_x - 0.5 * n_z))
+    dx, dz, eye = _pair_ladders(space.n_max)
+    bx = dx + opt.d_x * eye   # alpha_x in the number basis of d_x
+    bz = dz + opt.d_z * eye
+    abar_x = bx.T - bx        # equals dx+ - dx exactly
+    abar_z = bz.T - bz
+    n_x = _product(bx.T, bx)
+    n_z = _product(bz.T, bz)
+    boson = _pair_sum(space, (
+        pref_pi * _product(abar_z, np.sqrt(2.0) * abar_x - 0.5 * abar_z),
+        pref_n * (n_z + n_x),
+        -pref_q * _product(n_z, n_x - 0.5 * n_z)))
     return _bond_couplings(spec, coupling), boson
 
 
 def assemble_simulator_hamiltonian(params: ModelParams, spec: LatticeSpec,
                                    space: FockSpace,
-                                   ops: Optional[ModeOperators] = None):
+                                   ops: Optional[ModeOperators] = None) -> SectorOperator:
     """Hopping with condensate-linearized coupling operators plus the
     quartic boson Hamiltonian in the shifted modes, on the sector basis.
 
@@ -488,7 +637,7 @@ def assemble_simulator_hamiltonian(params: ModelParams, spec: LatticeSpec,
 
 
 def assemble_background_hopping(l: float, spec: LatticeSpec, space: FockSpace,
-                                ops: Optional[ModeOperators] = None):
+                                ops: Optional[ModeOperators] = None) -> SectorOperator:
     """Hopping at the uniform background coupling 2/(3 l), bosons inert,
     on the sector basis.
 
@@ -498,42 +647,37 @@ def assemble_background_hopping(l: float, spec: LatticeSpec, space: FockSpace,
     """
     ops = _lattice_algebra(spec, space, ops)
     j0 = 2.0 / (3.0 * l)
-    eye = sparse.identity(space.boson_dim, format="csr")
-    return _on_sector(ops, _bond_couplings(spec, lambda cell, species: j0 * eye))
+    return _on_sector(ops, _bond_couplings(spec, lambda cell, species: _identity(space, j0)))
 
 
 def _target_terms(params: ModelParams, spec: LatticeSpec, ops: ModeOperators):
     """(couplings, B) of the target on the boson factor."""
     space = ops.space
-    eye = sparse.identity(space.boson_dim, format="csr")
     j0 = 2.0 / (3.0 * params.l)
     slope = 4.0 * np.sqrt(2.0) * np.pi * params.G / params.l ** 2
+    dx, dz, eye = _pair_ladders(space.n_max)
+    q1, q2 = Q1_X * dx + Q1_Z * dz, dz
+    delta_jz = (2.0 / 3.0) * (-slope) * (q2 + q2.T)
+    delta_vx = -slope * (q1 + q1.T)
+    pair_coupling = {"z": j0 * eye + delta_jz,
+                     "x": j0 * eye + 0.5 * (delta_vx + 0.5 * delta_jz)}
 
     def coupling(cell, species):
         if space.boson_mode_index(cell, species) is None:
-            return j0 * eye   # no mode: background bond
-        q1, q2 = _ladder_pair(ops.b, space, cell)
-        delta_jz = (2.0 / 3.0) * (-slope) * (q2 + q2.getH())
-        if species == "z":
-            return j0 * eye + delta_jz
-        delta_vx = -slope * (q1 + q1.getH())
-        return j0 * eye + 0.5 * (delta_vx + 0.5 * delta_jz)
+            return _identity(space, j0)   # no mode: background bond
+        return _embed(space, pair_coupling[species], _pair_modes(space, cell))
 
     form = hgr_quadratic_form(params)
-    boson = sparse.csr_matrix(eye.shape)
-    for cell in _pairs(space):
-        q1, q2 = _ladder_pair(ops.b, space, cell)
-        q1m = q1.getH() - q1
-        q2m = q2.getH() - q2
-        q1p = q1.getH() + q1
-        q2p = q2.getH() + q2
-        boson = boson + form.q_minus_coeff * (q1m @ q2m) + form.q_plus_coeff * (q1p @ q2p)
+    q1m, q2m = q1.T - q1, q2.T - q2
+    q1p, q2p = q1.T + q1, q2.T + q2
+    boson = _pair_sum(space, (form.q_minus_coeff * _product(q1m, q2m),
+                              form.q_plus_coeff * _product(q1p, q2p)))
     return _bond_couplings(spec, coupling), boson
 
 
 def assemble_target_hamiltonian(params: ModelParams, spec: LatticeSpec,
                                 space: FockSpace,
-                                ops: Optional[ModeOperators] = None):
+                                ops: Optional[ModeOperators] = None) -> SectorOperator:
     """Field-theory Hamiltonian on the same hopping graph, on the sector
     basis.
 
@@ -551,15 +695,6 @@ def assemble_target_hamiltonian(params: ModelParams, spec: LatticeSpec,
     """
     ops = _lattice_algebra(spec, space, ops)
     return _on_sector(ops, *_target_terms(params, spec, ops))
-
-
-def _sector_matrix(h, space: FockSpace):
-    """``h`` as CSR; raises ValueError unless it is square on the sector basis."""
-    dim = space.sector_dimension
-    if h.shape != (dim, dim):
-        raise ValueError(f"operator of shape {h.shape} is not on the sector basis "
-                         f"of dimension {dim}")
-    return sparse.csr_matrix(h)
 
 
 def mapping_residual(params: ModelParams, spec: LatticeSpec, space: FockSpace,
@@ -581,10 +716,10 @@ def mapping_residual(params: ModelParams, spec: LatticeSpec, space: FockSpace,
     if window > space.n_max:
         raise ValueError(f"window {window} exceeds n_max {space.n_max}")
     ops = _lattice_algebra(spec, space, ops)
-    keep = np.flatnonzero(space.boson_occupation_table() <= window)
-    diff = (_on_sector(ops, *_simulator_terms(params, spec, ops), keep=keep)
-            - _on_sector(ops, *_target_terms(params, spec, ops), keep=keep))
-    evals = np.linalg.eigvalsh(diff.toarray())
+    keep = space.boson_occupation_table() <= window
+    sim = _on_sector(ops, *_simulator_terms(params, spec, ops), keep=keep)
+    target = _on_sector(ops, *_target_terms(params, spec, ops), keep=keep)
+    evals = np.linalg.eigvalsh(sim.toarray() - target.toarray())
     return float((evals[-1] - evals[0]) / 2.0)
 
 
@@ -625,20 +760,18 @@ DEGENERACY_TOL = 1e-9     # levels within this times scale(H) of E0 form the mul
 LANCZOS_MAXITER = 100000  # ARPACK iteration limit of one eigsh call
 
 
-def _operator_scale(h) -> float:
-    return float(abs(h).max()) if h.nnz else 1.0
-
-
 def ground_state(h, space: FockSpace) -> GroundStateResult:
     """Lowest eigenpair of a Hamiltonian on the sector basis.
 
-    ``h`` must be square with the sector dimension (ValueError otherwise);
-    the returned vectors are on the sector basis.  It is solved in real
-    arithmetic whenever it is real (a complex input with an exactly zero
-    imaginary part is cast to real first); a genuinely complex one keeps
-    the Hermitian solvers.  Dense diagonalization up to dimension 512,
-    ARPACK Lanczos above (``scipy.sparse.linalg`` is imported there), started
-    from the fixed-seed Gaussian vector
+    ``h`` is a :class:`SectorOperator` or a scipy sparse matrix, square
+    with the sector dimension (ValueError otherwise); the returned vectors
+    are on the sector basis.  It is solved in real arithmetic whenever it
+    is real (a complex input with an exactly zero imaginary part is cast to
+    real first); a genuinely complex one keeps the Hermitian solvers.
+    Dense diagonalization of ``h.toarray()`` up to dimension 512, ARPACK
+    Lanczos on ``h.tocsr()`` above (``scipy.sparse`` and
+    ``scipy.sparse.linalg`` are imported there, and nowhere else on a
+    command's path), started from the fixed-seed Gaussian vector
     ``np.random.default_rng(0).standard_normal(dim)``: reruns are
     byte-stable, and the vector overlaps ground states that a symmetry
     makes orthogonal to the uniform vector.  Lanczos asks for
@@ -653,15 +786,20 @@ def ground_state(h, space: FockSpace) -> GroundStateResult:
     The residual ||Hv - E v|| of every returned pair must come out below
     1e-10 * scale(H) or ConvergenceError is raised.
     """
-    hs = _sector_matrix(h, space)
-    if np.iscomplexobj(hs) and not hs.data.imag.any():
+    dim = space.sector_dimension
+    if h.shape != (dim, dim):
+        raise ValueError(f"operator of shape {h.shape} is not on the sector basis "
+                         f"of dimension {dim}")
+    dense = dim <= 512
+    hs = h.toarray() if dense else h.tocsr()
+    values = hs if dense else hs.data
+    if np.iscomplexobj(values) and not values.imag.any():
         hs = hs.real
-    dim = hs.shape[0]
-    scale = max(_operator_scale(hs), 1.0)
+    scale = max(float(np.abs(values).max(initial=0.0)), 1.0)
     level_tol = DEGENERACY_TOL * scale
-    if dim <= 512:
+    if dense:
         k = dim
-        evals, evecs = np.linalg.eigh(hs.toarray())
+        evals, evecs = np.linalg.eigh(hs)
     else:
         import scipy.sparse.linalg as spla
 
@@ -704,11 +842,6 @@ def _boson_rows(vector, space: FockSpace) -> np.ndarray:
     return vector.reshape(-1, space.boson_dim)
 
 
-def _on_boson_factor(op, x):
-    """kron(1, op) applied to the vector with rows ``x``, flattened."""
-    return (op @ x.T).T.ravel()
-
-
 @dataclass
 class CorrelatorReport:
     """Two- and four-point data plus the Wick factorization residual."""
@@ -749,8 +882,8 @@ def correlators_and_wick(state, space: FockSpace, ops: ModeOperators) -> Correla
     of the two-body cumulant |<c_i+ c_j+ c_k c_l> - (C_il C_jk - C_ik C_jl)|
     (Kutzelnigg & Mukherjee, J. Chem. Phys. 110, 2800 (1999)), and
     ``wick_argmax`` the lexicographically first quadruple reaching it.
-    Boson matrices <d+ d>, <d+ d+> and the ladder-pair correlators act
-    with the boson-factor ladders ``ops.b`` on the rows of the state.
+    Boson matrices <d+ d>, <d+ d+> and the ladder-pair correlators apply
+    each ladder along its mode's axis of the rows of the state.
     """
     weights, rows = _as_mixture(state, space)
     nf = space.n_fermion_modes
@@ -772,26 +905,29 @@ def correlators_and_wick(state, space: FockSpace, ops: ModeOperators) -> Correla
                    for k in (1, 2))
     first = [_annihilation_map(ops.states, once, i) for i in range(nf)]
     second = [_annihilation_map(once, twice, i) for i in range(nf)]
+    n_once, n_twice = len(once), len(twice)
 
     for w, x in zip(weights, rows):
         # row i: c_i psi on the (N-1)-particle basis
-        cvecs = np.array([(ci @ x).ravel() for ci in first]).reshape(nf, len(once) * n_b)
+        cvecs = np.array([_annihilate(ci, x, n_once).ravel()
+                          for ci in first]).reshape(nf, n_once * n_b)
         c_mat += w * (cvecs.conj() @ cvecs.T)
         # row (a, b): c_a c_b psi on the (N-2)-particle basis
-        pvecs = np.array([(second[a] @ cvecs[b].reshape(len(once), n_b)).ravel()
-                          for a, b in zip(pair_a, pair_b)]).reshape(n_pairs, len(twice) * n_b)
+        pvecs = np.array([_annihilate(second[a], cvecs[b].reshape(n_once, n_b), n_twice).ravel()
+                          for a, b in zip(pair_a, pair_b)]).reshape(n_pairs, n_twice * n_b)
         gram += w * (pvecs.conj() @ pvecs.T)
-        dvecs = np.array([_on_boson_factor(bm, x) for bm in ops.b]).reshape(nb, x.size)
-        ddagvecs = np.array([_on_boson_factor(bm.getH(), x)
-                             for bm in ops.b]).reshape(nb, x.size)
+        # row m: d_m psi and d_m+ psi
+        dvecs = np.array([_ladder_on_rows(x, space, m) for m in range(nb)]).reshape(nb, x.size)
+        ddagvecs = np.array([_ladder_on_rows(x, space, m, raised=True)
+                             for m in range(nb)]).reshape(nb, x.size)
         d_dag_d += w * (dvecs.conj() @ dvecs.T)
         d_dag_ddag += w * (dvecs.conj() @ ddagvecs.T)
         for cell in _pairs(space):
-            q1, q2 = _ladder_pair(ops.b, space, cell)
-            q1v = _on_boson_factor(q1, x)
+            mx, mz = _pair_modes(space, cell)   # q1 = Q1_X d_x + Q1_Z d_z, q2 = d_z
+            q1v = _ladder_on_rows(x, space, mx, Q1_X) + _ladder_on_rows(x, space, mz, Q1_Z)
             acc = q_corr_acc.setdefault(cell, {"q1dag_q2": 0.0, "q1dag_q2dag": 0.0})
-            acc["q1dag_q2"] += w * np.vdot(q1v, _on_boson_factor(q2, x))
-            acc["q1dag_q2dag"] += w * np.vdot(q1v, _on_boson_factor(q2.getH(), x))
+            acc["q1dag_q2"] += w * np.vdot(q1v, dvecs[mz])
+            acc["q1dag_q2dag"] += w * np.vdot(q1v, ddagvecs[mz])
 
     # c_x c_y psi = sign[x, y] * (row pair[x, y] of the pair vectors),
     # with sign 0 for x == y; pair is symmetric, sign antisymmetric

@@ -1,14 +1,17 @@
 """Shared fixtures and the reference oracles.
 
 The symbolic oracles derive in sympy the exact constants the library
-hard-codes, so sympy is a test-only dependency.  The full-space assembly
-and correlator oracles are the references for the sector-basis
-Hamiltonians and observables, and ``full_sector_mapping_residual`` (the
+hard-codes, so sympy is a test-only dependency.  The full-space mode
+operators (``full_space_d``, ``q_pair``, ``fermion_number``) are scipy kron
+chains built here, and the full-space assembly and correlator oracles
+built from them are the references for the sector-basis Hamiltonians and
+observables, and ``full_sector_mapping_residual`` (the
 window block cut from full-sector Hamiltonians) for the window-native
 mapping residual; the dense ``np.einsum`` oracles are the
 references for the sparse slab contractions of the geometry sector.
 """
 
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -24,9 +27,9 @@ from gravlat.geometry import (DiagonalFluctuationSlab, ModelParams,
                               frame_pair_tensor)
 from gravlat.gravity_action import ActionReport, _integral, massive_fp_action
 from gravlat.lattice import LatticeSpec
-from gravlat.manybody import (CorrelatorReport, FockSpace, GroundStateResult,
-                              ModeOperators, _pairs, _sector_matrix,
-                              operator_algebra)
+from gravlat.manybody import (Q1_X, Q1_Z, CorrelatorReport, FockSpace,
+                              GroundStateResult, ModeOperators, _boson_ladder,
+                              _pairs, operator_algebra)
 
 
 @pytest.fixture
@@ -95,12 +98,50 @@ def q_map_commutators():
 
 
 # ---------------------------------------------------------------------------
+# full-space mode operators
+# ---------------------------------------------------------------------------
+
+def boson_ladders(space: FockSpace) -> tuple:
+    """The boson annihilators on the boson factor as scipy kron chains, mode
+    m at stride (n_max + 1)^m of the boson index."""
+    ladder = sparse.csr_matrix(_boson_ladder(space.n_max))
+    eye = sparse.identity(space.n_max + 1, format="csr")
+    bs = []
+    for m in range(space.n_boson_modes):
+        factors = [ladder if j == m else eye for j in reversed(range(space.n_boson_modes))]
+        bs.append(sparse.csr_matrix(
+            reduce(lambda a, b: sparse.kron(a, b, format="csr"), factors)))
+    return tuple(bs)
+
+
+def full_space_d(space: FockSpace) -> tuple:
+    """Boson annihilation operators on the full space."""
+    eye_f = sparse.identity(space.fermion_dim, format="csr")
+    return tuple(sparse.kron(eye_f, bm, format="csr") for bm in boson_ladders(space))
+
+
+def q_pair(d, space: FockSpace, cell):
+    """(q1, q2) on the full space for the pair serving ``cell``, from the
+    full-space ladders ``d``."""
+    dx = d[space.boson_mode_index(cell, "x")]
+    dz = d[space.boson_mode_index(cell, "z")]
+    return Q1_X * dx + Q1_Z * dz, dz
+
+
+def fermion_number(ops: ModeOperators):
+    n = sparse.csr_matrix((ops.space.dimension, ops.space.dimension))
+    for ci in ops.c:
+        n = n + ci.getH() @ ci
+    return n
+
+
+# ---------------------------------------------------------------------------
 # full-space assembly oracle
 # ---------------------------------------------------------------------------
 #
 # The assemblers as they were before the many-body layer moved to the
 # sector basis: every operator on the full 2^nf x boson space, built from
-# the full-space mode operators ``ops.c`` / ``ops.d``.  Sliced by
+# the full-space mode operators ``ops.c`` and ``full_space_d``.  Sliced by
 # ``space.sector_indices()``, they must equal the library's sector-basis
 # Hamiltonians exactly.  ``_hermitize`` is the whole-matrix Hermiticity
 # check and symmetrization they ended with.
@@ -158,6 +199,7 @@ def full_space_simulator(params: ModelParams, spec: LatticeSpec,
     opt = optical_params(params)
     dim = space.dimension
     eye = sparse.identity(dim, format="csr")
+    d = full_space_d(space)
 
     coupling_ops = {}
     for cell, species, _, _ in _species_bonds(spec):
@@ -172,7 +214,7 @@ def full_space_simulator(params: ModelParams, spec: LatticeSpec,
             # bond without a fluctuation mode stays at the background value
             coupling_ops[key] = background
             continue
-        dm = ops.d[m]
+        dm = d[m]
         coupling_ops[key] = background + strength * amp * (dm + dm.getH())
     h = full_space_hopping(ops, spec, coupling_ops)
 
@@ -181,8 +223,8 @@ def full_space_simulator(params: ModelParams, spec: LatticeSpec,
     pref_n = 8.0 * np.pi * g * params.mu ** 2 / 3.0
     pref_q = 256.0 * np.pi ** 3 * g ** 3 * params.mu ** 2 / (3.0 * params.l ** 2)
     for cell in _pairs(space):
-        dx = ops.d[space.boson_mode_index(cell, "x")]
-        dz = ops.d[space.boson_mode_index(cell, "z")]
+        dx = d[space.boson_mode_index(cell, "x")]
+        dz = d[space.boson_mode_index(cell, "z")]
         bx = dx + opt.d_x * eye   # alpha_x in the number basis of d_x
         bz = dz + opt.d_z * eye
         abar_x = bx.getH() - bx   # equals dx+ - dx exactly
@@ -237,12 +279,13 @@ def full_space_target(params: ModelParams, spec: LatticeSpec,
         ops = operator_algebra(space)
     dim = space.dimension
     eye = sparse.identity(dim, format="csr")
+    d = full_space_d(space)
     j0 = 2.0 / (3.0 * params.l)
     slope = 4.0 * np.sqrt(2.0) * np.pi * params.G / params.l ** 2
 
     coupling_ops = {}
     for cell in _pairs(space):
-        q1, q2 = ops.q_pair(cell)
+        q1, q2 = q_pair(d, space, cell)
         q1p = q1 + q1.getH()
         q2p = q2 + q2.getH()
         delta_jz = (2.0 / 3.0) * (-slope) * q2p
@@ -261,7 +304,7 @@ def full_space_target(params: ModelParams, spec: LatticeSpec,
 
     form = hgr_quadratic_form(params)
     for cell in _pairs(space):
-        q1, q2 = ops.q_pair(cell)
+        q1, q2 = q_pair(d, space, cell)
         q1m = q1.getH() - q1
         q2m = q2.getH() - q2
         q1p = q1.getH() + q1
@@ -277,7 +320,7 @@ def full_sector_mapping_residual(h_sim, h_target, space: FockSpace, window: int)
     sliced block."""
     if window > space.n_max:
         raise ValueError(f"window {window} exceeds n_max {space.n_max}")
-    diff = _sector_matrix(h_sim - h_target, space)
+    diff = h_sim.tocsr() - h_target.tocsr()
     keep_b = np.flatnonzero(space.boson_occupation_table() <= window)
     n_states = space.sector_dimension // space.boson_dim
     idx = (np.arange(n_states)[:, None] * space.boson_dim + keep_b[None, :]).ravel()
@@ -291,8 +334,8 @@ def full_sector_mapping_residual(h_sim, h_target, space: FockSpace, window: int)
 # ---------------------------------------------------------------------------
 #
 # The observables as they were before they moved to the sector basis: every
-# quadruple enumerated with the full-space ``ops.c`` / ``ops.d`` applied to
-# full-space vectors.
+# quadruple enumerated with the full-space ``ops.c`` and ``full_space_d``
+# applied to full-space vectors.
 
 def full_space_mixture(state, space: FockSpace):
     """(weights, full-space vectors) of a GroundStateResult or of a vector
@@ -315,6 +358,7 @@ def full_space_correlators(state, space: FockSpace, ops: ModeOperators) -> Corre
     d_dag_d = np.zeros((nb, nb), dtype=complex)
     d_dag_ddag = np.zeros((nb, nb), dtype=complex)
     q_corr = {}
+    d = full_space_d(space)
     quads = [(i, j, k, l) for i in range(nf) for j in range(nf)
              for k in range(nf) for l in range(nf)]
     four = np.zeros(len(quads), dtype=complex)
@@ -323,14 +367,14 @@ def full_space_correlators(state, space: FockSpace, ops: ModeOperators) -> Corre
         for i in range(nf):
             for j in range(nf):
                 c_mat[i, j] += w * np.vdot(cvecs[i], cvecs[j])
-        dvecs = [dm @ psi for dm in ops.d]
-        ddagvecs = [dm.getH() @ psi for dm in ops.d]
+        dvecs = [dm @ psi for dm in d]
+        ddagvecs = [dm.getH() @ psi for dm in d]
         for m in range(nb):
             for n in range(nb):
                 d_dag_d[m, n] += w * np.vdot(dvecs[m], dvecs[n])
                 d_dag_ddag[m, n] += w * np.vdot(dvecs[m], ddagvecs[n])
         for cell in _pairs(space):
-            q1, q2 = ops.q_pair(cell)
+            q1, q2 = q_pair(d, space, cell)
             q1v = q1 @ psi
             acc = q_corr.setdefault(cell, {"q1dag_q2": 0.0, "q1dag_q2dag": 0.0})
             acc["q1dag_q2"] += w * np.vdot(q1v, q2 @ psi)

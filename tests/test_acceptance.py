@@ -31,7 +31,7 @@ from gravlat.manybody import (FockSpace, assemble_background_hopping,
                               correlators_and_wick, ground_state,
                               mapping_residual, operator_algebra)
 
-from conftest import q_map_commutators
+from conftest import full_space_d, q_map_commutators, q_pair
 
 
 def _report(number, checks, started, limit):
@@ -193,11 +193,11 @@ def test_criterion_07_hamiltonian_mapping():
     # exact-equality sector: the sqrt2/(24 pi G) and 1/(48 pi G) lines
     p = ModelParams(G=1e-2, l=1.0, mu=1.0)
     space_b = FockSpace(0, ((0, "x"), (0, "z")), 3)
-    ops_b = operator_algebra(space_b)
-    dx, dz = ops_b.d
+    d_b = full_space_d(space_b)
+    dx, dz = d_b
     abar_x, abar_z = dx.getH() - dx, dz.getH() - dz
     line_sim = (1 / (24 * np.pi * p.G)) * (abar_z @ (np.sqrt(2) * abar_x - 0.5 * abar_z))
-    q1, q2 = ops_b.q_pair(0)
+    q1, q2 = q_pair(d_b, space_b, 0)
     line_tgt = (1 / (16 * np.pi * p.G)) * ((q1.getH() - q1) @ (q2.getH() - q2))
     sector_residual = float(abs(line_sim - line_tgt).max())
     checks = [

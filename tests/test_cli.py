@@ -257,17 +257,19 @@ filling = 99
 def test_import_loads_no_sympy_optimize_or_sparse():
     src = Path(gravlat.__file__).resolve().parents[1]
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import gravlat.cli; "
-             "print(','.join(m for m in ('sympy', 'scipy.optimize', 'scipy.sparse')"
-             " if m in sys.modules))")
+             "print(','.join(m for m in sys.modules"
+             " if m.split('.')[0] in ('sympy', 'scipy')))")
     loaded = subprocess.run([sys.executable, "-c", probe, str(src)], check=True,
                             capture_output=True, text=True).stdout.strip()
     assert loaded == ""
 
 
-def test_dense_path_leaves_sparse_linalg_unloaded(tmp_path):
-    # every sector of this sweep is below the Lanczos threshold of 512
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("""
+# (config, artifact, loads scipy): only a Lanczos solve (sector dimension
+# above 512) may load scipy; the dense commands below are spectrum (1536,
+# one dense eigvalsh), map-residual (window blocks) and a wick-sweep whose
+# sectors are all at most 512
+_SCIPY_CONTRACT = {
+    "wick-sweep": ("""
 command = wick-sweep
 [lattice]
 ncx = 2
@@ -278,15 +280,56 @@ n_max = 2
 placement = cell0
 [sweep]
 g_values = 0, 1e-3, 1e-2
-""")
+""", "wick_sweep.csv", False),
+    "spectrum": ("""
+command = spectrum
+[lattice]
+ncx = 2
+ncy = 1
+[truncation]
+n_max = 3
+[manybody]
+placement = per_cell
+""", "spectrum.csv", False),
+    "map-residual": ("""
+command = map-residual
+[lattice]
+ncx = 3
+ncy = 1
+[truncation]
+n_max = 2
+window = 1
+[manybody]
+placement = per_cell
+[sweep]
+g_values = 0, 1e-3, 3e-3, 1e-2
+""", "map_residual.csv", False),
+    "ground-state": ("""
+command = ground-state
+[lattice]
+ncx = 3
+ncy = 1
+[truncation]
+n_max = 1
+[manybody]
+placement = per_cell
+""", "ground_state.csv", True),
+}
+
+
+def test_dense_path_leaves_sparse_linalg_unloaded(tmp_path):
     src = Path(gravlat.__file__).resolve().parents[1]
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); from gravlat.cli import main; "
-             "code = main(sys.argv[2:]); print(code, 'scipy.sparse.linalg' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe, str(src), str(cfg),
-                          "--output", str(tmp_path / "out")],
-                         check=True, capture_output=True, text=True).stdout
-    assert out.splitlines()[-1] == "0 False"
-    assert (tmp_path / "out" / "wick_sweep.csv").exists()
+             "code = main(sys.argv[2:]); print(code, 'scipy.sparse.linalg' in sys.modules, "
+             "any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    for name, (config, artifact, lanczos) in _SCIPY_CONTRACT.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(config)
+        out = subprocess.run([sys.executable, "-c", probe, str(src), str(cfg),
+                              "--output", str(tmp_path / name)],
+                             check=True, capture_output=True, text=True).stdout
+        assert out.splitlines()[-1] == f"0 {lanczos} {lanczos}", name
+        assert (tmp_path / name / artifact).exists()
 
 
 @pytest.mark.parametrize("command", ["correlators", "wick-sweep", "ground-state"])
@@ -297,7 +340,6 @@ def test_no_full_space_operator_on_the_cli_path(tmp_path, monkeypatch, command):
         raise AssertionError("full-space mode operator built")
 
     monkeypatch.setattr(ModeOperators, "c", property(refuse))
-    monkeypatch.setattr(ModeOperators, "d", property(refuse))
     with pytest.raises(AssertionError):
         operator_algebra(FockSpace(2, ((0, "x"),), 1)).c
     code, _ = _run(tmp_path, f"""

@@ -17,9 +17,10 @@ from gravlat.manybody import (FockSpace, assemble_background_hopping,
                               boson_modes, ground_state, mapping_residual,
                               operator_algebra)
 
-from conftest import (full_sector_mapping_residual, full_space_background,
-                      full_space_correlators, full_space_simulator,
-                      full_space_target, q_map_commutators)
+from conftest import (fermion_number, full_sector_mapping_residual,
+                      full_space_background, full_space_correlators,
+                      full_space_d, full_space_simulator, full_space_target,
+                      q_map_commutators, q_pair)
 
 
 def small_space(nf=2, nb=1, n_max=2, sector=None):
@@ -49,8 +50,7 @@ def test_cross_mode_anticommutators_vanish_exactly():
 
 
 def test_boson_ladder_matrix_and_cutoff_defect():
-    ops = operator_algebra(FockSpace(0, ((0, "x"),), 3))
-    d = ops.d[0].toarray()
+    d = full_space_d(FockSpace(0, ((0, "x"),), 3))[0].toarray()
     expected = np.zeros((4, 4))
     expected[0, 1] = 1.0
     expected[1, 2] = np.sqrt(2.0)
@@ -66,6 +66,7 @@ def test_boson_ladder_matrix_and_cutoff_defect():
 def test_algebra_exhaustive_on_mixed_space():
     space = small_space(nf=3, nb=2, n_max=1)
     ops = operator_algebra(space)
+    d = full_space_d(space)
     dim = space.dimension
     eye = sparse.identity(dim)
     for i, ci in enumerate(ops.c):
@@ -73,10 +74,10 @@ def test_algebra_exhaustive_on_mixed_space():
             assert abs(ci @ cj + cj @ ci).max() == 0.0
             anti = ci @ cj.getH() + cj.getH() @ ci - (eye if i == j else 0 * eye)
             assert abs(anti).max() < 1e-14
-        for dm in ops.d:
+        for dm in d:
             assert abs(ci @ dm - dm @ ci).max() == 0.0  # sectors commute
-    for m, dm in enumerate(ops.d):
-        for n, dn in enumerate(ops.d):
+    for m, dm in enumerate(d):
+        for n, dn in enumerate(d):
             if m != n:
                 assert abs(dm @ dn.getH() - dn.getH() @ dm).max() == 0.0
 
@@ -115,14 +116,14 @@ SPEC1 = LatticeSpec(1, 1)
 
 def test_simulator_hermitian_exactly():
     space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 3)
-    h = assemble_simulator_hamiltonian(PARAMS, SPEC1, space)
+    h = assemble_simulator_hamiltonian(PARAMS, SPEC1, space).tocsr()
     assert h.dtype == np.float64
     assert abs(h - h.getH()).max() == 0.0
 
 
 def test_target_hermitian_exactly():
     space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 3)
-    h = assemble_target_hamiltonian(PARAMS, SPEC1, space)
+    h = assemble_target_hamiltonian(PARAMS, SPEC1, space).tocsr()
     assert h.dtype == np.float64
     assert abs(h - h.getH()).max() == 0.0
 
@@ -130,7 +131,7 @@ def test_target_hermitian_exactly():
 def test_background_hermitian_exactly():
     spec = LatticeSpec(2, 1)
     space = FockSpace(spec.n_modes, boson_modes(spec, "per_cell"), 1)
-    h = assemble_background_hopping(PARAMS.l, spec, space)
+    h = assemble_background_hopping(PARAMS.l, spec, space).tocsr()
     assert h.dtype == np.float64
     assert abs(h - h.getH()).max() == 0.0
 
@@ -145,10 +146,14 @@ def _canonical(h):
     (2, "per_cell", 2),   # a_0 -> b_0 hops cross a_1: the JW signs matter
     (1, "per_cell", 1),
     (2, "cell0", None),   # no sector: the sector basis is the full space
+    # the two cells' pairs interleave: cell 0 is served by modes 0 and 2
+    pytest.param(2, ((0, "x"), (1, "x"), (0, "z"), (1, "z")), 2, id="2-interleaved-2"),
+    (2, "uniform", 2),    # one pair shared by both cells
 ])
 def test_sector_assembly_matches_full_space_oracle(ncx, placement, sector):
     spec = LatticeSpec(ncx, 1)
-    space = FockSpace(spec.n_modes, boson_modes(spec, placement), 2, sector=sector)
+    modes = boson_modes(spec, placement) if isinstance(placement, str) else placement
+    space = FockSpace(spec.n_modes, modes, 2, sector=sector)
     ops = operator_algebra(space)
     idx = space.sector_indices()
     pairs = [
@@ -160,7 +165,7 @@ def test_sector_assembly_matches_full_space_oracle(ncx, placement, sector):
          full_space_background(PARAMS.l, spec, space, ops)),
     ]
     for h, oracle in pairs:
-        h, ref = _canonical(h), _canonical(oracle.tocsr()[idx][:, idx])
+        h, ref = _canonical(h.tocsr()), _canonical(oracle.tocsr()[idx][:, idx])
         assert h.shape == (space.sector_dimension,) * 2
         np.testing.assert_array_equal(h.indptr, ref.indptr)
         np.testing.assert_array_equal(h.indices, ref.indices)
@@ -168,6 +173,52 @@ def test_sector_assembly_matches_full_space_oracle(ncx, placement, sector):
     if spec.n_modes > 2:  # hops cross occupied modes: the JW signs take both values
         hop = pairs[2][0].data
         assert (hop > 0).any() and (hop < 0).any()
+    # the window block and the boson observables read the same boson digits
+    oracle = full_sector_mapping_residual(pairs[0][0], pairs[1][0], space, 1)
+    assert mapping_residual(PARAMS, spec, space, 1, ops) == oracle
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal(space.sector_dimension) + 1j * rng.standard_normal(
+        space.sector_dimension)
+    psi /= np.linalg.norm(psi)
+    rep, want = correlators_and_wick(psi, space, ops), full_space_correlators(psi, space, ops)
+    for field in ("d_dag_d", "d_dag_ddag"):
+        assert np.abs(getattr(rep, field) - getattr(want, field)).max() <= 1e-12
+    assert rep.q_corr.keys() == want.q_corr.keys()
+    for cell, qc in rep.q_corr.items():
+        for key, value in qc.items():
+            assert abs(value - want.q_corr[cell][key]) <= 1e-12
+
+
+@pytest.mark.parametrize("config,nnz", [
+    # (b): 3x1, one pair per cell, n_max 2, sector 3 (dimension 14 580)
+    ("command = correlators\n[lattice]\nncx = 3\nncy = 1\n[truncation]\nn_max = 2\n"
+     "[manybody]\nplacement = per_cell\n", 395_604),
+    # (d): 4x2, one pair on cell 0, n_max 1, sector 8 (dimension 51 480)
+    ("command = ground-state\n[lattice]\nncx = 4\nncy = 2\n[truncation]\nn_max = 1\n"
+     "nnz_cap = 8388608\n[manybody]\nplacement = cell0\n", 947_232),
+])
+def test_sector_operator_nnz_is_the_csr_count(config, nnz):
+    """nnz counts unique nonzero entries, so it is the CSR count the tracer
+    reports as ``manybody.h_nnz`` (the values of the ED configs (b), (d))."""
+    from gravlat.cli import parse_config
+    cfg = parse_config(config)
+    h = assemble_simulator_hamiltonian(cfg.params, cfg.lattice, cfg.fock_space())
+    assert h.nnz == nnz
+    assert h.tocsr().nnz == nnz
+
+
+@pytest.mark.parametrize("ncx,ncy,placement,n_max", [
+    (3, 1, "per_cell", 1),   # (b)-shaped: a pair on every cell
+    (2, 2, "cell0", 1),      # (d)-shaped: one pair, two rows of cells
+])
+def test_sector_operator_dense_and_csr_forms_agree(ncx, ncy, placement, n_max):
+    spec = LatticeSpec(ncx, ncy)
+    space = FockSpace(spec.n_modes, boson_modes(spec, placement), n_max,
+                      sector=spec.n_modes // 2)
+    for h in (assemble_simulator_hamiltonian(PARAMS, spec, space),
+              assemble_target_hamiltonian(PARAMS, spec, space)):
+        assert h.shape == (space.sector_dimension,) * 2
+        np.testing.assert_array_equal(h.toarray(), h.tocsr().toarray())
 
 
 def test_assembly_rejects_operators_of_another_space():
@@ -238,9 +289,9 @@ def test_trivial_truncation_reduces_to_background():
 def test_fermion_number_conserved():
     space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 2)
     ops = operator_algebra(space)
-    n_op = ops.fermion_number()
-    for h in (assemble_simulator_hamiltonian(PARAMS, SPEC1, space, ops),
-              assemble_target_hamiltonian(PARAMS, SPEC1, space, ops)):
+    n_op = fermion_number(ops)
+    for h in (assemble_simulator_hamiltonian(PARAMS, SPEC1, space, ops).tocsr(),
+              assemble_target_hamiltonian(PARAMS, SPEC1, space, ops).tocsr()):
         assert abs(h @ n_op - n_op @ h).max() < 1e-12
 
 
@@ -250,8 +301,8 @@ def test_hopping_sectors_of_sim_and_target_coincide():
     lives in the boson sector."""
     space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 2)
     ops = operator_algebra(space)
-    h_sim = assemble_simulator_hamiltonian(PARAMS, SPEC1, space, ops)
-    h_tgt = assemble_target_hamiltonian(PARAMS, SPEC1, space, ops)
+    h_sim = assemble_simulator_hamiltonian(PARAMS, SPEC1, space, ops).tocsr()
+    h_tgt = assemble_target_hamiltonian(PARAMS, SPEC1, space, ops).tocsr()
     diff = (h_sim - h_tgt).toarray()
     # the difference must commute with every fermion mode occupation, i.e.
     # act on the boson factor only
@@ -264,12 +315,12 @@ def test_momentum_line_sector_matches_exactly():
     # coefficients sqrt2/(24 pi G) and 1/(48 pi G) agree exactly between the
     # shifted-mode product and the ladder-pair product
     space = FockSpace(0, ((0, "x"), (0, "z")), 3)
-    ops = operator_algebra(space)
-    dx, dz = ops.d
+    d = full_space_d(space)
+    dx, dz = d
     abar_x = dx.getH() - dx
     abar_z = dz.getH() - dz
     line_sim = (1 / (24 * np.pi * PARAMS.G)) * (abar_z @ (np.sqrt(2) * abar_x - 0.5 * abar_z))
-    q1, q2 = ops.q_pair(0)
+    q1, q2 = q_pair(d, space, 0)
     line_tgt = (1 / (16 * np.pi * PARAMS.G)) * ((q1.getH() - q1) @ (q2.getH() - q2))
     assert abs(line_sim - line_tgt).max() < 1e-12
 
@@ -297,12 +348,12 @@ def test_target_boson_block_matches_quadratic_form_matrix():
     # oscillator-variable quadratic form with the same matrix
     p = ModelParams(G=5e-3, l=1.0, mu=1.3)
     space = FockSpace(0, ((0, "x"), (0, "z")), 6)
-    ops = operator_algebra(space)
-    q1, q2 = ops.q_pair(0)
+    d = full_space_d(space)
+    q1, q2 = q_pair(d, space, 0)
     form = hgr_quadratic_form(p)
     h_q = (form.q_minus_coeff * ((q1.getH() - q1) @ (q2.getH() - q2))
            + form.q_plus_coeff * ((q1.getH() + q1) @ (q2.getH() + q2)))
-    dx, dz = ops.d
+    dx, dz = d
     xs = [(dx + dx.getH()) / np.sqrt(2), (dz + dz.getH()) / np.sqrt(2)]
     ps = [1j * (dx.getH() - dx) / np.sqrt(2), 1j * (dz.getH() - dz) / np.sqrt(2)]
     s_pattern = np.array([[0.0, -np.sqrt(2.0)], [-np.sqrt(2.0), 1.0]])
@@ -363,15 +414,16 @@ def test_window_block_is_the_slice_of_the_full_sector_hamiltonian():
     spec = LatticeSpec(2, 1)
     space = FockSpace(spec.n_modes, boson_modes(spec, "per_cell"), 2, sector=2)
     ops = operator_algebra(space)
-    keep = np.flatnonzero(space.boson_occupation_table() <= 1)
+    mask = space.boson_occupation_table() <= 1
+    keep = np.flatnonzero(mask)
     idx = (np.arange(len(ops.states))[:, None] * space.boson_dim + keep).ravel()
     for terms, full in (
             (manybody._simulator_terms(PARAMS, spec, ops),
              assemble_simulator_hamiltonian(PARAMS, spec, space, ops)),
             (manybody._target_terms(PARAMS, spec, ops),
              assemble_target_hamiltonian(PARAMS, spec, space, ops))):
-        block = manybody._on_sector(ops, *terms, keep=keep)
-        ref = _canonical(full[idx][:, idx])
+        block = manybody._on_sector(ops, *terms, keep=mask).tocsr()
+        ref = _canonical(full.tocsr()[idx][:, idx])
         np.testing.assert_array_equal(block.indptr, ref.indptr)
         np.testing.assert_array_equal(block.indices, ref.indices)
         np.testing.assert_array_equal(block.data, ref.data)
@@ -385,7 +437,8 @@ def test_non_hermitian_boson_term_is_rejected(monkeypatch):
 
     def skewed_terms(params, spec, ops):
         couplings, boson = real_terms(params, spec, ops)
-        return couplings, boson + 1e-3 * ops.b[0]
+        ladder = manybody._boson_ladder(ops.space.n_max)
+        return couplings, boson + manybody._embed(ops.space, 1e-3 * ladder, (0,))
 
     monkeypatch.setattr(manybody, "_simulator_terms", skewed_terms)
     with pytest.raises(AssertionError, match="anti-Hermitian"):
@@ -417,7 +470,7 @@ def test_ground_energy_agreement_within_residual_bound():
     h_tgt = assemble_target_hamiltonian(p, SPEC1, space, ops)
     e_sim = ground_state(h_sim, space).energy
     e_tgt = ground_state(h_tgt, space).energy
-    block = (h_sim - h_tgt).toarray()  # both are on the sector basis
+    block = (h_sim.tocsr() - h_tgt.tocsr()).toarray()  # both are on the sector basis
     evals = np.linalg.eigvalsh(block)
     c_star = (evals[-1] + evals[0]) / 2
     r_full = (evals[-1] - evals[0]) / 2
