@@ -34,7 +34,7 @@ from .continuum import (gaussian_elimination_oracle,
                         hgr_quadratic_form, integrate_out_geometry,
                         normal_mode_frequencies, symplectic_frequencies)
 from .designer import design_sheet_pairs, hubbard_integrals
-from .lattice import (CouplingField, LatticeSpec, bloch_f,
+from .lattice import (BOSON_PLACEMENTS, CouplingField, LatticeSpec, bloch_f,
                       couplings_from_dreibein, dirac_slopes,
                       dreibein_from_couplings, fermi_points,
                       reciprocal_vectors)
@@ -49,11 +49,6 @@ COMMANDS = (
     "spectrum", "ground-state", "correlators", "wick-sweep",
     "map-residual", "integrate-out",
 )
-
-# the placements of manybody.boson_modes, listed here so that parsing a
-# config does not import manybody; scipy is loaded later still, only by a
-# Lanczos solve in manybody.ground_state
-_PLACEMENTS = ("per_cell", "uniform", "cell0")
 
 
 def _parse_scalar(kind, raw: str):
@@ -81,8 +76,8 @@ _SCHEMA = {
     ("truncation", "window"): ("int", 2, lambda v: v >= 0, ">= 0"),
     ("truncation", "dense_cap"): ("int", 4096, lambda v: v >= 1, ">= 1"),
     ("truncation", "nnz_cap"): ("int", 2 ** 22, lambda v: v >= 1, ">= 1"),
-    ("manybody", "placement"): ("str", "per_cell", lambda v: v in _PLACEMENTS,
-                                f"one of {', '.join(_PLACEMENTS)}"),
+    ("manybody", "placement"): ("str", "per_cell", lambda v: v in BOSON_PLACEMENTS,
+                                f"one of {', '.join(BOSON_PLACEMENTS)}"),
     ("manybody", "filling"): ("str", "half", lambda v: v == "half" or v.isdigit(),
                               "'half' or a fermion count"),
     ("sweep", "g_values"): ("floatlist", (0.0, 1e-3, 3e-3, 1e-2),
@@ -404,6 +399,9 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(text)
         if args.seed is not None:
+            _, _, validator, description = _SCHEMA[("", "seed")]
+            if not validator(args.seed):
+                raise ConfigError([f"--seed {args.seed} out of range (expected {description})"])
             cfg.values[("", "seed")] = args.seed
         outdir = Path(args.output) if args.output else Path(cfg.values[("", "output")])
         return run_command(cfg, outdir)

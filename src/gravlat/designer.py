@@ -22,6 +22,7 @@ from .geometry import ModelParams
 __all__ = [
     "OpticalParams",
     "optical_params",
+    "WEAK_FLUCTUATION_THRESHOLD",
     "WeakFluctuationReport",
     "weak_fluctuation_check",
     "HubbardIntegrals",
@@ -84,27 +85,29 @@ def optical_params(params: ModelParams) -> OpticalParams:
     return OpticalParams(d_x=d_x, d_z=d_z, delta_x=delta_x, delta_z=delta_z)
 
 
+# the largest <d+d>/D^2 ratio at which the weak-fluctuation window holds
+WEAK_FLUCTUATION_THRESHOLD = 1e-2
+
+
 @dataclass(frozen=True)
 class WeakFluctuationReport:
-    """Per-mode <d+d>/D^2 ratios against a pass threshold."""
+    """Per-mode <d+d>/D^2 ratios against WEAK_FLUCTUATION_THRESHOLD."""
 
     ratios: tuple
     labels: tuple
-    threshold: float
 
     @property
     def passed(self) -> bool:
-        return all(r <= self.threshold for r in self.ratios)
+        return all(r <= WEAK_FLUCTUATION_THRESHOLD for r in self.ratios)
 
     def to_pairs(self):
-        pairs = [("threshold", self.threshold), ("passed", self.passed)]
+        pairs = [("threshold", WEAK_FLUCTUATION_THRESHOLD), ("passed", self.passed)]
         pairs.extend((f"ratio_{lab}", r) for lab, r in zip(self.labels, self.ratios))
         return pairs
 
 
 def weak_fluctuation_check(occupations: Sequence[float], species: Sequence[str],
-                           optical: OpticalParams,
-                           threshold: float = 1e-2) -> WeakFluctuationReport:
+                           optical: OpticalParams) -> WeakFluctuationReport:
     """Compare mode occupations <d_m+ d_m> against D_m^2.
 
     ``occupations`` and ``species`` run over the boson modes of the state
@@ -114,7 +117,7 @@ def weak_fluctuation_check(occupations: Sequence[float], species: Sequence[str],
     ratios = tuple(float(occ) / optical.amplitude(s) ** 2
                    for occ, s in zip(occupations, species))
     labels = tuple(f"{i}{s}" for i, s in enumerate(species))
-    return WeakFluctuationReport(ratios=ratios, labels=labels, threshold=threshold)
+    return WeakFluctuationReport(ratios=ratios, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +152,11 @@ class HubbardIntegrals:
     """Hopping and on-site interaction from the overlap integrals.
 
     ``t`` per axis and ``u`` are in absolute energy units (hbar = 1);
-    ``t_recoil`` is the per-axis value in recoil units.  ``gaussian_u``
-    flags that u uses the Gaussian-orbital approximation with per-axis
-    width sigma = spacing * v0^(-1/4) / pi; ``tight_binding_ok`` is False
-    when any axis depth is below one recoil.
+    ``t_recoil`` is the per-axis value in recoil units.  u always uses the
+    Gaussian-orbital approximation with per-axis width
+    sigma = spacing * v0^(-1/4) / pi, which ``to_pairs`` records as
+    ``gaussian_u=true``; ``tight_binding_ok`` is False when any axis depth
+    is below one recoil.
     """
 
     t: tuple
@@ -160,7 +164,6 @@ class HubbardIntegrals:
     u: float
     sigma: tuple
     tight_binding_ok: bool
-    gaussian_u: bool = True
 
     def to_pairs(self):
         pairs = [(f"t_axis{i}", v) for i, v in enumerate(self.t)]
@@ -168,7 +171,7 @@ class HubbardIntegrals:
         pairs += [("u", self.u)]
         pairs += [(f"sigma_axis{i}", v) for i, v in enumerate(self.sigma)]
         pairs += [("tight_binding_ok", self.tight_binding_ok),
-                  ("gaussian_u", self.gaussian_u)]
+                  ("gaussian_u", True)]
         return pairs
 
 

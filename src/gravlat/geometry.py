@@ -202,12 +202,7 @@ def spectral_difference(arr: np.ndarray, axis: int, spacing: float) -> np.ndarra
     return out.real if np.isrealobj(arr) else out
 
 
-def _deriv(arr, axis, spacing, scheme):
-    if scheme == "central":
-        return central_difference(arr, axis, spacing)
-    if scheme == "spectral":
-        return spectral_difference(arr, axis, spacing)
-    raise ValueError(f"unknown derivative scheme {scheme!r}")
+_DIFFERENCES = {"central": central_difference, "spectral": spectral_difference}
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +217,8 @@ def _components(tensor: np.ndarray) -> dict:
 
 def _slab_derivatives(components: dict, spacings, scheme: str) -> dict:
     """{(alpha, A, mu): d_alpha T[A, mu]} for every component of a map."""
-    return {(alpha,) + idx: _deriv(arr, alpha, spacings[alpha], scheme)
+    diff = _DIFFERENCES[scheme]
+    return {(alpha,) + idx: diff(arr, alpha, spacings[alpha])
             for idx, arr in components.items() for alpha in range(3)}
 
 
@@ -311,7 +307,10 @@ def spin_connection_general(params: ModelParams, xi: DiagonalFluctuationSlab,
 
     Works on a space-time slab (>= 3 time slices) with finite differences
     along every axis; ``scheme="spectral"`` switches to Fourier derivatives
-    for band-limited fields.  With central differences it equals
+    for band-limited fields.  This is the one function with a derivative
+    option, because its callers differ: :func:`connection_refinement`
+    scores the central differences, and the action functionals need the
+    spectral connection.  With central differences it equals
     :func:`spin_connection_gauge_fixed` to rounding; against the closed form
     on analytic derivatives it is O(h^2) off (exact, for spectral
     derivatives).
@@ -328,16 +327,17 @@ def spin_connection_general(params: ModelParams, xi: DiagonalFluctuationSlab,
 
 
 def torsion_residual(params: ModelParams, xi: DiagonalFluctuationSlab,
-                     v: SpinConnectionSlab, scheme: str = "central") -> float:
+                     v: SpinConnectionSlab) -> float:
     """Max-norm of the linearized torsion of (xi, v).
 
     Computes eps^{mu nu rho}(d_nu xi^A_rho + eps^A_BC ebar^B_nu v^C_rho)
-    with periodic differences and returns its max absolute value over the
-    interior time slices: the first and last are dropped, so slabs that are
-    not time-periodic (e.g. 3-slice probes) are still scored on slices where
-    the central difference is one-sided-free.
+    with periodic second-order central differences (the O(h^2) scheme that
+    :func:`connection_refinement` verifies) and returns its max absolute
+    value over the interior time slices: the first and last are dropped, so
+    slabs that are not time-periodic (e.g. 3-slice probes) are still scored
+    on slices where the central difference is one-sided-free.
     """
-    dxi = _slab_derivatives(_components(xi.as_tensor()), xi.grid.spacings, scheme)
+    dxi = _slab_derivatives(_components(xi.as_tensor()), xi.grid.spacings, "central")
     conn = _contract("abc,bn,cr...->anr...", EPS3, background_frame(params),
                      _components(v.tensor))
     grad = {(A, n, r): d for (n, A, r), d in dxi.items()}  # -> [A, nu, rho]

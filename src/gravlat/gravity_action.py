@@ -2,9 +2,10 @@
 
 All integrals use the trapezoid rule on periodic grids (plain mean times
 volume), which is exact for trigonometric polynomials below the Nyquist
-limit.  Derivatives default to Fourier differentiation so the quadratic
-cross-checks hold at 1e-8 .. 1e-12 instead of being O(h^2)-limited; pass
-``scheme="central"`` to reproduce the stencil used by the geometry module.
+limit.  Every functional here takes its derivatives by Fourier
+differentiation, so the quadratic cross-checks hold at 1e-8 .. 1e-12
+instead of being O(h^2)-limited; the O(h^2) central stencil belongs to the
+geometry module's refinement study alone.
 
 Every slab contraction runs over the nonzero entries only: the six of
 epsilon, those of M, the diagonals of ebar and eta, and the field
@@ -33,10 +34,10 @@ from .geometry import (
     SpinConnectionSlab,
     background_frame,
     frame_pair_tensor,
+    spectral_difference,
     spin_connection_general,
     _components,
     _contract,
-    _deriv,
     _slab_derivatives,
 )
 
@@ -74,12 +75,13 @@ def _integral(grid, density) -> float:
 
 
 def palatini_total(params: ModelParams, xi: DiagonalFluctuationSlab,
-                   v: SpinConnectionSlab, scheme: str = "spectral") -> float:
+                   v: SpinConnectionSlab) -> float:
     """First-order action of the full pair (ebar + 8 pi G xi, 8 pi G v).
 
     (1/8 pi G) Int eps^{mu nu rho} e^A_mu ( d_nu w_{A rho}
                                             + eps_{ABC} w^B_nu w^C_rho / 2 ).
-    Requires G > 0 because of the overall 1/(8 pi G).
+    Derivatives are spectral.  Requires G > 0 because of the overall
+    1/(8 pi G).
     """
     if params.G == 0:
         raise ValueError("total action undefined at G = 0 (1/G prefactor)")
@@ -89,20 +91,20 @@ def palatini_total(params: ModelParams, xi: DiagonalFluctuationSlab,
     v_comps = _components(v.tensor)
     omega = {key: g8 * comp for key, comp in v_comps.items()}
     domega = {key: g8 * d for key, d in
-              _slab_derivatives(v_comps, v.grid.spacings, scheme).items()}
+              _slab_derivatives(v_comps, v.grid.spacings, "spectral").items()}
     t1 = _contract("mnr,am...,nar...->...", EPS3, e_full, domega)
     t2 = 0.5 * _contract("mnr,abc,am...,bn...,cr...->...", EPS3, EPS3, e_full, omega, omega)
     return _integral(xi.grid, t1 + t2) / g8
 
 
 def palatini_orders(params: ModelParams, xi: DiagonalFluctuationSlab,
-                    v: Optional[SpinConnectionSlab] = None,
-                    scheme: str = "spectral") -> ActionReport:
+                    v: Optional[SpinConnectionSlab] = None) -> ActionReport:
     """Order-by-order expansion values around the flat, torsion-free background.
 
     s0 and s1 are contractions with the background curvature and torsion,
     both of which vanish identically here, so they are returned as exact
-    zeros.  s2 is evaluated from the slab,
+    zeros.  s2 is evaluated from the slab (``v`` defaults to the
+    torsionless connection of ``xi``, on spectral derivatives),
 
         s2 = Int eps^{mu nu rho} ( xi^A_mu d_nu v_{A rho}
                                    + eps_{ABC} ebar^A_mu v^B_nu v^C_rho / 2 ),
@@ -112,65 +114,64 @@ def palatini_orders(params: ModelParams, xi: DiagonalFluctuationSlab,
     quadratic theory (for G > 0; it is reported as 0 when G = 0).
     """
     if v is None:
-        v = spin_connection_general(params, xi, scheme=scheme)
+        v = spin_connection_general(params, xi, scheme="spectral")
     if v.tensor.shape[2:] != xi.grid.shape:
         raise ValueError("xi and v slabs have mismatched shapes")
     v_comps = _components(v.tensor)
-    dv = _slab_derivatives(v_comps, v.grid.spacings, scheme)
+    dv = _slab_derivatives(v_comps, v.grid.spacings, "spectral")
     t1 = _contract("mnr,am...,nar...->...", EPS3, _components(xi.as_tensor()), dv)
     t2 = 0.5 * _contract("mnr,abc,am,bn...,cr...->...", EPS3, EPS3,
                          background_frame(params), v_comps, v_comps)
     s2 = _integral(xi.grid, t1 + t2)
-    s_massive = massive_fp_action(params, xi, scheme=scheme)
+    s_massive = massive_fp_action(params, xi)
     residuals = {}
     if params.G > 0:
         g8 = 8.0 * np.pi * params.G
-        total = palatini_total(params, xi, v, scheme=scheme)
+        total = palatini_total(params, xi, v)
         residuals["order_bookkeeping"] = total - g8 * s2
         residuals["quadratic_vs_double_eps"] = (
-            g8 * s2 - fierz_pauli_quadratic(params, xi, scheme=scheme))
+            g8 * s2 - fierz_pauli_quadratic(params, xi))
     else:
         residuals["order_bookkeeping"] = 0.0
-    report = ActionReport(s0=0.0, s1=0.0, s2=s2, s_massive=s_massive,
-                          residuals=residuals)
-    return report
+    return ActionReport(s0=0.0, s1=0.0, s2=s2, s_massive=s_massive,
+                        residuals=residuals)
 
 
-def fierz_pauli_quadratic(params: ModelParams, xi: DiagonalFluctuationSlab,
-                          scheme: str = "spectral") -> float:
+def fierz_pauli_quadratic(params: ModelParams, xi: DiagonalFluctuationSlab) -> float:
     """Massless quadratic action as the double-epsilon contraction
 
         -4 pi G Int M^{AB}_{mu nu} eps^{mu alpha beta} eps^{nu gamma delta}
-                    d_alpha xi_{A beta} d_gamma xi_{B delta} .
+                    d_alpha xi_{A beta} d_gamma xi_{B delta} ,
 
-    For diagonal fields every spatial-gradient contribution cancels and the
-    value reduces to -8 pi G Int (d_t xi1x)(d_t xi2y).  The tests verify
+    on spectral derivatives.  For diagonal fields every spatial-gradient
+    contribution cancels and the value reduces to
+    -8 pi G Int (d_t xi1x)(d_t xi2y).  The tests verify
     that this equals the standard Fierz-Pauli quadratic form of
     h_munu = ebar_{A mu} xi^A_nu + ebar_{A nu} xi^A_mu up to the fixed
     normalization 2 pi G / l^2 (see :func:`fp_standard_form`).
     """
-    dxi = _slab_derivatives(_components(xi.as_tensor()), xi.grid.spacings, scheme)
+    dxi = _slab_derivatives(_components(xi.as_tensor()), xi.grid.spacings, "spectral")
     W = _contract("mab,aAb...->Am...", EPS3, dxi)
     q = _contract("aBmn,am...,Bn...->...", frame_pair_tensor(params), W, W)
     return -4.0 * np.pi * params.G * _integral(xi.grid, q)
 
 
-def fp_standard_form(params: ModelParams, xi: DiagonalFluctuationSlab,
-                     scheme: str = "spectral") -> float:
+def fp_standard_form(params: ModelParams, xi: DiagonalFluctuationSlab) -> float:
     """Textbook massless spin-2 quadratic form of h_munu, as an oracle.
 
         (2 pi G / l^2) Int [ -d_l h_mn d^l h^mn / 2 + d_m h_nl d^n h^ml
                              - d_m h^mn d_n h + d_l h d^l h / 2 ]
 
     with h = diag(0, 2 l xi1x, 2 l xi2y) and indices moved with
-    eta = diag(-,+,+).  The prefactor is the unique constant matching
-    :func:`fierz_pauli_quadratic`; it is pinned here once and tested.
+    eta = diag(-,+,+), on spectral derivatives.  The prefactor is the
+    unique constant matching :func:`fierz_pauli_quadratic`; it is pinned
+    here once and tested.
     """
     grid = xi.grid
     h = np.zeros((3, 3) + grid.shape)
     h[1, 1] = 2.0 * params.l * xi.xi1x
     h[2, 2] = 2.0 * params.l * xi.xi2y
-    dh = _slab_derivatives(_components(h), grid.spacings, scheme)
+    dh = _slab_derivatives(_components(h), grid.spacings, "spectral")
     dh_up = _contract("ma,nb,lab...->lmn...", ETA, ETA, dh)
     trace_d = _contract("mn,lmn...->l...", ETA, dh)
     term1 = -0.5 * _contract("lmn...,ls,smn...->...", dh, ETA, dh_up)
@@ -194,12 +195,12 @@ def massive_fp_density(params: ModelParams, xi1x, xi2y, xi1x_dot, xi2y_dot):
                   - params.mu ** 2 * np.asarray(xi1x) * np.asarray(xi2y))
 
 
-def massive_fp_action(params: ModelParams, xi: DiagonalFluctuationSlab,
-                      scheme: str = "spectral") -> float:
-    """Mass-deformed quadratic action integrated over a periodic slab."""
+def massive_fp_action(params: ModelParams, xi: DiagonalFluctuationSlab) -> float:
+    """Mass-deformed quadratic action integrated over a periodic slab, with
+    spectral time derivatives."""
     ht = xi.grid.ht
-    d1 = _deriv(xi.xi1x, 0, ht, scheme)
-    d2 = _deriv(xi.xi2y, 0, ht, scheme)
+    d1 = spectral_difference(xi.xi1x, 0, ht)
+    d2 = spectral_difference(xi.xi2y, 0, ht)
     dens = massive_fp_density(params, xi.xi1x, xi.xi2y, d1, d2)
     return _integral(xi.grid, dens)
 

@@ -34,6 +34,7 @@ __all__ = [
     "N2",
     "CouplingField",
     "LatticeSpec",
+    "BOSON_PLACEMENTS",
     "bloch_f",
     "bloch_gradient",
     "fermi_points",
@@ -131,6 +132,14 @@ class LatticeSpec:
                 bonds.append((i, "x", self.cell_index(cx + 1, cy)))
                 bonds.append((i, "y", self.cell_index(cx, cy + 1)))
         return bonds
+
+
+# The boson placements: each maps a lattice to the cells that carry one
+# (x, z) fluctuation pair.  ``per_cell``: every unit cell; ``uniform``: a
+# single pair shared by every cell (cell tag None, the k = 0 fluctuation);
+# ``cell0``: cell 0 only.
+BOSON_PLACEMENTS = {"per_cell": lambda spec: range(spec.n_cells),
+                    "uniform": lambda spec: (None,), "cell0": lambda spec: (0,)}
 
 
 def reciprocal_vectors():

@@ -81,7 +81,7 @@ from .continuum import hgr_quadratic_form
 from .designer import optical_params
 from .exceptions import ConvergenceError, DimensionCapError
 from .geometry import ModelParams
-from .lattice import LatticeSpec
+from .lattice import BOSON_PLACEMENTS, LatticeSpec
 
 __all__ = [
     "FockSpace",
@@ -107,16 +107,15 @@ Q1_Z = -1.0 / 3.0
 
 
 def boson_modes(spec: LatticeSpec, placement: str) -> tuple:
-    """The (cell, species) boson modes of a placement on ``spec``.
-
-    ``per_cell``: one (x, z) pair per unit cell; ``uniform``: a single pair
-    shared by every cell (cell tag None, the k = 0 fluctuation); ``cell0``:
-    one pair on cell 0 only.  ValueError for any other placement.
+    """The (cell, species) boson modes of a placement on ``spec``: one
+    (x, z) pair on each cell that ``lattice.BOSON_PLACEMENTS`` lists for it.
+    ValueError for any other placement.
     """
-    cells = {"per_cell": range(spec.n_cells), "uniform": (None,), "cell0": (0,)}
-    if placement not in cells:
-        raise ValueError(f"unknown placement {placement!r}; one of {', '.join(cells)}")
-    return tuple((cell, species) for cell in cells[placement] for species in ("x", "z"))
+    if placement not in BOSON_PLACEMENTS:
+        raise ValueError(f"unknown placement {placement!r}; "
+                         f"one of {', '.join(BOSON_PLACEMENTS)}")
+    return tuple((cell, species) for cell in BOSON_PLACEMENTS[placement](spec)
+                 for species in ("x", "z"))
 
 
 @dataclass(frozen=True)

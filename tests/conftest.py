@@ -23,8 +23,9 @@ from gravlat.continuum import hgr_quadratic_form
 from gravlat.conventions import EPS3, ETA
 from gravlat.designer import optical_params
 from gravlat.geometry import (DiagonalFluctuationSlab, ModelParams,
-                              SpinConnectionSlab, _deriv, background_frame,
-                              frame_pair_tensor)
+                              SpinConnectionSlab, _DIFFERENCES, background_frame,
+                              central_difference, frame_pair_tensor,
+                              spectral_difference)
 from gravlat.gravity_action import ActionReport, _integral, massive_fp_action
 from gravlat.lattice import LatticeSpec
 from gravlat.manybody import (Q1_X, Q1_Z, CorrelatorReport, FockSpace,
@@ -405,11 +406,11 @@ def dense_xi_derivatives(xi: DiagonalFluctuationSlab, scheme: str) -> np.ndarray
     dxi = np.zeros((3, 3, 3) + grid.shape)
     for (A, m) in ((1, 1), (2, 2)):
         for alpha in range(3):
-            dxi[alpha, A, m] = _deriv(xit[A, m], alpha, spac[alpha], scheme)
+            dxi[alpha, A, m] = _DIFFERENCES[scheme](xit[A, m], alpha, spac[alpha])
     return dxi
 
 
-def dense_v_derivatives(v: SpinConnectionSlab, scheme: str) -> np.ndarray:
+def dense_v_derivatives(v: SpinConnectionSlab) -> np.ndarray:
     grid = v.grid
     spac = grid.spacings
     dv = np.zeros((3, 3, 3) + grid.shape)
@@ -417,7 +418,7 @@ def dense_v_derivatives(v: SpinConnectionSlab, scheme: str) -> np.ndarray:
         for m in range(3):
             if np.any(v.tensor[A, m]):
                 for alpha in range(3):
-                    dv[alpha, A, m] = _deriv(v.tensor[A, m], alpha, spac[alpha], scheme)
+                    dv[alpha, A, m] = spectral_difference(v.tensor[A, m], alpha, spac[alpha])
     return dv
 
 
@@ -432,7 +433,7 @@ def dense_spin_connection_general(params: ModelParams, xi: DiagonalFluctuationSl
 
 
 def dense_torsion_residual(params: ModelParams, xi: DiagonalFluctuationSlab,
-                           v: SpinConnectionSlab, scheme: str = "central") -> float:
+                           v: SpinConnectionSlab) -> float:
     grid = xi.grid
     spac = grid.spacings
     xit = xi.as_tensor()
@@ -442,7 +443,7 @@ def dense_torsion_residual(params: ModelParams, xi: DiagonalFluctuationSlab,
         for m in range(3):
             if np.any(xit[A, m]):
                 for alpha in range(3):
-                    dxi[alpha, A, m] = _deriv(xit[A, m], alpha, spac[alpha], scheme)
+                    dxi[alpha, A, m] = central_difference(xit[A, m], alpha, spac[alpha])
     ebar = background_frame(params)
     conn = np.einsum("abc,bn,cr...->anr...", EPS3, ebar, vt)
     grad = dxi.transpose(1, 0, 2, 3, 4, 5)  # -> [A, nu, rho, ...]
@@ -451,21 +452,20 @@ def dense_torsion_residual(params: ModelParams, xi: DiagonalFluctuationSlab,
 
 
 def dense_palatini_total(params: ModelParams, xi: DiagonalFluctuationSlab,
-                         v: SpinConnectionSlab, scheme: str = "spectral") -> float:
+                         v: SpinConnectionSlab) -> float:
     g8 = 8.0 * np.pi * params.G
     grid = xi.grid
     ebar = background_frame(params)
     e_full = ebar.reshape(3, 3, 1, 1, 1) + g8 * xi.as_tensor()
     omega = g8 * v.tensor
-    domega = g8 * dense_v_derivatives(v, scheme)
+    domega = g8 * dense_v_derivatives(v)
     t1 = np.einsum("mnr,am...,nar...->...", EPS3, e_full, domega)
     t2 = 0.5 * np.einsum("mnr,abc,am...,bn...,cr...->...", EPS3, EPS3, e_full, omega, omega)
     return _integral(grid, t1 + t2) / g8
 
 
-def dense_fierz_pauli_quadratic(params: ModelParams, xi: DiagonalFluctuationSlab,
-                                scheme: str = "spectral") -> float:
-    dxi = dense_xi_derivatives(xi, scheme)
+def dense_fierz_pauli_quadratic(params: ModelParams, xi: DiagonalFluctuationSlab) -> float:
+    dxi = dense_xi_derivatives(xi, "spectral")
     M = frame_pair_tensor(params)
     W = np.einsum("mab,aAb...->Am...", EPS3, dxi)
     q = np.einsum("aBmn,am...,Bn...->...", M, W, W)
@@ -473,33 +473,31 @@ def dense_fierz_pauli_quadratic(params: ModelParams, xi: DiagonalFluctuationSlab
 
 
 def dense_palatini_orders(params: ModelParams, xi: DiagonalFluctuationSlab,
-                          v: Optional[SpinConnectionSlab] = None,
-                          scheme: str = "spectral") -> ActionReport:
+                          v: Optional[SpinConnectionSlab] = None) -> ActionReport:
     if v is None:
-        v = dense_spin_connection_general(params, xi, scheme=scheme)
+        v = dense_spin_connection_general(params, xi, scheme="spectral")
     grid = xi.grid
     ebar = background_frame(params)
-    dv = dense_v_derivatives(v, scheme)
+    dv = dense_v_derivatives(v)
     t1 = np.einsum("mnr,am...,nar...->...", EPS3, xi.as_tensor(), dv)
     t2 = 0.5 * np.einsum("mnr,abc,am,bn...,cr...->...", EPS3, EPS3, ebar,
                          v.tensor, v.tensor)
     s2 = _integral(grid, t1 + t2)
-    s_massive = massive_fp_action(params, xi, scheme=scheme)
+    s_massive = massive_fp_action(params, xi)
     residuals = {}
     if params.G > 0:
         g8 = 8.0 * np.pi * params.G
-        total = dense_palatini_total(params, xi, v, scheme=scheme)
+        total = dense_palatini_total(params, xi, v)
         residuals["order_bookkeeping"] = total - g8 * s2
         residuals["quadratic_vs_double_eps"] = (
-            g8 * s2 - dense_fierz_pauli_quadratic(params, xi, scheme=scheme))
+            g8 * s2 - dense_fierz_pauli_quadratic(params, xi))
     else:
         residuals["order_bookkeeping"] = 0.0
     return ActionReport(s0=0.0, s1=0.0, s2=s2, s_massive=s_massive,
                         residuals=residuals)
 
 
-def dense_fp_standard_form(params: ModelParams, xi: DiagonalFluctuationSlab,
-                           scheme: str = "spectral") -> float:
+def dense_fp_standard_form(params: ModelParams, xi: DiagonalFluctuationSlab) -> float:
     grid = xi.grid
     spac = grid.spacings
     h = np.zeros((3, 3) + grid.shape)
@@ -508,7 +506,7 @@ def dense_fp_standard_form(params: ModelParams, xi: DiagonalFluctuationSlab,
     dh = np.zeros((3, 3, 3) + grid.shape)
     for (m, n) in ((1, 1), (2, 2)):
         for alpha in range(3):
-            dh[alpha, m, n] = _deriv(h[m, n], alpha, spac[alpha], scheme)
+            dh[alpha, m, n] = spectral_difference(h[m, n], alpha, spac[alpha])
     dh_up = np.einsum("ma,nb,lab...->lmn...", ETA, ETA, dh)
     trace_d = np.einsum("mn,lmn...->l...", ETA, dh)
     term1 = -0.5 * np.einsum("lmn...,ls,smn...->...", dh, ETA, dh_up)

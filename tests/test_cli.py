@@ -254,11 +254,29 @@ filling = 99
     assert "Traceback" not in err
 
 
+def test_seed_flag_is_checked_like_the_config_seed(tmp_path, capsys):
+    # the --seed override goes through the same "64-bit non-negative" check
+    for command, seed in (("spin-connection", "-3"), ("design", str(10 ** 23))):
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text(f"command = {command}\n")
+        out = tmp_path / command
+        assert main([str(cfg), "--seed", seed, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: category=config --seed {seed} out of range "
+                       "(expected 64-bit non-negative)\n")
+        assert not (out / "manifest.txt").exists()
+    code, out = _run(tmp_path, "command = design\nseed = 11\n")
+    assert code == 0 and "seed=11" in (out / "manifest.txt").read_text().splitlines()
+    cfg = tmp_path / "cfg.txt"
+    assert main([str(cfg), "--seed", "5", "--output", str(out)]) == 0
+    assert "seed=5" in (out / "manifest.txt").read_text().splitlines()
+
+
 def test_import_loads_no_sympy_optimize_or_sparse():
     src = Path(gravlat.__file__).resolve().parents[1]
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import gravlat.cli; "
              "print(','.join(m for m in sys.modules"
-             " if m.split('.')[0] in ('sympy', 'scipy')))")
+             " if m.split('.')[0] in ('sympy', 'scipy') or m == 'gravlat.manybody'))")
     loaded = subprocess.run([sys.executable, "-c", probe, str(src)], check=True,
                             capture_output=True, text=True).stdout.strip()
     assert loaded == ""

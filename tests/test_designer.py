@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from gravlat.designer import (hubbard_integrals, lowest_band_hopping,
-                              optical_params, weak_fluctuation_check)
+from gravlat.designer import (WEAK_FLUCTUATION_THRESHOLD, hubbard_integrals,
+                              lowest_band_hopping, optical_params,
+                              weak_fluctuation_check)
 from gravlat.geometry import ModelParams
 from gravlat.lattice import CouplingField, dirac_slopes
 
@@ -51,21 +52,23 @@ def test_weak_fluctuation_vacuum_passes():
 
 
 def test_weak_fluctuation_threshold_example():
-    # <d+d> = 1 against D_x^2 ~ 63.3: fails at 1e-2, passes at 2e-2
+    # <d+d> = 1 against D_x^2 ~ 63.3 is a ratio of 1.58e-2: above the 1e-2 window
     opt = optical_params(ModelParams(G=0.01, l=1.0, mu=1.0))
-    fail = weak_fluctuation_check([1.0], ["x"], opt, threshold=1e-2)
+    fail = weak_fluctuation_check([1.0], ["x"], opt)
     assert not fail.passed
     assert fail.ratios[0] == pytest.approx(0.015791367, rel=1e-6)
-    assert weak_fluctuation_check([1.0], ["x"], opt, threshold=2e-2).passed
+    assert ("threshold", 0.01) in fail.to_pairs()
 
 
-def test_weak_fluctuation_threshold_monotone():
-    opt = optical_params(ModelParams(G=0.01, l=1.0, mu=1.0))
-    occ = [0.3, 0.9, 2.0]
-    species = ["x", "z", "x"]
-    passes = [weak_fluctuation_check(occ, species, opt, threshold=t).passed
-              for t in (1e-4, 1e-2, 1.0)]
-    assert passes == sorted(passes)  # pass set grows with the threshold
+def test_weak_fluctuation_ratio_at_the_threshold_passes():
+    # D = -10 exactly (G = 1/(40 pi) at l = 1) and <d+d> = 1: the ratio is
+    # exactly 1e-2, and the window is closed, so the mode passes
+    opt = optical_params(ModelParams(G=1 / (40 * np.pi), l=1.0, mu=1.0))
+    assert opt.d_x == -10.0
+    rep = weak_fluctuation_check([1.0, 0.0], ["x", "z"], opt)
+    assert rep.ratios[0] == WEAK_FLUCTUATION_THRESHOLD == 1e-2
+    assert rep.passed
+    assert not weak_fluctuation_check([np.nextafter(1.0, 2.0)], ["x"], opt).passed
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,8 @@ def test_connection_linearity(rng):
 @pytest.mark.parametrize("scheme", ["central", "spectral"])
 def test_sparse_contractions_match_dense_oracles(rng, scheme):
     # random xi (also with one component identically zero) and a connection
-    # with all nine components populated, so no structural zero is assumed
+    # with all nine components populated, so no structural zero is assumed;
+    # the scheme is the connection's, the torsion is always central
     p = ModelParams(G=0.03, l=1.3, mu=1.0)
     grid = SpacetimeGrid(5, 8, 10, 0.2, 0.45)
     v = SpinConnectionSlab(grid, rng.normal(size=(3, 3) + grid.shape))
@@ -162,8 +163,8 @@ def test_sparse_contractions_match_dense_oracles(rng, scheme):
         want = dense_spin_connection_general(p, xi, scheme)
         np.testing.assert_allclose(got.tensor, want.tensor, rtol=1e-12, atol=0)
         for conn in (v, got):
-            assert torsion_residual(p, xi, conn, scheme) == pytest.approx(
-                dense_torsion_residual(p, xi, conn, scheme), rel=1e-12, abs=1e-15)
+            assert torsion_residual(p, xi, conn) == pytest.approx(
+                dense_torsion_residual(p, xi, conn), rel=1e-12, abs=1e-15)
 
 
 def test_slab_needs_three_time_slices():

@@ -57,18 +57,17 @@ def test_order_bookkeeping_total_action(rng):
     assert abs(rep.residuals["order_bookkeeping"]) < 1e-10 * max(abs(total), 1e-3)
 
 
-@pytest.mark.parametrize("scheme", ["central", "spectral"])
-def test_sparse_actions_match_dense_oracles(rng, scheme):
+def test_sparse_actions_match_dense_oracles(rng):
     # a connection with all nine components populated, and the torsionless one
     p = ModelParams(G=0.021, l=1.31, mu=0.8)
     xi = random_bandlimited_slab(rng, GRID, 4, 0.2)
     v = SpinConnectionSlab(GRID, 0.2 * rng.normal(size=(3, 3) + GRID.shape))
-    pairs = [(palatini_total(p, xi, v, scheme), dense_palatini_total(p, xi, v, scheme)),
-             (fierz_pauli_quadratic(p, xi, scheme), dense_fierz_pauli_quadratic(p, xi, scheme)),
-             (fp_standard_form(p, xi, scheme), dense_fp_standard_form(p, xi, scheme))]
+    pairs = [(palatini_total(p, xi, v), dense_palatini_total(p, xi, v)),
+             (fierz_pauli_quadratic(p, xi), dense_fierz_pauli_quadratic(p, xi)),
+             (fp_standard_form(p, xi), dense_fp_standard_form(p, xi))]
     for conn in (v, None):
-        got = palatini_orders(p, xi, conn, scheme).to_pairs()
-        want = dense_palatini_orders(p, xi, conn, scheme).to_pairs()
+        got = palatini_orders(p, xi, conn).to_pairs()
+        want = dense_palatini_orders(p, xi, conn).to_pairs()
         assert [k for k, _ in got] == [k for k, _ in want]
         pairs += [(g, w) for (_, g), (_, w) in zip(got, want)]
     # residuals that cancel to rounding are held to the scale of their terms

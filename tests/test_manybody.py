@@ -248,14 +248,13 @@ def test_boson_modes_are_checked_against_the_lattice(modes, match):
 
 
 def test_boson_modes_accepts_exactly_the_config_placements():
-    from gravlat.cli import _PLACEMENTS
     spec = LatticeSpec(2, 1)
     assert boson_modes(spec, "per_cell") == ((0, "x"), (0, "z"), (1, "x"), (1, "z"))
     assert boson_modes(spec, "uniform") == ((None, "x"), (None, "z"))
     assert boson_modes(spec, "cell0") == ((0, "x"), (0, "z"))
     with pytest.raises(ValueError, match="unknown placement") as err:
         boson_modes(spec, "per_bond")
-    assert str(err.value).split("one of ", 1)[1].split(", ") == list(_PLACEMENTS)
+    assert str(err.value).split("one of ", 1)[1] == "per_cell, uniform, cell0"
 
 
 def test_boson_vacuum_projection_is_background_hopping():
