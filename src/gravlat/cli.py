@@ -366,7 +366,7 @@ _DISPATCH = {
 def run_command(cfg: RunConfig, output: Path) -> int:
     """Execute one command; returns the exit status and writes artifacts."""
     handler = _DISPATCH.get(cfg.command)
-    if handler is None:  # a many-body command: loads manybody (scipy only for Lanczos)
+    if handler is None:  # a many-body command: loads manybody (numpy only)
         from .ed_commands import DISPATCH
         handler = DISPATCH[cfg.command]
     output.mkdir(parents=True, exist_ok=True)

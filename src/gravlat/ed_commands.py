@@ -2,11 +2,9 @@
 
 :func:`gravlat.cli.run_command` imports this module the first time it
 meets one of the commands in :data:`DISPATCH`, so the check commands start
-without :mod:`gravlat.manybody`.  The handlers run on numpy; scipy is
-loaded only when :func:`gravlat.manybody.ground_state` takes its Lanczos
-branch (sector dimension above 512), so ``spectrum``, ``map-residual``
-and every dense ``ground-state``, ``correlators`` or ``wick-sweep`` run
-never import it.
+without :mod:`gravlat.manybody`.  The handlers run on numpy alone, the
+Lanczos solves of :func:`gravlat.manybody.ground_state` (sector dimension
+above 512) included: no many-body command imports scipy.
 """
 
 from __future__ import annotations
@@ -81,6 +79,7 @@ def _cmd_ground_state(cfg, outdir, extras):
     extras.append(("multiplicity", gs.multiplicity))
     extras.append(("eigen_residual", gs.residual))
     extras.append(("eigen_k", gs.k))
+    extras.append(("eigen_matvecs", gs.matvecs))
     extras.append(("sector_dimension", space.sector_dimension))
     extras.append(("truncation_delta", _truncation_delta(params, spec, space, gs.energy)))
 
@@ -108,7 +107,9 @@ def _cmd_correlators(cfg, outdir, extras):
         wf = weak_fluctuation_check(rep.d_dag_d.diagonal().real, species,
                                     optical_params(params))
         pairs.extend(wf.to_pairs())
+    extras.append(("eigen_residual", gs.residual))
     extras.append(("eigen_k", gs.k))
+    extras.append(("eigen_matvecs", gs.matvecs))
     extras.append(("sector_dimension", space.sector_dimension))
     extras.append(("truncation_delta", _truncation_delta(params, spec, space, gs.energy)))
     for cell, qc in sorted(rep.q_corr.items(), key=lambda kv: (kv[0] is None, kv[0])):

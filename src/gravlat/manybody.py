@@ -50,8 +50,8 @@ factor: the hopping part is Hermitian by construction, so B is checked
 symmetrized as (B + B+) / 2.  The same step can first restrict every
 boson-factor operator to the boson indices a window mask keeps, so
 :func:`mapping_residual` assembles only its window block.  The result is a
-:class:`SectorOperator`, the COO entries with ``toarray`` (numpy) and
-``tocsr``.
+:class:`SectorOperator`, the entries put in row order once by a stable
+sort: its own compressed-row form, with ``@`` and ``toarray``.
 
 Observables read a state on the same basis, and only there.  A fermion
 annihilator c_i maps the N-particle basis to the (N-1)-particle one by the
@@ -59,13 +59,13 @@ same lookup, with the Jordan-Wigner sign of the occupied modes below i, as
 index arrays applied to the rows of the state reshaped to (fermion states,
 boson_dim); a boson ladder acts along its mode's axis of those rows.
 
-Only two places load scipy, each inside the function: the Lanczos branch
-of :func:`ground_state` (dimension above 512, ``scipy.sparse`` and
-``scipy.sparse.linalg``, through :meth:`SectorOperator.tocsr`) and
-``ModeOperators.c``.  No command builds a full-space object:
-``ModeOperators.c`` and ``GroundStateResult.states`` are kept for the
-pair-Gram oracle of ``perfbench/make_reference.py``; the test oracles build
-their own full-space operators.
+Ground states above dimension 512 come from a numpy Lanczos on
+``SectorOperator @ x`` (:func:`ground_state`).  Only ``ModeOperators.c``
+loads scipy (``scipy.sparse``, inside the property), and no command builds
+it or any other full-space object: ``ModeOperators.c`` and
+``GroundStateResult.states`` are kept for the pair-Gram oracle of
+``perfbench/make_reference.py``; the test oracles build their own
+full-space operators.
 """
 
 from __future__ import annotations
@@ -346,15 +346,6 @@ class _BosonOp:
                         np.concatenate((self.cols, other.cols)),
                         np.concatenate((self.data, other.data)))
 
-    def __sub__(self, other: "_BosonOp") -> "_BosonOp":
-        return self + other * -1.0
-
-    def __mul__(self, factor: float) -> "_BosonOp":
-        return _BosonOp(self.rows, self.cols, self.data * factor)
-
-    def adjoint(self) -> "_BosonOp":
-        return _BosonOp(self.cols, self.rows, self.data.conj())
-
     def summed(self, dim: int) -> "_BosonOp":
         """Each (row, col) once, its duplicates added in entry order; zero
         entries dropped.  ``dim`` is the boson-factor dimension."""
@@ -470,31 +461,75 @@ def _max_abs(op) -> float:
 
 @dataclass(frozen=True)
 class SectorOperator:
-    """An operator on the sector basis as COO entries.
+    """An operator on the sector basis in compressed-row form.
 
-    Each (row, col) appears once and no entry is zero, so ``nnz`` is the
-    count of the CSR form.  ``toarray`` is numpy; ``tocsr`` imports
-    ``scipy.sparse``.
+    Row i holds the entries ``indptr[i]:indptr[i + 1]`` of ``data`` and of
+    the column indices ``cols`` (intp, so ``@`` gathers without converting
+    them).  Each (row, col) appears once and no entry is zero, so ``nnz``
+    is the count of a scipy CSR matrix built from the same three arrays.
+    ``@`` (on a vector), ``toarray`` and ``real`` are numpy.
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
     data: np.ndarray
+    cols: np.ndarray
+    indptr: np.ndarray   # row starts, then nnz
     shape: tuple
 
     @property
     def nnz(self) -> int:
         return len(self.data)
 
+    @property
+    def real(self) -> "SectorOperator":
+        return SectorOperator(self.data.real, self.cols, self.indptr, self.shape)
+
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=self.data.dtype)
-        out[self.rows, self.cols] = self.data
+        out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.cols] = self.data
         return out
 
-    def tocsr(self):
-        import scipy.sparse as sparse
+    @cached_property
+    def _filled(self):
+        """(rows holding entries, their starts).  ``np.add.reduceat`` returns
+        the entry at the start of an empty segment, not 0, so empty rows are
+        left out of it."""
+        filled = np.flatnonzero(np.diff(self.indptr))
+        return filled, self.indptr[filled]
 
-        return sparse.csr_matrix((self.data, (self.rows, self.cols)), shape=self.shape)
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        filled, starts = self._filled
+        g = np.take(x.astype(np.result_type(x, self.data), copy=False), self.cols)
+        g *= self.data
+        out = np.zeros(self.shape[0], dtype=g.dtype)
+        out[filled] = np.add.reduceat(g, starts)
+        return out
+
+
+def _hermitian_part(boson: _BosonOp, n_b: int, scale: float) -> _BosonOp:
+    """(B + B+) / 2 of the summed B, after checking it: AssertionError when
+    max|B - B+| exceeds 1e-12 * max(scale, 1).
+
+    B's keys row * n_b + col are sorted and unique, so one ``searchsorted``
+    of the transposed keys puts the B+ entry of each key of B beside it; the
+    B+ entries on keys that B lacks follow B's.  Each key gets B_k + B+_k
+    and B_k - B+_k with an absent side 0, exact zeros of the sum dropped.
+    """
+    key = boson.rows * n_b + boson.cols
+    transposed = boson.cols * n_b + boson.rows
+    pos = np.searchsorted(key, transposed)
+    found = pos < len(key)
+    found[found] = key[pos[found]] == transposed[found]
+    adjoint = np.zeros_like(boson.data)
+    adjoint[pos[found]] = boson.data[found].conj()
+    lone = boson.data[~found].conj()   # B+ entries on keys B lacks
+    defect = float(np.abs(np.concatenate((boson.data - adjoint, lone))).max(initial=0.0))
+    if defect > 1e-12 * max(scale, 1.0):
+        raise AssertionError(f"anti-Hermitian assembly: defect {defect:g}")
+    rows = np.concatenate((boson.rows, boson.cols[~found]))
+    cols = np.concatenate((boson.cols, boson.rows[~found]))
+    data = np.concatenate((boson.data + adjoint, lone))
+    nonzero = data != 0
+    return _BosonOp(rows[nonzero], cols[nonzero], data[nonzero] * 0.5)
 
 
 def _on_sector(ops: ModeOperators, couplings, boson=None, keep=None) -> SectorOperator:
@@ -518,18 +553,16 @@ def _on_sector(ops: ModeOperators, couplings, boson=None, keep=None) -> SectorOp
         boson = boson.summed(n_b)
         scale = max([_max_abs(j) for (rows, _, _), j in hops if len(rows)]
                     + [_max_abs(boson)])
-        defect = _max_abs((boson - boson.adjoint()).summed(n_b))
-        if defect > 1e-12 * max(scale, 1.0):
-            raise AssertionError(f"anti-Hermitian assembly: defect {defect:g}")
-        boson = (boson + boson.adjoint()).summed(n_b) * 0.5
+        boson = _hermitian_part(boson, n_b, scale)
     if keep is not None:
         hops = [(blk, j.restricted(keep)) for blk, j in hops]
         boson = None if boson is None else boson.restricted(keep)
         n_b = int(np.count_nonzero(keep))
     # kron(c_p+ c_q, J) puts sign * J_ab at (row * n_b + a, col * n_b + b);
     # these blocks, their transposes and the diagonal boson blocks share no
-    # entry, so they are stacked, not summed.  32-bit indices where they fit
-    # keep the entries at 16 bytes, the index width tocsr() uses anyway.
+    # entry, so they are stacked, not summed, and then put in row order by
+    # one stable sort.  32-bit indices where they fit keep the stacked
+    # entries at 16 bytes until then.
     n_states = len(ops.states)
     dim = n_states * n_b
     index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
@@ -546,8 +579,13 @@ def _on_sector(ops: ModeOperators, couplings, boson=None, keep=None) -> SectorOp
         rows.append((offset + boson.rows.astype(index)).ravel())
         cols.append((offset + boson.cols.astype(index)).ravel())
         data.append(np.tile(boson.data, n_states))
-    return SectorOperator(np.concatenate(rows), np.concatenate(cols),
-                          np.concatenate(data), (dim, dim))
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(dim + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    del rows
+    return SectorOperator(np.concatenate(data)[order],
+                          np.concatenate(cols)[order].astype(np.intp), indptr, (dim, dim))
 
 
 def _lattice_algebra(spec: LatticeSpec, space: FockSpace,
@@ -736,8 +774,9 @@ class GroundStateResult:
     vectors: list         # sector-basis vectors spanning the ground multiplet
     multiplicity: int
     residual: float
-    k: int                # eigenpairs computed by the final solve
+    k: int                # Lanczos runs; the sector dimension on the dense path
     space: FockSpace
+    matvecs: int = 0      # H-vector products of the Lanczos runs
 
     @cached_property
     def states(self) -> list:
@@ -756,31 +795,106 @@ class GroundStateResult:
 
 
 DEGENERACY_TOL = 1e-9     # levels within this times scale(H) of E0 form the multiplet
-LANCZOS_MAXITER = 100000  # ARPACK iteration limit of one eigsh call
+LANCZOS_MAXITER = 1000    # Lanczos steps of one run, each keeping a basis vector
+
+
+def _dot(x: np.ndarray, y: np.ndarray):
+    """(x, y) as a numpy reduction; a BLAS level-1 call (``vdot``) made
+    whole Lanczos runs slower on a 2-core machine."""
+    return (x.conj() * y).sum()
+
+
+def _lanczos_lowest(h, v: np.ndarray, deflate: list, tol: float):
+    """(lowest Ritz value, its unit Ritz vector, steps, highest Ritz value)
+    of h + sum over the (u, shift) of ``deflate`` of shift u u+.
+
+    Three-term recurrence from ``v`` (Dagotto, RMP 66, 763 (1994)).  Every
+    8 steps, and on a breakdown, the tridiagonal matrix is diagonalized; the run stops when the residual estimate
+    |beta_m s_m| of its lowest Ritz pair is at most ``tol``.
+    ConvergenceError after ``LANCZOS_MAXITER`` steps.  The basis is kept
+    for the Ritz vector, which is accumulated in place.
+    """
+    v /= np.sqrt(_dot(v, v).real)
+    basis, alpha, beta = [v], [], []
+    for step in range(1, LANCZOS_MAXITER + 1):
+        w = h @ v
+        for u, shift in deflate:
+            w += (shift * _dot(u, v)) * u
+        alpha.append(_dot(v, w).real)
+        w -= alpha[-1] * v
+        if step > 1:
+            w -= beta[-1] * basis[-2]
+        beta.append(np.sqrt(_dot(w, w).real))
+        if beta[-1] <= tol or step % 8 == 0:
+            t = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+            theta, s = np.linalg.eigh(t)
+            if abs(beta[-1] * s[-1, 0]) <= tol:
+                break
+        v = w / beta[-1]
+        basis.append(v)
+    else:
+        raise ConvergenceError(f"Lanczos did not converge in {LANCZOS_MAXITER} steps")
+    ritz = np.zeros_like(v)
+    for coeff, b in zip(s[:, 0], basis):
+        b *= coeff
+        ritz += b
+    del basis
+    ritz /= np.sqrt(_dot(ritz, ritz).real)
+    return float(theta[0]), ritz, step, float(theta[-1])
+
+
+def _lanczos(h, dim: int, scale: float, level_tol: float):
+    """(levels, vectors, matvecs): the ground multiplet, one level per
+    Lanczos run.
+
+    Each run starts from the next fixed-seed Gaussian vector of
+    ``np.random.default_rng(0)``.  A level within ``level_tol`` of E0 (the
+    first run's) is locked: the runs after it see h with that vector's
+    level moved up to the first run's highest Ritz value plus ``scale``
+    (Hotelling deflation), so the next run finds the lowest level on the
+    rest of the space.  The first run that lands above the tolerance ends
+    the search, so a g-fold level takes g + 1 runs; its level is returned
+    last.
+    """
+    rng = np.random.default_rng(0)
+    dtype = np.result_type(h.data, np.float64)
+    levels, deflate, matvecs = [], [], 0
+    while len(deflate) < dim:
+        start = rng.standard_normal(dim).astype(dtype, copy=False)
+        level, vector, steps, top = _lanczos_lowest(h, start, deflate, 1e-11 * scale)
+        matvecs += steps
+        levels.append(level)
+        if level < levels[0] - level_tol:   # the first run missed the ground level
+            raise ConvergenceError(f"Lanczos run {len(levels)} found {level:g} "
+                                   f"below E0 = {levels[0]:g}")
+        if level - levels[0] > level_tol:
+            break
+        if not deflate:
+            ceiling = top + scale
+        deflate.append((vector, ceiling - level))
+    return levels, [u for u, _ in deflate], matvecs
 
 
 def ground_state(h, space: FockSpace) -> GroundStateResult:
     """Lowest eigenpair of a Hamiltonian on the sector basis.
 
-    ``h`` is a :class:`SectorOperator` or a scipy sparse matrix, square
-    with the sector dimension (ValueError otherwise); the returned vectors
-    are on the sector basis.  It is solved in real arithmetic whenever it
-    is real (a complex input with an exactly zero imaginary part is cast to
-    real first); a genuinely complex one keeps the Hermitian solvers.
-    Dense diagonalization of ``h.toarray()`` up to dimension 512, ARPACK
-    Lanczos on ``h.tocsr()`` above (``scipy.sparse`` and
-    ``scipy.sparse.linalg`` are imported there, and nowhere else on a
-    command's path), started from the fixed-seed Gaussian vector
-    ``np.random.default_rng(0).standard_normal(dim)``: reruns are
-    byte-stable, and the vector overlaps ground states that a symmetry
-    makes orthogonal to the uniform vector.  Lanczos asks for
-    k = 2 eigenpairs and doubles k only while the top returned level is
-    still within ``DEGENERACY_TOL`` * scale of E0; levels within that
-    tolerance are returned as the full multiplet, and ``k`` records the
-    final request (the sector dimension on the dense path).  A restarted
-    Lanczos can under-count a multiplicity above 3: on a block-diagonal
-    matrix of sixteen 64x64 blocks with a 4-fold ground level, k = 4
-    returned 3 copies.
+    ``h`` is a :class:`SectorOperator` or anything else with ``shape``,
+    ``data``, ``toarray``, ``real`` and ``@`` on a vector (a scipy sparse
+    matrix), square with the sector dimension (ValueError otherwise); the
+    returned vectors are on the sector basis.  It is solved in real
+    arithmetic whenever it is real (a complex input with an exactly zero
+    imaginary part is cast to real first); a genuinely complex one keeps
+    the Hermitian solvers.  Dense diagonalization of ``h.toarray()`` up to
+    dimension 512; above, numpy Lanczos runs on ``h @ x`` (see
+    :func:`_lanczos`), each started from a fixed-seed Gaussian vector, the
+    first from ``np.random.default_rng(0).standard_normal(dim)``: reruns
+    are byte-stable, and the vector overlaps ground states that a symmetry
+    makes orthogonal to the uniform vector.  Levels within
+    ``DEGENERACY_TOL`` * scale of E0 are returned as the full multiplet;
+    Lanczos finds them one run at a time, locking each, until a run lands
+    above the tolerance.  ``k`` records the Lanczos runs (the multiplicity
+    plus one, or the sector dimension on the dense path) and ``matvecs``
+    their H-vector products.
 
     The residual ||Hv - E v|| of every returned pair must come out below
     1e-10 * scale(H) or ConvergenceError is raised.
@@ -790,37 +904,26 @@ def ground_state(h, space: FockSpace) -> GroundStateResult:
         raise ValueError(f"operator of shape {h.shape} is not on the sector basis "
                          f"of dimension {dim}")
     dense = dim <= 512
-    hs = h.toarray() if dense else h.tocsr()
+    hs = h.toarray() if dense else h
     values = hs if dense else hs.data
     if np.iscomplexobj(values) and not values.imag.any():
         hs = hs.real
     scale = max(float(np.abs(values).max(initial=0.0)), 1.0)
     level_tol = DEGENERACY_TOL * scale
+    matvecs = 0
     if dense:
         k = dim
         evals, evecs = np.linalg.eigh(hs)
+        evecs = list(evecs.T)
     else:
-        import scipy.sparse.linalg as spla
-
-        v0 = np.random.default_rng(0).standard_normal(dim)
-        k = 2
-        while True:
-            try:
-                evals, evecs = spla.eigsh(hs, k=k, which="SA", v0=v0,
-                                          maxiter=LANCZOS_MAXITER, tol=1e-12)
-            except spla.ArpackNoConvergence as exc:
-                raise ConvergenceError(f"Lanczos failed to converge: {exc}") from exc
-            order = np.argsort(evals)
-            evals, evecs = evals[order], evecs[:, order]
-            if evals[-1] - evals[0] > level_tol or k == dim - 1:
-                break
-            k = min(2 * k, dim - 1)
+        evals, evecs, matvecs = _lanczos(hs, dim, scale, level_tol)
+        k = len(evals)
     e0 = float(evals[0])
-    members = [j for j in range(len(evals)) if evals[j] - e0 <= level_tol]
+    members = [j for j in range(len(evecs)) if evals[j] - e0 <= level_tol]
     vectors = []
     residual0 = None
     for j in members:
-        v = evecs[:, j].copy()
+        v = evecs[j].copy()
         res = float(np.linalg.norm(hs @ v - evals[j] * v))
         if res > 1e-10 * scale:
             raise ConvergenceError(f"eigenpair residual {res:g} above 1e-10*scale")
@@ -828,7 +931,7 @@ def ground_state(h, space: FockSpace) -> GroundStateResult:
             residual0 = res
         vectors.append(v)
     return GroundStateResult(energy=e0, vectors=vectors, multiplicity=len(members),
-                             residual=residual0, k=k, space=space)
+                             residual=residual0, k=k, space=space, matvecs=matvecs)
 
 
 def _boson_rows(vector, space: FockSpace) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Shared fixtures and the reference oracles.
 
 The symbolic oracles derive in sympy the exact constants the library
-hard-codes, so sympy is a test-only dependency.  The full-space mode
+hard-codes, so sympy is a test-only dependency.  ``sector_csr`` gives the
+tests a scipy CSR form of a library operator.  The full-space mode
 operators (``full_space_d``, ``q_pair``, ``fermion_number``) are scipy kron
 chains built here, and the full-space assembly and correlator oracles
 built from them are the references for the sector-basis Hamiltonians and
@@ -29,8 +30,8 @@ from gravlat.geometry import (DiagonalFluctuationSlab, ModelParams,
 from gravlat.gravity_action import ActionReport, _integral, massive_fp_action
 from gravlat.lattice import LatticeSpec
 from gravlat.manybody import (Q1_X, Q1_Z, CorrelatorReport, FockSpace,
-                              GroundStateResult, ModeOperators, _boson_ladder,
-                              _pairs, operator_algebra)
+                              GroundStateResult, ModeOperators, SectorOperator,
+                              _boson_ladder, _pairs, operator_algebra)
 
 
 @pytest.fixture
@@ -96,6 +97,14 @@ def q_map_commutators():
             k[a - 1, b - 1] = sp.nsimplify(sum(
                 coeffs[a][m] * coeffs[b][m] for m in ("x", "z")))
     return sp.simplify(k)
+
+
+def sector_csr(h: SectorOperator) -> sparse.csr_matrix:
+    """A scipy CSR copy of a sector operator, column indices sorted in each
+    row (the library keeps its entries in assembly order and loads no scipy)."""
+    m = sparse.csr_matrix((h.data, h.cols, h.indptr), shape=h.shape, copy=True)
+    m.sort_indices()
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +330,7 @@ def full_sector_mapping_residual(h_sim, h_target, space: FockSpace, window: int)
     sliced block."""
     if window > space.n_max:
         raise ValueError(f"window {window} exceeds n_max {space.n_max}")
-    diff = h_sim.tocsr() - h_target.tocsr()
+    diff = sector_csr(h_sim) - sector_csr(h_target)
     keep_b = np.flatnonzero(space.boson_occupation_table() <= window)
     n_states = space.sector_dimension // space.boson_dim
     idx = (np.arange(n_states)[:, None] * space.boson_dim + keep_b[None, :]).ravel()

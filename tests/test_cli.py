@@ -101,7 +101,7 @@ def test_main_convergence_error_exit_code(tmp_path, monkeypatch, capsys):
     from gravlat.exceptions import ConvergenceError
 
     def refuse(h, space):
-        raise ConvergenceError("eigsh did not converge")
+        raise ConvergenceError("Lanczos did not converge")
 
     monkeypatch.setattr(ed, "ground_state", refuse)
     code, _ = _run(tmp_path, "command = ground-state\n")
@@ -282,10 +282,10 @@ def test_import_loads_no_sympy_optimize_or_sparse():
     assert loaded == ""
 
 
-# (config, artifact, loads scipy): only a Lanczos solve (sector dimension
-# above 512) may load scipy; the dense commands below are spectrum (1536,
-# one dense eigvalsh), map-residual (window blocks) and a wick-sweep whose
-# sectors are all at most 512
+# (config, artifact): no many-body command loads scipy.  The dense ones are
+# spectrum (1536, one dense eigvalsh), map-residual (window blocks) and a
+# wick-sweep whose sectors are all at most 512; the ground-state (1280)
+# takes the Lanczos path
 _SCIPY_CONTRACT = {
     "wick-sweep": ("""
 command = wick-sweep
@@ -298,7 +298,7 @@ n_max = 2
 placement = cell0
 [sweep]
 g_values = 0, 1e-3, 1e-2
-""", "wick_sweep.csv", False),
+""", "wick_sweep.csv"),
     "spectrum": ("""
 command = spectrum
 [lattice]
@@ -308,7 +308,7 @@ ncy = 1
 n_max = 3
 [manybody]
 placement = per_cell
-""", "spectrum.csv", False),
+""", "spectrum.csv"),
     "map-residual": ("""
 command = map-residual
 [lattice]
@@ -321,7 +321,7 @@ window = 1
 placement = per_cell
 [sweep]
 g_values = 0, 1e-3, 3e-3, 1e-2
-""", "map_residual.csv", False),
+""", "map_residual.csv"),
     "ground-state": ("""
 command = ground-state
 [lattice]
@@ -331,23 +331,34 @@ ncy = 1
 n_max = 1
 [manybody]
 placement = per_cell
-""", "ground_state.csv", True),
+""", "ground_state.csv"),
 }
 
 
-def test_dense_path_leaves_sparse_linalg_unloaded(tmp_path):
+def test_many_body_commands_load_no_scipy(tmp_path):
     src = Path(gravlat.__file__).resolve().parents[1]
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); from gravlat.cli import main; "
-             "code = main(sys.argv[2:]); print(code, 'scipy.sparse.linalg' in sys.modules, "
-             "any(m.split('.')[0] == 'scipy' for m in sys.modules))")
-    for name, (config, artifact, lanczos) in _SCIPY_CONTRACT.items():
+             "code = main(sys.argv[2:]); "
+             "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    for name, (config, artifact) in _SCIPY_CONTRACT.items():
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(config)
         out = subprocess.run([sys.executable, "-c", probe, str(src), str(cfg),
                               "--output", str(tmp_path / name)],
                              check=True, capture_output=True, text=True).stdout
-        assert out.splitlines()[-1] == f"0 {lanczos} {lanczos}", name
+        assert out.splitlines()[-1] == "0 False", name
         assert (tmp_path / name / artifact).exists()
+
+
+def test_lanczos_iteration_limit_exits_3(tmp_path, monkeypatch, capsys):
+    import gravlat.manybody as manybody
+
+    monkeypatch.setattr(manybody, "LANCZOS_MAXITER", 5)
+    code, out = _run(tmp_path, _SCIPY_CONTRACT["ground-state"][0])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "error: category=convergence Lanczos did not converge in 5 steps")
+    assert not (out / "manifest.txt").exists()
 
 
 @pytest.mark.parametrize("command", ["correlators", "wick-sweep", "ground-state"])
@@ -583,7 +594,9 @@ placement = per_cell
     assert code_a == 0 and code_b == 0
     manifest = (out_a / "manifest.txt").read_text().splitlines()
     assert "sector_dimension=1280" in manifest  # C(6, 3) x 2^6, Lanczos path
-    assert "eigen_k=2" in manifest
+    assert "eigen_k=2" in manifest  # one run finds E0, one the level above
+    matvecs = [int(ln.split("=")[1]) for ln in manifest if ln.startswith("eigen_matvecs=")]
+    assert len(matvecs) == 1 and matvecs[0] > 0
     assert ((out_a / "ground_state.csv").read_bytes()
             == (out_b / "ground_state.csv").read_bytes())
 
@@ -631,6 +644,27 @@ placement = cell0
 """)
     assert code == 0
     assert (out / artifact).stat().st_size > 0
+
+
+@pytest.mark.parametrize("ncx, placement, k", [(2, "cell0", "24"), (3, "per_cell", "2")])
+def test_correlators_manifest_records_solver_statistics(tmp_path, ncx, placement, k):
+    # 2x1 cell0 (dimension 24) is solved densely, 3x1 per_cell (1280) by Lanczos
+    code, out = _run(tmp_path, f"""
+command = correlators
+[lattice]
+ncx = {ncx}
+ncy = 1
+[truncation]
+n_max = 1
+[manybody]
+placement = {placement}
+""")
+    assert code == 0
+    manifest = dict(line.split("=", 1) for line in
+                    (out / "manifest.txt").read_text().splitlines())
+    assert manifest["eigen_k"] == k
+    assert (int(manifest["eigen_matvecs"]) > 0) == (k == "2")
+    assert 0.0 <= float(manifest["eigen_residual"]) < 1e-10
 
 
 def test_map_couplings_roundtrip_artifact(tmp_path):

@@ -7,7 +7,7 @@ import sympy as sp
 
 import gravlat.manybody as manybody
 from gravlat.continuum import hgr_quadratic_form, symplectic_frequencies
-from gravlat.exceptions import DimensionCapError
+from gravlat.exceptions import ConvergenceError, DimensionCapError
 from gravlat.geometry import ModelParams
 from gravlat.lattice import CouplingField, LatticeSpec, build_tight_binding
 from gravlat.manybody import (FockSpace, assemble_background_hopping,
@@ -20,7 +20,7 @@ from gravlat.manybody import (FockSpace, assemble_background_hopping,
 from conftest import (fermion_number, full_sector_mapping_residual,
                       full_space_background, full_space_correlators,
                       full_space_d, full_space_simulator, full_space_target,
-                      q_map_commutators, q_pair)
+                      q_map_commutators, q_pair, sector_csr)
 
 
 def small_space(nf=2, nb=1, n_max=2, sector=None):
@@ -116,14 +116,14 @@ SPEC1 = LatticeSpec(1, 1)
 
 def test_simulator_hermitian_exactly():
     space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 3)
-    h = assemble_simulator_hamiltonian(PARAMS, SPEC1, space).tocsr()
+    h = sector_csr(assemble_simulator_hamiltonian(PARAMS, SPEC1, space))
     assert h.dtype == np.float64
     assert abs(h - h.getH()).max() == 0.0
 
 
 def test_target_hermitian_exactly():
     space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 3)
-    h = assemble_target_hamiltonian(PARAMS, SPEC1, space).tocsr()
+    h = sector_csr(assemble_target_hamiltonian(PARAMS, SPEC1, space))
     assert h.dtype == np.float64
     assert abs(h - h.getH()).max() == 0.0
 
@@ -131,7 +131,7 @@ def test_target_hermitian_exactly():
 def test_background_hermitian_exactly():
     spec = LatticeSpec(2, 1)
     space = FockSpace(spec.n_modes, boson_modes(spec, "per_cell"), 1)
-    h = assemble_background_hopping(PARAMS.l, spec, space).tocsr()
+    h = sector_csr(assemble_background_hopping(PARAMS.l, spec, space))
     assert h.dtype == np.float64
     assert abs(h - h.getH()).max() == 0.0
 
@@ -165,7 +165,7 @@ def test_sector_assembly_matches_full_space_oracle(ncx, placement, sector):
          full_space_background(PARAMS.l, spec, space, ops)),
     ]
     for h, oracle in pairs:
-        h, ref = _canonical(h.tocsr()), _canonical(oracle.tocsr()[idx][:, idx])
+        h, ref = sector_csr(h), _canonical(oracle.tocsr()[idx][:, idx])
         assert h.shape == (space.sector_dimension,) * 2
         np.testing.assert_array_equal(h.indptr, ref.indptr)
         np.testing.assert_array_equal(h.indices, ref.indices)
@@ -204,7 +204,7 @@ def test_sector_operator_nnz_is_the_csr_count(config, nnz):
     cfg = parse_config(config)
     h = assemble_simulator_hamiltonian(cfg.params, cfg.lattice, cfg.fock_space())
     assert h.nnz == nnz
-    assert h.tocsr().nnz == nnz
+    assert sector_csr(h).nnz == nnz
 
 
 @pytest.mark.parametrize("ncx,ncy,placement,n_max", [
@@ -218,7 +218,7 @@ def test_sector_operator_dense_and_csr_forms_agree(ncx, ncy, placement, n_max):
     for h in (assemble_simulator_hamiltonian(PARAMS, spec, space),
               assemble_target_hamiltonian(PARAMS, spec, space)):
         assert h.shape == (space.sector_dimension,) * 2
-        np.testing.assert_array_equal(h.toarray(), h.tocsr().toarray())
+        np.testing.assert_array_equal(h.toarray(), sector_csr(h).toarray())
 
 
 def test_assembly_rejects_operators_of_another_space():
@@ -289,8 +289,8 @@ def test_fermion_number_conserved():
     space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 2)
     ops = operator_algebra(space)
     n_op = fermion_number(ops)
-    for h in (assemble_simulator_hamiltonian(PARAMS, SPEC1, space, ops).tocsr(),
-              assemble_target_hamiltonian(PARAMS, SPEC1, space, ops).tocsr()):
+    for h in (sector_csr(assemble_simulator_hamiltonian(PARAMS, SPEC1, space, ops)),
+              sector_csr(assemble_target_hamiltonian(PARAMS, SPEC1, space, ops))):
         assert abs(h @ n_op - n_op @ h).max() < 1e-12
 
 
@@ -300,8 +300,8 @@ def test_hopping_sectors_of_sim_and_target_coincide():
     lives in the boson sector."""
     space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 2)
     ops = operator_algebra(space)
-    h_sim = assemble_simulator_hamiltonian(PARAMS, SPEC1, space, ops).tocsr()
-    h_tgt = assemble_target_hamiltonian(PARAMS, SPEC1, space, ops).tocsr()
+    h_sim = sector_csr(assemble_simulator_hamiltonian(PARAMS, SPEC1, space, ops))
+    h_tgt = sector_csr(assemble_target_hamiltonian(PARAMS, SPEC1, space, ops))
     diff = (h_sim - h_tgt).toarray()
     # the difference must commute with every fermion mode occupation, i.e.
     # act on the boson factor only
@@ -421,8 +421,8 @@ def test_window_block_is_the_slice_of_the_full_sector_hamiltonian():
              assemble_simulator_hamiltonian(PARAMS, spec, space, ops)),
             (manybody._target_terms(PARAMS, spec, ops),
              assemble_target_hamiltonian(PARAMS, spec, space, ops))):
-        block = manybody._on_sector(ops, *terms, keep=mask).tocsr()
-        ref = _canonical(full.tocsr()[idx][:, idx])
+        block = sector_csr(manybody._on_sector(ops, *terms, keep=mask))
+        ref = _canonical(sector_csr(full)[idx][:, idx])
         np.testing.assert_array_equal(block.indptr, ref.indptr)
         np.testing.assert_array_equal(block.indices, ref.indices)
         np.testing.assert_array_equal(block.data, ref.data)
@@ -469,7 +469,7 @@ def test_ground_energy_agreement_within_residual_bound():
     h_tgt = assemble_target_hamiltonian(p, SPEC1, space, ops)
     e_sim = ground_state(h_sim, space).energy
     e_tgt = ground_state(h_tgt, space).energy
-    block = (h_sim.tocsr() - h_tgt.tocsr()).toarray()  # both are on the sector basis
+    block = (sector_csr(h_sim) - sector_csr(h_tgt)).toarray()  # both are on the sector basis
     evals = np.linalg.eigvalsh(block)
     c_star = (evals[-1] + evals[0]) / 2
     r_full = (evals[-1] - evals[0]) / 2
@@ -544,6 +544,72 @@ def test_ground_state_lanczos_multiplicity(fold):
     assert gs.multiplicity == dense_count
     assert gs.energy == pytest.approx(evals[0], abs=1e-10)
     assert gs.k > gs.multiplicity
+
+
+def test_ground_state_lanczos_four_fold_level():
+    # sixteen 64x64 blocks, four of them lowest: one locked level per run,
+    # and the fifth run lands on the next level up
+    block = _banded_block(64, np.random.default_rng(0))
+    shifted = block + 0.5 * sparse.identity(64, format="csr")
+    h = sparse.block_diag([block] * 4 + [shifted] * 12, format="csr")
+    space = FockSpace(10, (), 0)
+    gs = ground_state(h, space)
+    evals = np.linalg.eigvalsh(h.toarray())
+    assert gs.multiplicity == 4
+    assert gs.k == 5
+    assert gs.energy == pytest.approx(evals[0], abs=1e-10)
+    gram = np.array([[v @ w for w in gs.vectors] for v in gs.vectors])
+    np.testing.assert_allclose(gram, np.eye(4), atol=1e-9)
+
+
+def test_ground_state_lanczos_positive_spectrum():
+    # every level above 0: a locked vector must not come back as a level 0
+    # of the deflated operator (projecting it out alone leaves exactly that)
+    block = _banded_block(256, np.random.default_rng(0)) + 4.0 * sparse.identity(256)
+    h = sparse.block_diag([block] * 2 + [block + 0.5 * sparse.identity(256)] * 2,
+                          format="csr")
+    gs = ground_state(h, FockSpace(10, (), 0))
+    evals = np.linalg.eigvalsh(h.toarray())
+    assert evals[0] > 2.0
+    assert gs.multiplicity == 2 and gs.k == 3
+    assert gs.energy == pytest.approx(evals[0], abs=1e-10)
+
+
+def test_ground_state_lanczos_on_a_sector_operator_with_complex_storage():
+    spec = LatticeSpec(3, 1)
+    space = FockSpace(spec.n_modes, boson_modes(spec, "per_cell"), 1, sector=3)
+    h = assemble_simulator_hamiltonian(PARAMS, spec, space)
+    real = ground_state(h, space)
+    cast = ground_state(replace(h, data=h.data.astype(complex)), space)
+    assert space.sector_dimension == 1280 and real.k == 2 and real.matvecs > 0
+    assert cast.state.dtype == np.float64
+    assert cast.energy == real.energy
+    np.testing.assert_array_equal(cast.vectors[0], real.vectors[0])
+    assert real.residual <= 1e-11 * np.abs(h.data).max()
+
+
+def test_ground_state_lanczos_iteration_limit(monkeypatch):
+    monkeypatch.setattr(manybody, "LANCZOS_MAXITER", 5)
+    with pytest.raises(ConvergenceError, match="did not converge in 5 steps"):
+        ground_state(_swap_block_matrix(), FockSpace(10, (), 0))
+
+
+def test_sector_operator_matvec_with_empty_rows():
+    # rows 0, 2 and 4 hold no entry; np.add.reduceat alone would return the
+    # entry at the start of each of them instead of 0
+    dense = np.zeros((5, 5))
+    dense[1, [0, 3]] = [2.0, -1.0]
+    dense[3, [1, 2, 4]] = [0.5, 3.0, -4.0]
+    rows, cols = np.nonzero(dense)
+    h = manybody.SectorOperator(dense[rows, cols], cols.astype(np.intp),
+                                np.searchsorted(rows, np.arange(6)), (5, 5))
+    np.testing.assert_array_equal(h.toarray(), dense)
+    x = np.random.default_rng(3).standard_normal(5)
+    np.testing.assert_allclose(h @ x, dense @ x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(h @ (1j * x), 1j * (dense @ x), rtol=0, atol=1e-15)
+    empty = manybody.SectorOperator(np.zeros(0), np.zeros(0, dtype=np.intp),
+                                    np.zeros(4, dtype=np.intp), (3, 3))
+    np.testing.assert_array_equal(empty @ x[:3], np.zeros(3))
 
 
 def _swap_block_matrix():
