@@ -72,7 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from math import comb
+from math import comb, copysign, hypot
 from typing import Optional
 
 import numpy as np
@@ -799,20 +799,83 @@ LANCZOS_MAXITER = 1000    # Lanczos steps of one run, each keeping a basis vecto
 
 
 def _dot(x: np.ndarray, y: np.ndarray):
-    """(x, y) as a numpy reduction; a BLAS level-1 call (``vdot``) made
-    whole Lanczos runs slower on a 2-core machine."""
+    """(x, y) as a numpy reduction.  A BLAS call (``vdot``, ``norm``) on a
+    vector of 16 000 entries or more wakes OpenBLAS's second thread, which
+    then spins on the other core for 55-135 ms after each such call."""
     return (x.conj() * y).sum()
+
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+
+def _tridiagonal_lowest(alpha: list, beta: list):
+    """(theta, s): the lowest eigenvalue of the symmetric tridiagonal
+    matrix T with diagonal ``alpha`` and off-diagonal ``beta`` (lists of
+    floats, ``len(beta) == len(alpha) - 1``) and its unit eigenvector, a
+    list whose first entry is positive.
+
+    LAPACK's dstebz/dstein scheme in scalar arithmetic, so no BLAS or
+    LAPACK call runs.  Bisection brackets theta between the Gershgorin
+    lower bound, widened by a few eps, and min(alpha): a midpoint x is
+    above theta when a pivot of the LDL+ factorization of T - x is below
+    pivmin = tiny * max(1, beta^2), which also keeps every divisor at
+    least pivmin.  It stops at a width of 2 eps * max(|lo|, |hi|,
+    Gershgorin bound on ||T||), or pivmin, so a level at 0 costs no more
+    halvings than any other; theta is the midpoint.  Then two
+    inverse-iteration steps from e_1 on T - lo, which is positive definite
+    (its pivots are the bisection's at lo), give s.  Every eigenvector of
+    an unreduced T overlaps e_1; for a Lanczos matrix that overlap is the
+    start vector's with the Ritz vector.
+    """
+    m = len(alpha)
+    b2 = [0.0] + [b * b for b in beta]
+    pivmin = _TINY * max(1.0, *b2)
+    radius = [0.0] + [abs(b) for b in beta] + [0.0]
+    g_lo = min(a - radius[i] - radius[i + 1] for i, a in enumerate(alpha))
+    g_hi = max(a + radius[i] + radius[i + 1] for i, a in enumerate(alpha))
+    tnorm = max(abs(g_lo), abs(g_hi))
+    lo = g_lo - 2.1 * (m * _EPS * tnorm + 2.0 * pivmin)
+    hi = min(alpha)
+    while hi - lo > max(2.0 * _EPS * max(abs(lo), abs(hi), tnorm), pivmin):
+        mid = 0.5 * (lo + hi)
+        q = 1.0
+        for a, bb in zip(alpha, b2):
+            q = a - mid - bb / q
+            if q < pivmin:
+                hi = mid
+                break
+        else:
+            lo = mid
+    pivots, q = [], 1.0
+    for a, bb in zip(alpha, b2):
+        q = max(a - lo - bb / q, pivmin)    # lo may be the untested initial bound
+        pivots.append(q)
+    s = [1.0] + [0.0] * (m - 1)
+    for _ in range(2):
+        # solve (T - lo) y = s through T - lo = L D L+, L[i+1, i] = beta[i] / pivots[i]
+        for i in range(1, m):
+            s[i] -= beta[i - 1] / pivots[i - 1] * s[i - 1]
+        s[-1] /= pivots[-1]
+        for i in range(m - 2, -1, -1):
+            s[i] = (s[i] - beta[i] * s[i + 1]) / pivots[i]
+        norm = copysign(hypot(*s), s[0])
+        s = [x / norm for x in s]
+    return 0.5 * (lo + hi), s
 
 
 def _lanczos_lowest(h, v: np.ndarray, deflate: list, tol: float):
     """(lowest Ritz value, its unit Ritz vector, steps, highest Ritz value)
     of h + sum over the (u, shift) of ``deflate`` of shift u u+.
 
-    Three-term recurrence from ``v`` (Dagotto, RMP 66, 763 (1994)).  Every
-    8 steps, and on a breakdown, the tridiagonal matrix is diagonalized; the run stops when the residual estimate
-    |beta_m s_m| of its lowest Ritz pair is at most ``tol``.
-    ConvergenceError after ``LANCZOS_MAXITER`` steps.  The basis is kept
-    for the Ritz vector, which is accumulated in place.
+    Three-term recurrence from ``v`` (Dagotto, RMP 66, 763 (1994)), its
+    coefficients kept as Python floats.  Every 8 steps, and on a
+    breakdown, :func:`_tridiagonal_lowest` gives the lowest Ritz pair of
+    the tridiagonal matrix; the run stops when the residual estimate
+    |beta_m s_m| is at most ``tol``.  The highest Ritz value is the lowest
+    of -T.  No BLAS or LAPACK call runs between the first and the last
+    product with h.  ConvergenceError after ``LANCZOS_MAXITER`` steps.  The
+    basis is kept for the Ritz vector, which is accumulated in place.
     """
     v /= np.sqrt(_dot(v, v).real)
     basis, alpha, beta = [v], [], []
@@ -820,27 +883,27 @@ def _lanczos_lowest(h, v: np.ndarray, deflate: list, tol: float):
         w = h @ v
         for u, shift in deflate:
             w += (shift * _dot(u, v)) * u
-        alpha.append(_dot(v, w).real)
+        alpha.append(float(_dot(v, w).real))
         w -= alpha[-1] * v
         if step > 1:
             w -= beta[-1] * basis[-2]
-        beta.append(np.sqrt(_dot(w, w).real))
+        beta.append(float(np.sqrt(_dot(w, w).real)))
         if beta[-1] <= tol or step % 8 == 0:
-            t = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
-            theta, s = np.linalg.eigh(t)
-            if abs(beta[-1] * s[-1, 0]) <= tol:
+            theta, s = _tridiagonal_lowest(alpha, beta[:-1])
+            if abs(beta[-1] * s[-1]) <= tol:
                 break
         v = w / beta[-1]
         basis.append(v)
     else:
         raise ConvergenceError(f"Lanczos did not converge in {LANCZOS_MAXITER} steps")
     ritz = np.zeros_like(v)
-    for coeff, b in zip(s[:, 0], basis):
+    for coeff, b in zip(s, basis):
         b *= coeff
         ritz += b
     del basis
     ritz /= np.sqrt(_dot(ritz, ritz).real)
-    return float(theta[0]), ritz, step, float(theta[-1])
+    top = -_tridiagonal_lowest([-a for a in alpha], beta[:-1])[0]
+    return theta, ritz, step, top
 
 
 def _lanczos(h, dim: int, scale: float, level_tol: float):
@@ -924,7 +987,8 @@ def ground_state(h, space: FockSpace) -> GroundStateResult:
     residual0 = None
     for j in members:
         v = evecs[j].copy()
-        res = float(np.linalg.norm(hs @ v - evals[j] * v))
+        r = hs @ v - evals[j] * v
+        res = float(np.sqrt(_dot(r, r).real))
         if res > 1e-10 * scale:
             raise ConvergenceError(f"eigenpair residual {res:g} above 1e-10*scale")
         if residual0 is None:

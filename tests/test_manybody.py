@@ -575,6 +575,113 @@ def test_ground_state_lanczos_positive_spectrum():
     assert gs.energy == pytest.approx(evals[0], abs=1e-10)
 
 
+def test_ground_state_lanczos_zero_ground_level():
+    # the positive spectrum moved down so that E0 is 0 to rounding
+    block = _banded_block(256, np.random.default_rng(0)) + 4.0 * sparse.identity(256)
+    h = sparse.block_diag([block] * 2 + [block + 0.5 * sparse.identity(256)] * 2,
+                          format="csr")
+    h = (h - np.linalg.eigvalsh(h.toarray())[0] * sparse.identity(1024)).tocsr()
+    gs = ground_state(h, FockSpace(10, (), 0))
+    evals = np.linalg.eigvalsh(h.toarray())
+    assert abs(evals[0]) < 1e-14
+    assert gs.multiplicity == 2 and gs.k == 3
+    assert gs.energy == pytest.approx(0.0, abs=1e-10)
+
+
+def _check_tridiagonal_lowest(alpha, beta):
+    # the vector to 1e-12 where the gap to the next level pins it; next to a
+    # near-degenerate level (the Lanczos gap-witness run has gaps down to
+    # 3e-8) only to the Davis-Kahan bound residual / gap
+    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    evals, evecs = np.linalg.eigh(t)
+    theta, s = manybody._tridiagonal_lowest(list(alpha), list(beta))
+    scale = np.abs(t).max()
+    gap = evals[1] - evals[0] if len(alpha) > 1 else np.inf
+    assert s[0] > 0
+    assert abs(theta - evals[0]) <= 1e-14 * scale
+    assert np.abs(t @ s - theta * np.asarray(s)).max() <= 1e-14 * scale
+    np.testing.assert_allclose(s, np.sign(evecs[0, 0]) * evecs[:, 0], rtol=0,
+                               atol=max(1e-12, 1e-14 * scale / gap))
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 31, 32, 128, 400])
+def test_tridiagonal_lowest_matches_eigh(m):
+    # the lowest level sits near -1, the rest of the diagonal in [0, 4]
+    rng = np.random.default_rng(m)
+    for _ in range(5):
+        alpha = rng.uniform(0.0, 4.0, m)
+        alpha[0] = -1.0
+        _check_tridiagonal_lowest(alpha.tolist(), (0.1 * rng.standard_normal(m - 1)).tolist())
+
+
+def test_tridiagonal_lowest_on_the_lanczos_tridiagonals(monkeypatch):
+    seen = []
+    solve = manybody._tridiagonal_lowest
+
+    def recording(alpha, beta):
+        seen.append((list(alpha), list(beta)))
+        return solve(alpha, beta)
+
+    spec = LatticeSpec(3, 1)
+    space = FockSpace(spec.n_modes, boson_modes(spec, "per_cell"), 1, sector=3)
+    h = assemble_simulator_hamiltonian(PARAMS, spec, space)
+    monkeypatch.setattr(manybody, "_tridiagonal_lowest", recording)
+    ground_state(h, space)
+    monkeypatch.undo()
+    assert space.sector_dimension == 1280 and len(seen) > 4
+    for alpha, beta in seen:
+        _check_tridiagonal_lowest(alpha, beta)
+
+
+class _CountedList(list):
+    """A list that counts the passes over it."""
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("alpha, beta", [([1.0, 1.0], [1.0]), ([0.0, 0.0, 0.0], [0.0, 0.0]),
+                                         ([0.0], []), ([2.0, -1.0, 2.0], [1.0, 1.0])])
+def test_tridiagonal_lowest_at_a_zero_level(alpha, beta):
+    # a level at 0 (or T = 0): the bisection stops at a width of a few eps
+    # times ||T|| in about 60 Sturm counts, not at adjacent floats near 0,
+    # and a zero pivot neither divides by zero nor overflows the vector
+    counted = _CountedList(alpha)
+    theta, s = manybody._tridiagonal_lowest(counted, beta)
+    assert counted.passes < 70
+    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    evals = np.linalg.eigvalsh(t)
+    assert abs(theta - evals[0]) <= 1e-15 * max(np.abs(t).max(), 1.0)
+    assert s[0] > 0 and np.isclose(np.linalg.norm(s), 1.0)
+    np.testing.assert_allclose(t @ s, theta * np.asarray(s), rtol=0, atol=1e-14)
+
+
+def test_ground_state_lanczos_calls_no_linalg(monkeypatch):
+    # the Lanczos path never calls numpy's BLAS/LAPACK wrappers, each of
+    # which would wake an OpenBLAS worker thread; the dense path keeps eigh
+    spec = LatticeSpec(3, 1)
+    space = FockSpace(spec.n_modes, boson_modes(spec, "per_cell"), 1, sector=3)
+    h = assemble_simulator_hamiltonian(PARAMS, spec, space)
+    small = FockSpace(spec.n_modes, (), 0, sector=3)
+    h_small = assemble_background_hopping(1.0, spec, small)
+    expected = ground_state(h, space)
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("BLAS/LAPACK call")
+
+    for name in ("eigh", "eigvalsh", "norm"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for name in ("dot", "vdot"):
+        monkeypatch.setattr(np, name, forbidden)
+    gs = ground_state(h, space)
+    assert space.sector_dimension == 1280 and gs.matvecs > 0
+    assert gs.energy == expected.energy
+    with pytest.raises(RuntimeError, match="BLAS/LAPACK"):
+        ground_state(h_small, small)
+
+
 def test_ground_state_lanczos_on_a_sector_operator_with_complex_storage():
     spec = LatticeSpec(3, 1)
     space = FockSpace(spec.n_modes, boson_modes(spec, "per_cell"), 1, sector=3)
