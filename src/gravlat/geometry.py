@@ -5,7 +5,9 @@ enter as ``e = ebar + 8*pi*G*xi`` with only the two diagonal spatial
 components xi1x, xi2y alive.  Fields live on a periodic space-time slab
 (:class:`DiagonalFluctuationSlab` on a :class:`SpacetimeGrid`, axes
 (t, x, y)), the one frame-field representation of this module; connections
-are returned on the same slab.  The connection perturbation returned here
+are returned on the same slab.  Slabs are contracted as component maps
+{(A, mu): grid array} holding only the components a field carries, never as
+dense (3, 3, nt, nx, ny) tensors.  The connection perturbation returned here
 is the G-free solution ``v`` of the linearized zero-torsion condition
 
     eps^{mu nu rho} ( d_nu xi^A_rho + eps^A_BC ebar^B_nu v^C_rho ) = 0 ,
@@ -143,24 +145,26 @@ class DiagonalFluctuationSlab:
         z = np.zeros(grid.shape)
         return cls(grid, z, z.copy())
 
-    def as_tensor(self) -> np.ndarray:
-        """xi[A, mu] with only (1, x) and (2, y) populated."""
-        out = np.zeros((3, 3) + self.grid.shape)
-        out[1, 1] = self.xi1x
-        out[2, 2] = self.xi2y
-        return out
+    def components(self) -> dict:
+        """The component map of xi[A, mu]: only (1, x) and (2, y) exist."""
+        return {(1, 1): self.xi1x, (2, 2): self.xi2y}
 
 
 @dataclass(frozen=True)
 class SpinConnectionSlab:
-    """Connection perturbation v[A, mu] sampled over a space-time slab."""
+    """Connection perturbation v[A, mu] sampled over a space-time slab.
+
+    ``components`` maps (A, mu) to a grid array; a component that is not
+    in the map is identically zero.
+    """
 
     grid: SpacetimeGrid
-    tensor: np.ndarray  # shape (3, 3, nt, nx, ny)
+    components: dict
 
     def __post_init__(self):
-        if self.tensor.shape != (3, 3) + self.grid.shape:
-            raise ValueError("connection tensor shape mismatch")
+        for (a, m), arr in self.components.items():
+            if not (0 <= a < 3 and 0 <= m < 3) or np.shape(arr) != self.grid.shape:
+                raise ValueError(f"connection component {(a, m)} does not fit the grid")
 
 
 def background_frame(params: ModelParams) -> np.ndarray:
@@ -181,8 +185,19 @@ def frame_pair_tensor(params: ModelParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def central_difference(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """Second-order central difference with periodic wrap."""
-    return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * spacing)
+    """Second-order central difference with periodic wrap.
+
+    Bitwise ``(np.roll(arr, -1, axis) - np.roll(arr, 1, axis)) / (2 h)``,
+    written into one array through slices instead of two rolled copies.
+    """
+    a = np.moveaxis(arr, axis, 0)
+    out = np.empty(np.shape(arr), np.result_type(arr, 1.0))
+    o = np.moveaxis(out, axis, 0)
+    np.subtract(a[2:], a[:-2], out=o[1:-1])
+    np.subtract(a[1:2], a[-1:], out=o[:1])
+    np.subtract(a[:1], a[-2:-1], out=o[-1:])
+    out /= 2.0 * spacing
+    return out
 
 
 def spectral_difference(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
@@ -191,6 +206,7 @@ def spectral_difference(arr: np.ndarray, axis: int, spacing: float) -> np.ndarra
     The unpaired Nyquist coefficient (even lengths) is dropped so the
     operator has a real convolution kernel; fields must stay below the
     Nyquist limit for exactness, which every caller's contract assumes.
+    A real input gets a real copy back, so the complex transform is freed.
     """
     n = arr.shape[axis]
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
@@ -199,7 +215,7 @@ def spectral_difference(arr: np.ndarray, axis: int, spacing: float) -> np.ndarra
     shape = [1] * arr.ndim
     shape[axis] = n
     out = np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(arr, axis=axis), axis=axis)
-    return out.real if np.isrealobj(arr) else out
+    return out.real.copy() if np.isrealobj(arr) else out
 
 
 _DIFFERENCES = {"central": central_difference, "spectral": spectral_difference}
@@ -208,12 +224,6 @@ _DIFFERENCES = {"central": central_difference, "spectral": spectral_difference}
 # ---------------------------------------------------------------------------
 # sparse slab contractions
 # ---------------------------------------------------------------------------
-
-def _components(tensor: np.ndarray) -> dict:
-    """{(A, mu): tensor[A, mu]} over the components not identically zero."""
-    return {idx: tensor[idx] for idx in np.ndindex(tensor.shape[:2])
-            if np.any(tensor[idx])}
-
 
 def _slab_derivatives(components: dict, spacings, scheme: str) -> dict:
     """{(alpha, A, mu): d_alpha T[A, mu]} for every component of a map."""
@@ -272,14 +282,11 @@ def _contract(subscripts: str, *operands):
 # operations
 # ---------------------------------------------------------------------------
 
-def _closed_form_connection(l: float, dy_xi1x, dx_xi2y, dt_xi1x, dt_xi2y) -> np.ndarray:
-    """v[A, mu] of the module docstring from the four derivatives it reads."""
-    v = np.zeros((3, 3) + np.shape(dy_xi1x))
-    v[0, 1] = -dy_xi1x / l
-    v[0, 2] = +dx_xi2y / l
-    v[1, 2] = -dt_xi2y
-    v[2, 1] = +dt_xi1x
-    return v
+def _closed_form_connection(l: float, dy_xi1x, dx_xi2y, dt_xi1x, dt_xi2y) -> dict:
+    """The component map of v[A, mu] of the module docstring, from the four
+    derivatives it reads (which it takes over: dt_xi1x is stored as is)."""
+    return {(0, 1): -dy_xi1x / l, (0, 2): dx_xi2y / l,
+            (1, 2): -dt_xi2y, (2, 1): dt_xi1x}
 
 
 def spin_connection_gauge_fixed(params: ModelParams,
@@ -315,15 +322,14 @@ def spin_connection_general(params: ModelParams, xi: DiagonalFluctuationSlab,
     on analytic derivatives it is O(h^2) off (exact, for spectral
     derivatives).
     """
-    grid = xi.grid
-    dxi = _slab_derivatives(_components(xi.as_tensor()), grid.spacings, scheme)
+    dxi = _slab_derivatives(xi.components(), xi.grid.spacings, scheme)
     # W[B, nu] = eps[nu, alpha, beta] d_alpha xi_{B beta}; lower frame index
     # is the plain symbol view (the A = 0 row carries no field).
     W = _contract("nab,aBb...->Bn...", EPS3, dxi)
-    tensor = np.zeros((3, 3) + grid.shape)
-    for (a, m), comp in _contract("aBmn,Bn...->am...", frame_pair_tensor(params), W).items():
-        tensor[a, m] = -comp
-    return SpinConnectionSlab(grid, tensor)
+    v = _contract("aBmn,Bn...->am...", frame_pair_tensor(params), W)
+    for comp in v.values():  # each a fresh array of _contract
+        np.negative(comp, out=comp)
+    return SpinConnectionSlab(xi.grid, v)
 
 
 def torsion_residual(params: ModelParams, xi: DiagonalFluctuationSlab,
@@ -337,11 +343,15 @@ def torsion_residual(params: ModelParams, xi: DiagonalFluctuationSlab,
     slabs that are not time-periodic (e.g. 3-slice probes) are still scored
     on slices where the central difference is one-sided-free.
     """
-    dxi = _slab_derivatives(_components(xi.as_tensor()), xi.grid.spacings, "central")
-    conn = _contract("abc,bn,cr...->anr...", EPS3, background_frame(params),
-                     _components(v.tensor))
-    grad = {(A, n, r): d for (n, A, r), d in dxi.items()}  # -> [A, nu, rho]
-    total = {key: grad.get(key, 0.0) + conn.get(key, 0.0) for key in grad.keys() | conn.keys()}
+    dxi = _slab_derivatives(xi.components(), xi.grid.spacings, "central")
+    # total[A, nu, rho] = d_nu xi^A_rho + eps^A_BC ebar^B_nu v^C_rho, summed
+    # into the fresh arrays of the connection term
+    total = _contract("abc,bn,cr...->anr...", EPS3, background_frame(params), v.components)
+    for (n, A, r), d in dxi.items():
+        if (A, n, r) in total:
+            total[A, n, r] += d
+        else:
+            total[A, n, r] = d
     res = _contract("mnr,anr...->am...", EPS3, total)
     return max((float(np.abs(comp[1:-1]).max()) for comp in res.values()), default=0.0)
 
@@ -375,17 +385,20 @@ class TrigField:
     def sample(self, t, x, y, derivatives):
         """The partial derivatives d^(dt+dx+dy) / dt^dt dx^dx dy^dy of the
         field, one array per (dt, dx, dy) in ``derivatives``, on the grid
-        that ``t``, ``x`` and ``y`` broadcast to.  Each mode's phase, sine and
-        cosine are computed once for all of them, one mode at a time."""
+        that ``t``, ``x`` and ``y`` broadcast to, one mode at a time.
+
+        Each mode's wave is separable: exp(i(w t + phase)), exp(i kx x) and
+        exp(i ky y) are taken on their own axes and broadcast together, so
+        the grid costs one complex product per point, whose imaginary and
+        real parts are the sine and cosine that every derivative reads."""
         outs = [np.zeros(np.broadcast(t, x, y).shape) for _ in derivatives]
         for amp, w, kx, ky, phase in self.terms:
-            arg = w * t + kx * x + ky * y + phase
-            waves = (np.sin(arg), np.cos(arg))
+            wave = np.exp(1j * (w * t + phase)) * np.exp(1j * kx * x) * np.exp(1j * ky * y)
+            waves = (wave.imag, wave.real)
             for out, (dt, dx, dy) in zip(outs, derivatives):
                 order = (dt + dx + dy) % 4
-                factor = (w ** dt) * (kx ** dx) * (ky ** dy)
-                wave = waves[order % 2]
-                out += amp * factor * (wave if order < 2 else -wave)
+                coef = amp * ((w ** dt) * (kx ** dx) * (ky ** dy))
+                out += (coef if order < 2 else -coef) * waves[order % 2]
         return outs
 
 
@@ -447,8 +460,14 @@ def _connection_errors(params: ModelParams, f1: TrigField, f2: TrigField,
     interior time slices."""
     slab, v_ref = sampled_slab(params, f1, f2, grid, t)
     residual = torsion_residual(params, slab, v_ref)
-    v_gen = spin_connection_general(params, slab)
-    agreement = float(np.abs(v_gen.tensor[:, :, 1:-1] - v_ref.tensor[:, :, 1:-1]).max())
+    gen = spin_connection_general(params, slab).components
+    ref = v_ref.components
+
+    def interior(comps, key):  # an absent component is identically zero
+        return comps[key][1:-1] if key in comps else 0.0
+
+    agreement = max((float(np.abs(interior(gen, key) - interior(ref, key)).max())
+                     for key in gen.keys() | ref.keys()), default=0.0)
     return residual, agreement
 
 
@@ -467,15 +486,20 @@ def connection_refinement(params: ModelParams, f1: TrigField, f2: TrigField,
     Both numbers are scored on the interior time slices (all but the
     first and last), so the h/2 level has 2 nt - 3 slices, placed so
     that its interior covers exactly the time window of the h level's
-    interior.  It is evaluated in time chunks of at most nt slices that
-    overlap by 2: the central difference reaches one slice either side,
-    so each chunk scores its interior as the whole slab would, the chunk
-    interiors tile the level's interior, and the max over the chunks is
-    the max over the level at the memory of an nt-slice slab.
+    interior.  It is evaluated in time chunks of at most max(3, nt // 2)
+    slices that overlap by 2: the central difference reaches one slice
+    either side, so each chunk scores its interior as the whole slab
+    would, the chunk interiors tile the level's interior, and the max over
+    the chunks is the max over the level.  A refined slice has 4x the
+    points of a coarse one, so a chunk holds at most 2x the points of the
+    ``grid`` slab (for nt >= 6), and the peak memory of the study is that
+    of the ``grid`` slab's own evaluation or of one chunk's, whichever is
+    larger.
     """
     nt = grid.nt
+    size = max(3, nt // 2)
     fine_t = (np.arange(2 * nt - 3) - (2 * (nt // 2) - 1)) * (grid.ht / 2)
-    chunks = [fine_t[start:start + nt] for start in range(0, len(fine_t) - 2, nt - 2)]
+    chunks = [fine_t[start:start + size] for start in range(0, len(fine_t) - 2, size - 2)]
     fine = [_connection_errors(params, f1, f2,
                                SpacetimeGrid(len(t), 2 * grid.nx, 2 * grid.ny,
                                              grid.ht / 2, grid.h / 2), t)

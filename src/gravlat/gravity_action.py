@@ -8,9 +8,9 @@ instead of being O(h^2)-limited; the O(h^2) central stencil belongs to the
 geometry module's refinement study alone.
 
 Every slab contraction runs over the nonzero entries only: the six of
-epsilon, those of M, the diagonals of ebar and eta, and the field
-components that are not identically zero (tested at run time, so a
-connection with all nine components populated is contracted in full).
+epsilon, those of M, the diagonals of ebar and eta, and the components
+that a field's component map holds (a connection with all nine components
+in its map is contracted in full).
 
 Value bookkeeping, verified against each other in the tests:
 
@@ -36,7 +36,6 @@ from .geometry import (
     frame_pair_tensor,
     spectral_difference,
     spin_connection_general,
-    _components,
     _contract,
     _slab_derivatives,
 )
@@ -86,12 +85,11 @@ def palatini_total(params: ModelParams, xi: DiagonalFluctuationSlab,
     if params.G == 0:
         raise ValueError("total action undefined at G = 0 (1/G prefactor)")
     g8 = 8.0 * np.pi * params.G
-    ebar = background_frame(params)
-    e_full = _components(ebar.reshape(3, 3, 1, 1, 1) + g8 * xi.as_tensor())
-    v_comps = _components(v.tensor)
-    omega = {key: g8 * comp for key, comp in v_comps.items()}
+    # e = ebar + 8 pi G xi; its (0, t) entry stays the constant 1
+    e_full = {(0, 0): 1.0, (1, 1): params.l + g8 * xi.xi1x, (2, 2): params.l + g8 * xi.xi2y}
+    omega = {key: g8 * comp for key, comp in v.components.items()}
     domega = {key: g8 * d for key, d in
-              _slab_derivatives(v_comps, v.grid.spacings, "spectral").items()}
+              _slab_derivatives(v.components, v.grid.spacings, "spectral").items()}
     t1 = _contract("mnr,am...,nar...->...", EPS3, e_full, domega)
     t2 = 0.5 * _contract("mnr,abc,am...,bn...,cr...->...", EPS3, EPS3, e_full, omega, omega)
     return _integral(xi.grid, t1 + t2) / g8
@@ -115,13 +113,12 @@ def palatini_orders(params: ModelParams, xi: DiagonalFluctuationSlab,
     """
     if v is None:
         v = spin_connection_general(params, xi, scheme="spectral")
-    if v.tensor.shape[2:] != xi.grid.shape:
+    if v.grid.shape != xi.grid.shape:
         raise ValueError("xi and v slabs have mismatched shapes")
-    v_comps = _components(v.tensor)
-    dv = _slab_derivatives(v_comps, v.grid.spacings, "spectral")
-    t1 = _contract("mnr,am...,nar...->...", EPS3, _components(xi.as_tensor()), dv)
+    t1 = _contract("mnr,am...,nar...->...", EPS3, xi.components(),
+                   _slab_derivatives(v.components, v.grid.spacings, "spectral"))
     t2 = 0.5 * _contract("mnr,abc,am,bn...,cr...->...", EPS3, EPS3,
-                         background_frame(params), v_comps, v_comps)
+                         background_frame(params), v.components, v.components)
     s2 = _integral(xi.grid, t1 + t2)
     s_massive = massive_fp_action(params, xi)
     residuals = {}
@@ -150,7 +147,7 @@ def fierz_pauli_quadratic(params: ModelParams, xi: DiagonalFluctuationSlab) -> f
     h_munu = ebar_{A mu} xi^A_nu + ebar_{A nu} xi^A_mu up to the fixed
     normalization 2 pi G / l^2 (see :func:`fp_standard_form`).
     """
-    dxi = _slab_derivatives(_components(xi.as_tensor()), xi.grid.spacings, "spectral")
+    dxi = _slab_derivatives(xi.components(), xi.grid.spacings, "spectral")
     W = _contract("mab,aAb...->Am...", EPS3, dxi)
     q = _contract("aBmn,am...,Bn...->...", frame_pair_tensor(params), W, W)
     return -4.0 * np.pi * params.G * _integral(xi.grid, q)
@@ -168,10 +165,8 @@ def fp_standard_form(params: ModelParams, xi: DiagonalFluctuationSlab) -> float:
     here once and tested.
     """
     grid = xi.grid
-    h = np.zeros((3, 3) + grid.shape)
-    h[1, 1] = 2.0 * params.l * xi.xi1x
-    h[2, 2] = 2.0 * params.l * xi.xi2y
-    dh = _slab_derivatives(_components(h), grid.spacings, "spectral")
+    h = {(1, 1): 2.0 * params.l * xi.xi1x, (2, 2): 2.0 * params.l * xi.xi2y}
+    dh = _slab_derivatives(h, grid.spacings, "spectral")
     dh_up = _contract("ma,nb,lab...->lmn...", ETA, ETA, dh)
     trace_d = _contract("mn,lmn...->l...", ETA, dh)
     term1 = -0.5 * _contract("lmn...,ls,smn...->...", dh, ETA, dh_up)

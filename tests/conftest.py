@@ -406,12 +406,32 @@ def full_space_correlators(state, space: FockSpace, ops: ModeOperators) -> Corre
 # dense slab-contraction oracles
 # ---------------------------------------------------------------------------
 # Every contraction runs np.einsum over all 3^k small-index combinations,
-# zeros included, with no knowledge of which entries vanish.
+# zeros included, with no knowledge of which entries vanish.  The library's
+# component maps are turned back into dense (3, 3) + grid tensors here, and
+# the oracles' connections are returned with all nine components in the map.
+
+def dense_tensor(components: dict, shape) -> np.ndarray:
+    """The dense (3, 3) + ``shape`` tensor of a component map."""
+    out = np.zeros((3, 3) + tuple(shape))
+    for idx, arr in components.items():
+        out[idx] = arr
+    return out
+
+
+def dense_xi(xi: DiagonalFluctuationSlab) -> np.ndarray:
+    """xi[A, mu] with only (1, x) and (2, y) populated, from the two fields."""
+    return dense_tensor({(1, 1): xi.xi1x, (2, 2): xi.xi2y}, xi.grid.shape)
+
+
+def component_map(tensor: np.ndarray) -> dict:
+    """All nine components of a dense (3, 3, ...) tensor as a map."""
+    return {idx: tensor[idx] for idx in np.ndindex(3, 3)}
+
 
 def dense_xi_derivatives(xi: DiagonalFluctuationSlab, scheme: str) -> np.ndarray:
     grid = xi.grid
     spac = grid.spacings
-    xit = xi.as_tensor()
+    xit = dense_xi(xi)
     dxi = np.zeros((3, 3, 3) + grid.shape)
     for (A, m) in ((1, 1), (2, 2)):
         for alpha in range(3):
@@ -422,12 +442,13 @@ def dense_xi_derivatives(xi: DiagonalFluctuationSlab, scheme: str) -> np.ndarray
 def dense_v_derivatives(v: SpinConnectionSlab) -> np.ndarray:
     grid = v.grid
     spac = grid.spacings
+    vt = dense_tensor(v.components, grid.shape)
     dv = np.zeros((3, 3, 3) + grid.shape)
     for A in range(3):
         for m in range(3):
-            if np.any(v.tensor[A, m]):
+            if np.any(vt[A, m]):
                 for alpha in range(3):
-                    dv[alpha, A, m] = spectral_difference(v.tensor[A, m], alpha, spac[alpha])
+                    dv[alpha, A, m] = spectral_difference(vt[A, m], alpha, spac[alpha])
     return dv
 
 
@@ -438,15 +459,15 @@ def dense_spin_connection_general(params: ModelParams, xi: DiagonalFluctuationSl
     M = frame_pair_tensor(params)
     W = np.einsum("nab,aBb...->Bn...", EPS3, dxi)
     tensor = -np.einsum("aBmn,Bn...->am...", M, W)
-    return SpinConnectionSlab(grid, tensor)
+    return SpinConnectionSlab(grid, component_map(tensor))
 
 
 def dense_torsion_residual(params: ModelParams, xi: DiagonalFluctuationSlab,
                            v: SpinConnectionSlab) -> float:
     grid = xi.grid
     spac = grid.spacings
-    xit = xi.as_tensor()
-    vt = v.tensor
+    xit = dense_xi(xi)
+    vt = dense_tensor(v.components, grid.shape)
     dxi = np.zeros((3, 3, 3) + grid.shape)
     for A in range(3):
         for m in range(3):
@@ -465,8 +486,8 @@ def dense_palatini_total(params: ModelParams, xi: DiagonalFluctuationSlab,
     g8 = 8.0 * np.pi * params.G
     grid = xi.grid
     ebar = background_frame(params)
-    e_full = ebar.reshape(3, 3, 1, 1, 1) + g8 * xi.as_tensor()
-    omega = g8 * v.tensor
+    e_full = ebar.reshape(3, 3, 1, 1, 1) + g8 * dense_xi(xi)
+    omega = g8 * dense_tensor(v.components, grid.shape)
     domega = g8 * dense_v_derivatives(v)
     t1 = np.einsum("mnr,am...,nar...->...", EPS3, e_full, domega)
     t2 = 0.5 * np.einsum("mnr,abc,am...,bn...,cr...->...", EPS3, EPS3, e_full, omega, omega)
@@ -488,9 +509,9 @@ def dense_palatini_orders(params: ModelParams, xi: DiagonalFluctuationSlab,
     grid = xi.grid
     ebar = background_frame(params)
     dv = dense_v_derivatives(v)
-    t1 = np.einsum("mnr,am...,nar...->...", EPS3, xi.as_tensor(), dv)
-    t2 = 0.5 * np.einsum("mnr,abc,am,bn...,cr...->...", EPS3, EPS3, ebar,
-                         v.tensor, v.tensor)
+    vt = dense_tensor(v.components, grid.shape)
+    t1 = np.einsum("mnr,am...,nar...->...", EPS3, dense_xi(xi), dv)
+    t2 = 0.5 * np.einsum("mnr,abc,am,bn...,cr...->...", EPS3, EPS3, ebar, vt, vt)
     s2 = _integral(grid, t1 + t2)
     s_massive = massive_fp_action(params, xi)
     residuals = {}

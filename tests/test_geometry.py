@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gravlat import geometry
 from gravlat.geometry import (DiagonalFluctuationSlab, ModelParams, SpacetimeGrid,
                               SpinConnectionSlab, TrigField, central_difference,
                               connection_refinement, sampled_slab,
                               spectral_difference, spin_connection_gauge_fixed,
                               spin_connection_general, torsion_residual)
 
-from conftest import dense_spin_connection_general, dense_torsion_residual
+from conftest import (component_map, dense_spin_connection_general, dense_tensor,
+                      dense_torsion_residual)
 
 
 def make_grid(nt=4, nx=12, ny=12, ht=0.25, h=0.5):
@@ -31,15 +35,15 @@ def test_params_validation():
 
 def _zero_except(v, *components):
     """Every v[A, mu] outside ``components`` is identically zero."""
-    return all(np.abs(v.tensor[idx]).max() == 0.0
-               for idx in np.ndindex(3, 3) if idx not in components)
+    return all(np.abs(arr).max() == 0.0
+               for idx, arr in v.components.items() if idx not in components)
 
 
 def test_gauge_fixed_zero_field():
     p = ModelParams(G=0.1, l=1.3, mu=1.0)
     v = spin_connection_gauge_fixed(p, DiagonalFluctuationSlab.zero(make_grid()))
     assert isinstance(v, SpinConnectionSlab)
-    assert np.abs(v.tensor).max() == 0.0
+    assert _zero_except(v)
 
 
 def test_gauge_fixed_static_profile():
@@ -50,7 +54,7 @@ def test_gauge_fixed_static_profile():
     y = np.arange(grid.ny) * grid.h
     xi1 = 0.03 * np.sin(2 * np.pi * y / ly) * np.ones(grid.shape)
     v = spin_connection_gauge_fixed(p, DiagonalFluctuationSlab(grid, xi1, np.zeros(grid.shape)))
-    v0x = v.tensor[0, 1]
+    v0x = v.components[0, 1]
     # contract: the stencil derivative exactly, the analytic one at O(h^2)
     np.testing.assert_array_equal(v0x, -central_difference(xi1, 2, grid.h) / p.l)
     dxi1_dy = 0.03 * (2 * np.pi / ly) * np.cos(2 * np.pi * y / ly)
@@ -71,7 +75,7 @@ def test_gauge_fixed_constant_velocity():
     t = np.arange(grid.nt) * grid.ht
     xi1 = c * t[:, None, None] * np.ones(grid.shape)
     v = spin_connection_gauge_fixed(p, DiagonalFluctuationSlab(grid, xi1, np.zeros(grid.shape)))
-    np.testing.assert_array_equal(v.tensor[2, 1, 1:-1], np.full(grid.shape, c)[1:-1])
+    np.testing.assert_array_equal(v.components[2, 1][1:-1], np.full(grid.shape, c)[1:-1])
     assert _zero_except(v, (2, 1))
 
 
@@ -88,7 +92,7 @@ def test_general_zero_slab():
     p = ModelParams(G=0.1, l=1.0, mu=1.0)
     grid = SpacetimeGrid(4, 8, 8, 0.1, 0.5)
     v = spin_connection_general(p, DiagonalFluctuationSlab.zero(grid))
-    assert np.abs(v.tensor).max() == 0.0
+    assert _zero_except(v)
 
 
 def test_general_matches_gauge_fixed_identically(rng):
@@ -99,7 +103,8 @@ def test_general_matches_gauge_fixed_identically(rng):
     slab, _ = sampled_slab(p, *_trig_pair(rng, grid), grid)
     v_gen = spin_connection_general(p, slab)
     v_gf = spin_connection_gauge_fixed(p, slab)
-    np.testing.assert_allclose(v_gen.tensor, v_gf.tensor, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(dense_tensor(v_gen.components, grid.shape),
+                               dense_tensor(v_gf.components, grid.shape), rtol=0, atol=1e-14)
 
 
 def test_discrete_torsion_identity(rng):
@@ -122,7 +127,7 @@ def test_torsion_residual_second_order(rng):
 
 
 def test_refinement_chunks_match_one_slab(rng):
-    # nt = 5: the h/2 level has 7 slices, evaluated as chunks of 5 and 4
+    # nt = 5: the h/2 level has 7 slices, evaluated as five chunks of 3
     p = ModelParams(G=0.02, l=1.1, mu=1.0)
     grid = SpacetimeGrid(5, 8, 8, 0.2, 0.75)
     f1, f2 = _trig_pair(rng, grid)
@@ -132,7 +137,60 @@ def test_refinement_chunks_match_one_slab(rng):
     slab, v_ref = sampled_slab(p, f1, f2, fine, (np.arange(7) - 3) * fine.ht)
     v_gen = spin_connection_general(p, slab)
     assert res_half == torsion_residual(p, slab, v_ref)
-    assert agree_half == np.abs(v_gen.tensor - v_ref.tensor)[:, :, 1:-1].max()
+    assert agree_half == np.abs(dense_tensor(v_gen.components, fine.shape)
+                                - dense_tensor(v_ref.components, fine.shape))[:, :, 1:-1].max()
+
+
+@pytest.mark.parametrize("nt", [3, 4, 5, 16])
+def test_refinement_chunks_tile_the_fine_interior(rng, monkeypatch, nt):
+    # the h/2 level (2 nt - 3 slices) runs in chunks of at most max(3, nt // 2)
+    # slices whose interiors cover its interior once each, in time order
+    p = ModelParams(G=0.02, l=1.1, mu=1.0)
+    grid = SpacetimeGrid(nt, 4, 6, 0.2, 0.75)
+    calls = []
+
+    def recording(params, f1, f2, g, t=None):
+        calls.append((g, t))
+        return real(params, f1, f2, g, t)
+
+    real = geometry._connection_errors
+    monkeypatch.setattr(geometry, "_connection_errors", recording)
+    connection_refinement(p, *_trig_pair(rng, grid), grid)
+    assert [(g, t) for g, t in calls if t is None] == [(grid, None)]
+    chunks = [t for _, t in calls if t is not None]
+    assert [g for g, t in calls if t is not None] == [
+        SpacetimeGrid(len(t), 8, 12, grid.ht / 2, grid.h / 2) for t in chunks]
+    assert all(3 <= len(t) <= max(3, nt // 2) for t in chunks)
+    interiors = np.concatenate([t[1:-1] for t in chunks])
+    coarse_t = (np.arange(nt) - nt // 2) * grid.ht  # sampled_slab's default times
+    assert len(interiors) == 2 * nt - 5
+    assert interiors[0] == coarse_t[1] and interiors[-1] == coarse_t[-2]
+    np.testing.assert_allclose(np.diff(interiors), grid.ht / 2, rtol=1e-12)
+
+
+def test_refinement_memory_is_bounded_in_coarse_fields(rng):
+    # traced peak of the whole study on a 16 x 32 x 32 slab, in units of one
+    # coarse field: 50 measured; dense (3, 3) slab tensors and nt-slice
+    # refined chunks took 160
+    p = ModelParams(G=0.02, l=1.1, mu=1.0)
+    grid = SpacetimeGrid(16, 32, 32, 0.2, 0.25)
+    f1, f2 = _trig_pair(rng, grid)
+    field_bytes = np.zeros(grid.shape).nbytes
+    tracemalloc.start()
+    try:
+        connection_refinement(p, f1, f2, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * field_bytes
+
+
+def test_connection_slab_rejects_misfit_components():
+    grid = make_grid()
+    with pytest.raises(ValueError):
+        SpinConnectionSlab(grid, {(0, 1): np.zeros((3, 12, 12))})
+    with pytest.raises(ValueError):
+        SpinConnectionSlab(grid, {(3, 0): np.zeros(grid.shape)})
 
 
 def test_connection_linearity(rng):
@@ -143,10 +201,11 @@ def test_connection_linearity(rng):
     b, _ = sampled_slab(p, f2, f1, grid)
     combo = DiagonalFluctuationSlab(grid, 2.0 * a.xi1x - 0.5 * b.xi1x,
                                     2.0 * a.xi2y - 0.5 * b.xi2y)
-    v_combo = spin_connection_general(p, combo)
-    v_sum = 2.0 * spin_connection_general(p, a).tensor \
-        - 0.5 * spin_connection_general(p, b).tensor
-    np.testing.assert_allclose(v_combo.tensor, v_sum, rtol=0, atol=1e-13)
+    def dense(xi):
+        return dense_tensor(spin_connection_general(p, xi).components, grid.shape)
+
+    np.testing.assert_allclose(dense(combo), 2.0 * dense(a) - 0.5 * dense(b),
+                               rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("scheme", ["central", "spectral"])
@@ -156,12 +215,14 @@ def test_sparse_contractions_match_dense_oracles(rng, scheme):
     # the scheme is the connection's, the torsion is always central
     p = ModelParams(G=0.03, l=1.3, mu=1.0)
     grid = SpacetimeGrid(5, 8, 10, 0.2, 0.45)
-    v = SpinConnectionSlab(grid, rng.normal(size=(3, 3) + grid.shape))
+    v = SpinConnectionSlab(grid, component_map(rng.normal(size=(3, 3) + grid.shape)))
     for xi2y in (rng.normal(size=grid.shape), np.zeros(grid.shape)):
         xi = DiagonalFluctuationSlab(grid, rng.normal(size=grid.shape), xi2y)
         got = spin_connection_general(p, xi, scheme)
         want = dense_spin_connection_general(p, xi, scheme)
-        np.testing.assert_allclose(got.tensor, want.tensor, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(dense_tensor(got.components, grid.shape),
+                                   dense_tensor(want.components, grid.shape),
+                                   rtol=1e-12, atol=0)
         for conn in (v, got):
             assert torsion_residual(p, xi, conn) == pytest.approx(
                 dense_torsion_residual(p, xi, conn), rel=1e-12, abs=1e-15)
@@ -170,6 +231,14 @@ def test_sparse_contractions_match_dense_oracles(rng, scheme):
 def test_slab_needs_three_time_slices():
     with pytest.raises(ValueError):
         SpacetimeGrid(2, 8, 8, 0.1, 0.5)
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5), (4, 3, 6), (5, 6, 3), (4, 4, 4)])
+def test_central_difference_is_the_roll_formula(rng, shape):
+    arr = rng.normal(size=shape)
+    for axis in range(3):
+        want = (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * 0.3)
+        np.testing.assert_array_equal(central_difference(arr, axis, 0.3), want)
 
 
 def test_spectral_derivative_exact_below_nyquist():

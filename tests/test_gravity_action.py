@@ -10,7 +10,7 @@ from gravlat.gravity_action import (fierz_pauli_quadratic, fp_standard_form,
                                     massive_fp_action, massive_fp_density,
                                     palatini_orders, palatini_total)
 
-from conftest import (dense_fierz_pauli_quadratic, dense_fp_standard_form,
+from conftest import (component_map, dense_fierz_pauli_quadratic, dense_fp_standard_form,
                       dense_palatini_orders, dense_palatini_total)
 
 
@@ -61,7 +61,7 @@ def test_sparse_actions_match_dense_oracles(rng):
     # a connection with all nine components populated, and the torsionless one
     p = ModelParams(G=0.021, l=1.31, mu=0.8)
     xi = random_bandlimited_slab(rng, GRID, 4, 0.2)
-    v = SpinConnectionSlab(GRID, 0.2 * rng.normal(size=(3, 3) + GRID.shape))
+    v = SpinConnectionSlab(GRID, component_map(0.2 * rng.normal(size=(3, 3) + GRID.shape)))
     pairs = [(palatini_total(p, xi, v), dense_palatini_total(p, xi, v)),
              (fierz_pauli_quadratic(p, xi), dense_fierz_pauli_quadratic(p, xi)),
              (fp_standard_form(p, xi), dense_fp_standard_form(p, xi))]
