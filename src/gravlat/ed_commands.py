@@ -4,14 +4,15 @@
 meets one of the commands in :data:`DISPATCH`, so the check commands start
 without :mod:`gravlat.manybody`.  The handlers run on numpy alone, the
 Lanczos solves of :func:`gravlat.manybody.ground_state` (sector dimension
-above 512) included: no many-body command imports scipy.
+above 512) included: no many-body command imports scipy.  ``spectrum``
+diagonalizes the translation-momentum blocks of its sector one at a time
+(:mod:`gravlat.momentum`, imported by that handler alone); its
+``dense_cap`` still bounds the sector dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-
-import numpy as np
 
 from .designer import optical_params, weak_fluctuation_check
 from .exceptions import ConfigError, DimensionCapError
@@ -49,16 +50,19 @@ def _truncation_delta(params, spec, space, energy) -> float:
 
 
 def _cmd_spectrum(cfg, outdir, extras):
-    params = cfg.params
+    from .momentum import block_spectrum
+
+    params, spec = cfg.params, cfg.lattice
     space, ops = _many_body_setup(cfg, params)
     dim = space.sector_dimension
     if dim > cfg[("truncation", "dense_cap")]:
         raise DimensionCapError(f"sector dimension {dim} exceeds dense cap for spectrum")
-    evals = np.linalg.eigvalsh(_assemble_for(params, cfg.lattice, space, ops).toarray())
+    blocks, evals = block_spectrum(_assemble_for(params, spec, space, ops), spec, space)
     k = min(len(evals), 32)
     write_csv(outdir / "spectrum.csv", "index,energy",
               [(i, evals[i]) for i in range(k)])
     extras.append(("sector_dimension", dim))
+    extras.append(("momentum_blocks", ",".join(str(n) for n in blocks)))
 
 
 def _cmd_ground_state(cfg, outdir, extras):

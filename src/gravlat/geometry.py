@@ -206,16 +206,19 @@ def spectral_difference(arr: np.ndarray, axis: int, spacing: float) -> np.ndarra
     The unpaired Nyquist coefficient (even lengths) is dropped so the
     operator has a real convolution kernel; fields must stay below the
     Nyquist limit for exactness, which every caller's contract assumes.
-    A real input gets a real copy back, so the complex transform is freed.
+    A real input goes through the half-spectrum pair ``rfft``/``irfft``
+    and comes back real; a complex one through ``fft``/``ifft``.
     """
     n = arr.shape[axis]
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
+    real = np.isrealobj(arr)
+    k = 2.0 * np.pi * (np.fft.rfftfreq if real else np.fft.fftfreq)(n, d=spacing)
     if n % 2 == 0:
         k[n // 2] = 0.0
     shape = [1] * arr.ndim
-    shape[axis] = n
-    out = np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(arr, axis=axis), axis=axis)
-    return out.real.copy() if np.isrealobj(arr) else out
+    shape[axis] = len(k)
+    if real:
+        return np.fft.irfft(1j * k.reshape(shape) * np.fft.rfft(arr, axis=axis), n, axis=axis)
+    return np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(arr, axis=axis), axis=axis)
 
 
 _DIFFERENCES = {"central": central_difference, "spectral": spectral_difference}

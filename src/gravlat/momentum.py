@@ -1,0 +1,145 @@
+"""Translation-momentum blocks of a Hamiltonian on the sector basis.
+
+A shift by j1 n1 + j2 n2 maps cell (cx, cy) to (cx + j1, cy + j2), the
+fermion modes a_i and b_i to a_(T i) and b_(T i), and the boson mode
+(cell, species) to (T cell, species); a shared mode (cell None) stays.
+When every boson mode has an image (``per_cell``, ``uniform`` and every
+space without bosons), the shifts form the group Z_ncx x Z_ncy, which
+commutes with every Hamiltonian of :mod:`gravlat.manybody`; otherwise
+(``cell0``) the group is the identity alone and its one block is the
+whole sector.
+
+On the sector basis a shift maps |f, b> to sign |f', b'>.  With
+|f> = c+_m1 ... c+_mk |0>, m1 < ... < mk (the Jordan-Wigner order of
+:mod:`gravlat.manybody`), the sign is the parity of the inversions among
+the images of the occupied modes; the boson digits move without a sign.
+
+The blocks follow Sandvik, AIP Conf. Proc. 1297, 135 (2010), and the
+``kblock`` of QuSpin (Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).  A
+state s has the orbit representative r = min_g g(s), reached first by the
+shift h_s.  Momentum k = 2 pi (m1 / ncx, m2 / ncy), with the character
+chi_k(g) = exp(-i k.g), is carried by the orbits on whose stabilizer the
+shift signs equal chi_k.  The momentum state of such an orbit is
+sum_s beta_k(s) |s>, beta_k(s) = chi_k(h_s) sign_(h_s)(s) / sqrt(|orbit|),
+so H_k[a, b] = sum conj(beta_k(s)) H[s, t] beta_k(t) over the entries of H
+with s in orbit a and t in orbit b.  A block is real when every character
+is real (k in {0, pi} on each axis) and complex Hermitian otherwise.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["translation_periods", "sector_shift", "momentum_blocks", "block_spectrum"]
+
+
+def _mode_images(spec, space, j1: int, j2: int):
+    """(fermion mode images, boson mode images) of the shift (j1, j2); the
+    boson images are None when a boson mode has no image."""
+    n = spec.n_cells
+    cell = [spec.cell_index(cx + j1, cy + j2)
+            for cx in range(spec.ncx) for cy in range(spec.ncy)]
+    fermion = cell + [n + c for c in cell]
+    moved = [(None if c is None else cell[c], s) for c, s in space.boson_modes]
+    if not set(moved) <= set(space.boson_modes):
+        return fermion, None
+    return fermion, [space.boson_modes.index(mode) for mode in moved]
+
+
+def translation_periods(spec, space) -> tuple:
+    """(ncx, ncy) when every boson mode of ``space`` has an image under the
+    one-cell shifts, else (1, 1)."""
+    if all(_mode_images(spec, space, *g)[1] is not None for g in ((1, 0), (0, 1))):
+        return spec.ncx, spec.ncy
+    return 1, 1
+
+
+def sector_shift(spec, space, j1: int, j2: int):
+    """(image, sign): the shift (j1, j2) maps sector state s to
+    sign[s] |image[s]>.  ValueError when a boson mode has no image."""
+    fermion, boson = _mode_images(spec, space, j1, j2)
+    if boson is None:
+        raise ValueError(f"the boson modes are not invariant under the shift {(j1, j2)}")
+    states = space.sector_fermion_states()
+    moved = np.zeros_like(states)
+    inversions = np.zeros_like(states)
+    for p, target in enumerate(fermion):
+        occupied = (states >> p) & 1
+        moved |= occupied << target
+        for q in range(p + 1, len(fermion)):
+            if fermion[q] < target:
+                inversions += occupied & (states >> q)
+    base = space.n_max + 1
+    index = np.arange(space.boson_dim)
+    boson_image = np.zeros_like(index)
+    for m, target in enumerate(boson):
+        boson_image += index // base ** m % base * base ** target
+    image = np.searchsorted(states, moved)[:, None] * space.boson_dim + boson_image
+    sign = np.repeat(1.0 - 2.0 * (inversions & 1), space.boson_dim)
+    return image.ravel(), sign
+
+
+def _characters(m1: int, m2: int, shifts, periods):
+    """chi_k(g) = exp(-i k.g) over ``shifts``: exactly +-1 floats when every
+    phase is real, complex otherwise."""
+    n = periods[0] * periods[1]
+    turns = [(m1 * j1 * periods[1] + m2 * j2 * periods[0]) % n for j1, j2 in shifts]
+    if all(2 * t % n == 0 for t in turns):
+        return np.array([1.0 if t == 0 else -1.0 for t in turns])
+    return np.exp(-2j * np.pi * np.array(turns) / n)
+
+
+def _gather(h, rows, inside, slot, beta, n_k: int) -> np.ndarray:
+    """The n_k x n_k block sum conj(beta(s)) H[s, t] beta(t) over the
+    entries (rows, h.cols) that ``inside`` keeps, at (slot[s], slot[t])."""
+    r, c = rows[inside], h.cols[inside]
+    key = slot[r] * n_k + slot[c]
+    weight = beta[r].conj() * h.data[inside] * beta[c]
+    block = np.bincount(key, weights=weight.real, minlength=n_k * n_k)
+    if np.iscomplexobj(weight):
+        block = block + 1j * np.bincount(key, weights=weight.imag, minlength=n_k * n_k)
+    return block.reshape(n_k, n_k)
+
+
+def momentum_blocks(h, spec, space):
+    """Yield ((m1, m2), H_k) for k = 2 pi (m1 / ncx, m2 / ncy), m2 inner;
+    a momentum that no orbit carries gets a 0 x 0 block.
+
+    ``h`` is a :class:`gravlat.manybody.SectorOperator` on the sector basis
+    of ``space``.  Each dense block is gathered from its entries by one
+    ``np.bincount`` (two when complex) when it is asked for, and the
+    generator keeps no reference to it, so a caller that drops each block
+    before asking for the next holds one at a time.
+    """
+    periods = translation_periods(spec, space)
+    shifts = [(j1, j2) for j1 in range(periods[0]) for j2 in range(periods[1])]
+    actions = [sector_shift(spec, space, *g) for g in shifts]
+    images = np.array([image for image, _ in actions])
+    signs = np.array([sign for _, sign in actions])
+    states = np.arange(h.shape[0])
+    rep = images.min(axis=0)
+    first = np.argmax(images == rep, axis=0)           # h_s
+    sign = signs[first, states]
+    fixed = images == states                           # each state's stabilizer
+    norm = np.sqrt(fixed.sum(axis=0) / len(shifts))    # 1 / sqrt(|orbit|)
+    rows = np.repeat(states, np.diff(h.indptr))
+    for m1 in range(periods[0]):
+        for m2 in range(periods[1]):
+            chi = _characters(m1, m2, shifts, periods)
+            carried = np.abs((fixed * signs * chi.conj()[:, None]).sum(axis=0)) > 0.5
+            reps = np.unique(rep[carried])
+            yield (m1, m2), _gather(h, rows, carried[rows] & carried[h.cols],
+                                    np.searchsorted(reps, rep),
+                                    chi[first] * sign * norm, len(reps))
+
+
+def block_spectrum(h, spec, space):
+    """(block dimensions, sorted eigenvalues): every momentum block of ``h``
+    diagonalized by ``np.linalg.eigvalsh`` and dropped before the next is
+    built; the union of the block spectra is the spectrum of ``h``."""
+    dims, levels = [], []
+    for _, block in momentum_blocks(h, spec, space):
+        dims.append(len(block))
+        levels.append(np.linalg.eigvalsh(block))
+        del block
+    return dims, np.sort(np.concatenate(levels))

@@ -136,6 +136,58 @@ dense_cap = {dim - 1}
     assert not (out / "spectrum.csv").exists()
 
 
+def _manifest(out):
+    return dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
+
+
+def test_spectrum_builds_no_full_sector_matrix(tmp_path, monkeypatch):
+    from gravlat.manybody import SectorOperator
+
+    def refuse(self):
+        raise AssertionError("full-sector dense matrix built")
+
+    monkeypatch.setattr(SectorOperator, "toarray", refuse)
+    code, out = _run(tmp_path, """
+command = spectrum
+[lattice]
+ncx = 2
+ncy = 1
+[truncation]
+n_max = 2
+[manybody]
+placement = per_cell
+""")
+    assert code == 0
+    manifest = _manifest(out)
+    assert manifest["sector_dimension"] == "486"   # C(4, 2) x 3^4
+    assert manifest["momentum_blocks"] == "234,252"
+
+
+def test_cell0_spectrum_is_the_dense_sector_spectrum_byte_for_byte(tmp_path):
+    from gravlat.manybody import assemble_simulator_hamiltonian
+    from gravlat.serialize import write_csv
+
+    text = """
+command = spectrum
+[lattice]
+ncx = 2
+ncy = 1
+[truncation]
+n_max = 2
+[manybody]
+placement = cell0
+"""
+    code, out = _run(tmp_path, text)
+    assert code == 0
+    assert _manifest(out)["momentum_blocks"] == "54"
+    cfg = parse_config(text)
+    space = cfg.fock_space()
+    h = assemble_simulator_hamiltonian(cfg.params, cfg.lattice, space)
+    evals = np.linalg.eigvalsh(h.toarray())   # the unblocked solve
+    write_csv(tmp_path / "dense.csv", "index,energy", [(i, evals[i]) for i in range(32)])
+    assert (out / "spectrum.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
+
 def test_wick_sweep_zero_coupling_point_respects_nnz_cap(tmp_path):
     code, _ = _run(tmp_path, """
 command = wick-sweep
@@ -276,16 +328,17 @@ def test_import_loads_no_sympy_optimize_or_sparse():
     src = Path(gravlat.__file__).resolve().parents[1]
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import gravlat.cli; "
              "print(','.join(m for m in sys.modules"
-             " if m.split('.')[0] in ('sympy', 'scipy') or m == 'gravlat.manybody'))")
+             " if m.split('.')[0] in ('sympy', 'scipy')"
+             " or m in ('gravlat.manybody', 'gravlat.momentum')))")
     loaded = subprocess.run([sys.executable, "-c", probe, str(src)], check=True,
                             capture_output=True, text=True).stdout.strip()
     assert loaded == ""
 
 
 # (config, artifact): no many-body command loads scipy.  The dense ones are
-# spectrum (1536, one dense eigvalsh), map-residual (window blocks) and a
-# wick-sweep whose sectors are all at most 512; the ground-state (1280)
-# takes the Lanczos path
+# spectrum (1536, one dense eigvalsh per momentum block: 752 and 784),
+# map-residual (window blocks) and a wick-sweep whose sectors are all at
+# most 512; the ground-state (1280) takes the Lanczos path
 _SCIPY_CONTRACT = {
     "wick-sweep": ("""
 command = wick-sweep
