@@ -8,6 +8,11 @@ above 512) included: no many-body command imports scipy.  ``spectrum``
 diagonalizes the translation-momentum blocks of its sector one at a time
 (:mod:`gravlat.momentum`, imported by that handler alone); its
 ``dense_cap`` still bounds the sector dimension.
+
+The handlers pass the :class:`gravlat.manybody.FockSpace` alone; each
+assembler checks its nnz cap before it builds anything (exit code 4).  The
+full-space mode operators that the assemblers still accept are kept for
+the pair-Gram oracle of ``perfbench/make_reference.py``.
 """
 
 from __future__ import annotations
@@ -16,15 +21,14 @@ from dataclasses import replace
 
 from .designer import optical_params, weak_fluctuation_check
 from .exceptions import ConfigError, DimensionCapError
-from .geometry import ModelParams
 from .manybody import (assemble_background_hopping,
                        assemble_simulator_hamiltonian, correlators_and_wick,
-                       ground_state, mapping_residual, operator_algebra)
+                       ground_state, mapping_residual)
 from .serialize import write_csv, write_keyvalue, write_state_csv
 
 
-def _many_body_setup(cfg, params):
-    """The space and operator algebra of a run at coupling ``params.G``.
+def _space(cfg, params):
+    """The space of a run at coupling ``params.G``.
 
     At G = 0 the bosons decouple from the fermions, so they are dropped:
     kept inert, they would only multiply every level by the boson dimension.
@@ -32,32 +36,46 @@ def _many_body_setup(cfg, params):
     space = cfg.fock_space()
     if params.G == 0:
         space = replace(space, boson_modes=(), n_max=0)
-    return space, operator_algebra(space)
+    return space
 
 
-def _assemble_for(params, spec, space, ops):
+def _hamiltonian(params, spec, space):
     if params.G == 0:
-        return assemble_background_hopping(params.l, spec, space, ops)
-    return assemble_simulator_hamiltonian(params, spec, space, ops)
+        return assemble_background_hopping(params.l, spec, space)
+    return assemble_simulator_hamiltonian(params, spec, space)
 
 
-def _truncation_delta(params, spec, space, energy) -> float:
-    if space.n_max == 0:  # also every G = 0 space
+def _solve(cfg, params):
+    """The ground state of the run's Hamiltonian at coupling ``params.G``."""
+    space = _space(cfg, params)
+    return ground_state(_hamiltonian(params, cfg.lattice, space), space)
+
+
+def _truncation_delta(params, spec, gs) -> float:
+    """E0 at n_max minus E0 at n_max - 1 (0 at n_max = 0, every G = 0 space)."""
+    space = gs.space
+    if space.n_max == 0:
         return 0.0
     reduced = replace(space, n_max=space.n_max - 1)
     h_red = assemble_simulator_hamiltonian(params, spec, reduced)
-    return energy - ground_state(h_red, reduced).energy
+    return gs.energy - ground_state(h_red, reduced).energy
+
+
+def _solver_lines(params, spec, gs) -> list:
+    return [("eigen_residual", gs.residual), ("eigen_k", gs.k), ("eigen_matvecs", gs.matvecs),
+            ("sector_dimension", gs.space.sector_dimension),
+            ("truncation_delta", _truncation_delta(params, spec, gs))]
 
 
 def _cmd_spectrum(cfg, outdir, extras):
     from .momentum import block_spectrum
 
     params, spec = cfg.params, cfg.lattice
-    space, ops = _many_body_setup(cfg, params)
+    space = _space(cfg, params)
     dim = space.sector_dimension
     if dim > cfg[("truncation", "dense_cap")]:
         raise DimensionCapError(f"sector dimension {dim} exceeds dense cap for spectrum")
-    blocks, evals = block_spectrum(_assemble_for(params, spec, space, ops), spec, space)
+    blocks, evals = block_spectrum(_hamiltonian(params, spec, space), spec, space)
     k = min(len(evals), 32)
     write_csv(outdir / "spectrum.csv", "index,energy",
               [(i, evals[i]) for i in range(k)])
@@ -66,10 +84,8 @@ def _cmd_spectrum(cfg, outdir, extras):
 
 
 def _cmd_ground_state(cfg, outdir, extras):
-    params, spec = cfg.params, cfg.lattice
-    space, ops = _many_body_setup(cfg, params)
-    h = _assemble_for(params, spec, space, ops)
-    gs = ground_state(h, space)
+    gs = _solve(cfg, cfg.params)
+    space = gs.space
     header_meta = [
         f"# modes={space.n_fermion_modes} fermion + {space.n_boson_modes} boson",
         f"# boson_modes={space.boson_modes}",
@@ -81,19 +97,14 @@ def _cmd_ground_state(cfg, outdir, extras):
                     gs.vectors[0])
     extras.append(("ground_energy", gs.energy))
     extras.append(("multiplicity", gs.multiplicity))
-    extras.append(("eigen_residual", gs.residual))
-    extras.append(("eigen_k", gs.k))
-    extras.append(("eigen_matvecs", gs.matvecs))
-    extras.append(("sector_dimension", space.sector_dimension))
-    extras.append(("truncation_delta", _truncation_delta(params, spec, space, gs.energy)))
+    extras.extend(_solver_lines(cfg.params, cfg.lattice, gs))
 
 
 def _cmd_correlators(cfg, outdir, extras):
-    params, spec = cfg.params, cfg.lattice
-    space, ops = _many_body_setup(cfg, params)
-    h = _assemble_for(params, spec, space, ops)
-    gs = ground_state(h, space)
-    rep = correlators_and_wick(gs, space, ops)
+    params = cfg.params
+    gs = _solve(cfg, params)
+    space = gs.space
+    rep = correlators_and_wick(gs, space)
     nf = space.n_fermion_modes
     write_csv(outdir / "c_matrix.csv", "i,j,re,im",
               [(i, j, rep.c_matrix[i, j].real, rep.c_matrix[i, j].imag)
@@ -111,11 +122,7 @@ def _cmd_correlators(cfg, outdir, extras):
         wf = weak_fluctuation_check(rep.d_dag_d.diagonal().real, species,
                                     optical_params(params))
         pairs.extend(wf.to_pairs())
-    extras.append(("eigen_residual", gs.residual))
-    extras.append(("eigen_k", gs.k))
-    extras.append(("eigen_matvecs", gs.matvecs))
-    extras.append(("sector_dimension", space.sector_dimension))
-    extras.append(("truncation_delta", _truncation_delta(params, spec, space, gs.energy)))
+    extras.extend(_solver_lines(params, cfg.lattice, gs))
     for cell, qc in sorted(rep.q_corr.items(), key=lambda kv: (kv[0] is None, kv[0])):
         tag = "shared" if cell is None else f"cell{cell}"
         pairs.append((f"q1dag_q2_{tag}_re", complex(qc["q1dag_q2"]).real))
@@ -126,25 +133,19 @@ def _cmd_correlators(cfg, outdir, extras):
 
 
 def _cmd_wick_sweep(cfg, outdir, extras):
-    spec = cfg.lattice
-    setups = {}  # (space, ops) keyed by g > 0: they depend on g through that only
     rows = []
-    energies = {}
+    top = None   # (params, ground state) at the largest g > 0
     for g in cfg[("sweep", "g_values")]:
-        params = ModelParams(G=g, l=cfg.params.l, mu=cfg.params.mu)
-        if (g > 0) not in setups:
-            setups[g > 0] = _many_body_setup(cfg, params)
-        space, ops = setups[g > 0]
-        gs = ground_state(_assemble_for(params, spec, space, ops), space)
-        rep = correlators_and_wick(gs, space, ops)
+        params = replace(cfg.params, G=g)
+        gs = _solve(cfg, params)
+        rep = correlators_and_wick(gs, gs.space)
         rows.append((g, rep.wick_residual, gs.energy, gs.multiplicity))
-        energies[g] = gs.energy
+        if g > 0 and (top is None or g > top[0].G):
+            top = (params, gs)
     write_csv(outdir / "wick_sweep.csv", "g,wick_residual,ground_energy,multiplicity", rows)
-    if True in setups and cfg[("truncation", "n_max")] > 0:
-        g_top = max(energies)
-        params_top = ModelParams(G=g_top, l=cfg.params.l, mu=cfg.params.mu)
-        extras.append(("truncation_delta_at_g_max",
-                       _truncation_delta(params_top, spec, setups[True][0], energies[g_top])))
+    if top is not None and cfg[("truncation", "n_max")] > 0:
+        params, gs = top
+        extras.append(("truncation_delta_at_g_max", _truncation_delta(params, cfg.lattice, gs)))
 
 
 def _cmd_map_residual(cfg, outdir, extras):
@@ -154,13 +155,10 @@ def _cmd_map_residual(cfg, outdir, extras):
     if window > n_max:
         raise ConfigError([f"map-residual window {window} exceeds n_max {n_max}"])
     positive = [g for g in cfg[("sweep", "g_values")] if g > 0]
-    if positive:  # the mapping comparison needs G > 0 (1/G boson line)
-        space = cfg.fock_space()
-        ops = operator_algebra(space)
-    rows = []
-    for g in positive:
-        params = ModelParams(G=g, l=cfg.params.l, mu=cfg.params.mu)
-        rows.append((g, mapping_residual(params, spec, space, window, ops)))
+    # the mapping comparison needs G > 0 (1/G boson line)
+    space = cfg.fock_space() if positive else None
+    rows = [(g, mapping_residual(replace(cfg.params, G=g), spec, space, window))
+            for g in positive]
     write_csv(outdir / "map_residual.csv", "g,residual", rows)
     extras.append(("window", window))
     skipped = len(cfg[("sweep", "g_values")]) - len(positive)

@@ -60,12 +60,15 @@ index arrays applied to the rows of the state reshaped to (fermion states,
 boson_dim); a boson ladder acts along its mode's axis of those rows.
 
 Ground states above dimension 512 come from a numpy Lanczos on
-``SectorOperator @ x`` (:func:`ground_state`).  Only ``ModeOperators.c``
-loads scipy (``scipy.sparse``, inside the property), and no command builds
-it or any other full-space object: ``ModeOperators.c`` and
-``GroundStateResult.states`` are kept for the pair-Gram oracle of
-``perfbench/make_reference.py``; the test oracles build their own
-full-space operators.
+``SectorOperator @ x`` (:func:`ground_state`).  The commands pass the
+:class:`FockSpace` alone and build no full-space object.  Only
+``ModeOperators.c`` loads scipy (``scipy.sparse``, inside the property).
+It, ``GroundStateResult.states`` and the optional ``ops`` of the
+assemblers and :func:`mapping_residual` are kept for the pair-Gram oracle
+of ``perfbench/make_reference.py``, which passes its ``ModeOperators`` to
+:func:`assemble_simulator_hamiltonian`; each assembler still runs
+:func:`operator_algebra` first, as its nnz-cap check.  The test oracles
+build their own full-space operators.
 """
 
 from __future__ import annotations
@@ -166,15 +169,14 @@ class FockSpace:
                 return idx
         return None
 
+    def boson_digits(self) -> np.ndarray:
+        """[boson index, mode] occupations: the little-endian digits of the
+        boson index, mode m at stride (n_max + 1)^m."""
+        return _digits(self.boson_dim, self.n_max + 1, self.n_boson_modes)
+
     def boson_occupation_table(self) -> np.ndarray:
         """Total boson occupation per boson basis index."""
-        base = self.n_max + 1
-        occ = np.zeros(self.boson_dim, dtype=int)
-        idx = np.arange(self.boson_dim)
-        for _ in range(self.n_boson_modes):
-            occ += idx % base
-            idx //= base
-        return occ
+        return self.boson_digits().sum(axis=1)
 
     def sector_fermion_states(self) -> np.ndarray:
         """Sorted fermion basis integers of the sector (all when unset)."""
@@ -191,6 +193,12 @@ class FockSpace:
         """Full-space indices of the (sector x all-boson) subspace."""
         fs = self.sector_fermion_states()
         return (fs[:, None] * self.boson_dim + np.arange(self.boson_dim)[None, :]).ravel()
+
+
+def _digits(size: int, base: int, n_digits: int) -> np.ndarray:
+    """[index, t] for index < ``size``: digit t of the index, little-endian
+    in ``base``."""
+    return np.arange(size)[:, None] // base ** np.arange(n_digits) % base
 
 
 def _fermion_basis(n_modes: int, number: Optional[int]) -> np.ndarray:
@@ -278,11 +286,11 @@ def _ladder_on_rows(x: np.ndarray, space: FockSpace, m: int, coeff: float = 1.0,
 class ModeOperators:
     """The mode operators of a space.
 
-    The assemblers and observables use ``states``, the sorted fermion basis
-    of the sector, and build the boson ladders where they act.  The
-    full-space fermion annihilators ``c`` are built on first use, with
-    ``scipy.sparse``, and no command builds them: they are kept for the
-    pair-Gram oracle of ``perfbench/make_reference.py``.
+    The assemblers use ``states``, the sorted fermion basis of the sector
+    (``space.sector_fermion_states()``), and build the boson ladders where
+    they act.  The full-space fermion annihilators ``c`` are built on first
+    use, with ``scipy.sparse``, and no command builds them: they are kept
+    for the pair-Gram oracle of ``perfbench/make_reference.py``.
     """
 
     space: FockSpace
@@ -376,13 +384,11 @@ def _embed(space: FockSpace, local: np.ndarray, modes: tuple = ()) -> _BosonOp:
     identity.  Its zero entries are left out.
     """
     base = space.n_max + 1
-    index = np.arange(space.boson_dim)
-    rest = np.ones(space.boson_dim, dtype=bool)   # the other modes' digits
-    offset = np.zeros(len(local), dtype=int)      # local index -> boson index
-    for t, m in enumerate(modes):
-        rest &= index // base ** m % base == 0
-        offset += np.arange(len(local)) // base ** t % base * base ** m
-    rest = index[rest]
+    modes = np.array(modes, dtype=int)
+    # the boson indices with every mode of ``modes`` at 0, and local index ->
+    # boson index
+    rest = np.flatnonzero((space.boson_digits()[:, modes] == 0).all(axis=1))
+    offset = _digits(len(local), base, len(modes)) @ base ** modes
     lr, lc = np.nonzero(local)
     return _BosonOp((rest[:, None] + offset[lr]).ravel(),
                     (rest[:, None] + offset[lc]).ravel(),
@@ -429,9 +435,8 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _pairs(space: FockSpace):
-    cells = sorted({c for c, s in space.boson_modes if s == "x"},
-                   key=lambda c: (c is None, c))
-    return cells
+    return sorted({c for c, s in space.boson_modes if s == "x"},
+                  key=lambda c: (c is None, c))
 
 
 _BOSON_SPECIES = {"z": "z", "x": "x", "y": "x"}   # the x boson serves the y bond
@@ -483,9 +488,13 @@ class SectorOperator:
     def real(self) -> "SectorOperator":
         return SectorOperator(self.data.real, self.cols, self.indptr, self.shape)
 
+    def entry_rows(self) -> np.ndarray:
+        """The row index of each entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=self.data.dtype)
-        out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.cols] = self.data
+        out[self.entry_rows(), self.cols] = self.data
         return out
 
     @cached_property
@@ -509,27 +518,16 @@ def _hermitian_part(boson: _BosonOp, n_b: int, scale: float) -> _BosonOp:
     """(B + B+) / 2 of the summed B, after checking it: AssertionError when
     max|B - B+| exceeds 1e-12 * max(scale, 1).
 
-    B's keys row * n_b + col are sorted and unique, so one ``searchsorted``
-    of the transposed keys puts the B+ entry of each key of B beside it; the
-    B+ entries on keys that B lacks follow B's.  Each key gets B_k + B+_k
-    and B_k - B+_k with an absent side 0, exact zeros of the sum dropped.
+    B+ is B's entries transposed and conjugated, and both B + B+ and
+    B + (-B+) are :meth:`_BosonOp.summed`: each key gets B_k + B+_k, an
+    absent side left out, exact zeros dropped.
     """
-    key = boson.rows * n_b + boson.cols
-    transposed = boson.cols * n_b + boson.rows
-    pos = np.searchsorted(key, transposed)
-    found = pos < len(key)
-    found[found] = key[pos[found]] == transposed[found]
-    adjoint = np.zeros_like(boson.data)
-    adjoint[pos[found]] = boson.data[found].conj()
-    lone = boson.data[~found].conj()   # B+ entries on keys B lacks
-    defect = float(np.abs(np.concatenate((boson.data - adjoint, lone))).max(initial=0.0))
+    adjoint = boson.data.conj()
+    defect = _max_abs((boson + _BosonOp(boson.cols, boson.rows, -adjoint)).summed(n_b))
     if defect > 1e-12 * max(scale, 1.0):
         raise AssertionError(f"anti-Hermitian assembly: defect {defect:g}")
-    rows = np.concatenate((boson.rows, boson.cols[~found]))
-    cols = np.concatenate((boson.cols, boson.rows[~found]))
-    data = np.concatenate((boson.data + adjoint, lone))
-    nonzero = data != 0
-    return _BosonOp(rows[nonzero], cols[nonzero], data[nonzero] * 0.5)
+    both = (boson + _BosonOp(boson.cols, boson.rows, adjoint)).summed(n_b)
+    return _BosonOp(both.rows, both.cols, both.data * 0.5)
 
 
 def _on_sector(ops: ModeOperators, couplings, boson=None, keep=None) -> SectorOperator:
@@ -1034,7 +1032,7 @@ def _as_mixture(state, space: FockSpace):
     return weights, [_boson_rows(v, space) for v in vectors]
 
 
-def correlators_and_wick(state, space: FockSpace, ops: ModeOperators) -> CorrelatorReport:
+def correlators_and_wick(state, space: FockSpace) -> CorrelatorReport:
     """Correlation data of a normalized state (or ground multiplet mixture).
 
     ``state`` is a :class:`GroundStateResult` or a single vector on the
@@ -1067,9 +1065,9 @@ def correlators_and_wick(state, space: FockSpace, ops: ModeOperators) -> Correla
     # the N-, (N-1)- and (N-2)-particle bases (all three every integer
     # when no sector is set) and the maps c_i between them
     number = space.sector
-    once, twice = (_fermion_basis(nf, None if number is None else number - k)
-                   for k in (1, 2))
-    first = [_annihilation_map(ops.states, once, i) for i in range(nf)]
+    states, once, twice = (_fermion_basis(nf, None if number is None else number - k)
+                           for k in (0, 1, 2))
+    first = [_annihilation_map(states, once, i) for i in range(nf)]
     second = [_annihilation_map(once, twice, i) for i in range(nf)]
     n_once, n_twice = len(once), len(twice)
 

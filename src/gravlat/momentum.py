@@ -69,11 +69,7 @@ def sector_shift(spec, space, j1: int, j2: int):
         for q in range(p + 1, len(fermion)):
             if fermion[q] < target:
                 inversions += occupied & (states >> q)
-    base = space.n_max + 1
-    index = np.arange(space.boson_dim)
-    boson_image = np.zeros_like(index)
-    for m, target in enumerate(boson):
-        boson_image += index // base ** m % base * base ** target
+    boson_image = space.boson_digits() @ (space.n_max + 1) ** np.array(boson, dtype=int)
     image = np.searchsorted(states, moved)[:, None] * space.boson_dim + boson_image
     sign = np.repeat(1.0 - 2.0 * (inversions & 1), space.boson_dim)
     return image.ravel(), sign
@@ -122,7 +118,7 @@ def momentum_blocks(h, spec, space):
     sign = signs[first, states]
     fixed = images == states                           # each state's stabilizer
     norm = np.sqrt(fixed.sum(axis=0) / len(shifts))    # 1 / sqrt(|orbit|)
-    rows = np.repeat(states, np.diff(h.indptr))
+    rows = h.entry_rows()
     for m1 in range(periods[0]):
         for m2 in range(periods[1]):
             chi = _characters(m1, m2, shifts, periods)

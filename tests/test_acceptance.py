@@ -229,7 +229,7 @@ def test_criterion_09_wick_signature():
     space0 = FockSpace(4, (), 0, sector=2)
     ops0 = operator_algebra(space0)
     h0 = assemble_background_hopping(1.0, spec, space0, ops0)
-    r0 = correlators_and_wick(ground_state(h0, space0), space0, ops0).wick_residual
+    r0 = correlators_and_wick(ground_state(h0, space0), space0).wick_residual
     gvals = (1e-3, 3e-3, 1e-2)
     rs = []
     for g in gvals:
@@ -237,7 +237,7 @@ def test_criterion_09_wick_signature():
         space = FockSpace(4, ((0, "x"), (0, "z")), 2, sector=2)
         ops = operator_algebra(space)
         h = assemble_simulator_hamiltonian(p, spec, space, ops)
-        rep = correlators_and_wick(ground_state(h, space), space, ops)
+        rep = correlators_and_wick(ground_state(h, space), space)
         rs.append(rep.wick_residual)
     slope = float(np.polyfit(np.log(gvals), np.log(rs), 1)[0])
     checks = [

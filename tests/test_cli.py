@@ -223,37 +223,6 @@ placement = cell0
     assert code == expected
 
 
-@pytest.mark.parametrize("command, observables", [
-    ("map-residual", False), ("wick-sweep", True)])
-def test_sweeps_build_one_operator_algebra(tmp_path, monkeypatch, command, observables):
-    import gravlat.ed_commands as ed
-    real_algebra = ed.operator_algebra
-    built = []
-
-    def recording_algebra(space):
-        built.append(real_algebra(space))
-        return built[-1]
-
-    monkeypatch.setattr(ed, "operator_algebra", recording_algebra)
-    code, _ = _run(tmp_path, f"""
-command = {command}
-[lattice]
-ncx = 2
-ncy = 1
-[truncation]
-n_max = 1
-window = 1
-[manybody]
-placement = cell0
-[sweep]
-g_values = 1e-3, 3e-3, 1e-2
-""")
-    assert code == 0
-    assert len(built) == 1
-    # observables or not, no command builds the full-space mode operators
-    assert "c" not in vars(built[0]) and "d" not in vars(built[0])
-
-
 def test_removed_thermal_key_is_unknown(tmp_path, capsys):
     code, _ = _run(tmp_path, MINIMAL + "[thermal]\ntemperature = 0.5\n")
     assert code == 2
@@ -414,7 +383,8 @@ def test_lanczos_iteration_limit_exits_3(tmp_path, monkeypatch, capsys):
     assert not (out / "manifest.txt").exists()
 
 
-@pytest.mark.parametrize("command", ["correlators", "wick-sweep", "ground-state"])
+@pytest.mark.parametrize("command", ["correlators", "wick-sweep", "ground-state",
+                                     "map-residual", "spectrum"])
 def test_no_full_space_operator_on_the_cli_path(tmp_path, monkeypatch, command):
     from gravlat.manybody import FockSpace, ModeOperators, operator_algebra
 
@@ -431,6 +401,7 @@ ncx = 2
 ncy = 1
 [truncation]
 n_max = 1
+window = 1
 [manybody]
 placement = per_cell
 [sweep]
@@ -472,7 +443,7 @@ def test_weak_fluctuation_ratios_read_the_correlator_occupations(tmp_path):
     # d_dag_d over D_m^2, to the last bit
     from gravlat.designer import optical_params
     from gravlat.manybody import (assemble_simulator_hamiltonian, correlators_and_wick,
-                                  ground_state, operator_algebra)
+                                  ground_state)
     config = """
 command = correlators
 [lattice]
@@ -487,9 +458,8 @@ placement = cell0
     assert code == 0
     cfg = parse_config(config)
     space = cfg.fock_space()
-    ops = operator_algebra(space)
-    gs = ground_state(assemble_simulator_hamiltonian(cfg.params, cfg.lattice, space, ops), space)
-    occupations = correlators_and_wick(gs, space, ops).d_dag_d.diagonal().real
+    gs = ground_state(assemble_simulator_hamiltonian(cfg.params, cfg.lattice, space), space)
+    occupations = correlators_and_wick(gs, space).d_dag_d.diagonal().real
     opt = optical_params(cfg.params)
     summary = dict(line.split("=", 1)
                    for line in (out / "correlator_summary.txt").read_text().splitlines())
@@ -718,6 +688,61 @@ placement = {placement}
     assert manifest["eigen_k"] == k
     assert (int(manifest["eigen_matvecs"]) > 0) == (k == "2")
     assert 0.0 <= float(manifest["eigen_residual"]) < 1e-10
+
+
+_TRUNCATION_CONFIG = """
+[lattice]
+ncx = 2
+ncy = 1
+[truncation]
+n_max = 2
+[manybody]
+placement = cell0
+"""
+
+
+def _lowest_energy(cfg, g, n_max):
+    """E0 of the simulator of ``cfg`` at coupling g, truncated at n_max."""
+    from dataclasses import replace
+
+    from gravlat.geometry import ModelParams
+    from gravlat.manybody import assemble_simulator_hamiltonian, ground_state
+
+    space = replace(cfg.fock_space(), n_max=n_max)
+    params = ModelParams(G=g, l=cfg.params.l, mu=cfg.params.mu)
+    return ground_state(assemble_simulator_hamiltonian(params, cfg.lattice, space),
+                        space).energy
+
+
+@pytest.mark.parametrize("command", ["ground-state", "correlators"])
+def test_truncation_delta_is_e0_at_n_max_minus_e0_one_level_below(tmp_path, command):
+    text = f"command = {command}\n" + _TRUNCATION_CONFIG
+    code, out = _run(tmp_path, text)
+    assert code == 0
+    cfg = parse_config(text)
+    want = _lowest_energy(cfg, cfg.params.G, 2) - _lowest_energy(cfg, cfg.params.G, 1)
+    assert want != 0.0
+    assert float(_manifest(out)["truncation_delta"]) == want
+
+
+@pytest.mark.parametrize("g_values, n_max, present", [
+    ("1e-2, 0, 1e-3", 2, True),   # the largest g, not the last one
+    ("0", 2, False),
+    ("1e-3, 1e-2", 0, False),
+])
+def test_wick_sweep_truncation_delta_at_the_largest_g(tmp_path, g_values, n_max, present):
+    text = (f"command = wick-sweep\n"
+            + _TRUNCATION_CONFIG.replace("n_max = 2", f"n_max = {n_max}")
+            + f"[sweep]\ng_values = {g_values}\n")
+    code, out = _run(tmp_path, text)
+    assert code == 0
+    manifest = _manifest(out)
+    assert ("truncation_delta_at_g_max" in manifest) == present
+    if present:
+        cfg = parse_config(text)
+        want = _lowest_energy(cfg, 1e-2, 2) - _lowest_energy(cfg, 1e-2, 1)
+        assert want != 0.0
+        assert float(manifest["truncation_delta_at_g_max"]) == want
 
 
 def test_map_couplings_roundtrip_artifact(tmp_path):

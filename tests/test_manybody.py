@@ -180,7 +180,7 @@ def test_sector_assembly_matches_full_space_oracle(ncx, placement, sector):
     psi = rng.standard_normal(space.sector_dimension) + 1j * rng.standard_normal(
         space.sector_dimension)
     psi /= np.linalg.norm(psi)
-    rep, want = correlators_and_wick(psi, space, ops), full_space_correlators(psi, space, ops)
+    rep, want = correlators_and_wick(psi, space), full_space_correlators(psi, space, ops)
     for field in ("d_dag_d", "d_dag_ddag"):
         assert np.abs(getattr(rep, field) - getattr(want, field)).max() <= 1e-12
     assert rep.q_corr.keys() == want.q_corr.keys()
@@ -763,21 +763,20 @@ def test_free_state_satisfies_factorization():
     ops = operator_algebra(space)
     h = assemble_background_hopping(1.0, spec, space, ops)
     gs = ground_state(h, space)
-    rep = correlators_and_wick(gs, space, ops)
+    rep = correlators_and_wick(gs, space)
     assert rep.wick_residual <= 1e-10
 
 
 def test_boson_vacuum_correlators_vanish():
     spec = LatticeSpec(1, 1)
     space = FockSpace(2, boson_modes(spec, "per_cell"), 2, sector=1)
-    ops = operator_algebra(space)
     # product state: fermion ground (from the boson-free problem) x |0_b>
     f_space = FockSpace(2, (), 0, sector=1)
     f_gs = ground_state(assemble_background_hopping(1.0, spec, f_space), f_space)
     (f_psi,) = f_gs.vectors
     psi = np.zeros(space.sector_dimension, dtype=complex)
     psi[np.arange(len(f_psi)) * space.boson_dim] = f_psi
-    rep = correlators_and_wick(psi, space, ops)
+    rep = correlators_and_wick(psi, space)
     assert np.abs(rep.d_dag_d).max() < 1e-14
     assert np.abs(rep.d_dag_ddag).max() < 1e-14
     for qc in rep.q_corr.values():
@@ -821,7 +820,7 @@ def _oracle_case(name):
                                   "1x1", "sector-none", "complex-sector-vector"])
 def test_sector_correlators_match_full_space_oracle(name):
     state, space, ops = _oracle_case(name)
-    rep = correlators_and_wick(state, space, ops)
+    rep = correlators_and_wick(state, space)
     want = full_space_correlators(state, space, ops)
     for field in ("c_matrix", "d_dag_d", "d_dag_ddag"):
         assert np.abs(getattr(rep, field) - getattr(want, field)).max(initial=0.0) <= 1e-12
@@ -839,7 +838,7 @@ def test_correlators_reject_a_full_space_vector_on_a_sector_space():
     psi = np.zeros(space.dimension)
     psi[space.sector_indices()[0]] = 1.0
     with pytest.raises(ValueError, match="not on the sector basis"):
-        correlators_and_wick(psi, space, operator_algebra(space))
+        correlators_and_wick(psi, space)
 
 
 def test_ground_state_embeds_its_sector_vectors_on_access():
@@ -866,7 +865,7 @@ def test_coupled_residual_positive_monotone_cubic():
         ops = operator_algebra(space)
         h = assemble_simulator_hamiltonian(p, spec, space, ops)
         gs = ground_state(h, space)
-        rs.append(correlators_and_wick(gs, space, ops).wick_residual)
+        rs.append(correlators_and_wick(gs, space).wick_residual)
     assert rs[0] > 0 and rs[0] < rs[1] < rs[2]
     slope = np.polyfit(np.log(gvals), np.log(rs), 1)[0]
     assert 2.7 < slope < 3.2
@@ -882,5 +881,5 @@ def test_uniform_pair_on_two_cells_is_structurally_free():
     ops = operator_algebra(space)
     h = assemble_simulator_hamiltonian(p, spec, space, ops)
     gs = ground_state(h, space)
-    rep = correlators_and_wick(gs, space, ops)
+    rep = correlators_and_wick(gs, space)
     assert rep.wick_residual < 1e-10
