@@ -12,7 +12,9 @@ diagonalizes the translation-momentum blocks of its sector one at a time
 The handlers pass the :class:`gravlat.manybody.FockSpace` alone; each
 assembler checks its nnz cap before it builds anything (exit code 4).  The
 full-space mode operators that the assemblers still accept are kept for
-the pair-Gram oracle of ``perfbench/make_reference.py``.
+the pair-Gram oracle of ``perfbench/make_reference.py``.  Each handler
+solves once per coupling and reads its truncation check off the solved
+state (:func:`gravlat.manybody.top_level_weight`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .designer import optical_params, weak_fluctuation_check
 from .exceptions import ConfigError, DimensionCapError
 from .manybody import (assemble_background_hopping,
                        assemble_simulator_hamiltonian, correlators_and_wick,
-                       ground_state, mapping_residual)
+                       ground_state, mapping_residual, top_level_weight)
 from .serialize import write_csv, write_keyvalue, write_state_csv
 
 
@@ -51,20 +53,10 @@ def _solve(cfg, params):
     return ground_state(_hamiltonian(params, cfg.lattice, space), space)
 
 
-def _truncation_delta(params, spec, gs) -> float:
-    """E0 at n_max minus E0 at n_max - 1 (0 at n_max = 0, every G = 0 space)."""
-    space = gs.space
-    if space.n_max == 0:
-        return 0.0
-    reduced = replace(space, n_max=space.n_max - 1)
-    h_red = assemble_simulator_hamiltonian(params, spec, reduced)
-    return gs.energy - ground_state(h_red, reduced).energy
-
-
-def _solver_lines(params, spec, gs) -> list:
+def _solver_lines(gs) -> list:
     return [("eigen_residual", gs.residual), ("eigen_k", gs.k), ("eigen_matvecs", gs.matvecs),
             ("sector_dimension", gs.space.sector_dimension),
-            ("truncation_delta", _truncation_delta(params, spec, gs))]
+            ("top_level_weight", top_level_weight(gs, gs.space))]
 
 
 def _cmd_spectrum(cfg, outdir, extras):
@@ -97,7 +89,7 @@ def _cmd_ground_state(cfg, outdir, extras):
                     gs.vectors[0])
     extras.append(("ground_energy", gs.energy))
     extras.append(("multiplicity", gs.multiplicity))
-    extras.extend(_solver_lines(cfg.params, cfg.lattice, gs))
+    extras.extend(_solver_lines(gs))
 
 
 def _cmd_correlators(cfg, outdir, extras):
@@ -122,8 +114,8 @@ def _cmd_correlators(cfg, outdir, extras):
         wf = weak_fluctuation_check(rep.d_dag_d.diagonal().real, species,
                                     optical_params(params))
         pairs.extend(wf.to_pairs())
-    extras.extend(_solver_lines(params, cfg.lattice, gs))
-    for cell, qc in sorted(rep.q_corr.items(), key=lambda kv: (kv[0] is None, kv[0])):
+    extras.extend(_solver_lines(gs))
+    for cell, qc in rep.q_corr.items():
         tag = "shared" if cell is None else f"cell{cell}"
         pairs.append((f"q1dag_q2_{tag}_re", complex(qc["q1dag_q2"]).real))
         pairs.append((f"q1dag_q2_{tag}_im", complex(qc["q1dag_q2"]).imag))
@@ -133,19 +125,14 @@ def _cmd_correlators(cfg, outdir, extras):
 
 
 def _cmd_wick_sweep(cfg, outdir, extras):
-    rows = []
-    top = None   # (params, ground state) at the largest g > 0
+    rows, top = [], 0.0
     for g in cfg[("sweep", "g_values")]:
-        params = replace(cfg.params, G=g)
-        gs = _solve(cfg, params)
+        gs = _solve(cfg, replace(cfg.params, G=g))
         rep = correlators_and_wick(gs, gs.space)
         rows.append((g, rep.wick_residual, gs.energy, gs.multiplicity))
-        if g > 0 and (top is None or g > top[0].G):
-            top = (params, gs)
+        top = max(top, top_level_weight(gs, gs.space))
     write_csv(outdir / "wick_sweep.csv", "g,wick_residual,ground_energy,multiplicity", rows)
-    if top is not None and cfg[("truncation", "n_max")] > 0:
-        params, gs = top
-        extras.append(("truncation_delta_at_g_max", _truncation_delta(params, cfg.lattice, gs)))
+    extras.append(("top_level_weight", top))
 
 
 def _cmd_map_residual(cfg, outdir, extras):

@@ -99,6 +99,7 @@ __all__ = [
     "ground_state",
     "CorrelatorReport",
     "correlators_and_wick",
+    "top_level_weight",
     "boson_modes",
 ]
 
@@ -787,10 +788,6 @@ class GroundStateResult:
             states.append(full)
         return states
 
-    @property
-    def state(self) -> np.ndarray:
-        return self.states[0]
-
 
 DEGENERACY_TOL = 1e-9     # levels within this times scale(H) of E0 form the multiplet
 LANCZOS_MAXITER = 1000    # Lanczos steps of one run, each keeping a basis vector
@@ -1114,3 +1111,16 @@ def correlators_and_wick(state, space: FockSpace) -> CorrelatorReport:
     return CorrelatorReport(c_matrix=c_mat, d_dag_d=d_dag_d, d_dag_ddag=d_dag_ddag,
                             q_corr=q_corr_acc, wick_residual=residual,
                             wick_argmax=argmax)
+
+
+def top_level_weight(state, space: FockSpace) -> float:
+    """max over the boson modes m of the probability that n_m = n_max (the
+    truncation check of Zhang, Jeckelmann & White, PRL 80, 2661 (1998));
+    ``state`` is read as by :func:`correlators_and_wick`, a multiplet with
+    weight 1/g per vector.  About 1/(n_max + 1) when the weight is spread
+    evenly over the kept levels; 0.0 with no boson modes.  Numpy
+    reductions only: no BLAS call (see :func:`_dot`)."""
+    weights, rows = _as_mixture(state, space)
+    p = sum(w * (np.abs(x) ** 2).sum(axis=0) for w, x in zip(weights, rows))
+    on_top = space.boson_digits() == space.n_max   # [boson index, mode]
+    return float((p[:, None] * on_top).sum(axis=0).max(initial=0.0))

@@ -500,7 +500,7 @@ placement = per_cell
     assert space.sector_dimension > 512  # Lanczos path
     written = (out / "ground_state.csv").read_bytes()
     header = written.decode().splitlines()[:5]
-    _per_row_state_csv(tmp_path / "old.csv", header, gs.state)
+    _per_row_state_csv(tmp_path / "old.csv", header, gs.states[0])
     assert written == (tmp_path / "old.csv").read_bytes()
 
     # negative, sub-1e-300 (subnormal) and exactly zero entries, real and complex
@@ -701,48 +701,128 @@ placement = cell0
 """
 
 
-def _lowest_energy(cfg, g, n_max):
-    """E0 of the simulator of ``cfg`` at coupling g, truncated at n_max."""
-    from dataclasses import replace
-
+def _solved(cfg, g):
+    """The ground state of the simulator of ``cfg`` at coupling g > 0."""
     from gravlat.geometry import ModelParams
     from gravlat.manybody import assemble_simulator_hamiltonian, ground_state
 
-    space = replace(cfg.fock_space(), n_max=n_max)
+    space = cfg.fock_space()
     params = ModelParams(G=g, l=cfg.params.l, mu=cfg.params.mu)
-    return ground_state(assemble_simulator_hamiltonian(params, cfg.lattice, space),
-                        space).energy
+    return ground_state(assemble_simulator_hamiltonian(params, cfg.lattice, space), space)
+
+
+def _top_level_weight_oracle(gs):
+    """max over boson modes m of P(n_m = n_max), summed over the full-space
+    embedding of each multiplet vector, each weighted 1/g."""
+    space = gs.space
+    base = space.n_max + 1
+    boson = np.arange(space.dimension) % space.boson_dim
+    weight = np.zeros(space.n_boson_modes)
+    for psi in gs.states:
+        prob = np.abs(psi) ** 2
+        for m in range(space.n_boson_modes):
+            on_top = boson // base ** m % base == space.n_max
+            weight[m] += prob[on_top].sum() / gs.multiplicity
+    return weight.max()
 
 
 @pytest.mark.parametrize("command", ["ground-state", "correlators"])
-def test_truncation_delta_is_e0_at_n_max_minus_e0_one_level_below(tmp_path, command):
+def test_top_level_weight_is_the_weight_on_the_top_boson_level(tmp_path, command):
     text = f"command = {command}\n" + _TRUNCATION_CONFIG
     code, out = _run(tmp_path, text)
     assert code == 0
-    cfg = parse_config(text)
-    want = _lowest_energy(cfg, cfg.params.G, 2) - _lowest_energy(cfg, cfg.params.G, 1)
-    assert want != 0.0
-    assert float(_manifest(out)["truncation_delta"]) == want
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert sum(ln.startswith("top_level_weight=") for ln in manifest) == 1
+    want = _top_level_weight_oracle(_solved(parse_config(text), 1e-2))
+    assert 0.0 < want < 1.0
+    assert float(_manifest(out)["top_level_weight"]) == pytest.approx(want, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("g_values, n_max, present", [
-    ("1e-2, 0, 1e-3", 2, True),   # the largest g, not the last one
-    ("0", 2, False),
-    ("1e-3, 1e-2", 0, False),
-])
-def test_wick_sweep_truncation_delta_at_the_largest_g(tmp_path, g_values, n_max, present):
-    text = (f"command = wick-sweep\n"
-            + _TRUNCATION_CONFIG.replace("n_max = 2", f"n_max = {n_max}")
-            + f"[sweep]\ng_values = {g_values}\n")
+def test_wick_sweep_top_level_weight_is_the_largest_over_its_couplings(tmp_path):
+    text = ("command = wick-sweep\n" + _TRUNCATION_CONFIG
+            + "[sweep]\ng_values = 1e-2, 0, 1e-3\n")
     code, out = _run(tmp_path, text)
     assert code == 0
-    manifest = _manifest(out)
-    assert ("truncation_delta_at_g_max" in manifest) == present
-    if present:
-        cfg = parse_config(text)
-        want = _lowest_energy(cfg, 1e-2, 2) - _lowest_energy(cfg, 1e-2, 1)
-        assert want != 0.0
-        assert float(manifest["truncation_delta_at_g_max"]) == want
+    cfg = parse_config(text)
+    weights = [_top_level_weight_oracle(_solved(cfg, g)) for g in (1e-2, 1e-3)]
+    assert weights[0] != weights[1]
+    assert float(_manifest(out)["top_level_weight"]) == pytest.approx(max(weights),
+                                                                      rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("command", ["ground-state", "correlators", "wick-sweep"])
+@pytest.mark.parametrize("g, n_max, want", [
+    ("1e-2", 0, 1.0),   # every mode sits on its one kept level
+    ("0", 2, 0.0),      # the bosons are dropped at g = 0
+])
+def test_top_level_weight_limits(tmp_path, command, g, n_max, want):
+    text = (f"command = {command}\n[model]\ng = {g}\n"
+            + _TRUNCATION_CONFIG.replace("n_max = 2", f"n_max = {n_max}")
+            + f"[sweep]\ng_values = {g}\n")
+    code, out = _run(tmp_path, text)
+    assert code == 0
+    assert float(_manifest(out)["top_level_weight"]) == pytest.approx(want, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("ncx, placement, n_max", [
+    (2, "cell0", 2),      # dimension 54, solved densely
+    (3, "per_cell", 1),   # dimension 1280, Lanczos
+])
+@pytest.mark.parametrize("g", ["0", "1e-3", "1e-2"])
+def test_half_filled_correlators_are_particle_hole_symmetric(tmp_path, ncx, placement,
+                                                             n_max, g):
+    # W = (-1)^(N_b) prod_i (c_i + c_i+) commutes with H at half filling and
+    # maps c_i+ c_j to delta_ij - c_j+ c_i on a sublattice: C_ii = 1/2, and
+    # C_ij = 0 for i != j on the same sublattice of a real state
+    code, out = _run(tmp_path, f"""
+command = correlators
+[model]
+g = {g}
+[lattice]
+ncx = {ncx}
+ncy = 1
+[truncation]
+n_max = {n_max}
+[manybody]
+placement = {placement}
+""")
+    assert code == 0
+    nf = 2 * ncx
+    c = np.zeros((nf, nf), dtype=complex)
+    for row in (out / "c_matrix.csv").read_text().splitlines()[1:]:
+        i, j, re, im = row.split(",")
+        c[int(i), int(j)] = complex(float(re), float(im))
+    np.testing.assert_allclose(c.diagonal(), 0.5, rtol=0, atol=1e-10)
+    for sublattice in (slice(0, ncx), slice(ncx, nf)):
+        block = c[sublattice, sublattice]
+        np.testing.assert_allclose(block - np.diag(block.diagonal()), 0.0, rtol=0, atol=1e-10)
+
+
+_MANY_BODY_CONFIGS = {
+    "spectrum": "",
+    "ground-state": "",
+    "correlators": "",
+    "wick-sweep": "[sweep]\ng_values = 0, 1e-2\n",
+    "map-residual": "[sweep]\ng_values = 0, 1e-2\n",   # the g = 0 point is skipped
+}
+
+
+def test_every_many_body_manifest_key_is_documented(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    common = {"code_version", "weak_coupling_ratio", "wall_time_s"}
+    undocumented = {}
+    for command, extra in _MANY_BODY_CONFIGS.items():
+        text = (f"command = {command}\n"
+                + _TRUNCATION_CONFIG.replace("n_max = 2", "n_max = 1\nwindow = 1") + extra)
+        code, out = _run(tmp_path, text, out=command)
+        assert code == 0
+        echo = {name for name, _ in parse_config(text).to_pairs()}
+        added = set(_manifest(out)) - echo - common
+        assert added, command
+        missing = sorted(key for key in added if f"`{key}`" not in readme)
+        if missing:
+            undocumented[command] = missing
+    assert undocumented == {}
 
 
 def test_map_couplings_roundtrip_artifact(tmp_path):

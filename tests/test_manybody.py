@@ -689,7 +689,7 @@ def test_ground_state_lanczos_on_a_sector_operator_with_complex_storage():
     real = ground_state(h, space)
     cast = ground_state(replace(h, data=h.data.astype(complex)), space)
     assert space.sector_dimension == 1280 and real.k == 2 and real.matvecs > 0
-    assert cast.state.dtype == np.float64
+    assert cast.vectors[0].dtype == np.float64
     assert cast.energy == real.energy
     np.testing.assert_array_equal(cast.vectors[0], real.vectors[0])
     assert real.residual <= 1e-11 * np.abs(h.data).max()
@@ -739,17 +739,17 @@ def test_ground_state_real_path_and_complex_input():
     h = _swap_block_matrix()
     space = FockSpace(10, (), 0)
     real = ground_state(h, space)
-    assert real.state.dtype == np.float64
+    assert real.vectors[0].dtype == np.float64
     # complex storage with a zero imaginary part takes the same real path
     cast = ground_state(h.astype(complex), space)
-    assert cast.state.dtype == np.float64
+    assert cast.vectors[0].dtype == np.float64
     assert cast.energy == real.energy
     # a genuinely complex Hermitian input keeps the Hermitian solver
     twist = sparse.kron(sparse.csr_matrix([[0.0, -1.0], [1.0, 0.0]]),
                         sparse.identity(512), format="csr")
     hc = h + 0.1j * twist
     gs = ground_state(hc, space)
-    assert gs.state.dtype == np.complex128
+    assert gs.vectors[0].dtype == np.complex128
     assert gs.energy == pytest.approx(np.linalg.eigvalsh(hc.toarray())[0], abs=1e-10)
 
 
@@ -839,6 +839,21 @@ def test_correlators_reject_a_full_space_vector_on_a_sector_space():
     psi[space.sector_indices()[0]] = 1.0
     with pytest.raises(ValueError, match="not on the sector basis"):
         correlators_and_wick(psi, space)
+
+
+def test_top_level_weight_of_a_single_vector():
+    # boson index n_x + 2 n_z; probabilities 1/2 on (0, 0), 1/4 on (1, 0) and
+    # on (1, 1): P(n_x = 1) = 1/2, P(n_z = 1) = 1/4
+    space = FockSpace(2, ((0, "x"), (0, "z")), 1, sector=1)
+    psi = np.zeros(space.sector_dimension)
+    psi[[0, 1, 3]] = np.sqrt([0.5, 0.25, 0.25])
+    assert manybody.top_level_weight(psi, space) == pytest.approx(0.5, rel=1e-15)
+    shifted = -1j * np.roll(psi, 4)   # the same boson weights on the other fermion state
+    assert manybody.top_level_weight(shifted, space) == pytest.approx(0.5, rel=1e-15)
+    bare = FockSpace(2, (), 0, sector=1)
+    assert manybody.top_level_weight(np.array([0.6, 0.8]), bare) == 0.0
+    with pytest.raises(ValueError, match="not on the sector basis"):
+        manybody.top_level_weight(np.ones(space.dimension), space)
 
 
 def test_ground_state_embeds_its_sector_vectors_on_access():
