@@ -142,15 +142,15 @@ class RunConfig:
                            self.values[("lattice", "ncy")])
 
     def fock_space(self) -> FockSpace:
-        from .manybody import FockSpace, boson_modes
+        from .manybody import FockSpace, boson_pairs
         spec = self.lattice
-        modes = boson_modes(spec, self.values[("manybody", "placement")])
+        pairs = boson_pairs(spec, self.values[("manybody", "placement")])
         filling = self.values[("manybody", "filling")]
         sector = spec.n_modes // 2 if filling == "half" else int(filling)
         if sector > spec.n_modes:
             raise ConfigError([f"filling {sector} exceeds the {spec.n_modes} "
                                "fermion modes of the lattice"])
-        return FockSpace(spec.n_modes, modes, self.values[("truncation", "n_max")],
+        return FockSpace(spec.n_modes, pairs, self.values[("truncation", "n_max")],
                          sector=sector, nnz_cap=self.values[("truncation", "nnz_cap")])
 
     def to_pairs(self):

@@ -9,12 +9,12 @@ diagonalizes the translation-momentum blocks of its sector one at a time
 (:mod:`gravlat.momentum`, imported by that handler alone); its
 ``dense_cap`` still bounds the sector dimension.
 
-The handlers pass the :class:`gravlat.manybody.FockSpace` alone; each
-assembler checks its nnz cap before it builds anything (exit code 4).  The
-full-space mode operators that the assemblers still accept are kept for
-the pair-Gram oracle of ``perfbench/make_reference.py``.  Each handler
-solves once per coupling and reads its truncation check off the solved
-state (:func:`gravlat.manybody.top_level_weight`).
+The handlers pass the :class:`gravlat.manybody.FockSpace` alone, built
+from the config before any solve, so a bad filling is a config error
+(exit code 2) whatever the couplings; each assembler checks its nnz cap
+before it builds anything (exit code 4).  Each handler solves once per
+coupling and reads its truncation check off the solved state
+(:func:`gravlat.manybody.top_level_weight`).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def _space(cfg, params):
     """
     space = cfg.fock_space()
     if params.G == 0:
-        space = replace(space, boson_modes=(), n_max=0)
+        space = replace(space, pairs=(), n_max=0)
     return space
 
 
@@ -141,9 +141,9 @@ def _cmd_map_residual(cfg, outdir, extras):
     n_max = cfg[("truncation", "n_max")]
     if window > n_max:
         raise ConfigError([f"map-residual window {window} exceeds n_max {n_max}"])
-    positive = [g for g in cfg[("sweep", "g_values")] if g > 0]
+    space = cfg.fock_space()
     # the mapping comparison needs G > 0 (1/G boson line)
-    space = cfg.fock_space() if positive else None
+    positive = [g for g in cfg[("sweep", "g_values")] if g > 0]
     rows = [(g, mapping_residual(replace(cfg.params, G=g), spec, space, window))
             for g in positive]
     write_csv(outdir / "map_residual.csv", "g,residual", rows)

@@ -21,12 +21,11 @@ bosons are number-basis ladders truncated at n_max with the standard
 commutator defect -(n_max + 1) on the top level.  The full-space ordering
 is fermion-major: index = fermion_index * boson_dim + boson_index.
 
-Boson modes are (cell, species) pairs placed by :func:`boson_modes` (cell
-None: a pair shared by every cell); :meth:`FockSpace.boson_mode_index`
-alone decides which mode serves a cell, and every assembler checks the
-modes against the lattice, rejecting a mode that it never returns (one
-shadowed by a shared or repeated mode).  Each assembler states its bond couplings as one
-rule ``coupling(cell, species)`` over the bonds of :meth:`LatticeSpec.bonds`;
+The bosons come in (x, z) pairs, one on each cell that :func:`boson_pairs`
+places (cell None: one pair shared by every cell); pair p holds modes 2p
+(x) and 2p + 1 (z), and :meth:`FockSpace.pair_modes` gives the pair serving
+a cell.  Each assembler states its bond couplings as one rule
+``coupling(cell, species)`` over the bonds of :meth:`LatticeSpec.bonds`;
 the x boson drives both the x and the y bond.
 
 Hamiltonians are assembled directly on the sector basis: the fermion
@@ -60,15 +59,15 @@ index arrays applied to the rows of the state reshaped to (fermion states,
 boson_dim); a boson ladder acts along its mode's axis of those rows.
 
 Ground states above dimension 512 come from a numpy Lanczos on
-``SectorOperator @ x`` (:func:`ground_state`).  The commands pass the
-:class:`FockSpace` alone and build no full-space object.  Only
-``ModeOperators.c`` loads scipy (``scipy.sparse``, inside the property).
-It, ``GroundStateResult.states`` and the optional ``ops`` of the
-assemblers and :func:`mapping_residual` are kept for the pair-Gram oracle
-of ``perfbench/make_reference.py``, which passes its ``ModeOperators`` to
-:func:`assemble_simulator_hamiltonian`; each assembler still runs
-:func:`operator_algebra` first, as its nnz-cap check.  The test oracles
-build their own full-space operators.
+``SectorOperator @ x`` (:func:`ground_state`).  The assemblers,
+:func:`mapping_residual` and the observables take the :class:`FockSpace`
+and build no full-space object; each assembler first runs
+:func:`operator_algebra` as its nnz-cap check.  Only ``ModeOperators.c``
+loads scipy (``scipy.sparse``, inside the property).  It,
+``GroundStateResult.states`` and the optional ``ops`` of
+:func:`assemble_simulator_hamiltonian` are kept for the pair-Gram oracle
+of ``perfbench/make_reference.py``, which passes its ``ModeOperators``
+there.  The test oracles build their own full-space operators.
 """
 
 from __future__ import annotations
@@ -100,7 +99,7 @@ __all__ = [
     "CorrelatorReport",
     "correlators_and_wick",
     "top_level_weight",
-    "boson_modes",
+    "boson_pairs",
 ]
 
 _FERMION_A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -110,29 +109,29 @@ Q1_X = 2.0 * np.sqrt(2.0) / 3.0
 Q1_Z = -1.0 / 3.0
 
 
-def boson_modes(spec: LatticeSpec, placement: str) -> tuple:
-    """The (cell, species) boson modes of a placement on ``spec``: one
-    (x, z) pair on each cell that ``lattice.BOSON_PLACEMENTS`` lists for it.
-    ValueError for any other placement.
+def boson_pairs(spec: LatticeSpec, placement: str) -> tuple:
+    """The cells of ``spec`` that carry one (x, z) boson pair under a
+    placement, as ``lattice.BOSON_PLACEMENTS`` lists them (None: one pair
+    shared by every cell).  ValueError for any other placement.
     """
     if placement not in BOSON_PLACEMENTS:
         raise ValueError(f"unknown placement {placement!r}; "
                          f"one of {', '.join(BOSON_PLACEMENTS)}")
-    return tuple((cell, species) for cell in BOSON_PLACEMENTS[placement](spec)
-                 for species in ("x", "z"))
+    return tuple(BOSON_PLACEMENTS[placement](spec))
 
 
 @dataclass(frozen=True)
 class FockSpace:
     """Tensor basis: fermion occupation bits x truncated boson numbers.
 
-    ``boson_modes`` is a tuple of (cell, species) pairs; a cell tag of
-    ``None`` marks a mode shared by every cell.  ``sector`` optionally
+    ``pairs`` lists the cells that carry one (x, z) boson pair, each cell
+    at most once, or is ``(None,)`` for one pair shared by every cell.
+    Pair p holds boson mode 2p (x) and 2p + 1 (z).  ``sector`` optionally
     restricts the fermion factor to a fixed total number.
     """
 
     n_fermion_modes: int
-    boson_modes: tuple
+    pairs: tuple
     n_max: int
     sector: Optional[int] = None
     nnz_cap: int = 2 ** 22
@@ -140,15 +139,21 @@ class FockSpace:
     def __post_init__(self):
         if self.n_fermion_modes < 0 or self.n_max < 0:
             raise ValueError("negative mode counts")
-        for cell, species in self.boson_modes:
-            if species not in ("x", "z"):
-                raise ValueError(f"unknown boson species {species!r}")
+        if len(set(self.pairs)) != len(self.pairs):
+            raise ValueError(f"boson pairs {self.pairs} repeat a cell")
+        if None in self.pairs and len(self.pairs) > 1:
+            raise ValueError(f"boson pairs {self.pairs} put a shared pair next to a cell's")
         if self.sector is not None and not (0 <= self.sector <= self.n_fermion_modes):
             raise ValueError("fermion sector out of range")
 
     @property
+    def boson_modes(self) -> tuple:
+        """(cell, species) of each boson mode, in mode order."""
+        return tuple((cell, species) for cell in self.pairs for species in ("x", "z"))
+
+    @property
     def n_boson_modes(self) -> int:
-        return len(self.boson_modes)
+        return 2 * len(self.pairs)
 
     @property
     def fermion_dim(self) -> int:
@@ -162,13 +167,15 @@ class FockSpace:
     def dimension(self) -> int:
         return self.fermion_dim * self.boson_dim
 
-    def boson_mode_index(self, cell, species: str) -> Optional[int]:
-        """Mode serving (cell, species), falling back to a shared mode;
-        None when no mode serves it."""
-        for idx, (c, s) in enumerate(self.boson_modes):
-            if s == species and (c == cell or c is None):
-                return idx
-        return None
+    def pair_modes(self, cell) -> Optional[tuple]:
+        """(x mode, z mode) of the pair serving ``cell``: the shared pair, or
+        the cell's own; None when no pair serves it."""
+        if self.pairs == (None,):
+            return 0, 1
+        if cell not in self.pairs:
+            return None
+        p = self.pairs.index(cell)
+        return 2 * p, 2 * p + 1
 
     def boson_digits(self) -> np.ndarray:
         """[boson index, mode] occupations: the little-endian digits of the
@@ -264,17 +271,17 @@ def _annihilate(entries, x: np.ndarray, n_lowered: int) -> np.ndarray:
     return out
 
 
-def _ladder_on_rows(x: np.ndarray, space: FockSpace, m: int, coeff: float = 1.0,
+def _ladder_on_rows(x: np.ndarray, space: FockSpace, m: int,
                     raised: bool = False) -> np.ndarray:
-    """kron(1, coeff d_m), or kron(1, coeff d_m+) when ``raised``, applied
-    to the vector with boson rows ``x``, flattened.
+    """kron(1, d_m), or kron(1, d_m+) when ``raised``, applied to the
+    vector with boson rows ``x``, flattened.
 
     Mode m is the boson digit of stride (n_max + 1)^m, axis 2 of ``x``
     reshaped to (fermion states, higher digits, n_max + 1, lower digits).
     """
     base = space.n_max + 1
     xm = x.reshape(len(x), -1, base, base ** m)
-    ladder = (coeff * np.sqrt(np.arange(1.0, base)))[:, None]
+    ladder = np.sqrt(np.arange(1.0, base))[:, None]
     out = np.zeros(xm.shape, dtype=np.result_type(ladder, xm))
     if raised:
         out[:, :, 1:] = ladder * xm[:, :, :-1]
@@ -285,17 +292,12 @@ def _ladder_on_rows(x: np.ndarray, space: FockSpace, m: int, coeff: float = 1.0,
 
 @dataclass(frozen=True)
 class ModeOperators:
-    """The mode operators of a space.
-
-    The assemblers use ``states``, the sorted fermion basis of the sector
-    (``space.sector_fermion_states()``), and build the boson ladders where
-    they act.  The full-space fermion annihilators ``c`` are built on first
-    use, with ``scipy.sparse``, and no command builds them: they are kept
-    for the pair-Gram oracle of ``perfbench/make_reference.py``.
+    """The full-space fermion annihilators ``c`` of a space, built on first
+    use with ``scipy.sparse``.  No command builds them: they are kept for
+    the pair-Gram oracle of ``perfbench/make_reference.py``.
     """
 
     space: FockSpace
-    states: np.ndarray   # sorted fermion basis integers of the sector
 
     @cached_property
     def c(self) -> tuple:
@@ -318,7 +320,7 @@ class ModeOperators:
 
 
 def operator_algebra(space: FockSpace) -> ModeOperators:
-    """The sector fermion basis of ``space``.
+    """The mode operators of ``space``.
 
     Raises
     ------
@@ -331,7 +333,7 @@ def operator_algebra(space: FockSpace) -> ModeOperators:
     estimate = n_modes * space.dimension
     if estimate > space.nnz_cap:
         raise DimensionCapError(f"~{estimate} nonzeros exceed cap {space.nnz_cap}")
-    return ModeOperators(space=space, states=space.sector_fermion_states())
+    return ModeOperators(space=space)
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +409,6 @@ def _pair_ladders(n_max: int):
     return np.kron(eye, d), np.kron(d, eye), np.eye((n_max + 1) ** 2)
 
 
-def _pair_modes(space: FockSpace, cell) -> tuple:
-    """The (x, z) boson modes serving ``cell``, in the order of
-    :func:`_pair_ladders`."""
-    return space.boson_mode_index(cell, "x"), space.boson_mode_index(cell, "z")
-
-
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b with each entry's terms a[i, j] b[j, k] added one at a time,
     those with j != k in index order and the j == k term last.
@@ -434,11 +430,6 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Hamiltonian assembly
 # ---------------------------------------------------------------------------
-
-def _pairs(space: FockSpace):
-    return sorted({c for c, s in space.boson_modes if s == "x"},
-                  key=lambda c: (c is None, c))
-
 
 _BOSON_SPECIES = {"z": "z", "x": "x", "y": "x"}   # the x boson serves the y bond
 
@@ -531,7 +522,7 @@ def _hermitian_part(boson: _BosonOp, n_b: int, scale: float) -> _BosonOp:
     return _BosonOp(both.rows, both.cols, both.data * 0.5)
 
 
-def _on_sector(ops: ModeOperators, couplings, boson=None, keep=None) -> SectorOperator:
+def _on_sector(space: FockSpace, couplings, boson=None, keep=None) -> SectorOperator:
     """sum_(p, q) kron(c_p+ c_q, J_pq) + h.c. + kron(1, B) on the sector
     basis, from the boson-factor terms ``couplings`` ({(p, q): J_pq}) and
     ``boson`` (B, or None).
@@ -545,8 +536,9 @@ def _on_sector(ops: ModeOperators, couplings, boson=None, keep=None) -> SectorOp
     sets before the kron, so the result is the block of the full H on rows
     and columns position * boson_dim + (those indices), entry for entry.
     """
-    n_b = ops.space.boson_dim
-    hops = [(_hopping_block(ops.states, p, q), j.summed(n_b))
+    states = space.sector_fermion_states()
+    n_b = space.boson_dim
+    hops = [(_hopping_block(states, p, q), j.summed(n_b))
             for (p, q), j in couplings.items()]
     if boson is not None:
         boson = boson.summed(n_b)
@@ -562,7 +554,7 @@ def _on_sector(ops: ModeOperators, couplings, boson=None, keep=None) -> SectorOp
     # entry, so they are stacked, not summed, and then put in row order by
     # one stable sort.  32-bit indices where they fit keep the stacked
     # entries at 16 bytes until then.
-    n_states = len(ops.states)
+    n_states = len(states)
     dim = n_states * n_b
     index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
     rows, cols, data = [], [], []
@@ -587,40 +579,30 @@ def _on_sector(ops: ModeOperators, couplings, boson=None, keep=None) -> SectorOp
                           np.concatenate(cols)[order].astype(np.intp), indptr, (dim, dim))
 
 
-def _lattice_algebra(spec: LatticeSpec, space: FockSpace,
-                     ops: Optional[ModeOperators]) -> ModeOperators:
+def _check_space(spec: LatticeSpec, space: FockSpace) -> None:
+    """ValueError when ``space`` does not fit the lattice; then the nnz-cap
+    check of :func:`operator_algebra`."""
     if space.n_fermion_modes != spec.n_modes:
         raise ValueError("space fermion modes do not match the lattice")
-    for idx, (cell, species) in enumerate(space.boson_modes):
+    for cell in space.pairs:
         if cell is not None and cell not in range(spec.n_cells):
-            raise ValueError(f"boson mode on cell {cell!r} outside the "
+            raise ValueError(f"boson pair on cell {cell!r} outside the "
                              f"{spec.n_cells} cells of the lattice")
-        served_by = space.boson_mode_index(cell, species)
-        if served_by != idx:
-            raise ValueError(f"boson mode {idx} ({cell!r}, {species!r}) is shadowed by "
-                             f"mode {served_by}: no term would use it")
-        if None in (space.boson_mode_index(cell, "x"), space.boson_mode_index(cell, "z")):
-            raise ValueError(f"cell {cell!r} lacks its x or z boson mode")
-    if ops is None:
-        return operator_algebra(space)
-    if ops.space != space:
-        raise ValueError("mode operators belong to another space")
-    return ops
+    operator_algebra(space)
 
 
 def _pair_sum(space: FockSpace, terms) -> _BosonOp:
     """B = the pair-factor ``terms`` of every pair, added to B one after
     the other, pair by pair."""
     boson = _NO_BOSON_TERM
-    for cell in _pairs(space):
+    for p in range(len(space.pairs)):
         for term in terms:
-            boson = boson + _embed(space, term, _pair_modes(space, cell))
+            boson = boson + _embed(space, term, (2 * p, 2 * p + 1))
     return boson
 
 
-def _simulator_terms(params: ModelParams, spec: LatticeSpec, ops: ModeOperators):
+def _simulator_terms(params: ModelParams, spec: LatticeSpec, space: FockSpace):
     """(couplings, B) of the simulator on the boson factor."""
-    space = ops.space
     opt = optical_params(params)
     ladder = _boson_ladder(space.n_max)
 
@@ -628,9 +610,10 @@ def _simulator_terms(params: ModelParams, spec: LatticeSpec, ops: ModeOperators)
         amp = opt.amplitude(species)
         strength = opt.strength(species)
         background = _identity(space, strength * amp * amp)
-        m = space.boson_mode_index(cell, species)
-        if m is None:   # bond without a fluctuation mode stays at the background
+        modes = space.pair_modes(cell)
+        if modes is None:   # bond without a fluctuation mode stays at the background
             return background
+        m = modes["xz".index(species)]
         return background + _embed(space, strength * amp * (ladder + ladder.T), (m,))
 
     g = params.G
@@ -666,14 +649,17 @@ def assemble_simulator_hamiltonian(params: ModelParams, spec: LatticeSpec,
         - (256 pi^3 G^3 mu^2 / (3 l^2)) N_z (N_x - N_z / 2)
 
     Fermion modes are ordered a_0..a_{N-1}, b_0..b_{N-1}; requires
-    space.n_fermion_modes == 2 * spec.n_cells.
+    space.n_fermion_modes == 2 * spec.n_cells.  ``ops``, if given, must be
+    the mode operators of ``space``; nothing else reads it.
     """
-    ops = _lattice_algebra(spec, space, ops)
-    return _on_sector(ops, *_simulator_terms(params, spec, ops))
+    if ops is not None and ops.space != space:
+        raise ValueError("mode operators belong to another space")
+    _check_space(spec, space)
+    return _on_sector(space, *_simulator_terms(params, spec, space))
 
 
-def assemble_background_hopping(l: float, spec: LatticeSpec, space: FockSpace,
-                                ops: Optional[ModeOperators] = None) -> SectorOperator:
+def assemble_background_hopping(l: float, spec: LatticeSpec,
+                                space: FockSpace) -> SectorOperator:
     """Hopping at the uniform background coupling 2/(3 l), bosons inert,
     on the sector basis.
 
@@ -681,14 +667,13 @@ def assemble_background_hopping(l: float, spec: LatticeSpec, space: FockSpace,
     boson energies diverge as 1/G, so the decoupled point is assembled
     directly instead of by taking tiny G numerically).
     """
-    ops = _lattice_algebra(spec, space, ops)
+    _check_space(spec, space)
     j0 = 2.0 / (3.0 * l)
-    return _on_sector(ops, _bond_couplings(spec, lambda cell, species: _identity(space, j0)))
+    return _on_sector(space, _bond_couplings(spec, lambda cell, species: _identity(space, j0)))
 
 
-def _target_terms(params: ModelParams, spec: LatticeSpec, ops: ModeOperators):
+def _target_terms(params: ModelParams, spec: LatticeSpec, space: FockSpace):
     """(couplings, B) of the target on the boson factor."""
-    space = ops.space
     j0 = 2.0 / (3.0 * params.l)
     slope = 4.0 * np.sqrt(2.0) * np.pi * params.G / params.l ** 2
     dx, dz, eye = _pair_ladders(space.n_max)
@@ -699,9 +684,10 @@ def _target_terms(params: ModelParams, spec: LatticeSpec, ops: ModeOperators):
                      "x": j0 * eye + 0.5 * (delta_vx + 0.5 * delta_jz)}
 
     def coupling(cell, species):
-        if space.boson_mode_index(cell, species) is None:
+        modes = space.pair_modes(cell)
+        if modes is None:
             return _identity(space, j0)   # no mode: background bond
-        return _embed(space, pair_coupling[species], _pair_modes(space, cell))
+        return _embed(space, pair_coupling[species], modes)
 
     form = hgr_quadratic_form(params)
     q1m, q2m = q1.T - q1, q2.T - q2
@@ -712,8 +698,7 @@ def _target_terms(params: ModelParams, spec: LatticeSpec, ops: ModeOperators):
 
 
 def assemble_target_hamiltonian(params: ModelParams, spec: LatticeSpec,
-                                space: FockSpace,
-                                ops: Optional[ModeOperators] = None) -> SectorOperator:
+                                space: FockSpace) -> SectorOperator:
     """Field-theory Hamiltonian on the same hopping graph, on the sector
     basis.
 
@@ -729,12 +714,12 @@ def assemble_target_hamiltonian(params: ModelParams, spec: LatticeSpec,
 
         (1/(16 pi G))(q1+ - q1)(q2+ - q2) - 4 pi G mu^2 (q1+ + q1)(q2+ + q2).
     """
-    ops = _lattice_algebra(spec, space, ops)
-    return _on_sector(ops, *_target_terms(params, spec, ops))
+    _check_space(spec, space)
+    return _on_sector(space, *_target_terms(params, spec, space))
 
 
 def mapping_residual(params: ModelParams, spec: LatticeSpec, space: FockSpace,
-                     window: int, ops: Optional[ModeOperators] = None) -> float:
+                     window: int) -> float:
     """min over c of the spectral norm of (H_sim - H_target - c) restricted
     to total boson occupation <= window, on the sector basis.
 
@@ -751,10 +736,10 @@ def mapping_residual(params: ModelParams, spec: LatticeSpec, space: FockSpace,
         raise ValueError(f"window {window} is negative")
     if window > space.n_max:
         raise ValueError(f"window {window} exceeds n_max {space.n_max}")
-    ops = _lattice_algebra(spec, space, ops)
+    _check_space(spec, space)
     keep = space.boson_occupation_table() <= window
-    sim = _on_sector(ops, *_simulator_terms(params, spec, ops), keep=keep)
-    target = _on_sector(ops, *_target_terms(params, spec, ops), keep=keep)
+    sim = _on_sector(space, *_simulator_terms(params, spec, space), keep=keep)
+    target = _on_sector(space, *_target_terms(params, spec, space), keep=keep)
     evals = np.linalg.eigvalsh(sim.toarray() - target.toarray())
     return float((evals[-1] - evals[0]) / 2.0)
 
@@ -1057,7 +1042,6 @@ def correlators_and_wick(state, space: FockSpace) -> CorrelatorReport:
     gram = np.zeros((n_pairs, n_pairs), dtype=complex)
     d_dag_d = np.zeros((nb, nb), dtype=complex)
     d_dag_ddag = np.zeros((nb, nb), dtype=complex)
-    q_corr_acc = {}
 
     # the N-, (N-1)- and (N-2)-particle bases (all three every integer
     # when no sector is set) and the maps c_i between them
@@ -1083,12 +1067,12 @@ def correlators_and_wick(state, space: FockSpace) -> CorrelatorReport:
                              for m in range(nb)]).reshape(nb, x.size)
         d_dag_d += w * (dvecs.conj() @ dvecs.T)
         d_dag_ddag += w * (dvecs.conj() @ ddagvecs.T)
-        for cell in _pairs(space):
-            mx, mz = _pair_modes(space, cell)   # q1 = Q1_X d_x + Q1_Z d_z, q2 = d_z
-            q1v = _ladder_on_rows(x, space, mx, Q1_X) + _ladder_on_rows(x, space, mz, Q1_Z)
-            acc = q_corr_acc.setdefault(cell, {"q1dag_q2": 0.0, "q1dag_q2dag": 0.0})
-            acc["q1dag_q2"] += w * np.vdot(q1v, dvecs[mz])
-            acc["q1dag_q2dag"] += w * np.vdot(q1v, ddagvecs[mz])
+    # q1 = Q1_X d_x + Q1_Z d_z and q2 = d_z of pair p (modes x = 2p, z = 2p + 1)
+    q_corr = {cell: {"q1dag_q2": Q1_X * d_dag_d[2 * p, 2 * p + 1]
+                     + Q1_Z * d_dag_d[2 * p + 1, 2 * p + 1],
+                     "q1dag_q2dag": Q1_X * d_dag_ddag[2 * p, 2 * p + 1]
+                     + Q1_Z * d_dag_ddag[2 * p + 1, 2 * p + 1]}
+              for p, cell in enumerate(space.pairs)}
 
     # c_x c_y psi = sign[x, y] * (row pair[x, y] of the pair vectors),
     # with sign 0 for x == y; pair is symmetric, sign antisymmetric
@@ -1109,7 +1093,7 @@ def correlators_and_wick(state, space: FockSpace) -> CorrelatorReport:
         residual = float(diff.max())
         argmax = tuple(int(i) for i in np.unravel_index(np.argmax(diff), diff.shape))
     return CorrelatorReport(c_matrix=c_mat, d_dag_d=d_dag_d, d_dag_ddag=d_dag_ddag,
-                            q_corr=q_corr_acc, wick_residual=residual,
+                            q_corr=q_corr, wick_residual=residual,
                             wick_argmax=argmax)
 
 

@@ -1,9 +1,9 @@
 """Translation-momentum blocks of a Hamiltonian on the sector basis.
 
 A shift by j1 n1 + j2 n2 maps cell (cx, cy) to (cx + j1, cy + j2), the
-fermion modes a_i and b_i to a_(T i) and b_(T i), and the boson mode
-(cell, species) to (T cell, species); a shared mode (cell None) stays.
-When every boson mode has an image (``per_cell``, ``uniform`` and every
+fermion modes a_i and b_i to a_(T i) and b_(T i), and the boson pair on
+cell c to the pair on T c, species by species; a shared pair (cell None)
+stays.  When every pair has an image (``per_cell``, ``uniform`` and every
 space without bosons), the shifts form the group Z_ncx x Z_ncy, which
 commutes with every Hamiltonian of :mod:`gravlat.manybody`; otherwise
 (``cell0``) the group is the identity alone and its one block is the
@@ -35,19 +35,19 @@ __all__ = ["translation_periods", "sector_shift", "momentum_blocks", "block_spec
 
 def _mode_images(spec, space, j1: int, j2: int):
     """(fermion mode images, boson mode images) of the shift (j1, j2); the
-    boson images are None when a boson mode has no image."""
+    boson images are None when a boson pair has no image."""
     n = spec.n_cells
     cell = [spec.cell_index(cx + j1, cy + j2)
             for cx in range(spec.ncx) for cy in range(spec.ncy)]
     fermion = cell + [n + c for c in cell]
-    moved = [(None if c is None else cell[c], s) for c, s in space.boson_modes]
-    if not set(moved) <= set(space.boson_modes):
+    moved = [None if c is None else cell[c] for c in space.pairs]
+    if not set(moved) <= set(space.pairs):
         return fermion, None
-    return fermion, [space.boson_modes.index(mode) for mode in moved]
+    return fermion, [2 * space.pairs.index(c) + s for c in moved for s in (0, 1)]
 
 
 def translation_periods(spec, space) -> tuple:
-    """(ncx, ncy) when every boson mode of ``space`` has an image under the
+    """(ncx, ncy) when every boson pair of ``space`` has an image under the
     one-cell shifts, else (1, 1)."""
     if all(_mode_images(spec, space, *g)[1] is not None for g in ((1, 0), (0, 1))):
         return spec.ncx, spec.ncy
@@ -56,10 +56,10 @@ def translation_periods(spec, space) -> tuple:
 
 def sector_shift(spec, space, j1: int, j2: int):
     """(image, sign): the shift (j1, j2) maps sector state s to
-    sign[s] |image[s]>.  ValueError when a boson mode has no image."""
+    sign[s] |image[s]>.  ValueError when a boson pair has no image."""
     fermion, boson = _mode_images(spec, space, j1, j2)
     if boson is None:
-        raise ValueError(f"the boson modes are not invariant under the shift {(j1, j2)}")
+        raise ValueError(f"the boson pairs are not invariant under the shift {(j1, j2)}")
     states = space.sector_fermion_states()
     moved = np.zeros_like(states)
     inversions = np.zeros_like(states)

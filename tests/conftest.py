@@ -31,7 +31,7 @@ from gravlat.gravity_action import ActionReport, _integral, massive_fp_action
 from gravlat.lattice import LatticeSpec
 from gravlat.manybody import (Q1_X, Q1_Z, CorrelatorReport, FockSpace,
                               GroundStateResult, ModeOperators, SectorOperator,
-                              _boson_ladder, _pairs, operator_algebra)
+                              _boson_ladder, operator_algebra)
 
 
 @pytest.fixture
@@ -133,9 +133,8 @@ def full_space_d(space: FockSpace) -> tuple:
 def q_pair(d, space: FockSpace, cell):
     """(q1, q2) on the full space for the pair serving ``cell``, from the
     full-space ladders ``d``."""
-    dx = d[space.boson_mode_index(cell, "x")]
-    dz = d[space.boson_mode_index(cell, "z")]
-    return Q1_X * dx + Q1_Z * dz, dz
+    mx, mz = space.pair_modes(cell)
+    return Q1_X * d[mx] + Q1_Z * d[mz], d[mz]
 
 
 def fermion_number(ops: ModeOperators):
@@ -219,12 +218,12 @@ def full_space_simulator(params: ModelParams, spec: LatticeSpec,
         amp = opt.amplitude(species)
         strength = opt.strength(species)
         background = strength * amp * amp * eye
-        m = space.boson_mode_index(cell, species)
-        if m is None:
+        modes = space.pair_modes(cell)
+        if modes is None:
             # bond without a fluctuation mode stays at the background value
             coupling_ops[key] = background
             continue
-        dm = d[m]
+        dm = d[modes["xz".index(species)]]
         coupling_ops[key] = background + strength * amp * (dm + dm.getH())
     h = full_space_hopping(ops, spec, coupling_ops)
 
@@ -232,9 +231,9 @@ def full_space_simulator(params: ModelParams, spec: LatticeSpec,
     pref_pi = 1.0 / (24.0 * np.pi * g)
     pref_n = 8.0 * np.pi * g * params.mu ** 2 / 3.0
     pref_q = 256.0 * np.pi ** 3 * g ** 3 * params.mu ** 2 / (3.0 * params.l ** 2)
-    for cell in _pairs(space):
-        dx = d[space.boson_mode_index(cell, "x")]
-        dz = d[space.boson_mode_index(cell, "z")]
+    for cell in space.pairs:
+        mx, mz = space.pair_modes(cell)
+        dx, dz = d[mx], d[mz]
         bx = dx + opt.d_x * eye   # alpha_x in the number basis of d_x
         bz = dz + opt.d_z * eye
         abar_x = bx.getH() - bx   # equals dx+ - dx exactly
@@ -294,7 +293,7 @@ def full_space_target(params: ModelParams, spec: LatticeSpec,
     slope = 4.0 * np.sqrt(2.0) * np.pi * params.G / params.l ** 2
 
     coupling_ops = {}
-    for cell in _pairs(space):
+    for cell in space.pairs:
         q1, q2 = q_pair(d, space, cell)
         q1p = q1 + q1.getH()
         q2p = q2 + q2.getH()
@@ -313,7 +312,7 @@ def full_space_target(params: ModelParams, spec: LatticeSpec,
     h = full_space_hopping(ops, spec, coupling_ops)
 
     form = hgr_quadratic_form(params)
-    for cell in _pairs(space):
+    for cell in space.pairs:
         q1, q2 = q_pair(d, space, cell)
         q1m = q1.getH() - q1
         q2m = q2.getH() - q2
@@ -383,7 +382,7 @@ def full_space_correlators(state, space: FockSpace, ops: ModeOperators) -> Corre
             for n in range(nb):
                 d_dag_d[m, n] += w * np.vdot(dvecs[m], dvecs[n])
                 d_dag_ddag[m, n] += w * np.vdot(dvecs[m], ddagvecs[n])
-        for cell in _pairs(space):
+        for cell in space.pairs:
             q1, q2 = q_pair(d, space, cell)
             q1v = q1 @ psi
             acc = q_corr.setdefault(cell, {"q1dag_q2": 0.0, "q1dag_q2dag": 0.0})

@@ -29,7 +29,7 @@ from gravlat.lattice import (CouplingField, LatticeSpec, bloch_f,
 from gravlat.manybody import (FockSpace, assemble_background_hopping,
                               assemble_simulator_hamiltonian,
                               correlators_and_wick, ground_state,
-                              mapping_residual, operator_algebra)
+                              mapping_residual)
 
 from conftest import full_space_d, q_map_commutators, q_pair
 
@@ -187,12 +187,12 @@ def test_criterion_07_hamiltonian_mapping():
     residuals = {}
     for g in (1e-2, 1e-3):
         p = ModelParams(G=g, l=1.0, mu=1.0)
-        space = FockSpace(2, ((0, "x"), (0, "z")), 3)
+        space = FockSpace(2, (0,), 3)
         residuals[g] = mapping_residual(p, spec, space, window=2)
     ratio = residuals[1e-2] / residuals[1e-3]
     # exact-equality sector: the sqrt2/(24 pi G) and 1/(48 pi G) lines
     p = ModelParams(G=1e-2, l=1.0, mu=1.0)
-    space_b = FockSpace(0, ((0, "x"), (0, "z")), 3)
+    space_b = FockSpace(0, (0,), 3)
     d_b = full_space_d(space_b)
     dx, dz = d_b
     abar_x, abar_z = dx.getH() - dx, dz.getH() - dz
@@ -227,16 +227,14 @@ def test_criterion_09_wick_signature():
     spec = LatticeSpec(2, 1)
     # free point, assembled exactly at zero coupling
     space0 = FockSpace(4, (), 0, sector=2)
-    ops0 = operator_algebra(space0)
-    h0 = assemble_background_hopping(1.0, spec, space0, ops0)
+    h0 = assemble_background_hopping(1.0, spec, space0)
     r0 = correlators_and_wick(ground_state(h0, space0), space0).wick_residual
     gvals = (1e-3, 3e-3, 1e-2)
     rs = []
     for g in gvals:
         p = ModelParams(G=g, l=1.0, mu=1.0)
-        space = FockSpace(4, ((0, "x"), (0, "z")), 2, sector=2)
-        ops = operator_algebra(space)
-        h = assemble_simulator_hamiltonian(p, spec, space, ops)
+        space = FockSpace(4, (0,), 2, sector=2)
+        h = assemble_simulator_hamiltonian(p, spec, space)
         rep = correlators_and_wick(ground_state(h, space), space)
         rs.append(rep.wick_residual)
     slope = float(np.polyfit(np.log(gvals), np.log(rs), 1)[0])

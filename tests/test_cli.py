@@ -273,6 +273,23 @@ filling = 99
     err = capsys.readouterr().err
     assert "error: category=config filling 99 exceeds the 2 fermion modes of the lattice" in err
     assert "Traceback" not in err
+    # every coupling at 0: map-residual solves nothing, yet the space is still
+    # checked, as it is when one coupling is positive
+    for command in ("map-residual", "wick-sweep"):
+        for n, g_values in enumerate(("0", "0, 1e-3")):
+            code, out = _run(tmp_path, f"""
+command = {command}
+[lattice]
+ncx = 2
+[manybody]
+filling = 9
+[sweep]
+g_values = {g_values}
+""", out=f"{command}-{n}")
+            assert code == 2
+            assert ("error: category=config filling 9 exceeds the 4 fermion modes of the "
+                    "lattice") in capsys.readouterr().err
+            assert not (out / "manifest.txt").exists()
 
 
 def test_seed_flag_is_checked_like_the_config_seed(tmp_path, capsys):
@@ -393,7 +410,7 @@ def test_no_full_space_operator_on_the_cli_path(tmp_path, monkeypatch, command):
 
     monkeypatch.setattr(ModeOperators, "c", property(refuse))
     with pytest.raises(AssertionError):
-        operator_algebra(FockSpace(2, ((0, "x"),), 1)).c
+        operator_algebra(FockSpace(2, (0,), 1)).c
     code, _ = _run(tmp_path, f"""
 command = {command}
 [lattice]

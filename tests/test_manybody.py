@@ -14,18 +14,13 @@ from gravlat.manybody import (FockSpace, assemble_background_hopping,
                               assemble_simulator_hamiltonian,
                               assemble_target_hamiltonian,
                               correlators_and_wick, GroundStateResult,
-                              boson_modes, ground_state, mapping_residual,
+                              boson_pairs, ground_state, mapping_residual,
                               operator_algebra)
 
 from conftest import (fermion_number, full_sector_mapping_residual,
                       full_space_background, full_space_correlators,
                       full_space_d, full_space_simulator, full_space_target,
                       q_map_commutators, q_pair, sector_csr)
-
-
-def small_space(nf=2, nb=1, n_max=2, sector=None):
-    modes = tuple((0, "x" if m % 2 == 0 else "z") for m in range(nb))
-    return FockSpace(nf, modes, n_max, sector=sector)
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +45,8 @@ def test_cross_mode_anticommutators_vanish_exactly():
 
 
 def test_boson_ladder_matrix_and_cutoff_defect():
-    d = full_space_d(FockSpace(0, ((0, "x"),), 3))[0].toarray()
+    # d_x = kron(1, d): the x mode is the low digit, so its n_z = 0 block is d
+    d = full_space_d(FockSpace(0, (0,), 3))[0].toarray()[:4, :4]
     expected = np.zeros((4, 4))
     expected[0, 1] = 1.0
     expected[1, 2] = np.sqrt(2.0)
@@ -64,7 +60,7 @@ def test_boson_ladder_matrix_and_cutoff_defect():
 
 
 def test_algebra_exhaustive_on_mixed_space():
-    space = small_space(nf=3, nb=2, n_max=1)
+    space = FockSpace(3, (0,), 1)
     ops = operator_algebra(space)
     d = full_space_d(space)
     dim = space.dimension
@@ -85,7 +81,7 @@ def test_algebra_exhaustive_on_mixed_space():
 def test_dimension_cap():
     with pytest.raises(DimensionCapError):
         spec = LatticeSpec(2, 2)
-        operator_algebra(FockSpace(8, boson_modes(spec, "per_cell"), 3, nnz_cap=1000))
+        operator_algebra(FockSpace(8, boson_pairs(spec, "per_cell"), 3, nnz_cap=1000))
 
 
 @pytest.mark.parametrize("nf", range(11))
@@ -115,14 +111,14 @@ SPEC1 = LatticeSpec(1, 1)
 
 
 def test_simulator_hermitian_exactly():
-    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 3)
+    space = FockSpace(2, boson_pairs(SPEC1, "per_cell"), 3)
     h = sector_csr(assemble_simulator_hamiltonian(PARAMS, SPEC1, space))
     assert h.dtype == np.float64
     assert abs(h - h.getH()).max() == 0.0
 
 
 def test_target_hermitian_exactly():
-    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 3)
+    space = FockSpace(2, boson_pairs(SPEC1, "per_cell"), 3)
     h = sector_csr(assemble_target_hamiltonian(PARAMS, SPEC1, space))
     assert h.dtype == np.float64
     assert abs(h - h.getH()).max() == 0.0
@@ -130,7 +126,7 @@ def test_target_hermitian_exactly():
 
 def test_background_hermitian_exactly():
     spec = LatticeSpec(2, 1)
-    space = FockSpace(spec.n_modes, boson_modes(spec, "per_cell"), 1)
+    space = FockSpace(spec.n_modes, boson_pairs(spec, "per_cell"), 1)
     h = sector_csr(assemble_background_hopping(PARAMS.l, spec, space))
     assert h.dtype == np.float64
     assert abs(h - h.getH()).max() == 0.0
@@ -146,22 +142,22 @@ def _canonical(h):
     (2, "per_cell", 2),   # a_0 -> b_0 hops cross a_1: the JW signs matter
     (1, "per_cell", 1),
     (2, "cell0", None),   # no sector: the sector basis is the full space
-    # the two cells' pairs interleave: cell 0 is served by modes 0 and 2
-    pytest.param(2, ((0, "x"), (1, "x"), (0, "z"), (1, "z")), 2, id="2-interleaved-2"),
+    # the pairs out of cell order: cell 0 is served by modes 2 and 3
+    pytest.param(2, (1, 0), 2, id="2-reversed-2"),
     (2, "uniform", 2),    # one pair shared by both cells
 ])
 def test_sector_assembly_matches_full_space_oracle(ncx, placement, sector):
     spec = LatticeSpec(ncx, 1)
-    modes = boson_modes(spec, placement) if isinstance(placement, str) else placement
-    space = FockSpace(spec.n_modes, modes, 2, sector=sector)
+    cells = boson_pairs(spec, placement) if isinstance(placement, str) else placement
+    space = FockSpace(spec.n_modes, cells, 2, sector=sector)
     ops = operator_algebra(space)
     idx = space.sector_indices()
     pairs = [
         (assemble_simulator_hamiltonian(PARAMS, spec, space, ops),
          full_space_simulator(PARAMS, spec, space, ops)),
-        (assemble_target_hamiltonian(PARAMS, spec, space, ops),
+        (assemble_target_hamiltonian(PARAMS, spec, space),
          full_space_target(PARAMS, spec, space, ops)),
-        (assemble_background_hopping(PARAMS.l, spec, space, ops),
+        (assemble_background_hopping(PARAMS.l, spec, space),
          full_space_background(PARAMS.l, spec, space, ops)),
     ]
     for h, oracle in pairs:
@@ -175,7 +171,7 @@ def test_sector_assembly_matches_full_space_oracle(ncx, placement, sector):
         assert (hop > 0).any() and (hop < 0).any()
     # the window block and the boson observables read the same boson digits
     oracle = full_sector_mapping_residual(pairs[0][0], pairs[1][0], space, 1)
-    assert mapping_residual(PARAMS, spec, space, 1, ops) == oracle
+    assert mapping_residual(PARAMS, spec, space, 1) == oracle
     rng = np.random.default_rng(3)
     psi = rng.standard_normal(space.sector_dimension) + 1j * rng.standard_normal(
         space.sector_dimension)
@@ -213,7 +209,7 @@ def test_sector_operator_nnz_is_the_csr_count(config, nnz):
 ])
 def test_sector_operator_dense_and_csr_forms_agree(ncx, ncy, placement, n_max):
     spec = LatticeSpec(ncx, ncy)
-    space = FockSpace(spec.n_modes, boson_modes(spec, placement), n_max,
+    space = FockSpace(spec.n_modes, boson_pairs(spec, placement), n_max,
                       sector=spec.n_modes // 2)
     for h in (assemble_simulator_hamiltonian(PARAMS, spec, space),
               assemble_target_hamiltonian(PARAMS, spec, space)):
@@ -222,20 +218,15 @@ def test_sector_operator_dense_and_csr_forms_agree(ncx, ncy, placement, n_max):
 
 
 def test_assembly_rejects_operators_of_another_space():
-    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 2, sector=1)
+    space = FockSpace(2, boson_pairs(SPEC1, "per_cell"), 2, sector=1)
     ops = operator_algebra(replace(space, n_max=1))
     with pytest.raises(ValueError, match="another space"):
         assemble_simulator_hamiltonian(PARAMS, SPEC1, space, ops)
 
 
 @pytest.mark.parametrize("modes,match", [
-    (((5, "x"), (5, "z")), "outside"),   # 1x1 has no cell 5
-    (((0, "x"),), "lacks"),              # an x mode without its z mode
-    (((None, "z"),), "lacks"),
-    # the shared pair serves cell 0 first, so the cell-0 pair drives no term
-    (((None, "x"), (None, "z"), (0, "x"), (0, "z")), "shadowed"),
-    # a repeated pair: the second copy only multiplies every level
-    (((0, "x"), (0, "z")) * 2, "shadowed"),
+    ((5,), "outside"),   # 1x1 has no cell 5
+    ((0, 5), "outside"),
 ])
 def test_boson_modes_are_checked_against_the_lattice(modes, match):
     space = FockSpace(2, modes, 1, sector=1)
@@ -247,20 +238,45 @@ def test_boson_modes_are_checked_against_the_lattice(modes, match):
             build()
 
 
-def test_boson_modes_accepts_exactly_the_config_placements():
+@pytest.mark.parametrize("pairs,match", [
+    # the second copy would only multiply every level
+    pytest.param((0, 0), "repeat a cell", id="repeated"),
+    # the shared pair would serve cell 0 first
+    pytest.param((None, 0), "shared pair", id="shared"),
+])
+def test_fock_space_rejects_a_pair_no_term_would_use(pairs, match):
+    with pytest.raises(ValueError, match=match):
+        FockSpace(2, pairs, 1)
+
+
+def test_boson_pairs_accepts_exactly_the_config_placements():
     spec = LatticeSpec(2, 1)
-    assert boson_modes(spec, "per_cell") == ((0, "x"), (0, "z"), (1, "x"), (1, "z"))
-    assert boson_modes(spec, "uniform") == ((None, "x"), (None, "z"))
-    assert boson_modes(spec, "cell0") == ((0, "x"), (0, "z"))
+    assert boson_pairs(spec, "per_cell") == (0, 1)
+    assert boson_pairs(spec, "uniform") == (None,)
+    assert boson_pairs(spec, "cell0") == (0,)
     with pytest.raises(ValueError, match="unknown placement") as err:
-        boson_modes(spec, "per_bond")
+        boson_pairs(spec, "per_bond")
     assert str(err.value).split("one of ", 1)[1] == "per_cell, uniform, cell0"
+
+
+@pytest.mark.parametrize("ncx,ncy", [(2, 1), (2, 2)])
+@pytest.mark.parametrize("placement", ["per_cell", "uniform", "cell0"])
+def test_fock_space_boson_modes_are_the_per_mode_tuple(ncx, ncy, placement):
+    """The derived per-mode tuple, x then z on each pair, is the one the
+    ``ground_state.csv`` header and the ``d_correlators.csv`` indices show."""
+    spec = LatticeSpec(ncx, ncy)
+    cells = {"per_cell": range(spec.n_cells), "uniform": (None,), "cell0": (0,)}[placement]
+    space = FockSpace(spec.n_modes, boson_pairs(spec, placement), 1)
+    assert space.boson_modes == tuple((c, s) for c in cells for s in ("x", "z"))
+    assert space.n_boson_modes == len(space.boson_modes)
+    for m, (cell, species) in enumerate(space.boson_modes):
+        assert space.pair_modes(cell)["xz".index(species)] == m
 
 
 def test_boson_vacuum_projection_is_background_hopping():
     # projecting onto the boson vacuum leaves the uniform background
     # hopping (J = 2/(3l) on every bond) plus a constant shift
-    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 3)
+    space = FockSpace(2, boson_pairs(SPEC1, "per_cell"), 3)
     h = assemble_simulator_hamiltonian(PARAMS, SPEC1, space).toarray()
     bdim = space.boson_dim
     block = h[0::bdim, :][:, 0::bdim]  # boson vacuum sits at boson index 0
@@ -277,7 +293,7 @@ def test_boson_vacuum_projection_is_background_hopping():
 
 def test_trivial_truncation_reduces_to_background():
     # n_max = 0: no fluctuations representable, pure hopping plus a constant
-    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 0)
+    space = FockSpace(2, boson_pairs(SPEC1, "per_cell"), 0)
     h = assemble_simulator_hamiltonian(PARAMS, SPEC1, space).toarray()
     shift = h[0, 0]
     free = assemble_background_hopping(PARAMS.l, SPEC1,
@@ -286,11 +302,11 @@ def test_trivial_truncation_reduces_to_background():
 
 
 def test_fermion_number_conserved():
-    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 2)
+    space = FockSpace(2, boson_pairs(SPEC1, "per_cell"), 2)
     ops = operator_algebra(space)
     n_op = fermion_number(ops)
-    for h in (sector_csr(assemble_simulator_hamiltonian(PARAMS, SPEC1, space, ops)),
-              sector_csr(assemble_target_hamiltonian(PARAMS, SPEC1, space, ops))):
+    for h in (sector_csr(assemble_simulator_hamiltonian(PARAMS, SPEC1, space)),
+              sector_csr(assemble_target_hamiltonian(PARAMS, SPEC1, space))):
         assert abs(h @ n_op - n_op @ h).max() < 1e-12
 
 
@@ -298,10 +314,10 @@ def test_hopping_sectors_of_sim_and_target_coincide():
     """The condensate-linearized couplings and the dictionary-linearized
     ladder couplings are the same operators, so the whole mapping defect
     lives in the boson sector."""
-    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 2)
+    space = FockSpace(2, boson_pairs(SPEC1, "per_cell"), 2)
     ops = operator_algebra(space)
-    h_sim = sector_csr(assemble_simulator_hamiltonian(PARAMS, SPEC1, space, ops))
-    h_tgt = sector_csr(assemble_target_hamiltonian(PARAMS, SPEC1, space, ops))
+    h_sim = sector_csr(assemble_simulator_hamiltonian(PARAMS, SPEC1, space))
+    h_tgt = sector_csr(assemble_target_hamiltonian(PARAMS, SPEC1, space))
     diff = (h_sim - h_tgt).toarray()
     # the difference must commute with every fermion mode occupation, i.e.
     # act on the boson factor only
@@ -313,7 +329,7 @@ def test_hopping_sectors_of_sim_and_target_coincide():
 def test_momentum_line_sector_matches_exactly():
     # coefficients sqrt2/(24 pi G) and 1/(48 pi G) agree exactly between the
     # shifted-mode product and the ladder-pair product
-    space = FockSpace(0, ((0, "x"), (0, "z")), 3)
+    space = FockSpace(0, (0,), 3)
     d = full_space_d(space)
     dx, dz = d
     abar_x = dx.getH() - dx
@@ -346,7 +362,7 @@ def test_target_boson_block_matches_quadratic_form_matrix():
     # the ladder operator assembled from the pair substitution equals the
     # oscillator-variable quadratic form with the same matrix
     p = ModelParams(G=5e-3, l=1.0, mu=1.3)
-    space = FockSpace(0, ((0, "x"), (0, "z")), 6)
+    space = FockSpace(0, (0,), 6)
     d = full_space_d(space)
     q1, q2 = q_pair(d, space, 0)
     form = hgr_quadratic_form(p)
@@ -371,13 +387,13 @@ def test_target_boson_block_matches_quadratic_form_matrix():
 # ---------------------------------------------------------------------------
 
 def test_mapping_residual_window_guard():
-    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 2)
+    space = FockSpace(2, boson_pairs(SPEC1, "per_cell"), 2)
     with pytest.raises(ValueError):
         mapping_residual(PARAMS, SPEC1, space, window=3)
 
 
 def test_mapping_residual_negative_window_is_value_error():
-    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 2)
+    space = FockSpace(2, boson_pairs(SPEC1, "per_cell"), 2)
     with pytest.raises(ValueError, match="negative"):
         mapping_residual(PARAMS, SPEC1, space, window=-1)
 
@@ -400,28 +416,26 @@ def test_window_mapping_residual_matches_the_full_sector_oracle(
     bit."""
     spec = LatticeSpec(ncx, 1)
     p = ModelParams(G=g, l=1.0, mu=1.0)
-    space = FockSpace(spec.n_modes, boson_modes(spec, placement), n_max, sector=sector)
-    ops = operator_algebra(space)
+    space = FockSpace(spec.n_modes, boson_pairs(spec, placement), n_max, sector=sector)
     oracle = full_sector_mapping_residual(
-        assemble_simulator_hamiltonian(p, spec, space, ops),
-        assemble_target_hamiltonian(p, spec, space, ops), space, window)
-    assert mapping_residual(p, spec, space, window, ops) == oracle
+        assemble_simulator_hamiltonian(p, spec, space),
+        assemble_target_hamiltonian(p, spec, space), space, window)
     assert mapping_residual(p, spec, space, window) == oracle
 
 
 def test_window_block_is_the_slice_of_the_full_sector_hamiltonian():
     spec = LatticeSpec(2, 1)
-    space = FockSpace(spec.n_modes, boson_modes(spec, "per_cell"), 2, sector=2)
-    ops = operator_algebra(space)
+    space = FockSpace(spec.n_modes, boson_pairs(spec, "per_cell"), 2, sector=2)
     mask = space.boson_occupation_table() <= 1
     keep = np.flatnonzero(mask)
-    idx = (np.arange(len(ops.states))[:, None] * space.boson_dim + keep).ravel()
+    n_states = len(space.sector_fermion_states())
+    idx = (np.arange(n_states)[:, None] * space.boson_dim + keep).ravel()
     for terms, full in (
-            (manybody._simulator_terms(PARAMS, spec, ops),
-             assemble_simulator_hamiltonian(PARAMS, spec, space, ops)),
-            (manybody._target_terms(PARAMS, spec, ops),
-             assemble_target_hamiltonian(PARAMS, spec, space, ops))):
-        block = sector_csr(manybody._on_sector(ops, *terms, keep=mask))
+            (manybody._simulator_terms(PARAMS, spec, space),
+             assemble_simulator_hamiltonian(PARAMS, spec, space)),
+            (manybody._target_terms(PARAMS, spec, space),
+             assemble_target_hamiltonian(PARAMS, spec, space))):
+        block = sector_csr(manybody._on_sector(space, *terms, keep=mask))
         ref = _canonical(sector_csr(full)[idx][:, idx])
         np.testing.assert_array_equal(block.indptr, ref.indptr)
         np.testing.assert_array_equal(block.indices, ref.indices)
@@ -431,13 +445,13 @@ def test_window_block_is_the_slice_of_the_full_sector_hamiltonian():
 def test_non_hermitian_boson_term_is_rejected(monkeypatch):
     """The hopping part is Hermitian by construction, so the boson factor is
     where the Hermiticity check looks: a skewed boson term must raise."""
-    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 2)
+    space = FockSpace(2, boson_pairs(SPEC1, "per_cell"), 2)
     real_terms = manybody._simulator_terms
 
-    def skewed_terms(params, spec, ops):
-        couplings, boson = real_terms(params, spec, ops)
-        ladder = manybody._boson_ladder(ops.space.n_max)
-        return couplings, boson + manybody._embed(ops.space, 1e-3 * ladder, (0,))
+    def skewed_terms(params, spec, space):
+        couplings, boson = real_terms(params, spec, space)
+        ladder = manybody._boson_ladder(space.n_max)
+        return couplings, boson + manybody._embed(space, 1e-3 * ladder, (0,))
 
     monkeypatch.setattr(manybody, "_simulator_terms", skewed_terms)
     with pytest.raises(AssertionError, match="anti-Hermitian"):
@@ -454,7 +468,7 @@ def test_mapping_residual_quadratic_in_coupling():
     vals = {}
     for g in (1e-2, 1e-3):
         p = ModelParams(G=g, l=1.0, mu=1.0)
-        space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 3)
+        space = FockSpace(2, boson_pairs(SPEC1, "per_cell"), 3)
         vals[g] = mapping_residual(p, SPEC1, space, window=2)
     ratio = vals[1e-2] / vals[1e-3]
     assert 80 < ratio < 120
@@ -463,10 +477,9 @@ def test_mapping_residual_quadratic_in_coupling():
 def test_ground_energy_agreement_within_residual_bound():
     # eigenvalue perturbation: |E0_sim - E0_target - c*| <= residual
     p = ModelParams(G=1e-3, l=1.0, mu=1.0)
-    space = FockSpace(2, boson_modes(SPEC1, "per_cell"), 2, sector=1)
-    ops = operator_algebra(space)
-    h_sim = assemble_simulator_hamiltonian(p, SPEC1, space, ops)
-    h_tgt = assemble_target_hamiltonian(p, SPEC1, space, ops)
+    space = FockSpace(2, boson_pairs(SPEC1, "per_cell"), 2, sector=1)
+    h_sim = assemble_simulator_hamiltonian(p, SPEC1, space)
+    h_tgt = assemble_target_hamiltonian(p, SPEC1, space)
     e_sim = ground_state(h_sim, space).energy
     e_tgt = ground_state(h_tgt, space).energy
     block = (sector_csr(h_sim) - sector_csr(h_tgt)).toarray()  # both are on the sector basis
@@ -475,7 +488,7 @@ def test_ground_energy_agreement_within_residual_bound():
     r_full = (evals[-1] - evals[0]) / 2
     assert abs((e_sim - e_tgt) - c_star) <= r_full + 1e-12
     # and the windowed residual bounds it in practice at this size
-    r_w2 = mapping_residual(p, SPEC1, space, window=2, ops=ops)
+    r_w2 = mapping_residual(p, SPEC1, space, window=2)
     assert abs((e_sim - e_tgt) - c_star) <= r_w2
 
 
@@ -623,7 +636,7 @@ def test_tridiagonal_lowest_on_the_lanczos_tridiagonals(monkeypatch):
         return solve(alpha, beta)
 
     spec = LatticeSpec(3, 1)
-    space = FockSpace(spec.n_modes, boson_modes(spec, "per_cell"), 1, sector=3)
+    space = FockSpace(spec.n_modes, boson_pairs(spec, "per_cell"), 1, sector=3)
     h = assemble_simulator_hamiltonian(PARAMS, spec, space)
     monkeypatch.setattr(manybody, "_tridiagonal_lowest", recording)
     ground_state(h, space)
@@ -662,7 +675,7 @@ def test_ground_state_lanczos_calls_no_linalg(monkeypatch):
     # the Lanczos path never calls numpy's BLAS/LAPACK wrappers, each of
     # which would wake an OpenBLAS worker thread; the dense path keeps eigh
     spec = LatticeSpec(3, 1)
-    space = FockSpace(spec.n_modes, boson_modes(spec, "per_cell"), 1, sector=3)
+    space = FockSpace(spec.n_modes, boson_pairs(spec, "per_cell"), 1, sector=3)
     h = assemble_simulator_hamiltonian(PARAMS, spec, space)
     small = FockSpace(spec.n_modes, (), 0, sector=3)
     h_small = assemble_background_hopping(1.0, spec, small)
@@ -684,7 +697,7 @@ def test_ground_state_lanczos_calls_no_linalg(monkeypatch):
 
 def test_ground_state_lanczos_on_a_sector_operator_with_complex_storage():
     spec = LatticeSpec(3, 1)
-    space = FockSpace(spec.n_modes, boson_modes(spec, "per_cell"), 1, sector=3)
+    space = FockSpace(spec.n_modes, boson_pairs(spec, "per_cell"), 1, sector=3)
     h = assemble_simulator_hamiltonian(PARAMS, spec, space)
     real = ground_state(h, space)
     cast = ground_state(replace(h, data=h.data.astype(complex)), space)
@@ -760,8 +773,7 @@ def test_ground_state_real_path_and_complex_input():
 def test_free_state_satisfies_factorization():
     spec = LatticeSpec(2, 1)
     space = FockSpace(4, (), 0, sector=2)
-    ops = operator_algebra(space)
-    h = assemble_background_hopping(1.0, spec, space, ops)
+    h = assemble_background_hopping(1.0, spec, space)
     gs = ground_state(h, space)
     rep = correlators_and_wick(gs, space)
     assert rep.wick_residual <= 1e-10
@@ -769,7 +781,7 @@ def test_free_state_satisfies_factorization():
 
 def test_boson_vacuum_correlators_vanish():
     spec = LatticeSpec(1, 1)
-    space = FockSpace(2, boson_modes(spec, "per_cell"), 2, sector=1)
+    space = FockSpace(2, boson_pairs(spec, "per_cell"), 2, sector=1)
     # product state: fermion ground (from the boson-free problem) x |0_b>
     f_space = FockSpace(2, (), 0, sector=1)
     f_gs = ground_state(assemble_background_hopping(1.0, spec, f_space), f_space)
@@ -794,7 +806,7 @@ def _oracle_case(name):
     """
     rng = np.random.default_rng(5)
     if name == "complex-sector-vector":
-        space = FockSpace(4, ((0, "x"), (0, "z")), 1, sector=2)
+        space = FockSpace(4, (0,), 1, sector=2)
         dim = space.sector_dimension
         psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         return psi / np.linalg.norm(psi), space, operator_algebra(space)
@@ -805,7 +817,7 @@ def _oracle_case(name):
         "1x1": (LatticeSpec(1, 1), "per_cell", 2, 1),
         "sector-none": (LatticeSpec(2, 1), "cell0", 1, None),
     }[name]
-    space = FockSpace(spec.n_modes, boson_modes(spec, placement), n_max, sector=sector)
+    space = FockSpace(spec.n_modes, boson_pairs(spec, placement), n_max, sector=sector)
     ops = operator_algebra(space)
     if name.endswith("-ground"):
         h = assemble_simulator_hamiltonian(ModelParams(G=1e-2, l=1.0, mu=1.0), spec, space, ops)
@@ -834,7 +846,7 @@ def test_sector_correlators_match_full_space_oracle(name):
 
 
 def test_correlators_reject_a_full_space_vector_on_a_sector_space():
-    space = FockSpace(4, ((0, "x"), (0, "z")), 1, sector=2)
+    space = FockSpace(4, (0,), 1, sector=2)
     psi = np.zeros(space.dimension)
     psi[space.sector_indices()[0]] = 1.0
     with pytest.raises(ValueError, match="not on the sector basis"):
@@ -844,7 +856,7 @@ def test_correlators_reject_a_full_space_vector_on_a_sector_space():
 def test_top_level_weight_of_a_single_vector():
     # boson index n_x + 2 n_z; probabilities 1/2 on (0, 0), 1/4 on (1, 0) and
     # on (1, 1): P(n_x = 1) = 1/2, P(n_z = 1) = 1/4
-    space = FockSpace(2, ((0, "x"), (0, "z")), 1, sector=1)
+    space = FockSpace(2, (0,), 1, sector=1)
     psi = np.zeros(space.sector_dimension)
     psi[[0, 1, 3]] = np.sqrt([0.5, 0.25, 0.25])
     assert manybody.top_level_weight(psi, space) == pytest.approx(0.5, rel=1e-15)
@@ -866,6 +878,30 @@ def test_ground_state_embeds_its_sector_vectors_on_access():
         assert np.linalg.norm(full) == pytest.approx(1.0)
 
 
+def test_perfbench_exact_wick_maximum_matches_the_library(monkeypatch):
+    """The pair-Gram oracle of ``perfbench/make_reference.py`` runs on the
+    library's full-space path (``operator_algebra``, ``ModeOperators.c``,
+    the ``ops`` of ``assemble_simulator_hamiltonian`` and
+    ``GroundStateResult.states``); it must keep running and agree with the
+    sector-basis Wick residual."""
+    from pathlib import Path
+
+    from gravlat.cli import parse_config
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from make_reference import exact_wick_maximum
+
+    config = ("command = correlators\n[lattice]\nncx = 2\nncy = 1\n"
+              "[truncation]\nn_max = 2\n[manybody]\nplacement = cell0\n")
+    cfg = parse_config(config)
+    space = cfg.fock_space()
+    assert cfg.params.G > 0 and space.pairs == (0,)
+    gs = ground_state(assemble_simulator_hamiltonian(cfg.params, cfg.lattice, space), space)
+    want = correlators_and_wick(gs, space).wick_residual
+    assert want > 1e-6
+    assert exact_wick_maximum(config) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
 def test_coupled_residual_positive_monotone_cubic():
     """Measured scaling regression on the criterion-9 geometry: R grows
     monotonically and, in the regime where the 1/G momentum line dominates
@@ -876,7 +912,7 @@ def test_coupled_residual_positive_monotone_cubic():
     rs = []
     for g in gvals:
         p = ModelParams(G=g, l=1.0, mu=1.0)
-        space = FockSpace(4, ((0, "x"), (0, "z")), 2, sector=2)
+        space = FockSpace(4, (0,), 2, sector=2)
         ops = operator_algebra(space)
         h = assemble_simulator_hamiltonian(p, spec, space, ops)
         gs = ground_state(h, space)
@@ -892,7 +928,7 @@ def test_uniform_pair_on_two_cells_is_structurally_free():
     with a boson state, and the factorization residual collapses."""
     spec = LatticeSpec(2, 1)
     p = ModelParams(G=1e-2, l=1.0, mu=1.0)
-    space = FockSpace(4, boson_modes(spec, "uniform"), 2, sector=2)
+    space = FockSpace(4, boson_pairs(spec, "uniform"), 2, sector=2)
     ops = operator_algebra(space)
     h = assemble_simulator_hamiltonian(p, spec, space, ops)
     gs = ground_state(h, space)

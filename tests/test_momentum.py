@@ -6,7 +6,7 @@ from gravlat.geometry import ModelParams
 from gravlat.lattice import LatticeSpec
 from gravlat.manybody import (FockSpace, assemble_background_hopping,
                               assemble_simulator_hamiltonian,
-                              assemble_target_hamiltonian, boson_modes)
+                              assemble_target_hamiltonian, boson_pairs)
 from gravlat.momentum import (block_spectrum, momentum_blocks, sector_shift,
                               translation_periods)
 
@@ -18,7 +18,7 @@ PARAMS = ModelParams(G=1e-2, l=1.0, mu=1.0)
 def _space(ncx, ncy, placement, n_max, filling=None):
     spec = LatticeSpec(ncx, ncy)
     sector = spec.n_modes // 2 if filling is None else filling
-    return spec, FockSpace(spec.n_modes, boson_modes(spec, placement), n_max, sector=sector)
+    return spec, FockSpace(spec.n_modes, boson_pairs(spec, placement), n_max, sector=sector)
 
 
 # (ncx, ncy, placement, n_max, filling): 2x2 per_cell at filling 1 has
