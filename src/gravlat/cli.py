@@ -38,7 +38,7 @@ from .lattice import (BOSON_PLACEMENTS, CouplingField, LatticeSpec, bloch_f,
                       couplings_from_dreibein, dirac_slopes,
                       dreibein_from_couplings, fermi_points,
                       reciprocal_vectors)
-from .serialize import fmt, write_csv, write_float_csv, write_keyvalue
+from .serialize import fmt, write_keyvalue, write_table
 
 if TYPE_CHECKING:
     from .manybody import FockSpace
@@ -81,7 +81,8 @@ _SCHEMA = {
     ("manybody", "filling"): ("str", "half", lambda v: v == "half" or v.isdigit(),
                               "'half' or a fermion count"),
     ("sweep", "g_values"): ("floatlist", (0.0, 1e-3, 3e-3, 1e-2),
-                            lambda v: all(x >= 0 for x in v), "floats >= 0"),
+                            lambda v: len(v) > 0 and all(x >= 0 for x in v),
+                            "one or more floats >= 0"),
     ("couplings", "jx"): ("float", 1.0, lambda v: v > 0, "> 0"),
     ("couplings", "jz"): ("float", 1.0, lambda v: v > 0, "> 0"),
     ("couplings", "nk"): ("int", 24, lambda v: v >= 2, ">= 2"),
@@ -230,23 +231,25 @@ def _cmd_dispersion(cfg, outdir, extras):
     k = frac[:, None, None] * g1 + frac[None, :, None] * g2  # (m1, m2, 2), m2 inner
     f = bloch_f(c, k)
     # hypot is the scalar abs() of a complex; np.abs can differ in the last bit
-    e = np.hypot(f.real, f.imag)
-    write_float_csv(outdir / "dispersion.csv", "kx,ky,E1,E2",
-                    np.stack([k[..., 0], k[..., 1], -e, e], axis=-1).reshape(-1, 4))
+    e = np.hypot(f.real, f.imag).ravel()
+    write_table(outdir / "dispersion.csv", "kx,ky,E1,E2",
+                (k[..., 0].ravel(), k[..., 1].ravel(), -e, e))
 
 
 def _cmd_fermi_points(cfg, outdir, extras):
     c = cfg.couplings
-    p_plus, p_minus = fermi_points(c)
-    rows = [(p[0], p[1], abs(bloch_f(c, p))) for p in (p_plus, p_minus)]
-    write_csv(outdir / "fermi_points.csv", "kx,ky,residual", rows)
+    points = fermi_points(c)
+    # scalar abs() per point, as in _cmd_dispersion: np.abs can differ in the last bit
+    write_table(outdir / "fermi_points.csv", "kx,ky,residual",
+                ([p[0] for p in points], [p[1] for p in points],
+                 [abs(bloch_f(c, p)) for p in points]))
 
 
 def _cmd_slopes(cfg, outdir, extras):
     c = cfg.couplings
     (a_p, b_p), (a_m, b_m) = dirac_slopes(c)
-    write_csv(outdir / "slopes.csv", "a_plus,b_plus,a_minus,b_minus",
-              [(a_p, b_p, a_m, b_m)])
+    write_table(outdir / "slopes.csv", "a_plus,b_plus,a_minus,b_minus",
+                ([a_p], [b_p], [a_m], [b_m]))
 
 
 def _cmd_map_couplings(cfg, outdir, extras):

@@ -21,12 +21,14 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from .designer import optical_params, weak_fluctuation_check
 from .exceptions import ConfigError, DimensionCapError
 from .manybody import (assemble_background_hopping,
                        assemble_simulator_hamiltonian, correlators_and_wick,
                        ground_state, mapping_residual, top_level_weight)
-from .serialize import write_csv, write_keyvalue, write_state_csv
+from .serialize import write_keyvalue, write_table
 
 
 def _space(cfg, params):
@@ -69,8 +71,7 @@ def _cmd_spectrum(cfg, outdir, extras):
         raise DimensionCapError(f"sector dimension {dim} exceeds dense cap for spectrum")
     blocks, evals = block_spectrum(_hamiltonian(params, spec, space), spec, space)
     k = min(len(evals), 32)
-    write_csv(outdir / "spectrum.csv", "index,energy",
-              [(i, evals[i]) for i in range(k)])
+    write_table(outdir / "spectrum.csv", "index,energy", (np.arange(k), evals[:k]))
     extras.append(("sector_dimension", dim))
     extras.append(("momentum_blocks", ",".join(str(n) for n in blocks)))
 
@@ -78,15 +79,18 @@ def _cmd_spectrum(cfg, outdir, extras):
 def _cmd_ground_state(cfg, outdir, extras):
     gs = _solve(cfg, cfg.params)
     space = gs.space
-    header_meta = [
+    header = "\n".join([
         f"# modes={space.n_fermion_modes} fermion + {space.n_boson_modes} boson",
         f"# boson_modes={space.boson_modes}",
         f"# n_max={space.n_max}",
         f"# sector={space.sector}",
-        f"# ordering=fermion_major(bit i = fermion mode i; boson digits little-endian)",
-    ]
-    write_state_csv(outdir / "ground_state.csv", header_meta, space.sector_indices(),
-                    gs.vectors[0])
+        "# ordering=fermion_major(bit i = fermion mode i; boson digits little-endian)",
+        "index,re,im"])
+    # the nonzero amplitudes, at their full-space indices
+    vector = gs.vectors[0]
+    nz = np.flatnonzero(np.abs(vector) > 0)
+    write_table(outdir / "ground_state.csv", header,
+                (space.sector_indices()[nz], vector.real[nz], vector.imag[nz]))
     extras.append(("ground_energy", gs.energy))
     extras.append(("multiplicity", gs.multiplicity))
     extras.extend(_solver_lines(gs))
@@ -97,15 +101,13 @@ def _cmd_correlators(cfg, outdir, extras):
     gs = _solve(cfg, params)
     space = gs.space
     rep = correlators_and_wick(gs, space)
-    nf = space.n_fermion_modes
-    write_csv(outdir / "c_matrix.csv", "i,j,re,im",
-              [(i, j, rep.c_matrix[i, j].real, rep.c_matrix[i, j].imag)
-               for i in range(nf) for j in range(nf)])
-    nb = space.n_boson_modes
-    write_csv(outdir / "d_correlators.csv", "m,n,dagd_re,dagd_im,dagdag_re,dagdag_im",
-              [(m, n, rep.d_dag_d[m, n].real, rep.d_dag_d[m, n].imag,
-                rep.d_dag_ddag[m, n].real, rep.d_dag_ddag[m, n].imag)
-               for m in range(nb) for n in range(nb)])
+    i, j = np.indices(rep.c_matrix.shape).reshape(2, -1)
+    write_table(outdir / "c_matrix.csv", "i,j,re,im",
+                (i, j, rep.c_matrix.real.ravel(), rep.c_matrix.imag.ravel()))
+    m, n = np.indices(rep.d_dag_d.shape).reshape(2, -1)
+    write_table(outdir / "d_correlators.csv", "m,n,dagd_re,dagd_im,dagdag_re,dagdag_im",
+                (m, n, rep.d_dag_d.real.ravel(), rep.d_dag_d.imag.ravel(),
+                 rep.d_dag_ddag.real.ravel(), rep.d_dag_ddag.imag.ravel()))
     pairs = [("wick_residual", rep.wick_residual),
              ("wick_argmax", "-".join(str(i) for i in rep.wick_argmax)),
              ("ground_energy", gs.energy), ("multiplicity", gs.multiplicity)]
@@ -131,7 +133,8 @@ def _cmd_wick_sweep(cfg, outdir, extras):
         rep = correlators_and_wick(gs, gs.space)
         rows.append((g, rep.wick_residual, gs.energy, gs.multiplicity))
         top = max(top, top_level_weight(gs, gs.space))
-    write_csv(outdir / "wick_sweep.csv", "g,wick_residual,ground_energy,multiplicity", rows)
+    write_table(outdir / "wick_sweep.csv", "g,wick_residual,ground_energy,multiplicity",
+                zip(*rows))
     extras.append(("top_level_weight", top))
 
 
@@ -144,9 +147,9 @@ def _cmd_map_residual(cfg, outdir, extras):
     space = cfg.fock_space()
     # the mapping comparison needs G > 0 (1/G boson line)
     positive = [g for g in cfg[("sweep", "g_values")] if g > 0]
-    rows = [(g, mapping_residual(replace(cfg.params, G=g), spec, space, window))
-            for g in positive]
-    write_csv(outdir / "map_residual.csv", "g,residual", rows)
+    write_table(outdir / "map_residual.csv", "g,residual",
+                (positive, [mapping_residual(replace(cfg.params, G=g), spec, space, window)
+                            for g in positive]))
     extras.append(("window", window))
     skipped = len(cfg[("sweep", "g_values")]) - len(positive)
     if skipped:

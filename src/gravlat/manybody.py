@@ -1026,8 +1026,10 @@ def correlators_and_wick(state, space: FockSpace) -> CorrelatorReport:
     <c_i+ c_j+ c_k c_l> = (c_j c_i psi, c_k c_l psi) is a signed entry of
     it.  ``wick_residual`` is the exact maximum over every index quadruple
     of the two-body cumulant |<c_i+ c_j+ c_k c_l> - (C_il C_jk - C_ik C_jl)|
-    (Kutzelnigg & Mukherjee, J. Chem. Phys. 110, 2800 (1999)), and
-    ``wick_argmax`` the lexicographically first quadruple reaching it.
+    (Kutzelnigg & Mukherjee, J. Chem. Phys. 110, 2800 (1999)), taken over
+    the quadruples with i < j and k < l, which reach it; ``wick_argmax`` is
+    the lexicographically first of those reaching it: (0, 1, 0, 1) when the
+    residual is exactly 0, and () with fewer than two fermion modes.
     Boson matrices <d+ d>, <d+ d+> and the ladder-pair correlators apply
     each ladder along its mode's axis of the rows of the state.
     """
@@ -1074,24 +1076,17 @@ def correlators_and_wick(state, space: FockSpace) -> CorrelatorReport:
                      + Q1_Z * d_dag_ddag[2 * p + 1, 2 * p + 1]}
               for p, cell in enumerate(space.pairs)}
 
-    # c_x c_y psi = sign[x, y] * (row pair[x, y] of the pair vectors),
-    # with sign 0 for x == y; pair is symmetric, sign antisymmetric
-    pair = np.zeros((nf, nf), dtype=int)
-    pair[pair_a, pair_b] = pair[pair_b, pair_a] = np.arange(n_pairs)
-    sign = np.zeros((nf, nf))
-    sign[pair_a, pair_b], sign[pair_b, pair_a] = 1.0, -1.0
-    four = np.zeros((nf,) * 4, dtype=complex)
-    if n_pairs:
-        # <c_i+ c_j+ c_k c_l> = sign[j, i] sign[k, l] gram[pair[i, j], pair[k, l]]
-        four = ((sign.T[:, :, None, None] * sign[None, None])
-                * gram[pair[:, :, None, None], pair[None, None]])
-    wick = (c_mat[:, None, None, :] * c_mat[None, :, :, None]
-            - c_mat[:, None, :, None] * c_mat[None, :, None, :])
-    diff = np.abs(four - wick)
+    # for i < j and k < l, <c_i+ c_j+ c_k c_l> = -gram[(i, j), (k, l)]; every
+    # other quadruple is 0 on both sides of the cumulant (a repeated index)
+    # or an exact negation of one of these, so the block holds the maximum
+    i, j = pair_a[:, None], pair_b[:, None]
+    k, l = pair_a[None, :], pair_b[None, :]
+    diff = np.abs(-gram - (c_mat[i, l] * c_mat[j, k] - c_mat[i, k] * c_mat[j, l]))
     residual, argmax = 0.0, ()
     if diff.size:   # np.argmax returns the first maximum in C (lexicographic) order
         residual = float(diff.max())
-        argmax = tuple(int(i) for i in np.unravel_index(np.argmax(diff), diff.shape))
+        p, q = np.unravel_index(np.argmax(diff), diff.shape)
+        argmax = tuple(int(x) for x in (pair_a[p], pair_b[p], pair_a[q], pair_b[q]))
     return CorrelatorReport(c_matrix=c_mat, d_dag_d=d_dag_d, d_dag_ddag=d_dag_ddag,
                             q_corr=q_corr, wick_residual=residual,
                             wick_argmax=argmax)

@@ -23,42 +23,20 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, header: str, rows) -> None:
-    """Write rows of scalars under a single header line (LF endings)."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+def write_table(path, header: str, columns) -> None:
+    """A CSV table: ``header`` (one or more lines), then row r holding
+    entry r of every one of the equal-length ``columns`` (LF endings).
 
-
-def write_float_csv(path, header: str, table) -> None:
-    """Rows of a 2-D float array under a single header line.
-
-    One formatting pass over ``tolist()``, which writes the bytes
-    :func:`write_csv` writes for the same rows.
+    Each column goes through ``tolist()`` and ``repr`` once: ``repr`` of a
+    Python int is its ``str`` and of a Python float its shortest round-trip
+    form, the bytes :func:`fmt` writes for either.  The rows are joined
+    without a Python step per row, which a per-row ``%r`` template or
+    f-string would cost.  ValueError when the columns differ in length.
     """
+    strings = [list(map(repr, np.asarray(column).tolist())) for column in columns]
+    text = "\n".join([header, *map(",".join, zip(*strings, strict=True)), ""])
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.write("".join([",".join(map(repr, row)) + "\n"
-                          for row in np.asarray(table, dtype=float).tolist()]))
-
-
-def write_state_csv(path, header_lines, indices, vector) -> None:
-    """``index,re,im`` rows of the nonzero entries of ``vector`` under
-    ``#``-prefixed header lines; ``indices[k]`` is the index written for
-    ``vector[k]``.
-
-    One formatting pass over ``tolist()``: ``repr`` of a Python float is
-    what :func:`fmt` writes for it, so the bytes equal a per-row ``fmt``.
-    """
-    vector = np.asarray(vector)
-    nz = np.flatnonzero(np.abs(vector) > 0)
-    rows = zip(np.asarray(indices)[nz].tolist(), vector.real[nz].tolist(),
-               vector.imag[nz].tolist())
-    with open(path, "w", newline="\n") as fh:
-        fh.write("".join(line + "\n" for line in header_lines))
-        fh.write("index,re,im\n")
-        fh.write("".join([f"{i},{re!r},{im!r}\n" for i, re, im in rows]))
+        fh.write(text)
 
 
 def write_keyvalue(path, pairs) -> None:

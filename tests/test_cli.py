@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -163,9 +164,39 @@ placement = per_cell
     assert manifest["momentum_blocks"] == "234,252"
 
 
+def _per_value_csv(path, header, rows):
+    """A CSV table as the per-value writer wrote it: one ``fmt`` call per value."""
+    from gravlat.serialize import fmt
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")
+
+
+def test_write_table_matches_the_per_value_writer(tmp_path):
+    from gravlat.serialize import write_table
+    header = "# first basis line\n# second basis line\nindex,value,other"
+    index = np.array([0, 7, -3, 2 ** 40, 5, 6])
+    value = np.array([-0.0, 5e-324, 1e-310, 1e300, np.nan, np.inf])
+    other = [0.1, -np.inf, 2.5, -1e-310, 1.0, 3.0]   # a list of Python floats
+    write_table(tmp_path / "table.csv", header, (index, value, other))
+    _per_value_csv(tmp_path / "oracle.csv", header, zip(index, value, other))
+    written = (tmp_path / "table.csv").read_bytes()
+    assert written == (tmp_path / "oracle.csv").read_bytes()
+    assert written == (b"# first basis line\n# second basis line\nindex,value,other\n"
+                       b"0,-0.0,0.1\n7,5e-324,-inf\n-3,1e-310,2.5\n"
+                       b"1099511627776,1e+300,-1e-310\n5,nan,1.0\n6,inf,3.0\n")
+    # zero rows: the header alone
+    write_table(tmp_path / "empty.csv", header, (index[:0], value[:0], []))
+    assert (tmp_path / "empty.csv").read_bytes() == header.encode() + b"\n"
+    # columns of unequal length: no file
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "ragged.csv", header, (index, value[:-1], other))
+    assert not (tmp_path / "ragged.csv").exists()
+
+
 def test_cell0_spectrum_is_the_dense_sector_spectrum_byte_for_byte(tmp_path):
     from gravlat.manybody import assemble_simulator_hamiltonian
-    from gravlat.serialize import write_csv
 
     text = """
 command = spectrum
@@ -184,7 +215,7 @@ placement = cell0
     space = cfg.fock_space()
     h = assemble_simulator_hamiltonian(cfg.params, cfg.lattice, space)
     evals = np.linalg.eigvalsh(h.toarray())   # the unblocked solve
-    write_csv(tmp_path / "dense.csv", "index,energy", [(i, evals[i]) for i in range(32)])
+    _per_value_csv(tmp_path / "dense.csv", "index,energy", [(i, evals[i]) for i in range(32)])
     assert (out / "spectrum.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
 
 
@@ -290,6 +321,17 @@ g_values = {g_values}
             assert ("error: category=config filling 9 exceeds the 4 fermion modes of the "
                     "lattice") in capsys.readouterr().err
             assert not (out / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["wick-sweep", "map-residual"])
+@pytest.mark.parametrize("g_values", ["", " , ,"])
+def test_an_empty_sweep_is_config_error(tmp_path, capsys, command, g_values):
+    # an empty sweep would solve nothing yet exit 0 with a header-only table
+    code, out = _run(tmp_path, f"command = {command}\n[sweep]\ng_values = {g_values}\n")
+    assert code == 2
+    assert ("error: category=config line 3: key 'g_values' out of range "
+            "(expected one or more floats >= 0)") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_flag_is_checked_like_the_config_seed(tmp_path, capsys):
@@ -455,6 +497,16 @@ def test_wick_residual_is_exact_and_seed_independent_at_nf_12(tmp_path):
     assert summary["wick_argmax"] == "0-6-0-6"
 
 
+def test_an_exactly_zero_wick_residual_reports_the_first_pair_quadruple(tmp_path):
+    # no fermion on 1x1: every c_i psi vanishes, so the cumulant is exactly 0
+    code, out = _run(tmp_path, "command = correlators\n[manybody]\nfilling = 0\n")
+    assert code == 0
+    summary = dict(line.split("=", 1)
+                   for line in (out / "correlator_summary.txt").read_text().splitlines())
+    assert summary["wick_residual"] == "0.0"
+    assert summary["wick_argmax"] == "0-1-0-1"
+
+
 def test_weak_fluctuation_ratios_read_the_correlator_occupations(tmp_path):
     # <d_m+ d_m> has one reader: each ratio_* line is the diagonal of
     # d_dag_d over D_m^2, to the last bit
@@ -496,9 +548,9 @@ def _per_row_state_csv(path, header_lines, full):
             fh.write(f"{i},{fmt(full[i].real)},{fmt(full[i].imag)}\n")
 
 
-def test_state_csv_writer_matches_the_per_row_writer(tmp_path):
+def test_state_csv_writer_matches_the_per_row_writer(tmp_path, monkeypatch):
+    import gravlat.ed_commands as ed_commands
     from gravlat.manybody import assemble_simulator_hamiltonian, ground_state
-    from gravlat.serialize import write_state_csv
     config = """
 command = ground-state
 [lattice]
@@ -526,9 +578,11 @@ placement = per_cell
     for vec in (v, v * np.exp(0.3j)):
         full = np.zeros(space.dimension, dtype=vec.dtype)
         full[space.sector_indices()] = vec
-        write_state_csv(tmp_path / "new.csv", header, space.sector_indices(), vec)
+        monkeypatch.setattr(ed_commands, "_solve",
+                            lambda cfg, params, vec=vec: replace(gs, vectors=[vec]))
+        ed_commands.DISPATCH["ground-state"](cfg, tmp_path, [])
         _per_row_state_csv(tmp_path / "old.csv", header, full)
-        new = (tmp_path / "new.csv").read_bytes()
+        new = (tmp_path / "ground_state.csv").read_bytes()
         assert new == (tmp_path / "old.csv").read_bytes()
         assert len(new.splitlines()) == 6 + np.count_nonzero(vec)
         if vec.dtype == float:
@@ -539,7 +593,6 @@ placement = per_cell
 def test_dispersion_matches_the_per_point_writer(tmp_path, monkeypatch):
     import gravlat.cli as cli
     from gravlat.lattice import reciprocal_vectors
-    from gravlat.serialize import write_csv
     real_bloch_f = cli.bloch_f
     calls = []
 
@@ -562,7 +615,7 @@ def test_dispersion_matches_the_per_point_writer(tmp_path, monkeypatch):
             k = (m1 / nk) * g1 + (m2 / nk) * g2
             e = abs(real_bloch_f(c, k))
             rows.append((k[0], k[1], -e, e))
-    write_csv(tmp_path / "per_point.csv", "kx,ky,E1,E2", rows)
+    _per_value_csv(tmp_path / "per_point.csv", "kx,ky,E1,E2", rows)
     assert (out / "dispersion.csv").read_bytes() == (tmp_path / "per_point.csv").read_bytes()
 
 

@@ -843,6 +843,13 @@ def test_sector_correlators_match_full_space_oracle(name):
     assert rep.wick_residual > 1e-6
     assert rep.wick_residual == pytest.approx(want.wick_residual, rel=0.0, abs=1e-12)
     assert rep.wick_argmax == want.wick_argmax
+    i, j, k, l = rep.wick_argmax   # the pair-pair block of the Gram matrix
+    assert i < j and k < l
+
+
+def test_wick_cumulant_needs_two_fermion_modes():
+    rep = correlators_and_wick(np.ones(1), FockSpace(1, (), 0, sector=1))
+    assert rep.wick_residual == 0.0 and rep.wick_argmax == ()
 
 
 def test_correlators_reject_a_full_space_vector_on_a_sector_space():

@@ -1,0 +1,117 @@
+"""Compare the artifacts of every benchmark job between a revision and the working tree.
+
+    python3 tools/artifact_diff.py REV [--seeds 1,7]
+
+Extracts ``src`` of the git revision REV with ``git archive`` into a
+temporary directory, then runs every job of ``perfbench/workloads.py``
+(imported, never written) once per seed as one ``gravlat <cfg> --seed S``
+process against REV's ``src`` and once against the working tree's
+``src``.  Exit codes are compared, and every artifact byte for byte;
+``manifest.txt`` is compared without its ``wall_time_s`` line.  Each
+difference is printed on one line, with the first differing line of a
+file that exists on both sides.  Exits 1 on any difference, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CLI = "import sys; from gravlat.cli import main; sys.exit(main())"
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
+
+def extract_src(rev: str, dest: Path) -> Path:
+    """``src`` of ``rev`` unpacked under ``dest``; returns the ``src`` directory."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+                         check=True, stdout=subprocess.PIPE).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        if hasattr(tarfile, "data_filter"):
+            archive.extractall(dest, filter="data")
+        else:
+            archive.extractall(dest)
+    return dest / "src"
+
+
+def run_jobs(src: Path, seeds, workdir: Path) -> dict:
+    """{(seed, job name): exit code}; artifacts land in ``workdir/<seed>/<job>``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    codes = {}
+    for seed in seeds:
+        for jobs in WORKLOADS.values():
+            for job in jobs:
+                outdir = workdir / str(seed) / job.name
+                outdir.parent.mkdir(parents=True, exist_ok=True)
+                cfg = outdir.parent / f"{job.name}.cfg"
+                cfg.write_text(job.config)
+                codes[seed, job.name] = subprocess.run(
+                    [sys.executable, "-c", CLI, str(cfg), "--seed", str(seed),
+                     "--output", str(outdir)],
+                    cwd=workdir, env=env, stdin=subprocess.DEVNULL,
+                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    return codes
+
+
+def _content(path: Path) -> bytes:
+    data = path.read_bytes()
+    if path.name == "manifest.txt":
+        data = b"".join(line for line in data.splitlines(keepends=True)
+                        if not line.startswith(b"wall_time_s="))
+    return data
+
+
+def _first_difference(a: bytes, b: bytes) -> str:
+    for n, (x, y) in enumerate(zip(a.splitlines(), b.splitlines()), start=1):
+        if x != y:
+            return f"line {n}: {x.decode(errors='replace')!r} -> {y.decode(errors='replace')!r}"
+    return f"{len(a.splitlines())} -> {len(b.splitlines())} lines"
+
+
+def compare(old: Path, new: Path) -> list:
+    """One line per file that differs between the two artifact trees."""
+    names = sorted({p.relative_to(old) for p in old.rglob("*") if p.is_file()}
+                   | {p.relative_to(new) for p in new.rglob("*") if p.is_file()})
+    lines = []
+    for name in names:
+        a, b = old / name, new / name
+        if not a.exists() or not b.exists():
+            lines.append(f"{name}: only in {'REV' if a.exists() else 'working tree'}")
+            continue
+        x, y = _content(a), _content(b)
+        if x != y:
+            lines.append(f"{name}: {_first_difference(x, y)}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="git revision to compare the working tree against")
+    parser.add_argument("--seeds", default="1,7", help="comma-separated seeds (default 1,7)")
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    with tempfile.TemporaryDirectory(prefix="artifact_diff_") as tmp:
+        tmp = Path(tmp)
+        old_src = extract_src(args.rev, tmp / "rev")
+        old_codes = run_jobs(old_src, seeds, tmp / "old")
+        new_codes = run_jobs(ROOT / "src", seeds, tmp / "new")
+        problems = [f"{seed}/{name}: exit code {old_codes[seed, name]} -> {new_codes[seed, name]}"
+                    for seed, name in old_codes if old_codes[seed, name] != new_codes[seed, name]]
+        problems += compare(tmp / "old", tmp / "new")
+    for line in problems:
+        print(line)
+    n_jobs = len(old_codes)
+    print(f"{n_jobs} runs per side, seeds {','.join(map(str, seeds))}: "
+          f"{len(problems)} difference(s) against {args.rev}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
