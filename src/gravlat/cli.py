@@ -52,13 +52,15 @@ COMMANDS = (
 
 
 def _parse_scalar(kind, raw: str):
-    if kind == "int":
-        return int(raw)
     if kind == "float":
-        return float(raw)
-    if kind == "floatlist":
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    return raw
+        value = float(raw)
+    elif kind == "floatlist":
+        value = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    else:
+        return int(raw) if kind == "int" else raw
+    if not np.isfinite(value).all():
+        raise ValueError(f"non-finite float in {raw!r}")   # 1e400 included
+    return value
 
 
 # (section, key) -> (kind, default, validator, description)

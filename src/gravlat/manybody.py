@@ -22,11 +22,12 @@ commutator defect -(n_max + 1) on the top level.  The full-space ordering
 is fermion-major: index = fermion_index * boson_dim + boson_index.
 
 The bosons come in (x, z) pairs, one on each cell that :func:`boson_pairs`
-places (cell None: one pair shared by every cell); pair p holds modes 2p
-(x) and 2p + 1 (z), and :meth:`FockSpace.pair_modes` gives the pair serving
-a cell.  Each assembler states its bond couplings as one rule
-``coupling(cell, species)`` over the bonds of :meth:`LatticeSpec.bonds`;
-the x boson drives both the x and the y bond.
+places (cell None: one pair shared by every cell, :meth:`FockSpace.pair_of`);
+pair p holds modes 2p (x) and 2p + 1 (z) and is digit p of the boson index
+(:meth:`FockSpace.pair_digits`).  Only :func:`_pair_ladders` and its
+occupation table know the order inside a pair.  Each assembler states its
+bond couplings as one rule ``coupling(cell, species)`` over the bonds of
+:meth:`LatticeSpec.bonds`; the x boson drives both the x and the y bond.
 
 Hamiltonians are assembled directly on the sector basis: the fermion
 factor is the sorted list of basis integers with the sector's number of
@@ -38,17 +39,16 @@ the hopping blocks looked up by ``searchsorted`` in the sorted basis
 (H. Q. Lin, PRB 42, 6561 (1990)), and it is built in two steps.  First each
 assembler builds its boson-factor terms once: J_pq, the coupling operators
 of the bonds joining fermion modes p and q summed, and the boson
-Hamiltonian B.  Each term is a multiple of the identity, linear in one
-mode's ladder, or a polynomial in one pair's x and z ladders, so it is a
-small dense numpy array on that mode or pair, embedded in the boson factor
-by index arithmetic on the little-endian boson digits as COO entries whose
-duplicates add in the order the terms were added.  Then one shared step
-puts them on the sector.  Hermiticity is checked in that step on the boson
-factor: the hopping part is Hermitian by construction, so B is checked
-(defect at most 1e-12 times the largest |entry| of H, or 1) and
-symmetrized as (B + B+) / 2.  The same step can first restrict every
-boson-factor operator to the boson indices a window mask keeps, so
-:func:`mapping_residual` assembles only its window block.  The result is a
+Hamiltonian B.  Each term is a multiple of the identity or a small dense
+matrix on one pair's factor, embedded in the boson factor by index
+arithmetic on the pair digits as COO entries whose duplicates add in the
+order the terms were added.  Then one shared step puts them on the sector.
+Hermiticity is checked there on the boson factor: the hopping part is
+Hermitian by construction, so B is checked (defect at most 1e-12 times the
+largest |entry| of H, or 1) and symmetrized as (B + B+) / 2.  The same
+step can first restrict every boson-factor operator to the boson indices
+a window mask keeps, so :func:`mapping_residual` assembles only its window
+block.  The result is a
 :class:`SectorOperator`, the entries put in row order once by a stable
 sort: its own compressed-row form, with ``@`` and ``toarray``.
 
@@ -56,7 +56,7 @@ Observables read a state on the same basis, and only there.  A fermion
 annihilator c_i maps the N-particle basis to the (N-1)-particle one by the
 same lookup, with the Jordan-Wigner sign of the occupied modes below i, as
 index arrays applied to the rows of the state reshaped to (fermion states,
-boson_dim); a boson ladder acts along its mode's axis of those rows.
+boson_dim); a boson ladder acts along its pair's axis of those rows.
 
 Ground states above dimension 512 come from a numpy Lanczos on
 ``SectorOperator @ x`` (:func:`ground_state`).  The assemblers,
@@ -125,9 +125,11 @@ class FockSpace:
     """Tensor basis: fermion occupation bits x truncated boson numbers.
 
     ``pairs`` lists the cells that carry one (x, z) boson pair, each cell
-    at most once, or is ``(None,)`` for one pair shared by every cell.
-    Pair p holds boson mode 2p (x) and 2p + 1 (z).  ``sector`` optionally
-    restricts the fermion factor to a fixed total number.
+    at most once (stored as a tuple), or is ``(None,)`` for one pair shared
+    by every cell.  Pair p holds boson modes 2p (x) and 2p + 1 (z), and its
+    digit, the index into its factor, sits at stride pair_dim^p of the
+    boson index.  ``sector`` optionally restricts the fermion factor to a
+    fixed total number.
     """
 
     n_fermion_modes: int
@@ -137,6 +139,7 @@ class FockSpace:
     nnz_cap: int = 2 ** 22
 
     def __post_init__(self):
+        object.__setattr__(self, "pairs", tuple(self.pairs))
         if self.n_fermion_modes < 0 or self.n_max < 0:
             raise ValueError("negative mode counts")
         if len(set(self.pairs)) != len(self.pairs):
@@ -160,31 +163,31 @@ class FockSpace:
         return 2 ** self.n_fermion_modes
 
     @property
+    def pair_dim(self) -> int:
+        return (self.n_max + 1) ** 2
+
+    @property
     def boson_dim(self) -> int:
-        return (self.n_max + 1) ** self.n_boson_modes
+        return self.pair_dim ** len(self.pairs)
 
     @property
     def dimension(self) -> int:
         return self.fermion_dim * self.boson_dim
 
-    def pair_modes(self, cell) -> Optional[tuple]:
-        """(x mode, z mode) of the pair serving ``cell``: the shared pair, or
-        the cell's own; None when no pair serves it."""
+    def pair_of(self, cell) -> Optional[int]:
+        """The pair serving ``cell``: the shared pair, or the cell's own;
+        None when no pair serves it."""
         if self.pairs == (None,):
-            return 0, 1
-        if cell not in self.pairs:
-            return None
-        p = self.pairs.index(cell)
-        return 2 * p, 2 * p + 1
+            return 0
+        return self.pairs.index(cell) if cell in self.pairs else None
 
-    def boson_digits(self) -> np.ndarray:
-        """[boson index, mode] occupations: the little-endian digits of the
-        boson index, mode m at stride (n_max + 1)^m."""
-        return _digits(self.boson_dim, self.n_max + 1, self.n_boson_modes)
+    def pair_digits(self) -> np.ndarray:
+        """[boson index, pair]: the pair digits of the boson index."""
+        return _digits(self.boson_dim, self.pair_dim, len(self.pairs))
 
     def boson_occupation_table(self) -> np.ndarray:
         """Total boson occupation per boson basis index."""
-        return self.boson_digits().sum(axis=1)
+        return _pair_occupations(self.n_max).sum(axis=1)[self.pair_digits()].sum(axis=1)
 
     def sector_fermion_states(self) -> np.ndarray:
         """Sorted fermion basis integers of the sector (all when unset)."""
@@ -223,13 +226,6 @@ def _popcount(x: np.ndarray, n_bits: int) -> np.ndarray:
     for bit in range(n_bits):
         count += (x >> bit) & 1
     return count
-
-
-def _boson_ladder(n_max: int) -> np.ndarray:
-    d = np.zeros((n_max + 1, n_max + 1))
-    for n in range(1, n_max + 1):
-        d[n - 1, n] = np.sqrt(n)
-    return d
 
 
 def _hopping_block(states: np.ndarray, p: int, q: int):
@@ -271,22 +267,19 @@ def _annihilate(entries, x: np.ndarray, n_lowered: int) -> np.ndarray:
     return out
 
 
-def _ladder_on_rows(x: np.ndarray, space: FockSpace, m: int,
-                    raised: bool = False) -> np.ndarray:
-    """kron(1, d_m), or kron(1, d_m+) when ``raised``, applied to the
-    vector with boson rows ``x``, flattened.
-
-    Mode m is the boson digit of stride (n_max + 1)^m, axis 2 of ``x``
-    reshaped to (fermion states, higher digits, n_max + 1, lower digits).
-    """
-    base = space.n_max + 1
-    xm = x.reshape(len(x), -1, base, base ** m)
-    ladder = np.sqrt(np.arange(1.0, base))[:, None]
-    out = np.zeros(xm.shape, dtype=np.result_type(ladder, xm))
-    if raised:
-        out[:, :, 1:] = ladder * xm[:, :, :-1]
-    else:
-        out[:, :, :-1] = ladder * xm[:, :, 1:]
+def _on_pair_axis(x: np.ndarray, space: FockSpace, p: int,
+                  local: np.ndarray) -> np.ndarray:
+    """kron(1, ``local`` on pair p) applied to the vector with boson rows
+    ``x``, flattened, along axis 2 of ``x`` reshaped to (fermion states,
+    higher pairs, pair_dim, lower pairs).  ``local`` has at most one
+    nonzero per row, as a ladder has: out[i] = local[i, j] x[j]."""
+    k = space.pair_dim
+    xp = x.reshape(len(x), -1, k, k ** p)
+    out = np.zeros(xp.shape, dtype=np.result_type(local, xp))
+    rows, cols = np.nonzero(local)
+    assert len(set(rows.tolist())) == len(rows), "two entries in a row"
+    for i, j in zip(rows, cols):
+        np.multiply(local[i, j], xp[:, :, j], out=out[:, :, i])
     return out.ravel()
 
 
@@ -377,21 +370,18 @@ class _BosonOp:
 _NO_BOSON_TERM = _BosonOp(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
 
 
-def _embed(space: FockSpace, local: np.ndarray, modes: tuple = ()) -> _BosonOp:
-    """kron of the dense ``local`` on ``modes`` with the identity on every
-    other boson mode.
+def _embed(space: FockSpace, local: np.ndarray, pair: Optional[int] = None) -> _BosonOp:
+    """kron of the dense ``local`` on pair ``pair``'s factor with the
+    identity on every other pair; with no pair, ``local`` is 1 x 1, a
+    multiple of the identity.
 
-    The boson index has the little-endian digits n_m (mode m at stride
-    (n_max + 1)^m), and ``local`` is indexed the same way over ``modes`` in
-    their order; with no modes, ``local`` is 1 x 1, a multiple of the
-    identity.  Its zero entries are left out.
+    ``local`` is indexed by the pair's digit (:meth:`FockSpace.pair_digits`,
+    stride pair_dim^pair).  Its zero entries are left out.
     """
-    base = space.n_max + 1
-    modes = np.array(modes, dtype=int)
-    # the boson indices with every mode of ``modes`` at 0, and local index ->
-    # boson index
-    rest = np.flatnonzero((space.boson_digits()[:, modes] == 0).all(axis=1))
-    offset = _digits(len(local), base, len(modes)) @ base ** modes
+    axes = [] if pair is None else [pair]
+    # the boson indices with the pair's digit at 0, and local index -> boson index
+    rest = np.flatnonzero((space.pair_digits()[:, axes] == 0).all(axis=1))
+    offset = np.arange(len(local)) * space.pair_dim ** (pair or 0)
     lr, lc = np.nonzero(local)
     return _BosonOp((rest[:, None] + offset[lr]).ravel(),
                     (rest[:, None] + offset[lc]).ravel(),
@@ -402,11 +392,19 @@ def _identity(space: FockSpace, value: float) -> _BosonOp:
     return _embed(space, np.full((1, 1), value))
 
 
+def _pair_occupations(n_max: int) -> np.ndarray:
+    """[pair digit j, species]: (n_x, n_z) of one pair's states, j = n_x + (n_max + 1) n_z."""
+    return _digits((n_max + 1) ** 2, n_max + 1, 2)
+
+
 def _pair_ladders(n_max: int):
-    """(d_x, d_z, 1) on the factor of one (x, z) pair, x the low digit."""
-    d = _boson_ladder(n_max)
-    eye = np.eye(n_max + 1)
-    return np.kron(eye, d), np.kron(d, eye), np.eye((n_max + 1) ** 2)
+    """(d_x, d_z, 1) on the factor of one (x, z) pair, indexed as
+    :func:`_pair_occupations`: d_s[j', j] = sqrt(n_s) where state j' is
+    state j with one s quantum less."""
+    occ = _pair_occupations(n_max)
+    d = [(occ[:, None] == occ[None] - unit).all(axis=2) * np.sqrt(occ[:, s])
+         for s, unit in enumerate(np.eye(2, dtype=int))]
+    return d[0], d[1], np.eye(len(occ))
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -594,33 +592,29 @@ def _check_space(spec: LatticeSpec, space: FockSpace) -> None:
 def _pair_sum(space: FockSpace, terms) -> _BosonOp:
     """B = the pair-factor ``terms`` of every pair, added to B one after
     the other, pair by pair."""
-    boson = _NO_BOSON_TERM
-    for p in range(len(space.pairs)):
-        for term in terms:
-            boson = boson + _embed(space, term, (2 * p, 2 * p + 1))
-    return boson
+    return sum((_embed(space, term, p) for p in range(len(space.pairs)) for term in terms),
+               _NO_BOSON_TERM)
 
 
 def _simulator_terms(params: ModelParams, spec: LatticeSpec, space: FockSpace):
     """(couplings, B) of the simulator on the boson factor."""
     opt = optical_params(params)
-    ladder = _boson_ladder(space.n_max)
+    dx, dz, eye = _pair_ladders(space.n_max)
 
     def coupling(cell, species):
         amp = opt.amplitude(species)
         strength = opt.strength(species)
         background = _identity(space, strength * amp * amp)
-        modes = space.pair_modes(cell)
-        if modes is None:   # bond without a fluctuation mode stays at the background
+        p = space.pair_of(cell)
+        if p is None:   # bond without a fluctuation mode stays at the background
             return background
-        m = modes["xz".index(species)]
-        return background + _embed(space, strength * amp * (ladder + ladder.T), (m,))
+        d = dx if species == "x" else dz
+        return background + _embed(space, strength * amp * (d + d.T), p)
 
     g = params.G
     pref_pi = 1.0 / (24.0 * np.pi * g)
     pref_n = 8.0 * np.pi * g * params.mu ** 2 / 3.0
     pref_q = 256.0 * np.pi ** 3 * g ** 3 * params.mu ** 2 / (3.0 * params.l ** 2)
-    dx, dz, eye = _pair_ladders(space.n_max)
     bx = dx + opt.d_x * eye   # alpha_x in the number basis of d_x
     bz = dz + opt.d_z * eye
     abar_x = bx.T - bx        # equals dx+ - dx exactly
@@ -684,10 +678,10 @@ def _target_terms(params: ModelParams, spec: LatticeSpec, space: FockSpace):
                      "x": j0 * eye + 0.5 * (delta_vx + 0.5 * delta_jz)}
 
     def coupling(cell, species):
-        modes = space.pair_modes(cell)
-        if modes is None:
+        p = space.pair_of(cell)
+        if p is None:
             return _identity(space, j0)   # no mode: background bond
-        return _embed(space, pair_coupling[species], modes)
+        return _embed(space, pair_coupling[species], p)
 
     form = hgr_quadratic_form(params)
     q1m, q2m = q1.T - q1, q2.T - q2
@@ -923,13 +917,14 @@ def ground_state(h, space: FockSpace) -> GroundStateResult:
 
     ``h`` is a :class:`SectorOperator` or anything else with ``shape``,
     ``data``, ``toarray``, ``real`` and ``@`` on a vector (a scipy sparse
-    matrix), square with the sector dimension (ValueError otherwise); the
-    returned vectors are on the sector basis.  It is solved in real
-    arithmetic whenever it is real (a complex input with an exactly zero
-    imaginary part is cast to real first); a genuinely complex one keeps
-    the Hermitian solvers.  Dense diagonalization of ``h.toarray()`` up to
-    dimension 512; above, numpy Lanczos runs on ``h @ x`` (see
-    :func:`_lanczos`), each started from a fixed-seed Gaussian vector, the
+    matrix), square with the sector dimension and finite in every entry
+    (ValueError otherwise, before any solve); the returned vectors are on
+    the sector basis.  It is solved in real arithmetic whenever it is
+    real (a complex input with an exactly zero imaginary part is cast to
+    real first); a genuinely complex one keeps the Hermitian solvers.
+    Dense diagonalization of ``h.toarray()`` up to dimension 512; above,
+    numpy Lanczos runs on ``h @ x`` (see :func:`_lanczos`), each started
+    from a fixed-seed Gaussian vector, the
     first from ``np.random.default_rng(0).standard_normal(dim)``: reruns
     are byte-stable, and the vector overlaps ground states that a symmetry
     makes orthogonal to the uniform vector.  Levels within
@@ -949,6 +944,8 @@ def ground_state(h, space: FockSpace) -> GroundStateResult:
     dense = dim <= 512
     hs = h.toarray() if dense else h
     values = hs if dense else hs.data
+    if not np.isfinite(values).all():
+        raise ValueError("operator has a non-finite entry")
     if np.iscomplexobj(values) and not values.imag.any():
         hs = hs.real
     scale = max(float(np.abs(values).max(initial=0.0)), 1.0)
@@ -978,16 +975,6 @@ def ground_state(h, space: FockSpace) -> GroundStateResult:
                              residual=residual0, k=k, space=space, matvecs=matvecs)
 
 
-def _boson_rows(vector, space: FockSpace) -> np.ndarray:
-    """X[row, boson index] of a vector on the sector basis, the rows running
-    over the sorted sector fermion basis; ValueError for any other length."""
-    vector = np.asarray(vector)
-    if vector.shape != (space.sector_dimension,):
-        raise ValueError(f"vector of shape {vector.shape} is not on the sector basis "
-                         f"of dimension {space.sector_dimension}")
-    return vector.reshape(-1, space.boson_dim)
-
-
 @dataclass
 class CorrelatorReport:
     """Two- and four-point data plus the Wick factorization residual."""
@@ -1001,8 +988,9 @@ class CorrelatorReport:
 
 
 def _as_mixture(state, space: FockSpace):
-    """(weights, boson rows) of a GroundStateResult or of a single vector,
-    every vector on the sector basis of ``space``."""
+    """(weights, boson rows X[row, boson index]) of a GroundStateResult or of
+    a single vector, the rows running over the sorted sector fermion basis;
+    ValueError for a vector not on the sector basis of ``space``."""
     if isinstance(state, GroundStateResult):
         n = state.multiplicity
         weights, vectors = [1.0 / n] * n, state.vectors
@@ -1011,7 +999,11 @@ def _as_mixture(state, space: FockSpace):
         if state.ndim != 1:
             raise TypeError("state must be a vector or GroundStateResult")
         weights, vectors = [1.0], [state.astype(complex)]
-    return weights, [_boson_rows(v, space) for v in vectors]
+    for v in vectors:
+        if v.shape != (space.sector_dimension,):
+            raise ValueError(f"vector of shape {v.shape} is not on the sector basis "
+                             f"of dimension {space.sector_dimension}")
+    return weights, [v.reshape(-1, space.boson_dim) for v in vectors]
 
 
 def correlators_and_wick(state, space: FockSpace) -> CorrelatorReport:
@@ -1031,7 +1023,7 @@ def correlators_and_wick(state, space: FockSpace) -> CorrelatorReport:
     the lexicographically first of those reaching it: (0, 1, 0, 1) when the
     residual is exactly 0, and () with fewer than two fermion modes.
     Boson matrices <d+ d>, <d+ d+> and the ladder-pair correlators apply
-    each ladder along its mode's axis of the rows of the state.
+    each ladder along its pair's axis of the rows of the state.
     """
     weights, rows = _as_mixture(state, space)
     nf = space.n_fermion_modes
@@ -1053,6 +1045,7 @@ def correlators_and_wick(state, space: FockSpace) -> CorrelatorReport:
     first = [_annihilation_map(states, once, i) for i in range(nf)]
     second = [_annihilation_map(once, twice, i) for i in range(nf)]
     n_once, n_twice = len(once), len(twice)
+    ladders = [(p, d) for p in range(len(space.pairs)) for d in _pair_ladders(space.n_max)[:2]]
 
     for w, x in zip(weights, rows):
         # row i: c_i psi on the (N-1)-particle basis
@@ -1063,10 +1056,11 @@ def correlators_and_wick(state, space: FockSpace) -> CorrelatorReport:
         pvecs = np.array([_annihilate(second[a], cvecs[b].reshape(n_once, n_b), n_twice).ravel()
                           for a, b in zip(pair_a, pair_b)]).reshape(n_pairs, n_twice * n_b)
         gram += w * (pvecs.conj() @ pvecs.T)
-        # row m: d_m psi and d_m+ psi
-        dvecs = np.array([_ladder_on_rows(x, space, m) for m in range(nb)]).reshape(nb, x.size)
-        ddagvecs = np.array([_ladder_on_rows(x, space, m, raised=True)
-                             for m in range(nb)]).reshape(nb, x.size)
+        # row m = 2p + s: d_m psi and d_m+ psi, species s of pair p
+        dvecs = np.array([_on_pair_axis(x, space, p, d)
+                          for p, d in ladders]).reshape(nb, x.size)
+        ddagvecs = np.array([_on_pair_axis(x, space, p, d.T)
+                             for p, d in ladders]).reshape(nb, x.size)
         d_dag_d += w * (dvecs.conj() @ dvecs.T)
         d_dag_ddag += w * (dvecs.conj() @ ddagvecs.T)
     # q1 = Q1_X d_x + Q1_Z d_z and q2 = d_z of pair p (modes x = 2p, z = 2p + 1)
@@ -1101,5 +1095,6 @@ def top_level_weight(state, space: FockSpace) -> float:
     reductions only: no BLAS call (see :func:`_dot`)."""
     weights, rows = _as_mixture(state, space)
     p = sum(w * (np.abs(x) ** 2).sum(axis=0) for w, x in zip(weights, rows))
-    on_top = space.boson_digits() == space.n_max   # [boson index, mode]
+    top = _pair_occupations(space.n_max) == space.n_max    # [pair digit, species]
+    on_top = top[space.pair_digits()].reshape(space.boson_dim, -1)   # [index, mode 2p + s]
     return float((p[:, None] * on_top).sum(axis=0).max(initial=0.0))

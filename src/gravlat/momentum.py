@@ -2,17 +2,17 @@
 
 A shift by j1 n1 + j2 n2 maps cell (cx, cy) to (cx + j1, cy + j2), the
 fermion modes a_i and b_i to a_(T i) and b_(T i), and the boson pair on
-cell c to the pair on T c, species by species; a shared pair (cell None)
-stays.  When every pair has an image (``per_cell``, ``uniform`` and every
-space without bosons), the shifts form the group Z_ncx x Z_ncy, which
-commutes with every Hamiltonian of :mod:`gravlat.manybody`; otherwise
-(``cell0``) the group is the identity alone and its one block is the
-whole sector.
+cell c to the pair on T c, its whole digit of the boson index; a shared
+pair (cell None) stays.  When every pair has an image (``per_cell``,
+``uniform`` and every space without bosons), the shifts form the group
+Z_ncx x Z_ncy, which commutes with every Hamiltonian of
+:mod:`gravlat.manybody`; otherwise (``cell0``) the group is the identity
+alone and its one block is the whole sector.
 
 On the sector basis a shift maps |f, b> to sign |f', b'>.  With
 |f> = c+_m1 ... c+_mk |0>, m1 < ... < mk (the Jordan-Wigner order of
 :mod:`gravlat.manybody`), the sign is the parity of the inversions among
-the images of the occupied modes; the boson digits move without a sign.
+the images of the occupied modes; the pair digits move without a sign.
 
 The blocks follow Sandvik, AIP Conf. Proc. 1297, 135 (2010), and the
 ``kblock`` of QuSpin (Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).  A
@@ -34,8 +34,8 @@ __all__ = ["translation_periods", "sector_shift", "momentum_blocks", "block_spec
 
 
 def _mode_images(spec, space, j1: int, j2: int):
-    """(fermion mode images, boson mode images) of the shift (j1, j2); the
-    boson images are None when a boson pair has no image."""
+    """(fermion mode images, boson pair images) of the shift (j1, j2); the
+    pair images are None when a boson pair has no image."""
     n = spec.n_cells
     cell = [spec.cell_index(cx + j1, cy + j2)
             for cx in range(spec.ncx) for cy in range(spec.ncy)]
@@ -43,7 +43,7 @@ def _mode_images(spec, space, j1: int, j2: int):
     moved = [None if c is None else cell[c] for c in space.pairs]
     if not set(moved) <= set(space.pairs):
         return fermion, None
-    return fermion, [2 * space.pairs.index(c) + s for c in moved for s in (0, 1)]
+    return fermion, [space.pairs.index(c) for c in moved]
 
 
 def translation_periods(spec, space) -> tuple:
@@ -69,7 +69,7 @@ def sector_shift(spec, space, j1: int, j2: int):
         for q in range(p + 1, len(fermion)):
             if fermion[q] < target:
                 inversions += occupied & (states >> q)
-    boson_image = space.boson_digits() @ (space.n_max + 1) ** np.array(boson, dtype=int)
+    boson_image = space.pair_digits() @ space.pair_dim ** np.array(boson, dtype=int)
     image = np.searchsorted(states, moved)[:, None] * space.boson_dim + boson_image
     sign = np.repeat(1.0 - 2.0 * (inversions & 1), space.boson_dim)
     return image.ravel(), sign

@@ -31,7 +31,7 @@ from gravlat.gravity_action import ActionReport, _integral, massive_fp_action
 from gravlat.lattice import LatticeSpec
 from gravlat.manybody import (Q1_X, Q1_Z, CorrelatorReport, FockSpace,
                               GroundStateResult, ModeOperators, SectorOperator,
-                              _boson_ladder, operator_algebra)
+                              operator_algebra)
 
 
 @pytest.fixture
@@ -111,10 +111,24 @@ def sector_csr(h: SectorOperator) -> sparse.csr_matrix:
 # full-space mode operators
 # ---------------------------------------------------------------------------
 
+def pair_modes(space: FockSpace, cell) -> Optional[tuple]:
+    """(x mode, z mode) of the pair serving ``cell``, modes 2p and 2p + 1 of
+    pair p: the shared pair, or the cell's own; None when no pair serves it."""
+    if space.pairs == (None,):
+        return 0, 1
+    if cell not in space.pairs:
+        return None
+    p = space.pairs.index(cell)
+    return 2 * p, 2 * p + 1
+
+
 def boson_ladders(space: FockSpace) -> tuple:
-    """The boson annihilators on the boson factor as scipy kron chains, mode
-    m at stride (n_max + 1)^m of the boson index."""
-    ladder = sparse.csr_matrix(_boson_ladder(space.n_max))
+    """The boson annihilators on the boson factor as scipy kron chains of
+    the number-basis ladder d[n - 1, n] = sqrt(n), mode m at stride
+    (n_max + 1)^m of the boson index: the per-mode layout, which the
+    library's one digit per pair (x the low half) must equal."""
+    ladder = sparse.diags([np.sqrt(np.arange(1.0, space.n_max + 1))], [1],
+                          shape=(space.n_max + 1, space.n_max + 1), format="csr")
     eye = sparse.identity(space.n_max + 1, format="csr")
     bs = []
     for m in range(space.n_boson_modes):
@@ -133,7 +147,7 @@ def full_space_d(space: FockSpace) -> tuple:
 def q_pair(d, space: FockSpace, cell):
     """(q1, q2) on the full space for the pair serving ``cell``, from the
     full-space ladders ``d``."""
-    mx, mz = space.pair_modes(cell)
+    mx, mz = pair_modes(space, cell)
     return Q1_X * d[mx] + Q1_Z * d[mz], d[mz]
 
 
@@ -218,7 +232,7 @@ def full_space_simulator(params: ModelParams, spec: LatticeSpec,
         amp = opt.amplitude(species)
         strength = opt.strength(species)
         background = strength * amp * amp * eye
-        modes = space.pair_modes(cell)
+        modes = pair_modes(space, cell)
         if modes is None:
             # bond without a fluctuation mode stays at the background value
             coupling_ops[key] = background
@@ -232,7 +246,7 @@ def full_space_simulator(params: ModelParams, spec: LatticeSpec,
     pref_n = 8.0 * np.pi * g * params.mu ** 2 / 3.0
     pref_q = 256.0 * np.pi ** 3 * g ** 3 * params.mu ** 2 / (3.0 * params.l ** 2)
     for cell in space.pairs:
-        mx, mz = space.pair_modes(cell)
+        mx, mz = pair_modes(space, cell)
         dx, dz = d[mx], d[mz]
         bx = dx + opt.d_x * eye   # alpha_x in the number basis of d_x
         bz = dz + opt.d_z * eye

@@ -334,6 +334,28 @@ def test_an_empty_sweep_is_config_error(tmp_path, capsys, command, g_values):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,section,key,raw,kind", [
+    # before: an IndexError traceback from an empty multiplet, exit 1
+    ("ground-state", "model", "g", "inf", "float"),
+    ("ground-state", "model", "g", "1e400", "float"),   # parses to inf
+    # before: ZeroDivisionError, exit 1
+    ("wick-sweep", "sweep", "g_values", "0, inf", "floatlist"),
+    ("wick-sweep", "sweep", "g_values", "1e-3, 1e400", "floatlist"),
+    # before: exit 0 and u=nan in the design sheet
+    ("design", "hubbard", "a_s", "nan", "float"),
+    # before: exit 1 with "dictionary requires J_x = J_y"
+    ("map-couplings", "map", "xi1x", "nan", "float"),
+    ("map-couplings", "map", "xi2y", "-inf", "float"),
+])
+def test_a_non_finite_float_is_config_error(tmp_path, capsys, command, section, key, raw, kind):
+    code, out = _run(tmp_path, f"command = {command}\n[{section}]\n{key} = {raw}\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: category=config line 3: key '{key}' expects {kind}, got '{raw}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_seed_flag_is_checked_like_the_config_seed(tmp_path, capsys):
     # the --seed override goes through the same "64-bit non-negative" check
     for command, seed in (("spin-connection", "-3"), ("design", str(10 ** 23))):

@@ -249,6 +249,51 @@ def test_fock_space_rejects_a_pair_no_term_would_use(pairs, match):
         FockSpace(2, pairs, 1)
 
 
+@pytest.mark.parametrize("pairs", [[None], [0, 1], [1]], ids=["shared", "per_cell", "cell1"])
+def test_a_list_of_pairs_is_the_tuple_of_pairs(pairs):
+    """A list once failed the ``pairs == (None,)`` test, so the shared pair
+    served no bond (2x1 at G = 1e-2: E0 -2.29908 instead of -2.34169)."""
+    spec = LatticeSpec(2, 1)
+    listed = FockSpace(4, pairs, 2, sector=2)
+    tupled = FockSpace(4, tuple(pairs), 2, sector=2)
+    assert listed.pairs == tuple(pairs)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    for build in (assemble_simulator_hamiltonian, assemble_target_hamiltonian):
+        np.testing.assert_array_equal(build(PARAMS, spec, listed).toarray(),
+                                      build(PARAMS, spec, tupled).toarray())
+    if pairs == [None]:
+        h = assemble_simulator_hamiltonian(PARAMS, spec, listed)
+        assert ground_state(h, listed).energy == pytest.approx(-2.341692597737355, abs=1e-9)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2])
+@pytest.mark.parametrize("ncx,ncy", [(2, 1), (2, 2)])
+@pytest.mark.parametrize("placement", ["per_cell", "uniform", "cell0"])
+def test_pair_digits_are_the_per_mode_digits(ncx, ncy, placement, n_max):
+    """Pair p's digit is n_x + (n_max + 1) n_z of its modes 2p and 2p + 1 in
+    the per-mode layout (mode m at stride (n_max + 1)^m), and the tables
+    read off the pair digits equal the per-mode ones."""
+    spec = LatticeSpec(ncx, ncy)
+    space = FockSpace(spec.n_modes, boson_pairs(spec, placement), n_max)
+    base = n_max + 1
+    per_mode = np.arange(space.boson_dim)[:, None] // base ** np.arange(space.n_boson_modes) % base
+    digits = space.pair_digits()
+    assert space.pair_dim == base ** 2
+    assert digits.shape == (space.boson_dim, len(space.pairs))
+    np.testing.assert_array_equal(digits, per_mode[:, 0::2] + base * per_mode[:, 1::2])
+    occupations = manybody._pair_occupations(n_max)[digits].reshape(space.boson_dim, -1)
+    np.testing.assert_array_equal(occupations, per_mode)
+    np.testing.assert_array_equal(space.boson_occupation_table(), per_mode.sum(axis=1))
+    # each pair-local ladder embedded on its pair is the per-mode kron chain
+    ladders = full_space_d(FockSpace(0, space.pairs, n_max))
+    for p in range(len(space.pairs)):
+        for s, d in enumerate(manybody._pair_ladders(n_max)[:2]):
+            op = manybody._embed(space, d, p)
+            embedded = sparse.csr_matrix((op.data, (op.rows, op.cols)),
+                                         shape=(space.boson_dim,) * 2)
+            assert (embedded != ladders[2 * p + s]).nnz == 0
+
+
 def test_boson_pairs_accepts_exactly_the_config_placements():
     spec = LatticeSpec(2, 1)
     assert boson_pairs(spec, "per_cell") == (0, 1)
@@ -270,7 +315,7 @@ def test_fock_space_boson_modes_are_the_per_mode_tuple(ncx, ncy, placement):
     assert space.boson_modes == tuple((c, s) for c in cells for s in ("x", "z"))
     assert space.n_boson_modes == len(space.boson_modes)
     for m, (cell, species) in enumerate(space.boson_modes):
-        assert space.pair_modes(cell)["xz".index(species)] == m
+        assert 2 * space.pair_of(cell) + "xz".index(species) == m
 
 
 def test_boson_vacuum_projection_is_background_hopping():
@@ -450,8 +495,8 @@ def test_non_hermitian_boson_term_is_rejected(monkeypatch):
 
     def skewed_terms(params, spec, space):
         couplings, boson = real_terms(params, spec, space)
-        ladder = manybody._boson_ladder(space.n_max)
-        return couplings, boson + manybody._embed(space, 1e-3 * ladder, (0,))
+        dx, _, _ = manybody._pair_ladders(space.n_max)
+        return couplings, boson + manybody._embed(space, 1e-3 * dx, 0)
 
     monkeypatch.setattr(manybody, "_simulator_terms", skewed_terms)
     with pytest.raises(AssertionError, match="anti-Hermitian"):
@@ -522,6 +567,24 @@ def test_ground_state_rejects_a_matrix_off_the_sector_basis():
     assert full.shape == (4, 4) and space.sector_dimension == 2
     with pytest.raises(ValueError, match="sector basis"):
         ground_state(full, space)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("n_max", [1, 3], ids=["dense", "lanczos"])
+def test_ground_state_rejects_a_non_finite_entry_before_any_solve(monkeypatch, value, n_max):
+    spec = LatticeSpec(2, 1)
+    space = FockSpace(4, boson_pairs(spec, "per_cell"), n_max, sector=2)
+    h = assemble_simulator_hamiltonian(PARAMS, spec, space)
+    assert (space.sector_dimension <= 512) == (n_max == 1)
+    h.data[7] = value
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("solver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(manybody, "_lanczos", forbidden)
+    with pytest.raises(ValueError, match="non-finite"):
+        ground_state(h, space)
 
 
 def test_ground_state_identity_matrix():

@@ -4,12 +4,13 @@
 
 Extracts ``src`` of the git revision REV with ``git archive`` into a
 temporary directory, then runs every job of ``perfbench/workloads.py``
-(imported, never written) once per seed as one ``gravlat <cfg> --seed S``
-process against REV's ``src`` and once against the working tree's
-``src``.  Exit codes are compared, and every artifact byte for byte;
-``manifest.txt`` is compared without its ``wall_time_s`` line.  Each
-difference is printed on one line, with the first differing line of a
-file that exists on both sides.  Exits 1 on any difference, 0 otherwise.
+(imported, never written) and every job of :data:`EXTRA_JOBS` once per
+seed as one ``gravlat <cfg> --seed S`` process against REV's ``src`` and
+once against the working tree's ``src``.  Exit codes are compared, and
+every artifact byte for byte; ``manifest.txt`` is compared without its
+``wall_time_s`` line.  Each difference is printed on one line, with the
+first differing line of a file that exists on both sides.  Exits 1 on any
+difference, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -26,7 +27,45 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CLI = "import sys; from gravlat.cli import main; sys.exit(main())"
 sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WORKLOADS, Job, _cfg  # noqa: E402
+
+
+# Paths no benchmark job takes: the shared (``uniform``) pair, a 2D
+# many-body lattice, a filling other than half, and window 0.
+EXTRA_JOBS = (
+    Job("uniform-correlators", _cfg(
+        "command = correlators",
+        "[lattice]", "ncx = 2", "ncy = 1",
+        "[truncation]", "n_max = 2",
+        "[manybody]", "placement = uniform")),
+    Job("uniform-spectrum", _cfg(
+        "command = spectrum",
+        "[lattice]", "ncx = 3", "ncy = 1",
+        "[truncation]", "n_max = 3",
+        "[manybody]", "placement = uniform")),
+    Job("per-cell-2x2-correlators", _cfg(
+        "command = correlators",
+        "[lattice]", "ncx = 2", "ncy = 2",
+        "[truncation]", "n_max = 1",
+        "[manybody]", "placement = per_cell")),
+    Job("per-cell-2x2-filling-1-spectrum", _cfg(
+        "command = spectrum",
+        "[lattice]", "ncx = 2", "ncy = 2",
+        "[truncation]", "n_max = 1",
+        "[manybody]", "placement = per_cell", "filling = 1")),
+    Job("filling-1-wick-sweep", _cfg(
+        "command = wick-sweep",
+        "[lattice]", "ncx = 3", "ncy = 1",
+        "[truncation]", "n_max = 1",
+        "[manybody]", "placement = per_cell", "filling = 1",
+        "[sweep]", "g_values = 0, 1e-3, 1e-2")),
+    Job("window-0-map-residual", _cfg(
+        "command = map-residual",
+        "[lattice]", "ncx = 2", "ncy = 2",
+        "[truncation]", "n_max = 1", "window = 0",
+        "[manybody]", "placement = per_cell",
+        "[sweep]", "g_values = 0, 1e-3, 1e-2")),
+)
 
 
 def extract_src(rev: str, dest: Path) -> Path:
@@ -46,7 +85,7 @@ def run_jobs(src: Path, seeds, workdir: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     codes = {}
     for seed in seeds:
-        for jobs in WORKLOADS.values():
+        for jobs in (*WORKLOADS.values(), EXTRA_JOBS):
             for job in jobs:
                 outdir = workdir / str(seed) / job.name
                 outdir.parent.mkdir(parents=True, exist_ok=True)
