@@ -4,4 +4,4 @@ truncated Fock-space exact diagonalization, and cold-atom design tools."""
 
 __version__ = "0.1.0"
 
-from .geometry import ModelParams, SpacetimeGrid  # noqa: F401
+# No imports here: gravlat.cli must set OpenBLAS's thread timeout before numpy loads.

@@ -9,9 +9,20 @@ everything else in it is deterministic too.
 
 Exit codes: 0 success, 2 config error, 3 eigensolver non-convergence,
 4 resource cap exceeded, 1 any other library error.
+
+Runtime: importing this module sets ``OPENBLAS_THREAD_TIMEOUT=4`` unless the
+environment already sets it, before numpy loads (``import gravlat`` loads
+nothing).  OpenBLAS then puts an idle worker thread to sleep at once instead
+of letting it spin on the other core for 55-135 ms after each threaded BLAS
+call.  The thread count stays OpenBLAS's own: the dense ``spectrum`` blocks
+still use every core while they are solved.
 """
 
 from __future__ import annotations
+
+import os
+
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")   # OpenBLAS's shortest spin
 
 import argparse
 import difflib
@@ -33,7 +44,7 @@ from .gravity_action import (fierz_pauli_quadratic, fp_standard_form,
 from .continuum import (gaussian_elimination_oracle,
                         hgr_quadratic_form, integrate_out_geometry,
                         normal_mode_frequencies, symplectic_frequencies)
-from .designer import design_sheet_pairs, hubbard_integrals
+from .designer import design_sheet_pairs, hubbard_integrals, optical_params
 from .lattice import (BOSON_PLACEMENTS, CouplingField, LatticeSpec, bloch_f,
                       couplings_from_dreibein, dirac_slopes,
                       dreibein_from_couplings, fermi_points,
@@ -97,7 +108,7 @@ _SCHEMA = {
     ("fields", "h"): ("float", 0.4, lambda v: v > 0, "> 0"),
     ("fields", "modes"): ("int", 3, lambda v: v >= 1, ">= 1"),
     ("fields", "amplitude"): ("float", 0.05, lambda v: v > 0, "> 0"),
-    ("hubbard", "v0"): ("float", 10.0, lambda v: v >= 0, ">= 0"),
+    ("hubbard", "v0"): ("float", 10.0, lambda v: v > 0, "> 0"),
     ("hubbard", "a_s"): ("float", 0.01, lambda v: True, "real"),
     ("hubbard", "mass"): ("float", 1.0, lambda v: v > 0, "> 0"),
     ("hubbard", "spacing"): ("float", 1.0, lambda v: v > 0, "> 0"),
@@ -218,7 +229,30 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(problems)
     for full, (kind, default, _, _) in _SCHEMA.items():
         values.setdefault(full, default)
+    problems = _coupling_problems(values)
+    if problems:
+        raise ConfigError(problems)
     return RunConfig(values=values)
+
+
+def _coupling_problems(values) -> list:
+    """One problem for [model] g and for each [sweep] g_values entry that is
+    positive and whose design constants (:func:`optical_params`, which the
+    simulator reads) overflow or underflow at the [model] l and mu."""
+    l, mu = values[("model", "l")], values[("model", "mu")]
+    at = f"l = {fmt(l)}, mu = {fmt(mu)}"
+    g = values[("model", "g")]
+    couplings = [(f"[model] g = {fmt(g)}, {at}", g)]
+    couplings += [(f"[sweep] g_values entry {fmt(x)} (at [model] {at})", x)
+                  for x in dict.fromkeys(values[("sweep", "g_values")])]
+    problems = []
+    for where, g in couplings:
+        if g > 0:
+            try:
+                optical_params(ModelParams(G=g, l=l, mu=mu))
+            except ValueError as exc:
+                problems.append(f"{where}: {exc}")
+    return problems
 
 
 # ---------------------------------------------------------------------------

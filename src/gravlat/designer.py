@@ -12,7 +12,7 @@ through D^2 and linear couplings where the sign is physical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,17 +34,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OpticalParams:
-    """Condensate amplitudes and interaction strengths.
+    """Condensate amplitudes, interaction strengths and the prefactors of
+    the simulator's boson Hamiltonian per (x, z) pair,
+
+        kinetic_coeff (az+ - az)(sqrt2 (ax+ - ax) - (az+ - az)/2)
+        + number_coeff (N_z + N_x) - quartic_coeff N_z (N_x - N_z / 2).
 
     Invariants (construction guarantees the first two exactly):
       d_x = sqrt(2) * d_z,  delta_z = 2 * delta_x,
       delta_x * d_x**2 = delta_z * d_z**2 = 2 / (3 l).
+    Every field is a finite nonzero float.
     """
 
     d_x: float
     d_z: float
     delta_x: float
     delta_z: float
+    kinetic_coeff: float
+    number_coeff: float
+    quartic_coeff: float
 
     @property
     def j_x0(self) -> float:
@@ -69,20 +77,32 @@ def optical_params(params: ModelParams) -> OpticalParams:
 
     D scales as 1/G and Delta as G^2, so the background coupling
     Delta D^2 = 2/(3 l) is G-independent (the isolated conical point with
-    velocity 1/l).
+    velocity 1/l).  The boson prefactors are 1/(24 pi G), 8 pi G mu^2 / 3
+    and 256 pi^3 G^3 mu^2 / (3 l^2).
 
     Raises
     ------
     ValueError
-        For G = 0 (unbounded condensate).
+        For G = 0 (unbounded condensate), and when a constant overflows or
+        underflows: a finite triple such as mu = 1e200 or G = 1e-320.
     """
-    if params.G == 0:
+    g, l, mu = params.G, params.l, params.mu
+    if g == 0:
         raise ValueError("G = 0: condensate amplitude unbounded")
-    d_x = -params.l / (4.0 * np.pi * params.G)
-    d_z = d_x / np.sqrt(2.0)
-    delta_x = 32.0 * np.pi ** 2 * params.G ** 2 / (3.0 * params.l ** 3)
-    delta_z = 2.0 * delta_x
-    return OpticalParams(d_x=d_x, d_z=d_z, delta_x=delta_x, delta_z=delta_z)
+    try:
+        d_x = -l / (4.0 * np.pi * g)
+        delta_x = 32.0 * np.pi ** 2 * g ** 2 / (3.0 * l ** 3)
+        opt = OpticalParams(
+            d_x=d_x, d_z=d_x / np.sqrt(2.0), delta_x=delta_x, delta_z=2.0 * delta_x,
+            kinetic_coeff=1.0 / (24.0 * np.pi * g),
+            number_coeff=8.0 * np.pi * g * mu ** 2 / 3.0,
+            quartic_coeff=256.0 * np.pi ** 3 * g ** 3 * mu ** 2 / (3.0 * l ** 2))
+    except (OverflowError, ZeroDivisionError):   # a float ** overflowing, or / 0.0
+        opt = None
+    if opt is None or not all(np.isfinite(v) and v != 0 for v in astuple(opt)):
+        raise ValueError("the design constants (D, Delta and the boson prefactors) "
+                         "overflow or underflow")
+    return opt
 
 
 # the largest <d+d>/D^2 ratio at which the weak-fluctuation window holds
@@ -200,6 +220,8 @@ def hubbard_integrals(v0, a_s: float, mass: float, spacing: float) -> HubbardInt
         depths = np.repeat(depths, 3)
     if depths.size != 3:
         raise ValueError("v0 must be a scalar or a 3-sequence")
+    if np.any(depths <= 0):
+        raise ValueError("lattice depths must be > 0")
     if mass <= 0 or spacing <= 0:
         raise ValueError("mass and spacing must be > 0")
     recoil = np.pi ** 2 / (2.0 * mass * spacing ** 2)

@@ -611,10 +611,6 @@ def _simulator_terms(params: ModelParams, spec: LatticeSpec, space: FockSpace):
         d = dx if species == "x" else dz
         return background + _embed(space, strength * amp * (d + d.T), p)
 
-    g = params.G
-    pref_pi = 1.0 / (24.0 * np.pi * g)
-    pref_n = 8.0 * np.pi * g * params.mu ** 2 / 3.0
-    pref_q = 256.0 * np.pi ** 3 * g ** 3 * params.mu ** 2 / (3.0 * params.l ** 2)
     bx = dx + opt.d_x * eye   # alpha_x in the number basis of d_x
     bz = dz + opt.d_z * eye
     abar_x = bx.T - bx        # equals dx+ - dx exactly
@@ -622,9 +618,9 @@ def _simulator_terms(params: ModelParams, spec: LatticeSpec, space: FockSpace):
     n_x = _product(bx.T, bx)
     n_z = _product(bz.T, bz)
     boson = _pair_sum(space, (
-        pref_pi * _product(abar_z, np.sqrt(2.0) * abar_x - 0.5 * abar_z),
-        pref_n * (n_z + n_x),
-        -pref_q * _product(n_z, n_x - 0.5 * n_z)))
+        opt.kinetic_coeff * _product(abar_z, np.sqrt(2.0) * abar_x - 0.5 * abar_z),
+        opt.number_coeff * (n_z + n_x),
+        -opt.quartic_coeff * _product(n_z, n_x - 0.5 * n_z)))
     return _bond_couplings(spec, coupling), boson
 
 
@@ -773,9 +769,10 @@ LANCZOS_MAXITER = 1000    # Lanczos steps of one run, each keeping a basis vecto
 
 
 def _dot(x: np.ndarray, y: np.ndarray):
-    """(x, y) as a numpy reduction.  A BLAS call (``vdot``, ``norm``) on a
-    vector of 16 000 entries or more wakes OpenBLAS's second thread, which
-    then spins on the other core for 55-135 ms after each such call."""
+    """(x, y) as a numpy (pairwise) reduction.  BLAS ``vdot`` is about 3x
+    faster on a vector of 51 480 entries, but it sums in another order: the
+    Lanczos coefficients, and so every ED artifact, would move in their
+    last digits."""
     return (x.conj() * y).sum()
 
 
@@ -790,11 +787,15 @@ def _tridiagonal_lowest(alpha: list, beta: list):
     list whose first entry is positive.
 
     LAPACK's dstebz/dstein scheme in scalar arithmetic, so no BLAS or
-    LAPACK call runs.  Bisection brackets theta between the Gershgorin
-    lower bound, widened by a few eps, and min(alpha): a midpoint x is
-    above theta when a pivot of the LDL+ factorization of T - x is below
-    pivmin = tiny * max(1, beta^2), which also keeps every divisor at
-    least pivmin.  It stops at a width of 2 eps * max(|lo|, |hi|,
+    LAPACK call runs.  Called every 8 Lanczos steps, it is faster than
+    ``np.linalg.eigh`` on the longer runs (totals over a run of 128 / 240
+    steps: 8-12 / 33-55 ms against 12-16 / 78-92 ms; about even at 56), and
+    it fixes the Ritz values' last digits, which the artifacts carry.
+
+    Bisection brackets theta between the Gershgorin lower bound, widened
+    by a few eps, and min(alpha): a midpoint x is above theta when a pivot
+    of the LDL+ factorization of T - x is below pivmin = tiny * max(1,
+    beta^2), which also keeps every divisor at least pivmin.  It stops at a width of 2 eps * max(|lo|, |hi|,
     Gershgorin bound on ||T||), or pivmin, so a level at 0 costs no more
     halvings than any other; theta is the midpoint.  Then two
     inverse-iteration steps from e_1 on T - lo, which is positive definite
@@ -1091,8 +1092,7 @@ def top_level_weight(state, space: FockSpace) -> float:
     truncation check of Zhang, Jeckelmann & White, PRL 80, 2661 (1998));
     ``state`` is read as by :func:`correlators_and_wick`, a multiplet with
     weight 1/g per vector.  About 1/(n_max + 1) when the weight is spread
-    evenly over the kept levels; 0.0 with no boson modes.  Numpy
-    reductions only: no BLAS call (see :func:`_dot`)."""
+    evenly over the kept levels; 0.0 with no boson modes."""
     weights, rows = _as_mixture(state, space)
     p = sum(w * (np.abs(x) ** 2).sum(axis=0) for w, x in zip(weights, rows))
     top = _pair_occupations(space.n_max) == space.n_max    # [pair digit, species]

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -356,6 +357,58 @@ def test_a_non_finite_float_is_config_error(tmp_path, capsys, command, section, 
     assert not out.exists()
 
 
+_OVERFLOW = "the design constants (D, Delta and the boson prefactors) overflow or underflow"
+
+
+@pytest.mark.parametrize("command,key,raw", [
+    # before: an OverflowError traceback, exit 1
+    *[(command, "mu", "1e200") for command in (
+        "ground-state", "correlators", "wick-sweep", "map-residual", "spectrum",
+        "graviton-modes", "integrate-out")],
+    ("ground-state", "l", "1e200"),
+    ("ground-state", "g", "1e300"),
+    # before: a ZeroDivisionError traceback, exit 1
+    ("ground-state", "l", "1e-200"),
+    # before: "operator has a non-finite entry" or a LinAlgError, exit 1
+    ("ground-state", "g", "1e-320"),
+    ("graviton-modes", "g", "1e-320"),
+    ("spectrum", "g", "1e-320"),
+])
+def test_a_model_value_whose_constants_overflow_is_config_error(tmp_path, capsys,
+                                                                command, key, raw):
+    code, out = _run(tmp_path, f"command = {command}\n[model]\n{key} = {raw}\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    model = {"g": "0.01", "l": "1.0", "mu": "1.0"} | {key: repr(float(raw))}
+    assert err.startswith(f"error: category=config [model] g = {model['g']}, "
+                          f"l = {model['l']}, mu = {model['mu']}: {_OVERFLOW}\n")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,g_values,bad", [
+    ("wick-sweep", "0, 1e300, 1e-3", "1e+300"),
+    ("map-residual", "1e-3, 1e-320", "1e-320"),
+])
+def test_a_sweep_entry_whose_constants_overflow_is_config_error(tmp_path, capsys,
+                                                                command, g_values, bad):
+    code, out = _run(tmp_path, f"command = {command}\n[sweep]\ng_values = {g_values}\n")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: category=config [sweep] g_values entry {bad} "
+        f"(at [model] l = 1.0, mu = 1.0): {_OVERFLOW}\n")
+    assert not out.exists()
+
+
+def test_a_zero_lattice_depth_is_config_error(tmp_path, capsys):
+    # before: exit 0 with sigma_axis0..2=inf and u=0.0 in the design sheet
+    code, out = _run(tmp_path, "command = design\n[hubbard]\nv0 = 0\n")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: category=config line 3: key 'v0' out of range (expected > 0)\n")
+    assert not out.exists()
+
+
 def test_seed_flag_is_checked_like_the_config_seed(tmp_path, capsys):
     # the --seed override goes through the same "64-bit non-negative" check
     for command, seed in (("spin-connection", "-3"), ("design", str(10 ** 23))):
@@ -383,6 +436,48 @@ def test_import_loads_no_sympy_optimize_or_sparse():
     loaded = subprocess.run([sys.executable, "-c", probe, str(src)], check=True,
                             capture_output=True, text=True).stdout.strip()
     assert loaded == ""
+
+
+def _fresh_child(code: str, **env) -> str:
+    """Standard output of ``code`` in a new interpreter on this ``src``.
+    OPENBLAS_THREAD_TIMEOUT is dropped from its environment, since this
+    test process imported gravlat.cli, which set it, and ``env`` is added."""
+    src = Path(gravlat.__file__).resolve().parents[1]
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    child_env["PYTHONPATH"] = str(src)
+    return subprocess.run([sys.executable, "-c", code], env=child_env | env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_import_gravlat_loads_no_numpy():
+    # gravlat.cli can set the OpenBLAS timeout only before numpy loads
+    assert _fresh_child("import sys, gravlat; print('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize("user_value,expected", [(None, "4"), ("10", "10")])
+def test_cli_sets_the_openblas_timeout_unless_the_user_did(user_value, expected):
+    env = {} if user_value is None else {"OPENBLAS_THREAD_TIMEOUT": user_value}
+    probe = "import os, gravlat.cli; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+    assert _fresh_child(probe, **env) == expected
+
+
+def test_idle_openblas_workers_do_not_spin_after_import_of_the_cli():
+    # OpenBLAS's default lets its worker spin on the other core for 55-135 ms
+    # after a threaded call: about 135 ms of CPU during this sleep
+    probe = """
+import resource, time
+import gravlat.cli
+import numpy as np
+a = np.random.default_rng(0).normal(size=(400, 400))
+a @ a
+def cpu():
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+before = cpu()
+time.sleep(0.3)
+print(cpu() - before)
+"""
+    assert float(_fresh_child(probe)) < 0.02
 
 
 # (config, artifact): no many-body command loads scipy.  The dense ones are

@@ -44,6 +44,17 @@ def test_unbounded_condensate_at_zero_coupling():
         optical_params(ModelParams(G=0.0, l=1.0, mu=1.0))
 
 
+@pytest.mark.parametrize("G,l,mu", [
+    (1e300, 1.0, 1.0), (0.01, 1e200, 1.0), (0.01, 1.0, 1e200),   # overflow
+    (0.01, 1e-200, 1.0),                                         # l^3 underflows to 0
+    (1e-320, 1.0, 1.0),                                          # 1/G overflows
+    (1e-150, 1.0, 1.0),                                          # G^3 underflows to 0
+])
+def test_constants_that_overflow_or_underflow_raise_value_error(G, l, mu):
+    with pytest.raises(ValueError, match="overflow or underflow"):
+        optical_params(ModelParams(G=G, l=l, mu=mu))
+
+
 def test_weak_fluctuation_vacuum_passes():
     opt = optical_params(ModelParams(G=0.01, l=1.0, mu=1.0))
     rep = weak_fluctuation_check([0.0, 0.0], ["x", "z"], opt)
@@ -115,3 +126,10 @@ def test_hubbard_anisotropic_depths_and_validity_flag():
     shallow = hubbard_integrals(0.5, 0.05, 1.0, 1.0)
     assert not shallow.tight_binding_ok  # flagged but still computed
     assert shallow.t[0] > 0
+
+
+@pytest.mark.parametrize("v0", [0.0, -1.0, (4.0, 0.0, 9.0)])
+def test_hubbard_rejects_a_depth_that_is_not_positive(v0):
+    # a zero depth gave sigma = inf and u = 0.0 with a divide-by-zero warning
+    with pytest.raises(ValueError, match="lattice depths must be > 0"):
+        hubbard_integrals(v0, 0.05, 1.0, 1.0)
