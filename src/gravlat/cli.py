@@ -39,8 +39,8 @@ from .exceptions import (ConfigError, ConvergenceError, DimensionCapError,
                          GravlatError)
 from .geometry import (ModelParams, SpacetimeGrid, TrigField,
                        connection_refinement, random_bandlimited_slab)
-from .gravity_action import (fierz_pauli_quadratic, fp_standard_form,
-                             legendre_hamiltonian_density, palatini_orders)
+from .gravity_action import (fp_standard_form, legendre_hamiltonian_density,
+                             palatini_orders)
 from .continuum import (gaussian_elimination_oracle,
                         hgr_quadratic_form, integrate_out_geometry,
                         normal_mode_frequencies, symplectic_frequencies)
@@ -238,20 +238,33 @@ def parse_config(text: str) -> RunConfig:
 def _coupling_problems(values) -> list:
     """One problem for [model] g and for each [sweep] g_values entry that is
     positive and whose design constants (:func:`optical_params`, which the
-    simulator reads) overflow or underflow at the [model] l and mu."""
+    simulator reads) overflow or underflow at the [model] l and mu.  A
+    coupling a many-body command assembles the simulator at ([sweep]
+    g_values for wick-sweep and map-residual, [model] g for the others)
+    also needs D_x^2 D_z^2 = l^4 / (512 pi^4 G^4) finite: the simulator
+    forms its boson number product N_z N_x, about that size, before it
+    scales it by the quartic prefactor (so G below about 5.8e-79 l fails)."""
     l, mu = values[("model", "l")], values[("model", "mu")]
     at = f"l = {fmt(l)}, mu = {fmt(mu)}"
+    command = values[("", "command")]
+    many_body = command not in _DISPATCH
+    sweep = command in ("wick-sweep", "map-residual")
     g = values[("model", "g")]
-    couplings = [(f"[model] g = {fmt(g)}, {at}", g)]
-    couplings += [(f"[sweep] g_values entry {fmt(x)} (at [model] {at})", x)
+    couplings = [(f"[model] g = {fmt(g)}, {at}", g, many_body and not sweep)]
+    couplings += [(f"[sweep] g_values entry {fmt(x)} (at [model] {at})", x, many_body and sweep)
                   for x in dict.fromkeys(values[("sweep", "g_values")])]
     problems = []
-    for where, g in couplings:
+    for where, g, simulated in couplings:
         if g > 0:
             try:
-                optical_params(ModelParams(G=g, l=l, mu=mu))
+                opt = optical_params(ModelParams(G=g, l=l, mu=mu))
             except ValueError as exc:
                 problems.append(f"{where}: {exc}")
+                continue
+            d_xz = float(opt.d_x) * float(opt.d_z)   # Python floats: inf, no warning
+            if simulated and d_xz * d_xz == float("inf"):
+                problems.append(f"{where}: the simulator's boson number product "
+                                "N_z N_x, about D_x^2 D_z^2, overflows")
     return problems
 
 
@@ -329,7 +342,7 @@ def _cmd_action_check(cfg, outdir, extras):
     slab = random_bandlimited_slab(rng, cfg.slab_grid, cfg[("fields", "modes")],
                                    cfg[("fields", "amplitude")])
     report = palatini_orders(params, slab)
-    fp = fierz_pauli_quadratic(params, slab)
+    fp = report.fp_quadratic
     fp_std = fp_standard_form(params, slab)
     z = rng.normal(size=(4, 100))
     leg = legendre_hamiltonian_density(params, *z)

@@ -54,13 +54,16 @@ __all__ = [
 
 @dataclass
 class ActionReport:
-    """Per-order action values plus named consistency residuals."""
+    """Per-order action values plus named consistency residuals, and the
+    double-epsilon quadratic action (:func:`fierz_pauli_quadratic`) when the
+    residuals needed it (G > 0), else None; :meth:`to_pairs` leaves it out."""
 
     s0: float
     s1: float
     s2: float
     s_massive: float
     residuals: dict = field(default_factory=dict)
+    fp_quadratic: Optional[float] = None
 
     def to_pairs(self):
         pairs = [("s0", self.s0), ("s1", self.s1), ("s2", self.s2),
@@ -121,17 +124,17 @@ def palatini_orders(params: ModelParams, xi: DiagonalFluctuationSlab,
                          background_frame(params), v.components, v.components)
     s2 = _integral(xi.grid, t1 + t2)
     s_massive = massive_fp_action(params, xi)
-    residuals = {}
+    residuals, fp = {}, None
     if params.G > 0:
         g8 = 8.0 * np.pi * params.G
         total = palatini_total(params, xi, v)
+        fp = fierz_pauli_quadratic(params, xi)
         residuals["order_bookkeeping"] = total - g8 * s2
-        residuals["quadratic_vs_double_eps"] = (
-            g8 * s2 - fierz_pauli_quadratic(params, xi))
+        residuals["quadratic_vs_double_eps"] = g8 * s2 - fp
     else:
         residuals["order_bookkeeping"] = 0.0
     return ActionReport(s0=0.0, s1=0.0, s2=s2, s_massive=s_massive,
-                        residuals=residuals)
+                        residuals=residuals, fp_quadratic=fp)
 
 
 def fierz_pauli_quadratic(params: ModelParams, xi: DiagonalFluctuationSlab) -> float:

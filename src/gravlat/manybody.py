@@ -37,18 +37,19 @@ boson_index (the order of :meth:`FockSpace.sector_indices`).  Every
 Hamiltonian is sum_(p, q) kron(c_p+ c_q, J_pq) + h.c. + kron(1, B), with
 the hopping blocks looked up by ``searchsorted`` in the sorted basis
 (H. Q. Lin, PRB 42, 6561 (1990)), and it is built in two steps.  First each
-assembler builds its boson-factor terms once: J_pq, the coupling operators
-of the bonds joining fermion modes p and q summed, and the boson
-Hamiltonian B.  Each term is a multiple of the identity or a small dense
-matrix on one pair's factor, embedded in the boson factor by index
-arithmetic on the pair digits as COO entries whose duplicates add in the
-order the terms were added.  Then one shared step puts them on the sector.
-Hermiticity is checked there on the boson factor: the hopping part is
-Hermitian by construction, so B is checked (defect at most 1e-12 times the
-largest |entry| of H, or 1) and symmetrized as (B + B+) / 2.  The same
-step can first restrict every boson-factor operator to the boson indices
-a window mask keeps, so :func:`mapping_residual` assembles only its window
-block.  The result is a
+assembler builds its boson-factor terms once, each a small dense matrix
+local to one pair: J_pq, the couplings of the bonds joining fermion modes
+p and q added (a 1 x 1 multiple of the identity where no pair serves the
+cell), and the terms of the boson Hamiltonian B, which every pair shares.
+Then one shared step puts them on the sector.  Each J_pq is embedded in
+the boson factor by index arithmetic on the pair digits, in row-major
+order.  B is built and checked there, on the boson factor (the hopping
+part is Hermitian by construction): its diagonal term by term, pair by
+pair, its off-diagonal as one local block, the terms' sum, on every pair;
+a defect above 1e-12 times the largest |entry| of H, or 1, raises, and B
+enters as (B + B+) / 2.  The same step can first restrict every
+boson-factor operator to the boson indices a window mask keeps, so
+:func:`mapping_residual` assembles only its window block.  The result is a
 :class:`SectorOperator`, the entries put in row order once by a stable
 sort: its own compressed-row form, with ``@`` and ``toarray``.
 
@@ -56,7 +57,8 @@ Observables read a state on the same basis, and only there.  A fermion
 annihilator c_i maps the N-particle basis to the (N-1)-particle one by the
 same lookup, with the Jordan-Wigner sign of the occupied modes below i, as
 index arrays applied to the rows of the state reshaped to (fermion states,
-boson_dim); a boson ladder acts along its pair's axis of those rows.
+boson_dim); a pair-local boson matrix is contracted with its pair's axis
+of those rows.
 
 Ground states above dimension 512 come from a numpy Lanczos on
 ``SectorOperator @ x`` (:func:`ground_state`).  The assemblers,
@@ -270,17 +272,11 @@ def _annihilate(entries, x: np.ndarray, n_lowered: int) -> np.ndarray:
 def _on_pair_axis(x: np.ndarray, space: FockSpace, p: int,
                   local: np.ndarray) -> np.ndarray:
     """kron(1, ``local`` on pair p) applied to the vector with boson rows
-    ``x``, flattened, along axis 2 of ``x`` reshaped to (fermion states,
-    higher pairs, pair_dim, lower pairs).  ``local`` has at most one
-    nonzero per row, as a ladder has: out[i] = local[i, j] x[j]."""
+    ``x``, flattened: ``local`` contracted with axis 2 of ``x`` reshaped to
+    (fermion states, higher pairs, pair_dim, lower pairs)."""
     k = space.pair_dim
     xp = x.reshape(len(x), -1, k, k ** p)
-    out = np.zeros(xp.shape, dtype=np.result_type(local, xp))
-    rows, cols = np.nonzero(local)
-    assert len(set(rows.tolist())) == len(rows), "two entries in a row"
-    for i, j in zip(rows, cols):
-        np.multiply(local[i, j], xp[:, :, j], out=out[:, :, i])
-    return out.ravel()
+    return np.einsum("ij,abjc->abic", local, xp).ravel()
 
 
 @dataclass(frozen=True)
@@ -333,63 +329,33 @@ def operator_algebra(space: FockSpace) -> ModeOperators:
 # boson-factor operators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _BosonOp:
-    """An operator on the boson factor as COO entries whose duplicates add.
-
-    ``+`` concatenates the entries, and :meth:`summed` adds each entry's
-    duplicates in that order, as a chain of sparse sums would.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    data: np.ndarray
-
-    def __add__(self, other: "_BosonOp") -> "_BosonOp":
-        return _BosonOp(np.concatenate((self.rows, other.rows)),
-                        np.concatenate((self.cols, other.cols)),
-                        np.concatenate((self.data, other.data)))
-
-    def summed(self, dim: int) -> "_BosonOp":
-        """Each (row, col) once, its duplicates added in entry order; zero
-        entries dropped.  ``dim`` is the boson-factor dimension."""
-        key, slot = np.unique(self.rows * dim + self.cols, return_inverse=True)
-        data = np.bincount(slot, weights=self.data, minlength=len(key))
-        nonzero = data != 0
-        return _BosonOp(key[nonzero] // dim, key[nonzero] % dim, data[nonzero])
-
-    def restricted(self, keep: np.ndarray) -> "_BosonOp":
-        """The block on the boson indices the mask ``keep`` sets, renumbered
-        in order."""
-        inside = keep[self.rows] & keep[self.cols]
-        position = np.cumsum(keep) - 1
-        return _BosonOp(position[self.rows[inside]], position[self.cols[inside]],
-                        self.data[inside])
-
-
-_NO_BOSON_TERM = _BosonOp(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
-
-
-def _embed(space: FockSpace, local: np.ndarray, pair: Optional[int] = None) -> _BosonOp:
-    """kron of the dense ``local`` on pair ``pair``'s factor with the
-    identity on every other pair; with no pair, ``local`` is 1 x 1, a
+def _embed(space: FockSpace, local: np.ndarray, pair: Optional[int] = None):
+    """(rows, cols, data) of the kron of the dense ``local`` on pair
+    ``pair``'s factor with the identity on every other pair, in row-major
+    order, zero entries left out; with no pair, ``local`` is 1 x 1, a
     multiple of the identity.
 
     ``local`` is indexed by the pair's digit (:meth:`FockSpace.pair_digits`,
-    stride pair_dim^pair).  Its zero entries are left out.
+    stride pair_dim^pair): boson row r repeats the entries of local row
+    digit(r), each moved by its column offset times the stride.
     """
-    axes = [] if pair is None else [pair]
-    # the boson indices with the pair's digit at 0, and local index -> boson index
-    rest = np.flatnonzero((space.pair_digits()[:, axes] == 0).all(axis=1))
-    offset = np.arange(len(local)) * space.pair_dim ** (pair or 0)
+    stride = space.pair_dim ** (pair or 0)
+    digit = np.arange(space.boson_dim) // stride % len(local)
     lr, lc = np.nonzero(local)
-    return _BosonOp((rest[:, None] + offset[lr]).ravel(),
-                    (rest[:, None] + offset[lc]).ravel(),
-                    np.tile(local[lr, lc], len(rest)))
+    start = np.searchsorted(lr, np.arange(len(local) + 1))   # local row starts
+    count = np.diff(start)[digit]
+    rows = np.repeat(np.arange(space.boson_dim), count)
+    entry = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count - start[digit], count)
+    return rows, rows + (lc[entry] - lr[entry]) * stride, local[lr, lc][entry]
 
 
-def _identity(space: FockSpace, value: float) -> _BosonOp:
-    return _embed(space, np.full((1, 1), value))
+def _restricted(entries, keep: np.ndarray):
+    """The (rows, cols, data) ``entries`` on the boson indices the mask
+    ``keep`` sets, renumbered in order."""
+    rows, cols, data = entries
+    inside = keep[rows] & keep[cols]
+    position = np.cumsum(keep) - 1
+    return position[rows[inside]], position[cols[inside]], data[inside]
 
 
 def _pair_occupations(n_max: int) -> np.ndarray:
@@ -433,25 +399,24 @@ _BOSON_SPECIES = {"z": "z", "x": "x", "y": "x"}   # the x boson serves the y bon
 
 
 def _bond_couplings(spec: LatticeSpec, coupling):
-    """{(p, q): J_pq} for every fermion pair (a_i, b_k) a bond of
+    """{(p, q): (pair, J_pq)} for every fermion pair (a_i, b_k) a bond of
     :meth:`LatticeSpec.bonds` joins.  Each bond of cell i carries the
-    boson-factor operator ``coupling(i, species)`` of the boson species
-    driving it; the rule is called once per (cell, species), and bonds
-    sharing a pair add their couplings in bond order."""
+    coupling ``coupling(i, species)`` of the boson species driving it, a
+    (pair, local) as :func:`_embed` takes it; the rule is called once per
+    (cell, species).  The bonds joining one fermion pair belong to one cell,
+    so they share its pair and add their local matrices in bond order."""
     n = spec.n_cells
     per_bond, per_pair = {}, {}
     for cell, direction, b_cell in spec.bonds():
         key = (cell, _BOSON_SPECIES[direction])
         if key not in per_bond:
             per_bond[key] = coupling(*key)
-        pair = (cell, n + b_cell)
-        j = per_bond[key]
-        per_pair[pair] = per_pair[pair] + j if pair in per_pair else j
+        pair, local = per_bond[key]
+        fermions = (cell, n + b_cell)
+        if fermions in per_pair:
+            local = per_pair[fermions][1] + local
+        per_pair[fermions] = (pair, local)
     return per_pair
-
-
-def _max_abs(op) -> float:
-    return float(np.abs(op.data).max()) if len(op.data) else 0.0
 
 
 @dataclass(frozen=True)
@@ -504,48 +469,64 @@ class SectorOperator:
         return out
 
 
-def _hermitian_part(boson: _BosonOp, n_b: int, scale: float) -> _BosonOp:
-    """(B + B+) / 2 of the summed B, after checking it: AssertionError when
-    max|B - B+| exceeds 1e-12 * max(scale, 1).
+def _hermitian_part(space: FockSpace, terms, scale: float):
+    """(rows, cols, data) of (B + B+) / 2 in row-major order, B the sum of
+    the pair-local ``terms`` on every pair, after checking it:
+    AssertionError when max|B - B+| exceeds 1e-12 * max(scale, max|B|, 1).
 
-    B+ is B's entries transposed and conjugated, and both B + B+ and
-    B + (-B+) are :meth:`_BosonOp.summed`: each key gets B_k + B+_k, an
-    absent side left out, exact zeros dropped.
+    B's diagonal is built over the boson factor, each entry adding the
+    terms' diagonals term by term, pair by pair; its off-diagonal is one
+    local block, the terms' sum, on every pair (the pairs' blocks share no
+    entry).  Both checks and both halves are taken on those two pieces;
+    entries whose B + B+ is exactly zero are left out.
     """
-    adjoint = boson.data.conj()
-    defect = _max_abs((boson + _BosonOp(boson.cols, boson.rows, -adjoint)).summed(n_b))
+    digits = space.pair_digits()
+    diag = np.zeros(space.boson_dim, dtype=np.result_type(*terms))
+    for p in range(len(space.pairs)):
+        for term in terms:
+            diag += np.diagonal(term)[digits[:, p]]
+    off = sum(terms)
+    np.fill_diagonal(off, 0.0)
+    scale = max(scale, np.abs(diag).max(), np.abs(off).max())
+    defect = max(np.abs(diag - diag.conj()).max(), np.abs(off - off.conj().T).max())
     if defect > 1e-12 * max(scale, 1.0):
         raise AssertionError(f"anti-Hermitian assembly: defect {defect:g}")
-    both = (boson + _BosonOp(boson.cols, boson.rows, adjoint)).summed(n_b)
-    return _BosonOp(both.rows, both.cols, both.data * 0.5)
+    diag, off = diag + diag.conj(), off + off.conj().T
+    on = np.flatnonzero(diag)
+    pieces = [(on, on, diag[on])] + [_embed(space, off, p) for p in range(len(space.pairs))]
+    rows, cols, data = (np.concatenate(x) for x in zip(*pieces))
+    order = np.argsort(rows * space.boson_dim + cols)
+    return rows[order], cols[order], data[order] * 0.5
 
 
-def _on_sector(space: FockSpace, couplings, boson=None, keep=None) -> SectorOperator:
+def _on_sector(space: FockSpace, couplings, terms=(), keep=None) -> SectorOperator:
     """sum_(p, q) kron(c_p+ c_q, J_pq) + h.c. + kron(1, B) on the sector
-    basis, from the boson-factor terms ``couplings`` ({(p, q): J_pq}) and
-    ``boson`` (B, or None).
+    basis, from the couplings ({(p, q): (pair, J_pq)}, each J_pq local to
+    its pair as :func:`_embed` takes it) and the pair-local boson ``terms``
+    that every pair shares (B is their sum on every pair).
 
-    B is checked on the full boson factor, the only place an anti-Hermitian
-    defect can enter: AssertionError when max|B - B+| exceeds
-    1e-12 * max(scale, 1), with scale the largest |entry| of the sector H
-    (the largest |J_pq| over nonempty hopping blocks, or the largest |B|).
-    B then enters as (B + B+) / 2.  With ``keep`` (a mask over the boson
-    indices), every boson-factor operator is restricted to the indices it
-    sets before the kron, so the result is the block of the full H on rows
-    and columns position * boson_dim + (those indices), entry for entry.
+    B is checked on the boson factor, the only place an anti-Hermitian
+    defect can enter (:func:`_hermitian_part`), with scale the largest
+    |entry| of the sector H (the largest |J_pq| over nonempty hopping
+    blocks, or the largest |B|), and enters as (B + B+) / 2.  With ``keep``
+    (a mask over the boson indices), every boson-factor operator is
+    restricted to the indices it sets before the kron, so the result is the
+    block of the full H on rows and columns position * boson_dim + (those
+    indices), entry for entry.
     """
     states = space.sector_fermion_states()
+    hops = [(_hopping_block(states, p, q), pair, local)
+            for (p, q), (pair, local) in couplings.items()]
+    boson = None
+    if terms:
+        scale = max([float(np.abs(local).max()) for (rows, _, _), _, local in hops
+                     if len(rows)], default=0.0)
+        boson = _hermitian_part(space, terms, scale)
+    hops = [(blk, _embed(space, local, pair)) for blk, pair, local in hops]
     n_b = space.boson_dim
-    hops = [(_hopping_block(states, p, q), j.summed(n_b))
-            for (p, q), j in couplings.items()]
-    if boson is not None:
-        boson = boson.summed(n_b)
-        scale = max([_max_abs(j) for (rows, _, _), j in hops if len(rows)]
-                    + [_max_abs(boson)])
-        boson = _hermitian_part(boson, n_b, scale)
     if keep is not None:
-        hops = [(blk, j.restricted(keep)) for blk, j in hops]
-        boson = None if boson is None else boson.restricted(keep)
+        hops = [(blk, _restricted(j, keep)) for blk, j in hops]
+        boson = None if boson is None else _restricted(boson, keep)
         n_b = int(np.count_nonzero(keep))
     # kron(c_p+ c_q, J) puts sign * J_ab at (row * n_b + a, col * n_b + b);
     # these blocks, their transposes and the diagonal boson blocks share no
@@ -556,18 +537,19 @@ def _on_sector(space: FockSpace, couplings, boson=None, keep=None) -> SectorOper
     dim = n_states * n_b
     index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
     rows, cols, data = [], [], []
-    for (f_rows, f_cols, signs), j in hops:
-        r = (f_rows.astype(index)[:, None] * n_b + j.rows.astype(index)).ravel()
-        c = (f_cols.astype(index)[:, None] * n_b + j.cols.astype(index)).ravel()
-        v = (signs[:, None] * j.data).ravel()
+    for (f_rows, f_cols, signs), (j_rows, j_cols, j_data) in hops:
+        r = (f_rows.astype(index)[:, None] * n_b + j_rows.astype(index)).ravel()
+        c = (f_cols.astype(index)[:, None] * n_b + j_cols.astype(index)).ravel()
+        v = (signs[:, None] * j_data).ravel()
         rows += [r, c]
         cols += [c, r]
         data += [v, v.conj()]
     if boson is not None:
+        b_rows, b_cols, b_data = boson
         offset = np.arange(n_states, dtype=index)[:, None] * n_b
-        rows.append((offset + boson.rows.astype(index)).ravel())
-        cols.append((offset + boson.cols.astype(index)).ravel())
-        data.append(np.tile(boson.data, n_states))
+        rows.append((offset + b_rows.astype(index)).ravel())
+        cols.append((offset + b_cols.astype(index)).ravel())
+        data.append(np.tile(b_data, n_states))
     rows = np.concatenate(rows)
     order = np.argsort(rows, kind="stable")
     indptr = np.zeros(dim + 1, dtype=np.intp)
@@ -589,27 +571,20 @@ def _check_space(spec: LatticeSpec, space: FockSpace) -> None:
     operator_algebra(space)
 
 
-def _pair_sum(space: FockSpace, terms) -> _BosonOp:
-    """B = the pair-factor ``terms`` of every pair, added to B one after
-    the other, pair by pair."""
-    return sum((_embed(space, term, p) for p in range(len(space.pairs)) for term in terms),
-               _NO_BOSON_TERM)
-
-
 def _simulator_terms(params: ModelParams, spec: LatticeSpec, space: FockSpace):
-    """(couplings, B) of the simulator on the boson factor."""
+    """(couplings, B's pair-local terms) of the simulator."""
     opt = optical_params(params)
     dx, dz, eye = _pair_ladders(space.n_max)
 
     def coupling(cell, species):
         amp = opt.amplitude(species)
         strength = opt.strength(species)
-        background = _identity(space, strength * amp * amp)
         p = space.pair_of(cell)
         if p is None:   # bond without a fluctuation mode stays at the background
-            return background
+            return None, np.full((1, 1), strength * amp * amp)
         d = dx if species == "x" else dz
-        return background + _embed(space, strength * amp * (d + d.T), p)
+        # d + d+ has a zero diagonal: the entries are the background's or the ladder's
+        return p, strength * amp * amp * eye + strength * amp * (d + d.T)
 
     bx = dx + opt.d_x * eye   # alpha_x in the number basis of d_x
     bz = dz + opt.d_z * eye
@@ -617,11 +592,10 @@ def _simulator_terms(params: ModelParams, spec: LatticeSpec, space: FockSpace):
     abar_z = bz.T - bz
     n_x = _product(bx.T, bx)
     n_z = _product(bz.T, bz)
-    boson = _pair_sum(space, (
-        opt.kinetic_coeff * _product(abar_z, np.sqrt(2.0) * abar_x - 0.5 * abar_z),
-        opt.number_coeff * (n_z + n_x),
-        -opt.quartic_coeff * _product(n_z, n_x - 0.5 * n_z)))
-    return _bond_couplings(spec, coupling), boson
+    terms = (opt.kinetic_coeff * _product(abar_z, np.sqrt(2.0) * abar_x - 0.5 * abar_z),
+             opt.number_coeff * (n_z + n_x),
+             -opt.quartic_coeff * _product(n_z, n_x - 0.5 * n_z))
+    return _bond_couplings(spec, coupling), terms
 
 
 def assemble_simulator_hamiltonian(params: ModelParams, spec: LatticeSpec,
@@ -659,11 +633,12 @@ def assemble_background_hopping(l: float, spec: LatticeSpec,
     """
     _check_space(spec, space)
     j0 = 2.0 / (3.0 * l)
-    return _on_sector(space, _bond_couplings(spec, lambda cell, species: _identity(space, j0)))
+    background = (None, np.full((1, 1), j0))
+    return _on_sector(space, _bond_couplings(spec, lambda cell, species: background))
 
 
 def _target_terms(params: ModelParams, spec: LatticeSpec, space: FockSpace):
-    """(couplings, B) of the target on the boson factor."""
+    """(couplings, B's pair-local terms) of the target."""
     j0 = 2.0 / (3.0 * params.l)
     slope = 4.0 * np.sqrt(2.0) * np.pi * params.G / params.l ** 2
     dx, dz, eye = _pair_ladders(space.n_max)
@@ -676,15 +651,15 @@ def _target_terms(params: ModelParams, spec: LatticeSpec, space: FockSpace):
     def coupling(cell, species):
         p = space.pair_of(cell)
         if p is None:
-            return _identity(space, j0)   # no mode: background bond
-        return _embed(space, pair_coupling[species], p)
+            return None, np.full((1, 1), j0)   # no mode: background bond
+        return p, pair_coupling[species]
 
     form = hgr_quadratic_form(params)
     q1m, q2m = q1.T - q1, q2.T - q2
     q1p, q2p = q1.T + q1, q2.T + q2
-    boson = _pair_sum(space, (form.q_minus_coeff * _product(q1m, q2m),
-                              form.q_plus_coeff * _product(q1p, q2p)))
-    return _bond_couplings(spec, coupling), boson
+    terms = (form.q_minus_coeff * _product(q1m, q2m),
+             form.q_plus_coeff * _product(q1p, q2p))
+    return _bond_couplings(spec, coupling), terms
 
 
 def assemble_target_hamiltonian(params: ModelParams, spec: LatticeSpec,

@@ -1,6 +1,8 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 import artifact_diff  # noqa: E402
@@ -46,3 +48,26 @@ def test_extra_jobs_add_names_no_benchmark_job_has():
     names = [job.name for jobs in artifact_diff.WORKLOADS.values() for job in jobs]
     extra = [job.name for job in artifact_diff.EXTRA_JOBS]
     assert len(extra) == 6 and len(set(names + extra)) == len(names) + 6
+
+
+@pytest.mark.parametrize("seeds", ["", ",", " , "])
+def test_an_empty_seed_list_exits_2_before_anything_runs(monkeypatch, capsys, seeds):
+    def refuse(*args):
+        raise AssertionError("nothing may run on an empty seed list")
+
+    monkeypatch.setattr(artifact_diff, "extract_src", refuse)
+    monkeypatch.setattr(artifact_diff, "run_jobs", refuse)
+    with pytest.raises(SystemExit) as exc:
+        artifact_diff.main(["HEAD", "--seeds", seeds])
+    assert exc.value.code == 2
+    assert "lists no seed" in capsys.readouterr().err
+
+
+def test_a_non_zero_exit_is_reported_even_when_both_sides_agree():
+    old = {(1, "a"): 0, (1, "b"): 1, (7, "a"): 0, (7, "b"): 4}
+    new = {(1, "a"): 0, (1, "b"): 1, (7, "a"): 3, (7, "b"): 0}
+    assert artifact_diff.exit_code_problems(old, new) == [
+        "1/b: exit code 1 on both sides",
+        "7/a: exit code 0 -> 3",
+        "7/b: exit code 4 -> 0",
+    ]

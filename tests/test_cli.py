@@ -400,6 +400,39 @@ def test_a_sweep_entry_whose_constants_overflow_is_config_error(tmp_path, capsys
     assert not out.exists()
 
 
+_SMALL_ED = "[lattice]\nncx = 2\nncy = 1\n[truncation]\nn_max = 2\n[manybody]\nplacement = cell0\n"
+
+
+@pytest.mark.parametrize("command,text,where", [
+    ("correlators", "[model]\ng = 1e-100\n", "[model] g = 1e-100, l = 1.0, mu = 1.0"),
+    ("ground-state", "[model]\ng = 1e-100\n", "[model] g = 1e-100, l = 1.0, mu = 1.0"),
+    ("wick-sweep", "[sweep]\ng_values = 1e-3, 1e-100\n",
+     "[sweep] g_values entry 1e-100 (at [model] l = 1.0, mu = 1.0)"),
+])
+def test_a_coupling_whose_boson_number_product_overflows_is_config_error(tmp_path, capsys,
+                                                                        command, text, where):
+    # before: exit 1 with "ValueError: operator has a non-finite entry"; the
+    # simulator's N_z N_x, about D_x^2 D_z^2, overflows below G ~ 5.8e-79 l
+    code, out = _run(tmp_path, f"command = {command}\n{_SMALL_ED}{text}")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: category=config {where}: the simulator's "
+        "boson number product N_z N_x, about D_x^2 D_z^2, overflows\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,text", [
+    ("ground-state", f"{_SMALL_ED}[model]\ng = 1e-78\n"),   # just inside the bound
+    ("graviton-modes", "[model]\ng = 1e-100\n"),          # builds no simulator
+    ("wick-sweep", f"{_SMALL_ED}[model]\ng = 1e-100\n"),   # reads [sweep] g_values only
+])
+def test_a_coupling_the_boson_number_product_bound_lets_through_runs(tmp_path, command,
+                                                                    text):
+    code, out = _run(tmp_path, f"command = {command}\n{text}")
+    assert code == 0
+    assert (out / "manifest.txt").exists()
+
+
 def test_a_zero_lattice_depth_is_config_error(tmp_path, capsys):
     # before: exit 0 with sigma_axis0..2=inf and u=0.0 in the design sheet
     code, out = _run(tmp_path, "command = design\n[hubbard]\nv0 = 0\n")

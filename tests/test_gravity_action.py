@@ -41,6 +41,7 @@ def test_second_order_matches_double_eps_form(rng):
         slab = random_bandlimited_slab(rng, GRID, 4, 0.2)
         rep = palatini_orders(p, slab)
         fp = fierz_pauli_quadratic(p, slab)
+        assert rep.fp_quadratic == fp   # carried for the CLI, not recomputed
         assert abs(g8 * rep.s2 - fp) < 1e-10 * max(abs(fp), 1e-3)
 
 
@@ -157,4 +158,5 @@ def test_report_pairs_serialize(rng):
     rep = palatini_orders(p, random_bandlimited_slab(rng, GRID, 4, 0.2))
     keys = [k for k, _ in rep.to_pairs()]
     assert keys[:4] == ["s0", "s1", "s2", "s_massive"]
+    assert "fp_quadratic" not in keys
     assert any(k.startswith("residual_") for k in keys)

@@ -288,10 +288,31 @@ def test_pair_digits_are_the_per_mode_digits(ncx, ncy, placement, n_max):
     ladders = full_space_d(FockSpace(0, space.pairs, n_max))
     for p in range(len(space.pairs)):
         for s, d in enumerate(manybody._pair_ladders(n_max)[:2]):
-            op = manybody._embed(space, d, p)
-            embedded = sparse.csr_matrix((op.data, (op.rows, op.cols)),
+            rows, cols, data = manybody._embed(space, d, p)
+            embedded = sparse.csr_matrix((data, (rows, cols)),
                                          shape=(space.boson_dim,) * 2)
             assert (embedded != ladders[2 * p + s]).nnz == 0
+
+
+@pytest.mark.parametrize("placement", ["per_cell", "uniform"])
+def test_pair_local_matrix_may_hold_several_entries_per_row(placement, rng):
+    """q1 = Q1_X d_x + Q1_Z d_z has two entries in a row; applied along its
+    pair's axis of the sector rows it is the full-space q1 of the oracle."""
+    spec = LatticeSpec(2, 1)
+    space = FockSpace(spec.n_modes, boson_pairs(spec, placement), 2, sector=2)
+    dx, dz, _ = manybody._pair_ladders(space.n_max)
+    q1 = manybody.Q1_X * dx + manybody.Q1_Z * dz
+    assert np.count_nonzero(q1, axis=1).max() == 2
+    psi = rng.standard_normal(space.sector_dimension) + 1j * rng.standard_normal(
+        space.sector_dimension)
+    idx = space.sector_indices()
+    full = np.zeros(space.dimension, dtype=complex)
+    full[idx] = psi
+    d = full_space_d(space)
+    for p, cell in enumerate(space.pairs):
+        got = manybody._on_pair_axis(psi.reshape(-1, space.boson_dim), space, p, q1)
+        np.testing.assert_allclose(got, (q_pair(d, space, cell)[0] @ full)[idx],
+                                   rtol=0, atol=1e-14)
 
 
 def test_boson_pairs_accepts_exactly_the_config_placements():
@@ -487,16 +508,20 @@ def test_window_block_is_the_slice_of_the_full_sector_hamiltonian():
         np.testing.assert_array_equal(block.data, ref.data)
 
 
-def test_non_hermitian_boson_term_is_rejected(monkeypatch):
+@pytest.mark.parametrize("skew", [lambda dx: 1e-3 * dx, lambda dx: 1e-3j * (dx.T @ dx)],
+                         ids=["off-diagonal", "diagonal"])
+def test_non_hermitian_boson_term_is_rejected(monkeypatch, skew):
     """The hopping part is Hermitian by construction, so the boson factor is
-    where the Hermiticity check looks: a skewed boson term must raise."""
+    where the Hermiticity check looks: a skewed boson term must raise,
+    whether it skews B's off-diagonal block (1e-3 d_x) or its diagonal
+    (1e-3 i n_x)."""
     space = FockSpace(2, boson_pairs(SPEC1, "per_cell"), 2)
     real_terms = manybody._simulator_terms
 
     def skewed_terms(params, spec, space):
-        couplings, boson = real_terms(params, spec, space)
+        couplings, terms = real_terms(params, spec, space)
         dx, _, _ = manybody._pair_ladders(space.n_max)
-        return couplings, boson + manybody._embed(space, 1e-3 * dx, 0)
+        return couplings, terms + (skew(dx),)
 
     monkeypatch.setattr(manybody, "_simulator_terms", skewed_terms)
     with pytest.raises(AssertionError, match="anti-Hermitian"):

@@ -8,9 +8,11 @@ temporary directory, then runs every job of ``perfbench/workloads.py``
 seed as one ``gravlat <cfg> --seed S`` process against REV's ``src`` and
 once against the working tree's ``src``.  Exit codes are compared, and
 every artifact byte for byte; ``manifest.txt`` is compared without its
-``wall_time_s`` line.  Each difference is printed on one line, with the
-first differing line of a file that exists on both sides.  Exits 1 on any
-difference, 0 otherwise.
+``wall_time_s`` line.  Every job is expected to exit 0, so a non-zero
+exit on the working tree is reported even when REV exits the same way.
+Each difference is printed on one line, with the first differing line of
+a file that exists on both sides.  Exits 1 on any difference, 0
+otherwise, and 2, before anything runs, when ``--seeds`` lists no seed.
 """
 
 from __future__ import annotations
@@ -130,20 +132,33 @@ def compare(old: Path, new: Path) -> list:
     return lines
 
 
+def exit_code_problems(old_codes: dict, new_codes: dict) -> list:
+    """One line per (seed, job) whose exit code differs between REV and the
+    working tree, or is non-zero on both sides."""
+    lines = []
+    for seed, name in old_codes:
+        old, new = old_codes[seed, name], new_codes[seed, name]
+        if old != new:
+            lines.append(f"{seed}/{name}: exit code {old} -> {new}")
+        elif new:
+            lines.append(f"{seed}/{name}: exit code {new} on both sides")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare the working tree against")
     parser.add_argument("--seeds", default="1,7", help="comma-separated seeds (default 1,7)")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    if not seeds:
+        parser.error(f"--seeds {args.seeds!r} lists no seed")
     with tempfile.TemporaryDirectory(prefix="artifact_diff_") as tmp:
         tmp = Path(tmp)
         old_src = extract_src(args.rev, tmp / "rev")
         old_codes = run_jobs(old_src, seeds, tmp / "old")
         new_codes = run_jobs(ROOT / "src", seeds, tmp / "new")
-        problems = [f"{seed}/{name}: exit code {old_codes[seed, name]} -> {new_codes[seed, name]}"
-                    for seed, name in old_codes if old_codes[seed, name] != new_codes[seed, name]]
-        problems += compare(tmp / "old", tmp / "new")
+        problems = exit_code_problems(old_codes, new_codes) + compare(tmp / "old", tmp / "new")
     for line in problems:
         print(line)
     n_jobs = len(old_codes)
