@@ -389,7 +389,12 @@ def _cmd_integrate_out(cfg, outdir, extras):
         raise ConfigError(["integrate-out requires g > 0"])
     j1, j2 = 0.7, -0.3
     eff = integrate_out_geometry(params)
-    oracle = gaussian_elimination_oracle(params, j1, j2)
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite oracle is refused below
+        oracle = gaussian_elimination_oracle(params, j1, j2)
+    if not np.isfinite(oracle):
+        raise ConfigError([f"[model] g = {fmt(params.G)}, l = {fmt(params.l)}, "
+                           f"mu = {fmt(params.mu)}: the Gauss-Hermite quadrature "
+                           f"oracle of integrate-out is not finite ({fmt(oracle)})"])
     closed = eff.coefficient * 2.0 * j1 * j2
     write_keyvalue(outdir / "integrate_out.txt", [
         ("coefficient", eff.coefficient),

@@ -25,8 +25,10 @@ The bosons come in (x, z) pairs, one on each cell that :func:`boson_pairs`
 places (cell None: one pair shared by every cell, :meth:`FockSpace.pair_of`);
 pair p holds modes 2p (x) and 2p + 1 (z) and is digit p of the boson index
 (:meth:`FockSpace.pair_digits`).  Only :func:`_pair_ladders` and its
-occupation table know the order inside a pair.  Each assembler states its
-bond couplings as one rule ``coupling(cell, species)`` over the bonds of
+occupation table know the order inside a pair.  Each Hamiltonian is a
+table of the model values and n_max alone: a vertex {species: (J0, V)}
+and B's pair-local terms (:func:`_simulator_terms`, :func:`_target_terms`).
+One rule, :func:`_bond_couplings`, wires a vertex to the bonds of
 :meth:`LatticeSpec.bonds`; the x boson drives both the x and the y bond.
 
 Hamiltonians are assembled directly on the sector basis: the fermion
@@ -36,19 +38,19 @@ the fermion-major order, index = position_in_that_list * boson_dim +
 boson_index (the order of :meth:`FockSpace.sector_indices`).  Every
 Hamiltonian is sum_(p, q) kron(c_p+ c_q, J_pq) + h.c. + kron(1, B), with
 the hopping blocks looked up by ``searchsorted`` in the sorted basis
-(H. Q. Lin, PRB 42, 6561 (1990)), and it is built in two steps.  First each
-assembler builds its boson-factor terms once, each a small dense matrix
-local to one pair: J_pq, the couplings of the bonds joining fermion modes
-p and q added (a 1 x 1 multiple of the identity where no pair serves the
-cell), and the terms of the boson Hamiltonian B, which every pair shares.
-Then one shared step puts them on the sector.  Each J_pq is embedded in
-the boson factor by index arithmetic on the pair digits, in row-major
-order.  B is built and checked there, on the boson factor (the hopping
-part is Hermitian by construction): its diagonal term by term, pair by
-pair, its off-diagonal as one local block, the terms' sum, on every pair;
-a defect above 1e-12 times the largest |entry| of H, or 1, raises, and B
-enters as (B + B+) / 2.  The same step can first restrict every
-boson-factor operator to the boson indices a window mask keeps, so
+(H. Q. Lin, PRB 42, 6561 (1990)), and it is built in two steps.  First the
+bond rule turns the vertex into J_pq, the couplings of the bonds joining
+fermion modes p and q added, each a small dense matrix local to one pair
+(a 1 x 1 multiple of the identity where no pair serves the cell), as are
+the terms of the boson Hamiltonian B, which every pair shares.  Then one
+shared step puts them on the sector.  Each J_pq is embedded in the boson
+factor by index arithmetic on the pair digits, in row-major order.  B is
+built and checked there, on the boson factor (the hopping part is
+Hermitian by construction): its diagonal term by term, pair by pair, its
+off-diagonal as one local block, the terms' sum, on every pair; a defect
+above 1e-12 times the largest |entry| of H, or 1, raises, and B enters as
+(B + B+) / 2.  The same step can first restrict every boson-factor
+operator to the boson indices a window mask keeps, so
 :func:`mapping_residual` assembles only its window block.  The result is a
 :class:`SectorOperator`, the entries put in row order once by a stable
 sort: its own compressed-row form, with ``@`` and ``toarray``.
@@ -272,11 +274,14 @@ def _annihilate(entries, x: np.ndarray, n_lowered: int) -> np.ndarray:
 def _on_pair_axis(x: np.ndarray, space: FockSpace, p: int,
                   local: np.ndarray) -> np.ndarray:
     """kron(1, ``local`` on pair p) applied to the vector with boson rows
-    ``x``, flattened: ``local`` contracted with axis 2 of ``x`` reshaped to
-    (fermion states, higher pairs, pair_dim, lower pairs)."""
+    ``x``, flattened: each nonzero entry of ``local`` applied to axis 2 of
+    ``x`` reshaped to (fermion states, higher pairs, pair_dim, lower pairs)."""
     k = space.pair_dim
     xp = x.reshape(len(x), -1, k, k ** p)
-    return np.einsum("ij,abjc->abic", local, xp).ravel()
+    out = np.zeros(xp.shape, dtype=np.result_type(local, x))
+    for i, j in zip(*np.nonzero(local)):
+        out[:, :, i] += local[i, j] * xp[:, :, j]
+    return out.ravel()
 
 
 @dataclass(frozen=True)
@@ -398,21 +403,24 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _BOSON_SPECIES = {"z": "z", "x": "x", "y": "x"}   # the x boson serves the y bond
 
 
-def _bond_couplings(spec: LatticeSpec, coupling):
+def _bond_couplings(spec: LatticeSpec, space: FockSpace, vertex) -> dict:
     """{(p, q): (pair, J_pq)} for every fermion pair (a_i, b_k) a bond of
-    :meth:`LatticeSpec.bonds` joins.  Each bond of cell i carries the
-    coupling ``coupling(i, species)`` of the boson species driving it, a
-    (pair, local) as :func:`_embed` takes it; the rule is called once per
-    (cell, species).  The bonds joining one fermion pair belong to one cell,
-    so they share its pair and add their local matrices in bond order."""
-    n = spec.n_cells
-    per_bond, per_pair = {}, {}
+    :meth:`LatticeSpec.bonds` joins, J_pq local to its pair as :func:`_embed`
+    takes it.  ``vertex`` is {species: (J0, V)}: a bond of cell i driven by
+    species s couples J0 * 1 + V on the pair serving cell i, or the 1 x 1
+    J0 where no pair serves it or V is None (every V is a sum of d + d+,
+    zero on the diagonal).  The bonds joining one fermion pair belong to
+    one cell, so they share its pair and add their local matrices in bond
+    order."""
+    on_pair = {species: None if v is None else j0 * np.eye(len(v)) + v
+               for species, (j0, v) in vertex.items()}
+    per_pair = {}
     for cell, direction, b_cell in spec.bonds():
-        key = (cell, _BOSON_SPECIES[direction])
-        if key not in per_bond:
-            per_bond[key] = coupling(*key)
-        pair, local = per_bond[key]
-        fermions = (cell, n + b_cell)
+        species = _BOSON_SPECIES[direction]
+        pair, local = space.pair_of(cell), on_pair[species]
+        if pair is None or local is None:   # no fluctuation mode: the background bond
+            pair, local = None, np.full((1, 1), vertex[species][0])
+        fermions = (cell, spec.n_cells + b_cell)
         if fermions in per_pair:
             local = per_pair[fermions][1] + local
         per_pair[fermions] = (pair, local)
@@ -499,11 +507,12 @@ def _hermitian_part(space: FockSpace, terms, scale: float):
     return rows[order], cols[order], data[order] * 0.5
 
 
-def _on_sector(space: FockSpace, couplings, terms=(), keep=None) -> SectorOperator:
+def _on_sector(spec: LatticeSpec, space: FockSpace, hamiltonian, keep=None) -> SectorOperator:
     """sum_(p, q) kron(c_p+ c_q, J_pq) + h.c. + kron(1, B) on the sector
-    basis, from the couplings ({(p, q): (pair, J_pq)}, each J_pq local to
-    its pair as :func:`_embed` takes it) and the pair-local boson ``terms``
-    that every pair shares (B is their sum on every pair).
+    basis, from a Hamiltonian's table (vertex, terms): the vertex wired to
+    the bonds of ``spec`` as J_pq by :func:`_bond_couplings`, and the
+    pair-local boson ``terms`` that every pair shares (B is their sum on
+    every pair).
 
     B is checked on the boson factor, the only place an anti-Hermitian
     defect can enter (:func:`_hermitian_part`), with scale the largest
@@ -514,9 +523,10 @@ def _on_sector(space: FockSpace, couplings, terms=(), keep=None) -> SectorOperat
     block of the full H on rows and columns position * boson_dim + (those
     indices), entry for entry.
     """
+    vertex, terms = hamiltonian
     states = space.sector_fermion_states()
     hops = [(_hopping_block(states, p, q), pair, local)
-            for (p, q), (pair, local) in couplings.items()]
+            for (p, q), (pair, local) in _bond_couplings(spec, space, vertex).items()]
     boson = None
     if terms:
         scale = max([float(np.abs(local).max()) for (rows, _, _), _, local in hops
@@ -571,21 +581,15 @@ def _check_space(spec: LatticeSpec, space: FockSpace) -> None:
     operator_algebra(space)
 
 
-def _simulator_terms(params: ModelParams, spec: LatticeSpec, space: FockSpace):
-    """(couplings, B's pair-local terms) of the simulator."""
+def _simulator_terms(params: ModelParams, n_max: int):
+    """(vertex, B's pair-local terms) of the simulator on one pair's factor,
+    as :func:`_bond_couplings` and :func:`_on_sector` read them:
+    J0 = Delta_s D_s^2 and V = Delta_s D_s (d_s + d_s+)."""
     opt = optical_params(params)
-    dx, dz, eye = _pair_ladders(space.n_max)
-
-    def coupling(cell, species):
-        amp = opt.amplitude(species)
-        strength = opt.strength(species)
-        p = space.pair_of(cell)
-        if p is None:   # bond without a fluctuation mode stays at the background
-            return None, np.full((1, 1), strength * amp * amp)
-        d = dx if species == "x" else dz
-        # d + d+ has a zero diagonal: the entries are the background's or the ladder's
-        return p, strength * amp * amp * eye + strength * amp * (d + d.T)
-
+    dx, dz, eye = _pair_ladders(n_max)
+    vertex = {s: (opt.strength(s) * opt.amplitude(s) * opt.amplitude(s),
+                  opt.strength(s) * opt.amplitude(s) * (d + d.T))
+              for s, d in (("x", dx), ("z", dz))}
     bx = dx + opt.d_x * eye   # alpha_x in the number basis of d_x
     bz = dz + opt.d_z * eye
     abar_x = bx.T - bx        # equals dx+ - dx exactly
@@ -595,7 +599,7 @@ def _simulator_terms(params: ModelParams, spec: LatticeSpec, space: FockSpace):
     terms = (opt.kinetic_coeff * _product(abar_z, np.sqrt(2.0) * abar_x - 0.5 * abar_z),
              opt.number_coeff * (n_z + n_x),
              -opt.quartic_coeff * _product(n_z, n_x - 0.5 * n_z))
-    return _bond_couplings(spec, coupling), terms
+    return vertex, terms
 
 
 def assemble_simulator_hamiltonian(params: ModelParams, spec: LatticeSpec,
@@ -619,7 +623,7 @@ def assemble_simulator_hamiltonian(params: ModelParams, spec: LatticeSpec,
     if ops is not None and ops.space != space:
         raise ValueError("mode operators belong to another space")
     _check_space(spec, space)
-    return _on_sector(space, *_simulator_terms(params, spec, space))
+    return _on_sector(spec, space, _simulator_terms(params, space.n_max))
 
 
 def assemble_background_hopping(l: float, spec: LatticeSpec,
@@ -633,33 +637,26 @@ def assemble_background_hopping(l: float, spec: LatticeSpec,
     """
     _check_space(spec, space)
     j0 = 2.0 / (3.0 * l)
-    background = (None, np.full((1, 1), j0))
-    return _on_sector(space, _bond_couplings(spec, lambda cell, species: background))
+    return _on_sector(spec, space, ({"x": (j0, None), "z": (j0, None)}, ()))
 
 
-def _target_terms(params: ModelParams, spec: LatticeSpec, space: FockSpace):
-    """(couplings, B's pair-local terms) of the target."""
+def _target_terms(params: ModelParams, n_max: int):
+    """(vertex, B's pair-local terms) of the target, as :func:`_simulator_terms`
+    returns them: J0 = 2/(3 l), V_x = (delta v_x + delta J_z / 2) / 2 and
+    V_z = delta J_z."""
     j0 = 2.0 / (3.0 * params.l)
     slope = 4.0 * np.sqrt(2.0) * np.pi * params.G / params.l ** 2
-    dx, dz, eye = _pair_ladders(space.n_max)
+    dx, dz, _ = _pair_ladders(n_max)
     q1, q2 = Q1_X * dx + Q1_Z * dz, dz
     delta_jz = (2.0 / 3.0) * (-slope) * (q2 + q2.T)
     delta_vx = -slope * (q1 + q1.T)
-    pair_coupling = {"z": j0 * eye + delta_jz,
-                     "x": j0 * eye + 0.5 * (delta_vx + 0.5 * delta_jz)}
-
-    def coupling(cell, species):
-        p = space.pair_of(cell)
-        if p is None:
-            return None, np.full((1, 1), j0)   # no mode: background bond
-        return p, pair_coupling[species]
-
+    vertex = {"x": (j0, 0.5 * (delta_vx + 0.5 * delta_jz)), "z": (j0, delta_jz)}
     form = hgr_quadratic_form(params)
     q1m, q2m = q1.T - q1, q2.T - q2
     q1p, q2p = q1.T + q1, q2.T + q2
     terms = (form.q_minus_coeff * _product(q1m, q2m),
              form.q_plus_coeff * _product(q1p, q2p))
-    return _bond_couplings(spec, coupling), terms
+    return vertex, terms
 
 
 def assemble_target_hamiltonian(params: ModelParams, spec: LatticeSpec,
@@ -680,7 +677,7 @@ def assemble_target_hamiltonian(params: ModelParams, spec: LatticeSpec,
         (1/(16 pi G))(q1+ - q1)(q2+ - q2) - 4 pi G mu^2 (q1+ + q1)(q2+ + q2).
     """
     _check_space(spec, space)
-    return _on_sector(space, *_target_terms(params, spec, space))
+    return _on_sector(spec, space, _target_terms(params, space.n_max))
 
 
 def mapping_residual(params: ModelParams, spec: LatticeSpec, space: FockSpace,
@@ -703,8 +700,8 @@ def mapping_residual(params: ModelParams, spec: LatticeSpec, space: FockSpace,
         raise ValueError(f"window {window} exceeds n_max {space.n_max}")
     _check_space(spec, space)
     keep = space.boson_occupation_table() <= window
-    sim = _on_sector(space, *_simulator_terms(params, spec, space), keep=keep)
-    target = _on_sector(space, *_target_terms(params, spec, space), keep=keep)
+    sim = _on_sector(spec, space, _simulator_terms(params, space.n_max), keep=keep)
+    target = _on_sector(spec, space, _target_terms(params, space.n_max), keep=keep)
     evals = np.linalg.eigvalsh(sim.toarray() - target.toarray())
     return float((evals[-1] - evals[0]) / 2.0)
 

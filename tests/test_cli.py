@@ -1111,3 +1111,30 @@ l = 1.1
                 (out / "integrate_out.txt").read_text().splitlines())
     assert text["coefficient_exact_multiple_of_piG_over_l2mu2"] == "-4"
     assert abs(float(text["oracle_residual"])) < 1e-8
+
+
+def test_integrate_out_default_artifact_bytes(tmp_path):
+    code, out = _run(tmp_path, "command = integrate-out\n")
+    assert code == 0
+    assert (out / "integrate_out.txt").read_text() == (
+        "coefficient=-0.12566370614359174\n"
+        "coefficient_exact_multiple_of_piG_over_l2mu2=-4\n"
+        "sample_j1=0.7\n"
+        "sample_j2=-0.3\n"
+        "density_closed_form=0.05277875658030852\n"
+        "density_quadrature_oracle=0.05277875658030843\n"
+        "oracle_residual=-9.020562075079397e-17\n"
+        "weak_coupling_ratio=0.25132741228718347\n")
+
+
+@pytest.mark.parametrize("g,oracle", [("1e3", "-inf"), ("1e4", "-inf"), ("1e100", "-inf"),
+                                      ("10", "nan")])
+def test_a_non_finite_integrate_out_oracle_is_config_error(tmp_path, capsys, g, oracle):
+    # before: exit 0 with density_quadrature_oracle and oracle_residual -inf
+    # (the Gauss-Hermite sum overflows) or nan (its real part goes negative)
+    code, out = _run(tmp_path, f"command = integrate-out\n[model]\ng = {g}\n")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: category=config [model] g = {float(g)!r}, l = 1.0, mu = 1.0: the "
+        f"Gauss-Hermite quadrature oracle of integrate-out is not finite ({oracle})\n")
+    assert not (out / "integrate_out.txt").exists()

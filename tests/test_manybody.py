@@ -449,6 +449,45 @@ def test_target_boson_block_matches_quadratic_form_matrix():
 
 
 # ---------------------------------------------------------------------------
+# vertex tables
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("g,l", [(1e-3, 1.0), (3e-3, 1.0), (1e-2, 0.7), (2e-2, 1.3)])
+@pytest.mark.parametrize("n_max", [1, 3])
+def test_vertex_single_quantum_amplitudes_are_the_closed_form(g, l, n_max):
+    """With slope = 4 sqrt2 pi G / l^2, the target's x bond is
+    -(sqrt2/3) slope X_x and its z bond -(2/3) slope X_z, X_s = d_s + d_s+;
+    the simulator's Delta_s D_s X_s is the same, and both have
+    J0 = 2/(3 l).  V[one s quantum, vacuum] is the amplitude on X_s."""
+    p = ModelParams(G=g, l=l, mu=1.0)
+    slope = 4.0 * np.sqrt(2.0) * np.pi * g / l ** 2
+    one = {"x": 1, "z": n_max + 1}   # pair digit n_x + (n_max + 1) n_z
+    closed = {"x": -(np.sqrt(2.0) / 3.0) * slope, "z": -(2.0 / 3.0) * slope}
+    target, _ = manybody._target_terms(p, n_max)
+    simulator, _ = manybody._simulator_terms(p, n_max)
+    for species in "xz":
+        assert target[species][0] == 2.0 / (3.0 * l)
+        assert simulator[species][0] == pytest.approx(2.0 / (3.0 * l), rel=1e-15)
+        for vertex in (target, simulator):
+            v = vertex[species][1]
+            assert v[one[species], 0] == pytest.approx(closed[species], rel=1e-15)
+            np.testing.assert_array_equal(v, v.T)
+    # the x bond's X_z amplitude is -slope (Q1_Z / 2 + 1/6): zero up to rounding
+    assert abs(target["x"][1][one["z"], 0]) <= 1e-15 * slope
+    assert target["z"][1][one["x"], 0] == 0.0
+    assert simulator["x"][1][one["z"], 0] == simulator["z"][1][one["x"], 0] == 0.0
+
+
+def test_background_table_is_j0_with_no_vertex(monkeypatch):
+    tables = []
+    monkeypatch.setattr(manybody, "_on_sector",
+                        lambda spec, space, table, keep=None: tables.append(table))
+    assemble_background_hopping(0.7, SPEC1, FockSpace(2, boson_pairs(SPEC1, "per_cell"), 2))
+    j0 = 2.0 / (3.0 * 0.7)
+    assert tables == [({"x": (j0, None), "z": (j0, None)}, ())]
+
+
+# ---------------------------------------------------------------------------
 # mapping residual
 # ---------------------------------------------------------------------------
 
@@ -497,11 +536,11 @@ def test_window_block_is_the_slice_of_the_full_sector_hamiltonian():
     n_states = len(space.sector_fermion_states())
     idx = (np.arange(n_states)[:, None] * space.boson_dim + keep).ravel()
     for terms, full in (
-            (manybody._simulator_terms(PARAMS, spec, space),
+            (manybody._simulator_terms(PARAMS, space.n_max),
              assemble_simulator_hamiltonian(PARAMS, spec, space)),
-            (manybody._target_terms(PARAMS, spec, space),
+            (manybody._target_terms(PARAMS, space.n_max),
              assemble_target_hamiltonian(PARAMS, spec, space))):
-        block = sector_csr(manybody._on_sector(space, *terms, keep=mask))
+        block = sector_csr(manybody._on_sector(spec, space, terms, keep=mask))
         ref = _canonical(sector_csr(full)[idx][:, idx])
         np.testing.assert_array_equal(block.indptr, ref.indptr)
         np.testing.assert_array_equal(block.indices, ref.indices)
@@ -518,10 +557,10 @@ def test_non_hermitian_boson_term_is_rejected(monkeypatch, skew):
     space = FockSpace(2, boson_pairs(SPEC1, "per_cell"), 2)
     real_terms = manybody._simulator_terms
 
-    def skewed_terms(params, spec, space):
-        couplings, terms = real_terms(params, spec, space)
-        dx, _, _ = manybody._pair_ladders(space.n_max)
-        return couplings, terms + (skew(dx),)
+    def skewed_terms(params, n_max):
+        vertex, terms = real_terms(params, n_max)
+        dx, _, _ = manybody._pair_ladders(n_max)
+        return vertex, terms + (skew(dx),)
 
     monkeypatch.setattr(manybody, "_simulator_terms", skewed_terms)
     with pytest.raises(AssertionError, match="anti-Hermitian"):

@@ -33,7 +33,8 @@ from workloads import WORKLOADS, Job, _cfg  # noqa: E402
 
 
 # Paths no benchmark job takes: the shared (``uniform``) pair, a 2D
-# many-body lattice, a filling other than half, and window 0.
+# many-body lattice, a filling other than half, window 0, and the mapping
+# residual on background bonds (``cell0``) and on the shared pair.
 EXTRA_JOBS = (
     Job("uniform-correlators", _cfg(
         "command = correlators",
@@ -67,6 +68,12 @@ EXTRA_JOBS = (
         "[truncation]", "n_max = 1", "window = 0",
         "[manybody]", "placement = per_cell",
         "[sweep]", "g_values = 0, 1e-3, 1e-2")),
+    *(Job(f"{placement}-map-residual", _cfg(
+        "command = map-residual",
+        "[lattice]", "ncx = 3", "ncy = 1",
+        "[truncation]", "n_max = 2", "window = 1",
+        "[manybody]", f"placement = {placement}",
+        "[sweep]", "g_values = 0, 1e-3, 1e-2")) for placement in ("cell0", "uniform")),
 )
 
 
