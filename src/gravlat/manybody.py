@@ -63,7 +63,10 @@ boson_dim); a pair-local boson matrix is contracted with its pair's axis
 of those rows.
 
 Ground states above dimension 512 come from a numpy Lanczos on
-``SectorOperator @ x`` (:func:`ground_state`).  The assemblers,
+``SectorOperator @ x`` (:func:`ground_state`).  The product runs through
+row blocks of at most 2^15 entries, each row summed as one ``reduceat``
+segment in entry order, so the loop holds no scratch array as long as the
+entries and every product is bitwise the unblocked one.  The assemblers,
 :func:`mapping_residual` and the observables take the :class:`FockSpace`
 and build no full-space object; each assembler first runs
 :func:`operator_algebra` as its nnz-cap check.  Only ``ModeOperators.c``
@@ -427,6 +430,9 @@ def _bond_couplings(spec: LatticeSpec, space: FockSpace, vertex) -> dict:
     return per_pair
 
 
+_ROW_BLOCK = 1 << 15     # entries of one row block of SectorOperator @ x
+
+
 @dataclass(frozen=True)
 class SectorOperator:
     """An operator on the sector basis in compressed-row form.
@@ -436,6 +442,14 @@ class SectorOperator:
     them).  Each (row, col) appears once and no entry is zero, so ``nnz``
     is the count of a scipy CSR matrix built from the same three arrays.
     ``@`` (on a vector), ``toarray`` and ``real`` are numpy.
+
+    ``@`` works through row blocks, runs of consecutive rows holding at
+    most ``_ROW_BLOCK`` entries (a longer row is a block of its own): per
+    block it gathers x at the columns, multiplies by the entries in place
+    and sums each row with ``np.add.reduceat``.  So no scratch array as
+    long as ``data`` is made, and each row is still summed as one segment
+    in its entry order, the same floating-point sums as one unblocked
+    ``reduceat`` over all entries.
     """
 
     data: np.ndarray
@@ -461,19 +475,29 @@ class SectorOperator:
         return out
 
     @cached_property
-    def _filled(self):
-        """(rows holding entries, their starts).  ``np.add.reduceat`` returns
-        the entry at the start of an empty segment, not 0, so empty rows are
-        left out of it."""
-        filled = np.flatnonzero(np.diff(self.indptr))
-        return filled, self.indptr[filled]
+    def _blocks(self) -> list:
+        """[(entry start, entry end, rows holding entries, their starts
+        relative to the entry start)] per row block.  ``np.add.reduceat``
+        returns the entry at the start of an empty segment, not 0, so empty
+        rows are left out of it, and a block of empty rows is dropped."""
+        indptr = self.indptr
+        blocks, r0 = [], 0
+        while r0 < self.shape[0]:
+            a = indptr[r0]
+            r1 = max(int(np.searchsorted(indptr, a + _ROW_BLOCK, side="right")) - 1, r0 + 1)
+            rows = r0 + np.flatnonzero(np.diff(indptr[r0:r1 + 1]))
+            if len(rows):
+                blocks.append((a, indptr[r1], rows, indptr[rows] - a))
+            r0 = r1
+        return blocks
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        filled, starts = self._filled
-        g = np.take(x.astype(np.result_type(x, self.data), copy=False), self.cols)
-        g *= self.data
-        out = np.zeros(self.shape[0], dtype=g.dtype)
-        out[filled] = np.add.reduceat(g, starts)
+        x = x.astype(np.result_type(x, self.data), copy=False)
+        out = np.zeros(self.shape[0], dtype=x.dtype)
+        for a, b, rows, starts in self._blocks:
+            g = np.take(x, self.cols[a:b])
+            g *= self.data[a:b]
+            out[rows] = np.add.reduceat(g, starts)
         return out
 
 

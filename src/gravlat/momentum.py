@@ -123,7 +123,8 @@ def momentum_blocks(h, spec, space):
         for m2 in range(periods[1]):
             chi = _characters(m1, m2, shifts, periods)
             carried = np.abs((fixed * signs * chi.conj()[:, None]).sum(axis=0)) > 0.5
-            reps = np.unique(rep[carried])
+            reps = np.sort(rep[carried])    # np.unique would load numpy.ma
+            reps = reps[np.diff(reps, prepend=-1) > 0]
             yield (m1, m2), _gather(h, rows, carried[rows] & carried[h.cols],
                                     np.searchsorted(reps, rep),
                                     chi[first] * sign * norm, len(reps))

@@ -513,7 +513,8 @@ print(cpu() - before)
     assert float(_fresh_child(probe)) < 0.02
 
 
-# (config, artifact): no many-body command loads scipy.  The dense ones are
+# (config, artifact): no many-body command loads scipy, nor numpy.ma (which
+# np.unique loads on first use: 12-17 ms per process).  The dense ones are
 # spectrum (1536, one dense eigvalsh per momentum block: 752 and 784),
 # map-residual (window blocks) and a wick-sweep whose sectors are all at
 # most 512; the ground-state (1280) takes the Lanczos path
@@ -570,14 +571,15 @@ def test_many_body_commands_load_no_scipy(tmp_path):
     src = Path(gravlat.__file__).resolve().parents[1]
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); from gravlat.cli import main; "
              "code = main(sys.argv[2:]); "
-             "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+             "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules),"
+             " 'numpy.ma' in sys.modules)")
     for name, (config, artifact) in _SCIPY_CONTRACT.items():
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(config)
         out = subprocess.run([sys.executable, "-c", probe, str(src), str(cfg),
                               "--output", str(tmp_path / name)],
                              check=True, capture_output=True, text=True).stdout
-        assert out.splitlines()[-1] == "0 False", name
+        assert out.splitlines()[-1] == "0 False False", name
         assert (tmp_path / name / artifact).exists()
 
 
@@ -991,9 +993,10 @@ def test_top_level_weight_limits(tmp_path, command, g, n_max, want):
 @pytest.mark.parametrize("g", ["0", "1e-3", "1e-2"])
 def test_half_filled_correlators_are_particle_hole_symmetric(tmp_path, ncx, placement,
                                                              n_max, g):
-    # W = (-1)^(N_b) prod_i (c_i + c_i+) commutes with H at half filling and
-    # maps c_i+ c_j to delta_ij - c_j+ c_i on a sublattice: C_ii = 1/2, and
-    # C_ij = 0 for i != j on the same sublattice of a real state
+    # W = prod_i (c_i + eps_i c_i+), eps = +1 on A and -1 on B, acts on the
+    # fermions alone and commutes with H at half filling; it maps c_i+ c_j to
+    # delta_ij - c_j+ c_i on a sublattice: C_ii = 1/2, and C_ij = 0 for
+    # i != j on the same sublattice of a real state
     code, out = _run(tmp_path, f"""
 command = correlators
 [model]
@@ -1138,3 +1141,28 @@ def test_a_non_finite_integrate_out_oracle_is_config_error(tmp_path, capsys, g, 
         f"error: category=config [model] g = {float(g)!r}, l = 1.0, mu = 1.0: the "
         f"Gauss-Hermite quadrature oracle of integrate-out is not finite ({oracle})\n")
     assert not (out / "integrate_out.txt").exists()
+
+
+@pytest.mark.parametrize("g,oracle,closed", [("5", "26.37827773956052", "26.389378290154262"),
+                                             ("100", "-100.45512517571592", "527.7875658030852")])
+def test_an_unresolved_integrate_out_oracle_is_config_error(tmp_path, capsys, g, oracle,
+                                                            closed):
+    # before: exit 0 with an oracle 4.2e-4 (g = 5) or 2.2 (g = 100) off the
+    # closed form, relative
+    code, out = _run(tmp_path, f"command = integrate-out\n[model]\ng = {g}\n")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: category=config [model] g = {float(g)!r}, l = 1.0, mu = 1.0: the "
+        f"Gauss-Hermite quadrature oracle of integrate-out ({oracle}) does not resolve "
+        f"the closed form ({closed})\n")
+    assert not (out / "integrate_out.txt").exists()
+
+
+def test_integrate_out_at_g_3_still_writes_its_bytes(tmp_path):
+    # relative oracle gap 8.5e-11, inside the 1e-8 bound
+    code, out = _run(tmp_path, "command = integrate-out\n[model]\ng = 3\n")
+    assert code == 0
+    lines = (out / "integrate_out.txt").read_text().splitlines()
+    assert lines[4:7] == ["density_closed_form=15.833626974092557",
+                          "density_quadrature_oracle=15.833626972753699",
+                          "oracle_residual=-1.3388579134243628e-09"]

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -601,6 +602,36 @@ def test_ground_energy_agreement_within_residual_bound():
     assert abs((e_sim - e_tgt) - c_star) <= r_w2
 
 
+def _particle_hole(ops, spec, sublattice_sign: bool):
+    """prod_i (c_i + eps_i c_i+) on the full space, eps_i = -1 on the B
+    modes (n_cells..) when ``sublattice_sign``, else +1."""
+    w = sparse.identity(ops.space.dimension, format="csr")
+    for i, c in enumerate(ops.c):
+        eps = -1.0 if sublattice_sign and i >= spec.n_cells else 1.0
+        w = w @ (c + eps * c.getH())
+    return w.tocsr()
+
+
+@pytest.mark.parametrize("ncx, ncy, placement", [(2, 1, "per_cell"), (3, 1, "per_cell"),
+                                                 (2, 1, "cell0"), (2, 2, "cell0")])
+def test_the_particle_hole_symmetry_carries_a_sublattice_sign(ncx, ncy, placement):
+    # W = prod_i (c_i + eps_i c_i+) acts on the fermions alone and commutes
+    # exactly with both Hamiltonians; the boson parity (-1)^(N_b) with eps = 1
+    # does not, since d -> -d flips the linear vertex
+    spec = LatticeSpec(ncx, ncy)
+    space = FockSpace(spec.n_modes, boson_pairs(spec, placement), 1)
+    ops = operator_algebra(space)
+    w = _particle_hole(ops, spec, sublattice_sign=True)
+    assert abs(w @ w - sparse.identity(space.dimension)).max() == 0.0
+    parity = sparse.kron(sparse.identity(space.fermion_dim),
+                         sparse.diags((-1.0) ** space.boson_occupation_table()))
+    w_parity = parity @ _particle_hole(ops, spec, sublattice_sign=False)
+    for h in (full_space_simulator(PARAMS, spec, space, ops),
+              full_space_target(PARAMS, spec, space, ops)):
+        assert abs(w @ h - h @ w).max() == 0.0
+        assert abs(w_parity @ h - h @ w_parity).max() > 1.0
+
+
 # ---------------------------------------------------------------------------
 # eigen machinery
 # ---------------------------------------------------------------------------
@@ -857,6 +888,77 @@ def test_sector_operator_matvec_with_empty_rows():
     empty = manybody.SectorOperator(np.zeros(0), np.zeros(0, dtype=np.intp),
                                     np.zeros(4, dtype=np.intp), (3, 3))
     np.testing.assert_array_equal(empty @ x[:3], np.zeros(3))
+
+
+def _unblocked_product(h, x):
+    """h @ x as one gather, multiply and ``np.add.reduceat`` over all entries."""
+    filled = np.flatnonzero(np.diff(h.indptr))
+    g = np.take(x.astype(np.result_type(x, h.data), copy=False), h.cols) * h.data
+    out = np.zeros(h.shape[0], dtype=g.dtype)
+    out[filled] = np.add.reduceat(g, h.indptr[filled])
+    return out
+
+
+def _ladder_space(name):
+    """The sector spaces of the ED ladder's (b) and (d) jobs."""
+    if name == "b":
+        spec = LatticeSpec(3, 1)
+        return spec, FockSpace(spec.n_modes, boson_pairs(spec, "per_cell"), 2, sector=3)
+    spec = LatticeSpec(4, 2)
+    return spec, FockSpace(spec.n_modes, boson_pairs(spec, "cell0"), 1, sector=8,
+                           nnz_cap=2 ** 23)
+
+
+@pytest.mark.parametrize("name", ["b", "d"])
+def test_row_blocked_product_is_bitwise_the_unblocked_one(name):
+    spec, space = _ladder_space(name)
+    h = assemble_simulator_hamiltonian(PARAMS, spec, space)
+    assert len(h._blocks) > 1
+    for a, b, rows, _ in h._blocks:
+        assert b - a <= manybody._ROW_BLOCK or len(rows) == 1
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(h.shape[0])
+    np.testing.assert_array_equal(h @ x, _unblocked_product(h, x))
+    z = x + 1j * rng.standard_normal(h.shape[0])
+    np.testing.assert_array_equal(h @ z, _unblocked_product(h, z))
+
+
+def test_row_blocked_product_edge_blocks(monkeypatch):
+    # blocks of at most 4 entries: row 3 (6 entries) is a block of its own,
+    # and the empty rows 0, 2, 4, 7, 8 and 11 sit at block edges
+    monkeypatch.setattr(manybody, "_ROW_BLOCK", 4)
+    rng = np.random.default_rng(7)
+    counts = [0, 3, 0, 6, 0, 1, 2, 0, 0, 2, 2, 0]
+    cols = np.concatenate([rng.permutation(12)[:n] for n in counts]).astype(np.intp)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+    data = rng.standard_normal(len(cols))
+    real = manybody.SectorOperator(data, cols, indptr, (12, 12))
+    cplx = manybody.SectorOperator(data + 1j * rng.standard_normal(len(cols)), cols, indptr,
+                                   (12, 12))
+    assert [(a, b) for a, b, _, _ in real._blocks] == [(0, 3), (3, 9), (9, 12), (12, 16)]
+    x = rng.standard_normal(12)
+    z = x + 1j * rng.standard_normal(12)
+    for h in (real, cplx):
+        for v in (x, z):
+            y = h @ v
+            np.testing.assert_array_equal(y, _unblocked_product(h, v))
+            np.testing.assert_allclose(y, h.toarray() @ v, rtol=0, atol=1e-14)
+            assert y[[0, 2, 4, 7, 8, 11]].tolist() == [0.0] * 6
+
+
+def test_row_blocked_product_allocates_a_fraction_of_its_entries():
+    # the unblocked product allocates nnz * 8 bytes of scratch (3.3 MB on (b))
+    spec, space = _ladder_space("b")
+    h = assemble_simulator_hamiltonian(PARAMS, spec, space)
+    x = np.random.default_rng(5).standard_normal(h.shape[0])
+    h @ x                                   # builds the cached block table
+    tracemalloc.start()
+    try:
+        h @ x
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < h.nnz * 8 / 3
 
 
 def _swap_block_matrix():
