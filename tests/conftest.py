@@ -158,6 +158,17 @@ def fermion_number(ops: ModeOperators):
     return n
 
 
+def full_space_particle_hole(ops: ModeOperators, spec: LatticeSpec,
+                             sublattice_sign: bool = True):
+    """prod_i (c_i + eps_i c_i+) on the full space, eps_i = -1 on the B
+    modes (n_cells..) when ``sublattice_sign``, else +1."""
+    w = sparse.identity(ops.space.dimension, format="csr")
+    for i, c in enumerate(ops.c):
+        eps = -1.0 if sublattice_sign and i >= spec.n_cells else 1.0
+        w = w @ (c + eps * c.getH())
+    return w.tocsr()
+
+
 # ---------------------------------------------------------------------------
 # full-space assembly oracle
 # ---------------------------------------------------------------------------

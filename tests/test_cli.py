@@ -162,7 +162,7 @@ placement = per_cell
     assert code == 0
     manifest = _manifest(out)
     assert manifest["sector_dimension"] == "486"   # C(4, 2) x 3^4
-    assert manifest["momentum_blocks"] == "234,252"
+    assert manifest["momentum_blocks"] == "117,117,126,126"
 
 
 def _per_value_csv(path, header, rows):
@@ -197,6 +197,32 @@ def test_write_table_matches_the_per_value_writer(tmp_path):
 
 
 def test_cell0_spectrum_is_the_dense_sector_spectrum_byte_for_byte(tmp_path):
+    # off half filling cell0 has no symmetry: one block, the whole sector
+    from gravlat.manybody import assemble_simulator_hamiltonian
+
+    text = """
+command = spectrum
+[lattice]
+ncx = 2
+ncy = 1
+[truncation]
+n_max = 2
+[manybody]
+placement = cell0
+filling = 1
+"""
+    code, out = _run(tmp_path, text)
+    assert code == 0
+    assert _manifest(out)["momentum_blocks"] == "36"
+    cfg = parse_config(text)
+    space = cfg.fock_space()
+    h = assemble_simulator_hamiltonian(cfg.params, cfg.lattice, space)
+    evals = np.linalg.eigvalsh(h.toarray())   # the unblocked solve
+    _per_value_csv(tmp_path / "dense.csv", "index,energy", [(i, evals[i]) for i in range(32)])
+    assert (out / "spectrum.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
+
+def test_half_filled_cell0_spectrum_splits_by_particle_hole(tmp_path):
     from gravlat.manybody import assemble_simulator_hamiltonian
 
     text = """
@@ -211,13 +237,14 @@ placement = cell0
 """
     code, out = _run(tmp_path, text)
     assert code == 0
-    assert _manifest(out)["momentum_blocks"] == "54"
+    assert _manifest(out)["momentum_blocks"] == "27,27"
     cfg = parse_config(text)
-    space = cfg.fock_space()
-    h = assemble_simulator_hamiltonian(cfg.params, cfg.lattice, space)
-    evals = np.linalg.eigvalsh(h.toarray())   # the unblocked solve
-    _per_value_csv(tmp_path / "dense.csv", "index,energy", [(i, evals[i]) for i in range(32)])
-    assert (out / "spectrum.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+    h = assemble_simulator_hamiltonian(cfg.params, cfg.lattice, cfg.fock_space())
+    evals = np.linalg.eigvalsh(h.toarray())[:32]
+    rows = (out / "spectrum.csv").read_text().splitlines()[1:]
+    got = np.array([float(row.split(",")[1]) for row in rows])
+    scale = max(1.0, float(np.abs(evals).max()))
+    np.testing.assert_allclose(got, evals, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_wick_sweep_zero_coupling_point_respects_nnz_cap(tmp_path):

@@ -20,7 +20,8 @@ from gravlat.manybody import (FockSpace, assemble_background_hopping,
 
 from conftest import (fermion_number, full_sector_mapping_residual,
                       full_space_background, full_space_correlators,
-                      full_space_d, full_space_simulator, full_space_target,
+                      full_space_d, full_space_particle_hole,
+                      full_space_simulator, full_space_target,
                       q_map_commutators, q_pair, sector_csr)
 
 
@@ -602,16 +603,6 @@ def test_ground_energy_agreement_within_residual_bound():
     assert abs((e_sim - e_tgt) - c_star) <= r_w2
 
 
-def _particle_hole(ops, spec, sublattice_sign: bool):
-    """prod_i (c_i + eps_i c_i+) on the full space, eps_i = -1 on the B
-    modes (n_cells..) when ``sublattice_sign``, else +1."""
-    w = sparse.identity(ops.space.dimension, format="csr")
-    for i, c in enumerate(ops.c):
-        eps = -1.0 if sublattice_sign and i >= spec.n_cells else 1.0
-        w = w @ (c + eps * c.getH())
-    return w.tocsr()
-
-
 @pytest.mark.parametrize("ncx, ncy, placement", [(2, 1, "per_cell"), (3, 1, "per_cell"),
                                                  (2, 1, "cell0"), (2, 2, "cell0")])
 def test_the_particle_hole_symmetry_carries_a_sublattice_sign(ncx, ncy, placement):
@@ -621,11 +612,11 @@ def test_the_particle_hole_symmetry_carries_a_sublattice_sign(ncx, ncy, placemen
     spec = LatticeSpec(ncx, ncy)
     space = FockSpace(spec.n_modes, boson_pairs(spec, placement), 1)
     ops = operator_algebra(space)
-    w = _particle_hole(ops, spec, sublattice_sign=True)
+    w = full_space_particle_hole(ops, spec)
     assert abs(w @ w - sparse.identity(space.dimension)).max() == 0.0
     parity = sparse.kron(sparse.identity(space.fermion_dim),
                          sparse.diags((-1.0) ** space.boson_occupation_table()))
-    w_parity = parity @ _particle_hole(ops, spec, sublattice_sign=False)
+    w_parity = parity @ full_space_particle_hole(ops, spec, sublattice_sign=False)
     for h in (full_space_simulator(PARAMS, spec, space, ops),
               full_space_target(PARAMS, spec, space, ops)):
         assert abs(w @ h - h @ w).max() == 0.0

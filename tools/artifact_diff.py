@@ -33,8 +33,9 @@ from workloads import WORKLOADS, Job, _cfg  # noqa: E402
 
 
 # Paths no benchmark job takes: the shared (``uniform``) pair, a 2D
-# many-body lattice, a filling other than half, window 0, and the mapping
-# residual on background bonds (``cell0``) and on the shared pair.
+# many-body lattice, a filling other than half, window 0, the mapping
+# residual on background bonds (``cell0``) and on the shared pair, and the
+# particle-hole split alone (half-filled ``cell0``, no translations).
 EXTRA_JOBS = (
     Job("uniform-correlators", _cfg(
         "command = correlators",
@@ -46,6 +47,11 @@ EXTRA_JOBS = (
         "[lattice]", "ncx = 3", "ncy = 1",
         "[truncation]", "n_max = 3",
         "[manybody]", "placement = uniform")),
+    Job("cell0-spectrum", _cfg(
+        "command = spectrum",
+        "[lattice]", "ncx = 2", "ncy = 1",
+        "[truncation]", "n_max = 2",
+        "[manybody]", "placement = cell0")),
     Job("per-cell-2x2-correlators", _cfg(
         "command = correlators",
         "[lattice]", "ncx = 2", "ncy = 2",
