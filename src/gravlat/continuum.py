@@ -189,7 +189,10 @@ def normal_mode_frequencies(params: ModelParams):
 
     Rotating to the sum/difference combinations (mode1 +- mode2)/sqrt(2)
     splits the default-sign density into one negative-definite (sum)
-    and one positive-definite (difference) oscillator, both of frequency
+    and one positive-definite (difference) oscillator.  The sum, xi1x =
+    xi2y, is the trace (conformal) polarization, which Fierz-Pauli's lapse
+    constraint would remove (Hinterbichler, RMP 84, 671 (2012)); the
+    diagonal model has no lapse.  Both have frequency
 
         omega = sqrt( |kinetic_coeff| * |mass_coeff| ) = mu ,
 

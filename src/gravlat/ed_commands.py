@@ -19,6 +19,7 @@ coupling and reads its truncation check off the solved state
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from .exceptions import ConfigError, DimensionCapError
 from .manybody import (assemble_background_hopping,
                        assemble_simulator_hamiltonian, correlators_and_wick,
                        ground_state, mapping_residual, top_level_weight)
-from .serialize import write_keyvalue, write_table
+from .serialize import fmt, write_keyvalue, write_table
 
 
 def _space(cfg, params):
@@ -50,9 +51,26 @@ def _hamiltonian(params, spec, space):
 
 
 def _solve(cfg, params):
-    """The ground state of the run's Hamiltonian at coupling ``params.G``."""
+    """The ground state of the run's Hamiltonian at coupling ``params.G``;
+    ConfigError before the solve unless (12 s r)^2 n < float max, s the
+    scale of :func:`ground_state` (max |entry|, at least 1), r the longest
+    row, n the dimension.  Every norm the solver squares is then finite:
+    ||H|| <= s r, a deflation shift is at most 3 s r, and so a Lanczos
+    vector or a residual H v - E v has norm at most 12 s r (n is margin:
+    an entrywise estimate, n entries of at most that size)."""
     space = _space(cfg, params)
-    return ground_state(_hamiltonian(params, cfg.lattice, space), space)
+    h = _hamiltonian(params, cfg.lattice, space)
+    scale = max(float(np.abs(h.data).max(initial=0.0)), 1.0)
+    row, dim = int(np.diff(h.indptr).max(initial=0)), h.shape[0]
+    bound = 12.0 * scale * row   # Python floats: inf, no warning
+    if not bound * bound * dim < sys.float_info.max:
+        at = f"l = {fmt(params.l)}, mu = {fmt(params.mu)}"
+        where = (f"[sweep] g_values entry {fmt(params.G)} (at [model] {at})"
+                 if cfg.command == "wick-sweep" else f"[model] g = {fmt(params.G)}, {at}")
+        raise ConfigError([f"{where}: the Hamiltonian's entries (up to {fmt(scale)}, "
+                           f"rows of up to {row}, dimension {dim}) overflow the "
+                           "eigensolver's norms: (12 scale row)^2 dim exceeds float max"])
+    return ground_state(h, space)
 
 
 def _solver_lines(gs) -> list:

@@ -17,43 +17,33 @@ substitutions are performed literally in the d modes and no canonical
 structure is assumed anywhere.
 
 Fermions use a Jordan-Wigner encoding (mode i = bit i of the basis index);
-bosons are number-basis ladders truncated at n_max with the standard
-commutator defect -(n_max + 1) on the top level.  The full-space ordering
-is fermion-major: index = fermion_index * boson_dim + boson_index.
-
-The bosons come in (x, z) pairs, one on each cell that :func:`boson_pairs`
-places (cell None: one pair shared by every cell, :meth:`FockSpace.pair_of`);
-pair p holds modes 2p (x) and 2p + 1 (z) and is digit p of the boson index
-(:meth:`FockSpace.pair_digits`).  Only :func:`_pair_ladders` and its
-occupation table know the order inside a pair.  Each Hamiltonian is a
-table of the model values and n_max alone: a vertex {species: (J0, V)}
-and B's pair-local terms (:func:`_simulator_terms`, :func:`_target_terms`).
+the full-space ordering is fermion-major, index = fermion_index *
+boson_dim + boson_index.  The bosons come in (x, z) pairs, one on each
+cell that :func:`boson_pairs` places (cell None: one pair shared by every
+cell, :meth:`FockSpace.pair_of`); pair p holds modes 2p (x) and 2p + 1 (z)
+and is digit p of the boson index (:meth:`FockSpace.pair_digits`).  Only
+:class:`FockSpace` knows a pair's basis and the order inside it: its
+``pair_occupations`` and ``pair_ladders`` (number-basis ladders truncated
+at n_max) are what every reader takes.  Each Hamiltonian is a table of
+the model values and those ladders alone: a vertex {species: (J0, V)} and
+B's pair-local terms (:func:`_simulator_terms`, :func:`_target_terms`).
 One rule, :func:`_bond_couplings`, wires a vertex to the bonds of
 :meth:`LatticeSpec.bonds`; the x boson drives both the x and the y bond.
 
-Hamiltonians are assembled directly on the sector basis: the fermion
-factor is the sorted list of basis integers with the sector's number of
-set bits (all integers when no sector is set), and the sector basis keeps
-the fermion-major order, index = position_in_that_list * boson_dim +
-boson_index (the order of :meth:`FockSpace.sector_indices`).  Every
-Hamiltonian is sum_(p, q) kron(c_p+ c_q, J_pq) + h.c. + kron(1, B), with
+Hamiltonians are assembled directly on the sector basis: the sorted
+fermion integers with the sector's number of set bits (all when no sector
+is set), in the fermion-major order of :meth:`FockSpace.sector_indices`.
+Every Hamiltonian is sum_(p, q) kron(c_p+ c_q, J_pq) + h.c. + kron(1, B),
 the hopping blocks looked up by ``searchsorted`` in the sorted basis
-(H. Q. Lin, PRB 42, 6561 (1990)), and it is built in two steps.  First the
-bond rule turns the vertex into J_pq, the couplings of the bonds joining
-fermion modes p and q added, each a small dense matrix local to one pair
-(a 1 x 1 multiple of the identity where no pair serves the cell), as are
-the terms of the boson Hamiltonian B, which every pair shares.  Then one
-shared step puts them on the sector.  Each J_pq is embedded in the boson
-factor by index arithmetic on the pair digits, in row-major order.  B is
-built and checked there, on the boson factor (the hopping part is
-Hermitian by construction): its diagonal term by term, pair by pair, its
-off-diagonal as one local block, the terms' sum, on every pair; a defect
-above 1e-12 times the largest |entry| of H, or 1, raises, and B enters as
-(B + B+) / 2.  The same step can first restrict every boson-factor
-operator to the boson indices a window mask keeps, so
-:func:`mapping_residual` assembles only its window block.  The result is a
-:class:`SectorOperator`, the entries put in row order once by a stable
-sort: its own compressed-row form, with ``@`` and ``toarray``.
+(H. Q. Lin, PRB 42, 6561 (1990)).  The bond rule turns the vertex into
+J_pq, a small dense matrix local to one pair (1 x 1 where no pair serves
+the cell).  :func:`_on_sector` embeds each J_pq in the boson factor by
+index arithmetic on the pair digits, builds and checks B there (the
+hopping part is Hermitian by construction, :func:`_hermitian_part`), and
+can first restrict every boson-factor operator to the indices a window
+mask keeps, so :func:`mapping_residual` assembles only its window block.
+The result is a :class:`SectorOperator`, its own compressed-row form with
+``@`` and ``toarray``.
 
 Observables read a state on the same basis, and only there.  A fermion
 annihilator c_i maps the N-particle basis to the (N-1)-particle one by the
@@ -127,6 +117,9 @@ def boson_pairs(spec: LatticeSpec, placement: str) -> tuple:
     return tuple(BOSON_PLACEMENTS[placement](spec))
 
 
+_PAIR_SPECIES = ("x", "z")   # the modes of one pair, in mode order
+
+
 @dataclass(frozen=True)
 class FockSpace:
     """Tensor basis: fermion occupation bits x truncated boson numbers.
@@ -136,7 +129,8 @@ class FockSpace:
     by every cell.  Pair p holds boson modes 2p (x) and 2p + 1 (z), and its
     digit, the index into its factor, sits at stride pair_dim^p of the
     boson index.  ``sector`` optionally restricts the fermion factor to a
-    fixed total number.
+    fixed total number.  The pair basis, ``pair_occupations`` and
+    ``pair_ladders``, is built from n_max on first use and kept.
     """
 
     n_fermion_modes: int
@@ -159,11 +153,33 @@ class FockSpace:
     @property
     def boson_modes(self) -> tuple:
         """(cell, species) of each boson mode, in mode order."""
-        return tuple((cell, species) for cell in self.pairs for species in ("x", "z"))
+        return tuple((cell, species) for cell in self.pairs for species in _PAIR_SPECIES)
 
     @property
     def n_boson_modes(self) -> int:
-        return 2 * len(self.pairs)
+        return len(_PAIR_SPECIES) * len(self.pairs)
+
+    @cached_property
+    def pair_occupations(self) -> np.ndarray:
+        """[pair digit j, species]: the occupations of one pair's states,
+        species in mode order, j = n_x + (n_max + 1) n_z (read-only)."""
+        base = self.n_max + 1
+        occ = _digits(base ** len(_PAIR_SPECIES), base, len(_PAIR_SPECIES))
+        occ.flags.writeable = False
+        return occ
+
+    @cached_property
+    def pair_ladders(self) -> dict:
+        """{species: d_s} on one pair's factor, in mode order and indexed as
+        ``pair_occupations``: d_s[j', j] = sqrt(n_s) where state j' is state j
+        with one s quantum less (read-only)."""
+        occ = self.pair_occupations
+        ladders = {}
+        for s, unit in zip(_PAIR_SPECIES, np.eye(len(_PAIR_SPECIES), dtype=int)):
+            d = (occ[:, None] == occ[None] - unit).all(axis=2) * np.sqrt(occ @ unit)
+            d.flags.writeable = False
+            ladders[s] = d
+        return ladders
 
     @property
     def fermion_dim(self) -> int:
@@ -171,7 +187,7 @@ class FockSpace:
 
     @property
     def pair_dim(self) -> int:
-        return (self.n_max + 1) ** 2
+        return len(self.pair_occupations)
 
     @property
     def boson_dim(self) -> int:
@@ -194,7 +210,7 @@ class FockSpace:
 
     def boson_occupation_table(self) -> np.ndarray:
         """Total boson occupation per boson basis index."""
-        return _pair_occupations(self.n_max).sum(axis=1)[self.pair_digits()].sum(axis=1)
+        return self.pair_occupations.sum(axis=1)[self.pair_digits()].sum(axis=1)
 
     def sector_fermion_states(self) -> np.ndarray:
         """Sorted fermion basis integers of the sector (all when unset)."""
@@ -364,21 +380,6 @@ def _restricted(entries, keep: np.ndarray):
     inside = keep[rows] & keep[cols]
     position = np.cumsum(keep) - 1
     return position[rows[inside]], position[cols[inside]], data[inside]
-
-
-def _pair_occupations(n_max: int) -> np.ndarray:
-    """[pair digit j, species]: (n_x, n_z) of one pair's states, j = n_x + (n_max + 1) n_z."""
-    return _digits((n_max + 1) ** 2, n_max + 1, 2)
-
-
-def _pair_ladders(n_max: int):
-    """(d_x, d_z, 1) on the factor of one (x, z) pair, indexed as
-    :func:`_pair_occupations`: d_s[j', j] = sqrt(n_s) where state j' is
-    state j with one s quantum less."""
-    occ = _pair_occupations(n_max)
-    d = [(occ[:, None] == occ[None] - unit).all(axis=2) * np.sqrt(occ[:, s])
-         for s, unit in enumerate(np.eye(2, dtype=int))]
-    return d[0], d[1], np.eye(len(occ))
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -605,17 +606,18 @@ def _check_space(spec: LatticeSpec, space: FockSpace) -> None:
     operator_algebra(space)
 
 
-def _simulator_terms(params: ModelParams, n_max: int):
-    """(vertex, B's pair-local terms) of the simulator on one pair's factor,
+def _simulator_terms(params: ModelParams, ladders: dict):
+    """(vertex, B's pair-local terms) of the simulator on the factor of one
+    pair with ``ladders`` ({species: d_s}, :attr:`FockSpace.pair_ladders`),
     as :func:`_bond_couplings` and :func:`_on_sector` read them:
     J0 = Delta_s D_s^2 and V = Delta_s D_s (d_s + d_s+)."""
     opt = optical_params(params)
-    dx, dz, eye = _pair_ladders(n_max)
     vertex = {s: (opt.strength(s) * opt.amplitude(s) * opt.amplitude(s),
                   opt.strength(s) * opt.amplitude(s) * (d + d.T))
-              for s, d in (("x", dx), ("z", dz))}
-    bx = dx + opt.d_x * eye   # alpha_x in the number basis of d_x
-    bz = dz + opt.d_z * eye
+              for s, d in ladders.items()}
+    dx, dz = ladders["x"], ladders["z"]
+    bx = dx + opt.d_x * np.eye(len(dx))   # alpha_x in the number basis of d_x
+    bz = dz + opt.d_z * np.eye(len(dz))
     abar_x = bx.T - bx        # equals dx+ - dx exactly
     abar_z = bz.T - bz
     n_x = _product(bx.T, bx)
@@ -647,7 +649,7 @@ def assemble_simulator_hamiltonian(params: ModelParams, spec: LatticeSpec,
     if ops is not None and ops.space != space:
         raise ValueError("mode operators belong to another space")
     _check_space(spec, space)
-    return _on_sector(spec, space, _simulator_terms(params, space.n_max))
+    return _on_sector(spec, space, _simulator_terms(params, space.pair_ladders))
 
 
 def assemble_background_hopping(l: float, spec: LatticeSpec,
@@ -664,13 +666,13 @@ def assemble_background_hopping(l: float, spec: LatticeSpec,
     return _on_sector(spec, space, ({"x": (j0, None), "z": (j0, None)}, ()))
 
 
-def _target_terms(params: ModelParams, n_max: int):
-    """(vertex, B's pair-local terms) of the target, as :func:`_simulator_terms`
-    returns them: J0 = 2/(3 l), V_x = (delta v_x + delta J_z / 2) / 2 and
-    V_z = delta J_z."""
+def _target_terms(params: ModelParams, ladders: dict):
+    """(vertex, B's pair-local terms) of the target from the same
+    ``ladders``, as :func:`_simulator_terms` returns them: J0 = 2/(3 l),
+    V_x = (delta v_x + delta J_z / 2) / 2 and V_z = delta J_z."""
     j0 = 2.0 / (3.0 * params.l)
     slope = 4.0 * np.sqrt(2.0) * np.pi * params.G / params.l ** 2
-    dx, dz, _ = _pair_ladders(n_max)
+    dx, dz = ladders["x"], ladders["z"]
     q1, q2 = Q1_X * dx + Q1_Z * dz, dz
     delta_jz = (2.0 / 3.0) * (-slope) * (q2 + q2.T)
     delta_vx = -slope * (q1 + q1.T)
@@ -701,7 +703,7 @@ def assemble_target_hamiltonian(params: ModelParams, spec: LatticeSpec,
         (1/(16 pi G))(q1+ - q1)(q2+ - q2) - 4 pi G mu^2 (q1+ + q1)(q2+ + q2).
     """
     _check_space(spec, space)
-    return _on_sector(spec, space, _target_terms(params, space.n_max))
+    return _on_sector(spec, space, _target_terms(params, space.pair_ladders))
 
 
 def mapping_residual(params: ModelParams, spec: LatticeSpec, space: FockSpace,
@@ -724,8 +726,8 @@ def mapping_residual(params: ModelParams, spec: LatticeSpec, space: FockSpace,
         raise ValueError(f"window {window} exceeds n_max {space.n_max}")
     _check_space(spec, space)
     keep = space.boson_occupation_table() <= window
-    sim = _on_sector(spec, space, _simulator_terms(params, space.n_max), keep=keep)
-    target = _on_sector(spec, space, _target_terms(params, space.n_max), keep=keep)
+    sim = _on_sector(spec, space, _simulator_terms(params, space.pair_ladders), keep=keep)
+    target = _on_sector(spec, space, _target_terms(params, space.pair_ladders), keep=keep)
     evals = np.linalg.eigvalsh(sim.toarray() - target.toarray())
     return float((evals[-1] - evals[0]) / 2.0)
 
@@ -915,24 +917,18 @@ def ground_state(h, space: FockSpace) -> GroundStateResult:
     ``h`` is a :class:`SectorOperator` or anything else with ``shape``,
     ``data``, ``toarray``, ``real`` and ``@`` on a vector (a scipy sparse
     matrix), square with the sector dimension and finite in every entry
-    (ValueError otherwise, before any solve); the returned vectors are on
-    the sector basis.  It is solved in real arithmetic whenever it is
-    real (a complex input with an exactly zero imaginary part is cast to
-    real first); a genuinely complex one keeps the Hermitian solvers.
-    Dense diagonalization of ``h.toarray()`` up to dimension 512; above,
-    numpy Lanczos runs on ``h @ x`` (see :func:`_lanczos`), each started
-    from a fixed-seed Gaussian vector, the
-    first from ``np.random.default_rng(0).standard_normal(dim)``: reruns
-    are byte-stable, and the vector overlaps ground states that a symmetry
-    makes orthogonal to the uniform vector.  Levels within
-    ``DEGENERACY_TOL`` * scale of E0 are returned as the full multiplet;
-    Lanczos finds them one run at a time, locking each, until a run lands
-    above the tolerance.  ``k`` records the Lanczos runs (the multiplicity
-    plus one, or the sector dimension on the dense path) and ``matvecs``
-    their H-vector products.
-
-    The residual ||Hv - E v|| of every returned pair must come out below
-    1e-10 * scale(H) or ConvergenceError is raised.
+    (ValueError otherwise, before any solve).  It is solved in real
+    arithmetic whenever its imaginary part is exactly zero.  Dense
+    diagonalization of ``h.toarray()`` up to dimension 512; above, numpy
+    Lanczos on ``h @ x`` (:func:`_lanczos`), its runs started from the
+    fixed-seed Gaussian vectors of ``np.random.default_rng(0)``: reruns are
+    byte-stable, and the start overlaps ground states that a symmetry makes
+    orthogonal to the uniform vector.  Levels within ``DEGENERACY_TOL`` *
+    scale of E0 are returned as the full multiplet.  ``k`` records the
+    Lanczos runs (the multiplicity plus one, or the sector dimension on the
+    dense path) and ``matvecs`` their H-vector products.  ConvergenceError
+    unless the residual ||Hv - E v|| of every returned pair is at most
+    1e-10 * scale(H).
     """
     dim = space.sector_dimension
     if h.shape != (dim, dim):
@@ -1042,7 +1038,7 @@ def correlators_and_wick(state, space: FockSpace) -> CorrelatorReport:
     first = [_annihilation_map(states, once, i) for i in range(nf)]
     second = [_annihilation_map(once, twice, i) for i in range(nf)]
     n_once, n_twice = len(once), len(twice)
-    ladders = [(p, d) for p in range(len(space.pairs)) for d in _pair_ladders(space.n_max)[:2]]
+    ladders = [(p, d) for p in range(len(space.pairs)) for d in space.pair_ladders.values()]
 
     for w, x in zip(weights, rows):
         # row i: c_i psi on the (N-1)-particle basis
@@ -1053,19 +1049,20 @@ def correlators_and_wick(state, space: FockSpace) -> CorrelatorReport:
         pvecs = np.array([_annihilate(second[a], cvecs[b].reshape(n_once, n_b), n_twice).ravel()
                           for a, b in zip(pair_a, pair_b)]).reshape(n_pairs, n_twice * n_b)
         gram += w * (pvecs.conj() @ pvecs.T)
-        # row m = 2p + s: d_m psi and d_m+ psi, species s of pair p
+        # row m, mode m of space.boson_modes: d_m psi and d_m+ psi
         dvecs = np.array([_on_pair_axis(x, space, p, d)
                           for p, d in ladders]).reshape(nb, x.size)
         ddagvecs = np.array([_on_pair_axis(x, space, p, d.T)
                              for p, d in ladders]).reshape(nb, x.size)
         d_dag_d += w * (dvecs.conj() @ dvecs.T)
         d_dag_ddag += w * (dvecs.conj() @ ddagvecs.T)
-    # q1 = Q1_X d_x + Q1_Z d_z and q2 = d_z of pair p (modes x = 2p, z = 2p + 1)
-    q_corr = {cell: {"q1dag_q2": Q1_X * d_dag_d[2 * p, 2 * p + 1]
-                     + Q1_Z * d_dag_d[2 * p + 1, 2 * p + 1],
-                     "q1dag_q2dag": Q1_X * d_dag_ddag[2 * p, 2 * p + 1]
-                     + Q1_Z * d_dag_ddag[2 * p + 1, 2 * p + 1]}
-              for p, cell in enumerate(space.pairs)}
+    # q1 = Q1_X d_x + Q1_Z d_z and q2 = d_z of each pair
+    mode = {m: i for i, m in enumerate(space.boson_modes)}
+    q_corr = {}
+    for cell in space.pairs:
+        x, z = mode[cell, "x"], mode[cell, "z"]
+        q_corr[cell] = {"q1dag_q2": Q1_X * d_dag_d[x, z] + Q1_Z * d_dag_d[z, z],
+                        "q1dag_q2dag": Q1_X * d_dag_ddag[x, z] + Q1_Z * d_dag_ddag[z, z]}
 
     # for i < j and k < l, <c_i+ c_j+ c_k c_l> = -gram[(i, j), (k, l)]; every
     # other quadruple is 0 on both sides of the cumulant (a repeated index)
@@ -1084,13 +1081,15 @@ def correlators_and_wick(state, space: FockSpace) -> CorrelatorReport:
 
 
 def top_level_weight(state, space: FockSpace) -> float:
-    """max over the boson modes m of the probability that n_m = n_max (the
-    truncation check of Zhang, Jeckelmann & White, PRL 80, 2661 (1998));
-    ``state`` is read as by :func:`correlators_and_wick`, a multiplet with
-    weight 1/g per vector.  About 1/(n_max + 1) when the weight is spread
-    evenly over the kept levels; 0.0 with no boson modes."""
+    """max over the boson modes m of the probability that n_m sits at the
+    cut, the top occupation of ``space.pair_occupations`` (the truncation
+    check of Zhang, Jeckelmann & White, PRL 80, 2661 (1998)); ``state`` is
+    read as by :func:`correlators_and_wick`, a multiplet with weight 1/g per
+    vector.  About one over the levels kept per mode when the weight is
+    spread evenly over them; 0.0 with no boson modes."""
     weights, rows = _as_mixture(state, space)
     p = sum(w * (np.abs(x) ** 2).sum(axis=0) for w, x in zip(weights, rows))
-    top = _pair_occupations(space.n_max) == space.n_max    # [pair digit, species]
-    on_top = top[space.pair_digits()].reshape(space.boson_dim, -1)   # [index, mode 2p + s]
+    occ = space.pair_occupations
+    top = occ == occ.max(axis=0)    # [pair digit, species]: the states at the cut
+    on_top = top[space.pair_digits()].reshape(space.boson_dim, -1)   # [index, mode]
     return float((p[:, None] * on_top).sum(axis=0).max(initial=0.0))

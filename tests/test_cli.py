@@ -448,6 +448,53 @@ def test_a_coupling_whose_boson_number_product_overflows_is_config_error(tmp_pat
     assert not out.exists()
 
 
+_SOLVER_OVERFLOW = "overflow the eigensolver's norms: (12 scale row)^2 dim exceeds float max"
+
+
+@pytest.mark.parametrize("command,key,raw,where", [
+    # before: exit 3, "eigenpair residual inf" (operator scale 5.3e303,
+    # 4.1e300 and 1.7e199 on the 54-dimensional sector)
+    *[(command, key, raw, f"[model] {model}")
+      for command in ("ground-state", "correlators")
+      for key, raw, model in (("g", "1e100", "g = 1e+100, l = 1.0, mu = 1.0"),
+                              ("mu", "1e150", "g = 0.01, l = 1.0, mu = 1e+150"),
+                              ("l", "1e-100", "g = 0.01, l = 1e-100, mu = 1.0"))],
+    ("wick-sweep", "mu", "1e150", "[sweep] g_values entry 0.001 (at [model] l = 1.0, mu = 1e+150)"),
+    ("wick-sweep", "l", "1e-100", "[sweep] g_values entry 0.001 (at [model] l = 1e-100, mu = 1.0)"),
+    ("ground-state", "l", "1.4e-76", "[model] g = 0.01, l = 1.4e-76, mu = 1.0"),   # just outside
+])
+def test_a_hamiltonian_too_large_for_the_solver_norms_is_config_error(tmp_path, capsys,
+                                                                     command, key, raw, where):
+    code, out = _run(tmp_path, f"command = {command}\n{_SMALL_ED}[model]\n{key} = {raw}\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: category=config {where}: the Hamiltonian's entries")
+    assert err.endswith(f"{_SOLVER_OVERFLOW}\n") and "Traceback" not in err
+    assert not (out / "manifest.txt").exists()
+
+
+def test_a_sweep_entry_too_large_for_the_solver_norms_is_config_error(tmp_path, capsys):
+    code, _ = _run(tmp_path, f"command = wick-sweep\n{_SMALL_ED}[sweep]\ng_values = 0, 1e100\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: category=config [sweep] g_values entry 1e+100 "
+                          "(at [model] l = 1.0, mu = 1.0): the Hamiltonian's entries")
+    assert err.endswith(f"{_SOLVER_OVERFLOW}\n")
+
+
+@pytest.mark.parametrize("command,text", [
+    # just inside the solver-norm bound: largest entry 7.4e150, rows of 19
+    ("ground-state", f"{_SMALL_ED}[model]\nl = 1.5e-76\n"),
+    # no Lanczos or residual: these print finite values
+    ("spectrum", f"{_SMALL_ED}[model]\ng = 1e100\n"),
+    ("map-residual", f"{_SMALL_ED}[model]\nl = 1e-100\n"),
+])
+def test_a_hamiltonian_the_solver_norm_bound_lets_through_runs(tmp_path, command, text):
+    code, out = _run(tmp_path, f"command = {command}\n{text}")
+    assert code == 0
+    assert (out / "manifest.txt").exists()
+
+
 @pytest.mark.parametrize("command,text", [
     ("ground-state", f"{_SMALL_ED}[model]\ng = 1e-78\n"),   # just inside the bound
     ("graviton-modes", "[model]\ng = 1e-100\n"),          # builds no simulator

@@ -18,7 +18,7 @@ from gravlat.manybody import (FockSpace, assemble_background_hopping,
                               boson_pairs, ground_state, mapping_residual,
                               operator_algebra)
 
-from conftest import (fermion_number, full_sector_mapping_residual,
+from conftest import (boson_ladders, fermion_number, full_sector_mapping_residual,
                       full_space_background, full_space_correlators,
                       full_space_d, full_space_particle_hole,
                       full_space_simulator, full_space_target,
@@ -283,17 +283,37 @@ def test_pair_digits_are_the_per_mode_digits(ncx, ncy, placement, n_max):
     assert space.pair_dim == base ** 2
     assert digits.shape == (space.boson_dim, len(space.pairs))
     np.testing.assert_array_equal(digits, per_mode[:, 0::2] + base * per_mode[:, 1::2])
-    occupations = manybody._pair_occupations(n_max)[digits].reshape(space.boson_dim, -1)
+    occupations = space.pair_occupations[digits].reshape(space.boson_dim, -1)
     np.testing.assert_array_equal(occupations, per_mode)
     np.testing.assert_array_equal(space.boson_occupation_table(), per_mode.sum(axis=1))
     # each pair-local ladder embedded on its pair is the per-mode kron chain
     ladders = full_space_d(FockSpace(0, space.pairs, n_max))
     for p in range(len(space.pairs)):
-        for s, d in enumerate(manybody._pair_ladders(n_max)[:2]):
+        for s, d in enumerate(space.pair_ladders.values()):
             rows, cols, data = manybody._embed(space, d, p)
             embedded = sparse.csr_matrix((data, (rows, cols)),
                                          shape=(space.boson_dim,) * 2)
             assert (embedded != ladders[2 * p + s]).nnz == 0
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 3])
+def test_the_space_owns_one_read_only_pair_basis(n_max):
+    """The pair's occupations and ladders are built once per space, in mode
+    order, read-only, and equal the one-pair kron chains of the oracle; a
+    space with another n_max gets its own."""
+    space = FockSpace(2, (None,), n_max)
+    assert space.pair_ladders is space.pair_ladders
+    assert space.pair_occupations is space.pair_occupations
+    assert list(space.pair_ladders) == [s for _, s in space.boson_modes]
+    assert space.pair_dim == len(space.pair_occupations) == (n_max + 1) ** 2
+    for d, oracle in zip(space.pair_ladders.values(), boson_ladders(space)):
+        np.testing.assert_array_equal(d, oracle.toarray())
+        with pytest.raises(ValueError, match="read-only"):
+            d[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        space.pair_occupations[0, 0] = 1
+    wider = replace(space, n_max=n_max + 1)
+    assert wider.pair_dim == (n_max + 2) ** 2 and space.pair_dim == (n_max + 1) ** 2
 
 
 @pytest.mark.parametrize("placement", ["per_cell", "uniform"])
@@ -302,8 +322,7 @@ def test_pair_local_matrix_may_hold_several_entries_per_row(placement, rng):
     pair's axis of the sector rows it is the full-space q1 of the oracle."""
     spec = LatticeSpec(2, 1)
     space = FockSpace(spec.n_modes, boson_pairs(spec, placement), 2, sector=2)
-    dx, dz, _ = manybody._pair_ladders(space.n_max)
-    q1 = manybody.Q1_X * dx + manybody.Q1_Z * dz
+    q1 = manybody.Q1_X * space.pair_ladders["x"] + manybody.Q1_Z * space.pair_ladders["z"]
     assert np.count_nonzero(q1, axis=1).max() == 2
     psi = rng.standard_normal(space.sector_dimension) + 1j * rng.standard_normal(
         space.sector_dimension)
@@ -463,10 +482,14 @@ def test_vertex_single_quantum_amplitudes_are_the_closed_form(g, l, n_max):
     J0 = 2/(3 l).  V[one s quantum, vacuum] is the amplitude on X_s."""
     p = ModelParams(G=g, l=l, mu=1.0)
     slope = 4.0 * np.sqrt(2.0) * np.pi * g / l ** 2
-    one = {"x": 1, "z": n_max + 1}   # pair digit n_x + (n_max + 1) n_z
+    space = FockSpace(0, (None,), n_max)
+    occ = space.pair_occupations
+    one = {s: int(np.flatnonzero((occ == unit).all(axis=1))[0])   # the pair digit of 1_s
+           for s, unit in zip("xz", np.eye(2, dtype=int))}
+    assert one == {"x": 1, "z": n_max + 1}   # n_x + (n_max + 1) n_z
     closed = {"x": -(np.sqrt(2.0) / 3.0) * slope, "z": -(2.0 / 3.0) * slope}
-    target, _ = manybody._target_terms(p, n_max)
-    simulator, _ = manybody._simulator_terms(p, n_max)
+    target, _ = manybody._target_terms(p, space.pair_ladders)
+    simulator, _ = manybody._simulator_terms(p, space.pair_ladders)
     for species in "xz":
         assert target[species][0] == 2.0 / (3.0 * l)
         assert simulator[species][0] == pytest.approx(2.0 / (3.0 * l), rel=1e-15)
@@ -538,9 +561,9 @@ def test_window_block_is_the_slice_of_the_full_sector_hamiltonian():
     n_states = len(space.sector_fermion_states())
     idx = (np.arange(n_states)[:, None] * space.boson_dim + keep).ravel()
     for terms, full in (
-            (manybody._simulator_terms(PARAMS, space.n_max),
+            (manybody._simulator_terms(PARAMS, space.pair_ladders),
              assemble_simulator_hamiltonian(PARAMS, spec, space)),
-            (manybody._target_terms(PARAMS, space.n_max),
+            (manybody._target_terms(PARAMS, space.pair_ladders),
              assemble_target_hamiltonian(PARAMS, spec, space))):
         block = sector_csr(manybody._on_sector(spec, space, terms, keep=mask))
         ref = _canonical(sector_csr(full)[idx][:, idx])
@@ -559,10 +582,9 @@ def test_non_hermitian_boson_term_is_rejected(monkeypatch, skew):
     space = FockSpace(2, boson_pairs(SPEC1, "per_cell"), 2)
     real_terms = manybody._simulator_terms
 
-    def skewed_terms(params, n_max):
-        vertex, terms = real_terms(params, n_max)
-        dx, _, _ = manybody._pair_ladders(n_max)
-        return vertex, terms + (skew(dx),)
+    def skewed_terms(params, ladders):
+        vertex, terms = real_terms(params, ladders)
+        return vertex, terms + (skew(ladders["x"]),)
 
     monkeypatch.setattr(manybody, "_simulator_terms", skewed_terms)
     with pytest.raises(AssertionError, match="anti-Hermitian"):

@@ -34,8 +34,9 @@ from workloads import WORKLOADS, Job, _cfg  # noqa: E402
 
 # Paths no benchmark job takes: the shared (``uniform``) pair, a 2D
 # many-body lattice, a filling other than half, window 0, the mapping
-# residual on background bonds (``cell0``) and on the shared pair, and the
-# particle-hole split alone (half-filled ``cell0``, no translations).
+# residual on background bonds (``cell0``) and on the shared pair, the
+# particle-hole split alone (half-filled ``cell0``, no translations), and
+# the one-state pair basis (n_max = 0).
 EXTRA_JOBS = (
     Job("uniform-correlators", _cfg(
         "command = correlators",
@@ -80,6 +81,11 @@ EXTRA_JOBS = (
         "[truncation]", "n_max = 2", "window = 1",
         "[manybody]", f"placement = {placement}",
         "[sweep]", "g_values = 0, 1e-3, 1e-2")) for placement in ("cell0", "uniform")),
+    Job("n-max-0-correlators", _cfg(
+        "command = correlators",
+        "[lattice]", "ncx = 2", "ncy = 1",
+        "[truncation]", "n_max = 0",
+        "[manybody]", "placement = per_cell")),
 )
 
 
