@@ -235,6 +235,16 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(values=values)
 
 
+def _coupling_location(params: ModelParams, sweep: bool) -> str:
+    """Where a config problem's coupling is set: "[model] g = ..., l = ...,
+    mu = ..." or, for a [sweep] g_values entry (``sweep``), "[sweep]
+    g_values entry ... (at [model] l = ..., mu = ...)"."""
+    at = f"l = {fmt(params.l)}, mu = {fmt(params.mu)}"
+    if sweep:
+        return f"[sweep] g_values entry {fmt(params.G)} (at [model] {at})"
+    return f"[model] g = {fmt(params.G)}, {at}"
+
+
 def _coupling_problems(values) -> list:
     """One problem for [model] g and for each [sweep] g_values entry that is
     positive and whose design constants (:func:`optical_params`, which the
@@ -245,19 +255,19 @@ def _coupling_problems(values) -> list:
     forms its boson number product N_z N_x, about that size, before it
     scales it by the quartic prefactor (so G below about 5.8e-79 l fails)."""
     l, mu = values[("model", "l")], values[("model", "mu")]
-    at = f"l = {fmt(l)}, mu = {fmt(mu)}"
     command = values[("", "command")]
     many_body = command not in _DISPATCH
     sweep = command in ("wick-sweep", "map-residual")
-    g = values[("model", "g")]
-    couplings = [(f"[model] g = {fmt(g)}, {at}", g, many_body and not sweep)]
-    couplings += [(f"[sweep] g_values entry {fmt(x)} (at [model] {at})", x, many_body and sweep)
+    couplings = [(values[("model", "g")], False, many_body and not sweep)]
+    couplings += [(x, True, many_body and sweep)
                   for x in dict.fromkeys(values[("sweep", "g_values")])]
     problems = []
-    for where, g, simulated in couplings:
+    for g, in_sweep, simulated in couplings:
         if g > 0:
+            params = ModelParams(G=g, l=l, mu=mu)
+            where = _coupling_location(params, in_sweep)
             try:
-                opt = optical_params(ModelParams(G=g, l=l, mu=mu))
+                opt = optical_params(params)
             except ValueError as exc:
                 problems.append(f"{where}: {exc}")
                 continue
@@ -391,7 +401,7 @@ def _cmd_integrate_out(cfg, outdir, extras):
     eff = integrate_out_geometry(params)
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite oracle is refused below
         oracle = gaussian_elimination_oracle(params, j1, j2)
-    where = f"[model] g = {fmt(params.G)}, l = {fmt(params.l)}, mu = {fmt(params.mu)}"
+    where = _coupling_location(params, sweep=False)
     if not np.isfinite(oracle):
         raise ConfigError([f"{where}: the Gauss-Hermite quadrature "
                            f"oracle of integrate-out is not finite ({fmt(oracle)})"])

@@ -24,6 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .cli import _coupling_location
 from .designer import optical_params, weak_fluctuation_check
 from .exceptions import ConfigError, DimensionCapError
 from .manybody import (assemble_background_hopping,
@@ -64,9 +65,7 @@ def _solve(cfg, params):
     row, dim = int(np.diff(h.indptr).max(initial=0)), h.shape[0]
     bound = 12.0 * scale * row   # Python floats: inf, no warning
     if not bound * bound * dim < sys.float_info.max:
-        at = f"l = {fmt(params.l)}, mu = {fmt(params.mu)}"
-        where = (f"[sweep] g_values entry {fmt(params.G)} (at [model] {at})"
-                 if cfg.command == "wick-sweep" else f"[model] g = {fmt(params.G)}, {at}")
+        where = _coupling_location(params, sweep=cfg.command == "wick-sweep")
         raise ConfigError([f"{where}: the Hamiltonian's entries (up to {fmt(scale)}, "
                            f"rows of up to {row}, dimension {dim}) overflow the "
                            "eigensolver's norms: (12 scale row)^2 dim exceeds float max"])

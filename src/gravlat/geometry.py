@@ -15,11 +15,9 @@ is the G-free solution ``v`` of the linearized zero-torsion condition
 so the physical connection perturbation is ``8*pi*G*v``.  Closed-form
 components for diagonal fields:
 
-    v^0_t = 0
-    v^0_x = -(1/l) d_y xi1x        v^0_y = +(1/l) d_x xi2y
-    v^a_t = 0
-    v^1_x = 0,  v^1_y = -d_t xi2y
-    v^2_x = +d_t xi1x,  v^2_y = 0
+    v^0_t = 0,  v^0_x = -(1/l) d_y xi1x,  v^0_y = +(1/l) d_x xi2y
+    v^1_t = v^1_x = 0,  v^1_y = -d_t xi2y
+    v^2_t = v^2_y = 0,  v^2_x = +d_t xi1x
 
 They are written once, in ``_closed_form_connection``, which takes the four
 derivatives they read: :func:`spin_connection_gauge_fixed` feeds it central
@@ -34,6 +32,7 @@ for the torsion residual to vanish.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,17 +61,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """The physical triple (G, l, mu) in units hbar = 1, lattice constant = 1.
-
-    Attributes
-    ----------
-    G : float
-        Coupling constant of the geometry sector (dimensionless), >= 0.
-    l : float
-        Background frame scale (length), > 0.
-    mu : float
-        Fluctuation mass (inverse length), > 0.
-    """
+    """The physical triple (G, l, mu) in units hbar = 1, lattice constant = 1:
+    G >= 0 the dimensionless coupling of the geometry sector, l > 0 the
+    background frame scale (a length), mu > 0 the fluctuation mass."""
 
     G: float
     l: float
@@ -152,11 +143,8 @@ class DiagonalFluctuationSlab:
 
 @dataclass(frozen=True)
 class SpinConnectionSlab:
-    """Connection perturbation v[A, mu] sampled over a space-time slab.
-
-    ``components`` maps (A, mu) to a grid array; a component that is not
-    in the map is identically zero.
-    """
+    """Connection perturbation v[A, mu] sampled over a space-time slab:
+    ``components`` maps (A, mu) to a grid array, an absent one is zero."""
 
     grid: SpacetimeGrid
     components: dict
@@ -188,8 +176,7 @@ def central_difference(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray
     """Second-order central difference with periodic wrap.
 
     Bitwise ``(np.roll(arr, -1, axis) - np.roll(arr, 1, axis)) / (2 h)``,
-    written into one array through slices instead of two rolled copies.
-    """
+    written into one array through slices instead of two rolled copies."""
     a = np.moveaxis(arr, axis, 0)
     out = np.empty(np.shape(arr), np.result_type(arr, 1.0))
     o = np.moveaxis(out, axis, 0)
@@ -206,9 +193,8 @@ def spectral_difference(arr: np.ndarray, axis: int, spacing: float) -> np.ndarra
     The unpaired Nyquist coefficient (even lengths) is dropped so the
     operator has a real convolution kernel; fields must stay below the
     Nyquist limit for exactness, which every caller's contract assumes.
-    A real input goes through the half-spectrum pair ``rfft``/``irfft``
-    and comes back real; a complex one through ``fft``/``ifft``.
-    """
+    A real input goes through ``rfft``/``irfft`` and comes back real, a
+    complex one through ``fft``/``ifft``."""
     n = arr.shape[axis]
     real = np.isrealobj(arr)
     k = 2.0 * np.pi * (np.fft.rfftfreq if real else np.fft.fftfreq)(n, d=spacing)
@@ -228,11 +214,29 @@ _DIFFERENCES = {"central": central_difference, "spectral": spectral_difference}
 # sparse slab contractions
 # ---------------------------------------------------------------------------
 
-def _slab_derivatives(components: dict, spacings, scheme: str) -> dict:
-    """{(alpha, A, mu): d_alpha T[A, mu]} for every component of a map."""
+class _LazyMap(Mapping):
+    """A component map whose arrays ``build(key)`` makes at each read: a
+    contraction reading each once holds one at a time (:func:`_contract`)."""
+
+    def __init__(self, keys, build):
+        self._keys, self._build = tuple(keys), build
+
+    def __getitem__(self, key):
+        return self._build(key)
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+
+def _slab_derivatives(components: dict, spacings, scheme: str) -> _LazyMap:
+    """{(alpha, A, mu): d_alpha T[A, mu]} for every component of a map,
+    each derivative taken when it is read (``dict(...)`` keeps them all)."""
     diff = _DIFFERENCES[scheme]
-    return {(alpha,) + idx: diff(arr, alpha, spacings[alpha])
-            for idx, arr in components.items() for alpha in range(3)}
+    return _LazyMap([(alpha,) + idx for idx in components for alpha in range(3)],
+                    lambda key: diff(components[key[1:]], key[0], spacings[key[0]]))
 
 
 def _contract(subscripts: str, *operands):
@@ -243,10 +247,12 @@ def _contract(subscripts: str, *operands):
     subscript ends in ``...``; constants contribute their nonzero entries
     and maps the components they hold, so a contraction costs one grid
     product per surviving term instead of one per index combination.
-    Each term multiplies its constant factors first, then its fields left
-    to right, and each output adds its terms in lexicographic order of
-    the summed labels; where the dense contraction meets the nonzero terms
-    in that order too, the result is bitwise the same.
+    Each term reads its fields as it multiplies them (so a :class:`_LazyMap`
+    builds only the arrays some term reads), its constant factors first,
+    then its fields left to right, and each output adds its terms in place
+    in lexicographic order of the summed labels; where the dense
+    contraction meets the nonzero terms in that order too, the result is
+    bitwise the same.
 
     Returns a component map keyed by the output labels, or, when the
     output is ``...`` alone, the grid array itself (0.0 if no term
@@ -256,26 +262,30 @@ def _contract(subscripts: str, *operands):
     specs = [s.replace("...", "") for s in inputs.split(",")]
     out_labels = output.replace("...", "")
     summed = sorted(set("".join(specs)) - set(out_labels))
-    terms = [({}, 1.0, ())]  # (label binding, constant factor, fields)
+    terms = [({}, 1.0, ())]  # (label binding, constant factor, (map, key) of each field)
     for spec, op in zip(specs, operands):
-        is_field = isinstance(op, dict)
-        entries = (op.items() if is_field else
+        is_field = isinstance(op, Mapping)
+        entries = ([(idx, op) for idx in op] if is_field else
                    [(idx, op[idx]) for idx in map(tuple, np.argwhere(op).tolist())])
         grown = []
         for binding, coef, fields in terms:
             for idx, value in entries:
                 bound = dict(binding)
                 if all(bound.setdefault(lab, i) == i for lab, i in zip(spec, idx)):
-                    grown.append((bound, coef, fields + (value,)) if is_field
+                    grown.append((bound, coef, fields + ((value, idx),)) if is_field
                                  else (bound, coef * value, fields))
         terms = grown
     out = {}
     for binding, coef, fields in sorted(terms, key=lambda t: [t[0][lab] for lab in summed]):
-        prod = coef * fields[0]
-        for f in fields[1:]:
-            prod = prod * f
+        (op, idx), *rest = fields
+        prod = coef * op[idx]  # a fresh array, so the products and sums below are in place
+        for op, idx in rest:
+            prod *= op[idx]
         key = tuple(binding[lab] for lab in out_labels)
-        out[key] = out[key] + prod if key in out else prod
+        if key in out:
+            out[key] += prod
+        else:
+            out[key] = prod
     if out_labels:
         return out
     return out.get((), 0.0)
@@ -302,33 +312,28 @@ def spin_connection_gauge_fixed(params: ModelParams,
     This is the reference that :func:`spin_connection_general` is tested
     against.
     """
-    grid = xi.grid
+    grid, d = xi.grid, central_difference
     return SpinConnectionSlab(grid, _closed_form_connection(
-        params.l,
-        central_difference(xi.xi1x, 2, grid.h),
-        central_difference(xi.xi2y, 1, grid.h),
-        central_difference(xi.xi1x, 0, grid.ht),
-        central_difference(xi.xi2y, 0, grid.ht)))
+        params.l, d(xi.xi1x, 2, grid.h), d(xi.xi2y, 1, grid.h),
+        d(xi.xi1x, 0, grid.ht), d(xi.xi2y, 0, grid.ht)))
 
 
 def spin_connection_general(params: ModelParams, xi: DiagonalFluctuationSlab,
                             scheme: str = "central") -> SpinConnectionSlab:
     """Evaluate the torsionless solution as the full M-eps-dxi contraction.
 
-    Works on a space-time slab (>= 3 time slices) with finite differences
-    along every axis; ``scheme="spectral"`` switches to Fourier derivatives
-    for band-limited fields.  This is the one function with a derivative
-    option, because its callers differ: :func:`connection_refinement`
-    scores the central differences, and the action functionals need the
-    spectral connection.  With central differences it equals
-    :func:`spin_connection_gauge_fixed` to rounding; against the closed form
-    on analytic derivatives it is O(h^2) off (exact, for spectral
-    derivatives).
+    Finite differences along every axis of the slab; ``scheme="spectral"``
+    switches to Fourier derivatives for band-limited fields (the one
+    derivative option: :func:`connection_refinement` scores the central
+    differences, the action functionals need the spectral connection).
+    With central differences it equals :func:`spin_connection_gauge_fixed`
+    to rounding; against the closed form on analytic derivatives it is
+    O(h^2) off (exact, for spectral derivatives).
     """
-    dxi = _slab_derivatives(xi.components(), xi.grid.spacings, scheme)
     # W[B, nu] = eps[nu, alpha, beta] d_alpha xi_{B beta}; lower frame index
     # is the plain symbol view (the A = 0 row carries no field).
-    W = _contract("nab,aBb...->Bn...", EPS3, dxi)
+    W = _contract("nab,aBb...->Bn...", EPS3,
+                  _slab_derivatives(xi.components(), xi.grid.spacings, scheme))
     v = _contract("aBmn,Bn...->am...", frame_pair_tensor(params), W)
     for comp in v.values():  # each a fresh array of _contract
         np.negative(comp, out=comp)
@@ -341,22 +346,27 @@ def torsion_residual(params: ModelParams, xi: DiagonalFluctuationSlab,
 
     Computes eps^{mu nu rho}(d_nu xi^A_rho + eps^A_BC ebar^B_nu v^C_rho)
     with periodic second-order central differences (the O(h^2) scheme that
-    :func:`connection_refinement` verifies) and returns its max absolute
-    value over the interior time slices: the first and last are dropped, so
-    slabs that are not time-periodic (e.g. 3-slice probes) are still scored
-    on slices where the central difference is one-sided-free.
+    :func:`connection_refinement` verifies), one frame index A at a time,
+    and returns its max absolute value over the interior time slices: the
+    first and last are dropped, so slabs that are not time-periodic (e.g.
+    3-slice probes) are scored where the central difference is one-sided-free.
     """
     dxi = _slab_derivatives(xi.components(), xi.grid.spacings, "central")
-    # total[A, nu, rho] = d_nu xi^A_rho + eps^A_BC ebar^B_nu v^C_rho, summed
-    # into the fresh arrays of the connection term
-    total = _contract("abc,bn,cr...->anr...", EPS3, background_frame(params), v.components)
-    for (n, A, r), d in dxi.items():
-        if (A, n, r) in total:
-            total[A, n, r] += d
-        else:
-            total[A, n, r] = d
-    res = _contract("mnr,anr...->am...", EPS3, total)
-    return max((float(np.abs(comp[1:-1]).max()) for comp in res.values()), default=0.0)
+    worst = []
+    for a in range(3):
+        # total[nu, rho] = d_nu xi^a_rho + eps^a_BC ebar^B_nu v^C_rho, summed
+        # into the fresh arrays of the connection term
+        total = _contract("bc,bn,cr...->nr...", EPS3[a], background_frame(params),
+                          v.components)
+        for n, r in [(n, r) for n, b, r in dxi if b == a]:
+            if (n, r) in total:
+                total[n, r] += dxi[n, a, r]
+            else:
+                total[n, r] = dxi[n, a, r]
+        res = _contract("mnr,nr...->m...", EPS3, total)
+        worst += [float(np.abs(comp[1:-1]).max()) for comp in res.values()]
+        del total, res
+    return max(worst, default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +381,7 @@ class TrigField:
     grids; the time frequency of each mode is a free real number in
     [0.5, 1.5).  Each of the ``n_modes`` modes draws from ``rng``, in this
     order: its wavenumbers (kx, ky) != (0, 0), its amplitude
-    ``amp * normal``, its time frequency and its phase.
-    """
+    ``amp * normal``, its time frequency and its phase."""
 
     def __init__(self, rng, n_modes, amp, lx, ly):
         self.terms = []
@@ -412,9 +421,8 @@ def random_bandlimited_slab(rng, grid: SpacetimeGrid, n_modes: int,
     The integer wavenumbers (|kt| <= 2, |kx|, |ky| <= 3, not all zero) are
     over the slab's own periods and shared by both components, so their
     cross-term integrals are O(1) instead of vanishing by orthogonality;
-    each component then draws a phase and an ``amp * normal`` amplitude per
-    mode.
-    """
+    each component then draws a phase and an ``amp * normal`` amplitude
+    per mode."""
     t = (np.arange(grid.nt) * grid.ht)[:, None, None]
     x = (np.arange(grid.nx) * grid.h)[None, :, None]
     y = (np.arange(grid.ny) * grid.h)[None, None, :]
@@ -441,11 +449,8 @@ def sampled_slab(params: ModelParams, f1: TrigField, f2: TrigField,
                  grid: SpacetimeGrid, t: Optional[np.ndarray] = None):
     """The slab of (xi1x, xi2y) = (f1, f2) on ``grid`` and the closed-form
     torsionless connection (module docstring) from their analytic
-    derivatives.
-
-    ``t`` holds the times of the ``grid.nt`` slices; by default slice
-    ``nt // 2`` sits at t = 0.
-    """
+    derivatives.  ``t`` holds the times of the ``grid.nt`` slices; by
+    default slice ``nt // 2`` sits at t = 0."""
     if t is None:
         t = (np.arange(grid.nt) - grid.nt // 2) * grid.ht
     t = t[:, None, None]
@@ -463,8 +468,7 @@ def _connection_errors(params: ModelParams, f1: TrigField, f2: TrigField,
     interior time slices."""
     slab, v_ref = sampled_slab(params, f1, f2, grid, t)
     residual = torsion_residual(params, slab, v_ref)
-    gen = spin_connection_general(params, slab).components
-    ref = v_ref.components
+    gen, ref = spin_connection_general(params, slab).components, v_ref.components
 
     def interior(comps, key):  # an absent component is identically zero
         return comps[key][1:-1] if key in comps else 0.0
@@ -479,28 +483,24 @@ def connection_refinement(params: ModelParams, f1: TrigField, f2: TrigField,
     """The O(h^2) refinement study of the central-difference connection.
 
     Returns ((torsion residual, agreement) at the spacings of ``grid``,
-    the same at half of them).  The residual is the torsion of the slab
-    sampled from (f1, f2) with its closed-form connection; the agreement
-    is the max difference between :func:`spin_connection_general` and
-    that connection.  Both come from analytic derivatives, so each is a
-    pure O(h^2) discretization error and their h to h/2 ratios should
-    be near 4.
+    the same at half of them): the torsion of the slab sampled from
+    (f1, f2) with its closed-form connection, and the max difference
+    between :func:`spin_connection_general` and that connection.  Both
+    come from analytic derivatives, so each is a pure O(h^2)
+    discretization error whose h to h/2 ratio should be near 4.
 
-    Both numbers are scored on the interior time slices (all but the
-    first and last), so the h/2 level has 2 nt - 3 slices, placed so
-    that its interior covers exactly the time window of the h level's
-    interior.  It is evaluated in time chunks of at most max(3, nt // 2)
-    slices that overlap by 2: the central difference reaches one slice
-    either side, so each chunk scores its interior as the whole slab
-    would, the chunk interiors tile the level's interior, and the max over
-    the chunks is the max over the level.  A refined slice has 4x the
-    points of a coarse one, so a chunk holds at most 2x the points of the
-    ``grid`` slab (for nt >= 6), and the peak memory of the study is that
-    of the ``grid`` slab's own evaluation or of one chunk's, whichever is
-    larger.
+    Both are scored on the interior time slices (all but the first and
+    last), so the h/2 level has 2 nt - 3 slices, placed so that its
+    interior covers exactly the h level's interior.  It is evaluated in
+    time chunks of at most max(3, (nt + 8) // 4) slices that overlap by 2:
+    the central difference reaches one slice either side, so each chunk
+    scores its interior as the whole slab would, and the chunk interiors
+    tile the level's.  A refined slice has 4x the points of a coarse one,
+    so a chunk holds at most (nt + 8) / nt times the points of ``grid``
+    for nt >= 4 (1.5x at nt = 16): the study's memory peak is one chunk's.
     """
     nt = grid.nt
-    size = max(3, nt // 2)
+    size = max(3, (nt + 8) // 4)
     fine_t = (np.arange(2 * nt - 3) - (2 * (nt // 2) - 1)) * (grid.ht / 2)
     chunks = [fine_t[start:start + size] for start in range(0, len(fine_t) - 2, size - 2)]
     fine = [_connection_errors(params, f1, f2,

@@ -28,17 +28,9 @@ from typing import Optional
 import numpy as np
 
 from .conventions import EPS3, ETA
-from .geometry import (
-    DiagonalFluctuationSlab,
-    ModelParams,
-    SpinConnectionSlab,
-    background_frame,
-    frame_pair_tensor,
-    spectral_difference,
-    spin_connection_general,
-    _contract,
-    _slab_derivatives,
-)
+from .geometry import (DiagonalFluctuationSlab, ModelParams, SpinConnectionSlab,
+                       background_frame, frame_pair_tensor, spectral_difference,
+                       spin_connection_general, _contract, _LazyMap, _slab_derivatives)
 
 __all__ = [
     "ActionReport",
@@ -91,9 +83,14 @@ def palatini_total(params: ModelParams, xi: DiagonalFluctuationSlab,
     # e = ebar + 8 pi G xi; its (0, t) entry stays the constant 1
     e_full = {(0, 0): 1.0, (1, 1): params.l + g8 * xi.xi1x, (2, 2): params.l + g8 * xi.xi2y}
     omega = {key: g8 * comp for key, comp in v.components.items()}
-    domega = {key: g8 * d for key, d in
-              _slab_derivatives(v.components, v.grid.spacings, "spectral").items()}
-    t1 = _contract("mnr,am...,nar...->...", EPS3, e_full, domega)
+    dv = _slab_derivatives(v.components, v.grid.spacings, "spectral")
+
+    def domega(key):  # scaled in place: d *= g8 is the same IEEE product as g8 * d
+        d = dv[key]
+        d *= g8
+        return d
+
+    t1 = _contract("mnr,am...,nar...->...", EPS3, e_full, _LazyMap(dv, domega))
     t2 = 0.5 * _contract("mnr,abc,am...,bn...,cr...->...", EPS3, EPS3, e_full, omega, omega)
     return _integral(xi.grid, t1 + t2) / g8
 
@@ -169,12 +166,15 @@ def fp_standard_form(params: ModelParams, xi: DiagonalFluctuationSlab) -> float:
     """
     grid = xi.grid
     h = {(1, 1): 2.0 * params.l * xi.xi1x, (2, 2): 2.0 * params.l * xi.xi2y}
-    dh = _slab_derivatives(h, grid.spacings, "spectral")
+    dh = dict(_slab_derivatives(h, grid.spacings, "spectral"))  # each read many times
+    del h
     dh_up = _contract("ma,nb,lab...->lmn...", ETA, ETA, dh)
-    trace_d = _contract("mn,lmn...->l...", ETA, dh)
     term1 = -0.5 * _contract("lmn...,ls,smn...->...", dh, ETA, dh_up)
     term2 = _contract("mnl...,ns,sml...->...", dh, ETA, dh_up)
     div_h = _contract("mmn...->n...", dh_up)
+    del dh_up
+    trace_d = _contract("mn,lmn...->l...", ETA, dh)
+    del dh
     term3 = -_contract("n...,n...->...", div_h, trace_d)
     term4 = 0.5 * _contract("l...,ls,s...->...", trace_d, ETA, trace_d)
     dens = term1 + term2 + term3 + term4

@@ -35,8 +35,11 @@ from workloads import WORKLOADS, Job, _cfg  # noqa: E402
 # Paths no benchmark job takes: the shared (``uniform``) pair, a 2D
 # many-body lattice, a filling other than half, window 0, the mapping
 # residual on background bonds (``cell0``) and on the shared pair, the
-# particle-hole split alone (half-filled ``cell0``, no translations), and
-# the one-state pair basis (n_max = 0).
+# particle-hole split alone (half-filled ``cell0``, no translations), the
+# one-state pair basis (n_max = 0), and the slab checks on a non-square
+# slab: the refinement study at nt = 3 (one chunk), 5 and 7 (chunks of 3
+# slices; 7 is the largest nt with that size) and action-check at nt = 5
+# with 5 modes.
 EXTRA_JOBS = (
     Job("uniform-correlators", _cfg(
         "command = correlators",
@@ -86,6 +89,12 @@ EXTRA_JOBS = (
         "[lattice]", "ncx = 2", "ncy = 1",
         "[truncation]", "n_max = 0",
         "[manybody]", "placement = per_cell")),
+    *(Job(f"spin-connection-nt-{nt}", _cfg(
+        "command = spin-connection",
+        "[fields]", f"nt = {nt}", "nx = 16", "ny = 24")) for nt in (3, 5, 7)),
+    Job("action-check-nt-5", _cfg(
+        "command = action-check",
+        "[fields]", "nt = 5", "nx = 16", "ny = 24", "modes = 5")),
 )
 
 
