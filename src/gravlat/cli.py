@@ -91,7 +91,8 @@ _SCHEMA = {
     ("truncation", "nnz_cap"): ("int", 2 ** 22, lambda v: v >= 1, ">= 1"),
     ("manybody", "placement"): ("str", "per_cell", lambda v: v in BOSON_PLACEMENTS,
                                 f"one of {', '.join(BOSON_PLACEMENTS)}"),
-    ("manybody", "filling"): ("str", "half", lambda v: v == "half" or v.isdigit(),
+    ("manybody", "filling"): ("str", "half",   # int() reads 640 digits under any digit limit
+                              lambda v: v == "half" or v.isdecimal() and len(v) <= 640,
                               "'half' or a fermion count"),
     ("sweep", "g_values"): ("floatlist", (0.0, 1e-3, 3e-3, 1e-2),
                             lambda v: len(v) > 0 and all(x >= 0 for x in v),
@@ -161,9 +162,6 @@ class RunConfig:
         pairs = boson_pairs(spec, self.values[("manybody", "placement")])
         filling = self.values[("manybody", "filling")]
         sector = spec.n_modes // 2 if filling == "half" else int(filling)
-        if sector > spec.n_modes:
-            raise ConfigError([f"filling {sector} exceeds the {spec.n_modes} "
-                               "fermion modes of the lattice"])
         return FockSpace(spec.n_modes, pairs, self.values[("truncation", "n_max")],
                          sector=sector, nnz_cap=self.values[("truncation", "nnz_cap")])
 
@@ -229,7 +227,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(problems)
     for full, (kind, default, _, _) in _SCHEMA.items():
         values.setdefault(full, default)
-    problems = _coupling_problems(values)
+    problems = _cross_key_problems(values)
     if problems:
         raise ConfigError(problems)
     return RunConfig(values=values)
@@ -245,23 +243,35 @@ def _coupling_location(params: ModelParams, sweep: bool) -> str:
     return f"[model] g = {fmt(params.G)}, {at}"
 
 
-def _coupling_problems(values) -> list:
-    """One problem for [model] g and for each [sweep] g_values entry that is
-    positive and whose design constants (:func:`optical_params`, which the
-    simulator reads) overflow or underflow at the [model] l and mu.  A
-    coupling a many-body command assembles the simulator at ([sweep]
-    g_values for wick-sweep and map-residual, [model] g for the others)
-    also needs D_x^2 D_z^2 = l^4 / (512 pi^4 G^4) finite: the simulator
-    forms its boson number product N_z N_x, about that size, before it
-    scales it by the quartic prefactor (so G below about 5.8e-79 l fails)."""
+def _cross_key_problems(values) -> list:
+    """Problems of values against the command and other keys: the filling,
+    window and g = 0 checks below, and one for [model] g and for each
+    [sweep] g_values entry that is positive and whose design constants
+    (:func:`optical_params`, which the simulator reads) overflow or
+    underflow at the [model] l and mu.  A coupling a many-body command
+    assembles the simulator at ([sweep] g_values for wick-sweep and
+    map-residual, [model] g for the others) also needs D_x^2 D_z^2 =
+    l^4 / (512 pi^4 G^4) finite: the simulator forms its boson number
+    product N_z N_x, about that size, before it scales it by the quartic
+    prefactor (so G below about 5.8e-79 l fails)."""
     l, mu = values[("model", "l")], values[("model", "mu")]
     command = values[("", "command")]
     many_body = command not in _DISPATCH
     sweep = command in ("wick-sweep", "map-residual")
+    problems = []
+    filling = values[("manybody", "filling")]
+    n_modes = LatticeSpec(values[("lattice", "ncx")], values[("lattice", "ncy")]).n_modes
+    if many_body and filling != "half" and int(filling) > n_modes:
+        problems.append(f"filling {int(filling)} exceeds the {n_modes} "
+                        "fermion modes of the lattice")
+    window, n_max = values[("truncation", "window")], values[("truncation", "n_max")]
+    if command == "map-residual" and window > n_max:
+        problems.append(f"map-residual window {window} exceeds n_max {n_max}")
+    if command in ("action-check", "design", "integrate-out") and values[("model", "g")] == 0:
+        problems.append(f"{command} requires g > 0")
     couplings = [(values[("model", "g")], False, many_body and not sweep)]
     couplings += [(x, True, many_body and sweep)
                   for x in dict.fromkeys(values[("sweep", "g_values")])]
-    problems = []
     for g, in_sweep, simulated in couplings:
         if g > 0:
             params = ModelParams(G=g, l=l, mu=mu)
@@ -346,8 +356,6 @@ def _cmd_spin_connection(cfg, outdir, extras):
 
 def _cmd_action_check(cfg, outdir, extras):
     params = cfg.params
-    if params.G == 0:
-        raise ConfigError(["action-check requires g > 0"])
     rng = np.random.default_rng(cfg[("", "seed")])
     slab = random_bandlimited_slab(rng, cfg.slab_grid, cfg[("fields", "modes")],
                                    cfg[("fields", "amplitude")])
@@ -384,8 +392,6 @@ def _cmd_graviton_modes(cfg, outdir, extras):
 
 
 def _cmd_design(cfg, outdir, extras):
-    if cfg.params.G == 0:
-        raise ConfigError(["design requires g > 0"])
     pairs = design_sheet_pairs(cfg.params)
     hub = hubbard_integrals(cfg[("hubbard", "v0")], cfg[("hubbard", "a_s")],
                             cfg[("hubbard", "mass")], cfg[("hubbard", "spacing")])
@@ -395,8 +401,6 @@ def _cmd_design(cfg, outdir, extras):
 
 def _cmd_integrate_out(cfg, outdir, extras):
     params = cfg.params
-    if params.G == 0:
-        raise ConfigError(["integrate-out requires g > 0"])
     j1, j2 = 0.7, -0.3
     eff = integrate_out_geometry(params)
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite oracle is refused below
@@ -470,11 +474,11 @@ def main(argv=None) -> int:
         print(f"error: category=config cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
+        _, _, validator, description = _SCHEMA[("", "seed")]
+        if args.seed is not None and not validator(args.seed):
+            raise ConfigError([f"--seed {args.seed} out of range (expected {description})"])
         cfg = parse_config(text)
         if args.seed is not None:
-            _, _, validator, description = _SCHEMA[("", "seed")]
-            if not validator(args.seed):
-                raise ConfigError([f"--seed {args.seed} out of range (expected {description})"])
             cfg.values[("", "seed")] = args.seed
         outdir = Path(args.output) if args.output else Path(cfg.values[("", "output")])
         return run_command(cfg, outdir)

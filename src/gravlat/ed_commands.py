@@ -10,10 +10,10 @@ diagonalizes the translation-momentum blocks of its sector one at a time
 ``dense_cap`` still bounds the sector dimension.
 
 The handlers pass the :class:`gravlat.manybody.FockSpace` alone, built
-from the config before any solve, so a bad filling is a config error
-(exit code 2) whatever the couplings; each assembler checks its nnz cap
-before it builds anything (exit code 4).  Each handler solves once per
-coupling and reads its truncation check off the solved state
+from a config whose filling and window :func:`gravlat.cli.parse_config`
+has checked; each assembler checks its nnz cap before it builds
+anything (exit code 4).  Each handler solves once per coupling and reads
+its truncation check off the solved state
 (:func:`gravlat.manybody.top_level_weight`).
 """
 
@@ -158,9 +158,6 @@ def _cmd_wick_sweep(cfg, outdir, extras):
 def _cmd_map_residual(cfg, outdir, extras):
     spec = cfg.lattice
     window = cfg[("truncation", "window")]
-    n_max = cfg[("truncation", "n_max")]
-    if window > n_max:
-        raise ConfigError([f"map-residual window {window} exceeds n_max {n_max}"])
     space = cfg.fock_space()
     # the mapping comparison needs G > 0 (1/G boson line)
     positive = [g for g in cfg[("sweep", "g_values")] if g > 0]

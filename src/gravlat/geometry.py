@@ -358,7 +358,7 @@ def torsion_residual(params: ModelParams, xi: DiagonalFluctuationSlab,
         # into the fresh arrays of the connection term
         total = _contract("bc,bn,cr...->nr...", EPS3[a], background_frame(params),
                           v.components)
-        for n, r in [(n, r) for n, b, r in dxi if b == a]:
+        for n, r in [(n, r) for n, b, r in dxi if b == a and n != r]:  # eps reads nu != rho
             if (n, r) in total:
                 total[n, r] += dxi[n, a, r]
             else:

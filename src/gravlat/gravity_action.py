@@ -159,8 +159,8 @@ def fp_standard_form(params: ModelParams, xi: DiagonalFluctuationSlab) -> float:
         (2 pi G / l^2) Int [ -d_l h_mn d^l h^mn / 2 + d_m h_nl d^n h^ml
                              - d_m h^mn d_n h + d_l h d^l h / 2 ]
 
-    with h = diag(0, 2 l xi1x, 2 l xi2y) and indices moved with
-    eta = diag(-,+,+), on spectral derivatives.  The prefactor is the
+    with h = diag(0, 2 l xi1x, 2 l xi2y) (spatial, so h^mn = h_mn under
+    eta = diag(-,+,+)), on spectral derivatives.  The prefactor is the
     unique constant matching :func:`fierz_pauli_quadratic`; it is pinned
     here once and tested.
     """
@@ -168,11 +168,9 @@ def fp_standard_form(params: ModelParams, xi: DiagonalFluctuationSlab) -> float:
     h = {(1, 1): 2.0 * params.l * xi.xi1x, (2, 2): 2.0 * params.l * xi.xi2y}
     dh = dict(_slab_derivatives(h, grid.spacings, "spectral"))  # each read many times
     del h
-    dh_up = _contract("ma,nb,lab...->lmn...", ETA, ETA, dh)
-    term1 = -0.5 * _contract("lmn...,ls,smn...->...", dh, ETA, dh_up)
-    term2 = _contract("mnl...,ns,sml...->...", dh, ETA, dh_up)
-    div_h = _contract("mmn...->n...", dh_up)
-    del dh_up
+    term1 = -0.5 * _contract("lmn...,ls,smn...->...", dh, ETA, dh)
+    term2 = _contract("mnl...,ns,sml...->...", dh, ETA, dh)
+    div_h = _contract("mmn...->n...", dh)
     trace_d = _contract("mn,lmn...->l...", ETA, dh)
     del dh
     term3 = -_contract("n...,n...->...", div_h, trace_d)

@@ -351,6 +351,64 @@ g_values = {g_values}
             assert not (out / "manifest.txt").exists()
 
 
+@pytest.mark.parametrize("filling", ["\u00b2", "9" * 641, "1" * 5000],
+                         ids=["superscript-2", "641-digits", "5000-digits"])
+def test_a_filling_int_cannot_read_is_config_error(tmp_path, capsys, filling):
+    # before: '²' passed str.isdigit, then int() raised ValueError (exit 1); int()
+    # also refuses digits past the interpreter's limit (4300 by default, >= 640)
+    code, out = _run(tmp_path, f"command = ground-state\n[manybody]\nfilling = {filling}\n")
+    assert code == 2
+    assert capsys.readouterr().err == ("error: category=config line 3: key 'filling' "
+                                       "out of range (expected 'half' or a fermion count)\n")
+    assert not out.exists()
+
+
+def test_map_residual_reports_its_window_and_filling_problems_together(tmp_path, capsys):
+    # before: the window alone, from the handler, after the output directory was made
+    code, out = _run(tmp_path, """
+command = map-residual
+[truncation]
+n_max = 1
+window = 2
+[manybody]
+filling = 3
+""")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: category=config filling 3 exceeds the 2 fermion modes of the lattice\n"
+        "error: category=config map-residual window 2 exceeds n_max 1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,problem", [
+    ("command = ground-state\n[manybody]\nfilling = 3\n",
+     "filling 3 exceeds the 2 fermion modes of the lattice"),
+    ("command = map-residual\n[truncation]\nn_max = 1\n",
+     "map-residual window 2 exceeds n_max 1"),
+    ("command = action-check\n[model]\ng = 0\n", "action-check requires g > 0"),
+    ("command = design\n[model]\ng = 0\n", "design requires g > 0"),
+    ("command = integrate-out\n[model]\ng = 0\n", "integrate-out requires g > 0"),
+])
+def test_a_value_refused_against_another_key_leaves_no_output(tmp_path, capsys, text,
+                                                              problem):
+    # parse_config refuses these before run_command makes the output directory
+    code, out = _run(tmp_path, text)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: category=config {problem}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "command = dispersion\n[manybody]\nfilling = 99\n",
+    "command = slopes\n[truncation]\nn_max = 0\nwindow = 3\n",
+    "command = fermi-points\n[model]\ng = 0\n",
+])
+def test_a_value_check_holds_for_its_commands_only(tmp_path, text):
+    code, out = _run(tmp_path, text)
+    assert code == 0
+    assert (out / "manifest.txt").exists()
+
+
 @pytest.mark.parametrize("command", ["wick-sweep", "map-residual"])
 @pytest.mark.parametrize("g_values", ["", " , ,"])
 def test_an_empty_sweep_is_config_error(tmp_path, capsys, command, g_values):

@@ -116,6 +116,24 @@ def test_discrete_torsion_identity(rng):
     assert torsion_residual(p, slab, v) < 1e-14
 
 
+def test_torsion_residual_takes_only_the_derivatives_epsilon_reads(rng, monkeypatch):
+    # eps^{mu nu rho} vanishes at nu = rho: of the six d_nu xi^A_rho of a
+    # diagonal slab, d_x xi^1_x and d_y xi^2_y are never read, so never taken
+    p = ModelParams(G=0.03, l=0.8, mu=1.0)
+    grid = SpacetimeGrid(6, 12, 12, 0.2, 0.5)
+    slab, _ = sampled_slab(p, *_trig_pair(rng, grid), grid)
+    v = spin_connection_general(p, slab)
+    taken = []
+
+    def counting(arr, axis, spacing):
+        taken.append(axis)
+        return central_difference(arr, axis, spacing)
+
+    monkeypatch.setitem(geometry._DIFFERENCES, "central", counting)
+    torsion_residual(p, slab, v)
+    assert sorted(taken) == [0, 0, 1, 2]
+
+
 def test_torsion_residual_second_order(rng):
     # against the analytic solution the residual is pure O(h^2): ratio ~ 4
     p = ModelParams(G=0.02, l=1.1, mu=1.0)

@@ -180,3 +180,21 @@ def test_action_functionals_memory_is_bounded_in_fields():
     finally:
         tracemalloc.stop()
     assert peak < 21 * slab.xi1x.nbytes
+
+
+def test_fp_standard_form_memory_is_bounded_in_fields():
+    # traced peak of fp_standard_form on a 16 x 32 x 32 slab, in units of one
+    # field, after one untraced call (the first call holds one field more):
+    # 15.04 measured contracting dh directly; 16.04 with its raised-index
+    # copy dh_up, bitwise dh because h is spatial, where eta = +1
+    p = ModelParams(G=0.05, l=1.2, mu=0.9)
+    grid = SpacetimeGrid(16, 32, 32, 0.2, 0.25)
+    slab = random_bandlimited_slab(np.random.default_rng(20240817), grid, 4, 0.2)
+    fp_standard_form(p, slab)
+    tracemalloc.start()
+    try:
+        fp_standard_form(p, slab)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 15.5 * slab.xi1x.nbytes
