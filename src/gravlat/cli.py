@@ -10,19 +10,20 @@ everything else in it is deterministic too.
 Exit codes: 0 success, 2 config error, 3 eigensolver non-convergence,
 4 resource cap exceeded, 1 any other library error.
 
-Runtime: importing this module sets ``OPENBLAS_THREAD_TIMEOUT=4`` unless the
+Runtime: importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless the
 environment already sets it, before numpy loads (``import gravlat`` loads
-nothing).  OpenBLAS then puts an idle worker thread to sleep at once instead
-of letting it spin on the other core for 55-135 ms after each threaded BLAS
-call.  The thread count stays OpenBLAS's own: the dense ``spectrum`` blocks
-still use every core while they are solved.
+nothing).  OpenBLAS then starts no worker thread: none spins on the other
+core after a BLAS call, and no call waits for a sleeping one to wake.  The
+BLAS calls here are small (the correlators' Gram products, the dense
+``spectrum`` blocks of at most a few thousand), and they run as fast or
+faster on one thread.
 """
 
 from __future__ import annotations
 
 import os
 
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")   # OpenBLAS's shortest spin
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import difflib
@@ -245,8 +246,9 @@ def _coupling_location(params: ModelParams, sweep: bool) -> str:
 
 def _cross_key_problems(values) -> list:
     """Problems of values against the command and other keys: the filling,
-    window and g = 0 checks below, and one for [model] g and for each
-    [sweep] g_values entry that is positive and whose design constants
+    window and g = 0 checks below, and one for [model] g and, for the two
+    commands that read them (wick-sweep, map-residual), for each [sweep]
+    g_values entry that is positive and whose design constants
     (:func:`optical_params`, which the simulator reads) overflow or
     underflow at the [model] l and mu.  A coupling a many-body command
     assembles the simulator at ([sweep] g_values for wick-sweep and
@@ -270,8 +272,8 @@ def _cross_key_problems(values) -> list:
     if command in ("action-check", "design", "integrate-out") and values[("model", "g")] == 0:
         problems.append(f"{command} requires g > 0")
     couplings = [(values[("model", "g")], False, many_body and not sweep)]
-    couplings += [(x, True, many_body and sweep)
-                  for x in dict.fromkeys(values[("sweep", "g_values")])]
+    if sweep:
+        couplings += [(x, True, True) for x in dict.fromkeys(values[("sweep", "g_values")])]
     for g, in_sweep, simulated in couplings:
         if g > 0:
             params = ModelParams(G=g, l=l, mu=mu)

@@ -29,7 +29,8 @@ from .designer import optical_params, weak_fluctuation_check
 from .exceptions import ConfigError, DimensionCapError
 from .manybody import (assemble_background_hopping,
                        assemble_simulator_hamiltonian, correlators_and_wick,
-                       ground_state, mapping_residual, top_level_weight)
+                       ground_state, mapping_residual, max_abs_entry,
+                       top_level_weight)
 from .serialize import fmt, write_keyvalue, write_table
 
 
@@ -61,7 +62,7 @@ def _solve(cfg, params):
     an entrywise estimate, n entries of at most that size)."""
     space = _space(cfg, params)
     h = _hamiltonian(params, cfg.lattice, space)
-    scale = max(float(np.abs(h.data).max(initial=0.0)), 1.0)
+    scale = max(max_abs_entry(h.data), 1.0)
     row, dim = int(np.diff(h.indptr).max(initial=0)), h.shape[0]
     bound = 12.0 * scale * row   # Python floats: inf, no warning
     if not bound * bound * dim < sys.float_info.max:

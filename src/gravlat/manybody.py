@@ -53,7 +53,10 @@ boson_dim); a pair-local boson matrix is contracted with its pair's axis
 of those rows.
 
 Ground states above dimension 512 come from a numpy Lanczos on
-``SectorOperator @ x`` (:func:`ground_state`).  The product runs through
+``SectorOperator @ x`` (:func:`ground_state`) that keeps no Krylov basis:
+each locked level's Ritz vector comes from a replay of its run's
+recurrence, so a solve holds a fixed number of vectors whatever its
+number of steps.  The product runs through
 row blocks of at most 2^15 entries, each row summed as one ``reduceat``
 segment in entry order, so the loop holds no scratch array as long as the
 entries and every product is bitwise the unblocked one.  The assemblers,
@@ -71,7 +74,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from math import comb, copysign, hypot
+from math import comb, copysign, hypot, isfinite
 from typing import Optional
 
 import numpy as np
@@ -92,6 +95,7 @@ __all__ = [
     "mapping_residual",
     "SectorOperator",
     "GroundStateResult",
+    "max_abs_entry",
     "ground_state",
     "CorrelatorReport",
     "correlators_and_wick",
@@ -748,7 +752,7 @@ class GroundStateResult:
     residual: float
     k: int                # Lanczos runs; the sector dimension on the dense path
     space: FockSpace
-    matvecs: int = 0      # H-vector products of the Lanczos runs
+    matvecs: int = 0      # H-vector products of the Lanczos runs and replays
 
     @cached_property
     def states(self) -> list:
@@ -763,7 +767,7 @@ class GroundStateResult:
 
 
 DEGENERACY_TOL = 1e-9     # levels within this times scale(H) of E0 form the multiplet
-LANCZOS_MAXITER = 1000    # Lanczos steps of one run, each keeping a basis vector
+LANCZOS_MAXITER = 1000    # Lanczos steps of one run
 
 
 def _dot(x: np.ndarray, y: np.ndarray):
@@ -837,46 +841,94 @@ def _tridiagonal_lowest(alpha: list, beta: list):
     return 0.5 * (lo + hi), s
 
 
-def _lanczos_lowest(h, v: np.ndarray, deflate: list, tol: float):
-    """(lowest Ritz value, its unit Ritz vector, steps, highest Ritz value)
-    of h + sum over the (u, shift) of ``deflate`` of shift u u+.
+@dataclass(frozen=True)
+class _LanczosRun:
+    """Pass 1 of a Lanczos run (:func:`_lanczos_lowest`): the lowest Ritz
+    value ``theta`` and its coefficients ``s`` on the run's Lanczos vectors
+    v_1 .. v_m, and what :func:`_ritz_vector` rebuilds v_2 .. v_m from: the
+    diagonal ``alpha`` and off-diagonal ``beta`` of the tridiagonal matrix
+    T (Python floats), and per step the coefficient shift (u, v_j) of each
+    (u, shift) of the run's ``deflate``.  No vector is kept."""
 
-    Three-term recurrence from ``v`` (Dagotto, RMP 66, 763 (1994)), its
-    coefficients kept as Python floats.  Every 8 steps, and on a
-    breakdown, :func:`_tridiagonal_lowest` gives the lowest Ritz pair of
-    the tridiagonal matrix; the run stops when the residual estimate
-    |beta_m s_m| is at most ``tol``.  The highest Ritz value is the lowest
-    of -T.  No BLAS or LAPACK call runs between the first and the last
-    product with h.  ConvergenceError after ``LANCZOS_MAXITER`` steps.  The
-    basis is kept for the Ritz vector, which is accumulated in place.
+    theta: float
+    s: list
+    alpha: list
+    beta: list
+    overlaps: list
+
+    @property
+    def steps(self) -> int:
+        return len(self.alpha)
+
+
+def _lanczos_lowest(h, v: np.ndarray, deflate: list, tol: float) -> _LanczosRun:
+    """Pass 1 of a Lanczos run on h + sum over the (u, shift) of
+    ``deflate`` of shift u u+.
+
+    Three-term recurrence from ``v`` (Dagotto, RMP 66, 763 (1994)),
+    normalized in place: it is v_1, the start of the replay.  Every 8
+    steps, and on a breakdown, :func:`_tridiagonal_lowest` gives the lowest
+    Ritz pair of the tridiagonal matrix; the run stops when the residual
+    estimate |beta_m s_m| is at most ``tol``.  No BLAS or LAPACK call runs
+    between the first and the last product with h.  ConvergenceError after
+    ``LANCZOS_MAXITER`` steps.  Only the last two Lanczos vectors are
+    held: the Ritz vector is built by a second pass, :func:`_ritz_vector`
+    (Cullum & Willoughby, *Lanczos Algorithms for Large Symmetric
+    Eigenvalue Computations* (1985)).
     """
     v /= np.sqrt(_dot(v, v).real)
-    basis, alpha, beta = [v], [], []
+    prev = None
+    alpha, beta, overlaps = [], [], []
     for step in range(1, LANCZOS_MAXITER + 1):
         w = h @ v
-        for u, shift in deflate:
-            w += (shift * _dot(u, v)) * u
+        overlaps.append([shift * _dot(u, v) for u, shift in deflate])
+        for (u, _), c in zip(deflate, overlaps[-1]):
+            w += c * u
         alpha.append(float(_dot(v, w).real))
         w -= alpha[-1] * v
-        if step > 1:
-            w -= beta[-1] * basis[-2]
+        if prev is not None:
+            w -= beta[-1] * prev
         beta.append(float(np.sqrt(_dot(w, w).real)))
         if beta[-1] <= tol or step % 8 == 0:
             theta, s = _tridiagonal_lowest(alpha, beta[:-1])
             if abs(beta[-1] * s[-1]) <= tol:
                 break
-        v = w / beta[-1]
-        basis.append(v)
+        w /= beta[-1]
+        prev, v = v, w
     else:
         raise ConvergenceError(f"Lanczos did not converge in {LANCZOS_MAXITER} steps")
+    return _LanczosRun(theta, s, alpha, beta[:-1], overlaps)
+
+
+def _ritz_vector(h, start: np.ndarray, run: _LanczosRun, deflate: list) -> np.ndarray:
+    """The unit Ritz vector sum_j s_j v_j of a pass-1 ``run`` on h plus the
+    ``deflate`` it saw, from its unit ``start`` vector v_1.
+
+    The replay reruns the recurrence with the run's own coefficients, so it
+    takes no dot product until the final norm, and it makes steps - 1
+    products with h.  Each v_j is added into the sum as it is made, in
+    order, so the vector is bitwise the one summed over a stored basis.
+    Besides the product's scratch, at most six vectors of the dimension
+    are live (``start``, v_(j-1), v_j, the next one, one temporary and the
+    sum), whatever the number of steps.
+    """
+    v, prev = start, None
     ritz = np.zeros_like(v)
-    for coeff, b in zip(s, basis):
-        b *= coeff
-        ritz += b
-    del basis
+    last = run.steps - 1
+    for j, (coeff, a, overlaps) in enumerate(zip(run.s, run.alpha, run.overlaps)):
+        ritz += coeff * v
+        if j == last:
+            break
+        w = h @ v
+        for (u, _), c in zip(deflate, overlaps):
+            w += c * u
+        w -= a * v
+        if prev is not None:
+            w -= run.beta[j - 1] * prev
+        w /= run.beta[j]
+        prev, v = v, w
     ritz /= np.sqrt(_dot(ritz, ritz).real)
-    top = -_tridiagonal_lowest([-a for a in alpha], beta[:-1])[0]
-    return theta, ritz, step, top
+    return ritz
 
 
 def _lanczos(h, dim: int, scale: float, level_tol: float):
@@ -885,30 +937,45 @@ def _lanczos(h, dim: int, scale: float, level_tol: float):
 
     Each run starts from the next fixed-seed Gaussian vector of
     ``np.random.default_rng(0)``.  A level within ``level_tol`` of E0 (the
-    first run's) is locked: the runs after it see h with that vector's
-    level moved up to the first run's highest Ritz value plus ``scale``
-    (Hotelling deflation), so the next run finds the lowest level on the
-    rest of the space.  The first run that lands above the tolerance ends
-    the search, so a g-fold level takes g + 1 runs; its level is returned
-    last.
+    first run's) is locked: its Ritz vector is replayed
+    (:func:`_ritz_vector`, against the ``deflate`` list the run saw), and
+    the runs after it see h with that vector's level moved up to the first
+    run's highest Ritz value plus ``scale`` (Hotelling deflation), so the
+    next run finds the lowest level on the rest of the space.  The first
+    run that lands above the tolerance, the gap witness, ends the search
+    and builds no vector, so a g-fold level takes g + 1 runs and g replays;
+    its level is returned last.  ``matvecs`` counts the products of both.
     """
     rng = np.random.default_rng(0)
     dtype = np.result_type(h.data, np.float64)
     levels, deflate, matvecs = [], [], 0
     while len(deflate) < dim:
         start = rng.standard_normal(dim).astype(dtype, copy=False)
-        level, vector, steps, top = _lanczos_lowest(h, start, deflate, 1e-11 * scale)
-        matvecs += steps
+        run = _lanczos_lowest(h, start, deflate, 1e-11 * scale)
+        matvecs += run.steps
+        level = run.theta
         levels.append(level)
         if level < levels[0] - level_tol:   # the first run missed the ground level
             raise ConvergenceError(f"Lanczos run {len(levels)} found {level:g} "
                                    f"below E0 = {levels[0]:g}")
         if level - levels[0] > level_tol:
             break
-        if not deflate:
-            ceiling = top + scale
+        if not deflate:   # the highest Ritz value, the lowest of -T, plus scale
+            ceiling = -_tridiagonal_lowest([-a for a in run.alpha], run.beta)[0] + scale
+        vector = _ritz_vector(h, start, run, deflate)
+        matvecs += run.steps - 1
         deflate.append((vector, ceiling - level))
     return levels, [u for u, _ in deflate], matvecs
+
+
+def max_abs_entry(values: np.ndarray) -> float:
+    """max |entry| of ``values``, 0.0 when there is none, and nan or inf
+    when an entry is not finite.  Real entries are read by a max and a min
+    reduction, so no array as long as ``values`` is made; complex ones
+    through ``np.abs``."""
+    if np.iscomplexobj(values):
+        return float(np.abs(values).max(initial=0.0))
+    return float(np.maximum(values.max(initial=0.0), -values.min(initial=0.0)))
 
 
 def ground_state(h, space: FockSpace) -> GroundStateResult:
@@ -926,7 +993,10 @@ def ground_state(h, space: FockSpace) -> GroundStateResult:
     orthogonal to the uniform vector.  Levels within ``DEGENERACY_TOL`` *
     scale of E0 are returned as the full multiplet.  ``k`` records the
     Lanczos runs (the multiplicity plus one, or the sector dimension on the
-    dense path) and ``matvecs`` their H-vector products.  ConvergenceError
+    dense path) and ``matvecs`` their H-vector products, those of the
+    replays that build the multiplet's vectors included (steps - 1 per
+    level).  The scale of H, its largest |entry| (at least 1), and the
+    finiteness check are read by :func:`max_abs_entry`.  ConvergenceError
     unless the residual ||Hv - E v|| of every returned pair is at most
     1e-10 * scale(H).
     """
@@ -937,11 +1007,12 @@ def ground_state(h, space: FockSpace) -> GroundStateResult:
     dense = dim <= 512
     hs = h.toarray() if dense else h
     values = hs if dense else hs.data
-    if not np.isfinite(values).all():
+    largest = max_abs_entry(values)
+    if not isfinite(largest):
         raise ValueError("operator has a non-finite entry")
     if np.iscomplexobj(values) and not values.imag.any():
         hs = hs.real
-    scale = max(float(np.abs(values).max(initial=0.0)), 1.0)
+    scale = max(largest, 1.0)
     level_tol = DEGENERACY_TOL * scale
     matvecs = 0
     if dense:

@@ -8,8 +8,10 @@ chains built here, and the full-space assembly and correlator oracles
 built from them are the references for the sector-basis Hamiltonians and
 observables, and ``full_sector_mapping_residual`` (the
 window block cut from full-sector Hamiltonians) for the window-native
-mapping residual; the dense ``np.einsum`` oracles are the
-references for the sparse slab contractions of the geometry sector.
+mapping residual; ``stored_basis_lanczos`` (the Lanczos that kept its
+Krylov basis) is the reference for the replayed Ritz vectors; the dense
+``np.einsum`` oracles are the references for the sparse slab
+contractions of the geometry sector.
 """
 
 from functools import reduce
@@ -20,9 +22,11 @@ import pytest
 import scipy.sparse as sparse
 import sympy as sp
 
+import gravlat.manybody as manybody
 from gravlat.continuum import hgr_quadratic_form
 from gravlat.conventions import EPS3, ETA
 from gravlat.designer import optical_params
+from gravlat.exceptions import ConvergenceError
 from gravlat.geometry import (DiagonalFluctuationSlab, ModelParams,
                               SpinConnectionSlab, _DIFFERENCES, background_frame,
                               central_difference, frame_pair_tensor,
@@ -424,6 +428,74 @@ def full_space_correlators(state, space: FockSpace, ops: ModeOperators) -> Corre
         c_matrix=c_mat, d_dag_d=d_dag_d, d_dag_ddag=d_dag_ddag, q_corr=q_corr,
         wick_residual=float(diff.max()) if len(diff) else 0.0,
         wick_argmax=quads[top] if quads else ())
+
+
+# ---------------------------------------------------------------------------
+# stored-basis Lanczos oracle
+# ---------------------------------------------------------------------------
+#
+# ``manybody._lanczos_lowest`` and ``manybody._lanczos`` as they were while
+# each run kept its Krylov basis for the Ritz vector, with the library's
+# ``_dot``, ``_tridiagonal_lowest`` and ``LANCZOS_MAXITER``.  The library now
+# rebuilds the basis vector by vector in a second pass; its levels and
+# vectors must equal these bit for bit.
+
+def stored_basis_lanczos_lowest(h, v: np.ndarray, deflate: list, tol: float):
+    """(lowest Ritz value, its unit Ritz vector, steps, highest Ritz value)
+    of h + sum over the (u, shift) of ``deflate`` of shift u u+, the basis
+    kept for the Ritz vector."""
+    v /= np.sqrt(manybody._dot(v, v).real)
+    basis, alpha, beta = [v], [], []
+    for step in range(1, manybody.LANCZOS_MAXITER + 1):
+        w = h @ v
+        for u, shift in deflate:
+            w += (shift * manybody._dot(u, v)) * u
+        alpha.append(float(manybody._dot(v, w).real))
+        w -= alpha[-1] * v
+        if step > 1:
+            w -= beta[-1] * basis[-2]
+        beta.append(float(np.sqrt(manybody._dot(w, w).real)))
+        if beta[-1] <= tol or step % 8 == 0:
+            theta, s = manybody._tridiagonal_lowest(alpha, beta[:-1])
+            if abs(beta[-1] * s[-1]) <= tol:
+                break
+        v = w / beta[-1]
+        basis.append(v)
+    else:
+        raise ConvergenceError(
+            f"Lanczos did not converge in {manybody.LANCZOS_MAXITER} steps")
+    ritz = np.zeros_like(v)
+    for coeff, b in zip(s, basis):
+        b *= coeff
+        ritz += b
+    del basis
+    ritz /= np.sqrt(manybody._dot(ritz, ritz).real)
+    top = -manybody._tridiagonal_lowest([-a for a in alpha], beta[:-1])[0]
+    return theta, ritz, step, top
+
+
+def stored_basis_lanczos(h, dim: int, scale: float, level_tol: float):
+    """(levels, vectors, matvecs) as ``manybody._lanczos`` returns them, one
+    level per :func:`stored_basis_lanczos_lowest` run; ``matvecs`` counts
+    the runs' steps, the gap witness's included."""
+    rng = np.random.default_rng(0)
+    dtype = np.result_type(h.data, np.float64)
+    levels, deflate, matvecs = [], [], 0
+    while len(deflate) < dim:
+        start = rng.standard_normal(dim).astype(dtype, copy=False)
+        level, vector, steps, top = stored_basis_lanczos_lowest(h, start, deflate,
+                                                                1e-11 * scale)
+        matvecs += steps
+        levels.append(level)
+        if level < levels[0] - level_tol:   # the first run missed the ground level
+            raise ConvergenceError(f"Lanczos run {len(levels)} found {level:g} "
+                                   f"below E0 = {levels[0]:g}")
+        if level - levels[0] > level_tol:
+            break
+        if not deflate:
+            ceiling = top + scale
+        deflate.append((vector, ceiling - level))
+    return levels, [u for u, _ in deflate], matvecs
 
 
 # ---------------------------------------------------------------------------

@@ -473,6 +473,7 @@ def test_a_model_value_whose_constants_overflow_is_config_error(tmp_path, capsys
 
 @pytest.mark.parametrize("command,g_values,bad", [
     ("wick-sweep", "0, 1e300, 1e-3", "1e+300"),
+    ("map-residual", "1e-3, 1e300", "1e+300"),
     ("map-residual", "1e-3, 1e-320", "1e-320"),
 ])
 def test_a_sweep_entry_whose_constants_overflow_is_config_error(tmp_path, capsys,
@@ -483,6 +484,17 @@ def test_a_sweep_entry_whose_constants_overflow_is_config_error(tmp_path, capsys
         f"error: category=config [sweep] g_values entry {bad} "
         f"(at [model] l = 1.0, mu = 1.0): {_OVERFLOW}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["dispersion", "ground-state", "spectrum", "design"])
+def test_a_sweep_entry_is_checked_only_by_the_commands_that_read_it(tmp_path, command):
+    # before: exit 2 with the sweep entry's overflow message for every command
+    text = f"command = {command}\n[sweep]\ng_values = 1e-3, 1e300\n"
+    if command in ("ground-state", "spectrum"):
+        text += "[lattice]\nncx = 1\nncy = 1\n[truncation]\nn_max = 1\n"
+    code, out = _run(tmp_path, text)
+    assert code == 0
+    assert (out / "manifest.txt").exists()
 
 
 _SMALL_ED = "[lattice]\nncx = 2\nncy = 1\n[truncation]\nn_max = 2\n[manybody]\nplacement = cell0\n"
@@ -605,24 +617,24 @@ def test_import_loads_no_sympy_optimize_or_sparse():
 
 def _fresh_child(code: str, **env) -> str:
     """Standard output of ``code`` in a new interpreter on this ``src``.
-    OPENBLAS_THREAD_TIMEOUT is dropped from its environment, since this
-    test process imported gravlat.cli, which set it, and ``env`` is added."""
+    OPENBLAS_NUM_THREADS is dropped from its environment, since this test
+    process imported gravlat.cli, which set it, and ``env`` is added."""
     src = Path(gravlat.__file__).resolve().parents[1]
-    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     child_env["PYTHONPATH"] = str(src)
     return subprocess.run([sys.executable, "-c", code], env=child_env | env, check=True,
                           capture_output=True, text=True).stdout.strip()
 
 
 def test_import_gravlat_loads_no_numpy():
-    # gravlat.cli can set the OpenBLAS timeout only before numpy loads
+    # gravlat.cli can cap the OpenBLAS threads only before numpy loads
     assert _fresh_child("import sys, gravlat; print('numpy' in sys.modules)") == "False"
 
 
-@pytest.mark.parametrize("user_value,expected", [(None, "4"), ("10", "10")])
-def test_cli_sets_the_openblas_timeout_unless_the_user_did(user_value, expected):
-    env = {} if user_value is None else {"OPENBLAS_THREAD_TIMEOUT": user_value}
-    probe = "import os, gravlat.cli; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+@pytest.mark.parametrize("user_value,expected", [(None, "1"), ("2", "2")])
+def test_cli_caps_the_openblas_threads_unless_the_user_did(user_value, expected):
+    env = {} if user_value is None else {"OPENBLAS_NUM_THREADS": user_value}
+    probe = "import os, gravlat.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert _fresh_child(probe, **env) == expected
 
 

@@ -22,7 +22,8 @@ from conftest import (boson_ladders, fermion_number, full_sector_mapping_residua
                       full_space_background, full_space_correlators,
                       full_space_d, full_space_particle_hole,
                       full_space_simulator, full_space_target,
-                      q_map_commutators, q_pair, sector_csr)
+                      q_map_commutators, q_pair, sector_csr,
+                      stored_basis_lanczos)
 
 
 # ---------------------------------------------------------------------------
@@ -711,14 +712,19 @@ def _banded_block(n, rng):
     return sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
 
 
-@pytest.mark.parametrize("fold", [1, 2, 3])
-def test_ground_state_lanczos_multiplicity(fold):
-    # four identical blocks, all but ``fold`` of them shifted up: a
-    # uniform start vector sees the copies only in their symmetric
-    # combination and reports multiplicity 1
+def _fold_matrix(fold):
+    """Four identical 256-wide blocks, all but ``fold`` of them shifted up:
+    the lowest level is ``fold``-fold."""
     block = _banded_block(256, np.random.default_rng(0))
     shifted = block + 0.5 * sparse.identity(256, format="csr")
-    h = sparse.block_diag([block] * fold + [shifted] * (4 - fold), format="csr")
+    return sparse.block_diag([block] * fold + [shifted] * (4 - fold), format="csr")
+
+
+@pytest.mark.parametrize("fold", [1, 2, 3])
+def test_ground_state_lanczos_multiplicity(fold):
+    # a uniform start vector would see the copies only in their symmetric
+    # combination and report multiplicity 1
+    h = _fold_matrix(fold)
     space = FockSpace(10, (), 0)
     assert space.dimension == 1024
     gs = ground_state(h, space)
@@ -770,6 +776,93 @@ def test_ground_state_lanczos_zero_ground_level():
     assert abs(evals[0]) < 1e-14
     assert gs.multiplicity == 2 and gs.k == 3
     assert gs.energy == pytest.approx(0.0, abs=1e-10)
+
+
+def _lanczos_case(name):
+    """(h, space, fold) of a Lanczos-path ground state: a ``fold``-fold
+    block-diagonal matrix, or the simulator on the (c) job's sector."""
+    if name == "c":
+        spec, space = _ladder_space("c")
+        return assemble_simulator_hamiltonian(PARAMS, spec, space), space, 1
+    fold = int(name[-1])
+    return _fold_matrix(fold), FockSpace(10, (), 0), fold
+
+
+def _lanczos_args(h, space):
+    scale = max(manybody.max_abs_entry(h.data), 1.0)
+    return h, space.sector_dimension, scale, manybody.DEGENERACY_TOL * scale
+
+
+@pytest.mark.parametrize("name", ["fold-1", "fold-2", "fold-3", "c"])
+def test_replayed_ritz_vectors_are_bitwise_the_stored_basis_ones(monkeypatch, name):
+    h, space, fold = _lanczos_case(name)
+    levels, vectors, _ = manybody._lanczos(*_lanczos_args(h, space))
+    oracle_levels, oracle_vectors, _ = stored_basis_lanczos(*_lanczos_args(h, space))
+    assert levels == oracle_levels and len(levels) == fold + 1
+    assert len(vectors) == len(oracle_vectors) == fold
+    for v, oracle in zip(vectors, oracle_vectors):
+        np.testing.assert_array_equal(v, oracle)
+    gs = ground_state(h, space)
+    monkeypatch.setattr(manybody, "_lanczos", stored_basis_lanczos)
+    oracle = ground_state(h, space)
+    assert (gs.energy, gs.multiplicity, gs.k, gs.residual) == (
+        oracle.energy, oracle.multiplicity, oracle.k, oracle.residual)
+    assert gs.multiplicity == fold
+    for v, w in zip(gs.vectors, oracle.vectors):
+        np.testing.assert_array_equal(v, w)
+
+
+class _CountedProducts:
+    """An operator that counts its products with a vector."""
+
+    def __init__(self, h):
+        self.h, self.data, self.shape, self.products = h, h.data, h.shape, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.h @ x
+
+
+@pytest.mark.parametrize("name", ["fold-1", "fold-2", "fold-3", "c"])
+def test_only_the_multiplet_runs_are_replayed(monkeypatch, name):
+    # each locked level replays its run (steps - 1 products); the gap
+    # witness, the last run, builds no vector
+    h, space, fold = _lanczos_case(name)
+    steps, run_lowest = [], manybody._lanczos_lowest
+
+    def recording(*args):
+        run = run_lowest(*args)
+        steps.append(run.steps)
+        return run
+
+    monkeypatch.setattr(manybody, "_lanczos_lowest", recording)
+    counted = _CountedProducts(h)
+    _, vectors, matvecs = manybody._lanczos(*_lanczos_args(counted, space))
+    assert len(steps) == fold + 1 and len(vectors) == fold and steps[-1] > 1
+    assert counted.products == matvecs == sum(steps) + sum(n - 1 for n in steps[:-1])
+
+
+def test_ground_state_holds_a_fixed_number_of_vectors():
+    # besides H and one product's scratch, the solve holds the start vector,
+    # two Lanczos vectors, the Ritz sum and one locked vector; a stored
+    # basis would add one vector per step (over 100 here), and the scale
+    # and finiteness checks no longer make an array as long as H's entries
+    h, space, _ = _lanczos_case("c")
+    x = np.ones(h.shape[0])
+    ground_state(h, space)      # loads numpy.random, builds the cached row blocks
+    tracemalloc.start()
+    try:
+        h @ x
+        product = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        gs = ground_state(h, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    vector = h.shape[0] * 8
+    assert gs.matvecs > 100 and h.nnz * 8 > 10 * vector
+    # the Python-float coefficient lists take under 200 bytes per step
+    assert peak <= product + 4 * vector + 512 * gs.matvecs
 
 
 def _check_tridiagonal_lowest(alpha, beta):
@@ -913,10 +1006,13 @@ def _unblocked_product(h, x):
 
 
 def _ladder_space(name):
-    """The sector spaces of the ED ladder's (b) and (d) jobs."""
+    """The sector spaces of the ED ladder's (b), (c) and (d) jobs."""
     if name == "b":
         spec = LatticeSpec(3, 1)
         return spec, FockSpace(spec.n_modes, boson_pairs(spec, "per_cell"), 2, sector=3)
+    if name == "c":
+        spec = LatticeSpec(3, 2)
+        return spec, FockSpace(spec.n_modes, boson_pairs(spec, "cell0"), 2, sector=6)
     spec = LatticeSpec(4, 2)
     return spec, FockSpace(spec.n_modes, boson_pairs(spec, "cell0"), 1, sector=8,
                            nnz_cap=2 ** 23)

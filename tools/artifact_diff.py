@@ -36,10 +36,12 @@ from workloads import WORKLOADS, Job, _cfg  # noqa: E402
 # many-body lattice, a filling other than half, window 0, the mapping
 # residual on background bonds (``cell0``) and on the shared pair, the
 # particle-hole split alone (half-filled ``cell0``, no translations), the
-# one-state pair basis (n_max = 0), and the slab checks on a non-square
-# slab: the refinement study at nt = 3 (one chunk), 5 and 7 (chunks of 3
-# slices; 7 is the largest nt with that size) and action-check at nt = 5
-# with 5 modes.
+# one-state pair basis (n_max = 0), a Lanczos-path multiplet (3x1
+# ``per_cell`` at filling 2: sector 960, multiplicity 2, so the second
+# level's Ritz vector is replayed against the first one's deflation), and
+# the slab checks on a non-square slab: the refinement study at nt = 3
+# (one chunk), 5 and 7 (chunks of 3 slices; 7 is the largest nt with that
+# size) and action-check at nt = 5 with 5 modes.
 EXTRA_JOBS = (
     Job("uniform-correlators", _cfg(
         "command = correlators",
@@ -72,6 +74,11 @@ EXTRA_JOBS = (
         "[truncation]", "n_max = 1",
         "[manybody]", "placement = per_cell", "filling = 1",
         "[sweep]", "g_values = 0, 1e-3, 1e-2")),
+    Job("filling-2-multiplet-correlators", _cfg(
+        "command = correlators",
+        "[lattice]", "ncx = 3", "ncy = 1",
+        "[truncation]", "n_max = 1",
+        "[manybody]", "placement = per_cell", "filling = 2")),
     Job("window-0-map-residual", _cfg(
         "command = map-residual",
         "[lattice]", "ncx = 2", "ncy = 2",
