@@ -594,8 +594,15 @@ def _on_sector(spec: LatticeSpec, space: FockSpace, hamiltonian, keep=None) -> S
     indptr = np.zeros(dim + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
     del rows
-    return SectorOperator(np.concatenate(data)[order],
-                          np.concatenate(cols)[order].astype(np.intp), indptr, (dim, dim))
+    # each list of pieces is dropped once stacked, each stack once sorted,
+    # and ``order`` before the columns widen: the assembly's peak is the
+    # sort of the values, not every stack at once
+    data = np.concatenate(data)
+    data = data[order]
+    cols = np.concatenate(cols)
+    cols = cols[order]
+    del order
+    return SectorOperator(data, cols.astype(np.intp), indptr, (dim, dim))
 
 
 def _check_space(spec: LatticeSpec, space: FockSpace) -> None:

@@ -1070,6 +1070,21 @@ def test_row_blocked_product_allocates_a_fraction_of_its_entries():
     assert peak < h.nnz * 8 / 3
 
 
+def test_assembly_peak_is_bounded_in_entries():
+    # the stacked pieces, the sort order and the sorted values and columns
+    # are dropped as soon as they are read: 32.6 bytes per entry on (b),
+    # 40.3 while every stack lived until the operator was built
+    spec, space = _ladder_space("b")
+    assemble_simulator_hamiltonian(PARAMS, spec, space)   # builds the cached pair basis
+    tracemalloc.start()
+    try:
+        h = assemble_simulator_hamiltonian(PARAMS, spec, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 34 * h.nnz
+
+
 def _swap_block_matrix():
     # kron(X, A): the ground state is (1, -1)/sqrt2 x top(A), orthogonal to
     # the uniform vector, which spans only the +lambda(A) half
