@@ -43,7 +43,8 @@ hopping part is Hermitian by construction, :func:`_hermitian_part`), and
 can first restrict every boson-factor operator to the indices a window
 mask keeps, so :func:`mapping_residual` assembles only its window block.
 The result is a :class:`SectorOperator`, its own compressed-row form with
-``@`` and ``toarray``.
+``@`` and ``toarray``, each entry scattered straight into its final slot
+(rows counted first, then one row cursor per row).
 
 Observables read a state on the same basis, and only there.  A fermion
 annihilator c_i maps the N-particle basis to the (N-1)-particle one by the
@@ -536,22 +537,13 @@ def _hermitian_part(space: FockSpace, terms, scale: float):
     return rows[order], cols[order], data[order] * 0.5
 
 
-def _on_sector(spec: LatticeSpec, space: FockSpace, hamiltonian, keep=None) -> SectorOperator:
-    """sum_(p, q) kron(c_p+ c_q, J_pq) + h.c. + kron(1, B) on the sector
-    basis, from a Hamiltonian's table (vertex, terms): the vertex wired to
-    the bonds of ``spec`` as J_pq by :func:`_bond_couplings`, and the
-    pair-local boson ``terms`` that every pair shares (B is their sum on
-    every pair).
-
-    B is checked on the boson factor, the only place an anti-Hermitian
-    defect can enter (:func:`_hermitian_part`), with scale the largest
-    |entry| of the sector H (the largest |J_pq| over nonempty hopping
-    blocks, or the largest |B|), and enters as (B + B+) / 2.  With ``keep``
-    (a mask over the boson indices), every boson-factor operator is
-    restricted to the indices it sets before the kron, so the result is the
-    block of the full H on rows and columns position * boson_dim + (those
-    indices), entry for entry.
-    """
+def _sector_pieces(spec: LatticeSpec, space: FockSpace, hamiltonian, keep=None):
+    """(fermion states, boson-factor dimension, hops, B) of a Hamiltonian's
+    table as :func:`_on_sector` takes it: each hop is the fermion block
+    (rows, cols, signs) of one c_p+ c_q and its J_pq embedded in the boson
+    factor as (rows, cols, data), and B is the (rows, cols, data) of
+    (B + B+) / 2 on that factor (None without terms), every boson-factor
+    piece restricted to the indices ``keep`` sets."""
     vertex, terms = hamiltonian
     states = space.sector_fermion_states()
     hops = [(_hopping_block(states, p, q), pair, local)
@@ -567,42 +559,94 @@ def _on_sector(spec: LatticeSpec, space: FockSpace, hamiltonian, keep=None) -> S
         hops = [(blk, _restricted(j, keep)) for blk, j in hops]
         boson = None if boson is None else _restricted(boson, keep)
         n_b = int(np.count_nonzero(keep))
-    # kron(c_p+ c_q, J) puts sign * J_ab at (row * n_b + a, col * n_b + b);
-    # these blocks, their transposes and the diagonal boson blocks share no
-    # entry, so they are stacked, not summed, and then put in row order by
-    # one stable sort.  32-bit indices where they fit keep the stacked
-    # entries at 16 bytes until then.
-    n_states = len(states)
-    dim = n_states * n_b
-    index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
-    rows, cols, data = [], [], []
-    for (f_rows, f_cols, signs), (j_rows, j_cols, j_data) in hops:
-        r = (f_rows.astype(index)[:, None] * n_b + j_rows.astype(index)).ravel()
-        c = (f_cols.astype(index)[:, None] * n_b + j_cols.astype(index)).ravel()
-        v = (signs[:, None] * j_data).ravel()
-        rows += [r, c]
-        cols += [c, r]
-        data += [v, v.conj()]
+    return len(states), n_b, hops, boson
+
+
+def _ranks(rows: np.ndarray, n: int):
+    """(entries on each of range(n), each entry's place among its row's
+    entries in entry order) of the entries with row indices ``rows``."""
+    counts = np.bincount(rows, minlength=n)
+    rank = np.empty(len(rows), dtype=np.intp)
+    rank[np.argsort(rows, kind="stable")] = (
+        np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts))
+    return counts, rank
+
+
+def _on_sector(spec: LatticeSpec, space: FockSpace, hamiltonian, keep=None) -> SectorOperator:
+    """sum_(p, q) kron(c_p+ c_q, J_pq) + h.c. + kron(1, B) on the sector
+    basis, from a Hamiltonian's table (vertex, terms): the vertex wired to
+    the bonds of ``spec`` as J_pq by :func:`_bond_couplings`, and the
+    pair-local boson ``terms`` that every pair shares (B is their sum on
+    every pair).
+
+    B is checked on the boson factor, the only place an anti-Hermitian
+    defect can enter (:func:`_hermitian_part`), with scale the largest
+    |entry| of the sector H (the largest |J_pq| over nonempty hopping
+    blocks, or the largest |B|), and enters as (B + B+) / 2.  With ``keep``
+    (a mask over the boson indices), every boson-factor operator is
+    restricted to the indices it sets before the kron, so the result is the
+    block of the full H on rows and columns position * boson_dim + (those
+    indices), entry for entry.
+
+    The operator is written in place: the entry count of every row comes
+    first, then each piece is scattered straight into its final slots, a
+    chunk of at most ``_ROW_BLOCK`` entries at a time, so the assembly
+    holds no array as long as the entries beyond the operator's own.
+    """
+    n_states, n_b, hops, boson = _sector_pieces(spec, space, hamiltonian, keep)
+    # kron(c_p+ c_q, J) puts sign * J_ab at (row * n_b + a, col * n_b + b),
+    # its transpose the conjugate at (col * n_b + b, row * n_b + a), and
+    # kron(1, B) B_ab at (s * n_b + a, s * n_b + b) for every fermion state
+    # s.  These pieces share no entry.  A row holds them hop by hop, forward
+    # then backward, then B's, each piece's entries in their boson-factor
+    # order.  A piece meets a fermion row at most once (a hop's forward and
+    # backward rows are disjoint), so an entry's slot is its row's cursor
+    # plus its rank among the piece's boson-factor entries on its boson
+    # row: one small rank vector per piece, shared by its fermion rows.
+    cursor = np.zeros((n_states, n_b), dtype=np.intp)   # the row counts first
+    ranked = [(_ranks(j_rows, n_b), _ranks(j_cols, n_b)) for _, (j_rows, j_cols, _) in hops]
+    for ((f_rows, f_cols, _), _), (forward, backward) in zip(hops, ranked):
+        cursor[f_rows] += forward[0]
+        cursor[f_cols] += backward[0]
+    if boson is not None:
+        b_ranked = _ranks(boson[0], n_b)
+        cursor += b_ranked[0]
+    indptr = np.zeros(n_states * n_b + 1, dtype=np.intp)
+    np.cumsum(cursor, out=indptr[1:])
+    cursor.reshape(-1)[:] = indptr[:-1]
+    dtype = np.result_type(*[np.result_type(signs, j_data)
+                             for (_, _, signs), (_, _, j_data) in hops],
+                           *([] if boson is None else [boson[2]]))
+    data = np.empty(indptr[-1], dtype=dtype)
+    cols = np.empty(indptr[-1], dtype=np.intp)
+
+    def scatter(f_to, f_from, j_to, j_from, ranked, values):
+        """Write a piece's entries on the fermion rows ``f_to`` at their
+        cursors, and move the cursors past them."""
+        counts, rank = ranked
+        start = cursor[f_to]
+        cursor[f_to] = start + counts
+        # a C-ordered index array: numpy writes through it about twice as
+        # fast as through the column-major one the gather returns
+        at = np.add(start[:, j_to], rank, order="C")
+        cols[at] = f_from[:, None] * n_b + j_from
+        data[at] = values
+
+    for ((f_rows, f_cols, signs), (j_rows, j_cols, j_data)), (forward, backward) in zip(
+            hops, ranked):
+        step = max(_ROW_BLOCK // max(len(j_data), 1), 1)
+        for a in range(0, len(signs), step):
+            r, c = f_rows[a:a + step], f_cols[a:a + step]
+            v = signs[a:a + step, None] * j_data
+            scatter(r, c, j_rows, j_cols, forward, v)
+            scatter(c, r, j_cols, j_rows, backward, v.conj())
     if boson is not None:
         b_rows, b_cols, b_data = boson
-        offset = np.arange(n_states, dtype=index)[:, None] * n_b
-        rows.append((offset + b_rows.astype(index)).ravel())
-        cols.append((offset + b_cols.astype(index)).ravel())
-        data.append(np.tile(b_data, n_states))
-    rows = np.concatenate(rows)
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(dim + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
-    del rows
-    # each list of pieces is dropped once stacked, each stack once sorted,
-    # and ``order`` before the columns widen: the assembly's peak is the
-    # sort of the values, not every stack at once
-    data = np.concatenate(data)
-    data = data[order]
-    cols = np.concatenate(cols)
-    cols = cols[order]
-    del order
-    return SectorOperator(data, cols.astype(np.intp), indptr, (dim, dim))
+        step = max(_ROW_BLOCK // max(len(b_data), 1), 1)
+        for a in range(0, n_states, step):
+            s = np.arange(a, min(a + step, n_states))
+            scatter(s, s, b_rows, b_cols, b_ranked, b_data)
+    return SectorOperator(data, cols, indptr, (n_states * n_b,) * 2)
 
 
 def _check_space(spec: LatticeSpec, space: FockSpace) -> None:

@@ -1,7 +1,9 @@
 """Text serialization helpers.
 
 All floats are written with ``repr`` of the Python float (shortest decimal
-that round-trips), so identical runs produce byte-identical files.
+that round-trips), so identical runs produce byte-identical files.  Tables
+are streamed a fixed number of rows at a time, so a table's text is never
+held whole.
 """
 
 from __future__ import annotations
@@ -23,20 +25,33 @@ def fmt(value) -> str:
     return str(value)
 
 
+_CHUNK_ROWS = 4096   # rows formatted and written at a time by write_table
+
+
 def write_table(path, header: str, columns) -> None:
     """A CSV table: ``header`` (one or more lines), then row r holding
     entry r of every one of the equal-length ``columns`` (LF endings).
 
-    Each column goes through ``tolist()`` and ``repr`` once: ``repr`` of a
-    Python int is its ``str`` and of a Python float its shortest round-trip
-    form, the bytes :func:`fmt` writes for either.  The rows are joined
-    without a Python step per row, which a per-row ``%r`` template or
-    f-string would cost.  ValueError when the columns differ in length.
+    The columns are read once, as numpy arrays (an iterator such as a
+    ``zip`` of row tuples is consumed first), and their lengths checked:
+    ValueError, before the file is opened, when they differ.  The rows are
+    then written ``_CHUNK_ROWS`` at a time.  In a chunk each column goes
+    through ``tolist()`` and ``repr`` once: ``repr`` of a Python int is its
+    ``str`` and of a Python float its shortest round-trip form, the bytes
+    :func:`fmt` writes for either.  The rows are joined without a Python
+    step per row, which a per-row ``%r`` template or f-string would cost,
+    and only one chunk's strings are alive at a time.
     """
-    strings = [list(map(repr, np.asarray(column).tolist())) for column in columns]
-    text = "\n".join([header, *map(",".join, zip(*strings, strict=True)), ""])
+    columns = [np.asarray(column) for column in columns]
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError("table columns differ in length: "
+                         + ", ".join(str(len(column)) for column in columns))
+    n_rows = len(columns[0]) if columns else 0
     with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+        fh.write(header + "\n")
+        for a in range(0, n_rows, _CHUNK_ROWS):
+            strings = [map(repr, column[a:a + _CHUNK_ROWS].tolist()) for column in columns]
+            fh.write("\n".join(map(",".join, zip(*strings))) + "\n")
 
 
 def write_keyvalue(path, pairs) -> None:

@@ -9,7 +9,9 @@ built from them are the references for the sector-basis Hamiltonians and
 observables, and ``full_sector_mapping_residual`` (the
 window block cut from full-sector Hamiltonians) for the window-native
 mapping residual; ``stored_basis_lanczos`` (the Lanczos that kept its
-Krylov basis) is the reference for the replayed Ritz vectors; the dense
+Krylov basis) is the reference for the replayed Ritz vectors;
+``stacked_sort_on_sector`` (the assembly that stacked its pieces and sorted
+them by row) is the reference for the in-place assembly's raw arrays; the dense
 ``np.einsum`` oracles are the references for the sparse slab
 contractions of the geometry sector.
 """
@@ -496,6 +498,50 @@ def stored_basis_lanczos(h, dim: int, scale: float, level_tol: float):
             ceiling = top + scale
         deflate.append((vector, ceiling - level))
     return levels, [u for u, _ in deflate], matvecs
+
+
+# ---------------------------------------------------------------------------
+# stacked-sort assembly oracle
+# ---------------------------------------------------------------------------
+#
+# ``manybody._on_sector``'s tail as it was while the pieces were stacked and
+# put in row order by one stable sort.  The library now scatters each entry
+# into its final slot; its data, columns and row starts must equal these
+# raw, bit for bit, before any ``sort_indices``: the order inside a row is
+# the order ``@`` sums in.
+
+def stacked_sort_on_sector(spec: LatticeSpec, space: FockSpace, hamiltonian,
+                           keep=None) -> SectorOperator:
+    """``manybody._on_sector(spec, space, hamiltonian, keep)`` by stacking
+    and one stable sort by row."""
+    n_states, n_b, hops, boson = manybody._sector_pieces(spec, space, hamiltonian, keep)
+    dim = n_states * n_b
+    index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
+    rows, cols, data = [], [], []
+    for (f_rows, f_cols, signs), (j_rows, j_cols, j_data) in hops:
+        r = (f_rows.astype(index)[:, None] * n_b + j_rows.astype(index)).ravel()
+        c = (f_cols.astype(index)[:, None] * n_b + j_cols.astype(index)).ravel()
+        v = (signs[:, None] * j_data).ravel()
+        rows += [r, c]
+        cols += [c, r]
+        data += [v, v.conj()]
+    if boson is not None:
+        b_rows, b_cols, b_data = boson
+        offset = np.arange(n_states, dtype=index)[:, None] * n_b
+        rows.append((offset + b_rows.astype(index)).ravel())
+        cols.append((offset + b_cols.astype(index)).ravel())
+        data.append(np.tile(b_data, n_states))
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(dim + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    del rows
+    data = np.concatenate(data)
+    data = data[order]
+    cols = np.concatenate(cols)
+    cols = cols[order]
+    del order
+    return SectorOperator(data, cols.astype(np.intp), indptr, (dim, dim))
 
 
 # ---------------------------------------------------------------------------

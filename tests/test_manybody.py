@@ -23,7 +23,7 @@ from conftest import (boson_ladders, fermion_number, full_sector_mapping_residua
                       full_space_d, full_space_particle_hole,
                       full_space_simulator, full_space_target,
                       q_map_commutators, q_pair, sector_csr,
-                      stored_basis_lanczos)
+                      stacked_sort_on_sector, stored_basis_lanczos)
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +141,25 @@ def _canonical(h):
     return h
 
 
-@pytest.mark.parametrize("ncx,placement,sector", [
+_ORACLE_SPACES = [
     (2, "per_cell", 2),   # a_0 -> b_0 hops cross a_1: the JW signs matter
     (1, "per_cell", 1),
     (2, "cell0", None),   # no sector: the sector basis is the full space
     # the pairs out of cell order: cell 0 is served by modes 2 and 3
     pytest.param(2, (1, 0), 2, id="2-reversed-2"),
     (2, "uniform", 2),    # one pair shared by both cells
-])
-def test_sector_assembly_matches_full_space_oracle(ncx, placement, sector):
+]
+
+
+def _oracle_space(ncx, placement, sector):
     spec = LatticeSpec(ncx, 1)
     cells = boson_pairs(spec, placement) if isinstance(placement, str) else placement
-    space = FockSpace(spec.n_modes, cells, 2, sector=sector)
+    return spec, FockSpace(spec.n_modes, cells, 2, sector=sector)
+
+
+@pytest.mark.parametrize("ncx,placement,sector", _ORACLE_SPACES)
+def test_sector_assembly_matches_full_space_oracle(ncx, placement, sector):
+    spec, space = _oracle_space(ncx, placement, sector)
     ops = operator_algebra(space)
     idx = space.sector_indices()
     pairs = [
@@ -186,6 +193,36 @@ def test_sector_assembly_matches_full_space_oracle(ncx, placement, sector):
     for cell, qc in rep.q_corr.items():
         for key, value in qc.items():
             assert abs(value - want.q_corr[cell][key]) <= 1e-12
+
+
+def _assert_scatter_is_the_stacked_sort(spec, space):
+    """The assembly's raw data, columns and row starts, dtypes included,
+    are the stacked-sort oracle's for the simulator, target, background and
+    a complex Hermitian table, on the whole boson factor and on windows 0
+    and 1: ``@`` sums each row in its entry order, so the order inside a row
+    is pinned too, not only the entries."""
+    j0 = 2.0 / (3.0 * PARAMS.l)
+    dx = space.pair_ladders["x"]
+    tables = (manybody._simulator_terms(PARAMS, space.pair_ladders),
+              manybody._target_terms(PARAMS, space.pair_ladders),
+              ({"x": (j0, None), "z": (j0, None)}, ()),
+              # V = i (d - d+) and B = i (d+ - d) are Hermitian, complex data
+              ({"x": (j0, 1e-2j * (dx - dx.T)), "z": (j0, None)}, (1e-3j * (dx.T - dx),)))
+    occupation = space.boson_occupation_table()
+    for table in tables:
+        for keep in (None, occupation <= 0, occupation <= 1):
+            h = manybody._on_sector(spec, space, table, keep=keep)
+            ref = stacked_sort_on_sector(spec, space, table, keep=keep)
+            assert h.shape == ref.shape
+            for got, want in ((h.data, ref.data), (h.cols, ref.cols), (h.indptr, ref.indptr)):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+    assert h.data.dtype == np.complex128
+
+
+@pytest.mark.parametrize("ncx,placement,sector", _ORACLE_SPACES)
+def test_sector_assembly_is_the_stacked_sort_entry_for_entry(ncx, placement, sector):
+    _assert_scatter_is_the_stacked_sort(*_oracle_space(ncx, placement, sector))
 
 
 @pytest.mark.parametrize("config,nnz", [
@@ -1070,11 +1107,18 @@ def test_row_blocked_product_allocates_a_fraction_of_its_entries():
     assert peak < h.nnz * 8 / 3
 
 
-def test_assembly_peak_is_bounded_in_entries():
-    # the stacked pieces, the sort order and the sorted values and columns
-    # are dropped as soon as they are read: 32.6 bytes per entry on (b),
-    # 40.3 while every stack lived until the operator was built
-    spec, space = _ladder_space("b")
+@pytest.mark.parametrize("name", ["b", "c", "d"])
+def test_ladder_assembly_is_the_stacked_sort_entry_for_entry(name):
+    _assert_scatter_is_the_stacked_sort(*_ladder_space(name))
+
+
+@pytest.mark.parametrize("name,bound", [("b", 22.5), ("d", 22.0)], ids=["b", "d"])
+def test_assembly_peak_is_bounded_in_entries(name, bound):
+    # each entry is scattered straight into its slot, a bounded chunk at a
+    # time: H's own 16 bytes per entry plus 4.5 on (b) and 4.0 on (d); the
+    # stacked pieces, the sort order and the sorted copies of the stable
+    # sort took 32.6 (b) and 32.0 (d)
+    spec, space = _ladder_space(name)
     assemble_simulator_hamiltonian(PARAMS, spec, space)   # builds the cached pair basis
     tracemalloc.start()
     try:
@@ -1082,7 +1126,7 @@ def test_assembly_peak_is_bounded_in_entries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 34 * h.nnz
+    assert peak < bound * h.nnz
 
 
 def _swap_block_matrix():

@@ -38,7 +38,9 @@ from workloads import WORKLOADS, Job, _cfg  # noqa: E402
 # particle-hole split alone (half-filled ``cell0``, no translations), the
 # one-state pair basis (n_max = 0), a Lanczos-path multiplet (3x1
 # ``per_cell`` at filling 2: sector 960, multiplicity 2, so the second
-# level's Ritz vector is replayed against the first one's deflation), and
+# level's Ritz vector is replayed against the first one's deflation), a
+# ground-state table of several write chunks on the 729-state boson factor
+# (3x1 ``per_cell``, n_max = 2: 14 580 rows of ``ground_state.csv``), and
 # the slab checks on a non-square slab: the refinement study at nt = 3
 # (one chunk), 5 and 7 (chunks of 3 slices; 7 is the largest nt with that
 # size) and action-check at nt = 5 with 5 modes.
@@ -79,6 +81,11 @@ EXTRA_JOBS = (
         "[lattice]", "ncx = 3", "ncy = 1",
         "[truncation]", "n_max = 1",
         "[manybody]", "placement = per_cell", "filling = 2")),
+    Job("per-cell-ground-state", _cfg(
+        "command = ground-state",
+        "[lattice]", "ncx = 3", "ncy = 1",
+        "[truncation]", "n_max = 2",
+        "[manybody]", "placement = per_cell")),
     Job("window-0-map-residual", _cfg(
         "command = map-residual",
         "[lattice]", "ncx = 2", "ncy = 2",
