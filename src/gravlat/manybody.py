@@ -604,13 +604,11 @@ def _on_sector(spec: LatticeSpec, space: FockSpace, hamiltonian, keep=None) -> S
     # plus its rank among the piece's boson-factor entries on its boson
     # row: one small rank vector per piece, shared by its fermion rows.
     cursor = np.zeros((n_states, n_b), dtype=np.intp)   # the row counts first
-    ranked = [(_ranks(j_rows, n_b), _ranks(j_cols, n_b)) for _, (j_rows, j_cols, _) in hops]
-    for ((f_rows, f_cols, _), _), (forward, backward) in zip(hops, ranked):
-        cursor[f_rows] += forward[0]
-        cursor[f_cols] += backward[0]
+    for (f_rows, f_cols, _), (j_rows, j_cols, _) in hops:
+        cursor[f_rows] += np.bincount(j_rows, minlength=n_b)
+        cursor[f_cols] += np.bincount(j_cols, minlength=n_b)
     if boson is not None:
-        b_ranked = _ranks(boson[0], n_b)
-        cursor += b_ranked[0]
+        cursor += np.bincount(boson[0], minlength=n_b)
     indptr = np.zeros(n_states * n_b + 1, dtype=np.intp)
     np.cumsum(cursor, out=indptr[1:])
     cursor.reshape(-1)[:] = indptr[:-1]
@@ -632,8 +630,8 @@ def _on_sector(spec: LatticeSpec, space: FockSpace, hamiltonian, keep=None) -> S
         cols[at] = f_from[:, None] * n_b + j_from
         data[at] = values
 
-    for ((f_rows, f_cols, signs), (j_rows, j_cols, j_data)), (forward, backward) in zip(
-            hops, ranked):
+    for (f_rows, f_cols, signs), (j_rows, j_cols, j_data) in hops:
+        forward, backward = _ranks(j_rows, n_b), _ranks(j_cols, n_b)
         step = max(_ROW_BLOCK // max(len(j_data), 1), 1)
         for a in range(0, len(signs), step):
             r, c = f_rows[a:a + step], f_cols[a:a + step]
@@ -642,10 +640,11 @@ def _on_sector(spec: LatticeSpec, space: FockSpace, hamiltonian, keep=None) -> S
             scatter(c, r, j_cols, j_rows, backward, v.conj())
     if boson is not None:
         b_rows, b_cols, b_data = boson
+        ranked = _ranks(b_rows, n_b)
         step = max(_ROW_BLOCK // max(len(b_data), 1), 1)
         for a in range(0, n_states, step):
             s = np.arange(a, min(a + step, n_states))
-            scatter(s, s, b_rows, b_cols, b_ranked, b_data)
+            scatter(s, s, b_rows, b_cols, ranked, b_data)
     return SectorOperator(data, cols, indptr, (n_states * n_b,) * 2)
 
 

@@ -1112,12 +1112,12 @@ def test_ladder_assembly_is_the_stacked_sort_entry_for_entry(name):
     _assert_scatter_is_the_stacked_sort(*_ladder_space(name))
 
 
-@pytest.mark.parametrize("name,bound", [("b", 22.5), ("d", 22.0)], ids=["b", "d"])
+@pytest.mark.parametrize("name,bound", [("b", 21.7), ("d", 22.0)], ids=["b", "d"])
 def test_assembly_peak_is_bounded_in_entries(name, bound):
     # each entry is scattered straight into its slot, a bounded chunk at a
-    # time: H's own 16 bytes per entry plus 4.5 on (b) and 4.0 on (d); the
-    # stacked pieces, the sort order and the sorted copies of the stable
-    # sort took 32.6 (b) and 32.0 (d)
+    # time: 19.7 bytes per entry on (b) and 20.0 on (d), H's own 16 among
+    # them, bounded 10 % above; the stacked pieces, the sort order and the
+    # sorted copies of the stable sort took 32.6 (b) and 32.0 (d)
     spec, space = _ladder_space(name)
     assemble_simulator_hamiltonian(PARAMS, spec, space)   # builds the cached pair basis
     tracemalloc.start()
