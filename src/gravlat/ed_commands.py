@@ -14,7 +14,9 @@ from a config whose filling and window :func:`gravlat.cli.parse_config`
 has checked; each assembler checks its nnz cap before it builds
 anything (exit code 4).  Each handler solves once per coupling and reads
 its truncation check off the solved state
-(:func:`gravlat.manybody.top_level_weight`).
+(:func:`gravlat.manybody.top_level_weight`, the largest over a sweep's
+couplings), with its verdict beside it: ``truncation_converged`` when the
+weight is at most 1e-6, the rule ``truncation_rule`` names.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ def _solve(cfg, params):
     an entrywise estimate, n entries of at most that size)."""
     space = _space(cfg, params)
     h = _hamiltonian(params, cfg.lattice, space)
-    scale = max(max_abs_entry(h.data), 1.0)
-    row, dim = int(np.diff(h.indptr).max(initial=0)), h.shape[0]
+    scale = max(*(max_abs_entry(v) for v in h.values()), 1.0)
+    row, dim = int(h.row_lengths().max(initial=0)), h.shape[0]
     bound = 12.0 * scale * row   # Python floats: inf, no warning
     if not bound * bound * dim < sys.float_info.max:
         where = _coupling_location(params, sweep=cfg.command == "wick-sweep")
@@ -73,10 +75,18 @@ def _solve(cfg, params):
     return ground_state(h, space)
 
 
+def _truncation_lines(weight: float) -> list:
+    """The truncation verdict: ``top_level_weight``, whether it meets the
+    rule, and the rule in words.  The rule reads the weight on the cut
+    alone; it does not compare the results at n_max and n_max + 2."""
+    return [("top_level_weight", weight), ("truncation_converged", weight <= 1e-6),
+            ("truncation_rule", "top_level_weight <= 1e-6")]
+
+
 def _solver_lines(gs) -> list:
     return [("eigen_residual", gs.residual), ("eigen_k", gs.k), ("eigen_matvecs", gs.matvecs),
             ("sector_dimension", gs.space.sector_dimension),
-            ("top_level_weight", top_level_weight(gs, gs.space))]
+            *_truncation_lines(top_level_weight(gs, gs.space))]
 
 
 def _cmd_spectrum(cfg, outdir, extras):
@@ -153,7 +163,7 @@ def _cmd_wick_sweep(cfg, outdir, extras):
         top = max(top, top_level_weight(gs, gs.space))
     write_table(outdir / "wick_sweep.csv", "g,wick_residual,ground_energy,multiplicity",
                 zip(*rows))
-    extras.append(("top_level_weight", top))
+    extras.extend(_truncation_lines(top))
 
 
 def _cmd_map_residual(cfg, outdir, extras):

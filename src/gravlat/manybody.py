@@ -42,9 +42,14 @@ index arithmetic on the pair digits, builds and checks B there (the
 hopping part is Hermitian by construction, :func:`_hermitian_part`), and
 can first restrict every boson-factor operator to the indices a window
 mask keeps, so :func:`mapping_residual` assembles only its window block.
-The result is a :class:`SectorOperator`, its own compressed-row form with
-``@`` and ``toarray``, each entry scattered straight into its final slot
-(rows counted first, then one row cursor per row).
+The result is a :class:`SectorOperator`: the hopping part in its own
+compressed-row form, each entry scattered straight into its final slot
+(rows counted first, then one row cursor per row), and kron(1, B) kept
+factored, as B's diagonal over the boson factor and the one off-diagonal
+block that every pair shares, never as a copy per fermion state.  Its
+``materialized`` form writes B's entries into the rows, the same entries
+in the same order as when they were stored; ``toarray``, the momentum
+blocks and the tests read that.
 
 Observables read a state on the same basis, and only there.  A fermion
 annihilator c_i maps the N-particle basis to the (N-1)-particle one by the
@@ -57,10 +62,13 @@ Ground states above dimension 512 come from a numpy Lanczos on
 ``SectorOperator @ x`` (:func:`ground_state`) that keeps no Krylov basis:
 each locked level's Ritz vector comes from a replay of its run's
 recurrence, so a solve holds a fixed number of vectors whatever its
-number of steps.  The product runs through
-row blocks of at most 2^15 entries, each row summed as one ``reduceat``
-segment in entry order, so the loop holds no scratch array as long as the
-entries and every product is bitwise the unblocked one.  The assemblers,
+number of steps.  Each run starts from a SplitMix64 hash vector
+(:func:`_start_vector`), so no ``numpy.random`` is loaded.  The product
+runs through row blocks of at most 2^15 hopping entries, each row summed
+as one ``reduceat`` segment in entry order, so the loop holds no scratch
+array as long as the entries and the hopping product is bitwise the
+unblocked one; it then adds B x on each pair's axis of the state reshaped
+to (fermion states, boson_dim), one BLAS ``matmul`` per pair.  The assemblers,
 :func:`mapping_residual` and the observables take the :class:`FockSpace`
 and build no full-space object; each assembler first runs
 :func:`operator_algebra` as its nnz-cap check.  Only ``ModeOperators.c``
@@ -73,7 +81,7 @@ there.  The test oracles build their own full-space operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from math import comb, copysign, hypot, isfinite
 from typing import Optional
@@ -440,44 +448,175 @@ _ROW_BLOCK = 1 << 15     # entries of one row block of SectorOperator @ x
 
 
 @dataclass(frozen=True)
+class _FactoredBoson:
+    """kron(1, B) of a :class:`SectorOperator`, B = (B0 + B0+) / 2 kept in
+    factored form: ``diag``, B's diagonal over the whole boson factor of
+    ``space``, and ``off``, the off-diagonal block local to one pair (zero
+    diagonal), which every pair shares.  ``keep`` (a mask over the boson
+    indices, or None) restricts B to the indices it sets, renumbered in
+    order, as :func:`_restricted` restricts an embedded operator.
+    """
+
+    space: FockSpace
+    diag: np.ndarray
+    off: np.ndarray
+    keep: Optional[np.ndarray] = None
+
+    @property
+    def dtype(self):
+        return np.result_type(self.diag, self.off)
+
+    @property
+    def real(self) -> "_FactoredBoson":
+        return replace(self, diag=self.diag.real, off=self.off.real)
+
+    @property
+    def n_b(self) -> int:
+        """The dimension of the (kept) boson factor B acts on."""
+        return self.space.boson_dim if self.keep is None else int(np.count_nonzero(self.keep))
+
+    @cached_property
+    def entries(self):
+        """(rows, cols, data) of B on the (kept) boson factor in row-major
+        order, zero entries left out: the diagonal's nonzero entries and
+        ``off`` embedded on each pair (the pairs' blocks share no entry)."""
+        space = self.space
+        on = np.flatnonzero(self.diag)
+        pieces = [(on, on, self.diag[on])] + [_embed(space, self.off, p)
+                                              for p in range(len(space.pairs))]
+        rows, cols, data = (np.concatenate(x) for x in zip(*pieces))
+        order = np.argsort(rows * space.boson_dim + cols)
+        entries = rows[order], cols[order], data[order]
+        return entries if self.keep is None else _restricted(entries, self.keep)
+
+    def add_product(self, x: np.ndarray, out: np.ndarray) -> None:
+        """out += kron(1, B) x, both (fermion states, n_b) arrays.
+
+        ``x * diag``, then per pair p one ``matmul`` with ``off`` on axis 1
+        of x reshaped to (fermion states x higher pairs, pair_dim,
+        pair_dim^p); pair 0, the last axis, as one (rows, pair_dim) product
+        with off^T.  A kept block is scattered into the whole factor, with
+        zeros elsewhere, multiplied there and gathered back, which is B
+        restricted to the kept indices exactly.
+        """
+        if self.keep is not None:
+            full = np.zeros((len(x), self.space.boson_dim), dtype=x.dtype)
+            full[:, self.keep] = x
+            scratch = np.zeros_like(full)
+            replace(self, keep=None).add_product(full, scratch)
+            out += scratch[:, self.keep]
+            return
+        out += x * self.diag
+        k = len(self.off)
+        for p in range(len(self.space.pairs)):
+            if p == 0:
+                axis = out.reshape(-1, k)
+                axis += x.reshape(-1, k) @ self.off.T
+            else:
+                axis = out.reshape(-1, k, k ** p)
+                axis += self.off @ x.reshape(-1, k, k ** p)
+
+
+@dataclass(frozen=True)
 class SectorOperator:
-    """An operator on the sector basis in compressed-row form.
+    """An operator on the sector basis: its hopping part in compressed-row
+    form, plus kron(1, B) in factored form (``boson``, None for no B).
 
-    Row i holds the entries ``indptr[i]:indptr[i + 1]`` of ``data`` and of
-    the column indices ``cols`` (intp, so ``@`` gathers without converting
-    them).  Each (row, col) appears once and no entry is zero, so ``nnz``
-    is the count of a scipy CSR matrix built from the same three arrays.
-    ``@`` (on a vector), ``toarray`` and ``real`` are numpy.
+    Row i of the hopping part holds the entries ``indptr[i]:indptr[i + 1]``
+    of ``data`` and of the column indices ``cols`` (intp, so ``@`` gathers
+    without converting them).  B is kept as its diagonal over the boson
+    factor and the one off-diagonal block that every pair shares
+    (:class:`_FactoredBoson`), not as one copy per fermion state.
 
-    ``@`` works through row blocks, runs of consecutive rows holding at
-    most ``_ROW_BLOCK`` entries (a longer row is a block of its own): per
-    block it gathers x at the columns, multiplies by the entries in place
-    and sums each row with ``np.add.reduceat``.  So no scratch array as
-    long as ``data`` is made, and each row is still summed as one segment
-    in its entry order, the same floating-point sums as one unblocked
-    ``reduceat`` over all entries.
+    The operator's entries are what :meth:`materialized` writes out: per
+    row the hopping entries, then B's entries of that boson row.  Each
+    (row, col) appears once and no entry is zero, so ``nnz`` counts them
+    all and is the count of a scipy CSR matrix built from the materialized
+    arrays.  ``toarray`` reads them; :meth:`values` and
+    :meth:`row_lengths` are the same entries' values and row counts, read
+    from the two stored parts without writing them out.
+
+    ``@`` (on a vector) works through row blocks of the hopping part, runs
+    of consecutive rows holding at most ``_ROW_BLOCK`` entries (a longer
+    row is a block of its own): per block it gathers x at the columns,
+    multiplies by the entries in place and sums each row with
+    ``np.add.reduceat``.  So no scratch array as long as ``data`` is made,
+    and each row is summed as one segment in its entry order, the same
+    floating-point sums as one unblocked ``reduceat`` over all hopping
+    entries.  It then adds B x on each pair's axis
+    (:meth:`_FactoredBoson.add_product`), whose ``matmul`` calls BLAS.
     """
 
     data: np.ndarray
     cols: np.ndarray
-    indptr: np.ndarray   # row starts, then nnz
+    indptr: np.ndarray   # row starts, then the hopping entry count
     shape: tuple
+    boson: Optional[_FactoredBoson] = None
+
+    @property
+    def dtype(self):
+        return self.data.dtype if self.boson is None else np.result_type(self.data,
+                                                                          self.boson.dtype)
 
     @property
     def nnz(self) -> int:
-        return len(self.data)
+        if self.boson is None:
+            return len(self.data)
+        return len(self.data) + self.shape[0] // self.boson.n_b * len(self.boson.entries[2])
 
     @property
     def real(self) -> "SectorOperator":
-        return SectorOperator(self.data.real, self.cols, self.indptr, self.shape)
+        return SectorOperator(self.data.real, self.cols, self.indptr, self.shape,
+                              None if self.boson is None else self.boson.real)
 
     def entry_rows(self) -> np.ndarray:
-        """The row index of each entry."""
+        """The row index of each entry of ``data``."""
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
+    def values(self) -> list:
+        """Arrays holding every entry's value and nothing else: ``data`` and
+        B's entries on the boson factor, which repeat on every fermion state."""
+        return [self.data] + ([] if self.boson is None else [self.boson.entries[2]])
+
+    def row_lengths(self) -> np.ndarray:
+        """The number of entries on each row."""
+        counts = np.diff(self.indptr)
+        if self.boson is not None:
+            n_b = self.boson.n_b
+            counts = (counts.reshape(-1, n_b)
+                      + np.bincount(self.boson.entries[0], minlength=n_b)).ravel()
+        return counts
+
+    def materialized(self) -> "SectorOperator":
+        """The operator with B's entries written into the compressed rows:
+        each row holds its hopping entries, then B's entries of its boson
+        row in column order, with the values and order of the assembly that
+        stored B's copies."""
+        if self.boson is None:
+            return self
+        _, b_cols, b_data = self.boson.entries
+        n_b = self.boson.n_b
+        n_states = self.shape[0] // n_b
+        lengths, hop_counts = self.row_lengths(), np.diff(self.indptr)
+        indptr = np.zeros(self.shape[0] + 1, dtype=np.intp)
+        np.cumsum(lengths, out=indptr[1:])
+        # hop marks each row's first slots, one per hopping entry; a mask
+        # assignment fills its slots in order, so the hopping entries land
+        # row by row and B's, tiled over the fermion states, in the rest
+        hop = np.repeat(np.tile([True, False], self.shape[0]),
+                        np.column_stack([hop_counts, lengths - hop_counts]).ravel())
+        data = np.empty(indptr[-1], dtype=self.dtype)
+        cols = np.empty(indptr[-1], dtype=np.intp)
+        data[hop], cols[hop] = self.data, self.cols
+        rest = ~hop
+        data[rest] = np.tile(b_data, n_states)
+        cols[rest] = (np.arange(n_states)[:, None] * n_b + b_cols).ravel()
+        return SectorOperator(data, cols, indptr, self.shape)
+
     def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.data.dtype)
-        out[self.entry_rows(), self.cols] = self.data
+        h = self.materialized()
+        out = np.zeros(self.shape, dtype=h.data.dtype)
+        out[h.entry_rows(), h.cols] = h.data
         return out
 
     @cached_property
@@ -498,25 +637,28 @@ class SectorOperator:
         return blocks
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        x = x.astype(np.result_type(x, self.data), copy=False)
+        x = x.astype(np.result_type(x, self.dtype), copy=False)
         out = np.zeros(self.shape[0], dtype=x.dtype)
         for a, b, rows, starts in self._blocks:
             g = np.take(x, self.cols[a:b])
             g *= self.data[a:b]
             out[rows] = np.add.reduceat(g, starts)
+        if self.boson is not None:
+            n_b = self.boson.n_b
+            self.boson.add_product(x.reshape(-1, n_b), out.reshape(-1, n_b))
         return out
 
 
-def _hermitian_part(space: FockSpace, terms, scale: float):
-    """(rows, cols, data) of (B + B+) / 2 in row-major order, B the sum of
-    the pair-local ``terms`` on every pair, after checking it:
-    AssertionError when max|B - B+| exceeds 1e-12 * max(scale, max|B|, 1).
+def _hermitian_part(space: FockSpace, terms, scale: float, keep=None) -> _FactoredBoson:
+    """(B + B+) / 2 in factored form, B the sum of the pair-local ``terms``
+    on every pair, after checking it: AssertionError when max|B - B+|
+    exceeds 1e-12 * max(scale, max|B|, 1).  ``keep`` restricts it as
+    :class:`_FactoredBoson` says.
 
     B's diagonal is built over the boson factor, each entry adding the
     terms' diagonals term by term, pair by pair; its off-diagonal is one
     local block, the terms' sum, on every pair (the pairs' blocks share no
-    entry).  Both checks and both halves are taken on those two pieces;
-    entries whose B + B+ is exactly zero are left out.
+    entry).  Both checks and both halves are taken on those two pieces.
     """
     digits = space.pair_digits()
     diag = np.zeros(space.boson_dim, dtype=np.result_type(*terms))
@@ -529,21 +671,16 @@ def _hermitian_part(space: FockSpace, terms, scale: float):
     defect = max(np.abs(diag - diag.conj()).max(), np.abs(off - off.conj().T).max())
     if defect > 1e-12 * max(scale, 1.0):
         raise AssertionError(f"anti-Hermitian assembly: defect {defect:g}")
-    diag, off = diag + diag.conj(), off + off.conj().T
-    on = np.flatnonzero(diag)
-    pieces = [(on, on, diag[on])] + [_embed(space, off, p) for p in range(len(space.pairs))]
-    rows, cols, data = (np.concatenate(x) for x in zip(*pieces))
-    order = np.argsort(rows * space.boson_dim + cols)
-    return rows[order], cols[order], data[order] * 0.5
+    return _FactoredBoson(space, (diag + diag.conj()) * 0.5, (off + off.conj().T) * 0.5, keep)
 
 
 def _sector_pieces(spec: LatticeSpec, space: FockSpace, hamiltonian, keep=None):
     """(fermion states, boson-factor dimension, hops, B) of a Hamiltonian's
     table as :func:`_on_sector` takes it: each hop is the fermion block
     (rows, cols, signs) of one c_p+ c_q and its J_pq embedded in the boson
-    factor as (rows, cols, data), and B is the (rows, cols, data) of
-    (B + B+) / 2 on that factor (None without terms), every boson-factor
-    piece restricted to the indices ``keep`` sets."""
+    factor as (rows, cols, data), and B is (B + B+) / 2 in factored form
+    (None without terms), every boson-factor piece restricted to the
+    indices ``keep`` sets."""
     vertex, terms = hamiltonian
     states = space.sector_fermion_states()
     hops = [(_hopping_block(states, p, q), pair, local)
@@ -552,12 +689,11 @@ def _sector_pieces(spec: LatticeSpec, space: FockSpace, hamiltonian, keep=None):
     if terms:
         scale = max([float(np.abs(local).max()) for (rows, _, _), _, local in hops
                      if len(rows)], default=0.0)
-        boson = _hermitian_part(space, terms, scale)
+        boson = _hermitian_part(space, terms, scale, keep)
     hops = [(blk, _embed(space, local, pair)) for blk, pair, local in hops]
     n_b = space.boson_dim
     if keep is not None:
         hops = [(blk, _restricted(j, keep)) for blk, j in hops]
-        boson = None if boson is None else _restricted(boson, keep)
         n_b = int(np.count_nonzero(keep))
     return len(states), n_b, hops, boson
 
@@ -582,39 +718,36 @@ def _on_sector(spec: LatticeSpec, space: FockSpace, hamiltonian, keep=None) -> S
     B is checked on the boson factor, the only place an anti-Hermitian
     defect can enter (:func:`_hermitian_part`), with scale the largest
     |entry| of the sector H (the largest |J_pq| over nonempty hopping
-    blocks, or the largest |B|), and enters as (B + B+) / 2.  With ``keep``
-    (a mask over the boson indices), every boson-factor operator is
-    restricted to the indices it sets before the kron, so the result is the
-    block of the full H on rows and columns position * boson_dim + (those
-    indices), entry for entry.
+    blocks, or the largest |B|), and enters as (B + B+) / 2, kept in
+    factored form.  With ``keep`` (a mask over the boson indices), every
+    boson-factor operator is restricted to the indices it sets before the
+    kron, so the result is the block of the full H on rows and columns
+    position * boson_dim + (those indices), entry for entry.
 
-    The operator is written in place: the entry count of every row comes
-    first, then each piece is scattered straight into its final slots, a
-    chunk of at most ``_ROW_BLOCK`` entries at a time, so the assembly
-    holds no array as long as the entries beyond the operator's own.
+    The hopping part is written in place: the entry count of every row
+    comes first, then each piece is scattered straight into its final
+    slots, a chunk of at most ``_ROW_BLOCK`` entries at a time, so the
+    assembly holds no array as long as the entries beyond the operator's
+    own.
     """
     n_states, n_b, hops, boson = _sector_pieces(spec, space, hamiltonian, keep)
-    # kron(c_p+ c_q, J) puts sign * J_ab at (row * n_b + a, col * n_b + b),
-    # its transpose the conjugate at (col * n_b + b, row * n_b + a), and
-    # kron(1, B) B_ab at (s * n_b + a, s * n_b + b) for every fermion state
-    # s.  These pieces share no entry.  A row holds them hop by hop, forward
-    # then backward, then B's, each piece's entries in their boson-factor
-    # order.  A piece meets a fermion row at most once (a hop's forward and
-    # backward rows are disjoint), so an entry's slot is its row's cursor
-    # plus its rank among the piece's boson-factor entries on its boson
-    # row: one small rank vector per piece, shared by its fermion rows.
+    # kron(c_p+ c_q, J) puts sign * J_ab at (row * n_b + a, col * n_b + b)
+    # and its transpose the conjugate at (col * n_b + b, row * n_b + a).
+    # These pieces share no entry.  A row holds them hop by hop, forward
+    # then backward, each piece's entries in their boson-factor order.  A
+    # piece meets a fermion row at most once (a hop's forward and backward
+    # rows are disjoint), so an entry's slot is its row's cursor plus its
+    # rank among the piece's boson-factor entries on its boson row: one
+    # small rank vector per piece, shared by its fermion rows.
     cursor = np.zeros((n_states, n_b), dtype=np.intp)   # the row counts first
     for (f_rows, f_cols, _), (j_rows, j_cols, _) in hops:
         cursor[f_rows] += np.bincount(j_rows, minlength=n_b)
         cursor[f_cols] += np.bincount(j_cols, minlength=n_b)
-    if boson is not None:
-        cursor += np.bincount(boson[0], minlength=n_b)
     indptr = np.zeros(n_states * n_b + 1, dtype=np.intp)
     np.cumsum(cursor, out=indptr[1:])
     cursor.reshape(-1)[:] = indptr[:-1]
     dtype = np.result_type(*[np.result_type(signs, j_data)
-                             for (_, _, signs), (_, _, j_data) in hops],
-                           *([] if boson is None else [boson[2]]))
+                             for (_, _, signs), (_, _, j_data) in hops])
     data = np.empty(indptr[-1], dtype=dtype)
     cols = np.empty(indptr[-1], dtype=np.intp)
 
@@ -638,14 +771,7 @@ def _on_sector(spec: LatticeSpec, space: FockSpace, hamiltonian, keep=None) -> S
             v = signs[a:a + step, None] * j_data
             scatter(r, c, j_rows, j_cols, forward, v)
             scatter(c, r, j_cols, j_rows, backward, v.conj())
-    if boson is not None:
-        b_rows, b_cols, b_data = boson
-        ranked = _ranks(b_rows, n_b)
-        step = max(_ROW_BLOCK // max(len(b_data), 1), 1)
-        for a in range(0, n_states, step):
-            s = np.arange(a, min(a + step, n_states))
-            scatter(s, s, b_rows, b_cols, ranked, b_data)
-    return SectorOperator(data, cols, indptr, (n_states * n_b,) * 2)
+    return SectorOperator(data, cols, indptr, (n_states * n_b,) * 2, boson)
 
 
 def _check_space(spec: LatticeSpec, space: FockSpace) -> None:
@@ -820,6 +946,27 @@ DEGENERACY_TOL = 1e-9     # levels within this times scale(H) of E0 form the mul
 LANCZOS_MAXITER = 1000    # Lanczos steps of one run
 
 
+def _start_vector(run: int, dim: int) -> np.ndarray:
+    """The start vector of Lanczos run ``run`` (0 first): entry i is output
+    i of the SplitMix64 stream seeded with ``run``, the finalizer of
+    run + (i + 1) * 0x9E3779B97F4A7C15 mod 2^64 (Steele, Lea & Flood,
+    OOPSLA 2014), its top 53 bits mapped to [-1/2, 1/2).
+
+    A fixed integer hash in numpy alone: no ``numpy.random`` is loaded, and
+    the vectors are the same on every platform.  Each entry is independent
+    of the others, so the start overlaps every eigenvector a symmetry would
+    hide from a structured one (the uniform vector, for instance).
+    """
+    u64 = np.uint64
+    z = np.arange(1, dim + 1, dtype=u64) * u64(0x9E3779B97F4A7C15) + u64(run)
+    z ^= z >> u64(30)
+    z *= u64(0xBF58476D1CE4E5B9)
+    z ^= z >> u64(27)
+    z *= u64(0x94D049BB133111EB)
+    z ^= z >> u64(31)
+    return (z >> u64(11)) * 2.0 ** -53 - 0.5
+
+
 def _dot(x: np.ndarray, y: np.ndarray):
     """(x, y) as a numpy (pairwise) reduction.  BLAS ``vdot`` is about 3x
     faster on a vector of 51 480 entries, but it sums in another order: the
@@ -920,7 +1067,9 @@ def _lanczos_lowest(h, v: np.ndarray, deflate: list, tol: float) -> _LanczosRun:
     steps, and on a breakdown, :func:`_tridiagonal_lowest` gives the lowest
     Ritz pair of the tridiagonal matrix; the run stops when the residual
     estimate |beta_m s_m| is at most ``tol``.  No BLAS or LAPACK call runs
-    between the first and the last product with h.  ConvergenceError after
+    in the recurrence's own arithmetic between the first and the last
+    product with h (a :class:`SectorOperator` product's pair ``matmul``
+    does call BLAS).  ConvergenceError after
     ``LANCZOS_MAXITER`` steps.  Only the last two Lanczos vectors are
     held: the Ritz vector is built by a second pass, :func:`_ritz_vector`
     (Cullum & Willoughby, *Lanczos Algorithms for Large Symmetric
@@ -985,8 +1134,8 @@ def _lanczos(h, dim: int, scale: float, level_tol: float):
     """(levels, vectors, matvecs): the ground multiplet, one level per
     Lanczos run.
 
-    Each run starts from the next fixed-seed Gaussian vector of
-    ``np.random.default_rng(0)``.  A level within ``level_tol`` of E0 (the
+    Run r starts from ``_start_vector(r, dim)``, in the dtype of ``h``
+    (at least float64).  A level within ``level_tol`` of E0 (the
     first run's) is locked: its Ritz vector is replayed
     (:func:`_ritz_vector`, against the ``deflate`` list the run saw), and
     the runs after it see h with that vector's level moved up to the first
@@ -996,11 +1145,10 @@ def _lanczos(h, dim: int, scale: float, level_tol: float):
     and builds no vector, so a g-fold level takes g + 1 runs and g replays;
     its level is returned last.  ``matvecs`` counts the products of both.
     """
-    rng = np.random.default_rng(0)
-    dtype = np.result_type(h.data, np.float64)
+    dtype = np.result_type(h.dtype, np.float64)
     levels, deflate, matvecs = [], [], 0
     while len(deflate) < dim:
-        start = rng.standard_normal(dim).astype(dtype, copy=False)
+        start = _start_vector(len(levels), dim).astype(dtype, copy=False)
         run = _lanczos_lowest(h, start, deflate, 1e-11 * scale)
         matvecs += run.steps
         level = run.theta
@@ -1016,6 +1164,13 @@ def _lanczos(h, dim: int, scale: float, level_tol: float):
         matvecs += run.steps - 1
         deflate.append((vector, ceiling - level))
     return levels, [u for u, _ in deflate], matvecs
+
+
+def _entry_values(h) -> list:
+    """Arrays holding every entry value of ``h`` and nothing else: the
+    :meth:`SectorOperator.values` of a sector operator, else ``[h.data]``
+    (a scipy sparse matrix)."""
+    return h.values() if isinstance(h, SectorOperator) else [h.data]
 
 
 def max_abs_entry(values: np.ndarray) -> float:
@@ -1037,16 +1192,19 @@ def ground_state(h, space: FockSpace) -> GroundStateResult:
     (ValueError otherwise, before any solve).  It is solved in real
     arithmetic whenever its imaginary part is exactly zero.  Dense
     diagonalization of ``h.toarray()`` up to dimension 512; above, numpy
-    Lanczos on ``h @ x`` (:func:`_lanczos`), its runs started from the
-    fixed-seed Gaussian vectors of ``np.random.default_rng(0)``: reruns are
-    byte-stable, and the start overlaps ground states that a symmetry makes
-    orthogonal to the uniform vector.  Levels within ``DEGENERACY_TOL`` *
+    Lanczos on ``h @ x`` (:func:`_lanczos`), run r started from the
+    SplitMix64 hash vector :func:`_start_vector` (no ``numpy.random``):
+    reruns are byte-stable, and the start overlaps ground states that a
+    symmetry makes orthogonal to the uniform vector.  Levels within ``DEGENERACY_TOL`` *
     scale of E0 are returned as the full multiplet.  ``k`` records the
     Lanczos runs (the multiplicity plus one, or the sector dimension on the
     dense path) and ``matvecs`` their H-vector products, those of the
     replays that build the multiplet's vectors included (steps - 1 per
     level).  The scale of H, its largest |entry| (at least 1), and the
-    finiteness check are read by :func:`max_abs_entry`.  ConvergenceError
+    finiteness check are read by :func:`max_abs_entry`, and the real-part
+    test by ``.imag``, on every entry: a sector operator's hopping data and
+    B's entries (:func:`_entry_values`), without writing B's copies out.
+    ConvergenceError
     unless the residual ||Hv - E v|| of every returned pair is at most
     1e-10 * scale(H).
     """
@@ -1056,11 +1214,12 @@ def ground_state(h, space: FockSpace) -> GroundStateResult:
                          f"of dimension {dim}")
     dense = dim <= 512
     hs = h.toarray() if dense else h
-    values = hs if dense else hs.data
-    largest = max_abs_entry(values)
+    values = [hs] if dense else _entry_values(hs)
+    largest = max(max_abs_entry(v) for v in values)
     if not isfinite(largest):
         raise ValueError("operator has a non-finite entry")
-    if np.iscomplexobj(values) and not values.imag.any():
+    if (any(np.iscomplexobj(v) for v in values)
+            and not any(np.iscomplexobj(v) and v.imag.any() for v in values)):
         hs = hs.real
     scale = max(largest, 1.0)
     level_tol = DEGENERACY_TOL * scale

@@ -148,7 +148,8 @@ def momentum_blocks(h, spec, space):
     carries gets a 0 x 0 block.
 
     ``h`` is a :class:`gravlat.manybody.SectorOperator` on the sector basis
-    of ``space``.  Each dense block is gathered from its entries by one
+    of ``space``.  Each dense block is gathered from its materialized
+    entries (:meth:`~gravlat.manybody.SectorOperator.materialized`) by one
     ``np.bincount`` (two when complex) when it is asked for, and the
     generator keeps no reference to it, so a caller that drops each block
     before asking for the next holds one at a time.
@@ -164,6 +165,7 @@ def momentum_blocks(h, spec, space):
         parities = [(1,), (-1,)]
     images = np.array([image for image, _ in actions])
     signs = np.array([sign for _, sign in actions])
+    h = h.materialized()
     states = np.arange(h.shape[0])
     rep = images.min(axis=0)
     first = np.argmax(images == rep, axis=0)           # h_s

@@ -10,8 +10,9 @@ observables, and ``full_sector_mapping_residual`` (the
 window block cut from full-sector Hamiltonians) for the window-native
 mapping residual; ``stored_basis_lanczos`` (the Lanczos that kept its
 Krylov basis) is the reference for the replayed Ritz vectors;
-``stacked_sort_on_sector`` (the assembly that stacked its pieces and sorted
-them by row) is the reference for the in-place assembly's raw arrays; the dense
+``stacked_sort_on_sector`` (the assembly that stacked its pieces, B's copies
+included, and sorted them by row) is the reference for the materialized
+arrays of the in-place assembly; the dense
 ``np.einsum`` oracles are the references for the sparse slab
 contractions of the geometry sector.
 """
@@ -106,8 +107,10 @@ def q_map_commutators():
 
 
 def sector_csr(h: SectorOperator) -> sparse.csr_matrix:
-    """A scipy CSR copy of a sector operator, column indices sorted in each
-    row (the library keeps its entries in assembly order and loads no scipy)."""
+    """A scipy CSR copy of a sector operator's materialized entries, column
+    indices sorted in each row (the library keeps its entries in assembly
+    order and loads no scipy)."""
+    h = h.materialized()
     m = sparse.csr_matrix((h.data, h.cols, h.indptr), shape=h.shape, copy=True)
     m.sort_indices()
     return m
@@ -479,12 +482,12 @@ def stored_basis_lanczos_lowest(h, v: np.ndarray, deflate: list, tol: float):
 def stored_basis_lanczos(h, dim: int, scale: float, level_tol: float):
     """(levels, vectors, matvecs) as ``manybody._lanczos`` returns them, one
     level per :func:`stored_basis_lanczos_lowest` run; ``matvecs`` counts
-    the runs' steps, the gap witness's included."""
-    rng = np.random.default_rng(0)
-    dtype = np.result_type(h.data, np.float64)
+    the runs' steps, the gap witness's included.  Run r starts from the
+    library's ``manybody._start_vector(r, dim)``."""
+    dtype = np.result_type(h.dtype, np.float64)
     levels, deflate, matvecs = [], [], 0
     while len(deflate) < dim:
-        start = rng.standard_normal(dim).astype(dtype, copy=False)
+        start = manybody._start_vector(len(levels), dim).astype(dtype, copy=False)
         level, vector, steps, top = stored_basis_lanczos_lowest(h, start, deflate,
                                                                 1e-11 * scale)
         matvecs += steps
@@ -504,11 +507,13 @@ def stored_basis_lanczos(h, dim: int, scale: float, level_tol: float):
 # stacked-sort assembly oracle
 # ---------------------------------------------------------------------------
 #
-# ``manybody._on_sector``'s tail as it was while the pieces were stacked and
-# put in row order by one stable sort.  The library now scatters each entry
-# into its final slot; its data, columns and row starts must equal these
-# raw, bit for bit, before any ``sort_indices``: the order inside a row is
-# the order ``@`` sums in.
+# ``manybody._on_sector``'s tail as it was while the pieces, B's copies on
+# every fermion state among them, were stacked and put in row order by one
+# stable sort.  The library now scatters each hopping entry into its final
+# slot and keeps B factored; the data, columns and row starts of
+# ``SectorOperator.materialized`` must equal these raw, bit for bit, before
+# any ``sort_indices``: the order inside a row is the order the rows were
+# summed in while B was stored.
 
 def stacked_sort_on_sector(spec: LatticeSpec, space: FockSpace, hamiltonian,
                            keep=None) -> SectorOperator:
@@ -526,7 +531,7 @@ def stacked_sort_on_sector(spec: LatticeSpec, space: FockSpace, hamiltonian,
         cols += [c, r]
         data += [v, v.conj()]
     if boson is not None:
-        b_rows, b_cols, b_data = boson
+        b_rows, b_cols, b_data = boson.entries
         offset = np.arange(n_states, dtype=index)[:, None] * n_b
         rows.append((offset + b_rows.astype(index)).ravel())
         cols.append((offset + b_cols.astype(index)).ravel())

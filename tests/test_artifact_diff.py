@@ -32,7 +32,8 @@ def test_compare_ignores_the_wall_time_and_reports_every_other_difference(tmp_pa
     })
     assert artifact_diff.compare(old, new) == [
         "1/job/only_old.csv: only in REV",
-        "1/job/spectrum.csv: line 3: '1,-1.0' -> '1,-1.0000000000000002'",
+        "1/job/spectrum.csv: line 3: '1,-1.0' -> '1,-1.0000000000000002'"
+        "; largest change 2.22e-16 abs, 2.22e-16 rel",
         "7/job/only_new.csv: only in working tree",
     ]
 
@@ -41,7 +42,8 @@ def test_compare_reports_a_manifest_change_besides_the_wall_time(tmp_path):
     old = _tree(tmp_path / "old", {"job/manifest.txt": b"wall_time_s=1\neigen_k=2\n"})
     new = _tree(tmp_path / "new", {"job/manifest.txt": b"wall_time_s=2\neigen_k=3\n"})
     assert artifact_diff.compare(old, new) == [
-        "job/manifest.txt: line 1: 'eigen_k=2' -> 'eigen_k=3'"]
+        "job/manifest.txt: line 1: 'eigen_k=2' -> 'eigen_k=3'"
+        "; largest change 1 abs, 0.333 rel"]
 
 
 def test_extra_jobs_add_names_no_benchmark_job_has():
@@ -70,4 +72,30 @@ def test_a_non_zero_exit_is_reported_even_when_both_sides_agree():
         "1/b: exit code 1 on both sides",
         "7/a: exit code 0 -> 3",
         "7/b: exit code 4 -> 0",
+    ]
+
+
+def test_the_largest_change_is_read_only_where_both_sides_have_one_shape(tmp_path):
+    old = _tree(tmp_path / "old", {
+        "a.csv": b"g,w,note\n0.001,1.0,x\n0.01,-2.0,y\n",
+        "b.csv": b"g,w\n0.001,1.0\n",
+        "summary.txt": b"e=1.0\nz=1.0+2.0j\nargmax=0-1-0-1\n",
+        "manifest.txt": b"wall_time_s=1\ne=1.0\n",
+        "notes.txt": b"free text\n",
+    })
+    new = _tree(tmp_path / "new", {
+        # the largest absolute change (0.5) and the largest relative one
+        # (0.5 / 1.5 against 1e-3 / 2.0) come from different fields
+        "a.csv": b"g,w,note\n0.001,1.5,z\n0.01,-2.001,y\n",
+        "b.csv": b"g,w\n0.001,1.0\n0.01,2.0\n",          # a line more
+        "summary.txt": b"e=1.0\nz=1.0+2.5j\nargmax=0-1-1-2\n",
+        "manifest.txt": b"wall_time_s=2\ne=1.0\ntruncation_converged=false\n",  # a key more
+        "notes.txt": b"other text\n",
+    })
+    assert artifact_diff.compare(old, new) == [
+        "a.csv: line 2: '0.001,1.0,x' -> '0.001,1.5,z'; largest change 0.5 abs, 0.333 rel",
+        "b.csv: 2 -> 3 lines",
+        "manifest.txt: 1 -> 2 lines",
+        "notes.txt: line 1: 'free text' -> 'other text'",
+        "summary.txt: line 2: 'z=1.0+2.0j' -> 'z=1.0+2.5j'; largest change 0.5 abs, 0.186 rel",
     ]

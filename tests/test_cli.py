@@ -769,6 +769,22 @@ def test_many_body_commands_load_no_scipy(tmp_path):
         assert (tmp_path / name / artifact).exists()
 
 
+def test_a_lanczos_path_run_loads_no_numpy_random(tmp_path):
+    # the start vectors are a numpy integer hash; importing numpy.random for
+    # them alone raised the ED ladder's peak RSS by 5.2 MB
+    src = Path(gravlat.__file__).resolve().parents[1]
+    cfg = tmp_path / "correlators.cfg"
+    cfg.write_text(_SCIPY_CONTRACT["ground-state"][0].replace("ground-state", "correlators"))
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); from gravlat.cli import main; "
+             "code = main(sys.argv[2:]); print(code, 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe, str(src), str(cfg),
+                          "--output", str(tmp_path / "out")],
+                         check=True, capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "0 False"
+    manifest = _manifest(tmp_path / "out")
+    assert int(manifest["sector_dimension"]) == 1280 and int(manifest["eigen_matvecs"]) > 0
+
+
 def test_lanczos_iteration_limit_exits_3(tmp_path, monkeypatch, capsys):
     import gravlat.manybody as manybody
 
@@ -1170,6 +1186,22 @@ def test_top_level_weight_limits(tmp_path, command, g, n_max, want):
     code, out = _run(tmp_path, text)
     assert code == 0
     assert float(_manifest(out)["top_level_weight"]) == pytest.approx(want, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("command", ["ground-state", "correlators", "wick-sweep"])
+@pytest.mark.parametrize("g, converged", [("0", "true"), ("1e-2", "false")])
+def test_the_truncation_verdict_stands_beside_the_top_level_weight(tmp_path, command, g,
+                                                                    converged):
+    # at g = 0 no boson is kept, so nothing sits on the cut; at 1e-2 every
+    # state of the d-number basis does (about 1 / (n_max + 1))
+    text = (f"command = {command}\n[model]\ng = {g}\n" + _TRUNCATION_CONFIG
+            + f"[sweep]\ng_values = {g}\n")
+    code, out = _run(tmp_path, text)
+    assert code == 0
+    lines = (out / "manifest.txt").read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("top_level_weight="))
+    assert lines[at + 1:at + 3] == [f"truncation_converged={converged}",
+                                    "truncation_rule=top_level_weight <= 1e-6"]
 
 
 @pytest.mark.parametrize("ncx, placement, n_max", [

@@ -11,7 +11,11 @@ every artifact byte for byte; ``manifest.txt`` is compared without its
 ``wall_time_s`` line.  Every job is expected to exit 0, so a non-zero
 exit on the working tree is reported even when REV exits the same way.
 Each difference is printed on one line, with the first differing line of
-a file that exists on both sides.  Exits 1 on any difference, 0
+a file that exists on both sides.  When both sides of a differing CSV or
+key=value file have the same shape (the same number of fields on every
+CSV line, the same keys in the same order), the line ends with the
+largest absolute and relative change over the fields that read as numbers
+on both sides, relative to the larger magnitude.  Exits 1 on any difference, 0
 otherwise, and 2, before anything runs, when ``--seeds`` lists no seed.
 """
 
@@ -158,6 +162,52 @@ def _first_difference(a: bytes, b: bytes) -> str:
     return f"{len(a.splitlines())} -> {len(b.splitlines())} lines"
 
 
+def _rows(data: bytes, name: Path):
+    """The lines of a CSV file as lists of fields, or of a key=value file
+    (a ``.txt`` file whose every line holds ``=``) as [key, value]; None
+    for any other file."""
+    lines = data.decode(errors="replace").splitlines()
+    if name.suffix == ".csv":
+        return [line.split(",") for line in lines]
+    if name.suffix == ".txt" and all("=" in line for line in lines):
+        return [line.split("=", 1) for line in lines]
+    return None
+
+
+def _number(text: str):
+    try:
+        return complex(text)
+    except ValueError:
+        return None
+
+
+def _largest_change(a: bytes, b: bytes, name: Path) -> str:
+    """'; largest change A abs, R rel' over the numeric fields of two files
+    of the same shape, or '' when the shapes differ or no number changed."""
+    rows_a, rows_b = _rows(a, name), _rows(b, name)
+    if rows_a is None or rows_b is None:
+        return ""
+    keyed = name.suffix == ".txt"
+    shape = [row[0] if keyed else len(row) for row in rows_a]
+    if shape != [row[0] if keyed else len(row) for row in rows_b]:
+        return ""
+    worst_abs = worst_rel = None
+    for row_a, row_b in zip(rows_a, rows_b):
+        for x, y in zip(row_a[keyed:], row_b[keyed:]):
+            if x == y:
+                continue
+            x, y = _number(x), _number(y)
+            if x is None or y is None:
+                continue
+            change = abs(x - y)
+            rel = change / max(abs(x), abs(y))
+            worst_abs = change if worst_abs is None else max(worst_abs, change)
+            worst_rel = rel if worst_rel is None else max(worst_rel, rel)
+    if worst_abs is None:
+        return ""
+    return f"; largest change {worst_abs:.3g} abs, {worst_rel:.3g} rel"
+
+
 def compare(old: Path, new: Path) -> list:
     """One line per file that differs between the two artifact trees."""
     names = sorted({p.relative_to(old) for p in old.rglob("*") if p.is_file()}
@@ -170,7 +220,7 @@ def compare(old: Path, new: Path) -> list:
             continue
         x, y = _content(a), _content(b)
         if x != y:
-            lines.append(f"{name}: {_first_difference(x, y)}")
+            lines.append(f"{name}: {_first_difference(x, y)}{_largest_change(x, y, name)}")
     return lines
 
 
