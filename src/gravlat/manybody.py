@@ -41,7 +41,8 @@ the cell).  :func:`_on_sector` embeds each J_pq in the boson factor by
 index arithmetic on the pair digits, builds and checks B there (the
 hopping part is Hermitian by construction, :func:`_hermitian_part`), and
 can first restrict every boson-factor operator to the indices a window
-mask keeps, so :func:`mapping_residual` assembles only its window block.
+mask keeps, so :func:`mapping_residual` assembles only its window block
+(read through ``toarray`` alone: a windowed operator has no product).
 The result is a :class:`SectorOperator`: the hopping part in its own
 compressed-row form, each entry scattered straight into its final slot
 (rows counted first, then one row cursor per row), and kron(1, B) kept
@@ -55,20 +56,21 @@ Observables read a state on the same basis, and only there.  A fermion
 annihilator c_i maps the N-particle basis to the (N-1)-particle one by the
 same lookup, with the Jordan-Wigner sign of the occupied modes below i, as
 index arrays applied to the rows of the state reshaped to (fermion states,
-boson_dim); a pair-local boson matrix is contracted with its pair's axis
-of those rows.
+boson_dim); a pair-local boson matrix is applied on its pair's axis of
+those rows by one ``matmul`` (:func:`_on_pair_axis`), the kernel B's
+product uses too.
 
 Ground states above dimension 512 come from a numpy Lanczos on
 ``SectorOperator @ x`` (:func:`ground_state`) that keeps no Krylov basis:
-each locked level's Ritz vector comes from a replay of its run's
-recurrence, so a solve holds a fixed number of vectors whatever its
-number of steps.  Each run starts from a SplitMix64 hash vector
-(:func:`_start_vector`), so no ``numpy.random`` is loaded.  The product
-runs through row blocks of at most 2^15 hopping entries, each row summed
-as one ``reduceat`` segment in entry order, so the loop holds no scratch
-array as long as the entries and the hopping product is bitwise the
-unblocked one; it then adds B x on each pair's axis of the state reshaped
-to (fermion states, boson_dim), one BLAS ``matmul`` per pair.  The assemblers,
+each locked level's Ritz vector comes from a rerun of its run's
+recurrence with the Ritz coefficients (:func:`_lanczos_lowest`), so a
+solve holds a fixed number of vectors whatever its number of steps.
+Each run starts from a SplitMix64 hash vector (:func:`_start_vector`), so
+no ``numpy.random`` is loaded.  The product runs through row blocks of
+at most 2^15 hopping entries, each row summed as one ``reduceat``
+segment in entry order, so the loop holds no scratch array as long as
+the entries and the hopping product is bitwise the unblocked one; it
+then adds B x, one BLAS ``matmul`` per pair.  The assemblers,
 :func:`mapping_residual` and the observables take the :class:`FockSpace`
 and build no full-space object; each assembler first runs
 :func:`operator_algebra` as its nnz-cap check.  Only ``ModeOperators.c``
@@ -303,17 +305,16 @@ def _annihilate(entries, x: np.ndarray, n_lowered: int) -> np.ndarray:
     return out
 
 
-def _on_pair_axis(x: np.ndarray, space: FockSpace, p: int,
-                  local: np.ndarray) -> np.ndarray:
+def _on_pair_axis(x: np.ndarray, local: np.ndarray, p: int) -> np.ndarray:
     """kron(1, ``local`` on pair p) applied to the vector with boson rows
-    ``x``, flattened: each nonzero entry of ``local`` applied to axis 2 of
-    ``x`` reshaped to (fermion states, higher pairs, pair_dim, lower pairs)."""
-    k = space.pair_dim
-    xp = x.reshape(len(x), -1, k, k ** p)
-    out = np.zeros(xp.shape, dtype=np.result_type(local, x))
-    for i, j in zip(*np.nonzero(local)):
-        out[:, :, i] += local[i, j] * xp[:, :, j]
-    return out.ravel()
+    ``x`` (fermion states, boson_dim), shaped as ``x``: one ``matmul`` on
+    axis 1 of x reshaped to (fermion states x higher pairs, pair_dim,
+    pair_dim^p); pair 0, the last axis, as one (rows, pair_dim) product
+    with local^T."""
+    k = len(local)
+    if p == 0:
+        return (x.reshape(-1, k) @ local.T).reshape(x.shape)
+    return (local @ x.reshape(-1, k, k ** p)).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -453,8 +454,9 @@ class _FactoredBoson:
     factored form: ``diag``, B's diagonal over the whole boson factor of
     ``space``, and ``off``, the off-diagonal block local to one pair (zero
     diagonal), which every pair shares.  ``keep`` (a mask over the boson
-    indices, or None) restricts B to the indices it sets, renumbered in
-    order, as :func:`_restricted` restricts an embedded operator.
+    indices, or None) restricts B's ``entries`` to the indices it sets,
+    renumbered in order, as :func:`_restricted` restricts an embedded
+    operator.
     """
 
     space: FockSpace
@@ -490,31 +492,13 @@ class _FactoredBoson:
         return entries if self.keep is None else _restricted(entries, self.keep)
 
     def add_product(self, x: np.ndarray, out: np.ndarray) -> None:
-        """out += kron(1, B) x, both (fermion states, n_b) arrays.
-
-        ``x * diag``, then per pair p one ``matmul`` with ``off`` on axis 1
-        of x reshaped to (fermion states x higher pairs, pair_dim,
-        pair_dim^p); pair 0, the last axis, as one (rows, pair_dim) product
-        with off^T.  A kept block is scattered into the whole factor, with
-        zeros elsewhere, multiplied there and gathered back, which is B
-        restricted to the kept indices exactly.
-        """
-        if self.keep is not None:
-            full = np.zeros((len(x), self.space.boson_dim), dtype=x.dtype)
-            full[:, self.keep] = x
-            scratch = np.zeros_like(full)
-            replace(self, keep=None).add_product(full, scratch)
-            out += scratch[:, self.keep]
-            return
+        """out += kron(1, B) x, both (fermion states, boson_dim) arrays:
+        ``x * diag``, then ``off`` on each pair's axis (:func:`_on_pair_axis`).
+        Only an unrestricted B has a product; a kept one is read through
+        its ``entries`` alone."""
         out += x * self.diag
-        k = len(self.off)
         for p in range(len(self.space.pairs)):
-            if p == 0:
-                axis = out.reshape(-1, k)
-                axis += x.reshape(-1, k) @ self.off.T
-            else:
-                axis = out.reshape(-1, k, k ** p)
-                axis += self.off @ x.reshape(-1, k, k ** p)
+            out += _on_pair_axis(x, self.off, p)
 
 
 @dataclass(frozen=True)
@@ -928,7 +912,7 @@ class GroundStateResult:
     residual: float
     k: int                # Lanczos runs; the sector dimension on the dense path
     space: FockSpace
-    matvecs: int = 0      # H-vector products of the Lanczos runs and replays
+    matvecs: int = 0      # H-vector products of the Lanczos runs and reruns
 
     @cached_property
     def states(self) -> list:
@@ -1041,93 +1025,68 @@ def _tridiagonal_lowest(alpha: list, beta: list):
 @dataclass(frozen=True)
 class _LanczosRun:
     """Pass 1 of a Lanczos run (:func:`_lanczos_lowest`): the lowest Ritz
-    value ``theta`` and its coefficients ``s`` on the run's Lanczos vectors
-    v_1 .. v_m, and what :func:`_ritz_vector` rebuilds v_2 .. v_m from: the
-    diagonal ``alpha`` and off-diagonal ``beta`` of the tridiagonal matrix
-    T (Python floats), and per step the coefficient shift (u, v_j) of each
-    (u, shift) of the run's ``deflate``.  No vector is kept."""
+    value ``theta``, its coefficients ``s`` on the run's Lanczos vectors
+    v_1 .. v_m, and the diagonal ``alpha`` and off-diagonal ``beta`` of the
+    tridiagonal matrix T (Python floats).  No vector is kept."""
 
     theta: float
     s: list
     alpha: list
     beta: list
-    overlaps: list
 
     @property
     def steps(self) -> int:
         return len(self.alpha)
 
 
-def _lanczos_lowest(h, v: np.ndarray, deflate: list, tol: float) -> _LanczosRun:
-    """Pass 1 of a Lanczos run on h + sum over the (u, shift) of
-    ``deflate`` of shift u u+.
+def _lanczos_lowest(h, v: np.ndarray, deflate: list, tol: float, coefficients=None):
+    """A Lanczos run on h + sum over the (u, shift) of ``deflate`` of
+    shift u u+: pass 1 (a :class:`_LanczosRun`), or with ``coefficients``
+    the sum of c_j v_j over them (an array).
 
     Three-term recurrence from ``v`` (Dagotto, RMP 66, 763 (1994)),
-    normalized in place: it is v_1, the start of the replay.  Every 8
-    steps, and on a breakdown, :func:`_tridiagonal_lowest` gives the lowest
-    Ritz pair of the tridiagonal matrix; the run stops when the residual
-    estimate |beta_m s_m| is at most ``tol``.  No BLAS or LAPACK call runs
-    in the recurrence's own arithmetic between the first and the last
-    product with h (a :class:`SectorOperator` product's pair ``matmul``
-    does call BLAS).  ConvergenceError after
-    ``LANCZOS_MAXITER`` steps.  Only the last two Lanczos vectors are
-    held: the Ritz vector is built by a second pass, :func:`_ritz_vector`
-    (Cullum & Willoughby, *Lanczos Algorithms for Large Symmetric
-    Eigenvalue Computations* (1985)).
+    normalized in place into v_1.  Pass 1: every 8 steps, and on a
+    breakdown, :func:`_tridiagonal_lowest` gives the lowest Ritz pair of
+    the tridiagonal matrix; the run stops when the residual estimate
+    |beta_m s_m| is at most ``tol``, and ConvergenceError after
+    ``LANCZOS_MAXITER`` steps.  No BLAS or LAPACK call runs in the
+    recurrence's own arithmetic between the first and the last product
+    with h (a :class:`SectorOperator` product's pair ``matmul`` does call
+    BLAS).  Only the last two Lanczos vectors are held.
+
+    The Ritz vector is built by a second pass (Cullum & Willoughby,
+    *Lanczos Algorithms for Large Symmetric Eigenvalue Computations*
+    (1985)): given ``coefficients``, the same recurrence from the same
+    start, with the same products, dot products and deflation terms,
+    reruns without the stop rule.  Each v_j is added into the sum as it is
+    made, in order, and the rerun stops after m = len(coefficients) vectors
+    and m - 1 products; with pass 1's s, from the same unnormalized start,
+    the sum is bitwise the one a stored basis gives.
     """
     v /= np.sqrt(_dot(v, v).real)
     prev = None
-    alpha, beta, overlaps = [], [], []
+    alpha, beta = [], []
+    total = None if coefficients is None else np.zeros_like(v)
     for step in range(1, LANCZOS_MAXITER + 1):
+        if total is not None:
+            total += coefficients[step - 1] * v
+            if step == len(coefficients):
+                return total
         w = h @ v
-        overlaps.append([shift * _dot(u, v) for u, shift in deflate])
-        for (u, _), c in zip(deflate, overlaps[-1]):
-            w += c * u
+        for u, shift in deflate:
+            w += (shift * _dot(u, v)) * u
         alpha.append(float(_dot(v, w).real))
         w -= alpha[-1] * v
         if prev is not None:
             w -= beta[-1] * prev
         beta.append(float(np.sqrt(_dot(w, w).real)))
-        if beta[-1] <= tol or step % 8 == 0:
+        if total is None and (beta[-1] <= tol or step % 8 == 0):
             theta, s = _tridiagonal_lowest(alpha, beta[:-1])
             if abs(beta[-1] * s[-1]) <= tol:
-                break
+                return _LanczosRun(theta, s, alpha, beta[:-1])
         w /= beta[-1]
         prev, v = v, w
-    else:
-        raise ConvergenceError(f"Lanczos did not converge in {LANCZOS_MAXITER} steps")
-    return _LanczosRun(theta, s, alpha, beta[:-1], overlaps)
-
-
-def _ritz_vector(h, start: np.ndarray, run: _LanczosRun, deflate: list) -> np.ndarray:
-    """The unit Ritz vector sum_j s_j v_j of a pass-1 ``run`` on h plus the
-    ``deflate`` it saw, from its unit ``start`` vector v_1.
-
-    The replay reruns the recurrence with the run's own coefficients, so it
-    takes no dot product until the final norm, and it makes steps - 1
-    products with h.  Each v_j is added into the sum as it is made, in
-    order, so the vector is bitwise the one summed over a stored basis.
-    Besides the product's scratch, at most six vectors of the dimension
-    are live (``start``, v_(j-1), v_j, the next one, one temporary and the
-    sum), whatever the number of steps.
-    """
-    v, prev = start, None
-    ritz = np.zeros_like(v)
-    last = run.steps - 1
-    for j, (coeff, a, overlaps) in enumerate(zip(run.s, run.alpha, run.overlaps)):
-        ritz += coeff * v
-        if j == last:
-            break
-        w = h @ v
-        for (u, _), c in zip(deflate, overlaps):
-            w += c * u
-        w -= a * v
-        if prev is not None:
-            w -= run.beta[j - 1] * prev
-        w /= run.beta[j]
-        prev, v = v, w
-    ritz /= np.sqrt(_dot(ritz, ritz).real)
-    return ritz
+    raise ConvergenceError(f"Lanczos did not converge in {LANCZOS_MAXITER} steps")
 
 
 def _lanczos(h, dim: int, scale: float, level_tol: float):
@@ -1136,20 +1095,23 @@ def _lanczos(h, dim: int, scale: float, level_tol: float):
 
     Run r starts from ``_start_vector(r, dim)``, in the dtype of ``h``
     (at least float64).  A level within ``level_tol`` of E0 (the
-    first run's) is locked: its Ritz vector is replayed
-    (:func:`_ritz_vector`, against the ``deflate`` list the run saw), and
-    the runs after it see h with that vector's level moved up to the first
-    run's highest Ritz value plus ``scale`` (Hotelling deflation), so the
-    next run finds the lowest level on the rest of the space.  The first
-    run that lands above the tolerance, the gap witness, ends the search
-    and builds no vector, so a g-fold level takes g + 1 runs and g replays;
-    its level is returned last.  ``matvecs`` counts the products of both.
+    first run's) is locked: its run is rerun from a fresh
+    ``_start_vector(r, dim)`` (pass 1 normalized its own in place) with
+    the Ritz coefficients s, against the ``deflate`` list the run saw
+    (:func:`_lanczos_lowest`), and the sum is normalized.  The runs after
+    it see h with that vector's level moved up to the first run's highest
+    Ritz value plus ``scale`` (Hotelling deflation), so the next run finds
+    the lowest level on the rest of the space.  The first run that lands
+    above the tolerance, the gap witness, ends the search and builds no
+    vector, so a g-fold level takes g + 1 runs and g reruns; its level is
+    returned last.  ``matvecs`` counts the products of both.
     """
     dtype = np.result_type(h.dtype, np.float64)
+    tol = 1e-11 * scale
     levels, deflate, matvecs = [], [], 0
     while len(deflate) < dim:
-        start = _start_vector(len(levels), dim).astype(dtype, copy=False)
-        run = _lanczos_lowest(h, start, deflate, 1e-11 * scale)
+        r = len(levels)
+        run = _lanczos_lowest(h, _start_vector(r, dim).astype(dtype, copy=False), deflate, tol)
         matvecs += run.steps
         level = run.theta
         levels.append(level)
@@ -1160,7 +1122,9 @@ def _lanczos(h, dim: int, scale: float, level_tol: float):
             break
         if not deflate:   # the highest Ritz value, the lowest of -T, plus scale
             ceiling = -_tridiagonal_lowest([-a for a in run.alpha], run.beta)[0] + scale
-        vector = _ritz_vector(h, start, run, deflate)
+        vector = _lanczos_lowest(h, _start_vector(r, dim).astype(dtype, copy=False),
+                                 deflate, tol, run.s)
+        vector /= np.sqrt(_dot(vector, vector).real)
         matvecs += run.steps - 1
         deflate.append((vector, ceiling - level))
     return levels, [u for u, _ in deflate], matvecs
@@ -1199,7 +1163,7 @@ def ground_state(h, space: FockSpace) -> GroundStateResult:
     scale of E0 are returned as the full multiplet.  ``k`` records the
     Lanczos runs (the multiplicity plus one, or the sector dimension on the
     dense path) and ``matvecs`` their H-vector products, those of the
-    replays that build the multiplet's vectors included (steps - 1 per
+    reruns that build the multiplet's vectors included (steps - 1 per
     level).  The scale of H, its largest |entry| (at least 1), and the
     finiteness check are read by :func:`max_abs_entry`, and the real-part
     test by ``.imag``, on every entry: a sector operator's hopping data and
@@ -1248,6 +1212,9 @@ def ground_state(h, space: FockSpace) -> GroundStateResult:
                              residual=residual0, k=k, space=space, matvecs=matvecs)
 
 
+WICK_ARGMAX_RTOL = 1e-9   # cumulants this close to the maximum, relative, tie for wick_argmax
+
+
 @dataclass
 class CorrelatorReport:
     """Two- and four-point data plus the Wick factorization residual."""
@@ -1293,8 +1260,12 @@ def correlators_and_wick(state, space: FockSpace) -> CorrelatorReport:
     of the two-body cumulant |<c_i+ c_j+ c_k c_l> - (C_il C_jk - C_ik C_jl)|
     (Kutzelnigg & Mukherjee, J. Chem. Phys. 110, 2800 (1999)), taken over
     the quadruples with i < j and k < l, which reach it; ``wick_argmax`` is
-    the lexicographically first of those reaching it: (0, 1, 0, 1) when the
-    residual is exactly 0, and () with fewer than two fermion modes.
+    the lexicographically first of those within ``WICK_ARGMAX_RTOL`` of it,
+    relative: (0, 1, 0, 1) when the residual is exactly 0, and () with
+    fewer than two fermion modes.  Quadruples a symmetry of the state maps
+    onto each other carry the same cumulant up to rounding, so the
+    tolerance makes the argmax a property of the state, not of the
+    rounding (a state and its lattice translate report the same one).
     Boson matrices <d+ d>, <d+ d+> and the ladder-pair correlators apply
     each ladder along its pair's axis of the rows of the state.
     """
@@ -1330,10 +1301,8 @@ def correlators_and_wick(state, space: FockSpace) -> CorrelatorReport:
                           for a, b in zip(pair_a, pair_b)]).reshape(n_pairs, n_twice * n_b)
         gram += w * (pvecs.conj() @ pvecs.T)
         # row m, mode m of space.boson_modes: d_m psi and d_m+ psi
-        dvecs = np.array([_on_pair_axis(x, space, p, d)
-                          for p, d in ladders]).reshape(nb, x.size)
-        ddagvecs = np.array([_on_pair_axis(x, space, p, d.T)
-                             for p, d in ladders]).reshape(nb, x.size)
+        dvecs = np.array([_on_pair_axis(x, d, p) for p, d in ladders]).reshape(nb, x.size)
+        ddagvecs = np.array([_on_pair_axis(x, d.T, p) for p, d in ladders]).reshape(nb, x.size)
         d_dag_d += w * (dvecs.conj() @ dvecs.T)
         d_dag_ddag += w * (dvecs.conj() @ ddagvecs.T)
     # q1 = Q1_X d_x + Q1_Z d_z and q2 = d_z of each pair
@@ -1351,9 +1320,10 @@ def correlators_and_wick(state, space: FockSpace) -> CorrelatorReport:
     k, l = pair_a[None, :], pair_b[None, :]
     diff = np.abs(-gram - (c_mat[i, l] * c_mat[j, k] - c_mat[i, k] * c_mat[j, l]))
     residual, argmax = 0.0, ()
-    if diff.size:   # np.argmax returns the first maximum in C (lexicographic) order
+    if diff.size:   # np.argmax returns the first True in C (lexicographic) order
         residual = float(diff.max())
-        p, q = np.unravel_index(np.argmax(diff), diff.shape)
+        p, q = np.unravel_index(np.argmax(diff >= residual * (1.0 - WICK_ARGMAX_RTOL)),
+                                diff.shape)
         argmax = tuple(int(x) for x in (pair_a[p], pair_b[p], pair_a[q], pair_b[q]))
     return CorrelatorReport(c_matrix=c_mat, d_dag_d=d_dag_d, d_dag_ddag=d_dag_ddag,
                             q_corr=q_corr, wick_residual=residual,

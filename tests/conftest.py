@@ -9,7 +9,7 @@ built from them are the references for the sector-basis Hamiltonians and
 observables, and ``full_sector_mapping_residual`` (the
 window block cut from full-sector Hamiltonians) for the window-native
 mapping residual; ``stored_basis_lanczos`` (the Lanczos that kept its
-Krylov basis) is the reference for the replayed Ritz vectors;
+Krylov basis) is the reference for the rerun sums, Ritz vectors included;
 ``stacked_sort_on_sector`` (the assembly that stacked its pieces, B's copies
 included, and sorted them by row) is the reference for the materialized
 arrays of the in-place assembly; the dense
@@ -428,7 +428,10 @@ def full_space_correlators(state, space: FockSpace, ops: ModeOperators) -> Corre
     wick = np.array([c_mat[i, l] * c_mat[j, k] - c_mat[i, k] * c_mat[j, l]
                      for (i, j, k, l) in quads])
     diff = np.abs(four - wick)
-    top = int(np.argmax(diff)) if len(diff) else 0
+    # the first quadruple within manybody.WICK_ARGMAX_RTOL of the maximum
+    top = 0
+    if len(diff):
+        top = int(np.argmax(diff >= diff.max() * (1.0 - manybody.WICK_ARGMAX_RTOL)))
     return CorrelatorReport(
         c_matrix=c_mat, d_dag_d=d_dag_d, d_dag_ddag=d_dag_ddag, q_corr=q_corr,
         wick_residual=float(diff.max()) if len(diff) else 0.0,
@@ -442,13 +445,14 @@ def full_space_correlators(state, space: FockSpace, ops: ModeOperators) -> Corre
 # ``manybody._lanczos_lowest`` and ``manybody._lanczos`` as they were while
 # each run kept its Krylov basis for the Ritz vector, with the library's
 # ``_dot``, ``_tridiagonal_lowest`` and ``LANCZOS_MAXITER``.  The library now
-# rebuilds the basis vector by vector in a second pass; its levels and
-# vectors must equal these bit for bit.
+# reruns the recurrence and sums the basis vector by vector as it is made;
+# its levels and vectors, and its sums over any coefficient list, must
+# equal these bit for bit.
 
-def stored_basis_lanczos_lowest(h, v: np.ndarray, deflate: list, tol: float):
-    """(lowest Ritz value, its unit Ritz vector, steps, highest Ritz value)
-    of h + sum over the (u, shift) of ``deflate`` of shift u u+, the basis
-    kept for the Ritz vector."""
+def stored_basis_run(h, v: np.ndarray, deflate: list, tol: float):
+    """(lowest Ritz value, its coefficients s, the Lanczos vectors, alpha,
+    beta) of pass 1 of a run on h + sum over the (u, shift) of ``deflate``
+    of shift u u+, the basis kept."""
     v /= np.sqrt(manybody._dot(v, v).real)
     basis, alpha, beta = [v], [], []
     for step in range(1, manybody.LANCZOS_MAXITER + 1):
@@ -469,14 +473,28 @@ def stored_basis_lanczos_lowest(h, v: np.ndarray, deflate: list, tol: float):
     else:
         raise ConvergenceError(
             f"Lanczos did not converge in {manybody.LANCZOS_MAXITER} steps")
-    ritz = np.zeros_like(v)
-    for coeff, b in zip(s, basis):
-        b *= coeff
-        ritz += b
+    return theta, s, basis, alpha, beta[:-1]
+
+
+def stored_basis_sum(basis: list, coefficients) -> np.ndarray:
+    """sum_j c_j v_j over the first len(coefficients) vectors of ``basis``,
+    added in order, not normalized."""
+    total = np.zeros_like(basis[0])
+    for coeff, b in zip(coefficients, basis):
+        total += coeff * b
+    return total
+
+
+def stored_basis_lanczos_lowest(h, v: np.ndarray, deflate: list, tol: float):
+    """(lowest Ritz value, its unit Ritz vector, steps, highest Ritz value)
+    of h + sum over the (u, shift) of ``deflate`` of shift u u+, the basis
+    kept for the Ritz vector."""
+    theta, s, basis, alpha, beta = stored_basis_run(h, v, deflate, tol)
+    ritz = stored_basis_sum(basis, s)
     del basis
     ritz /= np.sqrt(manybody._dot(ritz, ritz).real)
-    top = -manybody._tridiagonal_lowest([-a for a in alpha], beta[:-1])[0]
-    return theta, ritz, step, top
+    top = -manybody._tridiagonal_lowest([-a for a in alpha], beta)[0]
+    return theta, ritz, len(alpha), top
 
 
 def stored_basis_lanczos(h, dim: int, scale: float, level_tol: float):

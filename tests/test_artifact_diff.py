@@ -82,6 +82,7 @@ def test_the_largest_change_is_read_only_where_both_sides_have_one_shape(tmp_pat
         "summary.txt": b"e=1.0\nz=1.0+2.0j\nargmax=0-1-0-1\n",
         "manifest.txt": b"wall_time_s=1\ne=1.0\n",
         "notes.txt": b"free text\n",
+        "zero.csv": b"a,b\n1,-0.0\n",
     })
     new = _tree(tmp_path / "new", {
         # the largest absolute change (0.5) and the largest relative one
@@ -91,6 +92,7 @@ def test_the_largest_change_is_read_only_where_both_sides_have_one_shape(tmp_pat
         "summary.txt": b"e=1.0\nz=1.0+2.5j\nargmax=0-1-1-2\n",
         "manifest.txt": b"wall_time_s=2\ne=1.0\ntruncation_converged=false\n",  # a key more
         "notes.txt": b"other text\n",
+        "zero.csv": b"a,b\n1,0.0\n",                    # a signed zero flips
     })
     assert artifact_diff.compare(old, new) == [
         "a.csv: line 2: '0.001,1.0,x' -> '0.001,1.5,z'; largest change 0.5 abs, 0.333 rel",
@@ -98,4 +100,5 @@ def test_the_largest_change_is_read_only_where_both_sides_have_one_shape(tmp_pat
         "manifest.txt: 1 -> 2 lines",
         "notes.txt: line 1: 'free text' -> 'other text'",
         "summary.txt: line 2: 'z=1.0+2.0j' -> 'z=1.0+2.5j'; largest change 0.5 abs, 0.186 rel",
+        "zero.csv: line 2: '1,-0.0' -> '1,0.0'; largest change 0 abs, 0 rel",
     ]

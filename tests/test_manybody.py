@@ -23,7 +23,8 @@ from conftest import (boson_ladders, fermion_number, full_sector_mapping_residua
                       full_space_d, full_space_particle_hole,
                       full_space_simulator, full_space_target,
                       q_map_commutators, q_pair, sector_csr,
-                      stacked_sort_on_sector, stored_basis_lanczos)
+                      stacked_sort_on_sector, stored_basis_lanczos,
+                      stored_basis_run, stored_basis_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -241,24 +242,22 @@ def test_sector_assembly_is_the_stacked_sort_entry_for_entry(ncx, placement, sec
 @pytest.mark.parametrize("n_max", [0, 1, 2, 3])
 def test_factored_product_is_the_materialized_one(placement, n_max):
     # B applied on each pair's axis against the dense matrix of the
-    # materialized entries, on the whole factor and on windows 0 and 1
+    # materialized entries; a windowed operator has no product, and its
+    # entries are pinned by the stacked-sort test above
     spec = LatticeSpec(2, 1)
     space = FockSpace(spec.n_modes, boson_pairs(spec, placement), n_max, sector=1)
     rng = np.random.default_rng(n_max)
     x = rng.standard_normal(space.sector_dimension)
     z = x + 1j * rng.standard_normal(space.sector_dimension)
-    occupation = space.boson_occupation_table()
     for table in _tables(space):
-        for keep in (None, occupation <= 0, occupation <= 1):
-            h = manybody._on_sector(spec, space, table, keep=keep)
-            dense = h.toarray()
-            n = h.shape[0]
-            for v in (x[:n], z[:n]):
-                y = h @ v
-                want = dense @ v
-                assert y.dtype == want.dtype
-                bound = 1e-13 * (np.abs(dense) @ np.abs(v)).max()
-                np.testing.assert_allclose(y, want, rtol=0, atol=bound)
+        h = manybody._on_sector(spec, space, table)
+        dense = h.toarray()
+        for v in (x, z):
+            y = h @ v
+            want = dense @ v
+            assert y.dtype == want.dtype
+            bound = 1e-13 * (np.abs(dense) @ np.abs(v)).max()
+            np.testing.assert_allclose(y, want, rtol=0, atol=bound)
 
 
 @pytest.mark.parametrize("config,nnz", [
@@ -405,8 +404,8 @@ def test_pair_local_matrix_may_hold_several_entries_per_row(placement, rng):
     full[idx] = psi
     d = full_space_d(space)
     for p, cell in enumerate(space.pairs):
-        got = manybody._on_pair_axis(psi.reshape(-1, space.boson_dim), space, p, q1)
-        np.testing.assert_allclose(got, (q_pair(d, space, cell)[0] @ full)[idx],
+        got = manybody._on_pair_axis(psi.reshape(-1, space.boson_dim), q1, p)
+        np.testing.assert_allclose(got.ravel(), (q_pair(d, space, cell)[0] @ full)[idx],
                                    rtol=0, atol=1e-14)
 
 
@@ -943,13 +942,16 @@ class _CountedProducts:
 
 @pytest.mark.parametrize("name", ["fold-1", "fold-2", "fold-3", "c"])
 def test_only_the_multiplet_runs_are_replayed(monkeypatch, name):
-    # each locked level replays its run (steps - 1 products); the gap
-    # witness, the last run, builds no vector
+    # each locked level reruns its run with its Ritz coefficients (steps - 1
+    # products); the gap witness, the last run, builds no vector
     h, space, fold = _lanczos_case(name)
-    steps, run_lowest = [], manybody._lanczos_lowest
+    steps, reruns, run_lowest = [], [], manybody._lanczos_lowest
 
-    def recording(*args):
-        run = run_lowest(*args)
+    def recording(h, v, deflate, tol, coefficients=None):
+        if coefficients is not None:
+            reruns.append(len(coefficients))
+            return run_lowest(h, v, deflate, tol, coefficients)
+        run = run_lowest(h, v, deflate, tol)
         steps.append(run.steps)
         return run
 
@@ -957,7 +959,27 @@ def test_only_the_multiplet_runs_are_replayed(monkeypatch, name):
     counted = _CountedProducts(h)
     _, vectors, matvecs = manybody._lanczos(counted, *_lanczos_args(h, space)[1:])
     assert len(steps) == fold + 1 and len(vectors) == fold and steps[-1] > 1
+    assert reruns == steps[:-1]
     assert counted.products == matvecs == sum(steps) + sum(n - 1 for n in steps[:-1])
+
+
+@pytest.mark.parametrize("name", ["fold-2", "c"])
+def test_a_rerun_sums_any_coefficients_over_the_stored_basis(name):
+    # the second run sees the first one's locked level; any coefficient
+    # list, not only the Ritz one, and any prefix of the run, gives the
+    # stored basis's sum_j c_j v_j bit for bit
+    h, space, _ = _lanczos_case(name)
+    _, dim, scale, _ = _lanczos_args(h, space)
+    levels, vectors, _ = manybody._lanczos(h, dim, scale, manybody.DEGENERACY_TOL * scale)
+    deflate = [(vectors[0], 2.0 * scale)]
+    tol = 1e-11 * scale
+    basis = stored_basis_run(h, manybody._start_vector(1, dim), deflate, tol)[2]
+    assert len(basis) > 8
+    for coefficients in ([(-1) ** j / (j + 1) for j in range(len(basis))],
+                         [0.5] * (len(basis) // 2)):
+        got = manybody._lanczos_lowest(h, manybody._start_vector(1, dim), deflate, tol,
+                                       coefficients)
+        np.testing.assert_array_equal(got, stored_basis_sum(basis, coefficients))
 
 
 def test_ground_state_holds_a_fixed_number_of_vectors():

@@ -9,6 +9,7 @@ from gravlat.lattice import LatticeSpec
 from gravlat.manybody import (FockSpace, assemble_background_hopping,
                               assemble_simulator_hamiltonian,
                               assemble_target_hamiltonian, boson_pairs,
+                              correlators_and_wick, ground_state,
                               operator_algebra)
 from gravlat.momentum import (block_spectrum, momentum_blocks,
                               sector_particle_hole, sector_shift,
@@ -197,3 +198,23 @@ def test_cell0_is_one_block_equal_to_the_dense_sector_matrix():
     assert k == (0, 0)
     np.testing.assert_array_equal(block, h.toarray())
 
+
+
+def test_a_ground_state_and_its_translates_report_one_wick_argmax():
+    # the 2x2 per_cell ground state is one momentum level, so each translate
+    # is the state up to a phase and carries its cumulants up to rounding;
+    # an exact argmax read the rounding (1-6-1-6, 3-4-3-4, 0-7-0-7, 2-5-2-5)
+    spec, space = _space(2, 2, "per_cell", 1)
+    gs = ground_state(assemble_simulator_hamiltonian(PARAMS, spec, space), space)
+    assert gs.multiplicity == 1
+    v = gs.vectors[0]
+    rep = correlators_and_wick(v, space)
+    assert rep.wick_argmax == (0, 7, 0, 7)
+    for shift in ((1, 0), (0, 1), (1, 1)):
+        image, sign = sector_shift(spec, space, *shift)
+        moved = np.zeros_like(v)
+        moved[image] = sign * v
+        assert abs(moved @ v) == pytest.approx(1.0, abs=1e-12)
+        translate = correlators_and_wick(moved, space)
+        assert translate.wick_argmax == rep.wick_argmax
+        assert translate.wick_residual == pytest.approx(rep.wick_residual, rel=1e-12)

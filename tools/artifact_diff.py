@@ -15,7 +15,8 @@ a file that exists on both sides.  When both sides of a differing CSV or
 key=value file have the same shape (the same number of fields on every
 CSV line, the same keys in the same order), the line ends with the
 largest absolute and relative change over the fields that read as numbers
-on both sides, relative to the larger magnitude.  Exits 1 on any difference, 0
+on both sides, relative to the larger magnitude (0 for a change of zero,
+a signed zero that flips).  Exits 1 on any difference, 0
 otherwise, and 2, before anything runs, when ``--seeds`` lists no seed.
 """
 
@@ -42,7 +43,7 @@ from workloads import WORKLOADS, Job, _cfg  # noqa: E402
 # particle-hole split alone (half-filled ``cell0``, no translations), the
 # one-state pair basis (n_max = 0), a Lanczos-path multiplet (3x1
 # ``per_cell`` at filling 2: sector 960, multiplicity 2, so the second
-# level's Ritz vector is replayed against the first one's deflation), a
+# level's run, which sees the first one's deflation, is rerun), a
 # ground-state table of several write chunks on the 729-state boson factor
 # (3x1 ``per_cell``, n_max = 2: 14 580 rows of ``ground_state.csv``), and
 # the slab checks on a non-square slab: the refinement study at nt = 3
@@ -200,7 +201,7 @@ def _largest_change(a: bytes, b: bytes, name: Path) -> str:
             if x is None or y is None:
                 continue
             change = abs(x - y)
-            rel = change / max(abs(x), abs(y))
+            rel = change / max(abs(x), abs(y)) if change else 0.0   # -0.0 -> 0.0
             worst_abs = change if worst_abs is None else max(worst_abs, change)
             worst_rel = rel if worst_rel is None else max(worst_rel, rel)
     if worst_abs is None:
