@@ -37,17 +37,16 @@ Every Hamiltonian is sum_(p, q) kron(c_p+ c_q, J_pq) + h.c. + kron(1, B),
 the hopping blocks looked up by ``searchsorted`` in the sorted basis
 (H. Q. Lin, PRB 42, 6561 (1990)).  The bond rule turns the vertex into
 J_pq, a small dense matrix local to one pair (1 x 1 where no pair serves
-the cell).  :func:`_on_sector` embeds each J_pq in the boson factor by
-index arithmetic on the pair digits, builds and checks B there (the
-hopping part is Hermitian by construction, :func:`_hermitian_part`), and
-can first restrict every boson-factor operator to the indices a window
-mask keeps, so :func:`mapping_residual` assembles only its window block
-(read through ``toarray`` alone: a windowed operator has no product).
-The result is a :class:`SectorOperator`: the hopping part in its own
-compressed-row form, each entry scattered straight into its final slot
-(rows counted first, then one row cursor per row), and kron(1, B) kept
-factored, as B's diagonal over the boson factor and the one off-diagonal
-block that every pair shares, never as a copy per fermion state.  Its
+the cell).  :func:`_sector_pieces` builds and checks B on the boson
+factor (the hopping part is Hermitian by construction); :func:`_on_sector`
+embeds each J_pq there by index arithmetic on the pair digits, and
+:func:`mapping_residual` writes its window block densely from the same
+pieces.  The result of :func:`_on_sector` is a :class:`SectorOperator`
+on the whole sector: the hopping part in its own compressed-row form,
+each entry scattered straight into its final slot (rows counted first,
+then one row cursor per row), and kron(1, B) kept factored, as B's
+diagonal over the boson factor and the one off-diagonal block that every
+pair shares, never as a copy per fermion state.  Its
 ``materialized`` form writes B's entries into the rows, the same entries
 in the same order as when they were stored; ``toarray``, the momentum
 blocks and the tests read that.
@@ -387,15 +386,6 @@ def _embed(space: FockSpace, local: np.ndarray, pair: Optional[int] = None):
     return rows, rows + (lc[entry] - lr[entry]) * stride, local[lr, lc][entry]
 
 
-def _restricted(entries, keep: np.ndarray):
-    """The (rows, cols, data) ``entries`` on the boson indices the mask
-    ``keep`` sets, renumbered in order."""
-    rows, cols, data = entries
-    inside = keep[rows] & keep[cols]
-    position = np.cumsum(keep) - 1
-    return position[rows[inside]], position[cols[inside]], data[inside]
-
-
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b with each entry's terms a[i, j] b[j, k] added one at a time,
     those with j != k in index order and the j == k term last.
@@ -453,16 +443,12 @@ class _FactoredBoson:
     """kron(1, B) of a :class:`SectorOperator`, B = (B0 + B0+) / 2 kept in
     factored form: ``diag``, B's diagonal over the whole boson factor of
     ``space``, and ``off``, the off-diagonal block local to one pair (zero
-    diagonal), which every pair shares.  ``keep`` (a mask over the boson
-    indices, or None) restricts B's ``entries`` to the indices it sets,
-    renumbered in order, as :func:`_restricted` restricts an embedded
-    operator.
+    diagonal), which every pair shares.
     """
 
     space: FockSpace
     diag: np.ndarray
     off: np.ndarray
-    keep: Optional[np.ndarray] = None
 
     @property
     def dtype(self):
@@ -472,14 +458,9 @@ class _FactoredBoson:
     def real(self) -> "_FactoredBoson":
         return replace(self, diag=self.diag.real, off=self.off.real)
 
-    @property
-    def n_b(self) -> int:
-        """The dimension of the (kept) boson factor B acts on."""
-        return self.space.boson_dim if self.keep is None else int(np.count_nonzero(self.keep))
-
     @cached_property
     def entries(self):
-        """(rows, cols, data) of B on the (kept) boson factor in row-major
+        """(rows, cols, data) of B on the boson factor in row-major
         order, zero entries left out: the diagonal's nonzero entries and
         ``off`` embedded on each pair (the pairs' blocks share no entry)."""
         space = self.space
@@ -488,14 +469,11 @@ class _FactoredBoson:
                                               for p in range(len(space.pairs))]
         rows, cols, data = (np.concatenate(x) for x in zip(*pieces))
         order = np.argsort(rows * space.boson_dim + cols)
-        entries = rows[order], cols[order], data[order]
-        return entries if self.keep is None else _restricted(entries, self.keep)
+        return rows[order], cols[order], data[order]
 
     def add_product(self, x: np.ndarray, out: np.ndarray) -> None:
         """out += kron(1, B) x, both (fermion states, boson_dim) arrays:
-        ``x * diag``, then ``off`` on each pair's axis (:func:`_on_pair_axis`).
-        Only an unrestricted B has a product; a kept one is read through
-        its ``entries`` alone."""
+        ``x * diag``, then ``off`` on each pair's axis (:func:`_on_pair_axis`)."""
         out += x * self.diag
         for p in range(len(self.space.pairs)):
             out += _on_pair_axis(x, self.off, p)
@@ -546,7 +524,8 @@ class SectorOperator:
     def nnz(self) -> int:
         if self.boson is None:
             return len(self.data)
-        return len(self.data) + self.shape[0] // self.boson.n_b * len(self.boson.entries[2])
+        n_states = self.shape[0] // self.boson.space.boson_dim
+        return len(self.data) + n_states * len(self.boson.entries[2])
 
     @property
     def real(self) -> "SectorOperator":
@@ -566,7 +545,7 @@ class SectorOperator:
         """The number of entries on each row."""
         counts = np.diff(self.indptr)
         if self.boson is not None:
-            n_b = self.boson.n_b
+            n_b = self.boson.space.boson_dim
             counts = (counts.reshape(-1, n_b)
                       + np.bincount(self.boson.entries[0], minlength=n_b)).ravel()
         return counts
@@ -579,7 +558,7 @@ class SectorOperator:
         if self.boson is None:
             return self
         _, b_cols, b_data = self.boson.entries
-        n_b = self.boson.n_b
+        n_b = self.boson.space.boson_dim
         n_states = self.shape[0] // n_b
         lengths, hop_counts = self.row_lengths(), np.diff(self.indptr)
         indptr = np.zeros(self.shape[0] + 1, dtype=np.intp)
@@ -628,16 +607,15 @@ class SectorOperator:
             g *= self.data[a:b]
             out[rows] = np.add.reduceat(g, starts)
         if self.boson is not None:
-            n_b = self.boson.n_b
+            n_b = self.boson.space.boson_dim
             self.boson.add_product(x.reshape(-1, n_b), out.reshape(-1, n_b))
         return out
 
 
-def _hermitian_part(space: FockSpace, terms, scale: float, keep=None) -> _FactoredBoson:
+def _hermitian_part(space: FockSpace, terms, scale: float) -> _FactoredBoson:
     """(B + B+) / 2 in factored form, B the sum of the pair-local ``terms``
     on every pair, after checking it: AssertionError when max|B - B+|
-    exceeds 1e-12 * max(scale, max|B|, 1).  ``keep`` restricts it as
-    :class:`_FactoredBoson` says.
+    exceeds 1e-12 * max(scale, max|B|, 1).
 
     B's diagonal is built over the boson factor, each entry adding the
     terms' diagonals term by term, pair by pair; its off-diagonal is one
@@ -655,16 +633,15 @@ def _hermitian_part(space: FockSpace, terms, scale: float, keep=None) -> _Factor
     defect = max(np.abs(diag - diag.conj()).max(), np.abs(off - off.conj().T).max())
     if defect > 1e-12 * max(scale, 1.0):
         raise AssertionError(f"anti-Hermitian assembly: defect {defect:g}")
-    return _FactoredBoson(space, (diag + diag.conj()) * 0.5, (off + off.conj().T) * 0.5, keep)
+    return _FactoredBoson(space, (diag + diag.conj()) * 0.5, (off + off.conj().T) * 0.5)
 
 
-def _sector_pieces(spec: LatticeSpec, space: FockSpace, hamiltonian, keep=None):
-    """(fermion states, boson-factor dimension, hops, B) of a Hamiltonian's
-    table as :func:`_on_sector` takes it: each hop is the fermion block
-    (rows, cols, signs) of one c_p+ c_q and its J_pq embedded in the boson
-    factor as (rows, cols, data), and B is (B + B+) / 2 in factored form
-    (None without terms), every boson-factor piece restricted to the
-    indices ``keep`` sets."""
+def _sector_pieces(spec: LatticeSpec, space: FockSpace, hamiltonian):
+    """(fermion states, hops, B) of a Hamiltonian's table, the one step from
+    the table that :func:`_on_sector` and :func:`_window_block` share: each
+    hop is the fermion block (rows, cols, signs) of one c_p+ c_q, its pair
+    and its J_pq local to that pair, and B is (B + B+) / 2 in factored form
+    (None without terms)."""
     vertex, terms = hamiltonian
     states = space.sector_fermion_states()
     hops = [(_hopping_block(states, p, q), pair, local)
@@ -673,13 +650,8 @@ def _sector_pieces(spec: LatticeSpec, space: FockSpace, hamiltonian, keep=None):
     if terms:
         scale = max([float(np.abs(local).max()) for (rows, _, _), _, local in hops
                      if len(rows)], default=0.0)
-        boson = _hermitian_part(space, terms, scale, keep)
-    hops = [(blk, _embed(space, local, pair)) for blk, pair, local in hops]
-    n_b = space.boson_dim
-    if keep is not None:
-        hops = [(blk, _restricted(j, keep)) for blk, j in hops]
-        n_b = int(np.count_nonzero(keep))
-    return len(states), n_b, hops, boson
+        boson = _hermitian_part(space, terms, scale)
+    return len(states), hops, boson
 
 
 def _ranks(rows: np.ndarray, n: int):
@@ -692,7 +664,7 @@ def _ranks(rows: np.ndarray, n: int):
     return counts, rank
 
 
-def _on_sector(spec: LatticeSpec, space: FockSpace, hamiltonian, keep=None) -> SectorOperator:
+def _on_sector(spec: LatticeSpec, space: FockSpace, hamiltonian) -> SectorOperator:
     """sum_(p, q) kron(c_p+ c_q, J_pq) + h.c. + kron(1, B) on the sector
     basis, from a Hamiltonian's table (vertex, terms): the vertex wired to
     the bonds of ``spec`` as J_pq by :func:`_bond_couplings`, and the
@@ -703,10 +675,7 @@ def _on_sector(spec: LatticeSpec, space: FockSpace, hamiltonian, keep=None) -> S
     defect can enter (:func:`_hermitian_part`), with scale the largest
     |entry| of the sector H (the largest |J_pq| over nonempty hopping
     blocks, or the largest |B|), and enters as (B + B+) / 2, kept in
-    factored form.  With ``keep`` (a mask over the boson indices), every
-    boson-factor operator is restricted to the indices it sets before the
-    kron, so the result is the block of the full H on rows and columns
-    position * boson_dim + (those indices), entry for entry.
+    factored form.
 
     The hopping part is written in place: the entry count of every row
     comes first, then each piece is scattered straight into its final
@@ -714,7 +683,9 @@ def _on_sector(spec: LatticeSpec, space: FockSpace, hamiltonian, keep=None) -> S
     assembly holds no array as long as the entries beyond the operator's
     own.
     """
-    n_states, n_b, hops, boson = _sector_pieces(spec, space, hamiltonian, keep)
+    n_states, hops, boson = _sector_pieces(spec, space, hamiltonian)
+    n_b = space.boson_dim
+    hops = [(blk, _embed(space, local, pair)) for blk, pair, local in hops]
     # kron(c_p+ c_q, J) puts sign * J_ab at (row * n_b + a, col * n_b + b)
     # and its transpose the conjugate at (col * n_b + b, row * n_b + a).
     # These pieces share no entry.  A row holds them hop by hop, forward
@@ -756,6 +727,36 @@ def _on_sector(spec: LatticeSpec, space: FockSpace, hamiltonian, keep=None) -> S
             scatter(r, c, j_rows, j_cols, forward, v)
             scatter(c, r, j_cols, j_rows, backward, v.conj())
     return SectorOperator(data, cols, indptr, (n_states * n_b,) * 2, boson)
+
+
+def _window_block(spec: LatticeSpec, space: FockSpace, hamiltonian,
+                  kept: np.ndarray) -> np.ndarray:
+    """The dense block of :func:`_on_sector`'s H on the rows and columns
+    position * boson_dim + kept[i], the sorted boson indices ``kept``: each
+    entry H stores there written once, with its value, and +0.0 elsewhere.
+    ``cut`` restricts a matrix local to a pair, or a 1 x 1 one local to no
+    pair, to the kept indices by :func:`_on_pair_axis` on unit vectors."""
+    n_states, hops, boson = _sector_pieces(spec, space, hamiltonian)
+    k = len(kept)
+    units = (kept[:, None] == np.arange(space.boson_dim)).astype(float)
+
+    def cut(local, pair):
+        return _on_pair_axis(units, local, pair or 0)[:, kept].T
+
+    dtypes = [np.result_type(signs, local) for (_, _, signs), _, local in hops]
+    if boson is not None:
+        dtypes.append(boson.dtype)
+    block = np.zeros((n_states, k, n_states, k), dtype=np.result_type(*dtypes))
+    for (rows, cols, signs), pair, local in hops:
+        v = signs[:, None, None] * cut(local, pair)
+        block[rows, :, cols, :] = v
+        block[cols, :, rows, :] = v.conj().transpose(0, 2, 1)
+    if boson is not None:
+        states = np.arange(n_states)
+        block[states, :, states, :] = np.diag(boson.diag[kept]) + sum(
+            cut(boson.off, p) for p in range(len(space.pairs)))
+    block[block == 0] = 0.0   # H stores no zero entry: no -0.0 where it reads +0.0
+    return block.reshape(n_states * k, n_states * k)
 
 
 def _check_space(spec: LatticeSpec, space: FockSpace) -> None:
@@ -875,24 +876,21 @@ def mapping_residual(params: ModelParams, spec: LatticeSpec, space: FockSpace,
     """min over c of the spectral norm of (H_sim - H_target - c) restricted
     to total boson occupation <= window, on the sector basis.
 
-    Only that block is assembled: the simulator and target terms are built
-    on the boson factor, checked for Hermiticity there (see the assembly
-    note of the module docstring), and restricted to the boson indices the
-    window keeps before their kron onto the sector.  The block equals the
-    one cut from the full-sector Hamiltonians, entry for entry.  For a
-    Hermitian difference the minimizing shift is the spectral midpoint, so
-    the value is (lambda_max - lambda_min) / 2 of the block.  ValueError
-    for a negative window or one above n_max.
+    Only that block is written, densely (:func:`_window_block`), entry for
+    entry the block cut from the full-sector Hamiltonians; the target's is
+    subtracted in place.  For a Hermitian difference the minimizing shift
+    is the spectral midpoint, so the value is (lambda_max - lambda_min) / 2
+    of the block.  ValueError for a negative window or one above n_max.
     """
     if window < 0:
         raise ValueError(f"window {window} is negative")
     if window > space.n_max:
         raise ValueError(f"window {window} exceeds n_max {space.n_max}")
     _check_space(spec, space)
-    keep = space.boson_occupation_table() <= window
-    sim = _on_sector(spec, space, _simulator_terms(params, space.pair_ladders), keep=keep)
-    target = _on_sector(spec, space, _target_terms(params, space.pair_ladders), keep=keep)
-    evals = np.linalg.eigvalsh(sim.toarray() - target.toarray())
+    kept = np.flatnonzero(space.boson_occupation_table() <= window)
+    block = _window_block(spec, space, _simulator_terms(params, space.pair_ladders), kept)
+    block -= _window_block(spec, space, _target_terms(params, space.pair_ladders), kept)
+    evals = np.linalg.eigvalsh(block)
     return float((evals[-1] - evals[0]) / 2.0)
 
 

@@ -533,11 +533,13 @@ def stored_basis_lanczos(h, dim: int, scale: float, level_tol: float):
 # any ``sort_indices``: the order inside a row is the order the rows were
 # summed in while B was stored.
 
-def stacked_sort_on_sector(spec: LatticeSpec, space: FockSpace, hamiltonian,
-                           keep=None) -> SectorOperator:
-    """``manybody._on_sector(spec, space, hamiltonian, keep)`` by stacking
-    and one stable sort by row."""
-    n_states, n_b, hops, boson = manybody._sector_pieces(spec, space, hamiltonian, keep)
+def stacked_sort_on_sector(spec: LatticeSpec, space: FockSpace,
+                           hamiltonian) -> SectorOperator:
+    """``manybody._on_sector(spec, space, hamiltonian)`` by stacking and one
+    stable sort by row."""
+    n_states, hops, boson = manybody._sector_pieces(spec, space, hamiltonian)
+    n_b = space.boson_dim
+    hops = [(blk, manybody._embed(space, local, pair)) for blk, pair, local in hops]
     dim = n_states * n_b
     index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
     rows, cols, data = [], [], []

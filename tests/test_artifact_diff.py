@@ -49,7 +49,7 @@ def test_compare_reports_a_manifest_change_besides_the_wall_time(tmp_path):
 def test_extra_jobs_add_names_no_benchmark_job_has():
     names = [job.name for jobs in artifact_diff.WORKLOADS.values() for job in jobs]
     extra = [job.name for job in artifact_diff.EXTRA_JOBS]
-    assert len(extra) == 16 and len(set(names + extra)) == len(names) + 16
+    assert len(extra) == 17 and len(set(names + extra)) == len(names) + 17
 
 
 @pytest.mark.parametrize("seeds", ["", ",", " , "])

@@ -38,13 +38,14 @@ from workloads import WORKLOADS, Job, _cfg  # noqa: E402
 
 
 # Paths no benchmark job takes: the shared (``uniform``) pair, a 2D
-# many-body lattice, a filling other than half, window 0, the mapping
-# residual on background bonds (``cell0``) and on the shared pair, the
-# particle-hole split alone (half-filled ``cell0``, no translations), the
-# one-state pair basis (n_max = 0), a Lanczos-path multiplet (3x1
-# ``per_cell`` at filling 2: sector 960, multiplicity 2, so the second
-# level's run, which sees the first one's deflation, is rerun), a
-# ground-state table of several write chunks on the 729-state boson factor
+# many-body lattice, a filling other than half, window 0, window = n_max
+# (the whole boson factor kept: 2x1 ``per_cell`` at n_max = 2, a 486 x 486
+# block), the mapping residual on background bonds (``cell0``) and on the
+# shared pair, the particle-hole split alone (half-filled ``cell0``, no
+# translations), the one-state pair basis (n_max = 0), a Lanczos-path
+# multiplet (3x1 ``per_cell`` at filling 2: sector 960, multiplicity 2, so
+# the second level's run, which sees the first one's deflation, is rerun),
+# a ground-state table of several write chunks on the 729-state boson factor
 # (3x1 ``per_cell``, n_max = 2: 14 580 rows of ``ground_state.csv``), and
 # the slab checks on a non-square slab: the refinement study at nt = 3
 # (one chunk), 5 and 7 (chunks of 3 slices; 7 is the largest nt with that
@@ -95,6 +96,12 @@ EXTRA_JOBS = (
         "command = map-residual",
         "[lattice]", "ncx = 2", "ncy = 2",
         "[truncation]", "n_max = 1", "window = 0",
+        "[manybody]", "placement = per_cell",
+        "[sweep]", "g_values = 0, 1e-3, 1e-2")),
+    Job("window-n-max-map-residual", _cfg(
+        "command = map-residual",
+        "[lattice]", "ncx = 2", "ncy = 1",
+        "[truncation]", "n_max = 2", "window = 2",
         "[manybody]", "placement = per_cell",
         "[sweep]", "g_values = 0, 1e-3, 1e-2")),
     *(Job(f"{placement}-map-residual", _cfg(
